@@ -152,12 +152,11 @@ def classify_pair(
 def _matching_residuals(
     first: RegularPolygon, second: RegularPolygon, point: Point, kind: MatchKind
 ) -> tuple[float, ...]:
-    n = first.n
-    out = []
-    for k in range(2, n + 1):
-        j = k if kind is MatchKind.IDENTITY else n + 2 - k
-        out.append(abs(point.distance(first.vertex(k)) - point.distance(second.vertex(j))))
-    return tuple(out)
+    ours = first.vertices()[1:]
+    theirs = second.vertices()[1:]
+    if kind is MatchKind.REVERSAL:
+        theirs = theirs[::-1]
+    return tuple([abs(point.distance(a) - point.distance(b)) for a, b in zip(ours, theirs)])
 
 
 def equal_distance_points(
@@ -251,25 +250,28 @@ def correspondence(
     n = first.n
     r1, r2 = first.circumradius, second.circumradius
     slack = tol.bound(max(r1, r2))
-    first_residual = abs(point.distance(first.vertex(1)) - point.distance(second.vertex(1)))
+    ours, theirs = first.vertices(), second.vertices()
+    first_residual = abs(point.distance(ours[0]) - point.distance(theirs[0]))
 
     chosen: MatchKind | None = None
-    residuals: tuple[float, ...] = ()
+    computed: dict[MatchKind, tuple[float, ...]] = {}
     if first_residual <= slack:
-        for kind in (MatchKind.IDENTITY, MatchKind.REVERSAL):
-            candidate = _matching_residuals(first, second, point, kind)
-            if max(candidate) <= slack:
+        for kind in MatchKind:
+            computed[kind] = _matching_residuals(first, second, point, kind)
+            if max(computed[kind]) <= slack:
                 chosen = kind
-                residuals = candidate
                 break
     if chosen is None:
-        identity_worst = max(_matching_residuals(first, second, point, MatchKind.IDENTITY))
-        reversal_worst = max(_matching_residuals(first, second, point, MatchKind.REVERSAL))
+        identity_worst, reversal_worst = (
+            max(computed.get(kind) or _matching_residuals(first, second, point, kind))
+            for kind in MatchKind
+        )
         raise NoMatchingError(
             "no vertex correspondence holds at this point "
             f"(first-vertex residual {first_residual:.3e}, identity "
             f"{identity_worst:.3e}, reversal {reversal_worst:.3e}, allowed {slack:.3e})"
         )
+    residuals = computed[chosen]
 
     # Cosine-law cross-check.  The offset of the point from vertex 1 around O1
     # drives the law for the first polygon directly; the identity matching
@@ -284,8 +286,8 @@ def correspondence(
         model = base - cross * math.cos(math.tau * (k - 1) / n - offset)
         model_worst = max(
             model_worst,
-            abs(point.distance_squared(first.vertex(k)) - model),
-            abs(point.distance_squared(second.vertex(j)) - model),
+            abs(point.distance_squared(ours[k - 1]) - model),
+            abs(point.distance_squared(theirs[j - 1]) - model),
         )
     model_slack = tol.bound((r1 + r2) ** 2)
     shared_angle = sign * offset

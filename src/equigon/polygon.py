@@ -80,14 +80,23 @@ class RegularPolygon:
         return self.phase + self.orientation * math.tau * (k - 1) / self.n
 
     def vertex(self, k: int) -> Point:
-        theta = self.vertex_angle(k)
-        return Point(
-            self.centroid.x + self.circumradius * math.cos(theta),
-            self.centroid.y + self.circumradius * math.sin(theta),
-        )
+        if not 1 <= k <= self.n:
+            raise IndexError(f"vertex index {k} outside 1..{self.n}")
+        return self.vertices()[k - 1]
 
     def vertices(self) -> tuple[Point, ...]:
-        return tuple(self.vertex(k) for k in range(1, self.n + 1))
+        """Vertices 1..n, computed once and kept outside the dataclass fields,
+        so equality, hashing and ``dataclasses.replace`` never see the cache."""
+        cached = self.__dict__.get("_vertices")
+        if cached is None:
+            cx, cy, radius = self.centroid.x, self.centroid.y, self.circumradius
+            # A list, not a generator: resized tuples would pile up in CPython's free lists.
+            cached = tuple([
+                Point(cx + radius * math.cos(theta), cy + radius * math.sin(theta))
+                for theta in map(self.vertex_angle, range(1, self.n + 1))
+            ])
+            object.__setattr__(self, "_vertices", cached)
+        return cached
 
 
 def from_shared_vertex(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from .polygon import RegularPolygon
@@ -66,13 +66,19 @@ def power_sums_vector(
     """Power sums of all orders 1..max_order, computed incrementally."""
     if max_order < 1:
         raise OrderOutOfRangeError(f"max_order must be >= 1, got {max_order}")
-    values = _values(data)
+    return tuple(_power_sums(_values(data), max_order))
+
+
+def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
+    """Yield p_1..p_top of ``values``, each a left-to-right sum of running products.
+
+    Lazy, so a caller that stops early (an error at order m) pays for m orders only.
+    """
     running = list(values)
-    sums = []
-    for _ in range(max_order):
-        sums.append(sum(running))
+    yield sum(running)
+    for _ in range(top - 1):
         running = [r * v for r, v in zip(running, values)]
-    return tuple(sums)
+        yield sum(running)
 
 
 def power_sum_closed_form(n: int, circumradius: float, center_distance: float, order: int) -> float:
@@ -131,12 +137,9 @@ def verify_power_sum_identity(
         raise OrderOutOfRangeError(f"max_order {top} outside 1..{n - 1} for n={n}")
     squared = distances_squared(poly.vertices(), point).squared
     center_distance = point.distance(poly.centroid)
-    running = list(squared)
     checks = []
     worst = 0.0
-    for order in range(1, top + 1):
-        direct = sum(running)
-        running = [r * v for r, v in zip(running, squared)]
+    for order, direct in enumerate(_power_sums(squared, top), start=1):
         closed = power_sum_closed_form(n, poly.circumradius, center_distance, order)
         residual = abs(direct - closed) / max(abs(direct), abs(closed), 1e-300)
         worst = max(worst, residual)
@@ -166,15 +169,14 @@ class MultisetMatch:
     """Outcome of comparing two squared-distance multisets.
 
     ``permutation`` is 1-based: entry i of the first list pairs with entry
-    ``permutation[i-1]`` of the second.  The Newton cross-check recomputes the
-    comparison through elementary symmetric functions; it is reported but the
-    sorted pairwise comparison is the decision.
+    ``permutation[i-1]`` of the second.  Equality is decided by sorting both
+    lists and comparing them pairwise; ``max_residual`` is the largest gap
+    between paired entries.
     """
 
     equal: bool
     permutation: tuple[int, ...] | None
     max_residual: float
-    newton_consistent: bool
 
 
 def multisets_equal(
@@ -182,13 +184,20 @@ def multisets_equal(
     second: DistanceMultiset | Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> MultisetMatch:
+    """Decide whether two lists hold the same values up to order, by sorting.
+
+    Both lists are sorted and paired entry by entry; they are equal when every
+    gap is within the tolerance at the scale of their largest entry.  Newton's
+    identities are not consulted here: ``power_sums_to_elementary`` provides
+    them, and acceptance criterion 2 checks them separately.
+    """
     a = _values(first)
     b = _values(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     size = len(a)
     if size == 0:
-        return MultisetMatch(True, (), 0.0, True)
+        return MultisetMatch(True, (), 0.0)
     scale = max(max(abs(x) for x in a), max(abs(x) for x in b))
     order_a = sorted(range(size), key=lambda i: (a[i], i))
     order_b = sorted(range(size), key=lambda i: (b[i], i))
@@ -202,20 +211,7 @@ def multisets_equal(
         if gap > slack:
             equal = False
         permutation[ia] = ib + 1
-
-    if scale == 0.0:
-        return MultisetMatch(equal, tuple(permutation) if equal else None, worst, True)
-    norm_a = [x / scale for x in a]
-    norm_b = [x / scale for x in b]
-    ea = power_sums_to_elementary(power_sums_vector(norm_a, size))
-    eb = power_sums_to_elementary(power_sums_vector(norm_b, size))
-    # Normalized entries are at most 1 in magnitude, so e_m is bounded by
-    # C(size, m); judge each coefficient against that scale.
-    newton_consistent = all(
-        abs(x - y) <= tol.bound(max(1.0, math.comb(size, m + 1)))
-        for m, (x, y) in enumerate(zip(ea, eb))
-    )
-    return MultisetMatch(equal, tuple(permutation) if equal else None, worst, newton_consistent)
+    return MultisetMatch(equal, tuple(permutation) if equal else None, worst)
 
 
 @dataclass(frozen=True)
@@ -267,15 +263,9 @@ def compare_power_sums(
         return PowerSumsReport(comparisons, 0.0)
     norm_a = [x / scale for x in a]
     norm_b = [x / scale for x in b]
-    run_a = list(norm_a)
-    run_b = list(norm_b)
     comparisons = []
     worst = 0.0
-    for order in range(1, top + 1):
-        pa = sum(run_a)
-        pb = sum(run_b)
-        run_a = [r * v for r, v in zip(run_a, norm_a)]
-        run_b = [r * v for r, v in zip(run_b, norm_b)]
+    for order, pa, pb in zip(range(1, top + 1), _power_sums(norm_a, top), _power_sums(norm_b, top)):
         residual = abs(pa - pb) / max(abs(pa), abs(pb), 1.0)
         worst = max(worst, residual)
         comparisons.append(PowerSumComparison(order, pa, pb, residual, tol.eq_at(pa, pb, max(abs(pa), abs(pb), 1.0))))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from .geom import Point
+from .geom import DEFAULT_TOLERANCE, Point, Tolerance
 from .scenario import (
     BottemaConfig,
     IdentityCheckConfig,
@@ -19,7 +19,6 @@ from .scenario import (
     ScenarioKind,
     SharedVertexConfig,
 )
-from .geom import DEFAULT_TOLERANCE, Tolerance
 
 
 def _random_point(rng: random.Random, reach: float) -> Point:

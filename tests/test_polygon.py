@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from equigon.equalizer import align_rotation
 from equigon.geom import Point, side_of_line
 from equigon.polygon import (
     CoincidentVertexCentroidError,
@@ -66,6 +68,51 @@ def test_vertex_index_bounds():
         poly.vertex(0)
     with pytest.raises(IndexError):
         poly.vertex(5)
+    poly.vertices()
+    with pytest.raises(IndexError):
+        poly.vertex(0)
+    with pytest.raises(IndexError):
+        poly.vertex(5)
+
+
+def test_vertices_cached_and_exact():
+    poly = RegularPolygon(7, Point(0.3, -1.2), 2.5, phase=0.4, orientation=-1)
+    vs = poly.vertices()
+    assert poly.vertices() is vs
+    for k in range(1, poly.n + 1):
+        assert poly.vertex(k) == vs[k - 1]
+        theta = poly.phase + poly.orientation * math.tau * (k - 1) / poly.n
+        assert vs[k - 1] == Point(
+            poly.centroid.x + poly.circumradius * math.cos(theta),
+            poly.centroid.y + poly.circumradius * math.sin(theta),
+        )
+
+
+def test_derived_polygons_get_their_own_vertices():
+    poly = RegularPolygon(6, Point(1.0, 2.0), 1.5, phase=0.2)
+    poly.vertices()
+    probe = Point(3.0, 2.5)
+    derived = [
+        rotate_about_centroid(poly, 0.3),
+        dataclasses.replace(poly, centroid=Point(-1.0, 0.0)),
+        dataclasses.replace(poly, n=8),
+        *align_rotation(poly, probe, 2.0),
+    ]
+    for other in derived:
+        fresh = RegularPolygon(
+            other.n, other.centroid, other.circumradius, other.phase, other.orientation
+        )
+        assert other.vertices() == fresh.vertices()
+        assert other.vertices() != poly.vertices()
+
+
+def test_filled_cache_keeps_equality_and_hash():
+    poly = RegularPolygon(5, Point(0.5, 0.5), 1.0, phase=1.0)
+    twin = RegularPolygon(5, Point(0.5, 0.5), 1.0, phase=1.0)
+    poly.vertices()
+    assert poly == twin
+    assert hash(poly) == hash(twin)
+    assert repr(poly) == repr(twin)
 
 
 def test_from_shared_vertex_square():
