@@ -80,21 +80,20 @@ class RegularPolygon:
         return self.phase + self.orientation * math.tau * (k - 1) / self.n
 
     def vertex(self, k: int) -> Point:
-        if not 1 <= k <= self.n:
-            raise IndexError(f"vertex index {k} outside 1..{self.n}")
-        return self.vertices()[k - 1]
+        """Vertex k (1-based): read from the cache once ``vertices()`` has filled it."""
+        cached = self.__dict__.get("_vertices")
+        if cached is not None and 1 <= k <= self.n:
+            return cached[k - 1]
+        theta, centre, radius = self.vertex_angle(k), self.centroid, self.circumradius
+        return Point(centre.x + radius * math.cos(theta), centre.y + radius * math.sin(theta))
 
     def vertices(self) -> tuple[Point, ...]:
         """Vertices 1..n, computed once and kept outside the dataclass fields,
         so equality, hashing and ``dataclasses.replace`` never see the cache."""
         cached = self.__dict__.get("_vertices")
         if cached is None:
-            cx, cy, radius = self.centroid.x, self.centroid.y, self.circumradius
             # A list, not a generator: resized tuples would pile up in CPython's free lists.
-            cached = tuple([
-                Point(cx + radius * math.cos(theta), cy + radius * math.sin(theta))
-                for theta in map(self.vertex_angle, range(1, self.n + 1))
-            ])
+            cached = tuple([self.vertex(k) for k in range(1, self.n + 1)])
             object.__setattr__(self, "_vertices", cached)
         return cached
 

@@ -77,10 +77,12 @@ def test_vertex_index_bounds():
 
 def test_vertices_cached_and_exact():
     poly = RegularPolygon(7, Point(0.3, -1.2), 2.5, phase=0.4, orientation=-1)
+    unfilled = [poly.vertex(k) for k in range(1, poly.n + 1)]
     vs = poly.vertices()
     assert poly.vertices() is vs
+    assert list(vs) == unfilled
     for k in range(1, poly.n + 1):
-        assert poly.vertex(k) == vs[k - 1]
+        assert poly.vertex(k) is vs[k - 1]
         theta = poly.phase + poly.orientation * math.tau * (k - 1) / poly.n
         assert vs[k - 1] == Point(
             poly.centroid.x + poly.circumradius * math.cos(theta),
