@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .checks import CheckResult, residual_check
 from .geom import (
     DEFAULT_TOLERANCE,
     GeometryError,
@@ -44,24 +45,6 @@ class BottemaResult:
     m2: Point
     h: Point
     collinear: bool
-
-
-@dataclass(frozen=True)
-class AngleEntry:
-    k: int
-    measured: float
-    expected: float
-    residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    samples: int
-    base_length: float
-    max_deviation: float
-    max_closed_form_residual: float
-    ok: bool
 
 
 def _exterior_side(base_from: Point, base_to: Point, away_from: Point) -> int:
@@ -157,13 +140,15 @@ def verify_independence(
     samples: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
     seed: int = 0,
-) -> IndependenceReport:
+) -> tuple[CheckResult, CheckResult]:
     """Scatter apexes over one side of the base and confirm M1 never moves.
 
     Apexes stay strictly off the base line (margin 5% of the base length) so
     every construction is non-degenerate and exterior placement keeps both
-    polygons on the far side.  Reports the maximum pairwise spread of the
-    computed midpoints and their worst distance to the closed form.
+    polygons on the far side.  Returns two checks, each bounded by
+    ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
+    spread of the computed midpoints, and ``apex_independence_closed_form``,
+    their worst distance to the closed form.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -188,25 +173,37 @@ def verify_independence(
         for j in range(i + 1, len(midpoints)):
             max_deviation = max(max_deviation, midpoints[i].distance(midpoints[j]))
     allowed = tol.bound(base_length)
-    return IndependenceReport(
-        samples=samples,
-        base_length=base_length,
-        max_deviation=max_deviation,
-        max_closed_form_residual=worst_closed,
-        ok=max_deviation <= allowed and worst_closed <= allowed,
+    return (
+        residual_check(
+            "apex_independence_spread",
+            max_deviation,
+            allowed,
+            detail=f"{samples} apexes, exterior placement",
+        ),
+        residual_check("apex_independence_closed_form", worst_closed, allowed),
     )
 
 
 def vertex_angles(
     result: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[AngleEntry, ...]:
-    """Angles subtended at M1 by each vertex pair, against the folded expectation."""
+) -> tuple[CheckResult, ...]:
+    """Angles subtended at M1 by each vertex pair, against the folded expectation.
+
+    Returns one ``vertex_angle_k{k}`` check per k = 2..n, each bounded by
+    ``tol.bound(pi)``.
+    """
     n = result.poly1.n
-    entries = []
+    checks = []
     for k in range(2, n + 1):
         measured = angle_at(result.m1, result.poly1.vertex(k), result.poly2.vertex(k), tol)
         raw = math.tau * (k - 1) / n
         expected = min(raw, math.tau - raw)
-        residual = abs(measured - expected)
-        entries.append(AngleEntry(k, measured, expected, residual, residual <= tol.bound(math.pi)))
-    return tuple(entries)
+        checks.append(
+            residual_check(
+                f"vertex_angle_k{k}",
+                abs(measured - expected),
+                tol.bound(math.pi),
+                detail=f"expected {expected:.6f} rad",
+            )
+        )
+    return tuple(checks)

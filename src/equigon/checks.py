@@ -1,4 +1,5 @@
-"""Small result record shared by the verification reports."""
+"""``CheckResult``, the only pass/fail record a report prints.  The layers that
+judge the paper's identities return it; the runner only renames and collects."""
 
 from __future__ import annotations
 
@@ -7,6 +8,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A named verdict with the residual it measured and the tolerance shown.
+
+    ``residual_check`` decides ``ok`` as ``residual <= tolerance``.  A producer
+    may use a finer rule: the power-sum checks judge each order at its own
+    magnitude, where the absolute part of the tolerance weighs differently
+    than in the one relative residual they show against ``tol.bound(1.0)``.
+    """
+
     name: str
     ok: bool
     residual: float

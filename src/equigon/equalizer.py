@@ -114,25 +114,6 @@ class Matching:
     first_residual: float
     shared_angle: float
     model_residual: float
-    model_ok: bool
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Geometric facts about the two solution points of a shared-vertex pair."""
-
-    entries: tuple[CheckResult, ...]
-    coincident: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.ok for entry in self.entries)
-
-    def entry(self, name: str) -> CheckResult:
-        for candidate in self.entries:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(name)
 
 
 def classify_pair(
@@ -244,6 +225,8 @@ def correspondence(
 
     Raises NoMatchingError when neither correspondence holds within tolerance
     (this includes the case where the k = 1 distances already disagree).
+    Returns the measurements, not a verdict: the runner judges them as the
+    ``matching_{label}`` and ``cosine_model_{label}`` checks.
     """
     if first.n != second.n:
         raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
@@ -289,16 +272,13 @@ def correspondence(
             abs(point.distance_squared(ours[k - 1]) - model),
             abs(point.distance_squared(theirs[j - 1]) - model),
         )
-    model_slack = tol.bound((r1 + r2) ** 2)
-    shared_angle = sign * offset
     return Matching(
         kind=chosen,
         residuals=residuals,
         max_residual=max(residuals) if residuals else 0.0,
         first_residual=first_residual,
-        shared_angle=shared_angle,
+        shared_angle=sign * offset,
         model_residual=model_worst,
-        model_ok=model_worst <= model_slack,
     )
 
 
@@ -307,7 +287,7 @@ def verify_point_properties(
     second: RegularPolygon,
     solution: EqualDistanceSolution,
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> PropertyReport:
+) -> tuple[CheckResult, ...]:
     """Check the classical facts tying M1, M2 to the diametric points.
 
     With A the shared first vertex and D1, D2 its antipodes on the two
@@ -316,7 +296,8 @@ def verify_point_properties(
     A M2 parallel to D1 D2; |M1 M2| equals the distance from A to the line
     D1 D2, and M1 M2 is perpendicular to it; the quadrilateral O2 M1 O1 M2 has
     sides R1, R2, R2, R1.  A tangent contact collapses M1 = M2 and the checks
-    involving the segment M1 M2 are reported vacuous.
+    involving the segment M1 M2 are reported vacuous.  Returns one check per
+    fact, in the order above, as the report prints them.
     """
     if not solution.points:
         raise NotTwoPointSolutionError("solution does not carry two candidate points")
@@ -389,4 +370,4 @@ def verify_point_properties(
         )
     )
 
-    return PropertyReport(tuple(entries), co)
+    return tuple(entries)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .checks import CheckResult
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from .polygon import RegularPolygon
 
@@ -100,36 +101,19 @@ def power_sum_closed_form(n: int, circumradius: float, center_distance: float, o
     return n * total
 
 
-@dataclass(frozen=True)
-class PowerSumCheck:
-    order: int
-    direct: float
-    closed_form: float
-    residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PowerSumIdentityReport:
-    checks: tuple[PowerSumCheck, ...]
-    max_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def verify_power_sum_identity(
     poly: RegularPolygon,
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
     max_order: int | None = None,
-) -> PowerSumIdentityReport:
+) -> CheckResult:
     """Compare direct power sums against the closed form for m = 1..n-1.
 
-    Residuals are relative: |direct - closed| / max(direct, closed).  Both
+    Returns one ``power_sum_identity`` check over all orders.  Its residual is
+    the worst relative one, |direct - closed| / max(direct, closed); both
     sides are sums of non-negative terms, so no cancellation is possible and
-    the comparison is meaningful at machine precision.
+    the comparison is meaningful at machine precision.  Each order passes by
+    ``tol.eq(direct, closed)``.
     """
     n = poly.n
     top = n - 1 if max_order is None else max_order
@@ -137,14 +121,14 @@ def verify_power_sum_identity(
         raise OrderOutOfRangeError(f"max_order {top} outside 1..{n - 1} for n={n}")
     squared = distances_squared(poly.vertices(), point).squared
     center_distance = point.distance(poly.centroid)
-    checks = []
+    ok = True
     worst = 0.0
     for order, direct in enumerate(_power_sums(squared, top), start=1):
         closed = power_sum_closed_form(n, poly.circumradius, center_distance, order)
         residual = abs(direct - closed) / max(abs(direct), abs(closed), 1e-300)
         worst = max(worst, residual)
-        checks.append(PowerSumCheck(order, direct, closed, residual, tol.eq(direct, closed)))
-    return PowerSumIdentityReport(tuple(checks), worst)
+        ok = tol.eq(direct, closed) and ok
+    return CheckResult("power_sum_identity", ok, worst, tol.bound(1.0), detail=f"orders 1..{top}, relative")
 
 
 def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
@@ -214,41 +198,18 @@ def multisets_equal(
     return MultisetMatch(equal, tuple(permutation) if equal else None, worst)
 
 
-@dataclass(frozen=True)
-class PowerSumComparison:
-    order: int
-    first: float
-    second: float
-    residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PowerSumsReport:
-    """Order-by-order comparison of two squared-distance lists."""
-
-    comparisons: tuple[PowerSumComparison, ...]
-    max_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.comparisons)
-
-    def failing_orders(self) -> tuple[int, ...]:
-        return tuple(c.order for c in self.comparisons if not c.ok)
-
-
 def compare_power_sums(
     first: DistanceMultiset | Iterable[float],
     second: DistanceMultiset | Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
     max_order: int | None = None,
-) -> PowerSumsReport:
+) -> CheckResult:
     """Check p_m(first) == p_m(second) for m = 1..max_order (default: size-1).
 
-    Entries are normalized by the joint maximum before exponentiation, which
-    keeps high orders away from overflow and makes the residuals comparable
-    across scales.
+    Returns one ``power_sums`` check over all orders.  Entries are normalized
+    by the joint maximum before exponentiation, which keeps high orders away
+    from overflow and makes the residuals comparable across scales.  Each
+    order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``.
     """
     a = _values(first)
     b = _values(second)
@@ -257,16 +218,14 @@ def compare_power_sums(
     top = (len(a) - 1) if max_order is None else max_order
     if top < 1:
         raise OrderOutOfRangeError(f"need at least order 1, got max_order={top}")
-    scale = max((abs(x) for x in (*a, *b)), default=0.0)
-    if scale == 0.0:
-        comparisons = tuple(PowerSumComparison(m, 0.0, 0.0, 0.0, True) for m in range(1, top + 1))
-        return PowerSumsReport(comparisons, 0.0)
+    # All-zero lists have all-zero sums at any scale; 1 avoids dividing by zero.
+    scale = max((abs(x) for x in (*a, *b)), default=0.0) or 1.0
     norm_a = [x / scale for x in a]
     norm_b = [x / scale for x in b]
-    comparisons = []
+    ok = True
     worst = 0.0
-    for order, pa, pb in zip(range(1, top + 1), _power_sums(norm_a, top), _power_sums(norm_b, top)):
-        residual = abs(pa - pb) / max(abs(pa), abs(pb), 1.0)
-        worst = max(worst, residual)
-        comparisons.append(PowerSumComparison(order, pa, pb, residual, tol.eq_at(pa, pb, max(abs(pa), abs(pb), 1.0))))
-    return PowerSumsReport(tuple(comparisons), worst)
+    for pa, pb in zip(_power_sums(norm_a, top), _power_sums(norm_b, top)):
+        magnitude = max(abs(pa), abs(pb), 1.0)
+        worst = max(worst, abs(pa - pb) / magnitude)
+        ok = tol.eq_at(pa, pb, magnitude) and ok
+    return CheckResult("power_sums", ok, worst, tol.bound(1.0), detail=f"orders 1..{top}, normalized")

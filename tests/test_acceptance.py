@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from equigon.geom import Point
+from equigon.geom import Point, angle_at
 from equigon.polygon import RegularPolygon, from_shared_vertex, rotate_about_centroid
 from equigon.power_sums import (
     compare_power_sums,
@@ -121,10 +121,11 @@ def test_criterion_01_power_sum_closed_form():
             rng.choice((1, -1)),
         )
         probe = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        report = verify_power_sum_identity(poly, probe)
-        assert len(report.checks) == n - 1
-        worst = max(worst, report.max_residual)
-        assert report.max_residual < 1e-9
+        check = verify_power_sum_identity(poly, probe)
+        assert check.detail == f"orders 1..{n - 1}, relative"
+        assert check.ok
+        worst = max(worst, check.residual)
+        assert check.residual < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _announce(1, f"10000 configs, worst relative residual {worst:.3e}, {elapsed:.2f}s")
@@ -202,12 +203,12 @@ def test_criterion_04_power_sum_system_necessity(shared_configs):
     start = time.perf_counter()
     for first, second, solution in configs:
         for point in solution.points:
-            report = compare_power_sums(
+            check = compare_power_sums(
                 distances_squared(first.vertices(), point),
                 distances_squared(second.vertices(), point),
             )
-            assert len(report.comparisons) == first.n - 1
-            assert report.ok
+            assert check.detail == f"orders 1..{first.n - 1}, normalized"
+            assert check.ok
     rejected = 0
     for first, second, solution in configs:
         scale = max(first.circumradius, second.circumradius)
@@ -338,13 +339,14 @@ def test_criterion_07_point_properties(shared_configs):
     worst = 0.0
     for first, second, solution in configs:
         scale = max(first.circumradius, second.circumradius)
-        report = verify_point_properties(first, second, solution)
-        assert report.ok
-        for entry in report.entries:
-            if entry.vacuous:
+        checks = verify_point_properties(first, second, solution)
+        assert len(checks) == 6
+        assert all(check.ok for check in checks)
+        for check in checks:
+            if check.vacuous:
                 continue
-            worst = max(worst, entry.residual / scale)
-            assert entry.residual < 1e-9 * scale
+            worst = max(worst, check.residual / scale)
+            assert check.residual < 1e-9 * scale
 
     rng = random.Random(70007)
     contacts = 0
@@ -361,8 +363,8 @@ def test_criterion_07_point_properties(shared_configs):
         solution = equal_distance_points(first, second)
         assert solution.coincident
         assert solution.m1 == solution.m2
-        report = verify_point_properties(first, second, solution)
-        assert report.ok and report.coincident
+        checks = verify_point_properties(first, second, solution)
+        assert all(check.ok for check in checks)
         contacts += 1
     _announce(7, f"6 properties on 1000 pairs, worst residual/scale {worst:.3e}, "
                  f"{contacts} tangent contacts handled")
@@ -415,14 +417,16 @@ def test_criterion_09_vertex_angles(bottema_results):
     counted = 0
     for n, results in per_n.items():
         for _, result in results:
-            entries = vertex_angles(result)
-            assert [entry.k for entry in entries] == list(range(2, n + 1))
-            for entry in entries:
+            checks = vertex_angles(result)
+            assert [check.name for check in checks] == [f"vertex_angle_k{k}" for k in range(2, n + 1)]
+            for k, check in enumerate(checks, start=2):
                 counted += 1
-                worst = max(worst, entry.residual)
-                assert entry.residual < 1e-9
-                raw = math.tau * (entry.k - 1) / n
-                assert entry.expected == pytest.approx(min(raw, math.tau - raw))
+                worst = max(worst, check.residual)
+                assert check.ok
+                assert check.residual < 1e-9
+                raw = math.tau * (k - 1) / n
+                measured = angle_at(result.m1, result.poly1.vertex(k), result.poly2.vertex(k))
+                assert measured == pytest.approx(min(raw, math.tau - raw))
     _announce(9, f"{counted} angles checked, worst residual {worst:.3e} rad")
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from equigon.geom import Point, side_of_line
+from equigon.geom import DEFAULT_TOLERANCE, Point, angle_at, side_of_line
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.bottema import (
@@ -110,40 +110,49 @@ def test_apex_independence_direct():
 
 
 def test_verify_independence_report():
-    report = verify_independence(Point(0, 0), Point(2, 0), 7, samples=40, seed=3)
-    assert report.ok
-    assert report.samples == 40
-    assert report.base_length == pytest.approx(2.0)
-    assert report.max_deviation < 1e-9 * 2.0
-    assert report.max_closed_form_residual < 1e-9 * 2.0
+    spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, samples=40, seed=3)
+    assert spread.name == "apex_independence_spread"
+    assert closed.name == "apex_independence_closed_form"
+    assert spread.ok and closed.ok
+    assert spread.detail == "40 apexes, exterior placement"
+    # both are judged at the base length, 2
+    assert spread.tolerance == closed.tolerance == DEFAULT_TOLERANCE.bound(2.0)
+    assert spread.residual < 1e-9 * 2.0
+    assert closed.residual < 1e-9 * 2.0
     # deterministic under the same seed
     again = verify_independence(Point(0, 0), Point(2, 0), 7, samples=40, seed=3)
-    assert again.max_deviation == report.max_deviation
+    assert again == (spread, closed)
     with pytest.raises(ValueError):
         verify_independence(Point(0, 0), Point(2, 0), 7, samples=1)
 
 
+def subtended(result, k):
+    return angle_at(result.m1, result.poly1.vertex(k), result.poly2.vertex(k))
+
+
 def test_vertex_angles_square_frozen():
     result = bottema_construct(Point(0, 0), Point(0.7, 1.3), Point(2, 0), 4)
-    entries = vertex_angles(result)
-    assert [entry.k for entry in entries] == [2, 3, 4]
-    assert entries[0].expected == pytest.approx(math.pi / 2)
-    assert entries[1].expected == pytest.approx(math.pi)
-    assert entries[2].expected == pytest.approx(math.pi / 2)
-    for entry in entries:
-        assert entry.ok
-        assert entry.residual < 1e-9
+    checks = vertex_angles(result)
+    assert [check.name for check in checks] == ["vertex_angle_k2", "vertex_angle_k3", "vertex_angle_k4"]
+    for k, check, expected in zip((2, 3, 4), checks, (math.pi / 2, math.pi, math.pi / 2)):
+        assert subtended(result, k) == pytest.approx(expected)
+        assert check.detail == f"expected {expected:.6f} rad"
+        assert check.tolerance == DEFAULT_TOLERANCE.bound(math.pi)
+        assert check.ok
+        assert check.residual < 1e-9
 
 
 def test_vertex_angles_hexagon_folding():
     result = bottema_construct(Point(0, 0), Point(0.3, 1.1), Point(2, 0), 6)
-    entries = {entry.k: entry for entry in vertex_angles(result)}
-    assert entries[2].expected == pytest.approx(math.tau / 6)
-    assert entries[4].expected == pytest.approx(math.pi)
+    checks = {check.name: check for check in vertex_angles(result)}
+    assert list(checks) == [f"vertex_angle_k{k}" for k in range(2, 7)]
+    assert subtended(result, 2) == pytest.approx(math.tau / 6)
+    assert subtended(result, 4) == pytest.approx(math.pi)
     # k=5 raw angle exceeds pi and folds back to 2*pi/3
-    assert entries[5].expected == pytest.approx(2 * math.pi / 3)
-    assert entries[6].expected == pytest.approx(math.tau / 6)
-    assert all(entry.ok for entry in entries.values())
+    assert subtended(result, 5) == pytest.approx(2 * math.pi / 3)
+    assert checks["vertex_angle_k5"].detail == f"expected {2 * math.pi / 3:.6f} rad"
+    assert subtended(result, 6) == pytest.approx(math.tau / 6)
+    assert all(check.ok for check in checks.values())
 
 
 def test_m1_and_m2_are_equal_distance_points():

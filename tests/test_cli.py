@@ -154,6 +154,41 @@ def test_sweep_all_kinds_pass(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sweep_rejects_empty_count(count, capsys):
+    assert main(["sweep", "--kind", "pair", "--n", "3", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["verify", SHARED],
+        ["render", SHARED, "-o", "unused.svg"],
+        ["sweep", "--kind", "pair", "--n", "3", "--count", "1"],
+        ["bottema"],
+    ],
+    ids=["verify", "render", "sweep", "bottema"],
+)
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tolerance-rel", "-1", "error: rel must be a positive finite float, got -1.0\n"),
+        ("--tolerance-abs", "-1", "error: abs must be a positive finite float, got -1.0\n"),
+    ],
+    ids=["rel", "abs"],
+)
+def test_bad_tolerance_is_input_error(verb, flag, value, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*verb, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def test_bottema_verb(capsys):
     assert main(["bottema", "--an", "0,0", "--bn", "2,0", "--n", "6", "--samples", "30"]) == 0
     assert "result: PASS" in capsys.readouterr().out

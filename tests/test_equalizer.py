@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from equigon.geom import Point, side_of_line
+from equigon.geom import DEFAULT_TOLERANCE, Point, side_of_line
 from equigon.polygon import RegularPolygon, from_shared_vertex, rotate_about_centroid
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
 from equigon.equalizer import (
@@ -135,11 +135,13 @@ def test_correspondence_identity_and_reversal_frozen():
     assert at_m1.kind is MatchKind.IDENTITY
     assert at_m1.max_residual < 1e-12
     assert at_m1.first_residual < 1e-12
-    assert at_m1.model_ok
+    # the bound the runner's cosine_model check applies
+    model_bound = DEFAULT_TOLERANCE.bound((first.circumradius + second.circumradius) ** 2)
+    assert at_m1.model_residual <= model_bound
     at_m2 = correspondence(first, second, solution.m2)
     assert at_m2.kind is MatchKind.REVERSAL
     assert at_m2.max_residual < 1e-12
-    assert at_m2.model_ok
+    assert at_m2.model_residual <= model_bound
 
 
 def test_correspondence_middle_index_pairs_with_itself():
@@ -216,13 +218,17 @@ def test_alignment_then_full_multiset_equality():
         assert matched == len(candidates)
 
 
+def by_name(checks):
+    return {check.name: check for check in checks}
+
+
 def test_point_properties_frozen_pair():
     first, second = shared_square_pair()
     solution = equal_distance_points(first, second)
-    report = verify_point_properties(first, second, solution)
-    assert report.ok
-    assert not report.coincident
-    names = [entry.name for entry in report.entries]
+    checks = verify_point_properties(first, second, solution)
+    assert all(check.ok for check in checks)
+    assert not solution.coincident
+    names = [check.name for check in checks]
     assert names == [
         "midpoint_of_diametric_points",
         "even_n_vertex_midpoint",
@@ -231,8 +237,8 @@ def test_point_properties_frozen_pair():
         "quadrilateral_side_lengths",
         "separation_perpendicular",
     ]
-    assert all(not entry.vacuous for entry in report.entries)
-    assert report.entry("midpoint_of_diametric_points").residual < 1e-12
+    assert all(not check.vacuous for check in checks)
+    assert by_name(checks)["midpoint_of_diametric_points"].residual < 1e-12
     # |M1 M2| equals the distance from the shared vertex to the line D1 D2
     assert solution.m1.distance(solution.m2) == pytest.approx(math.sqrt(6.4), abs=1e-12)
 
@@ -240,9 +246,10 @@ def test_point_properties_frozen_pair():
 def test_point_properties_odd_n_marks_even_check_vacuous():
     rng = random.Random(11)
     first, second = random_shared_vertex_pair(rng, 5)
-    report = verify_point_properties(first, second, equal_distance_points(first, second))
-    assert report.ok
-    assert report.entry("even_n_vertex_midpoint").vacuous
+    checks = by_name(verify_point_properties(first, second, equal_distance_points(first, second)))
+    assert all(check.ok for check in checks.values())
+    assert checks["even_n_vertex_midpoint"].vacuous
+    assert checks["even_n_vertex_midpoint"].detail == "n is odd"
 
 
 def test_point_properties_tangent_family_vacuous_entries():
@@ -250,13 +257,12 @@ def test_point_properties_tangent_family_vacuous_entries():
     second = from_shared_vertex(Point(0, 0), Point(3, 0), 5, -1)
     solution = equal_distance_points(first, second)
     assert solution.coincident
-    report = verify_point_properties(first, second, solution)
-    assert report.ok
-    assert report.coincident
-    assert report.entry("mirror_point_bisector_parallel").vacuous
-    assert report.entry("separation_equals_vertex_offset").vacuous
-    assert report.entry("separation_perpendicular").vacuous
-    assert not report.entry("midpoint_of_diametric_points").vacuous
+    checks = by_name(verify_point_properties(first, second, solution))
+    assert all(check.ok for check in checks.values())
+    assert checks["mirror_point_bisector_parallel"].vacuous
+    assert checks["separation_equals_vertex_offset"].vacuous
+    assert checks["separation_perpendicular"].vacuous
+    assert not checks["midpoint_of_diametric_points"].vacuous
 
 
 def test_point_properties_precondition_errors():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from equigon.geom import DEFAULT_TOLERANCE, Point
+from equigon.geom import DEFAULT_TOLERANCE, Point, Tolerance
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import (
     LengthMismatchError,
@@ -65,17 +65,24 @@ def test_closed_form_order_bounds():
 
 def test_identity_matches_direct_sums_on_unit_square():
     square = RegularPolygon(4, Point(0, 0), 1.0, phase=0.0, orientation=1)
-    report = verify_power_sum_identity(square, Point(1.0, 0.0))
-    assert report.ok
-    assert len(report.checks) == 3
-    assert report.max_residual < 1e-14
-    assert [c.direct for c in report.checks] == pytest.approx([8.0, 24.0, 80.0])
+    probe = Point(1.0, 0.0)
+    check = verify_power_sum_identity(square, probe)
+    assert check.ok
+    assert check.name == "power_sum_identity"
+    assert check.detail == "orders 1..3, relative"
+    assert check.tolerance == DEFAULT_TOLERANCE.bound(1.0)
+    direct = power_sums_vector(distances_squared(square.vertices(), probe), 3)
+    closed = [power_sum_closed_form(4, 1.0, probe.distance(square.centroid), m) for m in (1, 2, 3)]
+    assert direct == pytest.approx((8.0, 24.0, 80.0))
+    assert closed == pytest.approx([8.0, 24.0, 80.0])
+    assert check.residual == max(abs(d - c) / max(d, c) for d, c in zip(direct, closed))
+    assert check.residual < 1e-14
 
 
 def test_identity_stops_at_max_order():
     hexagon = RegularPolygon(6, Point(0.3, 0.4), 2.0, phase=0.7, orientation=-1)
-    report = verify_power_sum_identity(hexagon, Point(-1.0, 2.5), max_order=2)
-    assert len(report.checks) == 2
+    check = verify_power_sum_identity(hexagon, Point(-1.0, 2.5), max_order=2)
+    assert check.detail == "orders 1..2, relative"
     with pytest.raises(OrderOutOfRangeError):
         verify_power_sum_identity(hexagon, Point(-1.0, 2.5), max_order=6)
 
@@ -187,23 +194,37 @@ def test_multisets_equal_under_random_permutation(values, seed):
 
 
 def test_compare_power_sums_passes_for_permuted_lists():
-    report = compare_power_sums([1.0, 2.0, 5.0, 8.0], [8.0, 5.0, 2.0, 1.0])
-    assert report.ok
-    assert len(report.comparisons) == 3
-    assert report.max_residual < 1e-15
+    check = compare_power_sums([1.0, 2.0, 5.0, 8.0], [8.0, 5.0, 2.0, 1.0])
+    assert check.ok
+    assert check.name == "power_sums"
+    assert check.detail == "orders 1..3, normalized"
+    assert check.tolerance == DEFAULT_TOLERANCE.bound(1.0)
+    assert check.residual < 1e-15
 
 
 def test_compare_power_sums_flags_first_order_mismatch():
-    report = compare_power_sums([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
-    assert not report.ok
-    assert 1 in report.failing_orders()
+    first, second = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+    assert not compare_power_sums(first, second).ok
+    assert not compare_power_sums(first, second, max_order=1).ok
 
 
 def test_compare_power_sums_handles_huge_scales_without_overflow():
     base = [3.7e150, 1.1e151, 9.4e149, 2.2e150, 5.0e150, 7.7e150]
-    report = compare_power_sums(base, list(reversed(base)), max_order=5)
-    assert report.ok
-    assert all(math.isfinite(c.first) for c in report.comparisons)
+    check = compare_power_sums(base, list(reversed(base)), max_order=5)
+    assert check.ok
+    assert check.detail == "orders 1..5, normalized"
+    assert math.isfinite(check.residual)
+
+
+def test_compare_power_sums_judges_each_order_at_its_own_magnitude():
+    # p_1 is 4 against 3.998: relative residual 5e-4 sits under the shown
+    # tolerance 1e-3 + 1e-9, but the order itself allows only 1e-3 + 4e-9
+    # of absolute gap, so the check fails.
+    tol = Tolerance(rel=1e-9, abs=1e-3)
+    check = compare_power_sums([1.0] * 4, [1.0, 1.0, 1.0, 0.998], tol, max_order=1)
+    assert check.residual == pytest.approx(5e-4)
+    assert check.residual <= check.tolerance == tol.bound(1.0)
+    assert not check.ok
 
 
 def test_compare_power_sums_length_checks():
@@ -224,7 +245,7 @@ def test_compare_power_sums_length_checks():
 def test_identity_property_random_configurations(n, r, px, py, phase, orientation):
     poly = RegularPolygon(n, Point(0.0, 0.0), r, phase, orientation)
     report = verify_power_sum_identity(poly, Point(px, py))
-    assert report.ok, f"worst residual {report.max_residual}"
+    assert report.ok, f"worst residual {report.residual}"
 
 
 @given(
