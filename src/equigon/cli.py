@@ -78,6 +78,9 @@ def _load_scenario(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
+        return None
     try:
         return parse_scenario(text)
     except ScenarioError as exc:

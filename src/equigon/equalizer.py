@@ -100,7 +100,7 @@ class EqualDistanceSolution:
 class Matching:
     """A vertex correspondence verified at one point.
 
-    ``residuals`` holds the per-vertex distance mismatches for k = 2..n;
+    ``max_residual`` is the worst per-vertex distance mismatch for k = 2..n;
     ``first_residual`` is the k = 1 mismatch that any correspondence requires.
     ``shared_angle`` is the signed angular offset of the point from vertex 1,
     measured around the first centroid in the first polygon's vertex direction;
@@ -109,7 +109,6 @@ class Matching:
     """
 
     kind: MatchKind
-    residuals: tuple[float, ...]
     max_residual: float
     first_residual: float
     shared_angle: float
@@ -274,7 +273,6 @@ def correspondence(
         )
     return Matching(
         kind=chosen,
-        residuals=residuals,
         max_residual=max(residuals) if residuals else 0.0,
         first_residual=first_residual,
         shared_angle=sign * offset,

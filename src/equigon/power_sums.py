@@ -31,43 +31,25 @@ class LengthMismatchError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class DistanceMultiset:
-    """Squared distances from one probe point to a list of labelled vertices."""
-
-    squared: tuple[float, ...]
-    source: Point
-    labels: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.squared)
+def distances_squared(vertices: Sequence[Point], point: Point) -> tuple[float, ...]:
+    """Squared distances from ``point`` to each vertex, in vertex order."""
+    return tuple(point.distance_squared(v) for v in vertices)
 
 
-def distances_squared(vertices: Sequence[Point], point: Point) -> DistanceMultiset:
-    squared = tuple(point.distance_squared(v) for v in vertices)
-    return DistanceMultiset(squared, point, tuple(range(1, len(squared) + 1)))
-
-
-def _values(data: DistanceMultiset | Iterable[float]) -> tuple[float, ...]:
-    if isinstance(data, DistanceMultiset):
-        return data.squared
-    return tuple(data)
-
-
-def power_sum(data: DistanceMultiset | Iterable[float], order: int) -> float:
+def power_sum(data: Iterable[float], order: int) -> float:
     """Direct evaluation of ``sum(x ** order)`` over the squared distances."""
     if order < 1:
         raise OrderOutOfRangeError(f"order must be >= 1, got {order}")
-    return sum(x ** order for x in _values(data))
+    return sum(x ** order for x in data)
 
 
 def power_sums_vector(
-    data: DistanceMultiset | Iterable[float], max_order: int
+    data: Iterable[float], max_order: int
 ) -> tuple[float, ...]:
     """Power sums of all orders 1..max_order, computed incrementally."""
     if max_order < 1:
         raise OrderOutOfRangeError(f"max_order must be >= 1, got {max_order}")
-    return tuple(_power_sums(_values(data), max_order))
+    return tuple(_power_sums(tuple(data), max_order))
 
 
 def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
@@ -119,7 +101,7 @@ def verify_power_sum_identity(
     top = n - 1 if max_order is None else max_order
     if not 1 <= top <= n - 1:
         raise OrderOutOfRangeError(f"max_order {top} outside 1..{n - 1} for n={n}")
-    squared = distances_squared(poly.vertices(), point).squared
+    squared = distances_squared(poly.vertices(), point)
     center_distance = point.distance(poly.centroid)
     ok = True
     worst = 0.0
@@ -164,8 +146,8 @@ class MultisetMatch:
 
 
 def multisets_equal(
-    first: DistanceMultiset | Iterable[float],
-    second: DistanceMultiset | Iterable[float],
+    first: Iterable[float],
+    second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> MultisetMatch:
     """Decide whether two lists hold the same values up to order, by sorting.
@@ -175,8 +157,8 @@ def multisets_equal(
     identities are not consulted here: ``power_sums_to_elementary`` provides
     them, and acceptance criterion 2 checks them separately.
     """
-    a = _values(first)
-    b = _values(second)
+    a = tuple(first)
+    b = tuple(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     size = len(a)
@@ -199,8 +181,8 @@ def multisets_equal(
 
 
 def compare_power_sums(
-    first: DistanceMultiset | Iterable[float],
-    second: DistanceMultiset | Iterable[float],
+    first: Iterable[float],
+    second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
     max_order: int | None = None,
 ) -> CheckResult:
@@ -211,8 +193,8 @@ def compare_power_sums(
     from overflow and makes the residuals comparable across scales.  Each
     order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``.
     """
-    a = _values(first)
-    b = _values(second)
+    a = tuple(first)
+    b = tuple(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     top = (len(a) - 1) if max_order is None else max_order

@@ -8,7 +8,6 @@ malformed configuration still produces a readable explanation.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,7 @@ from .scenario import (
     Scenario,
     ScenarioKind,
     SharedVertexConfig,
-    serialize_scenario,
+    scenario_to_dict,
 )
 
 
@@ -60,7 +59,7 @@ class Report:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "scenario": json.loads(serialize_scenario(self.scenario)),
+            "scenario": scenario_to_dict(self.scenario),
             "classification": self.classification,
             "points": {label: [p.x, p.y] for label, p in self.points},
             "locus": self.locus,

@@ -65,9 +65,6 @@ def _bottema(rng: random.Random) -> BottemaConfig:
         an=Point(0.0, 0.0),
         a1=Point(rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.5)),
         bn=Point(2.0, 0.0),
-        side1=None,
-        side2=None,
-        sweep_samples=0,
     )
 
 
@@ -78,7 +75,6 @@ def _identity_check(rng: random.Random) -> IdentityCheckConfig:
         phase=rng.uniform(-math.pi, math.pi),
         orient=rng.choice((1, -1)),
         probes=tuple(_random_point(rng, 10.0) for _ in range(5)),
-        max_m=None,
     )
 
 

@@ -8,6 +8,12 @@ randomized sub-checks, and exactly one kind-specific block:
     bottema         a triangle with polygons erected on its apex sides
     identity_check  one polygon plus probe points for the closed-form sums
 
+The config dataclasses (PairConfig, SharedVertexConfig, BottemaConfig,
+IdentityCheckConfig) are the schema of those blocks.  Each field declares its
+type, its reader (the validator that converts the document's value) and, when
+the document may leave it out, its default, once; parsing, serializing and the
+report's scenario block all walk ``dataclasses.fields`` of the config.
+
 Parsing is strict: unknown fields are rejected, every number must be finite,
 and parse -> serialize -> parse is exact (floats survive the JSON round trip).
 """
@@ -16,9 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .geom import DEFAULT_TOLERANCE, Point, Tolerance
 
@@ -44,59 +50,6 @@ class ScenarioKind(Enum):
     IDENTITY_CHECK = "identity_check"
 
 
-@dataclass(frozen=True)
-class PairConfig:
-    centroid1: Point
-    r1: float
-    phase1: float
-    orient1: int
-    centroid2: Point
-    r2: float
-    phase2: float
-    orient2: int
-
-
-@dataclass(frozen=True)
-class SharedVertexConfig:
-    vertex: Point
-    centroid1: Point
-    centroid2: Point
-    orient1: int
-    orient2: int
-
-
-@dataclass(frozen=True)
-class BottemaConfig:
-    an: Point
-    a1: Point
-    bn: Point
-    side1: int | None
-    side2: int | None
-    sweep_samples: int
-
-
-@dataclass(frozen=True)
-class IdentityCheckConfig:
-    centroid: Point
-    r: float
-    phase: float
-    orient: int
-    probes: tuple[Point, ...]
-    max_m: int | None
-
-
-Config = PairConfig | SharedVertexConfig | BottemaConfig | IdentityCheckConfig
-
-
-@dataclass(frozen=True)
-class Scenario:
-    kind: ScenarioKind
-    n: int
-    tolerance: Tolerance
-    seed: int
-    config: Config
-
-
 def _reject_unknown(block: Mapping[str, Any], allowed: set[str], context: str) -> None:
     for key in block:
         if key not in allowed:
@@ -115,7 +68,10 @@ def _number(value: Any, field: str) -> float:
     # bool is an int subclass; it is never a legitimate coordinate
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioValidationError(field, f"field {field!r} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ScenarioValidationError(field, f"field {field!r} must be finite, got {value!r}")
     return out
@@ -147,6 +103,94 @@ def _positive(value: Any, field: str) -> float:
     return out
 
 
+def _optional(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """A reader that lets an explicit null through as None."""
+    return lambda value, field: None if value is None else read(value, field)
+
+
+def _sweep_samples(value: Any, field: str) -> int:
+    samples = _integer(value, field)
+    if samples < 0 or samples == 1:
+        raise ScenarioValidationError(
+            "sweep_samples", f"field {field!r} must be 0 or >= 2, got {samples}"
+        )
+    return samples
+
+
+def _probes(value: Any, field: str) -> tuple[Point, ...]:
+    if not isinstance(value, list) or not value:
+        raise ScenarioValidationError("probes", f"field {field!r} must be a non-empty list of points")
+    return tuple(_point(item, f"{field}[{i}]") for i, item in enumerate(value))
+
+
+def _read(read: Callable[[Any, str], Any], default: Any = MISSING) -> Any:
+    """Declare a block field: ``read(value, "kind.name")`` validates and converts
+    the document's value; a field with a default may be left out of the document."""
+    return field(default=default, metadata={"read": read})
+
+
+@dataclass(frozen=True, kw_only=True)
+class PairConfig:
+    centroid1: Point = _read(_point)
+    r1: float = _read(_positive)
+    phase1: float = _read(_number)
+    orient1: int = _read(_orientation)
+    centroid2: Point = _read(_point)
+    r2: float = _read(_positive)
+    phase2: float = _read(_number)
+    orient2: int = _read(_orientation)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SharedVertexConfig:
+    vertex: Point = _read(_point)
+    centroid1: Point = _read(_point)
+    centroid2: Point = _read(_point)
+    orient1: int = _read(_orientation)
+    orient2: int = _read(_orientation)
+
+
+@dataclass(frozen=True, kw_only=True)
+class BottemaConfig:
+    an: Point = _read(_point)
+    a1: Point = _read(_point)
+    bn: Point = _read(_point)
+    # None: erect each polygon on the side away from the triangle (exterior)
+    side1: int | None = _read(_optional(_orientation), None)
+    side2: int | None = _read(_optional(_orientation), None)
+    sweep_samples: int = _read(_sweep_samples, 0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class IdentityCheckConfig:
+    centroid: Point = _read(_point)
+    r: float = _read(_positive)
+    phase: float = _read(_number, 0.0)
+    orient: int = _read(_orientation, 1)
+    probes: tuple[Point, ...] = _read(_probes)
+    # None: every order 1..n-1; range-checked against n after the block is read
+    max_m: int | None = _read(_optional(_integer), None)
+
+
+Config = PairConfig | SharedVertexConfig | BottemaConfig | IdentityCheckConfig
+
+_CONFIGS: dict[ScenarioKind, type[Config]] = {
+    ScenarioKind.PAIR: PairConfig,
+    ScenarioKind.SHARED_VERTEX: SharedVertexConfig,
+    ScenarioKind.BOTTEMA: BottemaConfig,
+    ScenarioKind.IDENTITY_CHECK: IdentityCheckConfig,
+}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    kind: ScenarioKind
+    n: int
+    tolerance: Tolerance
+    seed: int
+    config: Config
+
+
 def _parse_tolerance(value: Any) -> Tolerance:
     if value is None:
         return DEFAULT_TOLERANCE
@@ -158,84 +202,23 @@ def _parse_tolerance(value: Any) -> Tolerance:
     return Tolerance(rel=rel, abs=abs_)
 
 
-def _parse_pair(block: Mapping[str, Any]) -> PairConfig:
-    fields = {"centroid1", "r1", "phase1", "orient1", "centroid2", "r2", "phase2", "orient2"}
-    _reject_unknown(block, fields, "pair.")
-    return PairConfig(
-        centroid1=_point(_require(block, "centroid1", "pair."), "pair.centroid1"),
-        r1=_positive(_require(block, "r1", "pair."), "pair.r1"),
-        phase1=_number(_require(block, "phase1", "pair."), "pair.phase1"),
-        orient1=_orientation(_require(block, "orient1", "pair."), "pair.orient1"),
-        centroid2=_point(_require(block, "centroid2", "pair."), "pair.centroid2"),
-        r2=_positive(_require(block, "r2", "pair."), "pair.r2"),
-        phase2=_number(_require(block, "phase2", "pair."), "pair.phase2"),
-        orient2=_orientation(_require(block, "orient2", "pair."), "pair.orient2"),
-    )
-
-
-def _parse_shared_vertex(block: Mapping[str, Any]) -> SharedVertexConfig:
-    fields = {"vertex", "centroid1", "centroid2", "orient1", "orient2"}
-    _reject_unknown(block, fields, "shared_vertex.")
-    return SharedVertexConfig(
-        vertex=_point(_require(block, "vertex", "shared_vertex."), "shared_vertex.vertex"),
-        centroid1=_point(
-            _require(block, "centroid1", "shared_vertex."), "shared_vertex.centroid1"
-        ),
-        centroid2=_point(
-            _require(block, "centroid2", "shared_vertex."), "shared_vertex.centroid2"
-        ),
-        orient1=_orientation(_require(block, "orient1", "shared_vertex."), "shared_vertex.orient1"),
-        orient2=_orientation(_require(block, "orient2", "shared_vertex."), "shared_vertex.orient2"),
-    )
-
-
-def _parse_bottema(block: Mapping[str, Any]) -> BottemaConfig:
-    fields = {"an", "a1", "bn", "side1", "side2", "sweep_samples"}
-    _reject_unknown(block, fields, "bottema.")
-    side1 = block.get("side1")
-    side2 = block.get("side2")
-    samples = block.get("sweep_samples", 0)
-    samples = _integer(samples, "bottema.sweep_samples")
-    if samples < 0 or samples == 1:
-        raise ScenarioValidationError(
-            "sweep_samples", f"field 'bottema.sweep_samples' must be 0 or >= 2, got {samples}"
-        )
-    return BottemaConfig(
-        an=_point(_require(block, "an", "bottema."), "bottema.an"),
-        a1=_point(_require(block, "a1", "bottema."), "bottema.a1"),
-        bn=_point(_require(block, "bn", "bottema."), "bottema.bn"),
-        side1=None if side1 is None else _orientation(side1, "bottema.side1"),
-        side2=None if side2 is None else _orientation(side2, "bottema.side2"),
-        sweep_samples=samples,
-    )
-
-
-def _parse_identity_check(block: Mapping[str, Any], n: int) -> IdentityCheckConfig:
-    fields = {"centroid", "r", "phase", "orient", "probes", "max_m"}
-    _reject_unknown(block, fields, "identity_check.")
-    probes_raw = _require(block, "probes", "identity_check.")
-    if not isinstance(probes_raw, list) or not probes_raw:
-        raise ScenarioValidationError(
-            "probes", "field 'identity_check.probes' must be a non-empty list of points"
-        )
-    probes = tuple(
-        _point(item, f"identity_check.probes[{i}]") for i, item in enumerate(probes_raw)
-    )
-    max_m = block.get("max_m")
-    if max_m is not None:
-        max_m = _integer(max_m, "identity_check.max_m")
-        if not 1 <= max_m <= n - 1:
+def _parse_block(kind: ScenarioKind, block: Mapping[str, Any], n: int) -> Config:
+    """Read one kind block against its config class, field by field in declaration order."""
+    cls = _CONFIGS[kind]
+    context = f"{kind.value}."
+    declared = fields(cls)
+    _reject_unknown(block, {f.name for f in declared}, context)
+    values = {}
+    for f in declared:
+        if f.name in block or f.default is MISSING:
+            values[f.name] = f.metadata["read"](_require(block, f.name, context), context + f.name)
+    config = cls(**values)
+    if isinstance(config, IdentityCheckConfig) and config.max_m is not None:
+        if not 1 <= config.max_m <= n - 1:
             raise ScenarioValidationError(
-                "max_m", f"field 'identity_check.max_m' must lie in 1..{n - 1}, got {max_m}"
+                "max_m", f"field 'identity_check.max_m' must lie in 1..{n - 1}, got {config.max_m}"
             )
-    return IdentityCheckConfig(
-        centroid=_point(_require(block, "centroid", "identity_check."), "identity_check.centroid"),
-        r=_positive(_require(block, "r", "identity_check."), "identity_check.r"),
-        phase=_number(block.get("phase", 0.0), "identity_check.phase"),
-        orient=_orientation(block.get("orient", 1), "identity_check.orient"),
-        probes=probes,
-        max_m=max_m,
-    )
+    return config
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -251,6 +234,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # json.loads raises these, not JSONDecodeError, for an integer literal past
+        # the interpreter's digit limit and for arrays or objects nested too deeply.
+        raise ScenarioParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioValidationError("document", "top level must be a JSON object")
 
@@ -273,68 +260,30 @@ def parse_scenario(text: str) -> Scenario:
     block = _require(data, kind.value, "")
     if not isinstance(block, dict):
         raise ScenarioValidationError(kind.value, f"field {kind.value!r} must be an object")
-    if kind is ScenarioKind.PAIR:
-        config: Config = _parse_pair(block)
-    elif kind is ScenarioKind.SHARED_VERTEX:
-        config = _parse_shared_vertex(block)
-    elif kind is ScenarioKind.BOTTEMA:
-        config = _parse_bottema(block)
-    else:
-        config = _parse_identity_check(block, n)
+    config = _parse_block(kind, block, n)
     return Scenario(kind=kind, n=n, tolerance=tolerance, seed=seed, config=config)
 
 
-def _point_out(p: Point) -> list[float]:
-    return [p.x, p.y]
+def _value_out(value: Any) -> Any:
+    if isinstance(value, Point):
+        return [value.x, value.y]
+    if isinstance(value, tuple):
+        return [_value_out(item) for item in value]
+    return value
 
 
-def _config_out(scenario: Scenario) -> dict[str, Any]:
-    cfg = scenario.config
-    if isinstance(cfg, PairConfig):
-        return {
-            "centroid1": _point_out(cfg.centroid1),
-            "r1": cfg.r1,
-            "phase1": cfg.phase1,
-            "orient1": cfg.orient1,
-            "centroid2": _point_out(cfg.centroid2),
-            "r2": cfg.r2,
-            "phase2": cfg.phase2,
-            "orient2": cfg.orient2,
-        }
-    if isinstance(cfg, SharedVertexConfig):
-        return {
-            "vertex": _point_out(cfg.vertex),
-            "centroid1": _point_out(cfg.centroid1),
-            "centroid2": _point_out(cfg.centroid2),
-            "orient1": cfg.orient1,
-            "orient2": cfg.orient2,
-        }
-    if isinstance(cfg, BottemaConfig):
-        return {
-            "an": _point_out(cfg.an),
-            "a1": _point_out(cfg.a1),
-            "bn": _point_out(cfg.bn),
-            "side1": cfg.side1,
-            "side2": cfg.side2,
-            "sweep_samples": cfg.sweep_samples,
-        }
+def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    """The scenario as JSON-ready data, as ``serialize_scenario`` writes it."""
+    config = scenario.config
     return {
-        "centroid": _point_out(cfg.centroid),
-        "r": cfg.r,
-        "phase": cfg.phase,
-        "orient": cfg.orient,
-        "probes": [_point_out(p) for p in cfg.probes],
-        "max_m": cfg.max_m,
+        "kind": scenario.kind.value,
+        "n": scenario.n,
+        "seed": scenario.seed,
+        "tolerance": {"rel": scenario.tolerance.rel, "abs": scenario.tolerance.abs},
+        scenario.kind.value: {f.name: _value_out(getattr(config, f.name)) for f in fields(config)},
     }
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Emit the canonical JSON form: sorted keys, two-space indent, newline end."""
-    doc = {
-        "kind": scenario.kind.value,
-        "n": scenario.n,
-        "seed": scenario.seed,
-        "tolerance": {"rel": scenario.tolerance.rel, "abs": scenario.tolerance.abs},
-        scenario.kind.value: _config_out(scenario),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"

@@ -315,10 +315,10 @@ def test_criterion_06_alignment_end_to_end():
         candidates = align_rotation(second, point, want)
         assert candidates
         matched = False
-        joint_scale = max(da.squared)
+        joint_scale = max(da)
         for candidate in candidates:
             db = distances_squared(candidate.vertices(), point)
-            joint_scale = max(joint_scale, max(db.squared))
+            joint_scale = max(joint_scale, max(db))
             match = multisets_equal(da, db)
             if match.equal:
                 matched = True

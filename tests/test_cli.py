@@ -65,6 +65,34 @@ def test_verify_malformed_json_is_input_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+PAIR_HEAD = '{"kind": "pair", "n": 4, "pair": {"centroid1": [0, 0], "r1": '
+PAIR_TAIL = ', "phase1": 0, "orient1": 1, "centroid2": [3, 0], "r2": 1, "phase2": 0, "orient2": 1}}'
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["render", "-o", "unused.svg"]], ids=["verify", "render"])
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ((PAIR_HEAD + "1" + "0" * 400 + PAIR_TAIL).encode(), "pair.r1"),
+        ((PAIR_HEAD + "1" + "0" * 5000 + PAIR_TAIL).encode(), "invalid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        (b'{"kind": "pair", "n": 4\xff}', "UTF-8"),
+    ],
+    ids=["number-beyond-float", "integer-too-long", "nested-too-deep", "not-utf8"],
+)
+def test_unreadable_document_is_input_error(verb, content, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main([verb[0], str(path), *verb[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def test_verify_tight_tolerance_fails_checks(capsys):
     # below machine precision the residual checks must fail, and the failure
     # is a check failure (exit 1), not an input error

@@ -102,12 +102,12 @@ def test_shared_square_distance_multisets_frozen():
     solution = equal_distance_points(first, second)
     at_m1_a = distances_squared(first.vertices(), solution.m1)
     at_m1_b = distances_squared(second.vertices(), solution.m1)
-    assert at_m1_a.squared == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
-    assert at_m1_b.squared == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
+    assert at_m1_a == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
+    assert at_m1_b == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
     at_m2_a = distances_squared(first.vertices(), solution.m2)
     at_m2_b = distances_squared(second.vertices(), solution.m2)
-    assert at_m2_a.squared == pytest.approx((3.6, 5.2, 16.4, 14.8), abs=1e-12)
-    assert at_m2_b.squared == pytest.approx((3.6, 14.8, 16.4, 5.2), abs=1e-12)
+    assert at_m2_a == pytest.approx((3.6, 5.2, 16.4, 14.8), abs=1e-12)
+    assert at_m2_b == pytest.approx((3.6, 14.8, 16.4, 5.2), abs=1e-12)
     assert multisets_equal(at_m2_a, at_m2_b).equal
 
 

@@ -42,8 +42,7 @@ def elementary_by_subsets(values):
 def test_unit_square_distance_multiset():
     square = RegularPolygon(4, Point(0, 0), 1.0, phase=0.0, orientation=1)
     dm = distances_squared(square.vertices(), Point(1.0, 0.0))
-    assert dm.squared == pytest.approx((0.0, 2.0, 4.0, 2.0), abs=1e-15)
-    assert dm.labels == (1, 2, 3, 4)
+    assert dm == pytest.approx((0.0, 2.0, 4.0, 2.0), abs=1e-15)
     assert power_sum(dm, 1) == pytest.approx(8.0)
     assert power_sum(dm, 2) == pytest.approx(24.0)
 
