@@ -14,6 +14,7 @@ Exit codes: 0 on success (including a verified absence of solution points),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -23,7 +24,7 @@ from .bottema import verify_independence
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from .runner import run_scenario
 from .sampling import random_scenario
-from .scenario import ScenarioError, ScenarioKind, parse_scenario
+from .scenario import MAX_N, MAX_SWEEP_SAMPLES, ScenarioError, ScenarioKind, parse_scenario
 from .svgfig import render_svg
 
 EXIT_OK = 0
@@ -52,6 +53,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected N or LO-HI, got {text!r}") from exc
     if lo < 3 or hi < lo:
         raise argparse.ArgumentTypeError(f"need 3 <= LO <= HI, got {text!r}")
+    if hi > MAX_N:
+        raise argparse.ArgumentTypeError(f"need HI <= {MAX_N}, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -156,6 +159,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bottema(args: argparse.Namespace) -> int:
+    for flag, value, cap in (("--n", args.n, MAX_N), ("--samples", args.samples, MAX_SWEEP_SAMPLES)):
+        if value > cap:
+            print(f"error: {flag} must be at most {cap}, got {value}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     tol = _tolerance_override(args, DEFAULT_TOLERANCE) or DEFAULT_TOLERANCE
     try:
         spread, closed = verify_independence(args.an, args.bn, args.n, args.samples, tol, args.seed)
@@ -172,7 +179,9 @@ def _cmd_bottema(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main()`` call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equigon",
         description="Construct and verify equal-distance points for pairs of regular polygons.",

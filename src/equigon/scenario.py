@@ -15,6 +15,7 @@ the document may leave it out, its default, once; parsing, serializing and the
 report's scenario block all walk ``dataclasses.fields`` of the config.
 
 Parsing is strict: unknown fields are rejected, every number must be finite,
+``n`` and ``bottema.sweep_samples`` may not exceed MAX_N and MAX_SWEEP_SAMPLES,
 and parse -> serialize -> parse is exact (floats survive the JSON round trip).
 """
 
@@ -27,6 +28,10 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .geom import DEFAULT_TOLERANCE, Point, Tolerance
+
+# The largest polygon size and apex sweep a document (or the CLI) may ask for.
+MAX_N = 2048
+MAX_SWEEP_SAMPLES = 10_000
 
 
 class ScenarioError(ValueError):
@@ -113,6 +118,10 @@ def _sweep_samples(value: Any, field: str) -> int:
     if samples < 0 or samples == 1:
         raise ScenarioValidationError(
             "sweep_samples", f"field {field!r} must be 0 or >= 2, got {samples}"
+        )
+    if samples > MAX_SWEEP_SAMPLES:
+        raise ScenarioValidationError(
+            "sweep_samples", f"field {field!r} must be at most {MAX_SWEEP_SAMPLES}, got {samples}"
         )
     return samples
 
@@ -254,6 +263,8 @@ def parse_scenario(text: str) -> Scenario:
     n = _integer(_require(data, "n", ""), "n")
     if n < 3:
         raise ScenarioValidationError("n", f"field 'n' must be at least 3, got {n}")
+    if n > MAX_N:
+        raise ScenarioValidationError("n", f"field 'n' must be at most {MAX_N}, got {n}")
     tolerance = _parse_tolerance(data.get("tolerance"))
     seed = _integer(data.get("seed", 0), "seed")
 

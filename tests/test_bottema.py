@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import equigon.bottema
+from equigon.checks import CheckResult
 from equigon.geom import DEFAULT_TOLERANCE, Point, angle_at, side_of_line
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import compare_power_sums, distances_squared
@@ -124,6 +126,49 @@ def test_verify_independence_report():
     assert again == (spread, closed)
     with pytest.raises(ValueError):
         verify_independence(Point(0, 0), Point(2, 0), 7, samples=1)
+
+
+# Exact sweep results of the full bottema_construct per apex with the spread
+# taken over every pair of midpoints; building only M1 and skipping repeated
+# midpoints must reproduce them bit for bit.
+# (n, base scale, samples, seed) -> (spread residual, closed-form residual, tolerance).
+PINNED_SWEEPS = [
+    ((3, 1.0, 2, 0), (4.577566798522237e-16, 2.482534153247273e-16, 2.119962010041709e-09)),
+    ((4, 1.0, 30, 1), (1.616509124176106e-15, 9.155133597044475e-16, 2.119962010041709e-09)),
+    ((7, 1.0, 300, 2), (3.66205343881779e-15, 1.831026719408895e-15, 2.119962010041709e-09)),
+    ((12, 1.0, 30, 3), (3.66205343881779e-15, 2.3914935841127266e-15, 2.119962010041709e-09)),
+    ((3, 1e-6, 300, 4), (1.6538847004437893e-21, 8.984141113379144e-22, 1.0021189620100417e-12)),
+    ((7, 1e-6, 30, 5), (2.8410348738639142e-21, 1.8940232492426095e-21, 1.0021189620100417e-12)),
+    ((4, 1e6, 300, 6), (1.9893058914033534e-09, 1.041250292910165e-09, 0.002118962011041709)),
+    ((12, 1e6, 2, 7), (9.599853366654507e-10, 9.313225746154785e-10, 0.002118962011041709)),
+]
+
+
+@pytest.mark.parametrize("case, recorded", PINNED_SWEEPS, ids=[repr(case) for case, _ in PINNED_SWEEPS])
+def test_verify_independence_pinned(case, recorded):
+    n, scale, samples, seed = case
+    spread, closed, allowed = recorded
+    an, bn = Point(-0.3 * scale, 1.1 * scale), Point(1.7 * scale, 0.4 * scale)
+    want = (
+        CheckResult("apex_independence_spread", True, spread, allowed,
+                    detail=f"{samples} apexes, exterior placement"),
+        CheckResult("apex_independence_closed_form", True, closed, allowed),
+    )
+    assert repr(verify_independence(an, bn, n, samples, seed=seed)) == repr(want)
+
+
+def test_sweep_reads_only_m1(monkeypatch):
+    # M2 goes through the pair classifier and the equal-distance solver; the
+    # sweep reads only M1, so it must never reach them.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the apex sweep built M2")
+
+    monkeypatch.setattr(equigon.bottema, "classify_pair", forbidden)
+    monkeypatch.setattr(equigon.bottema, "equal_distance_points", forbidden)
+    spread, closed = verify_independence(Point(0, 0), Point(2, 0), 5, samples=30, seed=1)
+    assert spread.ok and closed.ok
+    with pytest.raises(AssertionError, match="built M2"):
+        bottema_construct(Point(0, 0), Point(0.6, 1.4), Point(2, 0), 5)
 
 
 def subtended(result, k):

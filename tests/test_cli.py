@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from equigon.cli import main
+from equigon.cli import _build_parser, main
 from equigon.runner import run_scenario
 from equigon.scenario import parse_scenario
 from equigon.svgfig import render_svg
@@ -222,6 +222,49 @@ def test_bottema_verb(capsys):
     assert "result: PASS" in capsys.readouterr().out
     assert main(["bottema", "--an", "1,1", "--bn", "1,1", "--n", "4", "--samples", "10"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bottema", "--n", "2049"], "error: --n must be at most 2048, got 2049\n"),
+        (["bottema", "--samples", "10001"], "error: --samples must be at most 10000, got 10001\n"),
+    ],
+    ids=["n", "samples"],
+)
+def test_bottema_caps(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_bottema_at_vertex_cap(capsys):
+    assert main(["bottema", "--n", "2048", "--samples", "2"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_sweep_n_cap(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--kind", "pair", "--n", "2049", "--count", "1"])
+    assert excinfo.value.code == 2
+    assert "need HI <= 2048, got '2049'" in capsys.readouterr().err
+
+
+def test_parser_built_once(capsys):
+    main(["verify", SHARED])
+    main(["verify", SHARED, "--json"])
+    assert _build_parser.cache_info().misses <= 1
+
+
+def test_reused_parser_after_usage_error(capsys):
+    main(["verify", SHARED, "--json"])
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--no-such-flag"])
+    capsys.readouterr()
+    assert main(["verify", SHARED, "--json"]) == 0
+    assert capsys.readouterr() == alone
 
 
 def test_module_invocation_subprocess():

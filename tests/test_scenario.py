@@ -197,6 +197,7 @@ def test_top_level_must_be_object():
 # case pins the exception type, its ``field`` and the exact message.
 MISSING = object()
 INF = float("inf")
+HUGE = 10 ** 400  # an integer literal of 401 digits
 CONTRACT_BLOCKS = {
     "pair": {"centroid1": [0, 0], "r1": 1.0, "phase1": 0.0, "orient1": 1,
              "centroid2": [3, 0], "r2": 2.0, "phase2": 0.5, "orient2": -1},
@@ -216,6 +217,8 @@ TOP_LEVEL_CASES = [
     ("n", MISSING, "n", "missing required field 'n'"),
     ("n", 4.0, "n", "field 'n' must be an integer, got 4.0"),
     ("n", 2, "n", "field 'n' must be at least 3, got 2"),
+    ("n", 2049, "n", "field 'n' must be at most 2048, got 2049"),
+    ("n", HUGE, "n", f"field 'n' must be at most 2048, got {HUGE}"),
     ("seed", "x", "seed", "field 'seed' must be an integer, got 'x'"),
     ("tolerance", "x", "tolerance", "field 'tolerance' must be an object"),
     ("tolerance", {"rel": 0}, "tolerance.rel", "field 'tolerance.rel' must be positive, got 0"),
@@ -318,6 +321,10 @@ BLOCK_CASES = [
      "field 'bottema.sweep_samples' must be 0 or >= 2, got -1"),
     ("bottema", "sweep_samples", 1, "sweep_samples",
      "field 'bottema.sweep_samples' must be 0 or >= 2, got 1"),
+    ("bottema", "sweep_samples", 10_001, "sweep_samples",
+     "field 'bottema.sweep_samples' must be at most 10000, got 10001"),
+    ("bottema", "sweep_samples", HUGE, "sweep_samples",
+     f"field 'bottema.sweep_samples' must be at most 10000, got {HUGE}"),
     ("bottema", "colour", "red", "colour",
      "unknown field bottema.'colour' (allowed: ['a1', 'an', 'bn', 'side1', 'side2', 'sweep_samples'])"),
     ("identity_check", "centroid", MISSING, "centroid",
@@ -374,13 +381,25 @@ def _contract_doc(kind, target, key, value):
     return json.dumps(doc)
 
 
+def _case_id(prefix, value):
+    if value is MISSING:
+        return f"{prefix}-missing"
+    return f"{prefix}-{'10**400' if value is HUGE else repr(value)}"
+
+
+def test_caps_are_inclusive():
+    scenario = parse_scenario(_contract_doc("bottema", "bottema", "sweep_samples", 10_000))
+    assert scenario.config.sweep_samples == 10_000
+    assert parse_scenario(_contract_doc("pair", None, "n", 2048)).n == 2048
+
+
 CONTRACT_DOCS = [
     pytest.param(_contract_doc("pair", None, key, value), ScenarioValidationError, field, message,
-                 id=f"{key}-{value!r}" if value is not MISSING else f"{key}-missing")
+                 id=_case_id(key, value))
     for key, value, field, message in TOP_LEVEL_CASES
 ] + [
     pytest.param(_contract_doc(kind, kind, key, value), ScenarioValidationError, field, message,
-                 id=f"{kind}.{key}-{value!r}" if value is not MISSING else f"{kind}.{key}-missing")
+                 id=_case_id(f"{kind}.{key}", value))
     for kind, key, value, field, message in BLOCK_CASES
 ] + [
     pytest.param("[1, 2, 3]", ScenarioValidationError, "document",
