@@ -27,7 +27,14 @@ from .geom import (
     reflect_across_line,
     side_of_line,
 )
-from .polygon import DegenerateSideError, RegularPolygon, diametric_opposite, from_side
+from .polygon import (
+    DegenerateSideError,
+    RegularPolygon,
+    _antipode,
+    _side_circumcircle,
+    diametric_opposite,
+    from_side,
+)
 from .equalizer import PairCase, classify_pair, equal_distance_points
 
 
@@ -47,8 +54,9 @@ class BottemaResult:
     collinear: bool
 
 
-def _exterior_side(base_from: Point, base_to: Point, away_from: Point) -> int:
-    signed = side_of_line(away_from, base_from, base_to)
+def _exterior_side(signed: float) -> int:
+    """The side (+1 = left) facing away from a corner whose ``side_of_line`` is
+    ``signed``; 0 when the corner is on the line (or the area is NaN)."""
     if signed > 0.0:
         return -1
     if signed < 0.0:
@@ -65,20 +73,23 @@ def _diametric_midpoint(
     side2: int | None,
     tol: Tolerance,
 ) -> tuple[Point, RegularPolygon, RegularPolygon, Point, Point, bool]:
-    """The construction up to M1, which is all the apex sweep reads.
+    """The first half of ``bottema_construct``: the construction up to M1.
 
     Returns M1, both apex-side polygons, the antipodes D1 and D2 of the apex,
-    and the collinear flag.
+    and the collinear flag.  The apex sweep needs only M1 and computes it with
+    ``_sweep_midpoint`` instead.
     """
     floor = tol.bound(0.0)
     if a1.distance(an) <= floor or a1.distance(bn) <= floor or an.distance(bn) <= floor:
         raise DegenerateTriangleError("triangle corners coincide")
     span = max(a1.distance(an), a1.distance(bn))
-    collinear = abs(side_of_line(bn, a1, an)) <= tol.bound(span * span)
+    signed = side_of_line(bn, a1, an)
+    collinear = abs(signed) <= tol.bound(span * span)
+    # side_of_line(an, a1, bn) is -signed exactly: the same two products, subtracted the other way.
     if side1 is None:
-        side1 = _exterior_side(a1, an, bn) or 1
+        side1 = _exterior_side(signed) or 1
     if side2 is None:
-        side2 = _exterior_side(a1, bn, an) or -1
+        side2 = _exterior_side(-signed) or -1
 
     poly1 = from_side(a1, an, n, side1, tol)
     poly2 = from_side(a1, bn, n, side2, tol)
@@ -86,6 +97,27 @@ def _diametric_midpoint(
     d2 = diametric_opposite(poly2, a1, tol)
     m1 = d1.midpoint(d2)
     return m1, poly1, poly2, d1, d2, collinear
+
+
+def _sweep_midpoint(an: Point, a1: Point, bn: Point, n: int, tol: Tolerance) -> Point:
+    """M1 of ``_diametric_midpoint`` with exterior sides, in plain floats.
+
+    Each apex of the sweep needs only this point.  It takes the centroids and
+    radii from ``_side_circumcircle`` and the antipodes D = 2 O - A1 from
+    ``_antipode``: no polygon, no ``atan2`` and no collinear flag.  The checks,
+    their errors and the bits of M1 are those of ``_diametric_midpoint``.
+    """
+    floor = tol.bound(0.0)
+    if a1.distance(an) <= floor or a1.distance(bn) <= floor or an.distance(bn) <= floor:
+        raise DegenerateTriangleError("triangle corners coincide")
+    signed = side_of_line(bn, a1, an)
+    side1 = _exterior_side(signed) or 1
+    side2 = _exterior_side(-signed) or -1
+    x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
+    x2, y2, r2 = _side_circumcircle(a1, bn, n, side2, tol)
+    d1x, d1y = _antipode(x1, y1, r1, a1, tol)
+    d2x, d2y = _antipode(x2, y2, r2, a1, tol)
+    return Point(0.5 * (d1x + d2x), 0.5 * (d1y + d2y))
 
 
 def bottema_construct(
@@ -163,9 +195,11 @@ def verify_independence(
 
     Apexes stay strictly off the base line (margin 5% of the base length) so
     every construction is non-degenerate and exterior placement keeps both
-    polygons on the far side.  Each apex builds only M1 (both polygons, the
-    antipodes of the apex and their midpoint), not the M2 and H that
-    ``bottema_construct`` adds.  Returns two checks, each bounded by
+    polygons on the far side.  Each apex computes only M1, with
+    ``_sweep_midpoint``: the two circumcentres and radii, the antipodes of the
+    apex and their midpoint, in plain floats.  It builds no polygon and none
+    of the M2 and H that ``bottema_construct`` adds, and its M1 is bit-equal
+    to ``bottema_construct``'s.  Returns two checks, each bounded by
     ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
     spread of the computed midpoints, taken over the distinct ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
@@ -185,7 +219,7 @@ def verify_independence(
         t = rng.uniform(-0.5, 1.5)
         height = rng.uniform(0.05, 2.0)
         apex = an + along * (t * base_length) + normal * (height * base_length)
-        m1 = _diametric_midpoint(an, apex, bn, n, None, None, tol)[0]
+        m1 = _sweep_midpoint(an, apex, bn, n, tol)
         midpoints.append(m1)
         worst_closed = max(worst_closed, m1.distance(predicted))
     # A repeated midpoint adds only zero distances: the max over distinct ones is the same float.

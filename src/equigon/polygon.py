@@ -53,8 +53,7 @@ class RegularPolygon:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise InvalidVertexCountError(f"need an integer n >= 3, got {self.n!r}")
-        if not math.isfinite(self.circumradius) or self.circumradius <= 0.0:
-            raise InvalidRadiusError(f"circumradius must be positive, got {self.circumradius}")
+        _check_radius(self.circumradius)
         if self.orientation not in (1, -1):
             raise GeometryError(f"orientation must be +1 or -1, got {self.orientation!r}")
         if not math.isfinite(self.phase):
@@ -113,6 +112,51 @@ def from_shared_vertex(
     return RegularPolygon(n, centroid, radius, phase, orientation)
 
 
+def _check_radius(radius: float) -> None:
+    if not math.isfinite(radius) or radius <= 0.0:
+        raise InvalidRadiusError(f"circumradius must be positive, got {radius}")
+
+
+def _reject_non_finite(*coordinates: tuple[float, float]) -> None:
+    """Raise the error ``Point`` raises for the first pair that is not finite."""
+    for x, y in coordinates:
+        Point(x, y)
+
+
+def _side_circumcircle(
+    a1: Point, an: Point, n: int, side: int, tol: Tolerance
+) -> tuple[float, float, float]:
+    """Centroid x, y and circumradius of the n-gon on the closing edge ``an -> a1``.
+
+    This is ``from_side``'s arithmetic in plain floats, the same operations in
+    the same order, so the results are bit-identical to the ``Point`` version.
+    It keeps every check, in the same order and with the same error, including
+    the one ``Point`` makes of each intermediate's coordinates.
+    """
+    if side not in (1, -1):
+        raise GeometryError(f"side must be +1 or -1, got {side!r}")
+    cx, cy = an.x - a1.x, an.y - a1.y
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        _reject_non_finite((cx, cy))
+    length = math.hypot(cx, cy)
+    if length <= tol.bound(0.0):
+        raise DegenerateSideError("side endpoints coincide")
+    if not isinstance(n, int) or n < 3:
+        raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
+    inverse = 1.0 / length
+    ux, uy = cx * inverse, cy * inverse
+    apothem = 0.5 * length / math.tan(math.pi / n)
+    mx, my = 0.5 * (a1.x + an.x), 0.5 * (a1.y + an.y)
+    ox, oy = -uy * side * apothem, ux * side * apothem
+    x, y = mx + ox, my + oy
+    if not (math.isfinite(x) and math.isfinite(y)):
+        # Every non-finite step reaches the centroid; report the first, as Point would.
+        _reject_non_finite((ux, uy), (mx, my), (ox, oy), (x, y))
+    radius = 0.5 * length / math.sin(math.pi / n)
+    _check_radius(radius)
+    return x, y, radius
+
+
 def from_side(
     a1: Point,
     an: Point,
@@ -124,27 +168,18 @@ def from_side(
 
     Vertex 1 lands on ``a1`` and vertex n on ``an``.  ``side`` picks the
     half-plane containing the body: +1 means left of the directed segment
-    ``a1 -> an``, -1 means right.
+    ``a1 -> an``, -1 means right.  The centroid and radius come from
+    ``_side_circumcircle``; this adds the phase and the orientation, one
+    ``atan2`` each.  The Bottema apex sweep needs only the centroid and radius
+    and calls ``_side_circumcircle`` directly, once per apex side.
     """
-    if side not in (1, -1):
-        raise GeometryError(f"side must be +1 or -1, got {side!r}")
-    chord = an - a1
-    length = chord.norm()
-    if length <= tol.bound(0.0):
-        raise DegenerateSideError("side endpoints coincide")
-    if not isinstance(n, int) or n < 3:
-        raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
-    along = chord * (1.0 / length)
-    normal = along.perpendicular() * side
-    apothem = 0.5 * length / math.tan(math.pi / n)
-    centroid = a1.midpoint(an) + normal * apothem
-    radius = 0.5 * length / math.sin(math.pi / n)
-    phase = math.atan2(a1.y - centroid.y, a1.x - centroid.x)
+    x, y, radius = _side_circumcircle(a1, an, n, side, tol)
+    phase = math.atan2(a1.y - y, a1.x - x)
     # Vertex n precedes vertex 1 by one step, so the signed angle from vertex 1
     # to vertex n fixes the orientation.
-    step = wrap_angle(math.atan2(an.y - centroid.y, an.x - centroid.x) - phase)
+    step = wrap_angle(math.atan2(an.y - y, an.x - x) - phase)
     orientation = 1 if step < 0.0 else -1
-    return RegularPolygon(n, centroid, radius, phase, orientation)
+    return RegularPolygon(n, Point(x, y), radius, phase, orientation)
 
 
 def rotate_about_centroid(poly: RegularPolygon, delta: float) -> RegularPolygon:
@@ -153,14 +188,25 @@ def rotate_about_centroid(poly: RegularPolygon, delta: float) -> RegularPolygon:
     return dataclasses.replace(poly, phase=wrap_angle(poly.phase + delta))
 
 
+def _antipode(
+    x: float, y: float, radius: float, p: Point, tol: Tolerance
+) -> tuple[float, float]:
+    """``diametric_opposite`` in plain floats, for the circle at (x, y)."""
+    distance = math.hypot(p.x - x, p.y - y)
+    if not tol.eq_at(distance, radius, radius):
+        raise NotOnCircumcircleError(
+            f"point at distance {distance} from centroid is not on the "
+            f"circumcircle of radius {radius}"
+        )
+    dx, dy = x * 2.0 - p.x, y * 2.0 - p.y
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        _reject_non_finite((x * 2.0, y * 2.0), (dx, dy))
+    return dx, dy
+
+
 def diametric_opposite(
     poly: RegularPolygon, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Point:
     """Antipode of ``p`` on the circumcircle: the reflection through the centroid."""
-    distance = p.distance(poly.centroid)
-    if not tol.eq_at(distance, poly.circumradius, poly.circumradius):
-        raise NotOnCircumcircleError(
-            f"point at distance {distance} from centroid is not on the "
-            f"circumcircle of radius {poly.circumradius}"
-        )
-    return poly.centroid * 2.0 - p
+    centre = poly.centroid
+    return Point(*_antipode(centre.x, centre.y, poly.circumradius, p, tol))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -32,6 +33,11 @@ from .geom import DEFAULT_TOLERANCE, Point, Tolerance
 # The largest polygon size and apex sweep a document (or the CLI) may ask for.
 MAX_N = 2048
 MAX_SWEEP_SAMPLES = 10_000
+
+# An error echoes the offending value cut to about 40 characters, so a
+# 400-digit literal still gives a one-line message.
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
 
 
 class ScenarioError(ValueError):
@@ -43,6 +49,9 @@ class ScenarioParseError(ScenarioError):
 
 
 class ScenarioValidationError(ScenarioError):
+    """A schema violation; ``field`` is the offending field's full path, such as
+    ``pair.r1``, ``tolerance.rel`` or ``identity_check.probes[0][1]``."""
+
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
         self.field = field
@@ -59,52 +68,57 @@ def _reject_unknown(block: Mapping[str, Any], allowed: set[str], context: str) -
     for key in block:
         if key not in allowed:
             raise ScenarioValidationError(
-                key, f"unknown field {context}{key!r} (allowed: {sorted(allowed)})"
+                context + key,
+                f"unknown field {context}{_ECHO.repr(key)} (allowed: {sorted(allowed)})",
             )
 
 
 def _require(block: Mapping[str, Any], field: str, context: str) -> Any:
     if field not in block:
-        raise ScenarioValidationError(field, f"missing required field {context}{field!r}")
+        raise ScenarioValidationError(context + field, f"missing required field {context}{field!r}")
     return block[field]
+
+
+def _invalid(field: str, rule: str, value: Any) -> ScenarioValidationError:
+    return ScenarioValidationError(field, f"field {field!r} must {rule}, got {_ECHO.repr(value)}")
 
 
 def _number(value: Any, field: str) -> float:
     # bool is an int subclass; it is never a legitimate coordinate
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(field, f"field {field!r} must be a number, got {value!r}")
+        raise _invalid(field, "be a number", value)
     try:
         out = float(value)
     except OverflowError:  # an integer literal beyond float range
         out = math.inf
     if not math.isfinite(out):
-        raise ScenarioValidationError(field, f"field {field!r} must be finite, got {value!r}")
+        raise _invalid(field, "be finite", value)
     return out
 
 
 def _integer(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioValidationError(field, f"field {field!r} must be an integer, got {value!r}")
+        raise _invalid(field, "be an integer", value)
     return value
 
 
 def _orientation(value: Any, field: str) -> int:
     out = _integer(value, field)
     if out not in (1, -1):
-        raise ScenarioValidationError(field, f"field {field!r} must be +1 or -1, got {value!r}")
+        raise _invalid(field, "be +1 or -1", value)
     return out
 
 
 def _point(value: Any, field: str) -> Point:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioValidationError(field, f"field {field!r} must be a pair [x, y], got {value!r}")
+        raise _invalid(field, "be a pair [x, y]", value)
     return Point(_number(value[0], f"{field}[0]"), _number(value[1], f"{field}[1]"))
 
 
 def _positive(value: Any, field: str) -> float:
     out = _number(value, field)
     if out <= 0.0:
-        raise ScenarioValidationError(field, f"field {field!r} must be positive, got {value!r}")
+        raise _invalid(field, "be positive", value)
     return out
 
 
@@ -116,19 +130,15 @@ def _optional(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
 def _sweep_samples(value: Any, field: str) -> int:
     samples = _integer(value, field)
     if samples < 0 or samples == 1:
-        raise ScenarioValidationError(
-            "sweep_samples", f"field {field!r} must be 0 or >= 2, got {samples}"
-        )
+        raise _invalid(field, "be 0 or >= 2", samples)
     if samples > MAX_SWEEP_SAMPLES:
-        raise ScenarioValidationError(
-            "sweep_samples", f"field {field!r} must be at most {MAX_SWEEP_SAMPLES}, got {samples}"
-        )
+        raise _invalid(field, f"be at most {MAX_SWEEP_SAMPLES}", samples)
     return samples
 
 
 def _probes(value: Any, field: str) -> tuple[Point, ...]:
     if not isinstance(value, list) or not value:
-        raise ScenarioValidationError("probes", f"field {field!r} must be a non-empty list of points")
+        raise ScenarioValidationError(field, f"field {field!r} must be a non-empty list of points")
     return tuple(_point(item, f"{field}[{i}]") for i, item in enumerate(value))
 
 
@@ -224,9 +234,7 @@ def _parse_block(kind: ScenarioKind, block: Mapping[str, Any], n: int) -> Config
     config = cls(**values)
     if isinstance(config, IdentityCheckConfig) and config.max_m is not None:
         if not 1 <= config.max_m <= n - 1:
-            raise ScenarioValidationError(
-                "max_m", f"field 'identity_check.max_m' must lie in 1..{n - 1}, got {config.max_m}"
-            )
+            raise _invalid(context + "max_m", f"lie in 1..{n - 1}", config.max_m)
     return config
 
 
@@ -254,17 +262,17 @@ def parse_scenario(text: str) -> Scenario:
     try:
         kind = ScenarioKind(kind_raw)
     except ValueError:
+        expected = [k.value for k in ScenarioKind]
         raise ScenarioValidationError(
-            "kind",
-            f"unknown kind {kind_raw!r} (expected one of {[k.value for k in ScenarioKind]})",
+            "kind", f"unknown kind {_ECHO.repr(kind_raw)} (expected one of {expected})"
         ) from None
 
     _reject_unknown(data, {"kind", "n", "tolerance", "seed", kind.value}, "")
     n = _integer(_require(data, "n", ""), "n")
     if n < 3:
-        raise ScenarioValidationError("n", f"field 'n' must be at least 3, got {n}")
+        raise _invalid("n", "be at least 3", n)
     if n > MAX_N:
-        raise ScenarioValidationError("n", f"field 'n' must be at most {MAX_N}, got {n}")
+        raise _invalid("n", f"be at most {MAX_N}", n)
     tolerance = _parse_tolerance(data.get("tolerance"))
     seed = _integer(data.get("seed", 0), "seed")
 

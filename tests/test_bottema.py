@@ -10,6 +10,7 @@ from equigon.polygon import RegularPolygon
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.bottema import (
     DegenerateTriangleError,
+    _sweep_midpoint,
     bottema_construct,
     closed_form_midpoint,
     verify_independence,
@@ -169,6 +170,68 @@ def test_sweep_reads_only_m1(monkeypatch):
     assert spread.ok and closed.ok
     with pytest.raises(AssertionError, match="built M2"):
         bottema_construct(Point(0, 0), Point(0.6, 1.4), Point(2, 0), 5)
+
+
+def test_sweep_skips_polygons_and_angles(monkeypatch):
+    # Each apex needs only M1: no polygon object, no phase or orientation.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the apex sweep built a polygon")
+
+    monkeypatch.setattr(equigon.bottema, "from_side", forbidden)
+    monkeypatch.setattr(equigon.bottema, "RegularPolygon", forbidden)
+    monkeypatch.setattr(equigon.polygon, "RegularPolygon", forbidden)
+    monkeypatch.setattr(math, "atan2", forbidden)
+    spread, closed = verify_independence(Point(0, 0), Point(2, 0), 5, samples=30, seed=1)
+    assert spread.ok and closed.ok
+
+
+def random_triangles(count, seed):
+    """Triangles in any position and orientation, n 3..64, base scales 1e-8..1e12."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-8, 12)
+        an, a1, bn = (Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale) for _ in range(3))
+        yield an, a1, bn, rng.randint(3, 64)
+
+
+def test_sweep_midpoint_is_the_constructed_m1():
+    for an, a1, bn, n in random_triangles(300, seed=11):
+        assert _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE) == bottema_construct(an, a1, bn, n).m1
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+FLOOR = DEFAULT_TOLERANCE.bound(0.0)
+# (an, a1, bn, n): each is rejected, and the sweep must reject it the same way.
+REJECTED = {
+    "apex-on-corner": (Point(0, 0), Point(0, 0), Point(2, 0), 4),
+    "corners-coincide": (Point(0, 0), Point(1, 1), Point(0, 0), 5),
+    "side-below-floor": (Point(0, 0), Point(0.5 * FLOOR, 0.0), Point(2, 0), 4),
+    "base-below-floor": (Point(0, 0), Point(1, 1), Point(0.0, 0.5 * FLOOR), 6),
+    "n-not-an-integer": (Point(0, 0), Point(1, 1), Point(2, 0), 3.0),
+    "side-overflows": (Point(-1.5e308, 0), Point(1.5e308, 1), Point(0, -1), 5),
+    "centroid-overflows": (Point(0, 0), Point(1e307, 1.7e308), Point(1.7e308, 1e307), 4),
+    "offset-overflows": (Point(0, 0), Point(8e307, 1e307), Point(1.6e308, 0), 64),
+    "radius-overflows": (Point(0.8e308, 0), Point(-0.8e308, 0), Point(0, 1e307), 7),
+}
+
+
+@pytest.mark.parametrize("an, a1, bn, n", REJECTED.values(), ids=REJECTED.keys())
+def test_sweep_midpoint_rejects_like_the_construction(an, a1, bn, n):
+    expected = outcome(lambda: bottema_construct(an, a1, bn, n))
+    assert isinstance(expected, tuple)
+    assert outcome(lambda: _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)) == expected
+
+
+def test_degenerate_triangle_message():
+    for an, a1, bn, _ in list(REJECTED.values())[:4]:
+        with pytest.raises(DegenerateTriangleError, match="^triangle corners coincide$"):
+            _sweep_midpoint(an, a1, bn, 4, DEFAULT_TOLERANCE)
 
 
 def subtended(result, k):

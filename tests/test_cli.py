@@ -93,6 +93,17 @@ def test_unreadable_document_is_input_error(verb, content, named, tmp_path, monk
     assert not (tmp_path / "unused.svg").exists()
 
 
+def test_huge_value_error_is_one_short_line(tmp_path, monkeypatch, capsys):
+    # A 401-digit literal is echoed cut short, keeping the field name and exit 2.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(PAIR_HEAD + "1" + "0" * 400 + PAIR_TAIL, encoding="utf-8")
+    assert main(["verify", "doc.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: doc.json: field 'pair.r1' must be finite, got 1000")
+    assert err.count("\n") == 1
+    assert len(err.rstrip("\n")) < 120
+
+
 def test_verify_tight_tolerance_fails_checks(capsys):
     # below machine precision the residual checks must fail, and the failure
     # is a check failure (exit 1), not an input error

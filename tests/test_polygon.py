@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equigon.equalizer import align_rotation
-from equigon.geom import Point, side_of_line
+from equigon.geom import GeometryError, Point, Tolerance, side_of_line
 from equigon.polygon import (
     CoincidentVertexCentroidError,
     DegenerateSideError,
@@ -166,6 +166,35 @@ def test_from_side_first_and_last_vertices_land_on_segment_ends():
 def test_from_side_degenerate():
     with pytest.raises(DegenerateSideError):
         from_side(Point(1, 1), Point(1, 1), 4, 1)
+
+
+# Near the ends of the float range one step of the construction overflows.
+# from_side must name the first such step, with the values it had.
+# (name, a1, an, n, side, tolerance, error, message); recorded before the
+# arithmetic moved to plain floats.
+OVERFLOWS = [
+    ("edge", Point(-1.5e308, 0.0), Point(1.5e308, 1.0), 4, 1, Tolerance(),
+     GeometryError, "coordinates must be finite, got (inf, 1.0)"),
+    ("direction", Point(0.0, 0.0), Point(3e-321, 0.0), 4, 1, Tolerance(abs=5e-324),
+     GeometryError, "coordinates must be finite, got (inf, nan)"),
+    ("edge-midpoint", Point(8.5e307, -8.5e307), Point(1.7e308, -8.5e307), 3, 1, Tolerance(),
+     GeometryError, "coordinates must be finite, got (inf, -8.5e+307)"),
+    ("apothem-offset", Point(2.5e307, 2.5e307), Point(0.0, -5e307), 2048, 1, Tolerance(),
+     GeometryError, "coordinates must be finite, got (inf, -inf)"),
+    ("centroid", Point(1.7e308, 0.0), Point(1.7e308, 1e307), 64, -1, Tolerance(),
+     GeometryError, "coordinates must be finite, got (inf, 5e+306)"),
+    ("radius", Point(-0.8e308, 0.0), Point(0.8e308, 0.0), 7, 1, Tolerance(),
+     InvalidRadiusError, "circumradius must be positive, got inf"),
+]
+
+
+@pytest.mark.parametrize("name, a1, an, n, side, tol, error, message", OVERFLOWS,
+                         ids=[case[0] for case in OVERFLOWS])
+def test_from_side_names_the_step_that_overflows(name, a1, an, n, side, tol, error, message):
+    with pytest.raises(GeometryError) as excinfo:
+        from_side(a1, an, n, side, tol)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def test_rotate_about_centroid_full_step_is_identity():
