@@ -3,12 +3,13 @@
 Verbs:
 
     verify <file>                 run a scenario file, print the report
-    render <file> -o <svg>       render a scenario file as an SVG figure
+    render <file> -o <svg>       draw a scenario file as an SVG figure (no checks)
     sweep --kind K --n RANGE     randomized property sweeps
     bottema --an x,y --bn x,y    quick apex-independence check
 
-Exit codes: 0 on success (including a verified absence of solution points),
-1 when a check fails, 2 for input errors.
+Exit codes of verify, sweep and bottema: 0 on success (including a verified
+absence of solution points), 1 when a check fails, 2 for input errors.
+render exits 0 when it wrote the SVG and 2 when it could not.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from .bottema import verify_independence
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
-from .runner import run_scenario
+from .runner import run_scenario, solve_scenario
 from .sampling import random_scenario
 from .scenario import MAX_N, MAX_SWEEP_SAMPLES, ScenarioError, ScenarioKind, parse_scenario
 from .svgfig import render_svg
@@ -111,9 +112,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if scenario is None:
         return EXIT_INPUT_ERROR
     tol = _tolerance_override(args, scenario.tolerance)
-    report = run_scenario(scenario, tol)
     try:
-        document = render_svg(scenario, report, tol)
+        # The figure needs the solve only; render runs no check.
+        document = render_svg(scenario, solve_scenario(scenario, tol))
     except GeometryError as exc:
         print(f"error: cannot render {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

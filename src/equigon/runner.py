@@ -4,6 +4,10 @@ The report is the single source of truth for the CLI: human-readable text via
 ``to_text``, machine-readable JSON via ``to_dict``.  Domain errors raised by
 the geometry layer are captured as report entries instead of crashing, so a
 malformed configuration still produces a readable explanation.
+
+``run_scenario`` solves the scenario and checks it; ``solve_scenario`` stops
+after the solve, which is all a figure needs.  Both record the solve through
+the same helpers.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 from .checks import CheckResult, residual_check
 from .geom import GeometryError, Point, Tolerance, side_of_line
 from .polygon import RegularPolygon, from_shared_vertex
 from .power_sums import compare_power_sums, distances_squared, multisets_equal, verify_power_sum_identity
 from .equalizer import (
+    EqualDistanceSolution,
     Locus,
     NoMatchingError,
     align_rotation,
@@ -37,11 +42,20 @@ from .scenario import (
     scenario_to_dict,
 )
 
+Geometry = tuple[RegularPolygon, RegularPolygon] | BottemaResult | RegularPolygon
+
 
 @dataclass
 class Report:
     """Everything one scenario run found.  The kind runners fill it as they go,
-    so a domain error part-way through keeps every check made before it."""
+    so a domain error part-way through keeps every check made before it.
+
+    ``geometry`` holds the objects the scenario describes (see
+    ``scenario_geometry``) in a ``solve_scenario`` report, which a figure is
+    drawn from.  ``run_scenario`` leaves it None: a sweep holds many reports,
+    and at large n their vertex tuples would outweigh everything else in them.
+    It is not serialized.
+    """
 
     scenario: Scenario
     classification: str | None = None
@@ -52,6 +66,7 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+    geometry: Geometry | None = field(default=None, repr=False, compare=False)
 
     @property
     def overall_ok(self) -> bool:
@@ -106,15 +121,15 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def scenario_geometry(
-    scenario: Scenario, tol: Tolerance | None = None
-) -> tuple[RegularPolygon, RegularPolygon] | BottemaResult | RegularPolygon:
-    """Rebuild the geometric objects a scenario describes.
+def scenario_geometry(scenario: Scenario, tol: Tolerance | None = None) -> Geometry:
+    """Build the geometric objects a scenario describes.
 
     Returns the polygon pair for ``pair``/``shared_vertex``, the full
     construction for ``bottema``, and the single polygon for
-    ``identity_check``.  Shared with the SVG renderer so figures and reports
-    are guaranteed to draw the same objects.
+    ``identity_check``.  ``run_scenario`` and ``solve_scenario`` call it once
+    per run; ``solve_scenario`` keeps the result as ``Report.geometry``, which
+    the SVG renderer draws, so a figure shows the very objects its points were
+    computed from.
     """
     active = tol if tol is not None else scenario.tolerance
     cfg = scenario.config
@@ -244,18 +259,19 @@ def _probe_locus(
         )
 
 
-def _run_pair_like(out: Report, scenario: Scenario, tol: Tolerance) -> None:
-    first, second = scenario_geometry(scenario, tol)
-    shared = isinstance(scenario.config, SharedVertexConfig)
+def _pair_solution(
+    out: Report, first: RegularPolygon, second: RegularPolygon, tol: Tolerance
+) -> tuple[EqualDistanceSolution, list[tuple[str, Point]]]:
+    """Solve a polygon pair and record the classification, coincidence, locus
+    and the findings that explain an empty point set.  Returns the solution and
+    its labelled points; the caller records the points."""
     solution = equal_distance_points(first, second, tol)
     out.classification = solution.case.value
     out.coincident = solution.coincident
     if solution.locus is not None:
         out.locus = solution.locus.value
         out.findings.append("congruent polygons: every locus point is an equal-distance point")
-        _probe_locus(out, first, second, solution.locus, scenario.seed, tol)
-        return
-    if not solution.points:
+    elif not solution.points:
         gap = first.centroid.distance(second.centroid)
         lo = abs(first.circumradius - second.circumradius)
         hi = first.circumradius + second.circumradius
@@ -263,22 +279,43 @@ def _run_pair_like(out: Report, scenario: Scenario, tol: Tolerance) -> None:
             "no equal-distance point: centroid gap "
             f"{gap!r} outside [{lo!r}, {hi!r}]"
         )
-        return
-
     labels = ("M1",) if solution.coincident else ("M1", "M2")
-    for label, point in zip(labels, solution.points):
+    return solution, list(zip(labels, solution.points))
+
+
+def _run_pair_like(out: Report, scenario: Scenario, geometry: Geometry, tol: Tolerance) -> None:
+    first, second = geometry
+    solution, labelled = _pair_solution(out, first, second, tol)
+    if solution.locus is not None:
+        _probe_locus(out, first, second, solution.locus, scenario.seed, tol)
+        return
+    shared = isinstance(scenario.config, SharedVertexConfig)
+    for label, point in labelled:
         out.points.append((label, point))
         _check_point(out, label, point, first, second, tol)
         _try_matching(out, label, point, first, second, tol, required=shared)
-    if shared:
+    if shared and labelled:
         out.checks.extend(verify_point_properties(first, second, solution, tol))
 
 
-def _run_bottema(out: Report, scenario: Scenario, tol: Tolerance) -> None:
+def _solve_pair_like(out: Report, scenario: Scenario, geometry: Geometry, tol: Tolerance) -> None:
+    first, second = geometry
+    _, labelled = _pair_solution(out, first, second, tol)
+    out.points.extend(labelled)
+    if labelled:
+        # M1's vertex correspondence colours the figure's distance fan.
+        try:
+            match = correspondence(first, second, labelled[0][1], tol)
+        except NoMatchingError:
+            return
+        out.matchings.append(("M1", match.kind.value))
+
+
+def _solve_bottema(out: Report, scenario: Scenario, result: Geometry, tol: Tolerance) -> float:
+    """Record the construction's classification, points and findings; returns
+    the base length |An Bn|."""
     cfg = scenario.config
-    assert isinstance(cfg, BottemaConfig)
-    result = scenario_geometry(scenario, tol)
-    assert isinstance(result, BottemaResult)
+    assert isinstance(cfg, BottemaConfig) and isinstance(result, BottemaResult)
     out.classification = classify_pair(result.poly1, result.poly2, tol).value
     out.points.append(("M1", result.m1))
     out.points.append(("M2", result.m2))
@@ -288,7 +325,12 @@ def _run_bottema(out: Report, scenario: Scenario, tol: Tolerance) -> None:
     out.findings.append(
         f"foot of perpendicular H = ({result.h.x!r}, {result.h.y!r}), base length {base!r}"
     )
+    return base
 
+
+def _run_bottema(out: Report, scenario: Scenario, result: Geometry, tol: Tolerance) -> None:
+    base = _solve_bottema(out, scenario, result, tol)
+    cfg = scenario.config
     for label, point in out.points:
         _check_point(out, label, point, result.poly1, result.poly2, tol)
     _try_matching(out, "M1", result.m1, result.poly1, result.poly2, tol, required=True)
@@ -332,15 +374,29 @@ def _run_bottema(out: Report, scenario: Scenario, tol: Tolerance) -> None:
         )
 
 
-def _run_identity_check(out: Report, scenario: Scenario, tol: Tolerance) -> None:
+def _run_identity_check(out: Report, scenario: Scenario, poly: Geometry, tol: Tolerance) -> None:
     cfg = scenario.config
-    assert isinstance(cfg, IdentityCheckConfig)
-    poly = scenario_geometry(scenario, tol)
-    assert isinstance(poly, RegularPolygon)
+    assert isinstance(cfg, IdentityCheckConfig) and isinstance(poly, RegularPolygon)
     top = cfg.max_m if cfg.max_m is not None else scenario.n - 1
     for index, probe in enumerate(cfg.probes, 1):
         check = verify_power_sum_identity(poly, probe, tol, top)
         out.checks.append(replace(check, name=f"closed_form_probe_{index}"))
+
+
+Step = Callable[[Report, Scenario, Geometry, Tolerance], object]
+
+_CHECKED: dict[ScenarioKind, Step] = {
+    ScenarioKind.PAIR: _run_pair_like,
+    ScenarioKind.SHARED_VERTEX: _run_pair_like,
+    ScenarioKind.BOTTEMA: _run_bottema,
+    ScenarioKind.IDENTITY_CHECK: _run_identity_check,
+}
+_SOLVED: dict[ScenarioKind, Step] = {
+    ScenarioKind.PAIR: _solve_pair_like,
+    ScenarioKind.SHARED_VERTEX: _solve_pair_like,
+    ScenarioKind.BOTTEMA: _solve_bottema,
+    ScenarioKind.IDENTITY_CHECK: lambda out, scenario, geometry, tol: None,
+}
 
 
 def run_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
@@ -348,12 +404,26 @@ def run_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
     active = tol if tol is not None else scenario.tolerance
     out = Report(scenario)
     try:
-        if scenario.kind in (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX):
-            _run_pair_like(out, scenario, active)
-        elif scenario.kind is ScenarioKind.BOTTEMA:
-            _run_bottema(out, scenario, active)
-        else:
-            _run_identity_check(out, scenario, active)
+        _CHECKED[scenario.kind](out, scenario, scenario_geometry(scenario, active), active)
+    except GeometryError as exc:
+        out.errors.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def solve_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
+    """Build the geometry and solve it, running no check.
+
+    The report holds the geometry, classification, labelled points, locus,
+    coincident flag and findings that ``run_scenario`` would record, plus M1's
+    matching when the scenario is a polygon pair (the figure colours M1's
+    distance fan by it).  ``checks`` stays empty.  Raises GeometryError when
+    the geometry cannot be built, since then there is nothing to draw; a domain
+    error past it is recorded and keeps what was found before it.
+    """
+    active = tol if tol is not None else scenario.tolerance
+    out = Report(scenario, geometry=scenario_geometry(scenario, active))
+    try:
+        _SOLVED[scenario.kind](out, scenario, out.geometry, active)
     except GeometryError as exc:
         out.errors.append(f"{type(exc).__name__}: {exc}")
     return out

@@ -5,6 +5,10 @@ viewBox with 10% padding.  All numbers are written with six decimals (with
 negative zero normalized), elements appear in a fixed order, and no randomness
 is involved, so rendering the same scenario twice is byte-identical.
 
+A figure reads no check: the report of ``runner.solve_scenario`` is enough,
+and the figure draws the geometry that report was solved on
+(``Report.geometry``).
+
 Only true geometric circles become ``<circle>`` elements; point markers are
 cross paths with text labels (class ``point-label`` for the equal-distance
 points, ``aux-label`` for supporting points such as D1, D2, H, or probes).
@@ -15,10 +19,10 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .geom import Point, Tolerance
+from .geom import GeometryError, Point
 from .polygon import RegularPolygon, diametric_opposite
 from .equalizer import MatchKind
-from .runner import Report, scenario_geometry
+from .runner import Geometry, Report, scenario_geometry
 from .scenario import (
     BottemaConfig,
     IdentityCheckConfig,
@@ -99,10 +103,10 @@ class _Scene:
         height = self.max_y - self.min_y
         span = max(width, height, 1e-9)
         pad = 0.1 * span
-        view = (
-            f"{_fmt(self.min_x - pad)} {_fmt(-(self.max_y + pad))} "
-            f"{_fmt(width + 2 * pad)} {_fmt(height + 2 * pad)}"
-        )
+        box = (self.min_x - pad, -(self.max_y + pad), width + 2 * pad, height + 2 * pad)
+        if not all(map(math.isfinite, box)):
+            raise GeometryError(f"figure extent overflows: viewBox {' '.join(map(repr, box))}")
+        view = " ".join(map(_fmt, box))
         stroke = span * 0.004
         thin = span * 0.002
         hair = span * 0.0015
@@ -186,8 +190,8 @@ def _distance_segments(
         scene.line(point, second.vertex(j), color, "dist-pair", False)
 
 
-def _pair_scene(scene: _Scene, scenario: Scenario, report: Report, tol: Tolerance | None) -> None:
-    first, second = scenario_geometry(scenario, tol)
+def _pair_scene(scene: _Scene, scenario: Scenario, report: Report, geometry: Geometry) -> None:
+    first, second = geometry
     matchings = dict(report.matchings)
     points = dict(report.points)
 
@@ -224,11 +228,9 @@ def _pair_scene(scene: _Scene, scenario: Scenario, report: Report, tol: Toleranc
         scene.marker(point, label, _MARKER_COLOR, "point-label")
 
 
-def _bottema_scene(scene: _Scene, scenario: Scenario, report: Report, tol: Tolerance | None) -> None:
+def _bottema_scene(scene: _Scene, scenario: Scenario, report: Report, result: Geometry) -> None:
     cfg = scenario.config
-    assert isinstance(cfg, BottemaConfig)
-    result = scenario_geometry(scenario, tol)
-    assert isinstance(result, BottemaResult)
+    assert isinstance(cfg, BottemaConfig) and isinstance(result, BottemaResult)
 
     scene.triangle(cfg.an, cfg.a1, cfg.bn)
     for poly, color in zip((result.poly1, result.poly2), _POLY_COLORS):
@@ -243,24 +245,30 @@ def _bottema_scene(scene: _Scene, scenario: Scenario, report: Report, tol: Toler
         scene.marker(point, label, _MARKER_COLOR, "point-label")
 
 
-def _identity_scene(scene: _Scene, scenario: Scenario, tol: Tolerance | None) -> None:
+def _identity_scene(scene: _Scene, scenario: Scenario, poly: Geometry) -> None:
     cfg = scenario.config
-    assert isinstance(cfg, IdentityCheckConfig)
-    poly = scenario_geometry(scenario, tol)
-    assert isinstance(poly, RegularPolygon)
+    assert isinstance(cfg, IdentityCheckConfig) and isinstance(poly, RegularPolygon)
     scene.polygon(poly, _POLY_COLORS[0])
     scene.circle(poly.centroid, poly.circumradius, _POLY_COLORS[0], "circumcircle", False)
     for index, probe in enumerate(cfg.probes, 1):
         scene.marker(probe, f"P{index}", _AUX_COLOR, "aux-label")
 
 
-def render_svg(scenario: Scenario, report: Report, tol: Tolerance | None = None) -> str:
-    """Render the scenario and its report as a standalone SVG 1.1 document."""
+def render_svg(scenario: Scenario, report: Report) -> str:
+    """Render the scenario and its report as a standalone SVG 1.1 document.
+
+    Draws ``report.geometry`` with the report's points, locus and M1 matching.
+    A report without geometry (one from ``run_scenario``) is drawn on the
+    scenario's geometry, built again at the scenario's own tolerance.  Raises
+    GeometryError when that geometry cannot be built or when the figure's
+    extent is not finite.
+    """
+    geometry = report.geometry if report.geometry is not None else scenario_geometry(scenario)
     scene = _Scene()
     if scenario.kind in (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX):
-        _pair_scene(scene, scenario, report, tol)
+        _pair_scene(scene, scenario, report, geometry)
     elif scenario.kind is ScenarioKind.BOTTEMA:
-        _bottema_scene(scene, scenario, report, tol)
+        _bottema_scene(scene, scenario, report, geometry)
     else:
-        _identity_scene(scene, scenario, tol)
+        _identity_scene(scene, scenario, geometry)
     return scene.emit()

@@ -1,14 +1,16 @@
-"""Golden CLI transcript: exit code and standard output, compared byte for byte.
+"""Golden CLI output: transcripts and SVG figures, compared byte for byte.
 
-Each file under ``tests/golden/`` holds one command's exit code on its first
-line and its standard output after it.  The files pin the promise that a
-speed-up changes no output byte.  After an intended change to the output,
-rewrite them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
+first line and its standard output after it; each ``render_<name>.svg`` is the
+figure ``render`` writes for ``scenarios/<name>.json``.  The files pin the
+promise that a speed-up changes no output byte.  After an intended change to
+the output, rewrite them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,7 @@ CASES = (
                                 "--seed", "7"])
        for kind in ScenarioKind]
 )
+RENDERED = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def transcript(argv: list[str]) -> str:
@@ -39,8 +42,16 @@ def transcript(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def rendered(scenario: Path, directory: Path) -> bytes:
+    """The SVG bytes ``render`` writes for one scenario file; it must exit 0."""
+    target = directory / f"{scenario.stem}.svg"
+    assert transcript(["render", str(scenario), "-o", str(target)]) == f"exit 0\nwrote {target}\n"
+    return target.read_bytes()
+
+
 def test_every_scenario_file_is_covered():
     assert len([slug for slug, _ in CASES if slug.startswith("verify_json_")]) == 7
+    assert len(RENDERED) == 7
 
 
 @pytest.mark.parametrize("slug, argv", CASES, ids=[slug for slug, _ in CASES])
@@ -49,8 +60,17 @@ def test_transcript_matches_golden(slug, argv):
     assert transcript(argv).encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("scenario", RENDERED, ids=[path.stem for path in RENDERED])
+def test_render_matches_golden(scenario, tmp_path):
+    assert rendered(scenario, tmp_path) == (GOLDEN / f"render_{scenario.stem}.svg").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for slug, argv in CASES:
         (GOLDEN / f"{slug}.txt").write_bytes(transcript(argv).encode("utf-8"))
-    print(f"wrote {len(CASES)} files to {GOLDEN}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as scratch:
+        for scenario in RENDERED:
+            svg = rendered(scenario, Path(scratch))
+            (GOLDEN / f"render_{scenario.stem}.svg").write_bytes(svg)
+    print(f"wrote {len(CASES) + len(RENDERED)} files to {GOLDEN}", file=sys.stderr)
