@@ -6,166 +6,47 @@ the closed form for power sums of squared vertex distances, multiset equality
 (decided by sorting; Newton's identities are available separately as
 ``power_sums_to_elementary``), the two-correspondence structure at the solution
 points, and the generalized Bottema midpoint with its fixed vertex angles.
-Every pass/fail verdict is a ``CheckResult``.
+
+The public names are the ones the README and the command line use: a scenario
+is parsed, solved once by ``solve_scenario`` (all a figure needs) or solved and
+checked by ``run_scenario``, and drawn by ``render_svg``.  Every pass/fail
+verdict in a ``Report`` is a ``CheckResult``.
 """
 
 from __future__ import annotations
 
 from .checks import CheckResult
-from .geom import (
-    DEFAULT_TOLERANCE,
-    Circle,
-    DegenerateLineError,
-    DegenerateRayError,
-    GeometryError,
-    IntersectionKind,
-    IntersectionResult,
-    InvalidCircleError,
-    Point,
-    Tolerance,
-    angle_at,
-    circle_intersection,
-    point_line_distance,
-    project_onto_line,
-    reflect_across_line,
-    side_of_line,
-    wrap_angle,
-)
-from .polygon import (
-    CoincidentVertexCentroidError,
-    DegenerateSideError,
-    InvalidRadiusError,
-    InvalidVertexCountError,
-    NotOnCircumcircleError,
-    RegularPolygon,
-    diametric_opposite,
-    from_shared_vertex,
-    from_side,
-    rotate_about_centroid,
-)
-from .power_sums import (
-    LengthMismatchError,
-    MultisetMatch,
-    OrderOutOfRangeError,
-    compare_power_sums,
-    distances_squared,
-    multisets_equal,
-    power_sum,
-    power_sum_closed_form,
-    power_sums_to_elementary,
-    power_sums_vector,
-    verify_power_sum_identity,
-)
-from .equalizer import (
-    EqualDistanceSolution,
-    Locus,
-    MatchKind,
-    Matching,
-    MixedVertexCountError,
-    NoIntersectionError,
-    NoMatchingError,
-    NotSharedVertexError,
-    NotTwoPointSolutionError,
-    PairCase,
-    align_rotation,
-    classify_pair,
-    correspondence,
-    equal_distance_points,
-    verify_point_properties,
-)
-from .bottema import (
-    BottemaResult,
-    DegenerateTriangleError,
-    bottema_construct,
-    closed_form_midpoint,
-    verify_independence,
-    vertex_angles,
-)
+from .geom import GeometryError, Point, Tolerance
+from .polygon import RegularPolygon
+from .power_sums import power_sums_to_elementary
 from .scenario import (
     Scenario,
     ScenarioError,
     ScenarioKind,
-    ScenarioParseError,
     ScenarioValidationError,
     parse_scenario,
     serialize_scenario,
 )
-from .runner import Report, run_scenario, scenario_geometry, solve_scenario
+from .runner import Report, run_scenario, solve_scenario
 from .svgfig import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "Circle",
     "Point",
     "Tolerance",
-    "IntersectionKind",
-    "IntersectionResult",
-    "RegularPolygon",
-    "MultisetMatch",
-    "EqualDistanceSolution",
-    "Matching",
-    "MatchKind",
-    "PairCase",
-    "Locus",
-    "BottemaResult",
     "GeometryError",
-    "InvalidCircleError",
-    "DegenerateLineError",
-    "DegenerateRayError",
-    "InvalidVertexCountError",
-    "InvalidRadiusError",
-    "CoincidentVertexCentroidError",
-    "DegenerateSideError",
-    "NotOnCircumcircleError",
-    "OrderOutOfRangeError",
-    "LengthMismatchError",
-    "MixedVertexCountError",
-    "NoIntersectionError",
-    "NoMatchingError",
-    "NotSharedVertexError",
-    "NotTwoPointSolutionError",
-    "DegenerateTriangleError",
+    "RegularPolygon",
+    "CheckResult",
+    "Report",
     "Scenario",
     "ScenarioKind",
     "ScenarioError",
-    "ScenarioParseError",
     "ScenarioValidationError",
-    "Report",
-    "CheckResult",
-    "angle_at",
-    "circle_intersection",
-    "point_line_distance",
-    "project_onto_line",
-    "reflect_across_line",
-    "side_of_line",
-    "wrap_angle",
-    "from_shared_vertex",
-    "from_side",
-    "rotate_about_centroid",
-    "diametric_opposite",
-    "distances_squared",
-    "power_sum",
-    "power_sums_vector",
-    "power_sum_closed_form",
-    "power_sums_to_elementary",
-    "multisets_equal",
-    "compare_power_sums",
-    "verify_power_sum_identity",
-    "classify_pair",
-    "equal_distance_points",
-    "align_rotation",
-    "correspondence",
-    "verify_point_properties",
-    "bottema_construct",
-    "closed_form_midpoint",
-    "verify_independence",
-    "vertex_angles",
     "parse_scenario",
     "serialize_scenario",
     "run_scenario",
     "solve_scenario",
-    "scenario_geometry",
     "render_svg",
+    "power_sums_to_elementary",
 ]

@@ -52,67 +52,43 @@ class BottemaResult:
     m2: Point
     h: Point
     collinear: bool
+    case: PairCase
 
 
-def _exterior_side(signed: float) -> int:
-    """The side (+1 = left) facing away from a corner whose ``side_of_line`` is
-    ``signed``; 0 when the corner is on the line (or the area is NaN)."""
-    if signed > 0.0:
-        return -1
-    if signed < 0.0:
-        return 1
-    return 0
+def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, float, int, int]:
+    """The checks both constructions make of the triangle An A1 Bn.
 
-
-def _diametric_midpoint(
-    an: Point,
-    a1: Point,
-    bn: Point,
-    n: int,
-    side1: int | None,
-    side2: int | None,
-    tol: Tolerance,
-) -> tuple[Point, RegularPolygon, RegularPolygon, Point, Point, bool]:
-    """The first half of ``bottema_construct``: the construction up to M1.
-
-    Returns M1, both apex-side polygons, the antipodes D1 and D2 of the apex,
-    and the collinear flag.  The apex sweep needs only M1 and computes it with
-    ``_sweep_midpoint`` instead.
+    Returns the signed doubled area ``side_of_line(bn, a1, an)``, the squared
+    longest apex side, and the exterior sides (+1 = left) for the polygons on
+    A1 An and A1 Bn; a collinear apex gets +1 and -1.  Rejects coincident
+    corners, and a triangle whose area or squared side overflows the float
+    range, whose sides would then be guessed.
     """
     floor = tol.bound(0.0)
-    if a1.distance(an) <= floor or a1.distance(bn) <= floor or an.distance(bn) <= floor:
+    side_n, side_b = a1.distance(an), a1.distance(bn)
+    if side_n <= floor or side_b <= floor or an.distance(bn) <= floor:
         raise DegenerateTriangleError("triangle corners coincide")
-    span = max(a1.distance(an), a1.distance(bn))
     signed = side_of_line(bn, a1, an)
-    collinear = abs(signed) <= tol.bound(span * span)
+    span_sq = side_n * side_n if side_n > side_b else side_b * side_b
+    # Comparisons, not math.isfinite calls: the apex sweep runs this per apex.
+    if not (abs(signed) < math.inf and span_sq < math.inf):
+        raise GeometryError(
+            f"triangle overflows the float range: signed area {signed!r}, "
+            f"squared apex side {span_sq!r}"
+        )
     # side_of_line(an, a1, bn) is -signed exactly: the same two products, subtracted the other way.
-    if side1 is None:
-        side1 = _exterior_side(signed) or 1
-    if side2 is None:
-        side2 = _exterior_side(-signed) or -1
-
-    poly1 = from_side(a1, an, n, side1, tol)
-    poly2 = from_side(a1, bn, n, side2, tol)
-    d1 = diametric_opposite(poly1, a1, tol)
-    d2 = diametric_opposite(poly2, a1, tol)
-    m1 = d1.midpoint(d2)
-    return m1, poly1, poly2, d1, d2, collinear
+    return signed, span_sq, (-1 if signed > 0.0 else 1), (1 if signed > 0.0 else -1)
 
 
 def _sweep_midpoint(an: Point, a1: Point, bn: Point, n: int, tol: Tolerance) -> Point:
-    """M1 of ``_diametric_midpoint`` with exterior sides, in plain floats.
+    """M1 of ``bottema_construct`` with exterior sides, in plain floats.
 
     Each apex of the sweep needs only this point.  It takes the centroids and
     radii from ``_side_circumcircle`` and the antipodes D = 2 O - A1 from
     ``_antipode``: no polygon, no ``atan2`` and no collinear flag.  The checks,
-    their errors and the bits of M1 are those of ``_diametric_midpoint``.
+    their errors and the bits of M1 are those of ``bottema_construct``.
     """
-    floor = tol.bound(0.0)
-    if a1.distance(an) <= floor or a1.distance(bn) <= floor or an.distance(bn) <= floor:
-        raise DegenerateTriangleError("triangle corners coincide")
-    signed = side_of_line(bn, a1, an)
-    side1 = _exterior_side(signed) or 1
-    side2 = _exterior_side(-signed) or -1
+    _, _, side1, side2 = _triangle(an, a1, bn, tol)
     x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
     x2, y2, r2 = _side_circumcircle(a1, bn, n, side2, tol)
     d1x, d1y = _antipode(x1, y1, r1, a1, tol)
@@ -134,11 +110,19 @@ def bottema_construct(
     ``side1`` / ``side2`` select the half-planes for the polygons on A1 An and
     A1 Bn (+1 = left of the directed segment from the apex); omitted sides
     default to the exterior of the triangle.  A collinear apex is accepted and
-    flagged; coincident triangle corners are rejected.
+    flagged; coincident triangle corners are rejected.  The pair is classified
+    once, and the result carries that case.
     """
-    m1, poly1, poly2, d1, d2, collinear = _diametric_midpoint(an, a1, bn, n, side1, side2, tol)
+    signed, span_sq, exterior1, exterior2 = _triangle(an, a1, bn, tol)
+    collinear = abs(signed) <= tol.bound(span_sq)
+    poly1 = from_side(a1, an, n, exterior1 if side1 is None else side1, tol)
+    poly2 = from_side(a1, bn, n, exterior2 if side2 is None else side2, tol)
+    d1 = diametric_opposite(poly1, a1, tol)
+    d2 = diametric_opposite(poly2, a1, tol)
+    m1 = d1.midpoint(d2)
 
-    if classify_pair(poly1, poly2, tol) is PairCase.NON_CONGRUENT:
+    case = classify_pair(poly1, poly2, tol)
+    if case is PairCase.NON_CONGRUENT:
         solution = equal_distance_points(poly1, poly2, tol)
         if solution.points:
             # The mirror candidate is whichever solution point sits away from
@@ -156,7 +140,7 @@ def bottema_construct(
             m2 = reflect_across_line(m1, poly1.centroid, poly2.centroid, tol)
 
     h = project_onto_line(m1, an, bn, tol)
-    return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear)
+    return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, case)
 
 
 def closed_form_midpoint(

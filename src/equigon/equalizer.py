@@ -87,14 +87,6 @@ class EqualDistanceSolution:
     locus: Locus | None
     coincident: bool
 
-    @property
-    def m1(self) -> Point | None:
-        return self.points[0] if self.points else None
-
-    @property
-    def m2(self) -> Point | None:
-        return self.points[1] if len(self.points) > 1 else None
-
 
 @dataclass(frozen=True)
 class Matching:

@@ -108,12 +108,6 @@ class Point:
         """This vector rotated a quarter turn counter-clockwise."""
         return Point(-self.y, self.x)
 
-    def rotated(self, angle: float, about: Point | None = None) -> Point:
-        c, s = math.cos(angle), math.sin(angle)
-        ox, oy = (about.x, about.y) if about is not None else (0.0, 0.0)
-        dx, dy = self.x - ox, self.y - oy
-        return Point(ox + c * dx - s * dy, oy + s * dx + c * dy)
-
 
 @dataclass(frozen=True)
 class Circle:

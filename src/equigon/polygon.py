@@ -8,7 +8,6 @@ clockwise.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -59,14 +58,6 @@ class RegularPolygon:
         if not math.isfinite(self.phase):
             raise GeometryError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", wrap_angle(self.phase))
-
-    @property
-    def side_length(self) -> float:
-        return 2.0 * self.circumradius * math.sin(math.pi / self.n)
-
-    @property
-    def apothem(self) -> float:
-        return self.circumradius * math.cos(math.pi / self.n)
 
     @property
     def circumcircle(self) -> Circle:
@@ -180,12 +171,6 @@ def from_side(
     step = wrap_angle(math.atan2(an.y - y, an.x - x) - phase)
     orientation = 1 if step < 0.0 else -1
     return RegularPolygon(n, Point(x, y), radius, phase, orientation)
-
-
-def rotate_about_centroid(poly: RegularPolygon, delta: float) -> RegularPolygon:
-    if not math.isfinite(delta):
-        raise GeometryError(f"rotation angle must be finite, got {delta}")
-    return dataclasses.replace(poly, phase=wrap_angle(poly.phase + delta))
 
 
 def _antipode(

@@ -36,22 +36,6 @@ def distances_squared(vertices: Sequence[Point], point: Point) -> tuple[float, .
     return tuple(point.distance_squared(v) for v in vertices)
 
 
-def power_sum(data: Iterable[float], order: int) -> float:
-    """Direct evaluation of ``sum(x ** order)`` over the squared distances."""
-    if order < 1:
-        raise OrderOutOfRangeError(f"order must be >= 1, got {order}")
-    return sum(x ** order for x in data)
-
-
-def power_sums_vector(
-    data: Iterable[float], max_order: int
-) -> tuple[float, ...]:
-    """Power sums of all orders 1..max_order, computed incrementally."""
-    if max_order < 1:
-        raise OrderOutOfRangeError(f"max_order must be >= 1, got {max_order}")
-    return tuple(_power_sums(tuple(data), max_order))
-
-
 def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
     """Yield p_1..p_top of ``values``, each a left-to-right sum of running products.
 
@@ -134,14 +118,11 @@ def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
 class MultisetMatch:
     """Outcome of comparing two squared-distance multisets.
 
-    ``permutation`` is 1-based: entry i of the first list pairs with entry
-    ``permutation[i-1]`` of the second.  Equality is decided by sorting both
-    lists and comparing them pairwise; ``max_residual`` is the largest gap
-    between paired entries.
+    Equality is decided by sorting both lists and comparing them pairwise;
+    ``max_residual`` is the largest gap between paired entries.
     """
 
     equal: bool
-    permutation: tuple[int, ...] | None
     max_residual: float
 
 
@@ -161,23 +142,17 @@ def multisets_equal(
     b = tuple(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    size = len(a)
-    if size == 0:
-        return MultisetMatch(True, (), 0.0)
-    scale = max(max(abs(x) for x in a), max(abs(x) for x in b))
-    order_a = sorted(range(size), key=lambda i: (a[i], i))
-    order_b = sorted(range(size), key=lambda i: (b[i], i))
-    slack = tol.bound(scale)
+    if not a:
+        return MultisetMatch(True, 0.0)
+    slack = tol.bound(max(max(abs(x) for x in a), max(abs(x) for x in b)))
     worst = 0.0
-    permutation = [0] * size
     equal = True
-    for ia, ib in zip(order_a, order_b):
-        gap = abs(a[ia] - b[ib])
+    for x, y in zip(sorted(a), sorted(b)):
+        gap = abs(x - y)
         worst = max(worst, gap)
         if gap > slack:
             equal = False
-        permutation[ia] = ib + 1
-    return MultisetMatch(equal, tuple(permutation) if equal else None, worst)
+    return MultisetMatch(equal, worst)
 
 
 def compare_power_sums(

@@ -5,9 +5,12 @@ The report is the single source of truth for the CLI: human-readable text via
 the geometry layer are captured as report entries instead of crashing, so a
 malformed configuration still produces a readable explanation.
 
-``run_scenario`` solves the scenario and checks it; ``solve_scenario`` stops
-after the solve, which is all a figure needs.  Both record the solve through
-the same helpers.
+Each scenario kind has one solve function.  It builds the kind's geometry,
+records what the solve finds (classification, points, locus, coincident flag,
+findings and, for a polygon pair, M1's vertex matching) and returns the kind's
+checks as a callable that closes over what it solved.  ``run_scenario`` solves
+and runs the checks; ``solve_scenario`` only solves, which is all a figure
+needs.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ from .geom import GeometryError, Point, Tolerance, side_of_line
 from .polygon import RegularPolygon, from_shared_vertex
 from .power_sums import compare_power_sums, distances_squared, multisets_equal, verify_power_sum_identity
 from .equalizer import (
-    EqualDistanceSolution,
     Locus,
+    Matching,
     NoMatchingError,
     align_rotation,
-    classify_pair,
     correspondence,
     equal_distance_points,
     verify_point_properties,
@@ -47,14 +49,14 @@ Geometry = tuple[RegularPolygon, RegularPolygon] | BottemaResult | RegularPolygo
 
 @dataclass
 class Report:
-    """Everything one scenario run found.  The kind runners fill it as they go,
-    so a domain error part-way through keeps every check made before it.
+    """Everything one scenario run found.  The kind's solve and then its checks
+    fill it as they go, so a domain error part-way through keeps everything
+    recorded before it.
 
-    ``geometry`` holds the objects the scenario describes (see
-    ``scenario_geometry``) in a ``solve_scenario`` report, which a figure is
-    drawn from.  ``run_scenario`` leaves it None: a sweep holds many reports,
-    and at large n their vertex tuples would outweigh everything else in them.
-    It is not serialized.
+    ``geometry`` holds the objects the scenario describes: the polygon pair,
+    the Bottema construction or the single polygon.  A ``solve_scenario``
+    report keeps it for the figure; ``run_scenario`` clears it.  It is not
+    serialized.
     """
 
     scenario: Scenario
@@ -121,33 +123,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def scenario_geometry(scenario: Scenario, tol: Tolerance | None = None) -> Geometry:
-    """Build the geometric objects a scenario describes.
-
-    Returns the polygon pair for ``pair``/``shared_vertex``, the full
-    construction for ``bottema``, and the single polygon for
-    ``identity_check``.  ``run_scenario`` and ``solve_scenario`` call it once
-    per run; ``solve_scenario`` keeps the result as ``Report.geometry``, which
-    the SVG renderer draws, so a figure shows the very objects its points were
-    computed from.
-    """
-    active = tol if tol is not None else scenario.tolerance
-    cfg = scenario.config
-    if isinstance(cfg, PairConfig):
-        return (
-            RegularPolygon(scenario.n, cfg.centroid1, cfg.r1, cfg.phase1, cfg.orient1),
-            RegularPolygon(scenario.n, cfg.centroid2, cfg.r2, cfg.phase2, cfg.orient2),
-        )
-    if isinstance(cfg, SharedVertexConfig):
-        return (
-            from_shared_vertex(cfg.vertex, cfg.centroid1, scenario.n, cfg.orient1, active),
-            from_shared_vertex(cfg.vertex, cfg.centroid2, scenario.n, cfg.orient2, active),
-        )
-    if isinstance(cfg, BottemaConfig):
-        return bottema_construct(cfg.an, cfg.a1, cfg.bn, scenario.n, cfg.side1, cfg.side2, active)
-    return RegularPolygon(scenario.n, cfg.centroid, cfg.r, cfg.phase, cfg.orient)
-
-
 def _squared_scale(first: RegularPolygon, second: RegularPolygon, point: Point) -> float:
     reach = max(
         point.distance(first.centroid) + first.circumradius,
@@ -193,7 +168,7 @@ def _check_point(
     )
 
 
-def _try_matching(
+def _correspondence(
     out: Report,
     label: str,
     point: Point,
@@ -201,35 +176,54 @@ def _try_matching(
     second: RegularPolygon,
     tol: Tolerance,
     required: bool,
-) -> None:
-    scale = max(first.circumradius, second.circumradius)
+) -> Matching | NoMatchingError | None:
+    """Record the vertex correspondence the point realises.
+
+    Returns the matching, or for a point without one the error when the
+    correspondence is ``required`` (``_matching_checks`` fails it) and None
+    otherwise (a finding records it).
+    """
     try:
         match = correspondence(first, second, point, tol)
     except NoMatchingError as exc:
         if required:
-            out.checks.append(
-                CheckResult(f"matching_{label}", False, math.inf, tol.bound(scale), detail=str(exc))
-            )
-        else:
-            out.findings.append(f"no vertexwise correspondence at {label} ({exc})")
-        return
+            return exc
+        out.findings.append(f"no vertexwise correspondence at {label} ({exc})")
+        return None
     out.matchings.append((label, match.kind.value))
-    out.checks.append(
-        residual_check(
-            f"matching_{label}",
-            max(match.max_residual, match.first_residual),
-            tol.bound(scale),
-            detail=match.kind.value,
+    return match
+
+
+def _matching_checks(
+    out: Report,
+    label: str,
+    found: Matching | NoMatchingError | None,
+    first: RegularPolygon,
+    second: RegularPolygon,
+    tol: Tolerance,
+) -> None:
+    scale = max(first.circumradius, second.circumradius)
+    if isinstance(found, NoMatchingError):
+        out.checks.append(
+            CheckResult(f"matching_{label}", False, math.inf, tol.bound(scale), detail=str(found))
         )
-    )
-    out.checks.append(
-        residual_check(
-            f"cosine_model_{label}",
-            match.model_residual,
-            tol.bound((first.circumradius + second.circumradius) ** 2),
-            detail=f"shared angle {match.shared_angle:.6f} rad",
+    elif found is not None:
+        out.checks.append(
+            residual_check(
+                f"matching_{label}",
+                max(found.max_residual, found.first_residual),
+                tol.bound(scale),
+                detail=found.kind.value,
+            )
         )
-    )
+        out.checks.append(
+            residual_check(
+                f"cosine_model_{label}",
+                found.model_residual,
+                tol.bound((first.circumradius + second.circumradius) ** 2),
+                detail=f"shared angle {found.shared_angle:.6f} rad",
+            )
+        )
 
 
 def _probe_locus(
@@ -259,19 +253,30 @@ def _probe_locus(
         )
 
 
-def _pair_solution(
-    out: Report, first: RegularPolygon, second: RegularPolygon, tol: Tolerance
-) -> tuple[EqualDistanceSolution, list[tuple[str, Point]]]:
-    """Solve a polygon pair and record the classification, coincidence, locus
-    and the findings that explain an empty point set.  Returns the solution and
-    its labelled points; the caller records the points."""
+# What a kind's solve returns: its checks, run by ``run_scenario`` only.
+Checks = Callable[[], None]
+
+
+def _pair_like(out: Report, tol: Tolerance) -> Checks:
+    n, cfg = out.scenario.n, out.scenario.config
+    if isinstance(cfg, PairConfig):
+        first = RegularPolygon(n, cfg.centroid1, cfg.r1, cfg.phase1, cfg.orient1)
+        second = RegularPolygon(n, cfg.centroid2, cfg.r2, cfg.phase2, cfg.orient2)
+    else:
+        assert isinstance(cfg, SharedVertexConfig)
+        first = from_shared_vertex(cfg.vertex, cfg.centroid1, n, cfg.orient1, tol)
+        second = from_shared_vertex(cfg.vertex, cfg.centroid2, n, cfg.orient2, tol)
+    shared = isinstance(cfg, SharedVertexConfig)
+    out.geometry = (first, second)
     solution = equal_distance_points(first, second, tol)
     out.classification = solution.case.value
     out.coincident = solution.coincident
     if solution.locus is not None:
         out.locus = solution.locus.value
         out.findings.append("congruent polygons: every locus point is an equal-distance point")
-    elif not solution.points:
+        locus = solution.locus
+        return lambda: _probe_locus(out, first, second, locus, out.scenario.seed, tol)
+    if not solution.points:
         gap = first.centroid.distance(second.centroid)
         lo = abs(first.circumradius - second.circumradius)
         hi = first.circumradius + second.circumradius
@@ -279,151 +284,140 @@ def _pair_solution(
             "no equal-distance point: centroid gap "
             f"{gap!r} outside [{lo!r}, {hi!r}]"
         )
+        return lambda: None
     labels = ("M1",) if solution.coincident else ("M1", "M2")
-    return solution, list(zip(labels, solution.points))
-
-
-def _run_pair_like(out: Report, scenario: Scenario, geometry: Geometry, tol: Tolerance) -> None:
-    first, second = geometry
-    solution, labelled = _pair_solution(out, first, second, tol)
-    if solution.locus is not None:
-        _probe_locus(out, first, second, solution.locus, scenario.seed, tol)
-        return
-    shared = isinstance(scenario.config, SharedVertexConfig)
-    for label, point in labelled:
-        out.points.append((label, point))
-        _check_point(out, label, point, first, second, tol)
-        _try_matching(out, label, point, first, second, tol, required=shared)
-    if shared and labelled:
-        out.checks.extend(verify_point_properties(first, second, solution, tol))
-
-
-def _solve_pair_like(out: Report, scenario: Scenario, geometry: Geometry, tol: Tolerance) -> None:
-    first, second = geometry
-    _, labelled = _pair_solution(out, first, second, tol)
+    labelled = list(zip(labels, solution.points))
     out.points.extend(labelled)
-    if labelled:
-        # M1's vertex correspondence colours the figure's distance fan.
-        try:
-            match = correspondence(first, second, labelled[0][1], tol)
-        except NoMatchingError:
-            return
-        out.matchings.append(("M1", match.kind.value))
+    # M1's vertex correspondence colours the figure's distance fan.
+    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, shared)
+
+    def checks() -> None:
+        found = at_m1
+        for label, point in labelled:
+            _check_point(out, label, point, first, second, tol)
+            if label == "M2":
+                found = _correspondence(out, label, point, first, second, tol, shared)
+            _matching_checks(out, label, found, first, second, tol)
+        if shared:
+            out.checks.extend(verify_point_properties(first, second, solution, tol))
+
+    return checks
 
 
-def _solve_bottema(out: Report, scenario: Scenario, result: Geometry, tol: Tolerance) -> float:
-    """Record the construction's classification, points and findings; returns
-    the base length |An Bn|."""
-    cfg = scenario.config
-    assert isinstance(cfg, BottemaConfig) and isinstance(result, BottemaResult)
-    out.classification = classify_pair(result.poly1, result.poly2, tol).value
-    out.points.append(("M1", result.m1))
-    out.points.append(("M2", result.m2))
+def _bottema(out: Report, tol: Tolerance) -> Checks:
+    n, cfg, seed = out.scenario.n, out.scenario.config, out.scenario.seed
+    assert isinstance(cfg, BottemaConfig)
+    result = bottema_construct(cfg.an, cfg.a1, cfg.bn, n, cfg.side1, cfg.side2, tol)
+    out.geometry = result
+    out.classification = result.case.value
+    out.points.extend((("M1", result.m1), ("M2", result.m2)))
     if result.collinear:
         out.findings.append("triangle corners are collinear; construction still applies")
     base = cfg.an.distance(cfg.bn)
     out.findings.append(
         f"foot of perpendicular H = ({result.h.x!r}, {result.h.y!r}), base length {base!r}"
     )
-    return base
-
-
-def _run_bottema(out: Report, scenario: Scenario, result: Geometry, tol: Tolerance) -> None:
-    base = _solve_bottema(out, scenario, result, tol)
-    cfg = scenario.config
-    for label, point in out.points:
-        _check_point(out, label, point, result.poly1, result.poly2, tol)
-    _try_matching(out, "M1", result.m1, result.poly1, result.poly2, tol, required=True)
-
-    if result.poly1.orientation != result.poly2.orientation:
-        normal_side = 1 if side_of_line(result.m1, cfg.an, cfg.bn) > 0.0 else -1
-        predicted = closed_form_midpoint(cfg.an, cfg.bn, scenario.n, normal_side, tol)
-        out.checks.append(
-            residual_check(
-                "closed_form_midpoint",
-                result.m1.distance(predicted),
-                tol.bound(base),
-                detail=f"base normal side {normal_side:+d}",
-            )
-        )
-        altitude = 0.5 * base / math.tan(math.pi / scenario.n)
-        out.checks.append(
-            residual_check(
-                "altitude_length", abs(result.m1.distance(result.h) - altitude), tol.bound(base)
-            )
-        )
-        out.checks.append(
-            residual_check(
-                "foot_at_base_midpoint", result.h.distance(cfg.an.midpoint(cfg.bn)), tol.bound(base)
-            )
-        )
-        out.checks.extend(vertex_angles(result, tol))
-    else:
+    opposite = result.poly1.orientation != result.poly2.orientation
+    if not opposite:
         out.findings.append(
             "same-orientation placement: the midpoint depends on the apex, "
             "constancy checks skipped"
         )
 
-    if cfg.sweep_samples >= 2:
-        spread, closed = verify_independence(
-            cfg.an, cfg.bn, scenario.n, cfg.sweep_samples, tol, scenario.seed
-        )
-        out.checks.extend((spread, closed))
-        out.findings.append(
-            f"apex sweep: max deviation {spread.residual:.3e} over {cfg.sweep_samples} samples"
-        )
+    def checks() -> None:
+        first, second = result.poly1, result.poly2
+        _check_point(out, "M1", result.m1, first, second, tol)
+        _check_point(out, "M2", result.m2, first, second, tol)
+        found = _correspondence(out, "M1", result.m1, first, second, tol, required=True)
+        _matching_checks(out, "M1", found, first, second, tol)
+        if opposite:
+            normal_side = 1 if side_of_line(result.m1, cfg.an, cfg.bn) > 0.0 else -1
+            predicted = closed_form_midpoint(cfg.an, cfg.bn, n, normal_side, tol)
+            out.checks.append(
+                residual_check(
+                    "closed_form_midpoint",
+                    result.m1.distance(predicted),
+                    tol.bound(base),
+                    detail=f"base normal side {normal_side:+d}",
+                )
+            )
+            altitude = 0.5 * base / math.tan(math.pi / n)
+            out.checks.append(
+                residual_check(
+                    "altitude_length", abs(result.m1.distance(result.h) - altitude), tol.bound(base)
+                )
+            )
+            out.checks.append(
+                residual_check(
+                    "foot_at_base_midpoint", result.h.distance(cfg.an.midpoint(cfg.bn)), tol.bound(base)
+                )
+            )
+            out.checks.extend(vertex_angles(result, tol))
+        if cfg.sweep_samples >= 2:
+            spread, closed = verify_independence(cfg.an, cfg.bn, n, cfg.sweep_samples, tol, seed)
+            out.checks.extend((spread, closed))
+            out.findings.append(
+                f"apex sweep: max deviation {spread.residual:.3e} over {cfg.sweep_samples} samples"
+            )
+
+    return checks
 
 
-def _run_identity_check(out: Report, scenario: Scenario, poly: Geometry, tol: Tolerance) -> None:
-    cfg = scenario.config
-    assert isinstance(cfg, IdentityCheckConfig) and isinstance(poly, RegularPolygon)
-    top = cfg.max_m if cfg.max_m is not None else scenario.n - 1
-    for index, probe in enumerate(cfg.probes, 1):
-        check = verify_power_sum_identity(poly, probe, tol, top)
-        out.checks.append(replace(check, name=f"closed_form_probe_{index}"))
+def _identity_check(out: Report, tol: Tolerance) -> Checks:
+    n, cfg = out.scenario.n, out.scenario.config
+    assert isinstance(cfg, IdentityCheckConfig)
+    poly = RegularPolygon(n, cfg.centroid, cfg.r, cfg.phase, cfg.orient)
+    out.geometry = poly
+    top = cfg.max_m if cfg.max_m is not None else n - 1
+
+    def checks() -> None:
+        for index, probe in enumerate(cfg.probes, 1):
+            check = verify_power_sum_identity(poly, probe, tol, top)
+            out.checks.append(replace(check, name=f"closed_form_probe_{index}"))
+
+    return checks
 
 
-Step = Callable[[Report, Scenario, Geometry, Tolerance], object]
-
-_CHECKED: dict[ScenarioKind, Step] = {
-    ScenarioKind.PAIR: _run_pair_like,
-    ScenarioKind.SHARED_VERTEX: _run_pair_like,
-    ScenarioKind.BOTTEMA: _run_bottema,
-    ScenarioKind.IDENTITY_CHECK: _run_identity_check,
-}
-_SOLVED: dict[ScenarioKind, Step] = {
-    ScenarioKind.PAIR: _solve_pair_like,
-    ScenarioKind.SHARED_VERTEX: _solve_pair_like,
-    ScenarioKind.BOTTEMA: _solve_bottema,
-    ScenarioKind.IDENTITY_CHECK: lambda out, scenario, geometry, tol: None,
+# Each kind's solve: build the geometry, record what the solve finds, return the checks.
+_SOLVERS: dict[ScenarioKind, Callable[[Report, Tolerance], Checks]] = {
+    ScenarioKind.PAIR: _pair_like,
+    ScenarioKind.SHARED_VERTEX: _pair_like,
+    ScenarioKind.BOTTEMA: _bottema,
+    ScenarioKind.IDENTITY_CHECK: _identity_check,
 }
 
 
 def run_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
-    """Run every check the scenario calls for; never raises on domain errors."""
-    active = tol if tol is not None else scenario.tolerance
+    """Solve the scenario and run every check it calls for; never raises on domain errors.
+
+    The report keeps no geometry: a sweep holds many reports, and at large n
+    their vertex tuples would outweigh everything else in them.
+    """
     out = Report(scenario)
     try:
-        _CHECKED[scenario.kind](out, scenario, scenario_geometry(scenario, active), active)
+        _SOLVERS[scenario.kind](out, tol if tol is not None else scenario.tolerance)()
     except GeometryError as exc:
         out.errors.append(f"{type(exc).__name__}: {exc}")
+    out.geometry = None
     return out
 
 
 def solve_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
     """Build the geometry and solve it, running no check.
 
-    The report holds the geometry, classification, labelled points, locus,
-    coincident flag and findings that ``run_scenario`` would record, plus M1's
-    matching when the scenario is a polygon pair (the figure colours M1's
-    distance fan by it).  ``checks`` stays empty.  Raises GeometryError when
-    the geometry cannot be built, since then there is nothing to draw; a domain
-    error past it is recorded and keeps what was found before it.
+    The report holds the geometry and everything ``run_scenario`` records
+    before its checks: classification, labelled points, locus, coincident
+    flag, the solve's findings, and M1's matching when the scenario is a
+    polygon pair (the figure colours M1's distance fan by it).  ``checks``
+    stays empty.  Raises GeometryError when the geometry cannot be built,
+    since then there is nothing to draw; a domain error past it is recorded
+    and keeps what was found before it.
     """
-    active = tol if tol is not None else scenario.tolerance
-    out = Report(scenario, geometry=scenario_geometry(scenario, active))
+    out = Report(scenario)
     try:
-        _SOLVED[scenario.kind](out, scenario, out.geometry, active)
+        _SOLVERS[scenario.kind](out, tol if tol is not None else scenario.tolerance)
     except GeometryError as exc:
+        if out.geometry is None:
+            raise
         out.errors.append(f"{type(exc).__name__}: {exc}")
     return out

@@ -5,9 +5,9 @@ viewBox with 10% padding.  All numbers are written with six decimals (with
 negative zero normalized), elements appear in a fixed order, and no randomness
 is involved, so rendering the same scenario twice is byte-identical.
 
-A figure reads no check: the report of ``runner.solve_scenario`` is enough,
-and the figure draws the geometry that report was solved on
-(``Report.geometry``).
+A figure reads no check.  It draws the report of ``runner.solve_scenario``:
+the geometry that report was solved on (``Report.geometry``), with its points,
+locus and M1 matching.
 
 Only true geometric circles become ``<circle>`` elements; point markers are
 cross paths with text labels (class ``point-label`` for the equal-distance
@@ -22,7 +22,7 @@ from typing import Any
 from .geom import GeometryError, Point
 from .polygon import RegularPolygon, diametric_opposite
 from .equalizer import MatchKind
-from .runner import Geometry, Report, scenario_geometry
+from .runner import Geometry, Report
 from .scenario import (
     BottemaConfig,
     IdentityCheckConfig,
@@ -257,18 +257,18 @@ def _identity_scene(scene: _Scene, scenario: Scenario, poly: Geometry) -> None:
 def render_svg(scenario: Scenario, report: Report) -> str:
     """Render the scenario and its report as a standalone SVG 1.1 document.
 
-    Draws ``report.geometry`` with the report's points, locus and M1 matching.
-    A report without geometry (one from ``run_scenario``) is drawn on the
-    scenario's geometry, built again at the scenario's own tolerance.  Raises
-    GeometryError when that geometry cannot be built or when the figure's
-    extent is not finite.
+    Draws ``report.geometry`` with the report's points, locus and M1 matching,
+    so the report must come from ``solve_scenario`` (``run_scenario`` clears
+    the geometry).  Raises ValueError for a report without geometry, and
+    GeometryError when the figure's extent is not finite.
     """
-    geometry = report.geometry if report.geometry is not None else scenario_geometry(scenario)
+    if report.geometry is None:
+        raise ValueError("render_svg draws a solve_scenario report; this one has no geometry")
     scene = _Scene()
     if scenario.kind in (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX):
-        _pair_scene(scene, scenario, report, geometry)
+        _pair_scene(scene, scenario, report, report.geometry)
     elif scenario.kind is ScenarioKind.BOTTEMA:
-        _bottema_scene(scene, scenario, report, geometry)
+        _bottema_scene(scene, scenario, report, report.geometry)
     else:
-        _identity_scene(scene, scenario, geometry)
+        _identity_scene(scene, scenario, report.geometry)
     return scene.emit()

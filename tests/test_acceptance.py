@@ -7,6 +7,7 @@ purpose.  Shared random configurations are built once per module and reused
 where several criteria examine the same geometry.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -20,13 +21,12 @@ from pathlib import Path
 import pytest
 
 from equigon.geom import Point, angle_at
-from equigon.polygon import RegularPolygon, from_shared_vertex, rotate_about_centroid
+from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import (
     compare_power_sums,
     distances_squared,
     multisets_equal,
     power_sums_to_elementary,
-    power_sums_vector,
     verify_power_sum_identity,
 )
 from equigon.equalizer import (
@@ -43,6 +43,16 @@ from equigon.scenario import parse_scenario, serialize_scenario
 from equigon.cli import main as cli_main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def power_sums_vector(values, top):
+    """Oracle: the direct power sums p_1..p_top."""
+    return tuple(sum(x ** m for x in values) for m in range(1, top + 1))
+
+
+def rotate_about_centroid(poly, delta):
+    """The polygon turned by ``delta`` about its centroid."""
+    return dataclasses.replace(poly, phase=poly.phase + delta)
 
 
 def _announce(number: int, detail: str) -> None:
@@ -309,7 +319,7 @@ def test_criterion_06_alignment_end_to_end():
         second = RegularPolygon(n, c2, r2, rng.uniform(-math.pi, math.pi), rng.choice((1, -1)))
         solution = equal_distance_points(first, second)
         assert len(solution.points) == 2
-        point = solution.m1
+        point = solution.points[0]
         da = distances_squared(first.vertices(), point)
         want = point.distance(first.vertex(1))
         candidates = align_rotation(second, point, want)
@@ -362,7 +372,7 @@ def test_criterion_07_point_properties(shared_configs):
         second = from_shared_vertex(vertex, vertex + direction * r2, n, -1)
         solution = equal_distance_points(first, second)
         assert solution.coincident
-        assert solution.m1 == solution.m2
+        assert solution.points[0] == solution.points[1]
         checks = verify_point_properties(first, second, solution)
         assert all(check.ok for check in checks)
         contacts += 1

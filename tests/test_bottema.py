@@ -5,7 +5,7 @@ import pytest
 
 import equigon.bottema
 from equigon.checks import CheckResult
-from equigon.geom import DEFAULT_TOLERANCE, Point, angle_at, side_of_line
+from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, angle_at, side_of_line
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.bottema import (
@@ -218,6 +218,8 @@ REJECTED = {
     "centroid-overflows": (Point(0, 0), Point(1e307, 1.7e308), Point(1.7e308, 1e307), 4),
     "offset-overflows": (Point(0, 0), Point(8e307, 1e307), Point(1.6e308, 0), 64),
     "radius-overflows": (Point(0.8e308, 0), Point(-0.8e308, 0), Point(0, 1e307), 7),
+    "area-overflows": (Point(0, 0), Point(1e160, 3e160), Point(4e160, 0), 5),
+    "apex-side-squared-overflows": (Point(0, 0), Point(1e155, 0), Point(1e155, 1), 5),
 }
 
 
@@ -226,6 +228,17 @@ def test_sweep_midpoint_rejects_like_the_construction(an, a1, bn, n):
     expected = outcome(lambda: bottema_construct(an, a1, bn, n))
     assert isinstance(expected, tuple)
     assert outcome(lambda: _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)) == expected
+
+
+def test_overflowing_triangle_names_the_overflow():
+    # Past the float range the signed area's sign, and so each exterior side,
+    # would be a guess; both constructions refuse the triangle instead.
+    an, a1, bn, n = REJECTED["area-overflows"]
+    with pytest.raises(GeometryError, match="^triangle overflows the float range: signed area "):
+        bottema_construct(an, a1, bn, n)
+    an, a1, bn, n = REJECTED["apex-side-squared-overflows"]
+    with pytest.raises(GeometryError, match="squared apex side inf$"):
+        _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)
 
 
 def test_degenerate_triangle_message():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from equigon.cli import _build_parser, main
-from equigon.runner import run_scenario
+from equigon.runner import run_scenario, solve_scenario
 from equigon.scenario import parse_scenario
 from equigon.svgfig import render_svg
 
@@ -129,6 +129,24 @@ def test_verify_degenerate_geometry_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(path)]) == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_overflowing_bottema_triangle_is_input_error(tmp_path, capsys):
+    assert main(["bottema", "--an", "0,0", "--bn", "1e155,0", "--n", "5", "--samples", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: triangle overflows the float range: ")
+    assert captured.err.count("\n") == 1
+    doc = tmp_path / "far.json"
+    doc.write_text(
+        json.dumps({"kind": "bottema", "n": 5,
+                    "bottema": {"an": [0, 0], "a1": [1e160, 3e160], "bn": [4e160, 0]}}),
+        encoding="utf-8",
+    )
+    assert main(["verify", str(doc)]) == 2
+    assert "error: GeometryError: triangle overflows the float range: " in capsys.readouterr().out
+    assert main(["bottema", "--an", "0,0", "--bn", "1e150,0", "--n", "5", "--samples", "50"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
 def test_render_shared_vertex_golden_counts(tmp_path, capsys):
@@ -322,7 +340,7 @@ def test_identity_check_runs_each_probe():
 
 def test_render_svg_precision_and_header():
     scenario = parse_scenario(Path(SHARED).read_text(encoding="utf-8"))
-    report = run_scenario(scenario)
+    report = solve_scenario(scenario)
     document = render_svg(scenario, report)
     assert document.startswith('<?xml version="1.0" encoding="UTF-8"?>')
     assert 'version="1.1"' in document

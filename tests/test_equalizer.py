@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from equigon.geom import DEFAULT_TOLERANCE, Point, side_of_line
-from equigon.polygon import RegularPolygon, from_shared_vertex, rotate_about_centroid
+from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
 from equigon.equalizer import (
     Locus,
@@ -21,6 +22,11 @@ from equigon.equalizer import (
     equal_distance_points,
     verify_point_properties,
 )
+
+
+def rotate_about_centroid(poly, delta):
+    """The polygon turned by ``delta`` about its centroid."""
+    return dataclasses.replace(poly, phase=poly.phase + delta)
 
 
 def shared_square_pair():
@@ -87,10 +93,10 @@ def test_shared_square_pair_two_points_frozen():
     solution = equal_distance_points(first, second)
     assert solution.case is PairCase.NON_CONGRUENT
     assert not solution.coincident
-    assert solution.m1.x == pytest.approx(-1.0, abs=1e-12)
-    assert solution.m1.y == pytest.approx(3.0, abs=1e-12)
-    assert solution.m2.x == pytest.approx(-1.8, abs=1e-12)
-    assert solution.m2.y == pytest.approx(0.6, abs=1e-12)
+    assert solution.points[0].x == pytest.approx(-1.0, abs=1e-12)
+    assert solution.points[0].y == pytest.approx(3.0, abs=1e-12)
+    assert solution.points[1].x == pytest.approx(-1.8, abs=1e-12)
+    assert solution.points[1].y == pytest.approx(0.6, abs=1e-12)
     # both points sit on both swapped circles
     for point in solution.points:
         assert point.distance(second.centroid) == pytest.approx(first.circumradius, abs=1e-12)
@@ -100,12 +106,12 @@ def test_shared_square_pair_two_points_frozen():
 def test_shared_square_distance_multisets_frozen():
     first, second = shared_square_pair()
     solution = equal_distance_points(first, second)
-    at_m1_a = distances_squared(first.vertices(), solution.m1)
-    at_m1_b = distances_squared(second.vertices(), solution.m1)
+    at_m1_a = distances_squared(first.vertices(), solution.points[0])
+    at_m1_b = distances_squared(second.vertices(), solution.points[0])
     assert at_m1_a == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
     assert at_m1_b == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
-    at_m2_a = distances_squared(first.vertices(), solution.m2)
-    at_m2_b = distances_squared(second.vertices(), solution.m2)
+    at_m2_a = distances_squared(first.vertices(), solution.points[1])
+    at_m2_b = distances_squared(second.vertices(), solution.points[1])
     assert at_m2_a == pytest.approx((3.6, 5.2, 16.4, 14.8), abs=1e-12)
     assert at_m2_b == pytest.approx((3.6, 14.8, 16.4, 5.2), abs=1e-12)
     assert multisets_equal(at_m2_a, at_m2_b).equal
@@ -124,21 +130,21 @@ def test_tangent_collinear_family_single_point():
     second = from_shared_vertex(Point(0, 0), Point(3, 0), 4, -1)
     solution = equal_distance_points(first, second)
     assert solution.coincident
-    assert solution.m1.distance(Point(4, 0)) < 1e-12
-    assert solution.m2.distance(Point(4, 0)) < 1e-12
+    assert solution.points[0].distance(Point(4, 0)) < 1e-12
+    assert solution.points[1].distance(Point(4, 0)) < 1e-12
 
 
 def test_correspondence_identity_and_reversal_frozen():
     first, second = shared_square_pair()
     solution = equal_distance_points(first, second)
-    at_m1 = correspondence(first, second, solution.m1)
+    at_m1 = correspondence(first, second, solution.points[0])
     assert at_m1.kind is MatchKind.IDENTITY
     assert at_m1.max_residual < 1e-12
     assert at_m1.first_residual < 1e-12
     # the bound the runner's cosine_model check applies
     model_bound = DEFAULT_TOLERANCE.bound((first.circumradius + second.circumradius) ** 2)
     assert at_m1.model_residual <= model_bound
-    at_m2 = correspondence(first, second, solution.m2)
+    at_m2 = correspondence(first, second, solution.points[1])
     assert at_m2.kind is MatchKind.REVERSAL
     assert at_m2.max_residual < 1e-12
     assert at_m2.model_residual <= model_bound
@@ -148,10 +154,10 @@ def test_correspondence_middle_index_pairs_with_itself():
     rng = random.Random(7)
     first, second = random_shared_vertex_pair(rng, 6)
     solution = equal_distance_points(first, second)
-    at_m2 = correspondence(first, second, solution.m2)
+    at_m2 = correspondence(first, second, solution.points[1])
     assert at_m2.kind is MatchKind.REVERSAL
     # reversal sends k=4 to 6+2-4=4 for hexagons
-    k4 = abs(solution.m2.distance(first.vertex(4)) - solution.m2.distance(second.vertex(4)))
+    k4 = abs(solution.points[1].distance(first.vertex(4)) - solution.points[1].distance(second.vertex(4)))
     assert k4 < 1e-9 * max(first.circumradius, second.circumradius)
 
 
@@ -201,7 +207,7 @@ def test_alignment_then_full_multiset_equality():
         second = RegularPolygon(n, Point(gap, 0.3), r2, rng.uniform(-3, 3), -1)
         solution = equal_distance_points(first, second)
         assert len(solution.points) == 2
-        point = solution.m1
+        point = solution.points[0]
         want = point.distance(first.vertex(1))
         candidates = align_rotation(second, point, want)
         assert candidates
@@ -240,7 +246,7 @@ def test_point_properties_frozen_pair():
     assert all(not check.vacuous for check in checks)
     assert by_name(checks)["midpoint_of_diametric_points"].residual < 1e-12
     # |M1 M2| equals the distance from the shared vertex to the line D1 D2
-    assert solution.m1.distance(solution.m2) == pytest.approx(math.sqrt(6.4), abs=1e-12)
+    assert solution.points[0].distance(solution.points[1]) == pytest.approx(math.sqrt(6.4), abs=1e-12)
 
 
 def test_point_properties_odd_n_marks_even_check_vacuous():
@@ -290,9 +296,9 @@ def test_m1_labelling_matches_identity_point_random():
         # M1 is the midpoint of the diametric points, M2 its mirror
         anchor = first.vertex(1)
         predicted = (first.centroid + second.centroid - anchor)
-        assert solution.m1.distance(predicted) < 1e-9 * scale
-        assert correspondence(first, second, solution.m1).kind is MatchKind.IDENTITY
-        assert correspondence(first, second, solution.m2).kind is MatchKind.REVERSAL
+        assert solution.points[0].distance(predicted) < 1e-9 * scale
+        assert correspondence(first, second, solution.points[0]).kind is MatchKind.IDENTITY
+        assert correspondence(first, second, solution.points[1]).kind is MatchKind.REVERSAL
 
 
 def test_same_orientation_pair_still_gets_solution_points():
@@ -316,7 +322,7 @@ def test_system_necessity_at_solution_points_and_failure_elsewhere():
         da = distances_squared(first.vertices(), point)
         db = distances_squared(second.vertices(), point)
         assert compare_power_sums(da, db).ok
-    off = Point(solution.m1.x + 0.37, solution.m1.y - 0.81)
+    off = Point(solution.points[0].x + 0.37, solution.points[0].y - 0.81)
     da = distances_squared(first.vertices(), off)
     db = distances_squared(second.vertices(), off)
     assert not compare_power_sums(da, db).ok
@@ -327,7 +333,7 @@ def test_m1_m2_are_mirror_images_across_centroid_line():
     first, second = random_shared_vertex_pair(rng, 9)
     solution = equal_distance_points(first, second)
     assert (
-        side_of_line(solution.m1, first.centroid, second.centroid)
-        * side_of_line(solution.m2, first.centroid, second.centroid)
+        side_of_line(solution.points[0], first.centroid, second.centroid)
+        * side_of_line(solution.points[1], first.centroid, second.centroid)
         < 0.0
     )

@@ -1,7 +1,8 @@
 """Golden CLI output: transcripts and SVG figures, compared byte for byte.
 
 Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
-first line and its standard output after it; each ``render_<name>.svg`` is the
+first line and its standard output after it (``verify`` as text and as JSON on
+each file in ``scenarios/``, ``bottema`` and ``sweep``); each ``render_<name>.svg`` is the
 figure ``render`` writes for ``scenarios/<name>.json``.  The files pin the
 promise that a speed-up changes no output byte.  After an intended change to
 the output, rewrite them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -25,6 +26,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = (
     [(f"verify_json_{path.stem}", ["verify", "--json", str(path)])
      for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    + [(f"verify_text_{path.stem}", ["verify", str(path)])
+       for path in sorted(SCENARIO_DIR.glob("*.json"))]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     + [(f"sweep_{kind.value}", ["sweep", "--kind", kind.value, "--n", "3-12", "--count", "25",
@@ -51,6 +54,7 @@ def rendered(scenario: Path, directory: Path) -> bytes:
 
 def test_every_scenario_file_is_covered():
     assert len([slug for slug, _ in CASES if slug.startswith("verify_json_")]) == 7
+    assert len([slug for slug, _ in CASES if slug.startswith("verify_text_")]) == 7
     assert len(RENDERED) == 7
 
 

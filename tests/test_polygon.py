@@ -16,7 +16,6 @@ from equigon.polygon import (
     diametric_opposite,
     from_shared_vertex,
     from_side,
-    rotate_about_centroid,
 )
 
 
@@ -51,8 +50,9 @@ def test_square_vertices_and_side_length():
     assert_point(vs[1], 0, 1)
     assert_point(vs[2], -1, 0)
     assert_point(vs[3], 0, -1)
-    assert poly.side_length == pytest.approx(math.sqrt(2.0))
-    assert poly.apothem == pytest.approx(math.sqrt(0.5))
+    # Side 2 R sin(pi / n) and apothem R cos(pi / n), from the vertices.
+    assert vs[0].distance(vs[1]) == pytest.approx(math.sqrt(2.0))
+    assert Point(0, 0).distance(vs[0].midpoint(vs[1])) == pytest.approx(math.sqrt(0.5))
 
 
 def test_clockwise_orientation_reverses_walk():
@@ -160,7 +160,7 @@ def test_from_side_first_and_last_vertices_land_on_segment_ends():
             assert poly.vertex(1).distance(a1) < 1e-12
             assert poly.vertex(n).distance(an) < 1e-12
             assert side_of_line(poly.centroid, a1, an) * side > 0.0
-            assert poly.side_length == pytest.approx(a1.distance(an))
+            assert side_length(poly) == pytest.approx(a1.distance(an))
 
 
 def test_from_side_degenerate():
@@ -217,6 +217,15 @@ def test_diametric_opposite_rejects_off_circle_point():
         diametric_opposite(poly, Point(0.5, 0.0))
 
 
+def side_length(poly):
+    return 2.0 * poly.circumradius * math.sin(math.pi / poly.n)
+
+
+def rotate_about_centroid(poly, delta):
+    """The polygon turned by ``delta`` about its centroid."""
+    return dataclasses.replace(poly, phase=poly.phase + delta)
+
+
 ns = st.integers(min_value=3, max_value=12)
 phases = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 orientations = st.sampled_from([1, -1])
@@ -230,7 +239,7 @@ def test_vertices_are_equally_spaced_on_circumcircle(n, phase, orientation):
         assert v.distance(poly.centroid) == pytest.approx(2.0, abs=1e-12)
     for i in range(n):
         gap = vs[i].distance(vs[(i + 1) % n])
-        assert gap == pytest.approx(poly.side_length, abs=1e-12)
+        assert gap == pytest.approx(side_length(poly), abs=1e-12)
 
 
 @given(n=ns, phase=phases, orientation=orientations)

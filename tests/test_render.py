@@ -1,4 +1,5 @@
-"""`render` draws from the solve alone: same figure as the full report, no checks."""
+"""`render` draws from the solve alone: the solve records what the full report does
+before its checks, and the figure runs no check."""
 
 import dataclasses
 import json
@@ -10,7 +11,7 @@ import pytest
 import equigon.runner
 from equigon.cli import main
 from equigon.geom import GeometryError, Point
-from equigon.runner import run_scenario, scenario_geometry, solve_scenario
+from equigon.runner import run_scenario, solve_scenario
 from equigon.sampling import random_scenario
 from equigon.scenario import ScenarioKind, parse_scenario, serialize_scenario
 from equigon.svgfig import render_svg
@@ -34,31 +35,36 @@ def scaled(scenario, factor):
     return dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, **changes))
 
 
+def random_scenarios():
+    """120 seeded scenarios: 4 kinds, n 3..12, at scales 1e-8, 1 and 1e8."""
+    rng = random.Random(10)
+    for scale in (1e-8, 1.0, 1e8):
+        for kind in ScenarioKind:
+            for n in range(3, 13):
+                yield scale, kind, n, scaled(random_scenario(kind, n, rng), scale)
+
+
 def render_file(path, target, capsys):
     code = main(["render", str(path), "-o", str(target)])
     return code, capsys.readouterr().err
 
 
 def test_render_equals_the_full_report_figure(tmp_path, capsys):
-    rng = random.Random(10)
     doc, svg = tmp_path / "doc.json", tmp_path / "out.svg"
     drawn = 0
-    for scale in (1e-8, 1.0, 1e8):
-        for kind in ScenarioKind:
-            for n in range(3, 13):
-                scenario = scaled(random_scenario(kind, n, rng), scale)
-                doc.write_text(serialize_scenario(scenario), encoding="utf-8")
-                svg.unlink(missing_ok=True)
-                code, err = render_file(doc, svg, capsys)
-                try:
-                    expected = render_svg(scenario, run_scenario(scenario))
-                except GeometryError as exc:
-                    assert (code, err) == (2, f"error: cannot render {doc}: {exc}\n")
-                    assert not svg.exists()
-                    continue
-                assert (code, err) == (0, ""), (scale, kind, n)
-                assert svg.read_text(encoding="utf-8") == expected, (scale, kind, n)
-                drawn += 1
+    for scale, kind, n, scenario in random_scenarios():
+        doc.write_text(serialize_scenario(scenario), encoding="utf-8")
+        svg.unlink(missing_ok=True)
+        code, err = render_file(doc, svg, capsys)
+        try:
+            expected = render_svg(scenario, solve_scenario(scenario))
+        except GeometryError as exc:
+            assert (code, err) == (2, f"error: cannot render {doc}: {exc}\n")
+            assert not svg.exists()
+            continue
+        assert (code, err) == (0, ""), (scale, kind, n)
+        assert svg.read_text(encoding="utf-8") == expected, (scale, kind, n)
+        drawn += 1
     assert drawn >= 110
 
 
@@ -82,19 +88,36 @@ def test_render_runs_no_check(monkeypatch, tmp_path, capsys):
         assert target.read_bytes() == (GOLDEN / f"render_{path.stem}.svg").read_bytes()
 
 
+def placed(scenario, side1, side2):
+    """The Bottema scenario with its polygons on the given sides."""
+    config = dataclasses.replace(scenario.config, side1=side1, side2=side2)
+    return dataclasses.replace(scenario, config=config)
+
+
 def test_solve_records_what_the_figure_reads():
-    for path in SCENARIOS:
-        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+    files = [parse_scenario(path.read_text(encoding="utf-8")) for path in SCENARIOS]
+    sided = [placed(files[0], side1, side2) for side1 in (1, -1) for side2 in (1, -1)]
+    for scenario in files + sided + [scenario for *_, scenario in random_scenarios()]:
         full, solved = run_scenario(scenario), solve_scenario(scenario)
-        assert solved.checks == []
+        assert solved.checks == [] and solved.errors == full.errors == []
         # A checked report drops the geometry: sweeps hold many reports.
         assert solved.geometry is not None and full.geometry is None
         assert (solved.classification, solved.points, solved.locus, solved.coincident) == (
             full.classification, full.points, full.locus, full.coincident
         )
+        # The checks add only what they find: M2's correspondence and the apex sweep.
+        assert solved.findings == [
+            f for f in full.findings
+            if not f.startswith(("no vertexwise correspondence at M2", "apex sweep:"))
+        ]
         # Only a pair's figure reads a matching: M1's, for the distance fan.
         pair = scenario.kind in (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX)
         assert solved.matchings == [m for m in full.matchings if pair and m[0] == "M1"]
+    for scenario in sided:
+        # Polygons on the same side of their apex edges walk the same way round.
+        same = scenario.config.side1 == scenario.config.side2
+        found = solve_scenario(scenario).findings
+        assert any(f.startswith("same-orientation placement: ") for f in found) is same
 
 
 def test_figure_overflow_is_input_error(tmp_path, capsys):
@@ -128,7 +151,7 @@ def test_geometry_failure_keeps_its_message(tmp_path, capsys):
         encoding="utf-8",
     )
     with pytest.raises(GeometryError) as caught:
-        scenario_geometry(parse_scenario(doc.read_text(encoding="utf-8")))
+        solve_scenario(parse_scenario(doc.read_text(encoding="utf-8")))
     target = tmp_path / "degenerate.svg"
     assert render_file(doc, target, capsys) == (2, f"error: cannot render {doc}: {caught.value}\n")
     assert not target.exists()
@@ -154,3 +177,9 @@ def test_solve_failure_still_draws_the_polygons(tmp_path, capsys):
     document = target.read_text(encoding="utf-8")
     assert document.count("<polygon") == 2
     assert "point-label" not in document
+
+
+def test_render_needs_the_solve_report():
+    scenario = parse_scenario(SCENARIOS[0].read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match="^render_svg draws a solve_scenario report"):
+        render_svg(scenario, run_scenario(scenario))

@@ -6,6 +6,7 @@ are left out; byte-level output is covered by the benchmark's digest.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 import equigon
 from equigon.cli import main
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 POWER_SUMS_3 = "orders 1..3, normalized"
 POWER_SUMS_4 = "orders 1..4, normalized"
@@ -124,3 +126,10 @@ def test_bottema_verb_lines(capsys):
 def test_every_public_name_resolves():
     for name in equigon.__all__:
         assert getattr(equigon, name, None) is not None, name
+
+
+def test_public_names_are_the_documented_ones():
+    # The first paragraph of the README's "Python API" section lists them.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Python API\n\n", 1)[1]
+    listed = section.split("\n\n", 1)[0].split(":", 1)[1]
+    assert equigon.__all__ == re.findall(r"`(\w+)`", listed)
