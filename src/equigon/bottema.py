@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .checks import CheckResult, residual_check
 from .geom import (
@@ -31,6 +32,7 @@ from .polygon import (
     DegenerateSideError,
     RegularPolygon,
     _antipode,
+    _reject_non_finite,
     _side_circumcircle,
     diametric_opposite,
     from_side,
@@ -63,15 +65,25 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
     A1 An and A1 Bn; a collinear apex gets +1 and -1.  Rejects coincident
     corners, and a triangle whose area or squared side overflows the float
     range, whose sides would then be guessed.
+
+    It allocates nothing: the corner differences from A1 are plain floats, and
+    the area is ``side_of_line``'s cross product of them, operation for
+    operation.  ``a1.distance(an)`` is the hypot of the negated differences,
+    which is the same float, since IEEE subtraction rounds ``x - y`` to the
+    exact negative of ``y - x``.
     """
     floor = tol.bound(0.0)
-    side_n, side_b = a1.distance(an), a1.distance(bn)
+    ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
+    side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
     if side_n <= floor or side_b <= floor or an.distance(bn) <= floor:
         raise DegenerateTriangleError("triangle corners coincide")
-    signed = side_of_line(bn, a1, an)
+    signed = ux * vy - uy * vx
     span_sq = side_n * side_n if side_n > side_b else side_b * side_b
     # Comparisons, not math.isfinite calls: the apex sweep runs this per apex.
     if not (abs(signed) < math.inf and span_sq < math.inf):
+        # A difference that is not finite leaves the area not finite too;
+        # side_of_line then raises the error its Point raises for it.
+        side_of_line(bn, a1, an)
         raise GeometryError(
             f"triangle overflows the float range: signed area {signed!r}, "
             f"squared apex side {span_sq!r}"
@@ -80,20 +92,27 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
     return signed, span_sq, (-1 if signed > 0.0 else 1), (1 if signed > 0.0 else -1)
 
 
-def _sweep_midpoint(an: Point, a1: Point, bn: Point, n: int, tol: Tolerance) -> Point:
-    """M1 of ``bottema_construct`` with exterior sides, in plain floats.
+def _sweep_midpoint(
+    an: Point, a1: Point, bn: Point, n: int, tol: Tolerance
+) -> tuple[float, float]:
+    """M1 of ``bottema_construct`` with exterior sides, as plain floats x, y.
 
     Each apex of the sweep needs only this point.  It takes the centroids and
     radii from ``_side_circumcircle`` and the antipodes D = 2 O - A1 from
-    ``_antipode``: no polygon, no ``atan2`` and no collinear flag.  The checks,
-    their errors and the bits of M1 are those of ``bottema_construct``.
+    ``_antipode``: no polygon, no ``atan2``, no collinear flag and no ``Point``.
+    M1 is ``D1.midpoint(D2)``'s arithmetic, so its bits are those of
+    ``bottema_construct``; so are the checks and their errors, with the
+    ``Point`` check replayed only when M1 is not finite.
     """
     _, _, side1, side2 = _triangle(an, a1, bn, tol)
     x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
     x2, y2, r2 = _side_circumcircle(a1, bn, n, side2, tol)
     d1x, d1y = _antipode(x1, y1, r1, a1, tol)
     d2x, d2y = _antipode(x2, y2, r2, a1, tol)
-    return Point(0.5 * (d1x + d2x), 0.5 * (d1y + d2y))
+    mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
+    if not (abs(mx) < math.inf and abs(my) < math.inf):
+        _reject_non_finite((mx, my))
+    return mx, my
 
 
 def bottema_construct(
@@ -187,6 +206,14 @@ def verify_independence(
     ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
     spread of the computed midpoints, taken over the distinct ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
+
+    Each apex allocates one ``Point``, the apex itself.  Its coordinates are
+    the float operations of ``an + along * s + normal * u`` in the same order,
+    so they are the same floats; when one is not finite, that ``Point`` sum is
+    replayed to raise its error at the first step that left the float range.
+    The distances are ``math.hypot`` and ``math.dist`` of the coordinate
+    differences: both take ``fabs`` of each difference and share CPython's
+    vector norm, so each is the float ``Point.distance`` gives.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -197,21 +224,26 @@ def verify_independence(
     along = (bn - an) * (1.0 / base_length)
     normal = along.perpendicular()
     predicted = closed_form_midpoint(an, bn, n, 1, tol)
-    midpoints: list[Point] = []
+    px, py = predicted.x, predicted.y
+    midpoints: list[tuple[float, float]] = []
     worst_closed = 0.0
     for _ in range(samples):
         t = rng.uniform(-0.5, 1.5)
         height = rng.uniform(0.05, 2.0)
-        apex = an + along * (t * base_length) + normal * (height * base_length)
-        m1 = _sweep_midpoint(an, apex, bn, n, tol)
-        midpoints.append(m1)
-        worst_closed = max(worst_closed, m1.distance(predicted))
+        s, u = t * base_length, height * base_length
+        try:
+            apex = Point(an.x + along.x * s + normal.x * u, an.y + along.y * s + normal.y * u)
+        except GeometryError:
+            # Raises the error of the first Point step that left the float range.
+            apex = an + along * s + normal * u
+        mx, my = _sweep_midpoint(an, apex, bn, n, tol)
+        midpoints.append((mx, my))
+        worst_closed = max(worst_closed, math.hypot(mx - px, my - py))
     # A repeated midpoint adds only zero distances: the max over distinct ones is the same float.
     midpoints = list(dict.fromkeys(midpoints))
     max_deviation = 0.0
-    for i in range(len(midpoints)):
-        for j in range(i + 1, len(midpoints)):
-            max_deviation = max(max_deviation, midpoints[i].distance(midpoints[j]))
+    for i, p in enumerate(midpoints[:-1]):
+        max_deviation = max(max_deviation, max(map(math.dist, repeat(p), midpoints[i + 1:])))
     allowed = tol.bound(base_length)
     return (
         residual_check(

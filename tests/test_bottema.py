@@ -5,7 +5,7 @@ import pytest
 
 import equigon.bottema
 from equigon.checks import CheckResult
-from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, angle_at, side_of_line
+from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, side_of_line
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.bottema import (
@@ -131,23 +131,80 @@ def test_verify_independence_report():
 
 # Exact sweep results of the full bottema_construct per apex with the spread
 # taken over every pair of midpoints; building only M1 and skipping repeated
-# midpoints must reproduce them bit for bit.
-# (n, base scale, samples, seed) -> (spread residual, closed-form residual, tolerance).
+# midpoints must reproduce them bit for bit.  The grid after the first eight,
+# recorded with each apex, corner difference and M1 built as a Point, covers
+# n = 3..12 at base scales 1e-150 to 1e150 with 300 apexes each; its absolute
+# floor of 1e-300 lets the 1e-150 bases clear the coincidence check.
+# (n, base scale, samples, seed, absolute tolerance)
+#     -> (spread residual, closed-form residual, tolerance).
+# Test ids are the first four fields.
 PINNED_SWEEPS = [
-    ((3, 1.0, 2, 0), (4.577566798522237e-16, 2.482534153247273e-16, 2.119962010041709e-09)),
-    ((4, 1.0, 30, 1), (1.616509124176106e-15, 9.155133597044475e-16, 2.119962010041709e-09)),
-    ((7, 1.0, 300, 2), (3.66205343881779e-15, 1.831026719408895e-15, 2.119962010041709e-09)),
-    ((12, 1.0, 30, 3), (3.66205343881779e-15, 2.3914935841127266e-15, 2.119962010041709e-09)),
-    ((3, 1e-6, 300, 4), (1.6538847004437893e-21, 8.984141113379144e-22, 1.0021189620100417e-12)),
-    ((7, 1e-6, 30, 5), (2.8410348738639142e-21, 1.8940232492426095e-21, 1.0021189620100417e-12)),
-    ((4, 1e6, 300, 6), (1.9893058914033534e-09, 1.041250292910165e-09, 0.002118962011041709)),
-    ((12, 1e6, 2, 7), (9.599853366654507e-10, 9.313225746154785e-10, 0.002118962011041709)),
+    ((3, 1.0, 2, 0, 1e-12), (4.577566798522237e-16, 2.482534153247273e-16, 2.119962010041709e-09)),
+    ((4, 1.0, 30, 1, 1e-12), (1.616509124176106e-15, 9.155133597044475e-16, 2.119962010041709e-09)),
+    ((7, 1.0, 300, 2, 1e-12), (3.66205343881779e-15, 1.831026719408895e-15, 2.119962010041709e-09)),
+    ((12, 1.0, 30, 3, 1e-12), (3.66205343881779e-15, 2.3914935841127266e-15, 2.119962010041709e-09)),
+    ((3, 1e-6, 300, 4, 1e-12), (1.6538847004437893e-21, 8.984141113379144e-22, 1.0021189620100417e-12)),
+    ((7, 1e-6, 30, 5, 1e-12), (2.8410348738639142e-21, 1.8940232492426095e-21, 1.0021189620100417e-12)),
+    ((4, 1e6, 300, 6, 1e-12), (1.9893058914033534e-09, 1.041250292910165e-09, 0.002118962011041709)),
+    ((12, 1e6, 2, 7, 1e-12), (9.599853366654507e-10, 9.313225746154785e-10, 0.002118962011041709)),
+    ((3, 1e-150, 300, 30, 1e-300), (1.250782660443995e-165, 7.305860713181969e-166, 2.1189620100417092e-159)),
+    ((3, 1e-06, 300, 31, 1e-300), (1.5270103616663822e-21, 8.984141113379144e-22, 2.1189620100417095e-15)),
+    ((3, 1.0, 300, 32, 1e-300), (1.9860273225978185e-15, 1.2008898127460164e-15, 2.1189620100417093e-09)),
+    ((3, 1000000.0, 300, 33, 1e-300), (1.4725502860585132e-09, 9.313225746154785e-10, 0.002118962010041709)),
+    ((3, 1e+150, 300, 34, 1e-300), (1.5525281956558703e+135, 8.126303981021025e+134, 2.1189620100417092e+141)),
+    ((4, 1e-150, 300, 40, 1e-300), (1.678101032298486e-165, 9.100780630061754e-166, 2.1189620100417092e-159)),
+    ((4, 1e-06, 300, 41, 1e-300), (2.8802234130016577e-21, 1.809263168437022e-21, 2.1189620100417095e-15)),
+    ((4, 1.0, 300, 42, 1e-300), (1.6011864169946884e-15, 9.42055475210265e-16, 2.1189620100417093e-09)),
+    ((4, 1000000.0, 300, 43, 1e-300), (1.818465459138773e-09, 9.878167619740788e-10, 0.002118962010041709)),
+    ((4, 1e+150, 300, 44, 1e-300), (1.9654907170804834e+135, 1.0279051815568062e+135, 2.1189620100417092e+141)),
+    ((5, 1e-150, 300, 50, 1e-300), (2.713328551617526e-165, 1.516796771676959e-165, 2.1189620100417092e-159)),
+    ((5, 1e-06, 300, 51, 1e-300), (3.0540207233327644e-21, 1.7462031549538564e-21, 2.1189620100417095e-15)),
+    ((5, 1.0, 300, 52, 1e-300), (2.8435583831733384e-15, 1.6011864169946884e-15, 2.1189620100417093e-09)),
+    ((5, 1000000.0, 300, 53, 1e-300), (2.725212813988241e-09, 1.6950326713920846e-09, 0.002118962010041709)),
+    ((5, 1e+150, 300, 54, 1e-300), (2.5697629538920153e+135, 1.4536774485912138e+135, 2.1189620100417092e+141)),
+    ((6, 1e-150, 300, 60, 1e-300), (2.7670630462972426e-165, 1.7160596526954258e-165, 2.1189620100417092e-159)),
+    ((6, 1e-06, 300, 61, 1e-300), (3.0540207233327644e-21, 1.796828222675829e-21, 2.1189620100417095e-15)),
+    ((6, 1.0, 300, 62, 1e-300), (2.808666774861361e-15, 1.6011864169946884e-15, 2.1189620100417093e-09)),
+    ((6, 1000000.0, 300, 63, 1e-300), (2.3283064365386963e-09, 1.5618754393652476e-09, 0.002118962010041709)),
+    ((6, 1e+150, 300, 64, 1e-300), (2.929980568357845e+135, 1.4984164165299903e+135, 2.1189620100417092e+141)),
+    ((7, 1e-150, 300, 70, 1e-300), (4.375110827791616e-165, 2.7670630462972426e-165, 2.1189620100417092e-159)),
+    ((7, 1e-06, 300, 71, 1e-300), (3.618526336874044e-21, 1.8940232492426095e-21, 2.1189620100417095e-15)),
+    ((7, 1.0, 300, 72, 1e-300), (3.972054645195637e-15, 2.2644195468014703e-15, 2.1189620100417093e-09)),
+    ((7, 1000000.0, 300, 73, 1e-300), (3.390065342784169e-09, 1.9756335239481576e-09, 0.002118962010041709)),
+    ((7, 1e+150, 300, 74, 1e-300), (3.7061648384181854e+135, 2.126857287842589e+135, 2.1189620100417092e+141)),
+    ((8, 1e-150, 300, 80, 1e-300), (3.6403122520247015e-165, 1.956609044007486e-165, 2.1189620100417092e-159)),
+    ((8, 1e-06, 300, 81, 1e-300), (4.4216417962403795e-21, 2.2807060090186373e-21, 2.1189620100417095e-15)),
+    ((8, 1.0, 300, 82, 1e-300), (4.636427468134552e-15, 3.3820826609804605e-15, 2.1189620100417093e-09)),
+    ((8, 1000000.0, 300, 83, 1e-300), (3.754281321679498e-09, 2.0954757928848267e-09, 0.002118962010041709)),
+    ((8, 1e+150, 300, 84, 1e-300), (3.25052159240841e+135, 1.8971047660479165e+135, 2.1189620100417092e+141)),
+    ((9, 1e-150, 300, 90, 1e-300), (3.9506660042995875e-165, 2.4268748346831344e-165, 2.1189620100417092e-159)),
+    ((9, 1e-06, 300, 91, 1e-300), (3.995446421313683e-21, 2.117582368135751e-21, 2.1189620100417095e-15)),
+    ((9, 1.0, 300, 92, 1e-300), (4.5288390936029406e-15, 2.2644195468014703e-15, 2.1189620100417093e-09)),
+    ((9, 1000000.0, 300, 93, 1e-300), (3.839941346661803e-09, 2.146592470186969e-09, 0.002118962010041709)),
+    ((9, 1e+150, 300, 94, 1e-300), (3.9141463185392406e+135, 2.2984658603852817e+135, 2.1189620100417092e+141)),
+    ((10, 1e-150, 300, 100, 1e-300), (5.453722892598446e-165, 3.4747559625961496e-165, 2.1189620100417092e-159)),
+    ((10, 1e-06, 300, 101, 1e-300), (4.5614120180372746e-21, 2.4785666155259976e-21, 2.1189620100417095e-15)),
+    ((10, 1.0, 300, 102, 1e-300), (4.782987168225453e-15, 2.3914935841127266e-15, 2.1189620100417093e-09)),
+    ((10, 1000000.0, 300, 103, 1e-300), (3.839941346661803e-09, 2.08250058582033e-09, 0.002118962010041709)),
+    ((10, 1e+150, 300, 104, 1e-300), (5.1395259077840306e+135, 2.9968328330599806e+135, 2.1189620100417092e+141)),
+    ((11, 1e-150, 300, 110, 1e-300), (4.238354688179811e-165, 2.713328551617526e-165, 2.1189620100417092e-159)),
+    ((11, 1e-06, 300, 111, 1e-300), (5.152300273486526e-21, 2.964615315390051e-21, 2.1189620100417095e-15)),
+    ((11, 1.0, 300, 112, 1e-300), (5.773159728050814e-15, 3.0847422370805075e-15, 2.1189620100417093e-09)),
+    ((11, 1000000.0, 300, 113, 1e-300), (4.679838019013819e-09, 2.5076627764545864e-09, 0.002118962010041709)),
+    ((11, 1e+150, 300, 114, 1e-300), (5.814709794364855e+135, 2.9968328330599806e+135, 2.1189620100417092e+141)),
+    ((12, 1e-150, 300, 120, 1e-300), (4.474936086129297e-165, 2.9223442852727876e-165, 2.1189620100417092e-159)),
+    ((12, 1e-06, 300, 121, 1e-300), (5.6820697477278285e-21, 3.593656445351658e-21, 2.1189620100417095e-15)),
+    ((12, 1.0, 300, 122, 1e-300), (6.2803698347351005e-15, 3.9968028886505635e-15, 2.1189620100417093e-09)),
+    ((12, 1000000.0, 300, 123, 1e-300), (5.015325552909173e-09, 2.9451005721170265e-09, 0.002118962010041709)),
+    ((12, 1e+150, 300, 124, 1e-300), (5.2914657846564837e+135, 2.9968328330599806e+135, 2.1189620100417092e+141)),
 ]
 
 
-@pytest.mark.parametrize("case, recorded", PINNED_SWEEPS, ids=[repr(case) for case, _ in PINNED_SWEEPS])
+@pytest.mark.parametrize(
+    "case, recorded", PINNED_SWEEPS, ids=[repr(case[:4]) for case, _ in PINNED_SWEEPS]
+)
 def test_verify_independence_pinned(case, recorded):
-    n, scale, samples, seed = case
+    n, scale, samples, seed, floor = case
     spread, closed, allowed = recorded
     an, bn = Point(-0.3 * scale, 1.1 * scale), Point(1.7 * scale, 0.4 * scale)
     want = (
@@ -155,7 +212,7 @@ def test_verify_independence_pinned(case, recorded):
                     detail=f"{samples} apexes, exterior placement"),
         CheckResult("apex_independence_closed_form", True, closed, allowed),
     )
-    assert repr(verify_independence(an, bn, n, samples, seed=seed)) == repr(want)
+    assert repr(verify_independence(an, bn, n, samples, Tolerance(abs=floor), seed=seed)) == repr(want)
 
 
 def test_sweep_reads_only_m1(monkeypatch):
@@ -196,7 +253,8 @@ def random_triangles(count, seed):
 
 def test_sweep_midpoint_is_the_constructed_m1():
     for an, a1, bn, n in random_triangles(300, seed=11):
-        assert _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE) == bottema_construct(an, a1, bn, n).m1
+        m1 = bottema_construct(an, a1, bn, n).m1
+        assert _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE) == (m1.x, m1.y)
 
 
 def outcome(build):
@@ -239,6 +297,60 @@ def test_overflowing_triangle_names_the_overflow():
     an, a1, bn, n = REJECTED["apex-side-squared-overflows"]
     with pytest.raises(GeometryError, match="squared apex side inf$"):
         _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)
+
+
+# (an, bn, n, seed): the first apex that fails, at 300 samples, fails at the
+# named step of the per-apex work.  Each (type, message) was recorded with the
+# apex built from Points, the signed area from side_of_line and M1 as a Point.
+SWEEP_ERRORS = {
+    "apex-product-overflows-x": (
+        (Point(0, 0), Point(1.7e308, 0), 5, 0),
+        (GeometryError, "coordinates must be finite, got (inf, nan)"),
+    ),
+    "apex-product-overflows-y": (
+        (Point(0, 0), Point(1.7e308, 0), 5, 1),
+        (GeometryError, "coordinates must be finite, got (nan, inf)"),
+    ),
+    "apex-sum-overflows": (
+        (Point(1.5e308, 0), Point(0.2e308, 0), 5, 1),
+        (GeometryError, "coordinates must be finite, got (inf, 0.0)"),
+    ),
+    "corner-difference-overflows": (
+        (Point(0, 0), Point(1.7e308, 0), 5, 28),
+        (GeometryError, "coordinates must be finite, got (inf, -5.187749332848788e+307)"),
+    ),
+    "triangle-overflows": (
+        (Point(0, 0), Point(1.7e308, 0), 5, 4),
+        (GeometryError,
+         "triangle overflows the float range: signed area nan, squared apex side inf"),
+    ),
+    # n this large puts M1 near 1e308, so the two antipodes are finite but their sum is not.
+    "m1-sum-overflows": (
+        (Point(0, 0), Point(1e100, 0), 6 * 10**208, 9),
+        (GeometryError, "coordinates must be finite, got (-9.9792015476736e+291, inf)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case, expected", SWEEP_ERRORS.values(), ids=SWEEP_ERRORS.keys())
+def test_sweep_errors_are_pinned(case, expected):
+    an, bn, n, seed = case
+    assert outcome(lambda: verify_independence(an, bn, n, 300, seed=seed)) == expected
+
+
+def test_sweep_builds_one_point_per_apex(monkeypatch):
+    built = 0
+    check = Point.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(Point, "__post_init__", counting)
+    spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, samples=300, seed=1)
+    assert spread.ok and closed.ok
+    assert built <= 300 + 20
 
 
 def test_degenerate_triangle_message():

@@ -2,8 +2,9 @@
 
 Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
-each file in ``scenarios/``, ``bottema`` and ``sweep``); each ``render_<name>.svg`` is the
-figure ``render`` writes for ``scenarios/<name>.json``.  The files pin the
+each file in ``scenarios/``, ``bottema``, also at its sample cap, and ``sweep``);
+each ``render_<name>.svg`` is the figure ``render`` writes for
+``scenarios/<name>.json``.  The files pin the
 promise that a speed-up changes no output byte.  After an intended change to
 the output, rewrite them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
@@ -30,6 +31,8 @@ CASES = (
        for path in sorted(SCENARIO_DIR.glob("*.json"))]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
+    # The sweep at its MAX_SWEEP_SAMPLES cap; CI runs the same command.
+    + [("bottema_cap", ["bottema", "--n", "12", "--samples", "10000", "--seed", "7"])]
     + [(f"sweep_{kind.value}", ["sweep", "--kind", kind.value, "--n", "3-12", "--count", "25",
                                 "--seed", "7"])
        for kind in ScenarioKind]
