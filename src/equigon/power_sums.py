@@ -10,12 +10,36 @@ on (n, R, L) for every order m up to n-1:
 with k running from 1 to floor(m/2).  The helpers here evaluate both sides,
 convert power sums to elementary symmetric functions (Newton's identities),
 and decide multiset equality of squared-distance lists.
+
+The closed form is evaluated for all orders of one probe at once.  The powers
+of s = R^2+L^2, R^2 and L^2 are tabulated per probe, each computed once with
+``**``; the coefficients C(m,2k) C(2k,k), converted to float, are tabulated per
+order for the whole process, since they depend on m alone.  Every value and
+every error is bit-identical to evaluating each order on its own, term by term
+(``power_sum_closed_form`` in the tests):
+
+* each term is the same operations in the same association,
+  ((c * rr^k) * ll^k) * s^(m-2k), and float(c) is the conversion that
+  ``int * float`` makes;
+* the terms are folded left onto s^m, as ``total +=`` does, not with ``sum``
+  (compensated from Python 3.12) or ``math.fsum``;
+* powers use ``**``, which overflows with OverflowError
+  (34, 'Numerical result out of range'), not ``math.pow`` ('math range error');
+* at each order, s^m is taken first, then the coefficients are converted,
+  then the new powers of R^2 and L^2 are taken.  The coefficients are unimodal
+  in k with their peak near m/3, so a conversion that overflows always does so
+  before k = floor(m/2), the only term with new powers of R^2 and L^2 (and
+  order 653, the first with such a coefficient, is odd and has no new ones).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .checks import CheckResult
@@ -48,23 +72,38 @@ def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
         yield sum(running)
 
 
-def power_sum_closed_form(n: int, circumradius: float, center_distance: float, order: int) -> float:
-    """Closed form of the order-m power sum; valid only for 1 <= m <= n-1."""
-    if n < 3:
-        raise GeometryError(f"need n >= 3, got {n}")
-    if not 1 <= order <= n - 1:
-        raise OrderOutOfRangeError(
-            f"order {order} outside the valid range 1..{n - 1} for n={n}"
-        )
-    if circumradius < 0.0 or center_distance < 0.0:
-        raise GeometryError("radius and center distance must be non-negative")
+@functools.cache
+def _coefficients(order: int) -> array:
+    """C(m,2k) C(2k,k) as floats for k = 1..floor(m/2).
+
+    Past order 652 a coefficient leaves the float range and OverflowError is
+    raised, which is not cached: the cache holds at most 652 arrays, 0.9 MB.
+    """
+    return array("d", [float(math.comb(order, 2 * k) * math.comb(2 * k, k))
+                       for k in range(1, order // 2 + 1)])
+
+
+def _closed_forms(n: int, circumradius: float, center_distance: float, top: int) -> Iterator[float]:
+    """Yield the closed form of the order-m power sum for m = 1..top (valid for top <= n-1).
+
+    Lazy, so an order that overflows raises after the orders before it.
+    """
     rr = circumradius * circumradius
     ll = center_distance * center_distance
     s = rr + ll
-    total = s ** order
-    for k in range(1, order // 2 + 1):
-        total += math.comb(order, 2 * k) * math.comb(2 * k, k) * rr ** k * ll ** k * s ** (order - 2 * k)
-    return n * total
+    s_powers = [1.0]  # s^j for j = 0..m
+    rr_powers: list[float] = []  # rr^k for k = 1..floor(m/2)
+    ll_powers: list[float] = []
+    for order in range(1, top + 1):
+        s_powers.append(s ** order)
+        coefficients = _coefficients(order)
+        if order % 2 == 0:
+            rr_powers.append(rr ** (order // 2))
+            ll_powers.append(ll ** (order // 2))
+        terms = map(operator.mul,
+                    map(operator.mul, map(operator.mul, coefficients, rr_powers), ll_powers),
+                    islice(reversed(s_powers), 2, None, 2))  # s^(m-2k)
+        yield n * functools.reduce(operator.add, terms, s_powers[order])
 
 
 def verify_power_sum_identity(
@@ -80,6 +119,10 @@ def verify_power_sum_identity(
     sides are sums of non-negative terms, so no cancellation is possible and
     the comparison is meaningful at machine precision.  Each order passes by
     ``tol.eq(direct, closed)``.
+
+    All orders' closed forms come from one pass over per-probe power tables;
+    the module docstring says why their bits and errors equal a term-by-term
+    evaluation.  At each order the direct sum is taken first.
     """
     n = poly.n
     top = n - 1 if max_order is None else max_order
@@ -89,8 +132,8 @@ def verify_power_sum_identity(
     center_distance = point.distance(poly.centroid)
     ok = True
     worst = 0.0
-    for order, direct in enumerate(_power_sums(squared, top), start=1):
-        closed = power_sum_closed_form(n, poly.circumradius, center_distance, order)
+    closed_forms = _closed_forms(n, poly.circumradius, center_distance, top)
+    for direct, closed in zip(_power_sums(squared, top), closed_forms):
         residual = abs(direct - closed) / max(abs(direct), abs(closed), 1e-300)
         worst = max(worst, residual)
         ok = tol.eq(direct, closed) and ok

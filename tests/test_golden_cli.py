@@ -2,7 +2,8 @@
 
 Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
-each file in ``scenarios/``, ``bottema``, also at its sample cap, and ``sweep``);
+each file in ``scenarios/``, ``verify --json`` on the large-n identity checks in
+``tests/data/``, ``bottema``, also at its sample cap, and ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json``.  The files pin the
 promise that a speed-up changes no output byte.  After an intended change to
@@ -22,6 +23,7 @@ from equigon.scenario import ScenarioKind
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = (
@@ -29,6 +31,9 @@ CASES = (
      for path in sorted(SCENARIO_DIR.glob("*.json"))]
     + [(f"verify_text_{path.stem}", ["verify", str(path)])
        for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    # Kept out of scenarios/, whose every file the benchmark's verify_docs runs.
+    + [(f"identity_large_n{n}", ["verify", "--json", str(DATA / f"identity_large_n{n}.json")])
+       for n in (64, 128, 256)]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap; CI runs the same command.

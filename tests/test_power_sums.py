@@ -1,20 +1,21 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from equigon.geom import DEFAULT_TOLERANCE, Point, Tolerance
+from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import (
     LengthMismatchError,
     OrderOutOfRangeError,
     compare_power_sums,
     distances_squared,
+    _closed_forms,
     _power_sums,
     multisets_equal,
-    power_sum_closed_form,
     power_sums_to_elementary,
     verify_power_sum_identity,
 )
@@ -23,6 +24,25 @@ from equigon.power_sums import (
 def power_sum(data, order):
     """Oracle: the direct sum of ``x ** order``."""
     return sum(x ** order for x in data)
+
+
+def power_sum_closed_form(n: int, circumradius: float, center_distance: float, order: int) -> float:
+    """Closed form of the order-m power sum; valid only for 1 <= m <= n-1."""
+    if n < 3:
+        raise GeometryError(f"need n >= 3, got {n}")
+    if not 1 <= order <= n - 1:
+        raise OrderOutOfRangeError(
+            f"order {order} outside the valid range 1..{n - 1} for n={n}"
+        )
+    if circumradius < 0.0 or center_distance < 0.0:
+        raise GeometryError("radius and center distance must be non-negative")
+    rr = circumradius * circumradius
+    ll = center_distance * center_distance
+    s = rr + ll
+    total = s ** order
+    for k in range(1, order // 2 + 1):
+        total += math.comb(order, 2 * k) * math.comb(2 * k, k) * rr ** k * ll ** k * s ** (order - 2 * k)
+    return n * total
 
 
 def power_sums_vector(data, max_order):
@@ -267,3 +287,73 @@ def test_power_sums_blind_to_rotation(n, phase1, phase2):
     da = distances_squared(first.vertices(), probe)
     db = distances_squared(second.vertices(), probe)
     assert compare_power_sums(da, db).ok
+
+
+def closed_form_outcomes(orders):
+    """Per-order values as ``float.hex``, ending in ``(type, message)`` if an order raised."""
+    out = []
+    try:
+        for value in orders:
+            out.append(value.hex())
+    except OverflowError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def oracle_orders(n, circumradius, center_distance, top):
+    for order in range(1, top + 1):
+        yield power_sum_closed_form(n, circumradius, center_distance, order)
+
+
+CLOSED_FORM_GRID_SCALES = (1e-200, 1.0, 1e100, 1e155)
+# Past n = 653 the oracle runs to order 653, where C(m,2k) C(2k,k) first
+# leaves the float range, at about a second per probe; so each large n takes
+# one scale pair whose powers do not overflow first (1e155 squares to inf,
+# which ** raises no error on).
+LARGE_N_SCALES = {700: (1.0, 1.0), 1100: (1e-200, 1e155), 2048: (1e155, 1e-200)}
+
+
+def closed_form_grid():
+    """Seeded (n, R, L): every scale pair for n <= 256, one pair for each larger n."""
+    rng = random.Random(15)
+    small = itertools.product((*range(3, 13), 64, 128, 256), CLOSED_FORM_GRID_SCALES, CLOSED_FORM_GRID_SCALES)
+    large = ((n, *scales) for n, scales in LARGE_N_SCALES.items())
+    for n, r_scale, l_scale in itertools.chain(small, large):
+        yield n, rng.uniform(0.5, 1.0) * r_scale, rng.uniform(0.0, 1.0) * l_scale
+    # s^652 is finite and s^653 overflows: at order 653 the power raises before
+    # the first coefficient that leaves the float range.
+    yield 700, math.sqrt(sys.float_info.max ** (1 / 652.5)), 0.0
+
+
+def test_closed_forms_match_the_oracle_bit_for_bit():
+    # The table-driven generator must give the oracle's bits at each order, or
+    # raise its error at the same order.
+    seen = set()
+    for n, r, ell in closed_form_grid():
+        want = closed_form_outcomes(oracle_orders(n, r, ell, n - 1))
+        assert closed_form_outcomes(_closed_forms(n, r, ell, n - 1)) == want, (n, r, ell)
+        seen.add(want[-1][1] if isinstance(want[-1], tuple) else "value")
+    assert seen == {
+        "value",
+        "(34, 'Numerical result out of range')",
+        "int too large to convert to float",
+    }
+
+
+def test_identity_check_reuses_the_coefficient_table(monkeypatch):
+    # Once one probe has filled the table up to order 127, another probe at
+    # the same n evaluates every closed form without a binomial coefficient.
+    calls = 0
+    comb = math.comb
+
+    def counting_comb(*args):
+        nonlocal calls
+        calls += 1
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    poly = RegularPolygon(128, Point(0.2, -0.1), 1.5, phase=0.4, orientation=1)
+    assert verify_power_sum_identity(poly, Point(0.7, 0.3)).ok
+    calls = 0
+    assert verify_power_sum_identity(poly, Point(-1.9, 1.2)).ok
+    assert calls == 0
