@@ -2,7 +2,7 @@
 
 Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
-each file in ``scenarios/``, ``verify --json`` on the large-n identity checks in
+each file in ``scenarios/``, ``verify --json`` on the large-n documents in
 ``tests/data/``, ``bottema``, also at its sample cap, and ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json``.  The files pin the
@@ -34,6 +34,9 @@ CASES = (
     # Kept out of scenarios/, whose every file the benchmark's verify_docs runs.
     + [(f"identity_large_n{n}", ["verify", "--json", str(DATA / f"identity_large_n{n}.json")])
        for n in (64, 128, 256)]
+    # The pair kinds at large n, where the power sums and vertex generation dominate.
+    + [(stem, ["verify", "--json", str(DATA / f"{stem}.json")])
+       for stem in ("shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap; CI runs the same command.
