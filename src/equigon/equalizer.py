@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .checks import CheckResult, residual_check
@@ -79,13 +79,16 @@ class EqualDistanceSolution:
     """Solution set for one pair: discrete points, a locus, or nothing.
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
-    both slots with the same point and sets ``coincident``.
+    both slots with the same point and sets ``coincident``.  ``identity``
+    holds the identity-correspondence residuals that labelled two distinct
+    points, in the order of ``points``, for ``correspondence`` to reuse.
     """
 
     case: PairCase
     points: tuple[Point, ...]
     locus: Locus | None
     coincident: bool
+    identity: tuple[tuple[float, ...], ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,11 +127,17 @@ def classify_pair(
 def _matching_residuals(
     first: RegularPolygon, second: RegularPolygon, point: Point, kind: MatchKind
 ) -> tuple[float, ...]:
+    """The gaps ||point A_k| - |point B_j|| for k = 2..n, with j as ``kind`` pairs them.
+
+    ``point.distance`` inline, the hypot of the coordinate differences: the
+    same bits, with no method call per vertex.
+    """
     ours = first.vertices()[1:]
     theirs = second.vertices()[1:]
     if kind is MatchKind.REVERSAL:
         theirs = theirs[::-1]
-    return tuple([abs(point.distance(a) - point.distance(b)) for a, b in zip(ours, theirs)])
+    x, y, hypot = point.x, point.y, math.hypot
+    return tuple([abs(hypot(x - a.x, y - a.y) - hypot(x - b.x, y - b.y)) for a, b in zip(ours, theirs)])
 
 
 def equal_distance_points(
@@ -157,15 +166,17 @@ def equal_distance_points(
         return EqualDistanceSolution(case, (contact, contact), None, True)
 
     p, q = crossing.points
-    residual_p = max(_matching_residuals(first, second, p, MatchKind.IDENTITY))
-    residual_q = max(_matching_residuals(first, second, q, MatchKind.IDENTITY))
+    at_p = _matching_residuals(first, second, p, MatchKind.IDENTITY)
+    at_q = _matching_residuals(first, second, q, MatchKind.IDENTITY)
+    residual_p, residual_q = max(at_p), max(at_q)
     slack = tol.bound(max(first.circumradius, second.circumradius))
     if (residual_p <= slack and residual_q <= slack) or residual_p == residual_q:
-        left_first = side_of_line(p, first.centroid, second.centroid) > 0.0
-        labelled = (p, q) if left_first else (q, p)
+        p_first = side_of_line(p, first.centroid, second.centroid) > 0.0
     else:
-        labelled = (p, q) if residual_p < residual_q else (q, p)
-    return EqualDistanceSolution(case, labelled, None, False)
+        p_first = residual_p < residual_q
+    if p_first:
+        return EqualDistanceSolution(case, (p, q), None, False, (at_p, at_q))
+    return EqualDistanceSolution(case, (q, p), None, False, (at_q, at_p))
 
 
 def align_rotation(
@@ -211,13 +222,16 @@ def correspondence(
     second: RegularPolygon,
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
+    identity: tuple[float, ...] | None = None,
 ) -> Matching:
     """Find which vertex correspondence the point realises, identity preferred.
 
     Raises NoMatchingError when neither correspondence holds within tolerance
     (this includes the case where the k = 1 distances already disagree).
     Returns the measurements, not a verdict: the runner judges them as the
-    ``matching_{label}`` and ``cosine_model_{label}`` checks.
+    ``matching_{label}`` and ``cosine_model_{label}`` checks.  ``identity``
+    is the point's identity residuals when the caller has them already (an
+    ``EqualDistanceSolution`` carries them); they are not computed again.
     """
     if first.n != second.n:
         raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
@@ -229,9 +243,12 @@ def correspondence(
 
     chosen: MatchKind | None = None
     computed: dict[MatchKind, tuple[float, ...]] = {}
+    if identity is not None:
+        computed[MatchKind.IDENTITY] = identity
     if first_residual <= slack:
         for kind in MatchKind:
-            computed[kind] = _matching_residuals(first, second, point, kind)
+            if kind not in computed:
+                computed[kind] = _matching_residuals(first, second, point, kind)
             if max(computed[kind]) <= slack:
                 chosen = kind
                 break

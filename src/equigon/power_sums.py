@@ -11,6 +11,14 @@ with k running from 1 to floor(m/2).  The helpers here evaluate both sides,
 convert power sums to elementary symmetric functions (Newton's identities),
 and decide multiset equality of squared-distance lists.
 
+The direct sums run in C, with no Python frame per element: each value's
+powers v, v*v, (v*v)*v, ... come from ``itertools.accumulate``, and ``zip``
+hands ``sum`` one order's powers at a time, in vertex order.  Those are the
+running products a per-order loop ``running = [r * v for ...]`` forms, and
+``sum`` adds them left to right from 0 just as it adds that loop's list, so
+every sum is bit-identical to the loop (the oracle in the tests).  ``sum`` is
+kept, not ``math.fsum`` or ``math.prod``, which round differently.
+
 The closed form is evaluated for all orders of one probe at once.  The powers
 of s = R^2+L^2, R^2 and L^2 are tabulated per probe, each computed once with
 ``**``; the coefficients C(m,2k) C(2k,k), converted to float, are tabulated per
@@ -39,7 +47,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .checks import CheckResult
@@ -56,20 +64,27 @@ class LengthMismatchError(GeometryError):
 
 
 def distances_squared(vertices: Sequence[Point], point: Point) -> tuple[float, ...]:
-    """Squared distances from ``point`` to each vertex, in vertex order."""
-    return tuple(point.distance_squared(v) for v in vertices)
+    """Squared distances from ``point`` to each vertex, in vertex order.
+
+    ``point.distance_squared(v)`` inline, dx * dx + dy * dy with each
+    difference taken twice: the same bits, with no method call per vertex.
+    """
+    x, y = point.x, point.y
+    return tuple([(x - v.x) * (x - v.x) + (y - v.y) * (y - v.y) for v in vertices])
 
 
 def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
-    """Yield p_1..p_top of ``values``, each a left-to-right sum of running products.
+    """p_1..p_top of ``values`` (top >= 1), each a left-to-right sum of running products.
 
-    Lazy, so a caller that stops early (an error at order m) pays for m orders only.
+    ``accumulate`` yields each value's running products v, v*v, (v*v)*v, ...;
+    column m of the ``zip`` holds order m's products in value order, and
+    ``sum`` adds them from 0 as it adds the list a per-order loop builds, so
+    the bits are that loop's.  Lazy: a caller that stops early (an error at
+    order m) pays for m orders only.  No values give ``top`` zeros.
     """
-    running = list(values)
-    yield sum(running)
-    for _ in range(top - 1):
-        running = [r * v for r, v in zip(running, values)]
-        yield sum(running)
+    if not values:
+        return repeat(0, top)
+    return map(sum, zip(*[accumulate(repeat(v, top), operator.mul) for v in values]))
 
 
 @functools.cache

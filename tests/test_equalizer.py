@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -16,6 +17,7 @@ from equigon.equalizer import (
     NotSharedVertexError,
     NotTwoPointSolutionError,
     PairCase,
+    _matching_residuals,
     align_rotation,
     classify_pair,
     correspondence,
@@ -148,6 +150,45 @@ def test_correspondence_identity_and_reversal_frozen():
     assert at_m2.kind is MatchKind.REVERSAL
     assert at_m2.max_residual < 1e-12
     assert at_m2.model_residual <= model_bound
+
+
+def matching_residuals_by_distance(first, second, point, kind):
+    """Oracle: |point A_k| - |point B_j| for k = 2..n from ``Point.distance``, in ``float.hex``."""
+    ours, theirs = first.vertices()[1:], second.vertices()[1:]
+    if kind is MatchKind.REVERSAL:
+        theirs = theirs[::-1]
+    return [abs(point.distance(a) - point.distance(b)).hex() for a, b in zip(ours, theirs)]
+
+
+def test_matching_residuals_are_point_distances_bit_for_bit():
+    rng = random.Random(16)
+    for n in (3, 4, 7, 64, 256):
+        first, second = random_shared_vertex_pair(rng, n)
+        probes = (*equal_distance_points(first, second).points, Point(rng.uniform(-9, 9), 1e-310))
+        for point, kind in itertools.product(probes, MatchKind):
+            got = [r.hex() for r in _matching_residuals(first, second, point, kind)]
+            assert got == matching_residuals_by_distance(first, second, point, kind)
+
+
+def test_solution_carries_the_identity_residuals_correspondence_reuses():
+    rng = random.Random(12)
+    for n in (3, 4, 5, 8, 12):
+        first, second = random_shared_vertex_pair(rng, n)
+        solution = equal_distance_points(first, second)
+        assert len(solution.identity) == 2
+        for point, identity in zip(solution.points, solution.identity):
+            assert identity == _matching_residuals(first, second, point, MatchKind.IDENTITY)
+            assert correspondence(first, second, point, identity=identity) == correspondence(
+                first, second, point
+            )
+    first, second = shared_square_pair()
+    far = Point(7.0, -3.0)
+    identity = _matching_residuals(first, second, far, MatchKind.IDENTITY)
+    with pytest.raises(NoMatchingError) as reused:
+        correspondence(first, second, far, identity=identity)
+    with pytest.raises(NoMatchingError) as fresh:
+        correspondence(first, second, far)
+    assert str(reused.value) == str(fresh.value)
 
 
 def test_correspondence_middle_index_pairs_with_itself():

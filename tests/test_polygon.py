@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from equigon.equalizer import align_rotation
 from equigon.geom import GeometryError, Point, Tolerance, side_of_line
@@ -88,6 +88,33 @@ def test_vertices_cached_and_exact():
             poly.centroid.x + poly.circumradius * math.cos(theta),
             poly.centroid.y + poly.circumradius * math.sin(theta),
         )
+
+
+def vertices_by_angle(poly: RegularPolygon) -> list[tuple[str, str]]:
+    """Oracle: vertex k from ``vertex_angle(k)`` as ``vertex`` computes it, in ``float.hex``."""
+    centre, radius = poly.centroid, poly.circumradius
+    out = []
+    for k in range(1, poly.n + 1):
+        theta = poly.vertex_angle(k)
+        out.append(((centre.x + radius * math.cos(theta)).hex(), (centre.y + radius * math.sin(theta)).hex()))
+    return out
+
+
+@given(
+    st.integers(3, 2048),
+    st.floats(-1e6, 1e6),
+    st.sampled_from((1, -1)),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e300, 1e300),
+)
+@example(2048, 7.5 * math.pi, 1, 1.0, 0.0, 0.0)
+@example(2048, -7.5 * math.pi, -1, 2.5, 1e3, -1e3)
+@example(2047, math.pi, -1, 1e-3, 0.3, 0.7)
+@example(3, -math.pi, 1, 1e300, 1e300, -1e300)
+def test_vertices_match_vertex_angle_bit_for_bit(n, phase, orientation, radius, cx, cy):
+    poly = RegularPolygon(n, Point(cx, cy), radius, phase, orientation)
+    assert [(v.x.hex(), v.y.hex()) for v in poly.vertices()] == vertices_by_angle(poly)
 
 
 def test_derived_polygons_get_their_own_vertices():

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from equigon.polygon import RegularPolygon
@@ -43,6 +43,15 @@ def power_sum_closed_form(n: int, circumradius: float, center_distance: float, o
     for k in range(1, order // 2 + 1):
         total += math.comb(order, 2 * k) * math.comb(2 * k, k) * rr ** k * ll ** k * s ** (order - 2 * k)
     return n * total
+
+
+def running_product_sums(values, top):
+    """Oracle: the per-order running-product loop, p_1..p_top left to right."""
+    running = list(values)
+    yield sum(running)
+    for _ in range(top - 1):
+        running = [r * v for r, v in zip(running, values)]
+        yield sum(running)
 
 
 def power_sums_vector(data, max_order):
@@ -357,3 +366,61 @@ def test_identity_check_reuses_the_coefficient_table(monkeypatch):
     calls = 0
     assert verify_power_sum_identity(poly, Point(-1.9, 1.2)).ok
     assert calls == 0
+
+
+def sum_bits(sums):
+    """Each sum's type and ``float.hex``: no values give the int 0 of ``sum([])``."""
+    return [(type(x), float(x).hex()) for x in sums]
+
+
+KERNEL_SPECIALS = (0.0, -0.0, 5e-324, 1e-310, 1.0, 1.5, 1e200, 1e308, math.inf, -math.inf, math.nan)
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from(KERNEL_SPECIALS), st.floats(0.0, 4.0), st.floats()), max_size=40),
+    st.integers(1, 60),
+)
+@example([], 1)
+@example([], 5)
+@example([2.0], 1)
+@example([2.0], 9)
+@example([1e200, 0.5, 3.0], 1)
+@example([1e200, 1e-310, 5e-324, math.nan, 1.0], 12)
+def test_power_sums_match_the_running_product_loop_bit_for_bit(values, top):
+    assert sum_bits(_power_sums(values, top)) == sum_bits(running_product_sums(values, top))
+
+
+class CountedFloat(float):
+    """A float that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountedFloat.products += 1
+        return CountedFloat(float(self) * float(other))
+
+
+@pytest.mark.parametrize("size, top", [(1, 6), (5, 9), (64, 20)])
+def test_power_sums_compute_no_order_before_it_is_taken(size, top):
+    values = [CountedFloat(1.0 + i / size) for i in range(size)]
+    CountedFloat.products = 0
+    sums = _power_sums(values, top)
+    for taken in range(1, top + 1):
+        next(sums)
+        # Orders 1..taken need taken - 1 products per value, order taken + 1 one more.
+        assert CountedFloat.products == size * (taken - 1)
+    assert next(sums, None) is None
+
+
+@given(
+    st.integers(3, 64),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(-1e155, 1e155),
+    st.floats(-1e155, 1e155),
+)
+def test_distances_squared_is_distance_squared_per_vertex(n, phase, r, px, py):
+    vertices = RegularPolygon(n, Point(0.5, -0.25), r, phase, 1).vertices()
+    probe = Point(px, py)
+    want = [probe.distance_squared(v).hex() for v in vertices]
+    assert [d.hex() for d in distances_squared(vertices, probe)] == want
