@@ -137,7 +137,8 @@ def _matching_residuals(
     if kind is MatchKind.REVERSAL:
         theirs = theirs[::-1]
     x, y, hypot = point.x, point.y, math.hypot
-    return tuple([abs(hypot(x - a.x, y - a.y) - hypot(x - b.x, y - b.y)) for a, b in zip(ours, theirs)])
+    return tuple([abs(hypot(x - a.x, y - a.y) - hypot(x - b.x, y - b.y))
+                  for a, b in zip(ours, theirs)])
 
 
 def equal_distance_points(

@@ -292,14 +292,18 @@ def _pair_like(out: Report, tol: Tolerance) -> Checks:
     # The identity residuals the points were labelled by; none at a tangent contact.
     identity = dict(zip(labels, solution.identity))
     # M1's vertex correspondence colours the figure's distance fan.
-    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, shared, identity.get("M1"))
+    at_m1 = _correspondence(
+        out, "M1", solution.points[0], first, second, tol, shared, identity.get("M1")
+    )
 
     def checks() -> None:
         found = at_m1
         for label, point in labelled:
             _check_point(out, label, point, first, second, tol)
             if label == "M2":
-                found = _correspondence(out, label, point, first, second, tol, shared, identity.get(label))
+                found = _correspondence(
+                    out, label, point, first, second, tol, shared, identity.get(label)
+                )
             _matching_checks(out, label, found, first, second, tol)
         if shared:
             out.checks.extend(verify_point_properties(first, second, solution, tol))
