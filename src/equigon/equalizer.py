@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .checks import CheckResult, residual_check
@@ -79,16 +79,13 @@ class EqualDistanceSolution:
     """Solution set for one pair: discrete points, a locus, or nothing.
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
-    both slots with the same point and sets ``coincident``.  ``identity``
-    holds the identity-correspondence residuals that labelled two distinct
-    points, in the order of ``points``, for ``correspondence`` to reuse.
+    both slots with the same point and sets ``coincident``.
     """
 
     case: PairCase
     points: tuple[Point, ...]
     locus: Locus | None
     coincident: bool
-    identity: tuple[tuple[float, ...], ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -167,17 +164,15 @@ def equal_distance_points(
         return EqualDistanceSolution(case, (contact, contact), None, True)
 
     p, q = crossing.points
-    at_p = _matching_residuals(first, second, p, MatchKind.IDENTITY)
-    at_q = _matching_residuals(first, second, q, MatchKind.IDENTITY)
-    residual_p, residual_q = max(at_p), max(at_q)
+    residual_p = max(_matching_residuals(first, second, p, MatchKind.IDENTITY))
+    residual_q = max(_matching_residuals(first, second, q, MatchKind.IDENTITY))
     slack = tol.bound(max(first.circumradius, second.circumradius))
     if (residual_p <= slack and residual_q <= slack) or residual_p == residual_q:
-        p_first = side_of_line(p, first.centroid, second.centroid) > 0.0
+        left_first = side_of_line(p, first.centroid, second.centroid) > 0.0
+        labelled = (p, q) if left_first else (q, p)
     else:
-        p_first = residual_p < residual_q
-    if p_first:
-        return EqualDistanceSolution(case, (p, q), None, False, (at_p, at_q))
-    return EqualDistanceSolution(case, (q, p), None, False, (at_q, at_p))
+        labelled = (p, q) if residual_p < residual_q else (q, p)
+    return EqualDistanceSolution(case, labelled, None, False)
 
 
 def align_rotation(
@@ -223,16 +218,13 @@ def correspondence(
     second: RegularPolygon,
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    identity: tuple[float, ...] | None = None,
 ) -> Matching:
     """Find which vertex correspondence the point realises, identity preferred.
 
     Raises NoMatchingError when neither correspondence holds within tolerance
     (this includes the case where the k = 1 distances already disagree).
     Returns the measurements, not a verdict: the runner judges them as the
-    ``matching_{label}`` and ``cosine_model_{label}`` checks.  ``identity``
-    is the point's identity residuals when the caller has them already (an
-    ``EqualDistanceSolution`` carries them); they are not computed again.
+    ``matching_{label}`` and ``cosine_model_{label}`` checks.
     """
     if first.n != second.n:
         raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
@@ -244,12 +236,9 @@ def correspondence(
 
     chosen: MatchKind | None = None
     computed: dict[MatchKind, tuple[float, ...]] = {}
-    if identity is not None:
-        computed[MatchKind.IDENTITY] = identity
     if first_residual <= slack:
         for kind in MatchKind:
-            if kind not in computed:
-                computed[kind] = _matching_residuals(first, second, point, kind)
+            computed[kind] = _matching_residuals(first, second, point, kind)
             if max(computed[kind]) <= slack:
                 chosen = kind
                 break

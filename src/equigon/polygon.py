@@ -79,21 +79,11 @@ class RegularPolygon:
 
     def vertices(self) -> tuple[Point, ...]:
         """Vertices 1..n, computed once and kept outside the dataclass fields,
-        so equality, hashing and ``dataclasses.replace`` never see the cache.
-
-        One comprehension, no call of ``vertex`` per vertex: the angle of
-        vertex j + 1 is ``phase + turn * j / n`` with turn = orientation * tau,
-        which is ``vertex_angle``'s expression in the same association, and
-        each vertex is ``vertex``'s ``Point``, so the bits are the same.
-        """
+        so equality, hashing and ``dataclasses.replace`` never see the cache."""
         cached = self.__dict__.get("_vertices")
         if cached is None:
-            n, phase, turn = self.n, self.phase, self.orientation * math.tau
-            cx, cy, r = self.centroid.x, self.centroid.y, self.circumradius
-            cos, sin = math.cos, math.sin
-            # Lists, not generators: resized tuples would pile up in CPython's free lists.
-            cached = tuple([Point(cx + r * cos(t), cy + r * sin(t))
-                            for t in [phase + turn * j / n for j in range(n)]])
+            # A list, not a generator: resized tuples would pile up in CPython's free lists.
+            cached = tuple([self.vertex(k) for k in range(1, self.n + 1)])
             object.__setattr__(self, "_vertices", cached)
         return cached
 

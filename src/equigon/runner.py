@@ -176,7 +176,6 @@ def _correspondence(
     second: RegularPolygon,
     tol: Tolerance,
     required: bool,
-    identity: tuple[float, ...] | None = None,
 ) -> Matching | NoMatchingError | None:
     """Record the vertex correspondence the point realises.
 
@@ -185,7 +184,7 @@ def _correspondence(
     otherwise (a finding records it).
     """
     try:
-        match = correspondence(first, second, point, tol, identity)
+        match = correspondence(first, second, point, tol)
     except NoMatchingError as exc:
         if required:
             return exc
@@ -289,21 +288,15 @@ def _pair_like(out: Report, tol: Tolerance) -> Checks:
     labels = ("M1",) if solution.coincident else ("M1", "M2")
     labelled = list(zip(labels, solution.points))
     out.points.extend(labelled)
-    # The identity residuals the points were labelled by; none at a tangent contact.
-    identity = dict(zip(labels, solution.identity))
     # M1's vertex correspondence colours the figure's distance fan.
-    at_m1 = _correspondence(
-        out, "M1", solution.points[0], first, second, tol, shared, identity.get("M1")
-    )
+    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, shared)
 
     def checks() -> None:
         found = at_m1
         for label, point in labelled:
             _check_point(out, label, point, first, second, tol)
             if label == "M2":
-                found = _correspondence(
-                    out, label, point, first, second, tol, shared, identity.get(label)
-                )
+                found = _correspondence(out, label, point, first, second, tol, shared)
             _matching_checks(out, label, found, first, second, tol)
         if shared:
             out.checks.extend(verify_point_properties(first, second, solution, tol))

