@@ -1,53 +1,39 @@
 """Power sums of squared vertex distances and their closed form.
 
 For a regular n-gon with circumradius R and a probe point at distance L from
-the centroid, the sum of the 2m-th powers of the vertex distances depends only
-on (n, R, L) for every order m up to n-1:
+the centroid, the paper's cyclic average of the 2m-th powers of the vertex
+distances depends only on (n, R, L) for every order m up to n-1:
 
-    sum_i d_i^(2m) = n * [ (R^2+L^2)^m
-                           + sum_k C(m,2k) C(2k,k) R^(2k) L^(2k) (R^2+L^2)^(m-2k) ]
+    (1/n) sum_i d_i^(2m) = avg_theta (s - 2RL cos theta)^m
+                         = |R^2 - L^2|^m P_m(s / |R^2 - L^2|),   s = R^2 + L^2,
 
-with k running from 1 to floor(m/2).  The helpers here evaluate both sides,
-convert power sums to elementary symmetric functions (Newton's identities),
-and decide multiset equality of squared-distance lists.
+with P_m the Legendre polynomial (Laplace's first integral).  The helpers here
+evaluate both sides, convert power sums to elementary symmetric functions
+(Newton's identities), and decide multiset equality of squared-distance lists.
 
-The direct sums run in C, with no Python frame per element: each value's
-powers v, v*v, (v*v)*v, ... come from ``itertools.accumulate``, and ``zip``
-hands ``sum`` one order's powers at a time, in vertex order.  Those are the
-running products a per-order loop ``running = [r * v for ...]`` forms, and
-``sum`` adds them left to right from 0 just as it adds that loop's list, so
-every sum is bit-identical to the loop (the oracle in the tests).  ``sum`` is
-kept, not ``math.fsum`` or ``math.prod``, which round differently.
+The closed form is normalized by (R+L)^(2m), the 2m-th power of the largest
+vertex distance.  With u = R/(R+L) and v = L/(R+L), so sigma = u^2 + v^2 and
+rho = (u - v)^2, Bonnet's recurrence for P_m becomes
 
-The closed form is evaluated for all orders of one probe at once.  The powers
-of s = R^2+L^2, R^2 and L^2 are tabulated per probe, each computed once with
-``**``; the coefficients C(m,2k) C(2k,k), converted to float, are tabulated per
-order for the whole process, since they depend on m alone.  Every value and
-every error is bit-identical to evaluating each order on its own, term by term
-(``power_sum_closed_form`` in the tests):
+    f_0 = 1,  f_1 = sigma,  f_(m+1) = ((2m+1) sigma f_m - m rho f_(m-1)) / (m+1),
 
-* each term is the same operations in the same association,
-  ((c * rr^k) * ll^k) * s^(m-2k), and float(c) is the conversion that
-  ``int * float`` makes;
-* the terms are folded left onto s^m, as ``total +=`` does, not with ``sum``
-  (compensated from Python 3.12) or ``math.fsum``;
-* powers use ``**``, which overflows with OverflowError
-  (34, 'Numerical result out of range'), not ``math.pow`` ('math range error');
-* at each order, s^m is taken first, then the coefficients are converted,
-  then the new powers of R^2 and L^2 are taken.  The coefficients are unimodal
-  in k with their peak near m/3, so a conversion that overflows always does so
-  before k = floor(m/2), the only term with new powers of R^2 and L^2 (and
-  order 653, the first with such a coefficient, is odd and has no new ones).
+and n f_m is the normalized power sum of order m.  Every f_m lies in (0, 1],
+so no order overflows or underflows whatever the scale of R and L.  The
+recurrence is stable forward: s / |R^2 - L^2| >= 1, where P_m is the dominant
+solution, so rounding errors grow no faster than the values themselves.  The
+identity check divides each coordinate difference by R+L before squaring
+(dividing the squares instead would underflow them to zero at small scales).
+
+The direct sums run in C, with no Python frame per element, and keep the bits
+of a per-order running-product loop (``_power_sums``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .checks import CheckResult
@@ -79,46 +65,31 @@ def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
     ``accumulate`` yields each value's running products v, v*v, (v*v)*v, ...;
     column m of the ``zip`` holds order m's products in value order, and
     ``sum`` adds them from 0 as it adds the list a per-order loop builds, so
-    the bits are that loop's.  Lazy: a caller that stops early (an error at
-    order m) pays for m orders only.  No values give ``top`` zeros.
+    the bits are that loop's.  Lazy: a caller that stops at order m pays for
+    m orders only.  No values give ``top`` zeros.
     """
     if not values:
         return repeat(0, top)
     return map(sum, zip(*[accumulate(repeat(v, top), operator.mul) for v in values]))
 
 
-@functools.cache
-def _coefficients(order: int) -> array:
-    """C(m,2k) C(2k,k) as floats for k = 1..floor(m/2).
-
-    Past order 652 a coefficient leaves the float range and OverflowError is
-    raised, which is not cached: the cache holds at most 652 arrays, 0.9 MB.
-    """
-    return array("d", [float(math.comb(order, 2 * k) * math.comb(2 * k, k))
-                       for k in range(1, order // 2 + 1)])
-
-
-def _closed_forms(n: int, circumradius: float, center_distance: float, top: int) -> Iterator[float]:
-    """Yield the closed form of the order-m power sum for m = 1..top (valid for top <= n-1).
-
-    Lazy, so an order that overflows raises after the orders before it.
-    """
-    rr = circumradius * circumradius
-    ll = center_distance * center_distance
-    s = rr + ll
-    s_powers = [1.0]  # s^j for j = 0..m
-    rr_powers: list[float] = []  # rr^k for k = 1..floor(m/2)
-    ll_powers: list[float] = []
+def _closed_forms(n: int, u: float, v: float, top: int) -> Iterator[float]:
+    """Yield n f_m, the order-m power sum over (R+L)^(2m), for m = 1..top (valid for top <= n-1),
+    from u = R/(R+L) and v = L/(R+L)."""
+    sigma = u * u + v * v
+    rho = (u - v) * (u - v)
+    previous, current = 1.0, sigma
     for order in range(1, top + 1):
-        s_powers.append(s ** order)
-        coefficients = _coefficients(order)
-        if order % 2 == 0:
-            rr_powers.append(rr ** (order // 2))
-            ll_powers.append(ll ** (order // 2))
-        terms = map(operator.mul,
-                    map(operator.mul, map(operator.mul, coefficients, rr_powers), ll_powers),
-                    islice(reversed(s_powers), 2, None, 2))  # s^(m-2k)
-        yield n * functools.reduce(operator.add, terms, s_powers[order])
+        yield n * current
+        previous, current = current, ((2 * order + 1) * sigma * current - order * rho * previous) / (order + 1)
+
+
+def _orders_check(name: str, ok: bool, residuals: list[float], tol: Tolerance, kind: str) -> CheckResult:
+    """One check over orders 1..len(residuals), its worst residual shown against ``tol.bound(1.0)``.
+    A NaN residual is kept (``max`` keeps one only in first place), and the detail says so."""
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    detail = f"orders 1..{len(residuals)}, {kind}" + (", non-finite sums" if math.isnan(worst) else "")
+    return CheckResult(name, ok, worst, tol.bound(1.0), detail=detail)
 
 
 def verify_power_sum_identity(
@@ -129,30 +100,27 @@ def verify_power_sum_identity(
 ) -> CheckResult:
     """Compare direct power sums against the closed form for m = 1..n-1.
 
-    Returns one ``power_sum_identity`` check over all orders.  Its residual is
-    the worst relative one, |direct - closed| / max(direct, closed); both
-    sides are sums of non-negative terms, so no cancellation is possible and
-    the comparison is meaningful at machine precision.  Each order passes by
-    ``tol.eq(direct, closed)``.
-
-    All orders' closed forms come from one pass over per-probe power tables;
-    the module docstring says why their bits and errors equal a term-by-term
-    evaluation.  At each order the direct sum is taken first.
+    Returns one ``power_sum_identity`` check over all orders.  Both sides are
+    normalized by (R+L)^(2m), which bounds them by n at every scale, and are
+    sums of non-negative terms, so the worst relative residual
+    |direct - closed| / max(direct, closed) is meaningful at machine precision
+    (NaN if a sum is not finite).  Each order passes by ``tol.eq(direct, closed)``.
     """
     n = poly.n
     top = n - 1 if max_order is None else max_order
     if not 1 <= top <= n - 1:
         raise OrderOutOfRangeError(f"max_order {top} outside 1..{n - 1} for n={n}")
-    squared = distances_squared(poly.vertices(), point)
     center_distance = point.distance(poly.centroid)
-    ok = True
-    worst = 0.0
-    closed_forms = _closed_forms(n, poly.circumradius, center_distance, top)
-    for direct, closed in zip(_power_sums(squared, top), closed_forms):
-        residual = abs(direct - closed) / max(abs(direct), abs(closed), 1e-300)
-        worst = max(worst, residual)
-        ok = tol.eq(direct, closed) and ok
-    return CheckResult("power_sum_identity", ok, worst, tol.bound(1.0), detail=f"orders 1..{top}, relative")
+    # Dividing by an infinite R + L would zero every distance and pass; NaN marks the sums non-finite.
+    scale = poly.circumradius + center_distance
+    scale = scale if scale < math.inf else math.nan
+    x, y = point.x, point.y
+    squared = [((x - v.x) / scale) ** 2 + ((y - v.y) / scale) ** 2 for v in poly.vertices()]
+    closed_forms = _closed_forms(n, poly.circumradius / scale, center_distance / scale, top)
+    pairs = list(zip(_power_sums(squared, top), closed_forms))
+    residuals = [abs(direct - closed) / max(abs(direct), abs(closed), 1e-300) for direct, closed in pairs]
+    ok = all([tol.eq(direct, closed) for direct, closed in pairs])
+    return _orders_check("power_sum_identity", ok, residuals, tol, "relative")
 
 
 def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
@@ -238,9 +206,9 @@ def compare_power_sums(
     norm_a = [x / scale for x in a]
     norm_b = [x / scale for x in b]
     ok = True
-    worst = 0.0
+    residuals: list[float] = []
     for pa, pb in zip(_power_sums(norm_a, top), _power_sums(norm_b, top)):
         magnitude = max(abs(pa), abs(pb), 1.0)
-        worst = max(worst, abs(pa - pb) / magnitude)
+        residuals.append(abs(pa - pb) / magnitude)
         ok = tol.eq_at(pa, pb, magnitude) and ok
-    return CheckResult("power_sums", ok, worst, tol.bound(1.0), detail=f"orders 1..{top}, normalized")
+    return _orders_check("power_sums", ok, residuals, tol, "normalized")

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -209,6 +210,30 @@ def test_sweep_all_kinds_pass(capsys):
     for kind in ("pair", "shared_vertex", "bottema", "identity_check"):
         assert main(["sweep", "--kind", kind, "--n", "5", "--count", "5", "--seed", "2"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_identity_check_at_n_200(capsys):
+    # Its closed forms used to overflow: a traceback and exit 1.
+    assert main(["sweep", "--kind", "identity_check", "--n", "200-200", "--count", "3", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "sweep identity_check: PASS (3/3 configurations)" in captured.out
+    assert captured.err == ""
+
+
+def test_verify_non_finite_sums_fail_with_nan_residual(tmp_path, capsys):
+    # The probe is 2e308 from the centroid, past the float range.
+    doc = tmp_path / "far.json"
+    doc.write_text(
+        '{"kind":"identity_check","n":5,"identity_check":'
+        '{"centroid":[-1e308,0],"r":1.0,"probes":[[1e308,0]]}}',
+        encoding="utf-8",
+    )
+    assert main(["verify", "--json", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [check] = json.loads(captured.out)["checks"]
+    assert math.isnan(check["residual"])
+    assert check["detail"] == "orders 1..4, relative, non-finite sums"
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

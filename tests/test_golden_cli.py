@@ -34,9 +34,12 @@ CASES = (
     # Kept out of scenarios/, whose every file the benchmark's verify_docs runs.
     + [(f"identity_large_n{n}", ["verify", "--json", str(DATA / f"identity_large_n{n}.json")])
        for n in (64, 128, 256)]
-    # The pair kinds at large n, where the power sums and vertex generation dominate.
+    # Identity checks whose term-by-term closed form raised OverflowError (n = 500)
+    # or compared inf with inf (n = 128, r = 5), and the pair kinds at large n,
+    # where the power sums and vertex generation dominate.
     + [(stem, ["verify", "--json", str(DATA / f"{stem}.json")])
-       for stem in ("shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128")]
+       for stem in ("identity_overflow_n500", "identity_nan_n128",
+                    "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap; CI runs the same command.

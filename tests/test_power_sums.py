@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,6 +15,7 @@ from equigon.power_sums import (
     compare_power_sums,
     distances_squared,
     _closed_forms,
+    _orders_check,
     _power_sums,
     multisets_equal,
     power_sums_to_elementary,
@@ -262,6 +264,39 @@ def test_compare_power_sums_judges_each_order_at_its_own_magnitude():
     assert not check.ok
 
 
+def test_orders_check_keeps_a_nan_residual_in_any_place():
+    assert _orders_check("c", True, [1e-16, 3e-16, 2e-16], DEFAULT_TOLERANCE, "relative").residual == 3e-16
+    for residuals in ([math.nan, 1e-16], [1e-16, math.nan, 2e-16], [0.0, math.nan]):
+        check = _orders_check("c", False, residuals, DEFAULT_TOLERANCE, "relative")
+        assert math.isnan(check.residual)
+        assert check.detail == f"orders 1..{len(residuals)}, relative, non-finite sums"
+
+
+def test_compare_power_sums_keeps_a_nan_residual():
+    # inf / inf normalizes to NaN; max(0.0, nan) would have reported 0.
+    check = compare_power_sums([math.inf, 1.0], [1.0, 1.0])
+    assert math.isnan(check.residual)
+    assert not check.ok
+    assert check.detail == "orders 1..1, normalized, non-finite sums"
+
+
+def test_identity_keeps_a_nan_residual():
+    # R and L are finite, R + L is not: the sums cannot be normalized.
+    # (tests/test_cli.py covers an infinite L through the command line.)
+    poly = RegularPolygon(5, Point(0.0, 0.0), 1e308, phase=0.0, orientation=1)
+    check = verify_power_sum_identity(poly, Point(1e308, 0.0))
+    assert math.isnan(check.residual)
+    assert not check.ok
+    assert check.detail == "orders 1..4, relative, non-finite sums"
+
+
+def test_identity_normalizes_lengths_near_the_float_range():
+    # R + L = 1.6e308 is finite: the normalized sums are too, though d^2 is not.
+    poly = RegularPolygon(5, Point(0.0, 0.0), 8e307, phase=0.0, orientation=1)
+    check = verify_power_sum_identity(poly, Point(8e307, 0.0))
+    assert check.ok and check.residual < 1e-15
+
+
 def test_compare_power_sums_length_checks():
     with pytest.raises(LengthMismatchError):
         compare_power_sums([1.0, 2.0], [1.0])
@@ -298,27 +333,7 @@ def test_power_sums_blind_to_rotation(n, phase1, phase2):
     assert compare_power_sums(da, db).ok
 
 
-def closed_form_outcomes(orders):
-    """Per-order values as ``float.hex``, ending in ``(type, message)`` if an order raised."""
-    out = []
-    try:
-        for value in orders:
-            out.append(value.hex())
-    except OverflowError as exc:
-        out.append((type(exc), str(exc)))
-    return out
-
-
-def oracle_orders(n, circumradius, center_distance, top):
-    for order in range(1, top + 1):
-        yield power_sum_closed_form(n, circumradius, center_distance, order)
-
-
 CLOSED_FORM_GRID_SCALES = (1e-200, 1.0, 1e100, 1e155)
-# Past n = 653 the oracle runs to order 653, where C(m,2k) C(2k,k) first
-# leaves the float range, at about a second per probe; so each large n takes
-# one scale pair whose powers do not overflow first (1e155 squares to inf,
-# which ** raises no error on).
 LARGE_N_SCALES = {700: (1.0, 1.0), 1100: (1e-200, 1e155), 2048: (1e155, 1e-200)}
 
 
@@ -329,43 +344,83 @@ def closed_form_grid():
     large = ((n, *scales) for n, scales in LARGE_N_SCALES.items())
     for n, r_scale, l_scale in itertools.chain(small, large):
         yield n, rng.uniform(0.5, 1.0) * r_scale, rng.uniform(0.0, 1.0) * l_scale
-    # s^652 is finite and s^653 overflows: at order 653 the power raises before
-    # the first coefficient that leaves the float range.
+    # s^652 is finite and s^653 overflows: the term-by-term closed form raised
+    # OverflowError at order 653.
     yield 700, math.sqrt(sys.float_info.max ** (1 / 652.5)), 0.0
 
 
-def test_closed_forms_match_the_oracle_bit_for_bit():
-    # The table-driven generator must give the oracle's bits at each order, or
-    # raise its error at the same order.
-    seen = set()
+def integer_lengths(*lengths):
+    """The floats as integers over one common power-of-two denominator (which cancels in f_m)."""
+    fractions = [Fraction(x) for x in lengths]
+    common = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (common // f.denominator) for f in fractions]
+
+
+def exact_cyclic_sums(n, circumradius, center_distance, top):
+    """Exact (n g_m, h^(2m)) for m = 1..top, with f_m = g_m / h^(2m) and h = fl(R + L).
+
+    Bonnet's recurrence g_(m+1) = ((2m+1) s g_m - m (R^2 - L^2)^2 g_(m-1)) / (m+1)
+    in integers: every g_m is an integer polynomial in the integer lengths, so
+    each division is exact, which the remainder confirms.
+    """
+    r, ell, h = integer_lengths(circumradius, center_distance, circumradius + center_distance)
+    s, d2 = r * r + ell * ell, (r * r - ell * ell) ** 2
+    previous, current, h_power = 1, s, h * h
+    for order in range(1, top + 1):
+        yield n * current, h_power
+        following, remainder = divmod((2 * order + 1) * s * current - order * d2 * previous, order + 1)
+        assert remainder == 0
+        previous, current, h_power = current, following, h_power * h * h
+
+
+def exact_closed_form_terms(n, r, ell, order):
+    """Exact n g_m term by term from integer lengths: n sum_k C(m,2k) C(2k,k) (RL)^(2k) s^(m-2k)."""
+    s = r * r + ell * ell
+    return n * sum(math.comb(order, 2 * k) * math.comb(2 * k, k) * (r * ell) ** (2 * k) * s ** (order - 2 * k)
+                   for k in range(order // 2 + 1))
+
+
+def relative_error(got, want):
+    return abs(got - want) / want
+
+
+def exact_orders(n, circumradius, center_distance):
+    """How many orders to check against exact values.  Each order adds the bits
+    between the smallest and largest length to the exact integers, so with
+    widely mixed scales only orders 1..63 are (a whole n = 256 case at 1e-200
+    against 1e155 takes half a second)."""
+    if center_distance == 0.0 or 1e-12 <= center_distance / circumradius <= 1e12:
+        return n - 1
+    return min(n - 1, 63)
+
+
+def test_exact_recurrence_is_the_term_by_term_closed_form():
     for n, r, ell in closed_form_grid():
-        want = closed_form_outcomes(oracle_orders(n, r, ell, n - 1))
-        assert closed_form_outcomes(_closed_forms(n, r, ell, n - 1)) == want, (n, r, ell)
-        seen.add(want[-1][1] if isinstance(want[-1], tuple) else "value")
-    assert seen == {
-        "value",
-        "(34, 'Numerical result out of range')",
-        "int too large to convert to float",
-    }
+        if n <= 12:
+            lengths = integer_lengths(r, ell, r + ell)
+            for order, (value, _) in enumerate(exact_cyclic_sums(n, r, ell, n - 1), start=1):
+                assert value == exact_closed_form_terms(n, *lengths[:2], order), (n, r, ell)
 
 
-def test_identity_check_reuses_the_coefficient_table(monkeypatch):
-    # Once one probe has filled the table up to order 127, another probe at
-    # the same n evaluates every closed form without a binomial coefficient.
-    calls = 0
-    comb = math.comb
-
-    def counting_comb(*args):
-        nonlocal calls
-        calls += 1
-        return comb(*args)
-
-    monkeypatch.setattr(math, "comb", counting_comb)
-    poly = RegularPolygon(128, Point(0.2, -0.1), 1.5, phase=0.4, orientation=1)
-    assert verify_power_sum_identity(poly, Point(0.7, 0.3)).ok
-    calls = 0
-    assert verify_power_sum_identity(poly, Point(-1.9, 1.2)).ok
-    assert calls == 0
+def test_closed_forms_within_1e_11_of_exact_and_oracle():
+    for n, r, ell in [*closed_form_grid(), (256, 0.7, 0.7), (2048, 0.7, 35.0)]:
+        closed = list(_closed_forms(n, r / (r + ell), ell / (r + ell), n - 1))
+        # Normalized by (R+L)^(2m): finite, positive and at most n at every scale.
+        assert all(0.0 < value <= n * (1 + 1e-12) for value in closed), (n, r, ell)
+        for value, (numerator, denominator) in zip(closed, exact_cyclic_sums(n, r, ell, exact_orders(n, r, ell))):
+            assert relative_error(value, numerator / denominator) <= 1e-11, (n, r, ell)
+        if n > 256:
+            continue
+        scale = Fraction(r + ell)
+        for order, value in enumerate(closed, start=1):
+            try:
+                oracle = power_sum_closed_form(n, r, ell, order)
+            except OverflowError:
+                break
+            # Where the oracle neither overflowed to inf nor underflowed to zero.
+            if 0.0 < oracle < math.inf:
+                want = float(Fraction(oracle) / scale ** (2 * order))
+                assert relative_error(value, want) <= 1e-11, (n, r, ell, order)
 
 
 def sum_bits(sums):
