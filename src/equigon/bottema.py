@@ -32,6 +32,7 @@ from .polygon import (
     DegenerateSideError,
     RegularPolygon,
     _antipode,
+    _circumcircle,
     _reject_non_finite,
     _side_circumcircle,
     diametric_opposite,
@@ -79,7 +80,7 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
         raise DegenerateTriangleError("triangle corners coincide")
     signed = ux * vy - uy * vx
     span_sq = side_n * side_n if side_n > side_b else side_b * side_b
-    # Comparisons, not math.isfinite calls: the apex sweep runs this per apex.
+    # verify_independence makes these comparisons per apex and replays this when one fails.
     if not (abs(signed) < math.inf and span_sq < math.inf):
         # A difference that is not finite leaves the area not finite too;
         # side_of_line then raises the error its Point raises for it.
@@ -103,6 +104,11 @@ def _sweep_midpoint(
     M1 is ``D1.midpoint(D2)``'s arithmetic, so its bits are those of
     ``bottema_construct``; so are the checks and their errors, with the
     ``Point`` check replayed only when M1 is not finite.
+
+    This is the checked path: each call does all of the work and every check.
+    ``verify_independence`` does the same arithmetic with the work that
+    depends only on the base done once per sweep, and replays this for an
+    apex that fails one of its tests, to raise the error.
     """
     _, _, side1, side2 = _triangle(an, a1, bn, tol)
     x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
@@ -198,18 +204,29 @@ def verify_independence(
 
     Apexes stay strictly off the base line (margin 5% of the base length) so
     every construction is non-degenerate and exterior placement keeps both
-    polygons on the far side.  Each apex computes only M1, with
-    ``_sweep_midpoint``: the two circumcentres and radii, the antipodes of the
-    apex and their midpoint, in plain floats.  It builds no polygon and none
-    of the M2 and H that ``bottema_construct`` adds, and its M1 is bit-equal
-    to ``bottema_construct``'s.  Returns two checks, each bounded by
+    polygons on the far side.  Returns two checks, each bounded by
     ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
     spread of the computed midpoints, taken over the distinct ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
 
-    Each apex allocates one ``Point``, the apex itself.  Its coordinates are
-    the float operations of ``an + along * s + normal * u`` in the same order,
-    so they are the same floats; when one is not finite, that ``Point`` sum is
+    Each apex computes only M1, with ``_sweep_midpoint``'s arithmetic: no
+    polygon and none of the M2 and H that ``bottema_construct`` adds, so its
+    M1 is bit-equal to ``bottema_construct``'s.  What depends only on the base
+    is done once per sweep: the floor ``tol.bound(0.0)``, the check of n, and
+    ``tan(pi / n)`` and ``sin(pi / n)``; the base-length check already rules
+    out ``_triangle``'s coincident base.  Per apex, in plain floats: the
+    corner differences and the two apex-side lengths, shared by the triangle
+    test and both circumcircles; both centroids and radii from
+    ``_circumcircle``; the antipodes and their midpoint.  The triangle,
+    on-circle and finiteness tests are comparisons of the expressions that
+    ``_triangle``, ``Tolerance.eq_at`` and ``Point`` evaluate.  When one
+    fails, the apex replays the checked ``_sweep_midpoint``, which raises its
+    error, so every error type and message is unchanged; ``_circumcircle``
+    raises its own errors, which are the checked path's at the same step.
+
+    No ``Point`` is built on the way.  The apex's coordinates are the float
+    operations of ``an + along * s + normal * u`` in the same order, so they
+    are the same floats; when one is not finite, that ``Point`` sum is
     replayed to raise its error at the first step that left the float range.
     The distances are ``math.hypot`` and ``math.dist`` of the coordinate
     differences: both take ``fabs`` of each difference and share CPython's
@@ -218,29 +235,54 @@ def verify_independence(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     base_length = an.distance(bn)
-    if base_length <= tol.bound(0.0):
+    floor = tol.bound(0.0)
+    if base_length <= floor:
         raise DegenerateSideError("base endpoints coincide")
     rng = random.Random(seed)
     along = (bn - an) * (1.0 / base_length)
     normal = along.perpendicular()
     predicted = closed_form_midpoint(an, bn, n, 1, tol)
     px, py = predicted.x, predicted.y
+    # closed_form_midpoint has checked n >= 3; an n that is not an integer
+    # sends every apex to _sweep_midpoint, which rejects it.
+    integer_n = isinstance(n, int)
+    angle = math.pi / n
+    tan, sin = math.tan(angle), math.sin(angle)
+    slack, rel, inf = tol.abs, tol.rel, math.inf
+    anx, any_, bnx, bny = an.x, an.y, bn.x, bn.y
     midpoints: list[tuple[float, float]] = []
-    worst_closed = 0.0
     for _ in range(samples):
         t = rng.uniform(-0.5, 1.5)
         height = rng.uniform(0.05, 2.0)
         s, u = t * base_length, height * base_length
-        try:
-            apex = Point(an.x + along.x * s + normal.x * u, an.y + along.y * s + normal.y * u)
-        except GeometryError:
-            # Raises the error of the first Point step that left the float range.
-            apex = an + along * s + normal * u
-        mx, my = _sweep_midpoint(an, apex, bn, n, tol)
+        ax, ay = anx + along.x * s + normal.x * u, any_ + along.y * s + normal.y * u
+        ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
+        side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
+        signed = ux * vy - uy * vx
+        span_sq = side_n * side_n if side_n > side_b else side_b * side_b
+        # An apex that is not finite leaves a side that is not, and fails here.
+        passed = integer_n and side_n > floor and side_b > floor and abs(signed) < inf and span_sq < inf
+        if passed:
+            side = -1 if signed > 0.0 else 1
+            x1, y1, r1 = _circumcircle(ax, ay, anx, any_, ux, uy, side_n, side, tan, sin)
+            x2, y2, r2 = _circumcircle(ax, ay, bnx, bny, vx, vy, side_b, -side, tan, sin)
+            mx = 0.5 * ((x1 * 2.0 - ax) + (x2 * 2.0 - ax))
+            my = 0.5 * ((y1 * 2.0 - ay) + (y2 * 2.0 - ay))
+            # A finite M1 has finite antipodes: a sum with a term that is not finite is not finite.
+            passed = (
+                abs(math.hypot(ax - x1, ay - y1) - r1) <= slack + rel * r1
+                and abs(math.hypot(ax - x2, ay - y2) - r2) <= slack + rel * r2
+                and abs(mx) < inf and abs(my) < inf
+            )
+        if not passed:
+            # The checked path, from the Point sum that makes the same apex:
+            # each raises the error of its first failing step.
+            mx, my = _sweep_midpoint(an, an + along * s + normal * u, bn, n, tol)
         midpoints.append((mx, my))
-        worst_closed = max(worst_closed, math.hypot(mx - px, my - py))
-    # A repeated midpoint adds only zero distances: the max over distinct ones is the same float.
+    # A repeated midpoint adds only zero distances and repeats a distance to
+    # the closed form: the maxima over the distinct ones are the same floats.
     midpoints = list(dict.fromkeys(midpoints))
+    worst_closed = max(map(math.dist, repeat((px, py)), midpoints))
     max_deviation = 0.0
     for i, p in enumerate(midpoints[:-1]):
         max_deviation = max(max_deviation, max(map(math.dist, repeat(p), midpoints[i + 1:])))

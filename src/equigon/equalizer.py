@@ -36,6 +36,7 @@ from .geom import (
     wrap_angle,
 )
 from .polygon import RegularPolygon, diametric_opposite
+from .power_sums import distances_squared
 
 
 class MixedVertexCountError(GeometryError):
@@ -261,15 +262,12 @@ def correspondence(
     sign = 1.0 if chosen is MatchKind.IDENTITY else -1.0
     base = r1 * r1 + r2 * r2
     cross = 2.0 * r1 * r2
+    near, far = distances_squared(ours, point), distances_squared(theirs, point)
     model_worst = 0.0
     for k in range(1, n + 1):
         j = k if chosen is MatchKind.IDENTITY else (n + 2 - k if k >= 2 else 1)
         model = base - cross * math.cos(math.tau * (k - 1) / n - offset)
-        model_worst = max(
-            model_worst,
-            abs(point.distance_squared(ours[k - 1]) - model),
-            abs(point.distance_squared(theirs[j - 1]) - model),
-        )
+        model_worst = max(model_worst, abs(near[k - 1] - model), abs(far[j - 1] - model))
     return Matching(
         kind=chosen,
         max_residual=max(residuals) if residuals else 0.0,

@@ -114,6 +114,35 @@ def _reject_non_finite(*coordinates: tuple[float, float]) -> None:
         Point(x, y)
 
 
+def _circumcircle(
+    a1x: float, a1y: float, anx: float, any_: float,
+    cx: float, cy: float, length: float, side: int, tan: float, sin: float,
+) -> tuple[float, float, float]:
+    """Centroid x, y and circumradius of the n-gon on the edge ``an -> a1``.
+
+    The one copy of the formula: the edge's difference ``(cx, cy) = an - a1``
+    and its length ``hypot(cx, cy)``, checked by the caller, and ``tan`` and
+    ``sin`` of ``pi / n``.  It keeps the checks that follow the arithmetic:
+    a centroid that is not finite raises the error ``Point`` raises for the
+    first step that left the float range, and a radius that is not finite
+    raises ``InvalidRadiusError``.  The tests are comparisons, with a call
+    only when one fails, since the apex sweep runs this twice per apex.
+    """
+    inverse = 1.0 / length
+    ux, uy = cx * inverse, cy * inverse
+    apothem = 0.5 * length / tan
+    mx, my = 0.5 * (a1x + anx), 0.5 * (a1y + any_)
+    ox, oy = -uy * side * apothem, ux * side * apothem
+    x, y = mx + ox, my + oy
+    if not (abs(x) < math.inf and abs(y) < math.inf):
+        # Every non-finite step reaches the centroid; report the first, as Point would.
+        _reject_non_finite((ux, uy), (mx, my), (ox, oy), (x, y))
+    radius = 0.5 * length / sin
+    if not 0.0 < radius < math.inf:
+        _check_radius(radius)
+    return x, y, radius
+
+
 def _side_circumcircle(
     a1: Point, an: Point, n: int, side: int, tol: Tolerance
 ) -> tuple[float, float, float]:
@@ -122,7 +151,10 @@ def _side_circumcircle(
     This is ``from_side``'s arithmetic in plain floats, the same operations in
     the same order, so the results are bit-identical to the ``Point`` version.
     It keeps every check, in the same order and with the same error, including
-    the one ``Point`` makes of each intermediate's coordinates.
+    the one ``Point`` makes of each intermediate's coordinates.  It checks the
+    side, the edge, its length and n, then hands the rest to ``_circumcircle``;
+    the apex sweep makes those checks once per base or once per apex and calls
+    ``_circumcircle`` directly.
     """
     if side not in (1, -1):
         raise GeometryError(f"side must be +1 or -1, got {side!r}")
@@ -134,18 +166,8 @@ def _side_circumcircle(
         raise DegenerateSideError("side endpoints coincide")
     if not isinstance(n, int) or n < 3:
         raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
-    inverse = 1.0 / length
-    ux, uy = cx * inverse, cy * inverse
-    apothem = 0.5 * length / math.tan(math.pi / n)
-    mx, my = 0.5 * (a1.x + an.x), 0.5 * (a1.y + an.y)
-    ox, oy = -uy * side * apothem, ux * side * apothem
-    x, y = mx + ox, my + oy
-    if not (math.isfinite(x) and math.isfinite(y)):
-        # Every non-finite step reaches the centroid; report the first, as Point would.
-        _reject_non_finite((ux, uy), (mx, my), (ox, oy), (x, y))
-    radius = 0.5 * length / math.sin(math.pi / n)
-    _check_radius(radius)
-    return x, y, radius
+    angle = math.pi / n
+    return _circumcircle(a1.x, a1.y, an.x, an.y, cx, cy, length, side, math.tan(angle), math.sin(angle))
 
 
 def from_side(
@@ -160,9 +182,11 @@ def from_side(
     Vertex 1 lands on ``a1`` and vertex n on ``an``.  ``side`` picks the
     half-plane containing the body: +1 means left of the directed segment
     ``a1 -> an``, -1 means right.  The centroid and radius come from
-    ``_side_circumcircle``; this adds the phase and the orientation, one
-    ``atan2`` each.  The Bottema apex sweep needs only the centroid and radius
-    and calls ``_side_circumcircle`` directly, once per apex side.
+    ``_side_circumcircle``, and so from ``_circumcircle``; this adds the phase
+    and the orientation, one ``atan2`` each.  The Bottema apex sweep needs
+    only the centroid and radius: it checks n and takes ``tan`` and ``sin``
+    of ``pi / n`` once per base, calls ``_circumcircle`` twice per apex, and
+    replays ``_side_circumcircle`` for an apex that fails one of its tests.
     """
     x, y, radius = _side_circumcircle(a1, an, n, side, tol)
     phase = math.atan2(a1.y - y, a1.x - x)

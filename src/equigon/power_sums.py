@@ -64,9 +64,12 @@ def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
 
     ``accumulate`` yields each value's running products v, v*v, (v*v)*v, ...;
     column m of the ``zip`` holds order m's products in value order, and
-    ``sum`` adds them from 0 as it adds the list a per-order loop builds, so
-    the bits are that loop's.  Lazy: a caller that stops at order m pays for
-    m orders only.  No values give ``top`` zeros.
+    ``sum`` adds them from 0 as it adds the list a per-order loop builds.  On
+    Python 3.10 and 3.11, the versions the package supports, ``sum`` adds
+    floats left to right, so the bits are that loop's; from 3.12 it
+    compensates the additions, and the last digits can differ.  Lazy: a
+    caller that stops at order m pays for m orders only.  No values give
+    ``top`` zeros.
     """
     if not values:
         return repeat(0, top)

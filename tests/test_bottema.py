@@ -6,7 +6,12 @@ import pytest
 import equigon.bottema
 from equigon.checks import CheckResult
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, side_of_line
-from equigon.polygon import RegularPolygon
+from equigon.polygon import (
+    DegenerateSideError,
+    InvalidVertexCountError,
+    NotOnCircumcircleError,
+    RegularPolygon,
+)
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.bottema import (
     DegenerateTriangleError,
@@ -351,6 +356,86 @@ def test_sweep_builds_one_point_per_apex(monkeypatch):
     spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, samples=300, seed=1)
     assert spread.ok and closed.ok
     assert built <= 300 + 20
+
+
+def test_sweep_does_its_per_base_work_once(monkeypatch):
+    # tan(pi/n), sin(pi/n) and the floor tol.bound(0.0) depend only on the
+    # base, so a longer sweep must not make more of these calls.
+    def counted_sweep(samples):
+        tally = dict.fromkeys(("tan", "sin", "bound"), 0)
+        for name, home in (("tan", math), ("sin", math), ("bound", Tolerance)):
+            original = getattr(home, name)
+
+            def counting(*args, _name=name, _original=original):
+                tally[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(home, name, counting)
+        spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, samples, seed=1)
+        monkeypatch.undo()
+        assert spread.ok and closed.ok
+        return tally
+
+    long, short = counted_sweep(300), counted_sweep(2)
+    assert long == short
+    assert max(long.values()) <= 3
+
+
+def reference_sweep(an, bn, n, samples, tol, seed):
+    """verify_independence's residuals with every apex through _sweep_midpoint.
+
+    The apexes come from the same draws, built by Point arithmetic; the
+    spread is taken with Point.distance over every pair of midpoints.
+    """
+    base_length = an.distance(bn)
+    if base_length <= tol.bound(0.0):
+        raise DegenerateSideError("base endpoints coincide")
+    rng = random.Random(seed)
+    along = (bn - an) * (1.0 / base_length)
+    normal = along.perpendicular()
+    predicted = closed_form_midpoint(an, bn, n, 1, tol)
+    midpoints = []
+    for _ in range(samples):
+        t, height = rng.uniform(-0.5, 1.5), rng.uniform(0.05, 2.0)
+        apex = an + along * (t * base_length) + normal * (height * base_length)
+        midpoints.append(Point(*_sweep_midpoint(an, apex, bn, n, tol)))
+    spread = max(p.distance(q) for p in midpoints for q in midpoints)
+    return spread, max(m.distance(predicted) for m in midpoints)
+
+
+def random_bases(count, seed):
+    """Bases at scales 1e-300..1e308, n up to 6e208 or not an integer, random tolerances."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-300, 308)
+        an = Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+        bn = Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+        n = rng.choice([3, 4, 7, 12, 64, 2048, 3.0, 6 * 10**208])
+        floor = 10.0 ** rng.uniform(-323, -1)
+        if rng.random() < 0.2:
+            # A floor near the base length rejects apexes close to a corner.
+            floor = min(an.distance(bn) * 10.0 ** rng.uniform(-2, 0.1), 1e308) or floor
+        tol = Tolerance(rel=10.0 ** rng.uniform(-16, -3), abs=floor)
+        yield an, bn, n, rng.choice([2, 3, 40]), tol, rng.randrange(1000)
+
+
+def test_sweep_matches_the_checked_path():
+    # Each apex that passes the sweep's float tests gets _sweep_midpoint's M1;
+    # each that fails one replays _sweep_midpoint and raises its error.
+    raised = set()
+    for an, bn, n, samples, tol, seed in random_bases(1000, seed=18):
+        expected = outcome(lambda: reference_sweep(an, bn, n, samples, tol, seed))
+        got = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            raised.add(expected[0])
+            assert got == expected
+        else:
+            assert (got[0].residual, got[1].residual) == expected
+    # The bases make the sweep raise each of these errors at least once.
+    assert raised == {
+        DegenerateSideError, DegenerateTriangleError, GeometryError,
+        InvalidVertexCountError, NotOnCircumcircleError,
+    }
 
 
 def test_degenerate_triangle_message():

@@ -3,7 +3,8 @@
 Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
 each file in ``scenarios/``, ``verify --json`` on the large-n documents in
-``tests/data/``, ``bottema``, also at its sample cap, and ``sweep``);
+``tests/data/``, ``bottema``, also at its sample cap and at n = 2048, and
+``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json``.  The files pin the
 promise that a speed-up changes no output byte.  After an intended change to
@@ -42,8 +43,9 @@ CASES = (
                     "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
-    # The sweep at its MAX_SWEEP_SAMPLES cap; CI runs the same command.
+    # The sweep at its MAX_SWEEP_SAMPLES cap and at the largest n; CI runs the same commands.
     + [("bottema_cap", ["bottema", "--n", "12", "--samples", "10000", "--seed", "7"])]
+    + [("bottema_n2048", ["bottema", "--n", "2048", "--samples", "300", "--seed", "7"])]
     + [(f"sweep_{kind.value}", ["sweep", "--kind", kind.value, "--n", "3-12", "--count", "25",
                                 "--seed", "7"])
        for kind in ScenarioKind]
