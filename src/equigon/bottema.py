@@ -305,18 +305,34 @@ def vertex_angles(
 
     Returns one ``vertex_angle_k{k}`` check per k = 2..n, each bounded by
     ``tol.bound(pi)``.
+
+    ``angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)`` on both polygons'
+    coordinates: its differences, norms, cross and dot in the same order, so
+    every angle is the same float, with no ``Point`` and the floor
+    ``tol.bound(0.0)`` taken once.  A k whose rays are not longer than the
+    floor, or whose norms are not finite, replays ``angle_at`` on the vertices,
+    which raises its error for that k.
     """
-    n = result.poly1.n
+    poly1, poly2, m1 = result.poly1, result.poly2, result.m1
+    n = poly1.n
+    xs, ys = poly1.coordinates()
+    us, vs = poly2.coordinates()
+    mx, my, hypot, inf = m1.x, m1.y, math.hypot, math.inf
+    floor, bound = tol.bound(0.0), tol.bound(math.pi)
     checks = []
     for k in range(2, n + 1):
-        measured = angle_at(result.m1, result.poly1.vertex(k), result.poly2.vertex(k), tol)
+        ux, uy, vx, vy = xs[k - 1] - mx, ys[k - 1] - my, us[k - 1] - mx, vs[k - 1] - my
+        if floor < hypot(ux, uy) < inf and floor < hypot(vx, vy) < inf:
+            measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+        else:
+            measured = angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)
         raw = math.tau * (k - 1) / n
         expected = min(raw, math.tau - raw)
         checks.append(
             residual_check(
                 f"vertex_angle_k{k}",
                 abs(measured - expected),
-                tol.bound(math.pi),
+                bound,
                 detail=f"expected {expected:.6f} rad",
             )
         )

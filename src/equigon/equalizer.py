@@ -35,7 +35,7 @@ from .geom import (
     side_of_line,
     wrap_angle,
 )
-from .polygon import RegularPolygon, diametric_opposite
+from .polygon import RegularPolygon, _finite_coordinates, diametric_opposite
 from .power_sums import distances_squared
 
 
@@ -127,16 +127,18 @@ def _matching_residuals(
 ) -> tuple[float, ...]:
     """The gaps ||point A_k| - |point B_j|| for k = 2..n, with j as ``kind`` pairs them.
 
-    ``point.distance`` inline, the hypot of the coordinate differences: the
-    same bits, with no method call per vertex.
+    ``point.distance`` inline on both polygons' coordinates, the hypot of the
+    coordinate differences: the same bits, with no ``Point`` and no method
+    call per vertex.
     """
-    ours = first.vertices()[1:]
-    theirs = second.vertices()[1:]
+    xs, ys = _finite_coordinates(first)
+    us, vs = _finite_coordinates(second)
+    us, vs = us[1:], vs[1:]
     if kind is MatchKind.REVERSAL:
-        theirs = theirs[::-1]
+        us, vs = us[::-1], vs[::-1]
     x, y, hypot = point.x, point.y, math.hypot
-    return tuple([abs(hypot(x - a.x, y - a.y) - hypot(x - b.x, y - b.y))
-                  for a, b in zip(ours, theirs)])
+    return tuple([abs(hypot(x - ax, y - ay) - hypot(x - bx, y - by))
+                  for ax, ay, bx, by in zip(xs[1:], ys[1:], us, vs)])
 
 
 def equal_distance_points(
@@ -232,8 +234,9 @@ def correspondence(
     n = first.n
     r1, r2 = first.circumradius, second.circumradius
     slack = tol.bound(max(r1, r2))
-    ours, theirs = first.vertices(), second.vertices()
-    first_residual = abs(point.distance(ours[0]) - point.distance(theirs[0]))
+    (xs, ys), (us, vs) = _finite_coordinates(first), _finite_coordinates(second)
+    x, y = point.x, point.y
+    first_residual = abs(math.hypot(x - xs[0], y - ys[0]) - math.hypot(x - us[0], y - vs[0]))
 
     chosen: MatchKind | None = None
     computed: dict[MatchKind, tuple[float, ...]] = {}
@@ -262,7 +265,7 @@ def correspondence(
     sign = 1.0 if chosen is MatchKind.IDENTITY else -1.0
     base = r1 * r1 + r2 * r2
     cross = 2.0 * r1 * r2
-    near, far = distances_squared(ours, point), distances_squared(theirs, point)
+    near, far = distances_squared(first, point), distances_squared(second, point)
     model_worst = 0.0
     for k in range(1, n + 1):
         j = k if chosen is MatchKind.IDENTITY else (n + 2 - k if k >= 2 else 1)

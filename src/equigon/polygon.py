@@ -64,28 +64,73 @@ class RegularPolygon:
         return Circle(self.centroid, self.circumradius)
 
     def vertex_angle(self, k: int) -> float:
-        """Angular position of vertex k (1-based) around the centroid."""
+        """Angular position of vertex k (1-based) around the centroid: the one angle formula."""
         if not 1 <= k <= self.n:
             raise IndexError(f"vertex index {k} outside 1..{self.n}")
         return self.phase + self.orientation * math.tau * (k - 1) / self.n
 
+    def coordinates(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The x and y coordinates of vertices 1..n, computed once.
+
+        Vertex k sits at ``centroid + circumradius * (cos, sin)`` of
+        ``vertex_angle(k)``; ``vertex`` and ``vertices`` read these floats, so
+        there is one vertex formula.  The floats are not checked: a vertex
+        past the float range is an ``inf`` here, and ``vertex(k)`` raises
+        ``Point``'s error for it.  Callers that read every coordinate check
+        them with ``_finite_coordinates``.  Like the ``vertices()`` cache, this
+        one lives outside the dataclass fields.
+        """
+        cached = self.__dict__.get("_coordinates")
+        if cached is None:
+            angles = list(map(self.vertex_angle, range(1, self.n + 1)))
+            cx, cy, radius, cos, sin = self.centroid.x, self.centroid.y, self.circumradius, math.cos, math.sin
+            cached = (tuple([cx + radius * cos(t) for t in angles]), tuple([cy + radius * sin(t) for t in angles]))
+            object.__setattr__(self, "_coordinates", cached)
+        return cached
+
     def vertex(self, k: int) -> Point:
-        """Vertex k (1-based): read from the cache once ``vertices()`` has filled it."""
+        """Vertex k (1-based) as a ``Point``, for the callers that need one.
+
+        It is the ``Point`` of ``coordinates()``'s floats, so it raises only
+        when vertex k itself is not finite.  Once ``vertices()`` has filled
+        its cache, it returns the cached ``Point``.
+        """
+        if not 1 <= k <= self.n:
+            self.vertex_angle(k)  # raises its IndexError
         cached = self.__dict__.get("_vertices")
-        if cached is not None and 1 <= k <= self.n:
+        if cached is not None:
             return cached[k - 1]
-        theta, centre, radius = self.vertex_angle(k), self.centroid, self.circumradius
-        return Point(centre.x + radius * math.cos(theta), centre.y + radius * math.sin(theta))
+        xs, ys = self.coordinates()
+        return Point(xs[k - 1], ys[k - 1])
 
     def vertices(self) -> tuple[Point, ...]:
-        """Vertices 1..n, computed once and kept outside the dataclass fields,
-        so equality, hashing and ``dataclasses.replace`` never see the cache."""
+        """Vertices 1..n as ``Point``s, built once by ``vertex(k)``, for the
+        callers that need ``Point``s; the O(n) checks read ``coordinates()``.
+
+        It raises the error ``Point`` raises for the first vertex that is not
+        finite.  The cache is kept outside the dataclass fields, so equality,
+        hashing and ``dataclasses.replace`` never see it.
+        """
         cached = self.__dict__.get("_vertices")
         if cached is None:
             # A list, not a generator: resized tuples would pile up in CPython's free lists.
             cached = tuple([self.vertex(k) for k in range(1, self.n + 1)])
             object.__setattr__(self, "_vertices", cached)
         return cached
+
+
+def _finite_coordinates(poly: RegularPolygon) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``poly.coordinates()`` once all are finite, checked in one pass.
+
+    A sum with a term that is not finite is not finite, so finite sums prove
+    every coordinate finite.  Otherwise ``vertices()`` replays the vertices,
+    which raises the error ``Point`` raises for the first one that is not
+    finite; a sum that overflowed from finite terms raises nothing.
+    """
+    xs, ys = poly.coordinates()
+    if not math.isfinite(sum(xs) + sum(ys)):
+        poly.vertices()
+    return xs, ys
 
 
 def from_shared_vertex(

@@ -31,14 +31,14 @@ of a per-order running-product loop (``_power_sums``).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
+from operator import add, le, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .checks import CheckResult
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
-from .polygon import RegularPolygon
+from .polygon import RegularPolygon, _finite_coordinates
 
 
 class OrderOutOfRangeError(GeometryError):
@@ -49,14 +49,17 @@ class LengthMismatchError(GeometryError):
     pass
 
 
-def distances_squared(vertices: Sequence[Point], point: Point) -> tuple[float, ...]:
-    """Squared distances from ``point`` to each vertex, in vertex order.
+def distances_squared(poly: RegularPolygon, point: Point) -> tuple[float, ...]:
+    """Squared distances from ``point`` to each vertex of ``poly``, in vertex order.
 
-    ``point.distance_squared(v)`` inline, dx * dx + dy * dy with each
-    difference taken twice: the same bits, with no method call per vertex.
+    ``point.distance_squared(vertex)`` on ``poly.coordinates()``, dx * dx +
+    dy * dy with each difference taken twice: the same bits, with no ``Point``
+    and no method call per vertex.  When a vertex is not finite it raises the
+    error ``poly.vertices()`` raises.
     """
+    xs, ys = _finite_coordinates(poly)
     x, y = point.x, point.y
-    return tuple([(x - v.x) * (x - v.x) + (y - v.y) * (y - v.y) for v in vertices])
+    return tuple([(x - vx) * (x - vx) + (y - vy) * (y - vy) for vx, vy in zip(xs, ys)])
 
 
 def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
@@ -73,7 +76,7 @@ def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
     """
     if not values:
         return repeat(0, top)
-    return map(sum, zip(*[accumulate(repeat(v, top), operator.mul) for v in values]))
+    return map(sum, zip(*[accumulate(repeat(v, top), mul) for v in values]))
 
 
 def _closed_forms(n: int, u: float, v: float, top: int) -> Iterator[float]:
@@ -107,7 +110,8 @@ def verify_power_sum_identity(
     normalized by (R+L)^(2m), which bounds them by n at every scale, and are
     sums of non-negative terms, so the worst relative residual
     |direct - closed| / max(direct, closed) is meaningful at machine precision
-    (NaN if a sum is not finite).  Each order passes by ``tol.eq(direct, closed)``.
+    (NaN if a sum is not finite).  Each order passes by ``tol.eq(direct, closed)``,
+    evaluated for all orders at once.
     """
     n = poly.n
     top = n - 1 if max_order is None else max_order
@@ -117,13 +121,21 @@ def verify_power_sum_identity(
     # Dividing by an infinite R + L would zero every distance and pass; NaN marks the sums non-finite.
     scale = poly.circumradius + center_distance
     scale = scale if scale < math.inf else math.nan
+    xs, ys = _finite_coordinates(poly)
     x, y = point.x, point.y
-    squared = [((x - v.x) / scale) ** 2 + ((y - v.y) / scale) ** 2 for v in poly.vertices()]
-    closed_forms = _closed_forms(n, poly.circumradius / scale, center_distance / scale, top)
-    pairs = list(zip(_power_sums(squared, top), closed_forms))
-    residuals = [abs(direct - closed) / max(abs(direct), abs(closed), 1e-300) for direct, closed in pairs]
-    ok = all([tol.eq(direct, closed) for direct, closed in pairs])
+    squared = [((x - vx) / scale) ** 2 + ((y - vy) / scale) ** 2 for vx, vy in zip(xs, ys)]
+    direct = list(_power_sums(squared, top))
+    closed = list(_closed_forms(n, poly.circumradius / scale, center_distance / scale, top))
+    gaps = list(map(abs, map(sub, direct, closed)))
+    sizes = list(map(max, map(abs, direct), map(abs, closed)))
+    residuals = list(map(truediv, gaps, map(max, sizes, repeat(1e-300))))
+    ok = all(map(le, gaps, _bounds(tol, sizes)))
     return _orders_check("power_sum_identity", ok, residuals, tol, "relative")
+
+
+def _bounds(tol: Tolerance, scales: Iterable[float]) -> Iterator[float]:
+    """``tol.bound(scale)`` of each non-negative (or NaN) scale, with no call per scale."""
+    return map(add, repeat(tol.abs), map(mul, repeat(tol.rel), scales))
 
 
 def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
@@ -173,15 +185,11 @@ def multisets_equal(
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     if not a:
         return MultisetMatch(True, 0.0)
-    slack = tol.bound(max(max(abs(x) for x in a), max(abs(x) for x in b)))
-    worst = 0.0
-    equal = True
-    for x, y in zip(sorted(a), sorted(b)):
-        gap = abs(x - y)
-        worst = max(worst, gap)
-        if gap > slack:
-            equal = False
-    return MultisetMatch(equal, worst)
+    slack = tol.bound(max(max(map(abs, a)), max(map(abs, b))))
+    # ``max`` replaces its running value only by a larger gap, so a NaN gap is
+    # never the worst and never exceeds the slack, as in a loop of ``max`` folds.
+    worst = max(chain((0.0,), map(abs, map(sub, sorted(a), sorted(b)))))
+    return MultisetMatch(not worst > slack, worst)
 
 
 def compare_power_sums(
@@ -195,7 +203,8 @@ def compare_power_sums(
     Returns one ``power_sums`` check over all orders.  Entries are normalized
     by the joint maximum before exponentiation, which keeps high orders away
     from overflow and makes the residuals comparable across scales.  Each
-    order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``.
+    order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``, evaluated for
+    all orders at once.
     """
     a = tuple(first)
     b = tuple(second)
@@ -205,13 +214,10 @@ def compare_power_sums(
     if top < 1:
         raise OrderOutOfRangeError(f"need at least order 1, got max_order={top}")
     # All-zero lists have all-zero sums at any scale; 1 avoids dividing by zero.
-    scale = max((abs(x) for x in (*a, *b)), default=0.0) or 1.0
-    norm_a = [x / scale for x in a]
-    norm_b = [x / scale for x in b]
-    ok = True
-    residuals: list[float] = []
-    for pa, pb in zip(_power_sums(norm_a, top), _power_sums(norm_b, top)):
-        magnitude = max(abs(pa), abs(pb), 1.0)
-        residuals.append(abs(pa - pb) / magnitude)
-        ok = tol.eq_at(pa, pb, magnitude) and ok
-    return _orders_check("power_sums", ok, residuals, tol, "normalized")
+    scale = max(map(abs, chain(a, b)), default=0.0) or 1.0
+    sums_a = list(_power_sums([x / scale for x in a], top))
+    sums_b = list(_power_sums([x / scale for x in b], top))
+    gaps = list(map(abs, map(sub, sums_a, sums_b)))
+    magnitudes = list(map(max, map(abs, sums_a), map(abs, sums_b), repeat(1.0)))
+    residuals = list(map(truediv, gaps, magnitudes))
+    return _orders_check("power_sums", all(map(le, gaps, _bounds(tol, magnitudes))), residuals, tol, "normalized")

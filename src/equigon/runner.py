@@ -140,8 +140,8 @@ def _check_point(
     tol: Tolerance,
 ) -> None:
     """Power sums must agree at the point; one aligned rotation must match fully."""
-    da = distances_squared(first.vertices(), point)
-    db = distances_squared(second.vertices(), point)
+    da = distances_squared(first, point)
+    db = distances_squared(second, point)
     out.checks.append(replace(compare_power_sums(da, db, tol), name=f"power_sums_{label}"))
     want = point.distance(first.vertex(1))
     try:
@@ -154,7 +154,7 @@ def _check_point(
     best = math.inf
     matched = False
     for candidate in candidates:
-        match = multisets_equal(da, distances_squared(candidate.vertices(), point), tol)
+        match = multisets_equal(da, distances_squared(candidate, point), tol)
         best = min(best, match.max_residual)
         matched = matched or match.equal
     out.checks.append(
@@ -244,8 +244,8 @@ def _probe_locus(
             axis = (second.centroid - first.centroid).perpendicular()
             probe = mid + axis * rng.uniform(-2, 2)
         sums = compare_power_sums(
-            distances_squared(first.vertices(), probe),
-            distances_squared(second.vertices(), probe),
+            distances_squared(first, probe),
+            distances_squared(second, probe),
             tol,
         )
         out.checks.append(

@@ -214,8 +214,8 @@ def test_criterion_04_power_sum_system_necessity(shared_configs):
     for first, second, solution in configs:
         for point in solution.points:
             check = compare_power_sums(
-                distances_squared(first.vertices(), point),
-                distances_squared(second.vertices(), point),
+                distances_squared(first, point),
+                distances_squared(second, point),
             )
             assert check.detail == f"orders 1..{first.n - 1}, normalized"
             assert check.ok
@@ -227,8 +227,8 @@ def test_criterion_04_power_sum_system_necessity(shared_configs):
             if min(probe.distance(q) for q in solution.points) > 1e-2 * scale:
                 break
         report = compare_power_sums(
-            distances_squared(first.vertices(), probe),
-            distances_squared(second.vertices(), probe),
+            distances_squared(first, probe),
+            distances_squared(second, probe),
         )
         assert not report.ok
         rejected += 1
@@ -257,8 +257,8 @@ def test_criterion_05_congruent_invariance():
         assert equal_distance_points(poly, spun).locus is Locus.ENTIRE_PLANE
         probe = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
         assert compare_power_sums(
-            distances_squared(poly.vertices(), probe),
-            distances_squared(spun.vertices(), probe),
+            distances_squared(poly, probe),
+            distances_squared(spun, probe),
         ).ok
     failures = 0
     for _ in range(500):
@@ -275,8 +275,8 @@ def test_criterion_05_congruent_invariance():
         axis = (c2 - c1).perpendicular() * (1.0 / gap)
         on_bisector = mid + axis * rng.uniform(-5.0, 5.0)
         assert compare_power_sums(
-            distances_squared(first.vertices(), on_bisector),
-            distances_squared(second.vertices(), on_bisector),
+            distances_squared(first, on_bisector),
+            distances_squared(second, on_bisector),
         ).ok
         # off the bisector the first-order sums already disagree
         while True:
@@ -285,8 +285,8 @@ def test_criterion_05_congruent_invariance():
             if gap_sq > 1e-3:
                 break
         if not compare_power_sums(
-            distances_squared(first.vertices(), off),
-            distances_squared(second.vertices(), off),
+            distances_squared(first, off),
+            distances_squared(second, off),
         ).ok:
             failures += 1
     assert failures == 500
@@ -320,14 +320,14 @@ def test_criterion_06_alignment_end_to_end():
         solution = equal_distance_points(first, second)
         assert len(solution.points) == 2
         point = solution.points[0]
-        da = distances_squared(first.vertices(), point)
+        da = distances_squared(first, point)
         want = point.distance(first.vertex(1))
         candidates = align_rotation(second, point, want)
         assert candidates
         matched = False
         joint_scale = max(da)
         for candidate in candidates:
-            db = distances_squared(candidate.vertices(), point)
+            db = distances_squared(candidate, point)
             joint_scale = max(joint_scale, max(db))
             match = multisets_equal(da, db)
             if match.equal:

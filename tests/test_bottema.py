@@ -477,8 +477,8 @@ def test_m1_and_m2_are_equal_distance_points():
     an, apex, bn = Point(0, 0), Point(0.6, 1.4), Point(2, 0)
     result = bottema_construct(an, apex, bn, 8)
     for point in (result.m1, result.m2):
-        da = distances_squared(result.poly1.vertices(), point)
-        db = distances_squared(result.poly2.vertices(), point)
+        da = distances_squared(result.poly1, point)
+        db = distances_squared(result.poly2, point)
         assert compare_power_sums(da, db).ok
     assert result.m1.distance(result.m2) > 1e-6
 

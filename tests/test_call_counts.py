@@ -13,10 +13,12 @@ import pytest
 
 import equigon.bottema
 import equigon.equalizer
+from equigon.polygon import RegularPolygon
 from equigon.runner import run_scenario, solve_scenario
 from equigon.scenario import parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 
 COUNTED = {
     "correspondence": equigon.equalizer,
@@ -71,3 +73,20 @@ def test_each_quantity_is_computed_once(name, calls):
         calls.update(dict.fromkeys(calls, 0))
         entry(scenario)
         assert tuple(calls.values()) == expected, entry.__name__
+
+
+def test_large_pair_reads_vertices_as_floats(monkeypatch):
+    # The O(n) checks read RegularPolygon.coordinates(); a Point per vertex of
+    # both polygons and of every rotation candidate made 6n + 2 vertex calls.
+    scenario = parse_scenario((DATA / "pair_large_n256.json").read_text(encoding="utf-8"))
+    calls = []
+    original = RegularPolygon.vertex
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(RegularPolygon, "vertex", counted)
+    report = run_scenario(scenario)
+    assert report.overall_ok
+    assert len(calls) <= 2 * scenario.n + 8

@@ -108,12 +108,12 @@ def test_shared_square_pair_two_points_frozen():
 def test_shared_square_distance_multisets_frozen():
     first, second = shared_square_pair()
     solution = equal_distance_points(first, second)
-    at_m1_a = distances_squared(first.vertices(), solution.points[0])
-    at_m1_b = distances_squared(second.vertices(), solution.points[0])
+    at_m1_a = distances_squared(first, solution.points[0])
+    at_m1_b = distances_squared(second, solution.points[0])
     assert at_m1_a == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
     assert at_m1_b == pytest.approx((10.0, 2.0, 10.0, 18.0), abs=1e-12)
-    at_m2_a = distances_squared(first.vertices(), solution.points[1])
-    at_m2_b = distances_squared(second.vertices(), solution.points[1])
+    at_m2_a = distances_squared(first, solution.points[1])
+    at_m2_b = distances_squared(second, solution.points[1])
     assert at_m2_a == pytest.approx((3.6, 5.2, 16.4, 14.8), abs=1e-12)
     assert at_m2_b == pytest.approx((3.6, 14.8, 16.4, 5.2), abs=1e-12)
     assert multisets_equal(at_m2_a, at_m2_b).equal
@@ -233,8 +233,8 @@ def test_alignment_then_full_multiset_equality():
         assert candidates
         matched = 0
         for candidate in candidates:
-            da = distances_squared(first.vertices(), point)
-            db = distances_squared(candidate.vertices(), point)
+            da = distances_squared(first, point)
+            db = distances_squared(candidate, point)
             if multisets_equal(da, db).equal:
                 matched += 1
                 assert correspondence(first, candidate, point).kind in (
@@ -329,8 +329,8 @@ def test_same_orientation_pair_still_gets_solution_points():
     solution = equal_distance_points(first, second)
     assert len(solution.points) == 2
     for point in solution.points:
-        da = distances_squared(first.vertices(), point)
-        db = distances_squared(second.vertices(), point)
+        da = distances_squared(first, point)
+        db = distances_squared(second, point)
         assert compare_power_sums(da, db).ok
 
 
@@ -339,12 +339,12 @@ def test_system_necessity_at_solution_points_and_failure_elsewhere():
     first, second = random_shared_vertex_pair(rng, 7)
     solution = equal_distance_points(first, second)
     for point in solution.points:
-        da = distances_squared(first.vertices(), point)
-        db = distances_squared(second.vertices(), point)
+        da = distances_squared(first, point)
+        db = distances_squared(second, point)
         assert compare_power_sums(da, db).ok
     off = Point(solution.points[0].x + 0.37, solution.points[0].y - 0.81)
-    da = distances_squared(first.vertices(), off)
-    db = distances_squared(second.vertices(), off)
+    da = distances_squared(first, off)
+    db = distances_squared(second, off)
     assert not compare_power_sums(da, db).ok
 
 

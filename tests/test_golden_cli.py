@@ -36,10 +36,11 @@ CASES = (
     + [(f"identity_large_n{n}", ["verify", "--json", str(DATA / f"identity_large_n{n}.json")])
        for n in (64, 128, 256)]
     # Identity checks whose term-by-term closed form raised OverflowError (n = 500)
-    # or compared inf with inf (n = 128, r = 5), and the pair kinds at large n,
+    # or compared inf with inf (n = 128, r = 5), one whose first vertex leaves the
+    # float range (exit 2 with that vertex's error), and the pair kinds at large n,
     # where the power sums and vertex generation dominate.
     + [(stem, ["verify", "--json", str(DATA / f"{stem}.json")])
-       for stem in ("identity_overflow_n500", "identity_nan_n128",
+       for stem in ("identity_overflow_n500", "identity_nan_n128", "identity_vertex_overflow_n64",
                     "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from equigon.equalizer import align_rotation
-from equigon.geom import GeometryError, Point, Tolerance, side_of_line
+from equigon.bottema import BottemaResult, vertex_angles
+from equigon.equalizer import Locus, MatchKind, PairCase, _matching_residuals, align_rotation, correspondence
+from equigon.geom import DEFAULT_TOLERANCE, DegenerateRayError, GeometryError, Point, Tolerance, side_of_line
 from equigon.polygon import (
     CoincidentVertexCentroidError,
     DegenerateSideError,
@@ -18,6 +20,8 @@ from equigon.polygon import (
     from_shared_vertex,
     from_side,
 )
+from equigon.power_sums import distances_squared, verify_power_sum_identity
+from equigon.runner import Report, _check_point, _probe_locus
 
 
 def assert_point(p: Point, x: float, y: float, tol: float = 1e-12):
@@ -101,21 +105,105 @@ def vertices_by_angle(poly: RegularPolygon) -> list[tuple[str, str]]:
     return out
 
 
-@given(
-    st.integers(3, 2048),
-    st.floats(-1e6, 1e6),
-    st.sampled_from((1, -1)),
-    st.floats(1e-300, 1e300),
-    st.floats(-1e300, 1e300),
-    st.floats(-1e300, 1e300),
-)
-@example(2048, 7.5 * math.pi, 1, 1.0, 0.0, 0.0)
-@example(2048, -7.5 * math.pi, -1, 2.5, 1e3, -1e3)
-@example(2047, math.pi, -1, 1e-3, 0.3, 0.7)
-@example(3, -math.pi, 1, 1e300, 1e300, -1e300)
+def every_polygon(test):
+    """Run ``test(n, phase, orientation, radius, cx, cy)`` over polygons of every size and scale."""
+    test = example(3, -math.pi, 1, 1e300, 1e300, -1e300)(test)
+    test = example(2047, math.pi, -1, 1e-3, 0.3, 0.7)(test)
+    test = example(2048, -7.5 * math.pi, -1, 2.5, 1e3, -1e3)(test)
+    test = example(2048, 7.5 * math.pi, 1, 1.0, 0.0, 0.0)(test)
+    return given(
+        st.integers(3, 2048),
+        st.floats(-1e6, 1e6),
+        st.sampled_from((1, -1)),
+        st.floats(1e-300, 1e300),
+        st.floats(-1e300, 1e300),
+        st.floats(-1e300, 1e300),
+    )(test)
+
+
+@every_polygon
 def test_vertices_match_vertex_angle_bit_for_bit(n, phase, orientation, radius, cx, cy):
     poly = RegularPolygon(n, Point(cx, cy), radius, phase, orientation)
     assert [(v.x.hex(), v.y.hex()) for v in poly.vertices()] == vertices_by_angle(poly)
+
+
+@every_polygon
+def test_coordinates_match_vertex_angle_bit_for_bit(n, phase, orientation, radius, cx, cy):
+    poly = RegularPolygon(n, Point(cx, cy), radius, phase, orientation)
+    xs, ys = poly.coordinates()
+    assert poly.coordinates() == (xs, ys)
+    assert [(x.hex(), y.hex()) for x, y in zip(xs, ys)] == vertices_by_angle(poly)
+
+
+# Vertices 1..10 and 56..64 of ``right_edge()`` leave the float range, and those
+# around angle pi of ``left_edge()``; ``inside()`` stays inside it.  Every
+# consumer raises the error of the first vertex it reads that is not finite,
+# in its reading order; the messages were recorded while the consumers read
+# ``vertices()``.
+def right_edge():
+    return RegularPolygon(64, Point(1.5e308, 0.0), 5e307)
+
+
+def left_edge():
+    return RegularPolygon(64, Point(-1.5e308, 0.0), 5e307)
+
+
+def inside():
+    return RegularPolygon(64, Point(1.4e308, 1e307), 1e307)
+
+
+def bottema_result(poly1, poly2, m1=Point(0.0, 0.0)):
+    origin = Point(0.0, 0.0)
+    return BottemaResult(poly1, poly2, origin, origin, m1, origin, origin, False, PairCase.NON_CONGRUENT)
+
+
+PROBE = Point(1e308, 1e307)
+RIGHT_1 = "coordinates must be finite, got (inf, 0.0)"
+RIGHT_2 = "coordinates must be finite, got (inf, 4.90085701647803e+306)"
+LEFT = "coordinates must be finite, got (-inf, 3.8650522668136856e+307)"
+OVERFLOWING = [
+    ("vertices-right", lambda: right_edge().vertices(), GeometryError, RIGHT_1),
+    ("vertices-left", lambda: left_edge().vertices(), GeometryError, LEFT),
+    ("distances_squared-right", lambda: distances_squared(right_edge(), PROBE), GeometryError, RIGHT_1),
+    ("distances_squared-left", lambda: distances_squared(left_edge(), PROBE), GeometryError, LEFT),
+    ("identity-right", lambda: verify_power_sum_identity(right_edge(), PROBE), GeometryError, RIGHT_1),
+    ("identity-left", lambda: verify_power_sum_identity(left_edge(), Point(0.0, 0.0)), GeometryError, LEFT),
+    ("matching-identity", lambda: _matching_residuals(right_edge(), left_edge(), PROBE, MatchKind.IDENTITY),
+     GeometryError, RIGHT_1),
+    ("matching-reversal", lambda: _matching_residuals(inside(), left_edge(), PROBE, MatchKind.REVERSAL),
+     GeometryError, LEFT),
+    ("correspondence-first", lambda: correspondence(right_edge(), left_edge(), PROBE), GeometryError, RIGHT_1),
+    ("correspondence-second", lambda: correspondence(inside(), left_edge(), PROBE), GeometryError, LEFT),
+    ("check_point", lambda: _check_point(Report(None), "M1", PROBE, inside(), left_edge(), DEFAULT_TOLERANCE),
+     GeometryError, LEFT),
+    ("probe_locus", lambda: _probe_locus(
+        Report(None), RegularPolygon(64, Point(8e307, 0.0), 1e308), RegularPolygon(64, Point(8e307, 1e307), 1e308),
+        Locus.PERPENDICULAR_BISECTOR, 0, DEFAULT_TOLERANCE), GeometryError, RIGHT_1),
+    # vertex_angles reads k = 2..n, both polygons at each k: the second
+    # polygon's vertex 2 fails before the first polygon's vertices near pi.
+    ("vertex_angles-second", lambda: vertex_angles(bottema_result(left_edge(), right_edge())), GeometryError, RIGHT_2),
+    ("vertex_angles-first", lambda: vertex_angles(bottema_result(right_edge(), left_edge())), GeometryError, RIGHT_2),
+    ("vertex_angles-ray", lambda: vertex_angles(bottema_result(
+        RegularPolygon(5, Point(0.0, 0.0), 1.0), RegularPolygon(5, Point(0.0, 1.0), 1.0),
+        RegularPolygon(5, Point(0.0, 0.0), 1.0).vertex(3))),
+     DegenerateRayError, "angle ray endpoint coincides with the vertex"),
+]
+
+
+@pytest.mark.parametrize("name, call, error, message", OVERFLOWING, ids=[case[0] for case in OVERFLOWING])
+def test_overflowing_vertices_raise_the_first_vertex_error(name, call, error, message):
+    with pytest.raises(GeometryError) as excinfo:
+        call()
+    assert (type(excinfo.value), str(excinfo.value)) == (error, message)
+
+
+def test_finite_vertex_of_an_overflowing_polygon():
+    poly = right_edge()
+    xs, ys = poly.coordinates()
+    assert xs[0] == math.inf and all(map(math.isfinite, xs[10:55] + ys))
+    assert poly.vertex(33) == Point(xs[32], ys[32])
+    with pytest.raises(GeometryError, match=re.escape(RIGHT_1)):
+        poly.vertex(1)
 
 
 def test_derived_polygons_get_their_own_vertices():

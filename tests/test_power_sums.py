@@ -81,7 +81,7 @@ def elementary_by_subsets(values):
 
 def test_unit_square_distance_multiset():
     square = RegularPolygon(4, Point(0, 0), 1.0, phase=0.0, orientation=1)
-    dm = distances_squared(square.vertices(), Point(1.0, 0.0))
+    dm = distances_squared(square, Point(1.0, 0.0))
     assert dm == pytest.approx((0.0, 2.0, 4.0, 2.0), abs=1e-15)
     assert power_sum(dm, 1) == pytest.approx(8.0)
     assert power_sum(dm, 2) == pytest.approx(24.0)
@@ -110,7 +110,7 @@ def test_identity_matches_direct_sums_on_unit_square():
     assert check.name == "power_sum_identity"
     assert check.detail == "orders 1..3, relative"
     assert check.tolerance == DEFAULT_TOLERANCE.bound(1.0)
-    direct = power_sums_vector(distances_squared(square.vertices(), probe), 3)
+    direct = power_sums_vector(distances_squared(square, probe), 3)
     closed = [power_sum_closed_form(4, 1.0, probe.distance(square.centroid), m) for m in (1, 2, 3)]
     assert direct == pytest.approx((8.0, 24.0, 80.0))
     assert closed == pytest.approx([8.0, 24.0, 80.0])
@@ -131,7 +131,7 @@ def test_identity_breaks_beyond_valid_orders():
     # direct sum for generic probe points, confirming the range restriction
     square = RegularPolygon(4, Point(0, 0), 1.0, phase=0.3, orientation=1)
     probe = Point(0.7, -1.1)
-    dm = distances_squared(square.vertices(), probe)
+    dm = distances_squared(square, probe)
     direct = power_sum(dm, 4)
     pretended = power_sum_closed_form(5, 1.0, probe.norm(), 4)  # same R, L but n=5 scaled
     assert pretended != pytest.approx(direct, rel=1e-6)
@@ -328,8 +328,8 @@ def test_power_sums_blind_to_rotation(n, phase1, phase2):
     probe = Point(1.3, -0.4)
     first = RegularPolygon(n, Point(0.2, 0.1), 1.7, phase1, 1)
     second = RegularPolygon(n, Point(0.2, 0.1), 1.7, phase2, -1)
-    da = distances_squared(first.vertices(), probe)
-    db = distances_squared(second.vertices(), probe)
+    da = distances_squared(first, probe)
+    db = distances_squared(second, probe)
     assert compare_power_sums(da, db).ok
 
 
@@ -445,6 +445,49 @@ def test_power_sums_match_the_running_product_loop_bit_for_bit(values, top):
     assert sum_bits(_power_sums(values, top)) == sum_bits(running_product_sums(values, top))
 
 
+def multiset_fold(a, b, tol):
+    """Oracle: ``multisets_equal``'s verdict as a loop of ``max`` folds over the sorted pairs."""
+    slack = tol.bound(max(max(abs(x) for x in a), max(abs(x) for x in b)))
+    worst, equal = 0.0, True
+    for x, y in zip(sorted(a), sorted(b)):
+        gap = abs(x - y)
+        worst = max(worst, gap)
+        if gap > slack:
+            equal = False
+    return equal, worst
+
+
+def orders_fold(a, b, tol):
+    """Oracle: ``compare_power_sums``'s verdict and residuals as a per-order ``Tolerance.eq_at`` loop."""
+    scale = max((abs(x) for x in (*a, *b)), default=0.0) or 1.0
+    ok, residuals = True, []
+    for pa, pb in zip(running_product_sums([x / scale for x in a], len(a) - 1),
+                      running_product_sums([x / scale for x in b], len(b) - 1)):
+        magnitude = max(abs(pa), abs(pb), 1.0)
+        residuals.append(abs(pa - pb) / magnitude)
+        ok = tol.eq_at(pa, pb, magnitude) and ok
+    return ok, residuals
+
+
+pairs_of_lists = st.integers(2, 20).flatmap(lambda size: st.tuples(*[st.lists(
+    st.one_of(st.sampled_from(KERNEL_SPECIALS), st.floats(0.0, 4.0), st.floats()),
+    min_size=size, max_size=size)] * 2))
+
+
+@given(pairs_of_lists)
+@example(([math.nan, 1.0, 2.0], [3.0, 1.0, 2.0]))
+@example(([1.0, 2.0, math.inf], [1.0, 2.0, math.inf]))
+@example(([0.5, 1.5], [0.5, 1.5 + 1e-9]))
+def test_folds_match_their_loops_nan_included(pair):
+    a, b = pair
+    match = multisets_equal(a, b)
+    assert repr((match.equal, match.max_residual)) == repr(multiset_fold(a, b, DEFAULT_TOLERANCE))
+    check = compare_power_sums(a, b)
+    ok, residuals = orders_fold(a, b, DEFAULT_TOLERANCE)
+    assert check.ok is ok
+    assert repr(check.residual) == repr(_orders_check("power_sums", ok, residuals, DEFAULT_TOLERANCE, "").residual)
+
+
 class CountedFloat(float):
     """A float that counts the products it takes part in."""
 
@@ -475,7 +518,7 @@ def test_power_sums_compute_no_order_before_it_is_taken(size, top):
     st.floats(-1e155, 1e155),
 )
 def test_distances_squared_is_distance_squared_per_vertex(n, phase, r, px, py):
-    vertices = RegularPolygon(n, Point(0.5, -0.25), r, phase, 1).vertices()
+    poly = RegularPolygon(n, Point(0.5, -0.25), r, phase, 1)
     probe = Point(px, py)
-    want = [probe.distance_squared(v).hex() for v in vertices]
-    assert [d.hex() for d in distances_squared(vertices, probe)] == want
+    want = [probe.distance_squared(v).hex() for v in poly.vertices()]
+    assert [d.hex() for d in distances_squared(poly, probe)] == want
