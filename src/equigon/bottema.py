@@ -26,14 +26,13 @@ from .geom import (
     angle_at,
     project_onto_line,
     reflect_across_line,
-    side_of_line,
 )
 from .polygon import (
     DegenerateSideError,
     RegularPolygon,
     _antipode,
     _circumcircle,
-    _reject_non_finite,
+    _overflow,
     _side_circumcircle,
     diametric_opposite,
     from_side,
@@ -80,15 +79,8 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
         raise DegenerateTriangleError("triangle corners coincide")
     signed = ux * vy - uy * vx
     span_sq = side_n * side_n if side_n > side_b else side_b * side_b
-    # verify_independence makes these comparisons per apex and replays this when one fails.
     if not (abs(signed) < math.inf and span_sq < math.inf):
-        # A difference that is not finite leaves the area not finite too;
-        # side_of_line then raises the error its Point raises for it.
-        side_of_line(bn, a1, an)
-        raise GeometryError(
-            f"triangle overflows the float range: signed area {signed!r}, "
-            f"squared apex side {span_sq!r}"
-        )
+        raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
     # side_of_line(an, a1, bn) is -signed exactly: the same two products, subtracted the other way.
     return signed, span_sq, (-1 if signed > 0.0 else 1), (1 if signed > 0.0 else -1)
 
@@ -96,19 +88,14 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
 def _sweep_midpoint(
     an: Point, a1: Point, bn: Point, n: int, tol: Tolerance
 ) -> tuple[float, float]:
-    """M1 of ``bottema_construct`` with exterior sides, as plain floats x, y.
+    """M1 of ``bottema_construct`` with exterior sides, as plain floats x, y: the checked path.
 
-    Each apex of the sweep needs only this point.  It takes the centroids and
-    radii from ``_side_circumcircle`` and the antipodes D = 2 O - A1 from
-    ``_antipode``: no polygon, no ``atan2``, no collinear flag and no ``Point``.
-    M1 is ``D1.midpoint(D2)``'s arithmetic, so its bits are those of
-    ``bottema_construct``; so are the checks and their errors, with the
-    ``Point`` check replayed only when M1 is not finite.
-
-    This is the checked path: each call does all of the work and every check.
-    ``verify_independence`` does the same arithmetic with the work that
-    depends only on the base done once per sweep, and replays this for an
-    apex that fails one of its tests, to raise the error.
+    Centroids and radii from ``_side_circumcircle``, the antipodes D = 2 O - A1
+    from ``_antipode``, and M1 by ``D1.midpoint(D2)``'s arithmetic, so its bits
+    are ``bottema_construct``'s; no polygon, ``atan2``, collinear flag or
+    ``Point``.  Every check raises its error, and an M1 past the float range
+    the overflow error.  ``verify_independence`` does the same arithmetic per
+    apex and calls this for a degenerate apex, to raise its error.
     """
     _, _, side1, side2 = _triangle(an, a1, bn, tol)
     x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
@@ -117,7 +104,7 @@ def _sweep_midpoint(
     d2x, d2y = _antipode(x2, y2, r2, a1, tol)
     mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
     if not (abs(mx) < math.inf and abs(my) < math.inf):
-        _reject_non_finite((mx, my))
+        raise _overflow("M1", (mx, my))
     return mx, my
 
 
@@ -209,28 +196,24 @@ def verify_independence(
     spread of the computed midpoints, taken over the distinct ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
 
-    Each apex computes only M1, with ``_sweep_midpoint``'s arithmetic: no
-    polygon and none of the M2 and H that ``bottema_construct`` adds, so its
+    Each apex computes only M1, with ``_sweep_midpoint``'s arithmetic, so its
     M1 is bit-equal to ``bottema_construct``'s.  What depends only on the base
     is done once per sweep: the floor ``tol.bound(0.0)``, the check of n, and
     ``tan(pi / n)`` and ``sin(pi / n)``; the base-length check already rules
     out ``_triangle``'s coincident base.  Per apex, in plain floats: the
-    corner differences and the two apex-side lengths, shared by the triangle
-    test and both circumcircles; both centroids and radii from
-    ``_circumcircle``; the antipodes and their midpoint.  The triangle,
-    on-circle and finiteness tests are comparisons of the expressions that
-    ``_triangle``, ``Tolerance.eq_at`` and ``Point`` evaluate.  When one
-    fails, the apex replays the checked ``_sweep_midpoint``, which raises its
-    error, so every error type and message is unchanged; ``_circumcircle``
-    raises its own errors, which are the checked path's at the same step.
+    corner differences and apex-side lengths, shared by the triangle test and
+    both circumcircles; both centroids and radii from ``_circumcircle``; the
+    antipodes and their midpoint.  An apex, triangle or M1 past the float
+    range raises the overflow error.  The other tests are the comparisons
+    ``_triangle`` and ``Tolerance.eq_at`` make: a degenerate apex (a side at
+    or under the floor, or off its circle) or an n that is not an integer
+    calls the checked ``_sweep_midpoint``, which raises its error.
 
     No ``Point`` is built on the way.  The apex's coordinates are the float
     operations of ``an + along * s + normal * u`` in the same order, so they
-    are the same floats; when one is not finite, that ``Point`` sum is
-    replayed to raise its error at the first step that left the float range.
-    The distances are ``math.hypot`` and ``math.dist`` of the coordinate
-    differences: both take ``fabs`` of each difference and share CPython's
-    vector norm, so each is the float ``Point.distance`` gives.
+    are the same floats.  The distances are ``math.hypot`` and ``math.dist``
+    of the coordinate differences: both take ``fabs`` of each difference and
+    share CPython's vector norm, so each is the float ``Point.distance`` gives.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -256,28 +239,31 @@ def verify_independence(
         height = rng.uniform(0.05, 2.0)
         s, u = t * base_length, height * base_length
         ax, ay = anx + along.x * s + normal.x * u, any_ + along.y * s + normal.y * u
+        if not (abs(ax) < inf and abs(ay) < inf):
+            raise _overflow("apex", (ax, ay))
         ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
         side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
         signed = ux * vy - uy * vx
         span_sq = side_n * side_n if side_n > side_b else side_b * side_b
-        # An apex that is not finite leaves a side that is not, and fails here.
-        passed = integer_n and side_n > floor and side_b > floor and abs(signed) < inf and span_sq < inf
+        passed = integer_n and side_n > floor and side_b > floor
         if passed:
+            if not (abs(signed) < inf and span_sq < inf):
+                raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
             side = -1 if signed > 0.0 else 1
             x1, y1, r1 = _circumcircle(ax, ay, anx, any_, ux, uy, side_n, side, tan, sin)
             x2, y2, r2 = _circumcircle(ax, ay, bnx, bny, vx, vy, side_b, -side, tan, sin)
             mx = 0.5 * ((x1 * 2.0 - ax) + (x2 * 2.0 - ax))
             my = 0.5 * ((y1 * 2.0 - ay) + (y2 * 2.0 - ay))
-            # A finite M1 has finite antipodes: a sum with a term that is not finite is not finite.
             passed = (
                 abs(math.hypot(ax - x1, ay - y1) - r1) <= slack + rel * r1
                 and abs(math.hypot(ax - x2, ay - y2) - r2) <= slack + rel * r2
-                and abs(mx) < inf and abs(my) < inf
             )
         if not passed:
-            # The checked path, from the Point sum that makes the same apex:
-            # each raises the error of its first failing step.
-            mx, my = _sweep_midpoint(an, an + along * s + normal * u, bn, n, tol)
+            # The checked path raises the degenerate apex's error.
+            mx, my = _sweep_midpoint(an, Point(ax, ay), bn, n, tol)
+        elif not (abs(mx) < inf and abs(my) < inf):
+            # A finite M1 has finite antipodes: a sum with a term that is not finite is not finite.
+            raise _overflow("M1", (mx, my))
         midpoints.append((mx, my))
     # A repeated midpoint adds only zero distances and repeats a distance to
     # the closed form: the maxima over the distinct ones are the same floats.
@@ -309,9 +295,9 @@ def vertex_angles(
     ``angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)`` on both polygons'
     coordinates: its differences, norms, cross and dot in the same order, so
     every angle is the same float, with no ``Point`` and the floor
-    ``tol.bound(0.0)`` taken once.  A k whose rays are not longer than the
-    floor, or whose norms are not finite, replays ``angle_at`` on the vertices,
-    which raises its error for that k.
+    ``tol.bound(0.0)`` taken once.  A ray past the float range raises the
+    overflow error; a k whose rays are not longer than the floor calls
+    ``angle_at`` on the vertices, which raises its error for that k.
     """
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
     n = poly1.n
@@ -322,10 +308,11 @@ def vertex_angles(
     checks = []
     for k in range(2, n + 1):
         ux, uy, vx, vy = xs[k - 1] - mx, ys[k - 1] - my, us[k - 1] - mx, vs[k - 1] - my
-        if floor < hypot(ux, uy) < inf and floor < hypot(vx, vy) < inf:
-            measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        else:
-            measured = angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)
+        rays = hypot(ux, uy), hypot(vx, vy)
+        if not max(rays) < inf:
+            raise _overflow(f"ray to vertex pair {k}", f"lengths {rays}")
+        measured = (math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy) if min(rays) > floor
+                    else angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol))
         raw = math.tau * (k - 1) / n
         expected = min(raw, math.tau - raw)
         checks.append(

@@ -115,7 +115,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     try:
         # The figure needs the solve only; render runs no check.
         document = render_svg(scenario, solve_scenario(scenario, tol))
-    except GeometryError as exc:
+    except (GeometryError, ArithmeticError) as exc:
         print(f"error: cannot render {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

@@ -35,7 +35,7 @@ from .geom import (
     side_of_line,
     wrap_angle,
 )
-from .polygon import RegularPolygon, _finite_coordinates, diametric_opposite
+from .polygon import RegularPolygon, diametric_opposite
 from .power_sums import distances_squared
 
 
@@ -131,8 +131,8 @@ def _matching_residuals(
     coordinate differences: the same bits, with no ``Point`` and no method
     call per vertex.
     """
-    xs, ys = _finite_coordinates(first)
-    us, vs = _finite_coordinates(second)
+    xs, ys = first.coordinates()
+    us, vs = second.coordinates()
     us, vs = us[1:], vs[1:]
     if kind is MatchKind.REVERSAL:
         us, vs = us[::-1], vs[::-1]
@@ -234,7 +234,7 @@ def correspondence(
     n = first.n
     r1, r2 = first.circumradius, second.circumradius
     slack = tol.bound(max(r1, r2))
-    (xs, ys), (us, vs) = _finite_coordinates(first), _finite_coordinates(second)
+    (xs, ys), (us, vs) = first.coordinates(), second.coordinates()
     x, y = point.x, point.y
     first_residual = abs(math.hypot(x - xs[0], y - ys[0]) - math.hypot(x - us[0], y - vs[0]))
 

@@ -70,30 +70,32 @@ class RegularPolygon:
         return self.phase + self.orientation * math.tau * (k - 1) / self.n
 
     def coordinates(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The x and y coordinates of vertices 1..n, computed once.
+        """The x and y coordinates of vertices 1..n, computed and checked once.
 
         Vertex k sits at ``centroid + circumradius * (cos, sin)`` of
-        ``vertex_angle(k)``; ``vertex`` and ``vertices`` read these floats, so
-        there is one vertex formula.  The floats are not checked: a vertex
-        past the float range is an ``inf`` here, and ``vertex(k)`` raises
-        ``Point``'s error for it.  Callers that read every coordinate check
-        them with ``_finite_coordinates``.  Like the ``vertices()`` cache, this
-        one lives outside the dataclass fields.
+        ``vertex_angle(k)``; ``vertex``, ``vertices`` and the O(n) checks read
+        these floats, so there is one vertex formula.  The first vertex past
+        the float range raises the overflow error.  Like the ``vertices()``
+        cache, this one lives outside the dataclass fields.
         """
         cached = self.__dict__.get("_coordinates")
         if cached is None:
             angles = list(map(self.vertex_angle, range(1, self.n + 1)))
             cx, cy, radius, cos, sin = self.centroid.x, self.centroid.y, self.circumradius, math.cos, math.sin
             cached = (tuple([cx + radius * cos(t) for t in angles]), tuple([cy + radius * sin(t) for t in angles]))
+            # Finite sums prove every term finite; finite terms can still overflow a sum.
+            if not math.isfinite(sum(cached[0]) + sum(cached[1])):
+                for k, x, y in zip(range(1, self.n + 1), *cached):
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise _overflow(f"vertex {k}", (x, y))
             object.__setattr__(self, "_coordinates", cached)
         return cached
 
     def vertex(self, k: int) -> Point:
         """Vertex k (1-based) as a ``Point``, for the callers that need one.
 
-        It is the ``Point`` of ``coordinates()``'s floats, so it raises only
-        when vertex k itself is not finite.  Once ``vertices()`` has filled
-        its cache, it returns the cached ``Point``.
+        It is the ``Point`` of ``coordinates()``'s floats, or the cached
+        ``Point`` once ``vertices()`` has filled its cache.
         """
         if not 1 <= k <= self.n:
             self.vertex_angle(k)  # raises its IndexError
@@ -107,9 +109,8 @@ class RegularPolygon:
         """Vertices 1..n as ``Point``s, built once by ``vertex(k)``, for the
         callers that need ``Point``s; the O(n) checks read ``coordinates()``.
 
-        It raises the error ``Point`` raises for the first vertex that is not
-        finite.  The cache is kept outside the dataclass fields, so equality,
-        hashing and ``dataclasses.replace`` never see it.
+        The cache is kept outside the dataclass fields, so equality, hashing
+        and ``dataclasses.replace`` never see it.
         """
         cached = self.__dict__.get("_vertices")
         if cached is None:
@@ -117,20 +118,6 @@ class RegularPolygon:
             cached = tuple([self.vertex(k) for k in range(1, self.n + 1)])
             object.__setattr__(self, "_vertices", cached)
         return cached
-
-
-def _finite_coordinates(poly: RegularPolygon) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``poly.coordinates()`` once all are finite, checked in one pass.
-
-    A sum with a term that is not finite is not finite, so finite sums prove
-    every coordinate finite.  Otherwise ``vertices()`` replays the vertices,
-    which raises the error ``Point`` raises for the first one that is not
-    finite; a sum that overflowed from finite terms raises nothing.
-    """
-    xs, ys = poly.coordinates()
-    if not math.isfinite(sum(xs) + sum(ys)):
-        poly.vertices()
-    return xs, ys
 
 
 def from_shared_vertex(
@@ -148,15 +135,14 @@ def from_shared_vertex(
     return RegularPolygon(n, centroid, radius, phase, orientation)
 
 
+def _overflow(quantity: str, values: object) -> GeometryError:
+    """The one error for a quantity past the float range, raised by the step that finds it."""
+    return GeometryError(f"{quantity} overflows the float range: {values}")
+
+
 def _check_radius(radius: float) -> None:
     if not math.isfinite(radius) or radius <= 0.0:
         raise InvalidRadiusError(f"circumradius must be positive, got {radius}")
-
-
-def _reject_non_finite(*coordinates: tuple[float, float]) -> None:
-    """Raise the error ``Point`` raises for the first pair that is not finite."""
-    for x, y in coordinates:
-        Point(x, y)
 
 
 def _circumcircle(
@@ -167,11 +153,8 @@ def _circumcircle(
 
     The one copy of the formula: the edge's difference ``(cx, cy) = an - a1``
     and its length ``hypot(cx, cy)``, checked by the caller, and ``tan`` and
-    ``sin`` of ``pi / n``.  It keeps the checks that follow the arithmetic:
-    a centroid that is not finite raises the error ``Point`` raises for the
-    first step that left the float range, and a radius that is not finite
-    raises ``InvalidRadiusError``.  The tests are comparisons, with a call
-    only when one fails, since the apex sweep runs this twice per apex.
+    ``sin`` of ``pi / n``.  A centroid or radius past the float range raises
+    the overflow error; every step that leaves the range reaches one of them.
     """
     inverse = 1.0 / length
     ux, uy = cx * inverse, cy * inverse
@@ -179,12 +162,9 @@ def _circumcircle(
     mx, my = 0.5 * (a1x + anx), 0.5 * (a1y + any_)
     ox, oy = -uy * side * apothem, ux * side * apothem
     x, y = mx + ox, my + oy
-    if not (abs(x) < math.inf and abs(y) < math.inf):
-        # Every non-finite step reaches the centroid; report the first, as Point would.
-        _reject_non_finite((ux, uy), (mx, my), (ox, oy), (x, y))
     radius = 0.5 * length / sin
-    if not 0.0 < radius < math.inf:
-        _check_radius(radius)
+    if not (abs(x) < math.inf and abs(y) < math.inf and radius < math.inf):
+        raise _overflow("circumcircle", f"centroid {(x, y)}, radius {radius!r}")
     return x, y, radius
 
 
@@ -193,19 +173,16 @@ def _side_circumcircle(
 ) -> tuple[float, float, float]:
     """Centroid x, y and circumradius of the n-gon on the closing edge ``an -> a1``.
 
-    This is ``from_side``'s arithmetic in plain floats, the same operations in
-    the same order, so the results are bit-identical to the ``Point`` version.
-    It keeps every check, in the same order and with the same error, including
-    the one ``Point`` makes of each intermediate's coordinates.  It checks the
-    side, the edge, its length and n, then hands the rest to ``_circumcircle``;
-    the apex sweep makes those checks once per base or once per apex and calls
-    ``_circumcircle`` directly.
+    ``from_side``'s arithmetic in plain floats.  It checks the side, the edge
+    (an overflow error past the float range), its length and n, then hands
+    the rest to ``_circumcircle``; the apex sweep makes those checks once per
+    base or once per apex and calls ``_circumcircle`` directly.
     """
     if side not in (1, -1):
         raise GeometryError(f"side must be +1 or -1, got {side!r}")
     cx, cy = an.x - a1.x, an.y - a1.y
     if not (math.isfinite(cx) and math.isfinite(cy)):
-        _reject_non_finite((cx, cy))
+        raise _overflow("edge", (cx, cy))
     length = math.hypot(cx, cy)
     if length <= tol.bound(0.0):
         raise DegenerateSideError("side endpoints coincide")
@@ -228,10 +205,7 @@ def from_side(
     half-plane containing the body: +1 means left of the directed segment
     ``a1 -> an``, -1 means right.  The centroid and radius come from
     ``_side_circumcircle``, and so from ``_circumcircle``; this adds the phase
-    and the orientation, one ``atan2`` each.  The Bottema apex sweep needs
-    only the centroid and radius: it checks n and takes ``tan`` and ``sin``
-    of ``pi / n`` once per base, calls ``_circumcircle`` twice per apex, and
-    replays ``_side_circumcircle`` for an apex that fails one of its tests.
+    and the orientation, one ``atan2`` each.
     """
     x, y, radius = _side_circumcircle(a1, an, n, side, tol)
     phase = math.atan2(a1.y - y, a1.x - x)
@@ -254,7 +228,7 @@ def _antipode(
         )
     dx, dy = x * 2.0 - p.x, y * 2.0 - p.y
     if not (math.isfinite(dx) and math.isfinite(dy)):
-        _reject_non_finite((x * 2.0, y * 2.0), (dx, dy))
+        raise _overflow("antipode", (dx, dy))
     return dx, dy
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .checks import CheckResult
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
-from .polygon import RegularPolygon, _finite_coordinates
+from .polygon import RegularPolygon
 
 
 class OrderOutOfRangeError(GeometryError):
@@ -54,10 +54,9 @@ def distances_squared(poly: RegularPolygon, point: Point) -> tuple[float, ...]:
 
     ``point.distance_squared(vertex)`` on ``poly.coordinates()``, dx * dx +
     dy * dy with each difference taken twice: the same bits, with no ``Point``
-    and no method call per vertex.  When a vertex is not finite it raises the
-    error ``poly.vertices()`` raises.
+    and no method call per vertex.
     """
-    xs, ys = _finite_coordinates(poly)
+    xs, ys = poly.coordinates()
     x, y = point.x, point.y
     return tuple([(x - vx) * (x - vx) + (y - vy) * (y - vy) for vx, vy in zip(xs, ys)])
 
@@ -121,7 +120,7 @@ def verify_power_sum_identity(
     # Dividing by an infinite R + L would zero every distance and pass; NaN marks the sums non-finite.
     scale = poly.circumradius + center_distance
     scale = scale if scale < math.inf else math.nan
-    xs, ys = _finite_coordinates(poly)
+    xs, ys = poly.coordinates()
     x, y = point.x, point.y
     squared = [((x - vx) / scale) ** 2 + ((y - vy) / scale) ** 2 for vx, vy in zip(xs, ys)]
     direct = list(_power_sums(squared, top))

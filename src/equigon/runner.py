@@ -390,13 +390,14 @@ _SOLVERS: dict[ScenarioKind, Callable[[Report, Tolerance], Checks]] = {
 def run_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
     """Solve the scenario and run every check it calls for; never raises on domain errors.
 
-    The report keeps no geometry: a sweep holds many reports, and at large n
+    A ``GeometryError`` or ``ArithmeticError`` becomes the report's error.  The
+    report keeps no geometry: a sweep holds many reports, and at large n
     their vertex tuples would outweigh everything else in them.
     """
     out = Report(scenario)
     try:
         _SOLVERS[scenario.kind](out, tol if tol is not None else scenario.tolerance)()
-    except GeometryError as exc:
+    except (GeometryError, ArithmeticError) as exc:
         out.errors.append(f"{type(exc).__name__}: {exc}")
     out.geometry = None
     return out
@@ -409,14 +410,14 @@ def solve_scenario(scenario: Scenario, tol: Tolerance | None = None) -> Report:
     before its checks: classification, labelled points, locus, coincident
     flag, the solve's findings, and M1's matching when the scenario is a
     polygon pair (the figure colours M1's distance fan by it).  ``checks``
-    stays empty.  Raises GeometryError when the geometry cannot be built,
-    since then there is nothing to draw; a domain error past it is recorded
-    and keeps what was found before it.
+    stays empty.  Raises the error when the geometry cannot be built, since
+    then there is nothing to draw; an error past it, recorded as
+    ``run_scenario`` records it, keeps what was found before it.
     """
     out = Report(scenario)
     try:
         _SOLVERS[scenario.kind](out, tol if tol is not None else scenario.tolerance)
-    except GeometryError as exc:
+    except (GeometryError, ArithmeticError) as exc:
         if out.geometry is None:
             raise
         out.errors.append(f"{type(exc).__name__}: {exc}")

@@ -286,43 +286,56 @@ REJECTED = {
 }
 
 
-@pytest.mark.parametrize("an, a1, bn, n", REJECTED.values(), ids=REJECTED.keys())
-def test_sweep_midpoint_rejects_like_the_construction(an, a1, bn, n):
+# Each overflow case leaves the signed area or the squared apex side past the
+# float range, so both constructions stop at the triangle's overflow error
+# before any later step can overflow.
+TRIANGLE_OVERFLOWS = {
+    name: f"triangle overflows the float range: signed area {area}, squared apex side inf"
+    for name, area in (("side-overflows", "inf"), ("centroid-overflows", "inf"), ("offset-overflows", "inf"),
+                       ("radius-overflows", "inf"), ("area-overflows", "inf"),
+                       ("apex-side-squared-overflows", "-1e+155"))
+}
+
+
+@pytest.mark.parametrize("name, an, a1, bn, n", [(name, *case) for name, case in REJECTED.items()],
+                         ids=REJECTED.keys())
+def test_sweep_midpoint_rejects_like_the_construction(name, an, a1, bn, n):
     expected = outcome(lambda: bottema_construct(an, a1, bn, n))
     assert isinstance(expected, tuple)
     assert outcome(lambda: _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)) == expected
+    if name in TRIANGLE_OVERFLOWS:
+        assert expected == (GeometryError, TRIANGLE_OVERFLOWS[name])
 
 
 def test_overflowing_triangle_names_the_overflow():
     # Past the float range the signed area's sign, and so each exterior side,
     # would be a guess; both constructions refuse the triangle instead.
-    an, a1, bn, n = REJECTED["area-overflows"]
-    with pytest.raises(GeometryError, match="^triangle overflows the float range: signed area "):
-        bottema_construct(an, a1, bn, n)
-    an, a1, bn, n = REJECTED["apex-side-squared-overflows"]
-    with pytest.raises(GeometryError, match="squared apex side inf$"):
-        _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)
+    for name, build in (("area-overflows", bottema_construct), ("apex-side-squared-overflows", _sweep_midpoint)):
+        an, a1, bn, n = REJECTED[name]
+        with pytest.raises(GeometryError) as excinfo:
+            build(an, a1, bn, n, tol=DEFAULT_TOLERANCE)
+        assert str(excinfo.value) == TRIANGLE_OVERFLOWS[name]
 
 
-# (an, bn, n, seed): the first apex that fails, at 300 samples, fails at the
-# named step of the per-apex work.  Each (type, message) was recorded with the
-# apex built from Points, the signed area from side_of_line and M1 as a Point.
+# (an, bn, n, seed): the first apex that fails, at 300 samples, raises the
+# overflow error of the quantity that left the float range: the apex itself,
+# its triangle (a corner difference past the range leaves the area NaN) or M1.
 SWEEP_ERRORS = {
     "apex-product-overflows-x": (
         (Point(0, 0), Point(1.7e308, 0), 5, 0),
-        (GeometryError, "coordinates must be finite, got (inf, nan)"),
+        (GeometryError, "apex overflows the float range: (nan, nan)"),
     ),
     "apex-product-overflows-y": (
         (Point(0, 0), Point(1.7e308, 0), 5, 1),
-        (GeometryError, "coordinates must be finite, got (nan, inf)"),
+        (GeometryError, "apex overflows the float range: (nan, inf)"),
     ),
     "apex-sum-overflows": (
         (Point(1.5e308, 0), Point(0.2e308, 0), 5, 1),
-        (GeometryError, "coordinates must be finite, got (inf, 0.0)"),
+        (GeometryError, "apex overflows the float range: (nan, -inf)"),
     ),
     "corner-difference-overflows": (
         (Point(0, 0), Point(1.7e308, 0), 5, 28),
-        (GeometryError, "coordinates must be finite, got (inf, -5.187749332848788e+307)"),
+        (GeometryError, "triangle overflows the float range: signed area nan, squared apex side inf"),
     ),
     "triangle-overflows": (
         (Point(0, 0), Point(1.7e308, 0), 5, 4),
@@ -332,7 +345,7 @@ SWEEP_ERRORS = {
     # n this large puts M1 near 1e308, so the two antipodes are finite but their sum is not.
     "m1-sum-overflows": (
         (Point(0, 0), Point(1e100, 0), 6 * 10**208, 9),
-        (GeometryError, "coordinates must be finite, got (-9.9792015476736e+291, inf)"),
+        (GeometryError, "M1 overflows the float range: (-9.9792015476736e+291, inf)"),
     ),
 }
 
@@ -421,14 +434,21 @@ def random_bases(count, seed):
 
 def test_sweep_matches_the_checked_path():
     # Each apex that passes the sweep's float tests gets _sweep_midpoint's M1;
-    # each that fails one replays _sweep_midpoint and raises its error.
+    # a degenerate apex raises _sweep_midpoint's error.  Where the checked
+    # path stops at a value past the float range (a Point built from it, or
+    # an overflow error), the sweep may instead raise the overflow error of
+    # its own step.
     raised = set()
     for an, bn, n, samples, tol, seed in random_bases(1000, seed=18):
         expected = outcome(lambda: reference_sweep(an, bn, n, samples, tol, seed))
         got = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
         if isinstance(expected, tuple) and isinstance(expected[0], type):
             raised.add(expected[0])
-            assert got == expected
+            if got != expected:
+                assert expected[0] is GeometryError and (
+                    expected[1].startswith("coordinates must be finite, got ")
+                    or "overflows the float range: " in expected[1])
+                assert got[0] is GeometryError and "overflows the float range: " in got[1]
         else:
             assert (got[0].residual, got[1].residual) == expected
     # The bases make the sweep raise each of these errors at least once.

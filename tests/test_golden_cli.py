@@ -2,7 +2,7 @@
 
 Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
-each file in ``scenarios/``, ``verify --json`` on the large-n documents in
+each file in ``scenarios/``, ``verify --json`` on the documents in
 ``tests/data/``, ``bottema``, also at its sample cap and at n = 2048, and
 ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
@@ -37,11 +37,14 @@ CASES = (
        for n in (64, 128, 256)]
     # Identity checks whose term-by-term closed form raised OverflowError (n = 500)
     # or compared inf with inf (n = 128, r = 5), one whose first vertex leaves the
-    # float range (exit 2 with that vertex's error), and the pair kinds at large n,
-    # where the power sums and vertex generation dominate.
+    # float range (exit 2 with that vertex's error), the pair kinds at large n,
+    # where the power sums and vertex generation dominate, and two shared-vertex
+    # documents whose ZeroDivisionError (1e-300) and OverflowError (1e154) once
+    # escaped as tracebacks (exit 2 with the error recorded).
     + [(stem, ["verify", "--json", str(DATA / f"{stem}.json")])
        for stem in ("identity_overflow_n500", "identity_nan_n128", "identity_vertex_overflow_n64",
-                    "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128")]
+                    "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128",
+                    "shared_vertex_scaled_1e-300", "shared_vertex_scaled_1e154")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap and at the largest n; CI runs the same commands.

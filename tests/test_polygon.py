@@ -136,10 +136,10 @@ def test_coordinates_match_vertex_angle_bit_for_bit(n, phase, orientation, radiu
 
 
 # Vertices 1..10 and 56..64 of ``right_edge()`` leave the float range, and those
-# around angle pi of ``left_edge()``; ``inside()`` stays inside it.  Every
-# consumer raises the error of the first vertex it reads that is not finite,
-# in its reading order; the messages were recorded while the consumers read
-# ``vertices()``.
+# around angle pi of ``left_edge()``; ``inside()`` stays inside it.  A polygon
+# checks its coordinates once, so every consumer raises the overflow error of
+# the first polygon it reads that leaves the range, naming that polygon's
+# first such vertex.
 def right_edge():
     return RegularPolygon(64, Point(1.5e308, 0.0), 5e307)
 
@@ -158,9 +158,8 @@ def bottema_result(poly1, poly2, m1=Point(0.0, 0.0)):
 
 
 PROBE = Point(1e308, 1e307)
-RIGHT_1 = "coordinates must be finite, got (inf, 0.0)"
-RIGHT_2 = "coordinates must be finite, got (inf, 4.90085701647803e+306)"
-LEFT = "coordinates must be finite, got (-inf, 3.8650522668136856e+307)"
+RIGHT_1 = "vertex 1 overflows the float range: (inf, 0.0)"
+LEFT = "vertex 24 overflows the float range: (-inf, 3.8650522668136856e+307)"
 OVERFLOWING = [
     ("vertices-right", lambda: right_edge().vertices(), GeometryError, RIGHT_1),
     ("vertices-left", lambda: left_edge().vertices(), GeometryError, LEFT),
@@ -179,10 +178,9 @@ OVERFLOWING = [
     ("probe_locus", lambda: _probe_locus(
         Report(None), RegularPolygon(64, Point(8e307, 0.0), 1e308), RegularPolygon(64, Point(8e307, 1e307), 1e308),
         Locus.PERPENDICULAR_BISECTOR, 0, DEFAULT_TOLERANCE), GeometryError, RIGHT_1),
-    # vertex_angles reads k = 2..n, both polygons at each k: the second
-    # polygon's vertex 2 fails before the first polygon's vertices near pi.
-    ("vertex_angles-second", lambda: vertex_angles(bottema_result(left_edge(), right_edge())), GeometryError, RIGHT_2),
-    ("vertex_angles-first", lambda: vertex_angles(bottema_result(right_edge(), left_edge())), GeometryError, RIGHT_2),
+    # vertex_angles reads the first polygon's coordinates before the second's.
+    ("vertex_angles-second", lambda: vertex_angles(bottema_result(left_edge(), right_edge())), GeometryError, LEFT),
+    ("vertex_angles-first", lambda: vertex_angles(bottema_result(right_edge(), left_edge())), GeometryError, RIGHT_1),
     ("vertex_angles-ray", lambda: vertex_angles(bottema_result(
         RegularPolygon(5, Point(0.0, 0.0), 1.0), RegularPolygon(5, Point(0.0, 1.0), 1.0),
         RegularPolygon(5, Point(0.0, 0.0), 1.0).vertex(3))),
@@ -198,12 +196,22 @@ def test_overflowing_vertices_raise_the_first_vertex_error(name, call, error, me
 
 
 def test_finite_vertex_of_an_overflowing_polygon():
+    # Vertex 33 is finite, but the polygon's coordinates are checked as a
+    # whole, so reading it raises vertex 1's error.
     poly = right_edge()
+    for read in (poly.coordinates, lambda: poly.vertex(33), lambda: poly.vertex(1)):
+        with pytest.raises(GeometryError, match=f"^{re.escape(RIGHT_1)}$"):
+            read()
+
+
+def test_finite_coordinates_whose_sum_overflows_raise_nothing():
+    # Every coordinate is finite, but their sum is not: the check must look
+    # at each coordinate, not only at the sum.
+    poly = RegularPolygon(64, Point(1.7e308, 0.0), 1e300)
     xs, ys = poly.coordinates()
-    assert xs[0] == math.inf and all(map(math.isfinite, xs[10:55] + ys))
-    assert poly.vertex(33) == Point(xs[32], ys[32])
-    with pytest.raises(GeometryError, match=re.escape(RIGHT_1)):
-        poly.vertex(1)
+    assert sum(xs) == math.inf and all(map(math.isfinite, xs + ys))
+    assert len(distances_squared(poly, poly.centroid)) == 64
+    assert correspondence(poly, poly, poly.centroid).kind is MatchKind.IDENTITY
 
 
 def test_derived_polygons_get_their_own_vertices():
@@ -285,22 +293,23 @@ def test_from_side_degenerate():
 
 
 # Near the ends of the float range one step of the construction overflows.
-# from_side must name the first such step, with the values it had.
-# (name, a1, an, n, side, tolerance, error, message); recorded before the
-# arithmetic moved to plain floats.
+# The edge is checked where it is formed; every later step reaches the
+# circumcircle, whose error names the centroid and radius it got.
+# (name, a1, an, n, side, tolerance, error, message)
 OVERFLOWS = [
     ("edge", Point(-1.5e308, 0.0), Point(1.5e308, 1.0), 4, 1, Tolerance(),
-     GeometryError, "coordinates must be finite, got (inf, 1.0)"),
+     GeometryError, "edge overflows the float range: (inf, 1.0)"),
     ("direction", Point(0.0, 0.0), Point(3e-321, 0.0), 4, 1, Tolerance(abs=5e-324),
-     GeometryError, "coordinates must be finite, got (inf, nan)"),
+     GeometryError, "circumcircle overflows the float range: centroid (nan, inf), radius 2.124e-321"),
     ("edge-midpoint", Point(8.5e307, -8.5e307), Point(1.7e308, -8.5e307), 3, 1, Tolerance(),
-     GeometryError, "coordinates must be finite, got (inf, -8.5e+307)"),
+     GeometryError, "circumcircle overflows the float range: "
+     "centroid (inf, -6.046261355944091e+307), radius 4.907477288111819e+307"),
     ("apothem-offset", Point(2.5e307, 2.5e307), Point(0.0, -5e307), 2048, 1, Tolerance(),
-     GeometryError, "coordinates must be finite, got (inf, -inf)"),
+     GeometryError, "circumcircle overflows the float range: centroid (inf, -inf), radius inf"),
     ("centroid", Point(1.7e308, 0.0), Point(1.7e308, 1e307), 64, -1, Tolerance(),
-     GeometryError, "coordinates must be finite, got (inf, 5e+306)"),
+     GeometryError, "circumcircle overflows the float range: centroid (inf, 5e+306), radius 1.0190008123548057e+308"),
     ("radius", Point(-0.8e308, 0.0), Point(0.8e308, 0.0), 7, 1, Tolerance(),
-     InvalidRadiusError, "circumradius must be positive, got inf"),
+     GeometryError, "circumcircle overflows the float range: centroid (0.0, 1.6612171172578688e+308), radius inf"),
 ]
 
 
