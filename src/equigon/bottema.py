@@ -85,27 +85,32 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
     return signed, span_sq, (-1 if signed > 0.0 else 1), (1 if signed > 0.0 else -1)
 
 
+def _m1(d1x: float, d1y: float, d2x: float, d2y: float) -> tuple[float, float]:
+    """M1 by ``D1.midpoint(D2)``'s arithmetic; an M1 past the float range raises the overflow error."""
+    mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
+    if not (abs(mx) < math.inf and abs(my) < math.inf):
+        raise _overflow("M1", (mx, my))
+    return mx, my
+
+
 def _sweep_midpoint(
     an: Point, a1: Point, bn: Point, n: int, tol: Tolerance
 ) -> tuple[float, float]:
     """M1 of ``bottema_construct`` with exterior sides, as plain floats x, y: the checked path.
 
     Centroids and radii from ``_side_circumcircle``, the antipodes D = 2 O - A1
-    from ``_antipode``, and M1 by ``D1.midpoint(D2)``'s arithmetic, so its bits
-    are ``bottema_construct``'s; no polygon, ``atan2``, collinear flag or
-    ``Point``.  Every check raises its error, and an M1 past the float range
-    the overflow error.  ``verify_independence`` does the same arithmetic per
-    apex and calls this for a degenerate apex, to raise its error.
+    from ``_antipode``, and M1 from ``_m1``, which ``bottema_construct`` also
+    calls, so its bits are ``bottema_construct``'s; no polygon, ``atan2``,
+    collinear flag or ``Point``.  Every check raises its error, and an M1 past
+    the float range the overflow error.  ``verify_independence`` does the same
+    arithmetic per apex and calls this for a degenerate apex, to raise its error.
     """
     _, _, side1, side2 = _triangle(an, a1, bn, tol)
     x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
     x2, y2, r2 = _side_circumcircle(a1, bn, n, side2, tol)
     d1x, d1y = _antipode(x1, y1, r1, a1, tol)
     d2x, d2y = _antipode(x2, y2, r2, a1, tol)
-    mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
-    if not (abs(mx) < math.inf and abs(my) < math.inf):
-        raise _overflow("M1", (mx, my))
-    return mx, my
+    return _m1(d1x, d1y, d2x, d2y)
 
 
 def bottema_construct(
@@ -131,7 +136,7 @@ def bottema_construct(
     poly2 = from_side(a1, bn, n, exterior2 if side2 is None else side2, tol)
     d1 = diametric_opposite(poly1, a1, tol)
     d2 = diametric_opposite(poly2, a1, tol)
-    m1 = d1.midpoint(d2)
+    m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
 
     case = classify_pair(poly1, poly2, tol)
     if case is PairCase.NON_CONGRUENT:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from typing import Sequence
@@ -25,7 +24,7 @@ from .bottema import verify_independence
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from .runner import run_scenario, solve_scenario
 from .sampling import random_scenario
-from .scenario import MAX_N, MAX_SWEEP_SAMPLES, ScenarioError, ScenarioKind, parse_scenario
+from .scenario import MAX_N, MAX_SWEEP_SAMPLES, ScenarioError, ScenarioKind, _canonical_json, parse_scenario
 from .svgfig import render_svg
 
 EXIT_OK = 0
@@ -99,7 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance_override(args, scenario.tolerance)
     report = run_scenario(scenario, tol)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(_canonical_json(report.to_dict()))
     else:
         sys.stdout.write(report.to_text())
     if report.errors:

@@ -303,6 +303,47 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _canonical_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the data equigon writes
+    (dicts with str keys, lists, tuples, str, float, int, bool, None), in one
+    recursive pass: any ``indent`` sends ``json`` to its pure-Python encoder."""
+
+    def write(value: Any, newline: str) -> str:
+        cls = type(value)
+        if cls is str:
+            return _ESCAPE(value)
+        if cls is float:
+            text = float.__repr__(value)
+            return _NON_FINITE.get(text, text)
+        if cls is dict:
+            if not value:
+                return "{}"
+            inner, parts = newline + "  ", []
+            for key in sorted(value):
+                parts.append(f"{_ESCAPE(key)}: {write(value[key], inner)}")
+            return "{" + inner + ("," + inner).join(parts) + newline + "}"
+        if cls is list or cls is tuple:
+            if not value:
+                return "[]"
+            inner, parts = newline + "  ", []
+            for item in value:
+                parts.append(write(item, inner))
+            return "[" + inner + ("," + inner).join(parts) + newline + "]"
+        if value is None:
+            return "null"
+        if cls is bool:
+            return "true" if value else "false"
+        if cls is int:
+            return int.__repr__(value)
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+    return write(value, "\n")
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Emit the canonical JSON form: sorted keys, two-space indent, newline end."""
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(scenario_to_dict(scenario)) + "\n"

@@ -356,6 +356,18 @@ def test_sweep_errors_are_pinned(case, expected):
     assert outcome(lambda: verify_independence(an, bn, n, 300, seed=seed)) == expected
 
 
+def test_construction_raises_the_sweeps_m1_overflow():
+    # The first apex of the m1-sum-overflows sweep: both constructions form M1
+    # through one checked midpoint, so they raise the sweep's error.
+    (an, bn, n, seed), expected = SWEEP_ERRORS["m1-sum-overflows"]
+    rng = random.Random(seed)
+    t, h = rng.uniform(-0.5, 1.5), rng.uniform(0.05, 2.0)
+    apex = Point(t * bn.x, h * bn.x)
+    assert outcome(lambda: bottema_construct(an, apex, bn, n)) == expected
+    assert outcome(lambda: _sweep_midpoint(an, apex, bn, n, DEFAULT_TOLERANCE)) == expected
+    assert outcome(lambda: verify_independence(an, bn, n, 2, seed=seed)) == expected
+
+
 def test_sweep_builds_one_point_per_apex(monkeypatch):
     built = 0
     check = Point.__post_init__

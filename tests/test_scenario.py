@@ -1,12 +1,15 @@
 import copy
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from equigon.geom import Point, Tolerance
+from equigon.runner import run_scenario
 from equigon.sampling import random_scenario
 from equigon.scenario import (
     BottemaConfig,
@@ -17,11 +20,13 @@ from equigon.scenario import (
     ScenarioParseError,
     ScenarioValidationError,
     SharedVertexConfig,
+    _canonical_json,
     parse_scenario,
     serialize_scenario,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 MINIMAL_SHARED = """
 {
@@ -429,3 +434,55 @@ def test_serialized_form_is_pinned():
         for n in range(3, 13):
             digest.update(serialize_scenario(random_scenario(kind, n, rng)).encode())
     assert digest.hexdigest() == "79e4577a0cb8f2c7422d62c00a9ab37aa63527310348445ca23d1376ff65d2b1"
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+STRINGS = st.text() | st.sampled_from(["", '"', "\\", "\x00\t\n\x1f\x7f", "\u00e9\u2028\U0001f600", 'a"b\\c\u0394'])
+SCALARS = st.one_of(
+    STRINGS,
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.integers(),
+    st.sampled_from([0, -1, 10**30, True, False, None]),
+)
+
+
+def containers(children, min_size=0):
+    return st.one_of(
+        st.dictionaries(STRINGS, children, min_size=min_size, max_size=2),
+        st.lists(children, min_size=min_size, max_size=2),
+        st.lists(children, min_size=min_size, max_size=2).map(tuple),
+    )
+
+
+VALUES = st.recursive(SCALARS, containers, max_leaves=8)
+# At least four container levels deep; VALUES alone also gives empty containers and bare scalars.
+NESTED = containers(containers(containers(containers(VALUES, 1), 1), 1), 1)
+
+
+@given(VALUES | NESTED)
+def test_canonical_json_is_json_dumps(value):
+    assert _canonical_json(value) == dumps(value)
+
+
+def test_canonical_json_matches_on_the_reports_and_documents():
+    """Every report of a seeded corpus, every document in scenarios/ and tests/data/."""
+    rng = random.Random(31)
+    scenarios = [random_scenario(kind, n, rng) for kind in ScenarioKind for n in [*range(3, 13), 64]]
+    for path in sorted(SCENARIO_DIR.glob("*.json")) + sorted(DATA_DIR.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text)
+        assert _canonical_json(document) == dumps(document), path.name
+        scenarios.append(parse_scenario(text))
+    for scenario in scenarios:
+        report = run_scenario(scenario).to_dict()
+        assert _canonical_json(report) == dumps(report)
+        assert serialize_scenario(scenario) == dumps(report["scenario"]) + "\n"
+
+
+def test_canonical_json_rejects_what_json_rejects():
+    with pytest.raises(TypeError, match="Object of type Point is not JSON serializable"):
+        _canonical_json({"a": [Point(0.0, 0.0)]})
