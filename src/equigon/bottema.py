@@ -20,10 +20,12 @@ from itertools import repeat
 from .checks import CheckResult, residual_check
 from .geom import (
     DEFAULT_TOLERANCE,
+    Circle,
     GeometryError,
     Point,
     Tolerance,
     angle_at,
+    circle_intersection,
     project_onto_line,
     reflect_across_line,
 )
@@ -37,7 +39,7 @@ from .polygon import (
     diametric_opposite,
     from_side,
 )
-from .equalizer import PairCase, classify_pair, equal_distance_points
+from .equalizer import PairCase, classify_pair
 
 
 class DegenerateTriangleError(GeometryError):
@@ -139,22 +141,19 @@ def bottema_construct(
     m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
 
     case = classify_pair(poly1, poly2, tol)
-    if case is PairCase.NON_CONGRUENT:
-        solution = equal_distance_points(poly1, poly2, tol)
-        if solution.points:
-            # The mirror candidate is whichever solution point sits away from
-            # the midpoint, independent of how the labels fell.
-            m2 = max(solution.points, key=lambda q: (m1.distance(q), q.x, q.y))
-        else:
-            m2 = reflect_across_line(m1, poly1.centroid, poly2.centroid, tol)
+    o1, o2 = poly1.centroid, poly2.centroid
+    # A non-congruent pair's equal-distance points are where the swapped circles meet.
+    crossing = (circle_intersection(Circle(o2, poly1.circumradius), Circle(o1, poly2.circumradius), tol)
+                if case is PairCase.NON_CONGRUENT else ())
+    if crossing:
+        # The mirror candidate is whichever crossing sits away from the midpoint.
+        m2 = max(crossing, key=lambda q: (m1.distance(q), q.x, q.y))
+    elif case is PairCase.CONGRUENT_SAME_CENTROID:
+        m2 = m1
     else:
-        # Congruent polygons (isosceles apex) still have a mirror candidate:
-        # the reflection across the centroid line.
-        gap = poly1.centroid.distance(poly2.centroid)
-        if gap <= tol.bound(max(poly1.circumradius, poly2.circumradius)):
-            m2 = m1
-        else:
-            m2 = reflect_across_line(m1, poly1.centroid, poly2.centroid, tol)
+        # Congruent polygons (isosceles apex), or swapped circles that do not
+        # meet, still have a mirror candidate: the reflection across the centroid line.
+        m2 = reflect_across_line(m1, o1, o2, tol)
 
     h = project_onto_line(m1, an, bn, tol)
     return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, case)

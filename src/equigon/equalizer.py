@@ -27,7 +27,6 @@ from .geom import (
     DEFAULT_TOLERANCE,
     Circle,
     GeometryError,
-    IntersectionKind,
     Point,
     Tolerance,
     circle_intersection,
@@ -160,13 +159,12 @@ def equal_distance_points(
     around_second = Circle(second.centroid, first.circumradius)
     around_first = Circle(first.centroid, second.circumradius)
     crossing = circle_intersection(around_second, around_first, tol)
-    if crossing.kind in (IntersectionKind.DISJOINT, IntersectionKind.COINCIDENT):
+    if not crossing:
         return EqualDistanceSolution(case, (), None, False)
-    if crossing.kind is IntersectionKind.TANGENT:
-        contact = crossing.points[0]
-        return EqualDistanceSolution(case, (contact, contact), None, True)
+    if len(crossing) == 1:
+        return EqualDistanceSolution(case, crossing * 2, None, True)
 
-    p, q = crossing.points
+    p, q = crossing
     residual_p = max(_matching_residuals(first, second, p, MatchKind.IDENTITY))
     residual_q = max(_matching_residuals(first, second, q, MatchKind.IDENTITY))
     slack = tol.bound(max(first.circumradius, second.circumradius))
@@ -197,14 +195,14 @@ def align_rotation(
         raise GeometryError(f"first_distance must be finite and >= 0, got {first_distance}")
     auxiliary = Circle(point, first_distance)
     crossing = circle_intersection(auxiliary, poly.circumcircle, tol)
-    if crossing.kind in (IntersectionKind.DISJOINT, IntersectionKind.COINCIDENT):
+    if not crossing:
         raise NoIntersectionError(
             "no rotation reaches the requested first-vertex distance "
             f"{first_distance} (centroid gap {point.distance(poly.centroid)}, "
             f"circumradius {poly.circumradius})"
         )
     candidates = []
-    for landing in crossing.points:
+    for landing in crossing:
         phase = math.atan2(landing.y - poly.centroid.y, landing.x - poly.centroid.x)
         candidates.append(dataclasses.replace(poly, phase=phase))
     return tuple(candidates)

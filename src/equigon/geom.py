@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
 class GeometryError(ValueError):
@@ -121,26 +120,6 @@ class Circle:
             raise InvalidCircleError(f"radius must be finite and >= 0, got {self.radius}")
 
 
-class IntersectionKind(Enum):
-    TWO_POINTS = "two_points"
-    TANGENT = "tangent"
-    DISJOINT = "disjoint"
-    COINCIDENT = "coincident"
-
-
-@dataclass(frozen=True)
-class IntersectionResult:
-    """Outcome of intersecting two circles.
-
-    ``points`` carries two, one, or zero entries depending on ``kind``.  In the
-    two-point case the first point lies strictly to the left of the directed
-    line from the first circle's center to the second's.
-    """
-
-    kind: IntersectionKind
-    points: tuple[Point, ...]
-
-
 def wrap_angle(theta: float) -> float:
     """Map an angle to the interval (-pi, pi]."""
     wrapped = math.remainder(theta, math.tau)
@@ -151,15 +130,14 @@ def wrap_angle(theta: float) -> float:
 
 def circle_intersection(
     first: Circle, second: Circle, tol: Tolerance = DEFAULT_TOLERANCE
-) -> IntersectionResult:
+) -> tuple[Point, ...]:
     """Intersect two circles, resolving near-tangency onto the tangent case.
 
     Writing d for the center distance, the result is two points exactly when
-    ``|r1 - r2| < d < r1 + r2`` beyond tolerance; equalities within tolerance
-    yield a single tangent point on the center line.  Concentric circles with
-    different radii are reported as disjoint rather than an error, and fully
-    coincident circles get their own marker since no finite point list
-    describes them.
+    ``|r1 - r2| < d < r1 + r2`` beyond tolerance, the first strictly to the
+    left of the directed line from the first circle's center to the second's;
+    equalities within tolerance yield a single tangent point on the center
+    line.  Concentric circles, coincident or not, have no points.
     """
     r1, r2 = first.radius, second.radius
     if r1 == 0.0 and r2 == 0.0:
@@ -167,21 +145,19 @@ def circle_intersection(
     d = first.center.distance(second.center)
     scale = max(r1, r2, d)
     if tol.is_zero(d, scale):
-        if tol.eq(r1, r2):
-            return IntersectionResult(IntersectionKind.COINCIDENT, ())
-        return IntersectionResult(IntersectionKind.DISJOINT, ())
+        return ()
     along = (second.center - first.center) * (1.0 / d)
     # Abscissa of the chord's midpoint, measured from the first center.  At a
     # boundary contact this lands exactly on the tangent point.
     a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
     if tol.eq(d, r1 + r2) or tol.eq(d, abs(r1 - r2)):
-        return IntersectionResult(IntersectionKind.TANGENT, (first.center + along * a,))
+        return (first.center + along * a,)
     if d > r1 + r2 or d < abs(r1 - r2):
-        return IntersectionResult(IntersectionKind.DISJOINT, ())
+        return ()
     half_chord = math.sqrt(max(r1 * r1 - a * a, 0.0))
     base = first.center + along * a
     offset = along.perpendicular() * half_chord
-    return IntersectionResult(IntersectionKind.TWO_POINTS, (base + offset, base - offset))
+    return (base + offset, base - offset)
 
 
 def point_line_distance(

@@ -75,8 +75,9 @@ class RegularPolygon:
         Vertex k sits at ``centroid + circumradius * (cos, sin)`` of
         ``vertex_angle(k)``; ``vertex``, ``vertices`` and the O(n) checks read
         these floats, so there is one vertex formula.  The first vertex past
-        the float range raises the overflow error.  Like the ``vertices()``
-        cache, this one lives outside the dataclass fields.
+        the float range raises the overflow error.  The cache is kept outside
+        the dataclass fields, so equality, hashing and ``dataclasses.replace``
+        never see it.
         """
         cached = self.__dict__.get("_coordinates")
         if cached is None:
@@ -92,32 +93,17 @@ class RegularPolygon:
         return cached
 
     def vertex(self, k: int) -> Point:
-        """Vertex k (1-based) as a ``Point``, for the callers that need one.
-
-        It is the ``Point`` of ``coordinates()``'s floats, or the cached
-        ``Point`` once ``vertices()`` has filled its cache.
-        """
+        """Vertex k (1-based) as a ``Point`` of ``coordinates()``'s floats."""
         if not 1 <= k <= self.n:
             self.vertex_angle(k)  # raises its IndexError
-        cached = self.__dict__.get("_vertices")
-        if cached is not None:
-            return cached[k - 1]
         xs, ys = self.coordinates()
         return Point(xs[k - 1], ys[k - 1])
 
     def vertices(self) -> tuple[Point, ...]:
-        """Vertices 1..n as ``Point``s, built once by ``vertex(k)``, for the
-        callers that need ``Point``s; the O(n) checks read ``coordinates()``.
-
-        The cache is kept outside the dataclass fields, so equality, hashing
-        and ``dataclasses.replace`` never see it.
-        """
-        cached = self.__dict__.get("_vertices")
-        if cached is None:
-            # A list, not a generator: resized tuples would pile up in CPython's free lists.
-            cached = tuple([self.vertex(k) for k in range(1, self.n + 1)])
-            object.__setattr__(self, "_vertices", cached)
-        return cached
+        """Vertices 1..n as ``Point``s, one ``vertex(k)`` each, for the callers
+        that need ``Point``s; the O(n) checks read ``coordinates()``."""
+        # A list, not a generator: resized tuples would pile up in CPython's free lists.
+        return tuple([self.vertex(k) for k in range(1, self.n + 1)])
 
 
 def from_shared_vertex(

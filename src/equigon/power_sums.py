@@ -31,7 +31,6 @@ of a per-order running-product loop (``_power_sums``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, le, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
@@ -154,27 +153,16 @@ def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
     return tuple(e[1:])
 
 
-@dataclass(frozen=True)
-class MultisetMatch:
-    """Outcome of comparing two squared-distance multisets.
-
-    Equality is decided by sorting both lists and comparing them pairwise;
-    ``max_residual`` is the largest gap between paired entries.
-    """
-
-    equal: bool
-    max_residual: float
-
-
 def multisets_equal(
     first: Iterable[float],
     second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> MultisetMatch:
+) -> CheckResult:
     """Decide whether two lists hold the same values up to order, by sorting.
 
-    Both lists are sorted and paired entry by entry; they are equal when every
-    gap is within the tolerance at the scale of their largest entry.  Newton's
+    Returns one ``multiset`` check.  Both lists are sorted and paired entry by
+    entry; they are equal when no gap exceeds the slack, the tolerance at the
+    scale of their largest entry.  The residual is the largest gap.  Newton's
     identities are not consulted here: ``power_sums_to_elementary`` provides
     them, and acceptance criterion 2 checks them separately.
     """
@@ -182,13 +170,11 @@ def multisets_equal(
     b = tuple(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    if not a:
-        return MultisetMatch(True, 0.0)
-    slack = tol.bound(max(max(map(abs, a)), max(map(abs, b))))
+    slack = tol.bound(max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0)))
     # ``max`` replaces its running value only by a larger gap, so a NaN gap is
     # never the worst and never exceeds the slack, as in a loop of ``max`` folds.
     worst = max(chain((0.0,), map(abs, map(sub, sorted(a), sorted(b)))))
-    return MultisetMatch(not worst > slack, worst)
+    return CheckResult("multiset", not worst > slack, worst, slack)
 
 
 def compare_power_sums(

@@ -155,8 +155,8 @@ def _check_point(
     matched = False
     for candidate in candidates:
         match = multisets_equal(da, distances_squared(candidate, point), tol)
-        best = min(best, match.max_residual)
-        matched = matched or match.equal
+        best = min(best, match.residual)
+        matched = matched or match.ok
     out.checks.append(
         CheckResult(
             f"alignment_multiset_{label}",

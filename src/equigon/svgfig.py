@@ -17,7 +17,8 @@ points, ``aux-label`` for supporting points such as D1, D2, H, or probes).
 from __future__ import annotations
 
 import math
-from typing import Any
+from types import SimpleNamespace
+from typing import Callable
 
 from .geom import GeometryError, Point
 from .polygon import RegularPolygon, diametric_opposite
@@ -58,10 +59,10 @@ def _fmt(value: float) -> str:
 
 
 class _Scene:
-    """Collects drawing operations and the bounding box, emits at the end."""
+    """Collects the bounding box and one writer per element, emits at the end."""
 
     def __init__(self) -> None:
-        self.ops: list[tuple[Any, ...]] = []
+        self.elements: list[Callable[[SimpleNamespace], str]] = []
         self.min_x = math.inf
         self.min_y = math.inf
         self.max_x = -math.inf
@@ -77,26 +78,60 @@ class _Scene:
     def polygon(self, poly: RegularPolygon, color: str) -> None:
         vertices = poly.vertices()
         self._include(*vertices)
-        self.ops.append(("polygon", vertices, color))
+        pts = " ".join(f"{_fmt(v.x)},{_fmt(-v.y)}" for v in vertices)
+        self.elements.append(lambda w: (
+            f'<polygon class="ngon" points="{pts}" fill="none" '
+            f'stroke="{color}" stroke-width="{w.stroke}"/>'
+        ))
 
     def circle(self, center: Point, radius: float, color: str, cls: str, dashed: bool) -> None:
         self._include(center + Point(radius, radius), center - Point(radius, radius))
-        self.ops.append(("circle", center, radius, color, cls, dashed))
+        self.elements.append(lambda w: (
+            f'<circle class="{cls}" cx="{_fmt(center.x)}" cy="{_fmt(-center.y)}" '
+            f'r="{_fmt(radius)}" fill="none" stroke="{color}" '
+            f'stroke-width="{w.thin}"{w.dash if dashed else ""}/>'
+        ))
 
     def line(self, a: Point, b: Point, color: str, cls: str, dashed: bool) -> None:
         self._include(a, b)
-        self.ops.append(("line", a, b, color, cls, dashed))
+        self.elements.append(lambda w: (
+            f'<line class="{cls}" x1="{_fmt(a.x)}" y1="{_fmt(-a.y)}" '
+            f'x2="{_fmt(b.x)}" y2="{_fmt(-b.y)}" stroke="{color}" '
+            f'stroke-width="{w.hair if cls == "dist-pair" else w.thin}"{w.dash if dashed else ""}/>'
+        ))
 
     def triangle(self, a: Point, b: Point, c: Point) -> None:
         self._include(a, b, c)
-        self.ops.append(("triangle", a, b, c))
+        d = (
+            f"M {_fmt(a.x)},{_fmt(-a.y)} L {_fmt(b.x)},{_fmt(-b.y)} "
+            f"L {_fmt(c.x)},{_fmt(-c.y)} Z"
+        )
+        self.elements.append(lambda w: (
+            f'<path class="triangle" d="{d}" fill="none" '
+            f'stroke="{_TRIANGLE_COLOR}" stroke-width="{w.stroke}"/>'
+        ))
 
     def marker(self, point: Point, label: str, color: str, cls: str) -> None:
         self._include(point)
-        self.ops.append(("marker", point, label, color, cls))
+        x, y = point.x, -point.y
+
+        def element(w: SimpleNamespace) -> str:
+            d = (
+                f"M {_fmt(x - w.arm)},{_fmt(y)} L {_fmt(x + w.arm)},{_fmt(y)} "
+                f"M {_fmt(x)},{_fmt(y - w.arm)} L {_fmt(x)},{_fmt(y + w.arm)}"
+            )
+            return (
+                f'<g class="{cls}">'
+                f'<path d="{d}" stroke="{color}" stroke-width="{w.thin}" fill="none"/>'
+                f'<text x="{_fmt(x + 1.4 * w.arm)}" y="{_fmt(y - 0.8 * w.arm)}" '
+                f'font-family="sans-serif" font-size="{w.font}" '
+                f'fill="{color}">{label}</text></g>'
+            )
+
+        self.elements.append(element)
 
     def emit(self) -> str:
-        if not self.ops or not math.isfinite(self.min_x):
+        if not self.elements or not math.isfinite(self.min_x):
             self.min_x = self.min_y = -1.0
             self.max_x = self.max_y = 1.0
         width = self.max_x - self.min_x
@@ -107,68 +142,21 @@ class _Scene:
         if not all(map(math.isfinite, box)):
             raise GeometryError(f"figure extent overflows: viewBox {' '.join(map(repr, box))}")
         view = " ".join(map(_fmt, box))
-        stroke = span * 0.004
-        thin = span * 0.002
-        hair = span * 0.0015
-        arm = span * 0.012
-        font = span * 0.035
-        dash = f"{_fmt(span * 0.02)},{_fmt(span * 0.012)}"
-
+        widths = SimpleNamespace(
+            stroke=_fmt(span * 0.004),
+            thin=_fmt(span * 0.002),
+            hair=_fmt(span * 0.0015),
+            arm=span * 0.012,
+            font=_fmt(span * 0.035),
+            dash=f' stroke-dasharray="{_fmt(span * 0.02)},{_fmt(span * 0.012)}"',
+        )
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'viewBox="{view}">',
+            *[element(widths) for element in self.elements],
+            "</svg>",
         ]
-        for op in self.ops:
-            if op[0] == "polygon":
-                _, vertices, color = op
-                pts = " ".join(f"{_fmt(v.x)},{_fmt(-v.y)}" for v in vertices)
-                lines.append(
-                    f'<polygon class="ngon" points="{pts}" fill="none" '
-                    f'stroke="{color}" stroke-width="{_fmt(stroke)}"/>'
-                )
-            elif op[0] == "circle":
-                _, center, radius, color, cls, dashed = op
-                extra = f' stroke-dasharray="{dash}"' if dashed else ""
-                lines.append(
-                    f'<circle class="{cls}" cx="{_fmt(center.x)}" cy="{_fmt(-center.y)}" '
-                    f'r="{_fmt(radius)}" fill="none" stroke="{color}" '
-                    f'stroke-width="{_fmt(thin)}"{extra}/>'
-                )
-            elif op[0] == "line":
-                _, a, b, color, cls, dashed = op
-                extra = f' stroke-dasharray="{dash}"' if dashed else ""
-                width_used = hair if cls == "dist-pair" else thin
-                lines.append(
-                    f'<line class="{cls}" x1="{_fmt(a.x)}" y1="{_fmt(-a.y)}" '
-                    f'x2="{_fmt(b.x)}" y2="{_fmt(-b.y)}" stroke="{color}" '
-                    f'stroke-width="{_fmt(width_used)}"{extra}/>'
-                )
-            elif op[0] == "triangle":
-                _, a, b, c = op
-                d = (
-                    f"M {_fmt(a.x)},{_fmt(-a.y)} L {_fmt(b.x)},{_fmt(-b.y)} "
-                    f"L {_fmt(c.x)},{_fmt(-c.y)} Z"
-                )
-                lines.append(
-                    f'<path class="triangle" d="{d}" fill="none" '
-                    f'stroke="{_TRIANGLE_COLOR}" stroke-width="{_fmt(stroke)}"/>'
-                )
-            else:
-                _, point, label, color, cls = op
-                x, y = point.x, -point.y
-                d = (
-                    f"M {_fmt(x - arm)},{_fmt(y)} L {_fmt(x + arm)},{_fmt(y)} "
-                    f"M {_fmt(x)},{_fmt(y - arm)} L {_fmt(x)},{_fmt(y + arm)}"
-                )
-                lines.append(
-                    f'<g class="{cls}">'
-                    f'<path d="{d}" stroke="{color}" stroke-width="{_fmt(thin)}" fill="none"/>'
-                    f'<text x="{_fmt(x + 1.4 * arm)}" y="{_fmt(y - 0.8 * arm)}" '
-                    f'font-family="sans-serif" font-size="{_fmt(font)}" '
-                    f'fill="{color}">{label}</text></g>'
-                )
-        lines.append("</svg>")
         return "\n".join(lines) + "\n"
 
 

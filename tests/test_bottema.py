@@ -5,7 +5,10 @@ import pytest
 
 import equigon.bottema
 from equigon.checks import CheckResult
-from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, side_of_line
+from equigon.equalizer import PairCase, equal_distance_points
+from equigon.geom import (
+    DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, reflect_across_line, side_of_line,
+)
 from equigon.polygon import (
     DegenerateSideError,
     InvalidVertexCountError,
@@ -221,13 +224,13 @@ def test_verify_independence_pinned(case, recorded):
 
 
 def test_sweep_reads_only_m1(monkeypatch):
-    # M2 goes through the pair classifier and the equal-distance solver; the
-    # sweep reads only M1, so it must never reach them.
+    # M2 goes through the pair classifier and the swapped circles'
+    # intersection; the sweep reads only M1, so it must never reach them.
     def forbidden(*args, **kwargs):
         raise AssertionError("the apex sweep built M2")
 
     monkeypatch.setattr(equigon.bottema, "classify_pair", forbidden)
-    monkeypatch.setattr(equigon.bottema, "equal_distance_points", forbidden)
+    monkeypatch.setattr(equigon.bottema, "circle_intersection", forbidden)
     spread, closed = verify_independence(Point(0, 0), Point(2, 0), 5, samples=30, seed=1)
     assert spread.ok and closed.ok
     with pytest.raises(AssertionError, match="built M2"):
@@ -513,6 +516,46 @@ def test_m1_and_m2_are_equal_distance_points():
         db = distances_squared(result.poly2, point)
         assert compare_power_sums(da, db).ok
     assert result.m1.distance(result.m2) > 1e-6
+
+
+def solved_m2(result, tol=DEFAULT_TOLERANCE):
+    """Oracle: M2 from the equal-distance solve, the solution point farther from
+    M1; else M1 for congruent polygons on one centroid; else M1 reflected across
+    the centroid line."""
+    m1, o1, o2 = result.m1, result.poly1.centroid, result.poly2.centroid
+    solution = equal_distance_points(result.poly1, result.poly2, tol)
+    if solution.points:
+        return max(solution.points, key=lambda q: (m1.distance(q), q.x, q.y))
+    reach = tol.bound(max(result.poly1.circumradius, result.poly2.circumradius))
+    if solution.case is not PairCase.NON_CONGRUENT and o1.distance(o2) <= reach:
+        return m1
+    return reflect_across_line(m1, o1, o2, tol)
+
+
+def test_m2_is_the_far_point_of_the_equal_distance_solve():
+    an, bn = Point(0, 0), Point(2, 0)
+    isosceles = [(an, Point(1.0, h), bn, n) for n in (3, 4, 6, 9) for h in (0.4, 1.0, 1 / math.sqrt(3), 2.5)]
+    collinear = [(an, Point(t, 0.0), bn, n) for n in (3, 4, 7) for t in (-1.5, 0.5, 1.0, 3.0)]
+    triangles = [*random_triangles(300, seed=24), *isosceles, *collinear]
+    cases = set()
+    for an, a1, bn, n in triangles:
+        for side1 in (None, 1, -1):
+            for side2 in (None, 1, -1):
+                result = bottema_construct(an, a1, bn, n, side1, side2)
+                assert result.m2 == solved_m2(result), (an, a1, bn, n, side1, side2)
+                cases.add(result.case)
+    assert cases == set(PairCase)
+
+
+def test_construction_reads_no_vertex(monkeypatch):
+    # M2 comes from the centroids and radii alone, so even n = 10**9 constructs.
+    def forbidden(self):
+        raise AssertionError("the construction read vertex coordinates")
+
+    monkeypatch.setattr(RegularPolygon, "coordinates", forbidden)
+    for n in (5, 10**9):
+        result = bottema_construct(Point(0, 0), Point(0.6, 1.4), Point(2, 0), n)
+        assert result.m1.distance(result.m2) > 0.0
 
 
 def test_isosceles_apex_gives_congruent_polygons():

@@ -28,12 +28,12 @@ COUNTED = {
     "_matching_residuals": equigon.equalizer,
 }
 # file -> calls from run_scenario, then from solve_scenario, in COUNTED's order.
-# A Bottema scenario classifies its pair once in the construction and once in
-# the equal-distance solve that finds M2.  The equal-distance solve computes
+# A Bottema construction classifies its pair once and finds M2 from the swapped
+# circles, with no equal-distance solve.  The equal-distance solve computes
 # the identity residuals at both candidate points, and each correspondence
 # computes its point's identity residuals, then the reversal ones if needed.
 EXPECTED = {
-    "bottema_squares": ((1, 1, 2, 1, 3), (0, 1, 2, 1, 2)),
+    "bottema_squares": ((1, 0, 1, 1, 1), (0, 0, 1, 1, 0)),
     "congruent_mirror": ((0, 1, 1, 0, 0), (0, 1, 1, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0), (0, 1, 1, 0, 0)),

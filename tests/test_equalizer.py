@@ -116,7 +116,7 @@ def test_shared_square_distance_multisets_frozen():
     at_m2_b = distances_squared(second, solution.points[1])
     assert at_m2_a == pytest.approx((3.6, 5.2, 16.4, 14.8), abs=1e-12)
     assert at_m2_b == pytest.approx((3.6, 14.8, 16.4, 5.2), abs=1e-12)
-    assert multisets_equal(at_m2_a, at_m2_b).equal
+    assert multisets_equal(at_m2_a, at_m2_b).ok
 
 
 def test_disjoint_pair_has_no_points():
@@ -235,7 +235,7 @@ def test_alignment_then_full_multiset_equality():
         for candidate in candidates:
             da = distances_squared(first, point)
             db = distances_squared(candidate, point)
-            if multisets_equal(da, db).equal:
+            if multisets_equal(da, db).ok:
                 matched += 1
                 assert correspondence(first, candidate, point).kind in (
                     MatchKind.IDENTITY,

@@ -9,7 +9,6 @@ from equigon.geom import (
     DegenerateLineError,
     DegenerateRayError,
     GeometryError,
-    IntersectionKind,
     InvalidCircleError,
     Point,
     Tolerance,
@@ -68,8 +67,8 @@ def test_circle_rejects_bad_radius():
 
 def test_unit_circles_overlap():
     result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(1, 0), 1.0))
-    assert result.kind is IntersectionKind.TWO_POINTS
-    p, q = result.points
+    assert len(result) == 2
+    p, q = result
     assert p.x == pytest.approx(0.5, abs=1e-15)
     assert p.y == pytest.approx(0.8660254037844386, abs=1e-15)
     assert q.x == pytest.approx(0.5, abs=1e-15)
@@ -80,51 +79,51 @@ def test_two_point_ordering_first_point_is_left_of_center_line():
     c1 = Circle(Point(-2.0, 1.0), 3.0)
     c2 = Circle(Point(1.5, -0.5), 2.0)
     result = circle_intersection(c1, c2)
-    assert result.kind is IntersectionKind.TWO_POINTS
-    p, q = result.points
+    assert len(result) == 2
+    p, q = result
     assert side_of_line(p, c1.center, c2.center) > 0.0
     assert side_of_line(q, c1.center, c2.center) < 0.0
 
 
 def test_external_tangency():
     result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(2, 0), 1.0))
-    assert result.kind is IntersectionKind.TANGENT
-    (p,) = result.points
+    assert len(result) == 1
+    (p,) = result
     assert p.x == pytest.approx(1.0, abs=1e-15)
     assert p.y == pytest.approx(0.0, abs=1e-15)
 
 
 def test_internal_tangency():
     result = circle_intersection(Circle(Point(3, 0), 1.0), Circle(Point(1, 0), 3.0))
-    assert result.kind is IntersectionKind.TANGENT
-    (p,) = result.points
+    assert len(result) == 1
+    (p,) = result
     assert p.x == pytest.approx(4.0, abs=1e-14)
     assert p.y == pytest.approx(0.0, abs=1e-14)
 
 
 def test_disjoint_circles():
     result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(5, 0), 1.0))
-    assert result.kind is IntersectionKind.DISJOINT
-    assert result.points == ()
+    assert result == ()
     # one circle nested inside the other
     nested = circle_intersection(Circle(Point(0, 0), 5.0), Circle(Point(1, 0), 1.0))
-    assert nested.kind is IntersectionKind.DISJOINT
+    assert nested == ()
 
 
 def test_concentric_same_radius_is_coincident():
+    # Coincident circles have no finite point list, so they get none.
     result = circle_intersection(Circle(Point(2, 2), 1.5), Circle(Point(2, 2), 1.5))
-    assert result.kind is IntersectionKind.COINCIDENT
+    assert result == ()
 
 
 def test_concentric_different_radii_is_disjoint_not_error():
     result = circle_intersection(Circle(Point(2, 2), 1.0), Circle(Point(2, 2), 2.0))
-    assert result.kind is IntersectionKind.DISJOINT
+    assert result == ()
 
 
 def test_near_tangent_clamps_to_tangent():
     # center gap short of r1 + r2 by far less than tolerance
     result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(2 + 1e-13, 0), 1.0))
-    assert result.kind is IntersectionKind.TANGENT
+    assert len(result) == 1
 
 
 def test_both_zero_radius_rejected():
@@ -135,8 +134,8 @@ def test_both_zero_radius_rejected():
 def test_zero_radius_probe_circle():
     # a point-circle sitting on the other circle touches it
     result = circle_intersection(Circle(Point(1.0, 0.0), 0.0), Circle(Point(0, 0), 1.0))
-    assert result.kind is IntersectionKind.TANGENT
-    assert result.points[0].distance(Point(1.0, 0.0)) < 1e-12
+    assert len(result) == 1
+    assert result[0].distance(Point(1.0, 0.0)) < 1e-12
 
 
 @given(
@@ -148,11 +147,11 @@ def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
     c2 = Circle(Point(x2, y2), r2)
     result = circle_intersection(c1, c2)
     scale = max(r1, r2, c1.center.distance(c2.center))
-    for p in result.points:
+    for p in result:
         assert abs(p.distance(c1.center) - r1) <= 1e-7 * scale + 1e-9
         assert abs(p.distance(c2.center) - r2) <= 1e-7 * scale + 1e-9
-    if result.kind is IntersectionKind.TWO_POINTS:
-        p, q = result.points
+    if len(result) == 2:
+        p, q = result
         mirror = reflect_across_line(p, c1.center, c2.center)
         assert mirror.distance(q) <= 1e-7 * scale + 1e-9
 
@@ -166,10 +165,10 @@ def test_intersection_symmetric_up_to_swap(x1, y1, r1, x2, y2, r2):
     c2 = Circle(Point(x2, y2), r2)
     forward = circle_intersection(c1, c2)
     backward = circle_intersection(c2, c1)
-    assert forward.kind is backward.kind
+    assert len(forward) == len(backward)
     scale = max(r1, r2, c1.center.distance(c2.center))
-    for p in forward.points:
-        assert min(p.distance(q) for q in backward.points) <= 1e-9 * scale + 1e-9
+    for p in forward:
+        assert min(p.distance(q) for q in backward) <= 1e-9 * scale + 1e-9
 
 
 @given(
@@ -186,8 +185,8 @@ def test_intersection_rigid_motion_invariance(angle, dx, dy):
         Circle(rotated(c1.center, angle) + shift, c1.radius),
         Circle(rotated(c2.center, angle) + shift, c2.radius),
     )
-    assert moved.kind is base.kind
-    for p, q in zip(base.points, moved.points):
+    assert len(moved) == len(base)
+    for p, q in zip(base, moved):
         assert (rotated(p, angle) + shift).distance(q) < 1e-8
 
 

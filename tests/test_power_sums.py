@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from equigon.checks import CheckResult
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import (
@@ -192,21 +193,22 @@ def newton_coefficients_agree(first, second, tol=DEFAULT_TOLERANCE):
 def test_multisets_equal_frozen_permutation():
     first, second = [1.0, 4.0, 9.0], [9.0, 1.0, 4.0]
     match = multisets_equal(first, second)
-    assert match.equal
-    assert match.max_residual == 0.0
+    assert match.ok
+    assert match.residual == 0.0
     assert newton_coefficients_agree(first, second)
+    assert multisets_equal([], []) == CheckResult("multiset", True, 0.0, DEFAULT_TOLERANCE.bound(0.0))
 
 
 def test_multisets_equal_detects_mismatch():
     match = multisets_equal([1.0, 4.0, 9.0], [1.0, 4.0, 9.5])
-    assert not match.equal
-    assert match.max_residual == pytest.approx(0.5)
+    assert not match.ok
+    assert match.residual == pytest.approx(0.5)
 
 
 def test_multisets_equal_scale_aware():
     big = [1e12, 2e12, 3e12]
     jittered = [x * (1.0 + 1e-13) for x in big]
-    assert multisets_equal(big, jittered).equal
+    assert multisets_equal(big, jittered).ok
 
 
 def test_multisets_length_mismatch():
@@ -224,10 +226,10 @@ def test_multisets_equal_under_random_permutation(values, seed):
     shuffled = list(values)
     random.Random(seed).shuffle(shuffled)
     match = multisets_equal(values, shuffled)
-    assert match.equal
+    assert match.ok
     assert newton_coefficients_agree(values, shuffled)
     # sorting pairs equal values, so no gap remains
-    assert match.max_residual == 0.0
+    assert match.residual == 0.0
 
 
 def test_compare_power_sums_passes_for_permuted_lists():
@@ -446,7 +448,7 @@ def test_power_sums_match_the_running_product_loop_bit_for_bit(values, top):
 
 
 def multiset_fold(a, b, tol):
-    """Oracle: ``multisets_equal``'s verdict as a loop of ``max`` folds over the sorted pairs."""
+    """Oracle: ``multisets_equal``'s verdict, worst gap and slack as a loop of ``max`` folds over the sorted pairs."""
     slack = tol.bound(max(max(abs(x) for x in a), max(abs(x) for x in b)))
     worst, equal = 0.0, True
     for x, y in zip(sorted(a), sorted(b)):
@@ -454,7 +456,7 @@ def multiset_fold(a, b, tol):
         worst = max(worst, gap)
         if gap > slack:
             equal = False
-    return equal, worst
+    return equal, worst, slack
 
 
 def orders_fold(a, b, tol):
@@ -481,7 +483,7 @@ pairs_of_lists = st.integers(2, 20).flatmap(lambda size: st.tuples(*[st.lists(
 def test_folds_match_their_loops_nan_included(pair):
     a, b = pair
     match = multisets_equal(a, b)
-    assert repr((match.equal, match.max_residual)) == repr(multiset_fold(a, b, DEFAULT_TOLERANCE))
+    assert repr((match.ok, match.residual, match.tolerance)) == repr(multiset_fold(a, b, DEFAULT_TOLERANCE))
     check = compare_power_sums(a, b)
     ok, residuals = orders_fold(a, b, DEFAULT_TOLERANCE)
     assert check.ok is ok
