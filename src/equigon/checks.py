@@ -1,5 +1,6 @@
 """``CheckResult``, the only pass/fail record a report prints.  The layers that
-judge the paper's identities return it; the runner only renames and collects."""
+judge the paper's identities return it, named as the runner asks; the runner
+collects them."""
 
 from __future__ import annotations
 

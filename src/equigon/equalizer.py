@@ -11,13 +11,12 @@ two candidate points realise the two possible vertex correspondences:
   reversal    |M A_k| = |M B_(n+2-k)|  for k = 2..n (index 1 pairs with itself)
 
 Both correspondences obey a one-angle cosine law
-``|M A_k|^2 = R1^2 + R2^2 - 2 R1 R2 cos(2 pi (k-1)/n -+ angle)`` which is used
-as an independent cross-check on the distance matching.
+``|M A_k|^2 = R1^2 + R2^2 - 2 R1 R2 cos(2 pi (k-1)/n -+ angle)`` which
+``cosine_model`` uses as an independent cross-check on the distance matching.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +34,6 @@ from .geom import (
     wrap_angle,
 )
 from .polygon import RegularPolygon, diametric_opposite
-from .power_sums import distances_squared
 
 
 class MixedVertexCountError(GeometryError):
@@ -80,12 +78,15 @@ class EqualDistanceSolution:
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
     both slots with the same point and sets ``coincident``.
+    ``identity_worst`` holds the largest identity residual at each of two
+    distinct points, as their labelling compared them; otherwise it is empty.
     """
 
     case: PairCase
     points: tuple[Point, ...]
     locus: Locus | None
     coincident: bool
+    identity_worst: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -94,17 +95,11 @@ class Matching:
 
     ``max_residual`` is the worst per-vertex distance mismatch for k = 2..n;
     ``first_residual`` is the k = 1 mismatch that any correspondence requires.
-    ``shared_angle`` is the signed angular offset of the point from vertex 1,
-    measured around the first centroid in the first polygon's vertex direction;
-    ``model_residual`` is the worst deviation of both squared-distance lists
-    from the one-angle cosine law evaluated with that offset.
     """
 
     kind: MatchKind
     max_residual: float
     first_residual: float
-    shared_angle: float
-    model_residual: float
 
 
 def classify_pair(
@@ -169,11 +164,12 @@ def equal_distance_points(
     residual_q = max(_matching_residuals(first, second, q, MatchKind.IDENTITY))
     slack = tol.bound(max(first.circumradius, second.circumradius))
     if (residual_p <= slack and residual_q <= slack) or residual_p == residual_q:
-        left_first = side_of_line(p, first.centroid, second.centroid) > 0.0
-        labelled = (p, q) if left_first else (q, p)
+        p_first = side_of_line(p, first.centroid, second.centroid) > 0.0
     else:
-        labelled = (p, q) if residual_p < residual_q else (q, p)
-    return EqualDistanceSolution(case, labelled, None, False)
+        p_first = residual_p < residual_q
+    if p_first:
+        return EqualDistanceSolution(case, (p, q), None, False, (residual_p, residual_q))
+    return EqualDistanceSolution(case, (q, p), None, False, (residual_q, residual_p))
 
 
 def align_rotation(
@@ -201,17 +197,9 @@ def align_rotation(
             f"{first_distance} (centroid gap {point.distance(poly.centroid)}, "
             f"circumradius {poly.circumradius})"
         )
-    candidates = []
-    for landing in crossing:
-        phase = math.atan2(landing.y - poly.centroid.y, landing.x - poly.centroid.x)
-        candidates.append(dataclasses.replace(poly, phase=phase))
-    return tuple(candidates)
-
-
-def _phase_offset(poly: RegularPolygon, point: Point) -> float:
-    """Signed angle from vertex 1 to ``point`` around the centroid, in vertex order."""
-    v = point - poly.centroid
-    return wrap_angle(poly.orientation * (math.atan2(v.y, v.x) - poly.phase))
+    c = poly.centroid
+    return tuple([RegularPolygon(poly.n, c, poly.circumradius, math.atan2(p.y - c.y, p.x - c.x), poly.orientation)
+                  for p in crossing])
 
 
 def correspondence(
@@ -219,63 +207,65 @@ def correspondence(
     second: RegularPolygon,
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
+    identity_worst: float | None = None,
 ) -> Matching:
     """Find which vertex correspondence the point realises, identity preferred.
 
-    Raises NoMatchingError when neither correspondence holds within tolerance
-    (this includes the case where the k = 1 distances already disagree).
-    Returns the measurements, not a verdict: the runner judges them as the
-    ``matching_{label}`` and ``cosine_model_{label}`` checks.
+    ``identity_worst``, the largest identity residual at the point, is
+    computed unless given.  Raises NoMatchingError when neither
+    correspondence holds within tolerance (this includes the case where the
+    k = 1 distances already disagree).  Returns the measurements, not a
+    verdict: the runner judges them as the ``matching_{label}`` check.
     """
     if first.n != second.n:
         raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
-    n = first.n
-    r1, r2 = first.circumradius, second.circumradius
-    slack = tol.bound(max(r1, r2))
+    slack = tol.bound(max(first.circumradius, second.circumradius))
     (xs, ys), (us, vs) = first.coordinates(), second.coordinates()
     x, y = point.x, point.y
     first_residual = abs(math.hypot(x - xs[0], y - ys[0]) - math.hypot(x - us[0], y - vs[0]))
 
-    chosen: MatchKind | None = None
-    computed: dict[MatchKind, tuple[float, ...]] = {}
+    worst = {} if identity_worst is None else {MatchKind.IDENTITY: identity_worst}
+
+    def worst_of(kind: MatchKind) -> float:
+        if kind not in worst:
+            worst[kind] = max(_matching_residuals(first, second, point, kind))
+        return worst[kind]
+
     if first_residual <= slack:
         for kind in MatchKind:
-            computed[kind] = _matching_residuals(first, second, point, kind)
-            if max(computed[kind]) <= slack:
-                chosen = kind
-                break
-    if chosen is None:
-        identity_worst, reversal_worst = (
-            max(computed.get(kind) or _matching_residuals(first, second, point, kind))
-            for kind in MatchKind
-        )
-        raise NoMatchingError(
-            "no vertex correspondence holds at this point "
-            f"(first-vertex residual {first_residual:.3e}, identity "
-            f"{identity_worst:.3e}, reversal {reversal_worst:.3e}, allowed {slack:.3e})"
-        )
-    residuals = computed[chosen]
+            if worst_of(kind) <= slack:
+                return Matching(kind, worst[kind], first_residual)
+    raise NoMatchingError(
+        "no vertex correspondence holds at this point "
+        f"(first-vertex residual {first_residual:.3e}, identity "
+        f"{worst_of(MatchKind.IDENTITY):.3e}, reversal {worst_of(MatchKind.REVERSAL):.3e}, "
+        f"allowed {slack:.3e})"
+    )
 
-    # Cosine-law cross-check.  The offset of the point from vertex 1 around O1
-    # drives the law for the first polygon directly; the identity matching
-    # shares the same offset seen from O2, the reversal negates it.
-    offset = _phase_offset(first, point)
-    sign = 1.0 if chosen is MatchKind.IDENTITY else -1.0
+
+def cosine_model(first: RegularPolygon, second: RegularPolygon, point: Point, kind: MatchKind,
+                 near: tuple[float, ...], far: tuple[float, ...]) -> tuple[float, float]:
+    """The ``kind`` correspondence's cosine law at ``point``, whose squared
+    distances to the vertices of ``first`` and ``second`` are ``near`` and ``far``.
+
+    Returns the shared angle, the signed offset of the point from vertex 1
+    around the first centroid in the first polygon's vertex direction, and
+    the worst deviation of both lists from the law with that offset.
+    """
+    # The offset drives the law for the first polygon directly; the identity
+    # matching shares the same offset seen from O2, the reversal negates it.
+    n = first.n
+    r1, r2 = first.circumradius, second.circumradius
+    v = point - first.centroid
+    offset = wrap_angle(first.orientation * (math.atan2(v.y, v.x) - first.phase))
     base = r1 * r1 + r2 * r2
     cross = 2.0 * r1 * r2
-    near, far = distances_squared(first, point), distances_squared(second, point)
     model_worst = 0.0
     for k in range(1, n + 1):
-        j = k if chosen is MatchKind.IDENTITY else (n + 2 - k if k >= 2 else 1)
+        j = k if kind is MatchKind.IDENTITY else (n + 2 - k if k >= 2 else 1)
         model = base - cross * math.cos(math.tau * (k - 1) / n - offset)
         model_worst = max(model_worst, abs(near[k - 1] - model), abs(far[j - 1] - model))
-    return Matching(
-        kind=chosen,
-        max_residual=max(residuals) if residuals else 0.0,
-        first_residual=first_residual,
-        shared_angle=sign * offset,
-        model_residual=model_worst,
-    )
+    return (1.0 if kind is MatchKind.IDENTITY else -1.0) * offset, model_worst
 
 
 def verify_point_properties(

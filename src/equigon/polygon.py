@@ -73,15 +73,16 @@ class RegularPolygon:
         """The x and y coordinates of vertices 1..n, computed and checked once.
 
         Vertex k sits at ``centroid + circumradius * (cos, sin)`` of
-        ``vertex_angle(k)``; ``vertex``, ``vertices`` and the O(n) checks read
-        these floats, so there is one vertex formula.  The first vertex past
-        the float range raises the overflow error.  The cache is kept outside
-        the dataclass fields, so equality, hashing and ``dataclasses.replace``
-        never see it.
+        ``vertex_angle(k)``, inlined; ``vertex``, ``vertices`` and the O(n)
+        checks read these floats, so there is one vertex formula.  The first
+        vertex past the float range raises the overflow error.  The cache is
+        kept outside the dataclass fields, so equality, hashing and
+        ``dataclasses.replace`` never see it.
         """
         cached = self.__dict__.get("_coordinates")
         if cached is None:
-            angles = list(map(self.vertex_angle, range(1, self.n + 1)))
+            n, phase, turn = self.n, self.phase, self.orientation * math.tau
+            angles = [phase + turn * k / n for k in range(n)]
             cx, cy, radius, cos, sin = self.centroid.x, self.centroid.y, self.circumradius, math.cos, math.sin
             cached = (tuple([cx + radius * cos(t) for t in angles]), tuple([cy + radius * sin(t) for t in angles]))
             # Finite sums prove every term finite; finite terms can still overflow a sum.

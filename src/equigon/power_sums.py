@@ -101,10 +101,11 @@ def verify_power_sum_identity(
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
     max_order: int | None = None,
+    name: str = "power_sum_identity",
 ) -> CheckResult:
     """Compare direct power sums against the closed form for m = 1..n-1.
 
-    Returns one ``power_sum_identity`` check over all orders.  Both sides are
+    Returns one check over all orders, named ``name``.  Both sides are
     normalized by (R+L)^(2m), which bounds them by n at every scale, and are
     sums of non-negative terms, so the worst relative residual
     |direct - closed| / max(direct, closed) is meaningful at machine precision
@@ -128,7 +129,7 @@ def verify_power_sum_identity(
     sizes = list(map(max, map(abs, direct), map(abs, closed)))
     residuals = list(map(truediv, gaps, map(max, sizes, repeat(1e-300))))
     ok = all(map(le, gaps, _bounds(tol, sizes)))
-    return _orders_check("power_sum_identity", ok, residuals, tol, "relative")
+    return _orders_check(name, ok, residuals, tol, "relative")
 
 
 def _bounds(tol: Tolerance, scales: Iterable[float]) -> Iterator[float]:
@@ -182,10 +183,11 @@ def compare_power_sums(
     second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
     max_order: int | None = None,
+    name: str = "power_sums",
 ) -> CheckResult:
     """Check p_m(first) == p_m(second) for m = 1..max_order (default: size-1).
 
-    Returns one ``power_sums`` check over all orders.  Entries are normalized
+    Returns one check over all orders, named ``name``.  Entries are normalized
     by the joint maximum before exponentiation, which keeps high orders away
     from overflow and makes the residuals comparable across scales.  Each
     order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``, evaluated for
@@ -205,4 +207,4 @@ def compare_power_sums(
     gaps = list(map(abs, map(sub, sums_a, sums_b)))
     magnitudes = list(map(max, map(abs, sums_a), map(abs, sums_b), repeat(1.0)))
     residuals = list(map(truediv, gaps, magnitudes))
-    return _orders_check("power_sums", all(map(le, gaps, _bounds(tol, magnitudes))), residuals, tol, "normalized")
+    return _orders_check(name, all(map(le, gaps, _bounds(tol, magnitudes))), residuals, tol, "normalized")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .checks import CheckResult, residual_check
@@ -30,6 +30,7 @@ from .equalizer import (
     NoMatchingError,
     align_rotation,
     correspondence,
+    cosine_model,
     equal_distance_points,
     verify_point_properties,
 )
@@ -138,11 +139,12 @@ def _check_point(
     first: RegularPolygon,
     second: RegularPolygon,
     tol: Tolerance,
-) -> None:
-    """Power sums must agree at the point; one aligned rotation must match fully."""
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Power sums must agree at the point; one aligned rotation must match fully.
+    Returns the point's squared distances to both polygons, for its cosine model."""
     da = distances_squared(first, point)
     db = distances_squared(second, point)
-    out.checks.append(replace(compare_power_sums(da, db, tol), name=f"power_sums_{label}"))
+    out.checks.append(compare_power_sums(da, db, tol, name=f"power_sums_{label}"))
     want = point.distance(first.vertex(1))
     try:
         candidates = align_rotation(second, point, want, tol)
@@ -150,7 +152,7 @@ def _check_point(
         out.checks.append(
             CheckResult(f"alignment_multiset_{label}", False, math.inf, 0.0, detail=str(exc))
         )
-        return
+        return da, db
     best = math.inf
     matched = False
     for candidate in candidates:
@@ -166,6 +168,7 @@ def _check_point(
             detail=f"{len(candidates)} rotation candidate(s)",
         )
     )
+    return da, db
 
 
 def _correspondence(
@@ -176,6 +179,7 @@ def _correspondence(
     second: RegularPolygon,
     tol: Tolerance,
     required: bool,
+    identity_worst: float | None = None,
 ) -> Matching | NoMatchingError | None:
     """Record the vertex correspondence the point realises.
 
@@ -184,7 +188,7 @@ def _correspondence(
     otherwise (a finding records it).
     """
     try:
-        match = correspondence(first, second, point, tol)
+        match = correspondence(first, second, point, tol, identity_worst)
     except NoMatchingError as exc:
         if required:
             return exc
@@ -198,10 +202,13 @@ def _matching_checks(
     out: Report,
     label: str,
     found: Matching | NoMatchingError | None,
+    point: Point,
+    distances: tuple[tuple[float, ...], tuple[float, ...]],
     first: RegularPolygon,
     second: RegularPolygon,
     tol: Tolerance,
 ) -> None:
+    """The point's matching and, if one is found, its cosine model on ``distances``."""
     scale = max(first.circumradius, second.circumradius)
     if isinstance(found, NoMatchingError):
         out.checks.append(
@@ -216,12 +223,13 @@ def _matching_checks(
                 detail=found.kind.value,
             )
         )
+        shared_angle, model_residual = cosine_model(first, second, point, found.kind, *distances)
         out.checks.append(
             residual_check(
                 f"cosine_model_{label}",
-                found.model_residual,
+                model_residual,
                 tol.bound((first.circumradius + second.circumradius) ** 2),
-                detail=f"shared angle {found.shared_angle:.6f} rad",
+                detail=f"shared angle {shared_angle:.6f} rad",
             )
         )
 
@@ -243,14 +251,11 @@ def _probe_locus(
             mid = first.centroid.midpoint(second.centroid)
             axis = (second.centroid - first.centroid).perpendicular()
             probe = mid + axis * rng.uniform(-2, 2)
-        sums = compare_power_sums(
-            distances_squared(first, probe),
-            distances_squared(second, probe),
-            tol,
-        )
-        out.checks.append(
-            replace(sums, name=f"locus_probe_{index}", detail="power sums on the locus, normalized")
-        )
+        sums = compare_power_sums(distances_squared(first, probe), distances_squared(second, probe), tol)
+        out.checks.append(CheckResult(
+            f"locus_probe_{index}", sums.ok, sums.residual, sums.tolerance,
+            detail="power sums on the locus, normalized",
+        ))
 
 
 # What a kind's solve returns: its checks, run by ``run_scenario`` only.
@@ -288,16 +293,17 @@ def _pair_like(out: Report, tol: Tolerance) -> Checks:
     labels = ("M1",) if solution.coincident else ("M1", "M2")
     labelled = list(zip(labels, solution.points))
     out.points.extend(labelled)
+    worst = solution.identity_worst or (None, None)
     # M1's vertex correspondence colours the figure's distance fan.
-    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, shared)
+    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, shared, worst[0])
 
     def checks() -> None:
         found = at_m1
         for label, point in labelled:
-            _check_point(out, label, point, first, second, tol)
+            distances = _check_point(out, label, point, first, second, tol)
             if label == "M2":
-                found = _correspondence(out, label, point, first, second, tol, shared)
-            _matching_checks(out, label, found, first, second, tol)
+                found = _correspondence(out, label, point, first, second, tol, shared, worst[1])
+            _matching_checks(out, label, found, point, distances, first, second, tol)
         if shared:
             out.checks.extend(verify_point_properties(first, second, solution, tol))
 
@@ -326,10 +332,10 @@ def _bottema(out: Report, tol: Tolerance) -> Checks:
 
     def checks() -> None:
         first, second = result.poly1, result.poly2
-        _check_point(out, "M1", result.m1, first, second, tol)
+        distances = _check_point(out, "M1", result.m1, first, second, tol)
         _check_point(out, "M2", result.m2, first, second, tol)
         found = _correspondence(out, "M1", result.m1, first, second, tol, required=True)
-        _matching_checks(out, "M1", found, first, second, tol)
+        _matching_checks(out, "M1", found, result.m1, distances, first, second, tol)
         if opposite:
             normal_side = 1 if side_of_line(result.m1, cfg.an, cfg.bn) > 0.0 else -1
             predicted = closed_form_midpoint(cfg.an, cfg.bn, n, normal_side, tol)
@@ -372,8 +378,7 @@ def _identity_check(out: Report, tol: Tolerance) -> Checks:
 
     def checks() -> None:
         for index, probe in enumerate(cfg.probes, 1):
-            check = verify_power_sum_identity(poly, probe, tol, top)
-            out.checks.append(replace(check, name=f"closed_form_probe_{index}"))
+            out.checks.append(verify_power_sum_identity(poly, probe, tol, top, f"closed_form_probe_{index}"))
 
     return checks
 

@@ -17,8 +17,9 @@ points, ``aux-label`` for supporting points such as D1, D2, H, or probes).
 from __future__ import annotations
 
 import math
+from itertools import cycle
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Sequence
 
 from .geom import GeometryError, Point
 from .polygon import RegularPolygon, diametric_opposite
@@ -63,29 +64,39 @@ class _Scene:
 
     def __init__(self) -> None:
         self.elements: list[Callable[[SimpleNamespace], str]] = []
-        self.min_x = math.inf
-        self.min_y = math.inf
-        self.max_x = -math.inf
-        self.max_y = -math.inf
+        self.min_x = self.min_y = math.inf
+        self.max_x = self.max_y = -math.inf
+        self._texts: dict[RegularPolygon, tuple[list[str], list[str]]] = {}
 
-    def _include(self, *points: Point) -> None:
-        for p in points:
-            self.min_x = min(self.min_x, p.x)
-            self.min_y = min(self.min_y, p.y)
-            self.max_x = max(self.max_x, p.x)
-            self.max_y = max(self.max_y, p.y)
+    def _include(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        """Grow the bounding box to the points with these x and y coordinates."""
+        self.min_x, self.max_x = min(self.min_x, *xs), max(self.max_x, *xs)
+        self.min_y, self.max_y = min(self.min_y, *ys), max(self.max_y, *ys)
+
+    def vertex_text(self, poly: RegularPolygon) -> tuple[list[str], list[str]]:
+        """The x and flipped y of each vertex of ``poly``, formatted once per
+        figure for its outline and the distance fan; the first call puts the
+        vertices in the bounding box."""
+        text = self._texts.get(poly)
+        if text is None:
+            xs, ys = poly.coordinates()
+            self._include(xs, ys)
+            text = self._texts[poly] = (list(map(_fmt, xs)), [_fmt(-y) for y in ys])
+        return text
 
     def polygon(self, poly: RegularPolygon, color: str) -> None:
-        vertices = poly.vertices()
-        self._include(*vertices)
-        pts = " ".join(f"{_fmt(v.x)},{_fmt(-v.y)}" for v in vertices)
+        pts = " ".join([f"{x},{y}" for x, y in zip(*self.vertex_text(poly))])
         self.elements.append(lambda w: (
             f'<polygon class="ngon" points="{pts}" fill="none" '
             f'stroke="{color}" stroke-width="{w.stroke}"/>'
         ))
 
     def circle(self, center: Point, radius: float, color: str, cls: str, dashed: bool) -> None:
-        self._include(center + Point(radius, radius), center - Point(radius, radius))
+        x, y = center.x, center.y
+        low_x, low_y, high_x, high_y = x - radius, y - radius, x + radius, y + radius
+        if not math.isfinite(low_x + low_y + high_x + high_y):  # a corner may be past the float range
+            Point(high_x, high_y), Point(low_x, low_y)  # raises Point's error for the first such corner
+        self._include((low_x, high_x), (low_y, high_y))
         self.elements.append(lambda w: (
             f'<circle class="{cls}" cx="{_fmt(center.x)}" cy="{_fmt(-center.y)}" '
             f'r="{_fmt(radius)}" fill="none" stroke="{color}" '
@@ -93,15 +104,26 @@ class _Scene:
         ))
 
     def line(self, a: Point, b: Point, color: str, cls: str, dashed: bool) -> None:
-        self._include(a, b)
+        self._include((a.x, b.x), (a.y, b.y))
         self.elements.append(lambda w: (
             f'<line class="{cls}" x1="{_fmt(a.x)}" y1="{_fmt(-a.y)}" '
             f'x2="{_fmt(b.x)}" y2="{_fmt(-b.y)}" stroke="{color}" '
-            f'stroke-width="{w.hair if cls == "dist-pair" else w.thin}"{w.dash if dashed else ""}/>'
+            f'stroke-width="{w.thin}"{w.dash if dashed else ""}/>'
         ))
 
+    def fan(self, point: Point, ends: list[tuple[str, str, str]]) -> None:
+        """One ``dist-pair`` line from ``point`` to each end, given as its
+        formatted x and flipped y and the line's colour."""
+        self._include((point.x,), (point.y,))
+        x1, y1 = _fmt(point.x), _fmt(-point.y)
+        self.elements.append(lambda w: "\n".join([
+            f'<line class="dist-pair" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="{w.hair}"/>'
+            for x2, y2, color in ends
+        ]))
+
     def triangle(self, a: Point, b: Point, c: Point) -> None:
-        self._include(a, b, c)
+        self._include((a.x, b.x, c.x), (a.y, b.y, c.y))
         d = (
             f"M {_fmt(a.x)},{_fmt(-a.y)} L {_fmt(b.x)},{_fmt(-b.y)} "
             f"L {_fmt(c.x)},{_fmt(-c.y)} Z"
@@ -112,13 +134,14 @@ class _Scene:
         ))
 
     def marker(self, point: Point, label: str, color: str, cls: str) -> None:
-        self._include(point)
+        self._include((point.x,), (point.y,))
         x, y = point.x, -point.y
+        text_x, text_y = _fmt(x), _fmt(y)
 
         def element(w: SimpleNamespace) -> str:
             d = (
-                f"M {_fmt(x - w.arm)},{_fmt(y)} L {_fmt(x + w.arm)},{_fmt(y)} "
-                f"M {_fmt(x)},{_fmt(y - w.arm)} L {_fmt(x)},{_fmt(y + w.arm)}"
+                f"M {_fmt(x - w.arm)},{text_y} L {_fmt(x + w.arm)},{text_y} "
+                f"M {text_x},{_fmt(y - w.arm)} L {text_x},{_fmt(y + w.arm)}"
             )
             return (
                 f'<g class="{cls}">'
@@ -160,22 +183,18 @@ class _Scene:
         return "\n".join(lines) + "\n"
 
 
-def _distance_segments(
-    scene: _Scene,
-    first: RegularPolygon,
-    second: RegularPolygon,
-    point: Point,
-    kind: str,
-) -> None:
-    n = first.n
-    for k in range(1, n + 1):
-        if kind == MatchKind.IDENTITY.value or k == 1:
-            j = k
-        else:
-            j = n + 2 - k
-        color = _PAIR_PALETTE[(k - 1) % len(_PAIR_PALETTE)]
-        scene.line(point, first.vertex(k), color, "dist-pair", False)
-        scene.line(point, second.vertex(j), color, "dist-pair", False)
+def _distance_segments(scene: _Scene, first: RegularPolygon, second: RegularPolygon, point: Point, kind: str) -> None:
+    """Lines from ``point`` to vertex k of ``first`` and to its partner in
+    ``second`` under the ``kind`` matching, in k's palette colour."""
+    xs, ys = scene.vertex_text(first)
+    us, vs = scene.vertex_text(second)
+    if kind != MatchKind.IDENTITY.value:
+        # the reversal pairs vertex k with vertex n + 2 - k, and vertex 1 with itself
+        us, vs = us[:1] + us[:0:-1], vs[:1] + vs[:0:-1]
+    ends = []
+    for x, y, u, v, color in zip(xs, ys, us, vs, cycle(_PAIR_PALETTE)):
+        ends += ((x, y, color), (u, v, color))
+    scene.fan(point, ends)
 
 
 def _pair_scene(scene: _Scene, scenario: Scenario, report: Report, geometry: Geometry) -> None:

@@ -21,6 +21,7 @@ from equigon.equalizer import (
     align_rotation,
     classify_pair,
     correspondence,
+    cosine_model,
     equal_distance_points,
     verify_point_properties,
 )
@@ -145,11 +146,16 @@ def test_correspondence_identity_and_reversal_frozen():
     assert at_m1.first_residual < 1e-12
     # the bound the runner's cosine_model check applies
     model_bound = DEFAULT_TOLERANCE.bound((first.circumradius + second.circumradius) ** 2)
-    assert at_m1.model_residual <= model_bound
+    assert model_residual(first, second, solution.points[0], at_m1.kind) <= model_bound
     at_m2 = correspondence(first, second, solution.points[1])
     assert at_m2.kind is MatchKind.REVERSAL
     assert at_m2.max_residual < 1e-12
-    assert at_m2.model_residual <= model_bound
+    assert model_residual(first, second, solution.points[1], at_m2.kind) <= model_bound
+
+
+def model_residual(first, second, point, kind):
+    near, far = distances_squared(first, point), distances_squared(second, point)
+    return cosine_model(first, second, point, kind, near, far)[1]
 
 
 def matching_residuals_by_distance(first, second, point, kind):

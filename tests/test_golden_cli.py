@@ -6,7 +6,8 @@ each file in ``scenarios/``, ``verify --json`` on the documents in
 ``tests/data/``, ``bottema``, also at its sample cap and at n = 2048, and
 ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
-``scenarios/<name>.json``.  The files pin the
+``scenarios/<name>.json`` or for one of the three large-n pair, shared-vertex
+and Bottema documents in ``tests/data/``.  The files pin the
 promise that a speed-up changes no output byte.  After an intended change to
 the output, rewrite them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
@@ -54,7 +55,10 @@ CASES = (
                                 "--seed", "7"])
        for kind in ScenarioKind]
 )
-RENDERED = sorted(SCENARIO_DIR.glob("*.json"))
+# The samples, and the pair kinds at large n: the shared-vertex figure's
+# distance fan alone draws 512 lines.
+LARGE_FIGURES = ("pair_large_n256", "shared_vertex_large_n256", "bottema_large_n128")
+RENDERED = sorted(SCENARIO_DIR.glob("*.json")) + [DATA / f"{stem}.json" for stem in LARGE_FIGURES]
 
 
 def transcript(argv: list[str]) -> str:
@@ -75,7 +79,7 @@ def rendered(scenario: Path, directory: Path) -> bytes:
 def test_every_scenario_file_is_covered():
     assert len([slug for slug, _ in CASES if slug.startswith("verify_json_")]) == 7
     assert len([slug for slug, _ in CASES if slug.startswith("verify_text_")]) == 7
-    assert len(RENDERED) == 7
+    assert len(RENDERED) == 7 + len(LARGE_FIGURES)
 
 
 @pytest.mark.parametrize("slug, argv", CASES, ids=[slug for slug, _ in CASES])

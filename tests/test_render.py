@@ -4,6 +4,7 @@ before its checks, and the figure runs no check."""
 import dataclasses
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,11 @@ import pytest
 import equigon.runner
 from equigon.cli import main
 from equigon.geom import GeometryError, Point
+from equigon.polygon import RegularPolygon
 from equigon.runner import run_scenario, solve_scenario
 from equigon.sampling import random_scenario
 from equigon.scenario import ScenarioKind, parse_scenario, serialize_scenario
-from equigon.svgfig import render_svg
+from equigon.svgfig import _PAIR_PALETTE, _Scene, _distance_segments, _fmt, render_svg
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -155,6 +157,48 @@ def test_geometry_failure_keeps_its_message(tmp_path, capsys):
     target = tmp_path / "degenerate.svg"
     assert render_file(doc, target, capsys) == (2, f"error: cannot render {doc}: {caught.value}\n")
     assert not target.exists()
+
+
+def test_circle_past_the_float_range_keeps_the_point_error(tmp_path, capsys):
+    # Both polygons fit in the float range, but the swapped circle of radius
+    # r1 around the second centroid does not.  Its upper corner is past the
+    # range in x and its lower corner in y; the upper one's error is shown.
+    doc = tmp_path / "far_pair.json"
+    doc.write_text(
+        json.dumps({
+            "kind": "pair",
+            "n": 4,
+            "pair": {
+                "centroid1": [0.0, 0.0], "r1": 1e307, "phase1": 0.0, "orient1": 1,
+                "centroid2": [1.75e308, -1.75e308], "r2": 1e306, "phase2": 0.0, "orient2": 1,
+            },
+        }),
+        encoding="utf-8",
+    )
+    message = "coordinates must be finite, got (inf, -1.65e+308)"
+    assert render_file(doc, tmp_path / "far.svg", capsys) == (2, f"error: cannot render {doc}: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["identity", "reversal"])
+def test_distance_fan_pairs_vertices_as_the_matching_does(kind):
+    # Oracle: vertex k of the first polygon and vertex j of the second from
+    # vertex(), j = k for the identity and n + 2 - k (1 for k = 1) for the
+    # reversal, each pair in palette colour k.
+    rng = random.Random(27)
+    for n in (3, 4, 13, 64):
+        first = RegularPolygon(n, Point(rng.uniform(-3, 3), rng.uniform(-3, 3)), 1.5, rng.uniform(-3, 3), 1)
+        second = RegularPolygon(n, Point(rng.uniform(-3, 3), rng.uniform(-3, 3)), 2.5, rng.uniform(-3, 3), -1)
+        point = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        scene = _Scene()
+        _distance_segments(scene, first, second, point, kind)
+        lines = [line for line in scene.emit().splitlines() if 'class="dist-pair"' in line]
+        expected = []
+        for k in range(1, n + 1):
+            j = k if kind == "identity" or k == 1 else n + 2 - k
+            color = _PAIR_PALETTE[(k - 1) % len(_PAIR_PALETTE)]
+            for vertex in (first.vertex(k), second.vertex(j)):
+                expected.append(f'x2="{_fmt(vertex.x)}" y2="{_fmt(-vertex.y)}" stroke="{color}"')
+        assert [re.search(r'x2="[^"]*" y2="[^"]*" stroke="[^"]*"', line).group(0) for line in lines] == expected
 
 
 def test_solve_failure_still_draws_the_polygons(tmp_path, capsys):
