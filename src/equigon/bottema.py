@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat, starmap
 
 from .checks import CheckResult, residual_check
 from .geom import (
@@ -33,7 +33,6 @@ from .polygon import (
     DegenerateSideError,
     RegularPolygon,
     _antipode,
-    _circumcircle,
     _overflow,
     _side_circumcircle,
     diametric_opposite,
@@ -104,8 +103,9 @@ def _sweep_midpoint(
     from ``_antipode``, and M1 from ``_m1``, which ``bottema_construct`` also
     calls, so its bits are ``bottema_construct``'s; no polygon, ``atan2``,
     collinear flag or ``Point``.  Every check raises its error, and an M1 past
-    the float range the overflow error.  ``verify_independence`` does the same
-    arithmetic per apex and calls this for a degenerate apex, to raise its error.
+    the float range the overflow error.  ``verify_independence`` repeats this
+    arithmetic inline per apex, pinned to this path bit for bit by the tests,
+    and calls this for an apex that fails its tests, to raise its error.
     """
     _, _, side1, side2 = _triangle(an, a1, bn, tol)
     x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
@@ -204,14 +204,17 @@ def verify_independence(
     M1 is bit-equal to ``bottema_construct``'s.  What depends only on the base
     is done once per sweep: the floor ``tol.bound(0.0)``, the check of n, and
     ``tan(pi / n)`` and ``sin(pi / n)``; the base-length check already rules
-    out ``_triangle``'s coincident base.  Per apex, in plain floats: the
-    corner differences and apex-side lengths, shared by the triangle test and
-    both circumcircles; both centroids and radii from ``_circumcircle``; the
+    out ``_triangle``'s coincident base.  Per apex, in plain floats, calling
+    no Python function but the two ``rng.uniform`` draws: the corner
+    differences and apex-side lengths, shared by the triangle test and both
+    circumcircles; both centroids and radii by ``_side_circumcircle``'s
+    arithmetic, inline and pinned to it bit for bit by the tests; the
     antipodes and their midpoint.  An apex, triangle or M1 past the float
     range raises the overflow error.  The other tests are the comparisons
     ``_triangle`` and ``Tolerance.eq_at`` make: a degenerate apex (a side at
-    or under the floor, or off its circle) or an n that is not an integer
-    calls the checked ``_sweep_midpoint``, which raises its error.
+    or under the floor, or off its circle), a circle past the float range or
+    an n that is not an integer calls the checked ``_sweep_midpoint``, which
+    raises its error.
 
     No ``Point`` is built on the way.  The apex's coordinates are the float
     operations of ``an + along * s + normal * u`` in the same order, so they
@@ -243,7 +246,7 @@ def verify_independence(
         height = rng.uniform(0.05, 2.0)
         s, u = t * base_length, height * base_length
         ax, ay = anx + along.x * s + normal.x * u, any_ + along.y * s + normal.y * u
-        if not (abs(ax) < inf and abs(ay) < inf):
+        if not (-inf < ax < inf and -inf < ay < inf):
             raise _overflow("apex", (ax, ay))
         ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
         side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
@@ -251,21 +254,30 @@ def verify_independence(
         span_sq = side_n * side_n if side_n > side_b else side_b * side_b
         passed = integer_n and side_n > floor and side_b > floor
         if passed:
-            if not (abs(signed) < inf and span_sq < inf):
+            if not (-inf < signed < inf and span_sq < inf):
                 raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
             side = -1 if signed > 0.0 else 1
-            x1, y1, r1 = _circumcircle(ax, ay, anx, any_, ux, uy, side_n, side, tan, sin)
-            x2, y2, r2 = _circumcircle(ax, ay, bnx, bny, vx, vy, side_b, -side, tan, sin)
+            # _side_circumcircle's arithmetic for the circles on the edges An -> A1 and Bn -> A1.
+            inverse, apothem = 1.0 / side_n, 0.5 * side_n / tan
+            x1 = 0.5 * (ax + anx) + -(uy * inverse) * side * apothem
+            y1 = 0.5 * (ay + any_) + (ux * inverse) * side * apothem
+            inverse, apothem = 1.0 / side_b, 0.5 * side_b / tan
+            x2 = 0.5 * (ax + bnx) + -(vy * inverse) * -side * apothem
+            y2 = 0.5 * (ay + bny) + (vx * inverse) * -side * apothem
+            r1, r2 = 0.5 * side_n / sin, 0.5 * side_b / sin
             mx = 0.5 * ((x1 * 2.0 - ax) + (x2 * 2.0 - ax))
             my = 0.5 * ((y1 * 2.0 - ay) + (y2 * 2.0 - ay))
+            # An infinite radius could meet an infinite slack; a centroid past the float
+            # range with a finite radius (the edge's inverse overflows) fails the distance test.
             passed = (
-                abs(math.hypot(ax - x1, ay - y1) - r1) <= slack + rel * r1
+                r1 < inf and r2 < inf
+                and abs(math.hypot(ax - x1, ay - y1) - r1) <= slack + rel * r1
                 and abs(math.hypot(ax - x2, ay - y2) - r2) <= slack + rel * r2
             )
         if not passed:
-            # The checked path raises the degenerate apex's error.
+            # The checked path raises the degenerate apex's error, or a circle's overflow error.
             mx, my = _sweep_midpoint(an, Point(ax, ay), bn, n, tol)
-        elif not (abs(mx) < inf and abs(my) < inf):
+        elif not (-inf < mx < inf and -inf < my < inf):
             # A finite M1 has finite antipodes: a sum with a term that is not finite is not finite.
             raise _overflow("M1", (mx, my))
         midpoints.append((mx, my))
@@ -273,9 +285,7 @@ def verify_independence(
     # the closed form: the maxima over the distinct ones are the same floats.
     midpoints = list(dict.fromkeys(midpoints))
     worst_closed = max(map(math.dist, repeat((px, py)), midpoints))
-    max_deviation = 0.0
-    for i, p in enumerate(midpoints[:-1]):
-        max_deviation = max(max_deviation, max(map(math.dist, repeat(p), midpoints[i + 1:])))
+    max_deviation = max(starmap(math.dist, combinations(midpoints, 2)), default=0.0)
     allowed = tol.bound(base_length)
     return (
         residual_check(

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import sub
 
 from .checks import CheckResult, residual_check
 from .geom import (
@@ -260,11 +262,11 @@ def cosine_model(first: RegularPolygon, second: RegularPolygon, point: Point, ki
     offset = wrap_angle(first.orientation * (math.atan2(v.y, v.x) - first.phase))
     base = r1 * r1 + r2 * r2
     cross = 2.0 * r1 * r2
-    model_worst = 0.0
-    for k in range(1, n + 1):
-        j = k if kind is MatchKind.IDENTITY else (n + 2 - k if k >= 2 else 1)
-        model = base - cross * math.cos(math.tau * (k - 1) / n - offset)
-        model_worst = max(model_worst, abs(near[k - 1] - model), abs(far[j - 1] - model))
+    models = [base - cross * math.cos(math.tau * k / n - offset) for k in range(n)]
+    # The reversal pairs vertex 1 with itself and vertex k with vertex n + 2 - k.
+    partners = far if kind is MatchKind.IDENTITY else far[:1] + far[:0:-1]
+    # A NaN deviation never beats the leading 0.0, as in a running max.
+    model_worst = max(chain((0.0,), map(abs, map(sub, near, models)), map(abs, map(sub, partners, models))))
     return (1.0 if kind is MatchKind.IDENTITY else -1.0) * offset, model_worst
 
 

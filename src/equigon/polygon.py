@@ -132,38 +132,17 @@ def _check_radius(radius: float) -> None:
         raise InvalidRadiusError(f"circumradius must be positive, got {radius}")
 
 
-def _circumcircle(
-    a1x: float, a1y: float, anx: float, any_: float,
-    cx: float, cy: float, length: float, side: int, tan: float, sin: float,
-) -> tuple[float, float, float]:
-    """Centroid x, y and circumradius of the n-gon on the edge ``an -> a1``.
-
-    The one copy of the formula: the edge's difference ``(cx, cy) = an - a1``
-    and its length ``hypot(cx, cy)``, checked by the caller, and ``tan`` and
-    ``sin`` of ``pi / n``.  A centroid or radius past the float range raises
-    the overflow error; every step that leaves the range reaches one of them.
-    """
-    inverse = 1.0 / length
-    ux, uy = cx * inverse, cy * inverse
-    apothem = 0.5 * length / tan
-    mx, my = 0.5 * (a1x + anx), 0.5 * (a1y + any_)
-    ox, oy = -uy * side * apothem, ux * side * apothem
-    x, y = mx + ox, my + oy
-    radius = 0.5 * length / sin
-    if not (abs(x) < math.inf and abs(y) < math.inf and radius < math.inf):
-        raise _overflow("circumcircle", f"centroid {(x, y)}, radius {radius!r}")
-    return x, y, radius
-
-
 def _side_circumcircle(
     a1: Point, an: Point, n: int, side: int, tol: Tolerance
 ) -> tuple[float, float, float]:
     """Centroid x, y and circumradius of the n-gon on the closing edge ``an -> a1``.
 
-    ``from_side``'s arithmetic in plain floats.  It checks the side, the edge
-    (an overflow error past the float range), its length and n, then hands
-    the rest to ``_circumcircle``; the apex sweep makes those checks once per
-    base or once per apex and calls ``_circumcircle`` directly.
+    ``from_side``'s arithmetic in plain floats, and its checks: the side, the
+    edge (an overflow error past the float range), its length and n.  A
+    centroid or radius past the float range raises the overflow error; every
+    step that leaves the range reaches one of them.  The apex sweep repeats
+    this arithmetic inline for both circles of each apex, and the tests pin
+    its midpoints to this path bit for bit.
     """
     if side not in (1, -1):
         raise GeometryError(f"side must be +1 or -1, got {side!r}")
@@ -176,7 +155,13 @@ def _side_circumcircle(
     if not isinstance(n, int) or n < 3:
         raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
     angle = math.pi / n
-    return _circumcircle(a1.x, a1.y, an.x, an.y, cx, cy, length, side, math.tan(angle), math.sin(angle))
+    inverse, apothem = 1.0 / length, 0.5 * length / math.tan(angle)
+    x = 0.5 * (a1.x + an.x) + -(cy * inverse) * side * apothem
+    y = 0.5 * (a1.y + an.y) + (cx * inverse) * side * apothem
+    radius = 0.5 * length / math.sin(angle)
+    if not (abs(x) < math.inf and abs(y) < math.inf and radius < math.inf):
+        raise _overflow("circumcircle", f"centroid {(x, y)}, radius {radius!r}")
+    return x, y, radius
 
 
 def from_side(
@@ -191,8 +176,8 @@ def from_side(
     Vertex 1 lands on ``a1`` and vertex n on ``an``.  ``side`` picks the
     half-plane containing the body: +1 means left of the directed segment
     ``a1 -> an``, -1 means right.  The centroid and radius come from
-    ``_side_circumcircle``, and so from ``_circumcircle``; this adds the phase
-    and the orientation, one ``atan2`` each.
+    ``_side_circumcircle``; this adds the phase and the orientation, one
+    ``atan2`` each.
     """
     x, y, radius = _side_circumcircle(a1, an, n, side, tol)
     phase = math.atan2(a1.y - y, a1.x - x)

@@ -350,6 +350,12 @@ SWEEP_ERRORS = {
         (Point(0, 0), Point(1e100, 0), 6 * 10**208, 9),
         (GeometryError, "M1 overflows the float range: (-9.9792015476736e+291, inf)"),
     ),
+    # A circle past the float range: the sweep's inline circles send the
+    # apex to the checked path, which raises the circle's error.
+    "circumcircle-overflows": (
+        (Point(0, 0), Point(1e100, 0), 6 * 10**208, 0),
+        (GeometryError, "circumcircle overflows the float range: centroid (-inf, inf), radius inf"),
+    ),
 }
 
 
@@ -407,6 +413,23 @@ def test_sweep_does_its_per_base_work_once(monkeypatch):
     long, short = counted_sweep(300), counted_sweep(2)
     assert long == short
     assert max(long.values()) <= 3
+
+
+def test_sweep_calls_no_checked_path_on_a_regular_base(monkeypatch):
+    # The sweep computes both circles, the antipodes and M1 inline; the
+    # checked one-circle path runs only for an apex that fails its tests.
+    calls = dict.fromkeys(("_sweep_midpoint", "_side_circumcircle", "_antipode"), 0)
+    for name in calls:
+        original = getattr(equigon.bottema, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(equigon.bottema, name, counting)
+    spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, 300, seed=1)
+    assert spread.ok and closed.ok
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def reference_sweep(an, bn, n, samples, tol, seed):

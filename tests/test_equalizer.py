@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from equigon.geom import DEFAULT_TOLERANCE, Point, side_of_line
+from equigon.geom import DEFAULT_TOLERANCE, Point, side_of_line, wrap_angle
 from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
 from equigon.equalizer import (
@@ -156,6 +156,39 @@ def test_correspondence_identity_and_reversal_frozen():
 def model_residual(first, second, point, kind):
     near, far = distances_squared(first, point), distances_squared(second, point)
     return cosine_model(first, second, point, kind, near, far)[1]
+
+
+def cosine_model_by_loop(first, second, point, kind, near, far):
+    """Oracle: ``cosine_model`` as one Python iteration per vertex, in vertex order."""
+    n = first.n
+    r1, r2 = first.circumradius, second.circumradius
+    v = point - first.centroid
+    offset = wrap_angle(first.orientation * (math.atan2(v.y, v.x) - first.phase))
+    base = r1 * r1 + r2 * r2
+    cross = 2.0 * r1 * r2
+    model_worst = 0.0
+    for k in range(1, n + 1):
+        j = k if kind is MatchKind.IDENTITY else (n + 2 - k if k >= 2 else 1)
+        model = base - cross * math.cos(math.tau * (k - 1) / n - offset)
+        model_worst = max(model_worst, abs(near[k - 1] - model), abs(far[j - 1] - model))
+    return (1.0 if kind is MatchKind.IDENTITY else -1.0) * offset, model_worst
+
+
+def test_cosine_model_matches_the_per_vertex_loop_bit_for_bit():
+    rng = random.Random(27)
+    cases = []
+    for n in (3, 4, 5, 7, 8, 12, 64, 256):
+        for _ in range(40):
+            first, second = random_shared_vertex_pair(rng, n)
+            point = Point(rng.uniform(-9, 9), rng.uniform(-9, 9))
+            cases.append((first, second, point, distances_squared(first, point), distances_squared(second, point)))
+    # A NaN leading the first list: the running max skips it, and so must the single max.
+    first, second, point, near, far = cases[-1]
+    cases.append((first, second, point, (math.nan, *near[1:]), far))
+    for (first, second, point, near, far), kind in itertools.product(cases, MatchKind):
+        got = cosine_model(first, second, point, kind, near, far)
+        want = cosine_model_by_loop(first, second, point, kind, near, far)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def matching_residuals_by_distance(first, second, point, kind):
