@@ -225,6 +225,8 @@ def verify_independence(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     base_length = an.distance(bn)
+    if not math.isfinite(base_length):
+        raise _overflow("base", (bn.x - an.x, bn.y - an.y))
     floor = tol.bound(0.0)
     if base_length <= floor:
         raise DegenerateSideError("base endpoints coincide")

@@ -13,6 +13,9 @@ two candidate points realise the two possible vertex correspondences:
 Both correspondences obey a one-angle cosine law
 ``|M A_k|^2 = R1^2 + R2^2 - 2 R1 R2 cos(2 pi (k-1)/n -+ angle)`` which
 ``cosine_model`` uses as an independent cross-check on the distance matching.
+The same law aligns any pair: ``align_rotation`` turns the second polygon so
+that its angle at M equals +-phi1 (mod 2 pi/n), which makes its distance
+multiset at M the first's.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ from .polygon import RegularPolygon, diametric_opposite
 
 
 class MixedVertexCountError(GeometryError):
-    pass
-
-
-class NoIntersectionError(GeometryError):
     pass
 
 
@@ -175,33 +174,22 @@ def equal_distance_points(
 
 
 def align_rotation(
-    poly: RegularPolygon,
-    point: Point,
-    first_distance: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[RegularPolygon, ...]:
-    """Rotations of ``poly`` that put its first vertex at ``first_distance`` from ``point``.
+    first: RegularPolygon, second: RegularPolygon, point: Point
+) -> tuple[RegularPolygon, RegularPolygon]:
+    """The two rotations of ``second`` whose distances from ``point`` match ``first``'s.
 
-    The candidate first vertices are the intersections of the circumcircle with
-    the auxiliary circle of radius ``first_distance`` around ``point``; both
-    resulting rotations are returned (one for a tangent contact).  Raises
-    NoIntersectionError when no rotation can achieve the distance, i.e. when
-    ``first_distance`` is outside ``[|g - R|, g + R]`` for g the gap from
-    ``point`` to the centroid and R the circumradius.
+    At a swapped-circle point M, |M A_k|^2 = R1^2 + R2^2 - 2 R1 R2 cos(phi1 -
+    2 pi (k-1)/n) with phi1 the angle of M about O1 from vertex 1, and the
+    second polygon's list has the same form with phi2; the multisets agree
+    exactly when phi2 = +-phi1 (mod 2 pi/n).  So vertex 1 of the two rotations
+    sits at the angle of M about O2, minus and plus phi1: two ``atan2`` calls,
+    no tolerance and no failure mode.  The caller judges each candidate.
     """
-    if not math.isfinite(first_distance) or first_distance < 0.0:
-        raise GeometryError(f"first_distance must be finite and >= 0, got {first_distance}")
-    auxiliary = Circle(point, first_distance)
-    crossing = circle_intersection(auxiliary, poly.circumcircle, tol)
-    if not crossing:
-        raise NoIntersectionError(
-            "no rotation reaches the requested first-vertex distance "
-            f"{first_distance} (centroid gap {point.distance(poly.centroid)}, "
-            f"circumradius {poly.circumradius})"
-        )
-    c = poly.centroid
-    return tuple([RegularPolygon(poly.n, c, poly.circumradius, math.atan2(p.y - c.y, p.x - c.x), poly.orientation)
-                  for p in crossing])
+    phi = math.atan2(point.y - first.centroid.y, point.x - first.centroid.x) - first.phase
+    c = second.centroid
+    toward = math.atan2(point.y - c.y, point.x - c.x)
+    return (RegularPolygon(second.n, c, second.circumradius, toward - phi, second.orientation),
+            RegularPolygon(second.n, c, second.circumradius, toward + phi, second.orientation))
 
 
 def correspondence(

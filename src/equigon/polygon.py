@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .geom import (
     DEFAULT_TOLERANCE,
-    Circle,
     GeometryError,
     Point,
     Tolerance,
@@ -58,10 +57,6 @@ class RegularPolygon:
         if not math.isfinite(self.phase):
             raise GeometryError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", wrap_angle(self.phase))
-
-    @property
-    def circumcircle(self) -> Circle:
-        return Circle(self.centroid, self.circumradius)
 
     def vertex_angle(self, k: int) -> float:
         """Angular position of vertex k (1-based) around the centroid: the one angle formula."""

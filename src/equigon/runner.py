@@ -124,14 +124,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _squared_scale(first: RegularPolygon, second: RegularPolygon, point: Point) -> float:
-    reach = max(
-        point.distance(first.centroid) + first.circumradius,
-        point.distance(second.centroid) + second.circumradius,
-    )
-    return reach * reach
-
-
 def _check_point(
     out: Report,
     label: str,
@@ -145,29 +137,15 @@ def _check_point(
     da = distances_squared(first, point)
     db = distances_squared(second, point)
     out.checks.append(compare_power_sums(da, db, tol, name=f"power_sums_{label}"))
-    want = point.distance(first.vertex(1))
-    try:
-        candidates = align_rotation(second, point, want, tol)
-    except GeometryError as exc:
-        out.checks.append(
-            CheckResult(f"alignment_multiset_{label}", False, math.inf, 0.0, detail=str(exc))
-        )
-        return da, db
-    best = math.inf
-    matched = False
-    for candidate in candidates:
-        match = multisets_equal(da, distances_squared(candidate, point), tol)
-        best = min(best, match.residual)
-        matched = matched or match.ok
-    out.checks.append(
-        CheckResult(
-            f"alignment_multiset_{label}",
-            matched,
-            best,
-            tol.bound(_squared_scale(first, second, point)),
-            detail=f"{len(candidates)} rotation candidate(s)",
-        )
-    )
+    candidates = align_rotation(first, second, point)
+    # The check shows the deciding candidate: a passing one, else the closer one.
+    best = min((multisets_equal(da, distances_squared(candidate, point), tol) for candidate in candidates),
+               key=lambda match: (not match.ok, match.residual))
+    # How far the second polygon sits from the nearer aligned rotation, mod 2 pi / n.
+    step = math.tau / first.n
+    offset = min(min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates))
+    out.checks.append(CheckResult(f"alignment_multiset_{label}", best.ok, best.residual, best.tolerance,
+                                  detail=f"phase offset {offset:.3e} rad"))
     return da, db
 
 

@@ -321,8 +321,7 @@ def test_criterion_06_alignment_end_to_end():
         assert len(solution.points) == 2
         point = solution.points[0]
         da = distances_squared(first, point)
-        want = point.distance(first.vertex(1))
-        candidates = align_rotation(second, point, want)
+        candidates = align_rotation(first, second, point)
         assert candidates
         matched = False
         joint_scale = max(da)

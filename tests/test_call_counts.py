@@ -37,7 +37,8 @@ COUNTED = {
 # reuses them (a tangent point's computes its own), then computes the
 # reversal ones if needed.  Each labelled point's two squared-distance lists
 # are computed once and feed its power sums, its alignment multiset and its
-# cosine model; each rotation candidate and each locus probe adds its own.
+# cosine model; each of a point's two rotation candidates and each locus
+# probe adds its own.
 # The solve computes none: the figure reads no cosine model.
 EXPECTED = {
     "bottema_squares": ((1, 0, 1, 1, 1, 8), (0, 0, 1, 1, 0, 0)),
@@ -46,7 +47,7 @@ EXPECTED = {
     "pair_disjoint": ((0, 1, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0)),
     "pair_pentagons": ((2, 1, 1, 0, 4, 8), (1, 1, 1, 0, 3, 0)),
     "shared_vertex_squares": ((2, 1, 1, 0, 3, 8), (1, 1, 1, 0, 2, 0)),
-    "tangent_collinear": ((1, 1, 1, 0, 1, 3), (1, 1, 1, 0, 1, 0)),
+    "tangent_collinear": ((1, 1, 1, 0, 1, 4), (1, 1, 1, 0, 1, 0)),
 }
 
 
@@ -99,12 +100,11 @@ def vertex_calls(monkeypatch):
 def test_large_pair_reads_vertices_as_floats(vertex_calls):
     # The O(n) checks read RegularPolygon.coordinates(); a Point per vertex of
     # both polygons and of every rotation candidate made 6n + 2 vertex calls.
-    # What is left is vertex 1 of the first polygon, once at M1 and once at
-    # M2, for the distance each rotation candidate must reach.
+    # The rotation candidates come from angles, so no vertex is read at all.
     scenario = parse_scenario((DATA / "pair_large_n256.json").read_text(encoding="utf-8"))
     report = run_scenario(scenario)
     assert report.overall_ok
-    assert vertex_calls == [1, 1]
+    assert vertex_calls == []
 
 
 @pytest.mark.parametrize("stem", ["pair_large_n256", "shared_vertex_large_n256", "bottema_large_n128"])

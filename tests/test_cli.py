@@ -150,6 +150,14 @@ def test_overflowing_bottema_triangle_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
+def test_overflowing_bottema_base_is_input_error(capsys):
+    # Both corners are finite, but the base between them is not.
+    assert main(["bottema", "--an=1e308,0", "--bn=-1e308,0", "--n", "5", "--samples", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: base overflows the float range: (-inf, 0.0)\n"
+
+
 def test_render_shared_vertex_golden_counts(tmp_path, capsys):
     out_path = tmp_path / "figure.svg"
     assert main(["render", SHARED, "-o", str(out_path)]) == 0

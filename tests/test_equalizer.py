@@ -2,17 +2,20 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 
 import pytest
 
-from equigon.geom import DEFAULT_TOLERANCE, Point, side_of_line, wrap_angle
+from equigon.geom import DEFAULT_TOLERANCE, Circle, Point, circle_intersection, side_of_line, wrap_angle
 from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
+from equigon.runner import run_scenario
+from equigon.sampling import random_scenario
+from equigon.scenario import ScenarioKind
 from equigon.equalizer import (
     Locus,
     MatchKind,
     MixedVertexCountError,
-    NoIntersectionError,
     NoMatchingError,
     NotSharedVertexError,
     NotTwoPointSolutionError,
@@ -226,33 +229,80 @@ def test_correspondence_rejects_unrelated_point():
         correspondence(first, second, Point(7.0, -3.0))
 
 
-def test_align_rotation_fixed_point():
-    # a polygon already satisfying the distance constraint reappears among the candidates
-    poly = RegularPolygon(5, Point(2, 1), 1.5, 0.6, 1)
-    probe = Point(-1.0, 0.5)
-    want = probe.distance(poly.vertex(1))
-    candidates = align_rotation(poly, probe, want)
-    assert len(candidates) == 2
-    assert any(abs(c.phase - poly.phase) < 1e-9 for c in candidates)
-    for c in candidates:
-        assert probe.distance(c.vertex(1)) == pytest.approx(want, abs=1e-9)
-        assert c.centroid == poly.centroid
-        assert c.circumradius == poly.circumradius
-        assert c.orientation == poly.orientation
+def random_non_congruent_pair(rng, n):
+    """Two polygons of distinct radii whose swapped circles cross well away from tangency."""
+    r1, r2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+    while abs(r1 - r2) < 0.1:
+        r2 = rng.uniform(0.3, 3.0)
+    gap = abs(r1 - r2) + rng.uniform(0.1, 0.9) * (r1 + r2 - abs(r1 - r2))
+    angle = rng.uniform(-math.pi, math.pi)
+    c1 = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+    first = RegularPolygon(n, c1, r1, rng.uniform(-math.pi, math.pi), rng.choice((1, -1)))
+    second = RegularPolygon(n, c1 + Point(math.cos(angle), math.sin(angle)) * gap, r2,
+                            rng.uniform(-math.pi, math.pi), rng.choice((1, -1)))
+    return first, second
 
 
-def test_align_rotation_zero_distance_degenerate():
-    poly = RegularPolygon(4, Point(0, 0), 2.0, 0.0, 1)
-    on_circle = Point(0.0, 2.0)
-    candidates = align_rotation(poly, on_circle, 0.0)
-    assert len(candidates) == 1
-    assert candidates[0].vertex(1).distance(on_circle) < 1e-12
+def test_align_rotation_lands_where_the_circle_intersection_does():
+    # Away from tangency the phase rule puts vertex 1 where the circle of
+    # radius |M A1| about M crosses the second circumcircle.
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(300):
+        first, second = random_non_congruent_pair(rng, rng.randint(3, 12))
+        for point in equal_distance_points(first, second).points:
+            reach = point.distance(first.vertex(1))
+            crossing = circle_intersection(
+                Circle(point, reach), Circle(second.centroid, second.circumradius))
+            if len(crossing) < 2 or crossing[0].distance(crossing[1]) < 1e-3 * second.circumradius:
+                continue
+            landings = [candidate.vertex(1) for candidate in align_rotation(first, second, point)]
+            for landing in landings:
+                assert min(landing.distance(p) for p in crossing) < 1e-9 * second.circumradius
+            assert landings[0].distance(landings[1]) > 1e-4 * second.circumradius
+            checked += 1
+    assert checked > 400
 
 
-def test_align_rotation_unreachable_distance():
-    poly = RegularPolygon(4, Point(0, 0), 1.0, 0.0, 1)
-    with pytest.raises(NoIntersectionError):
-        align_rotation(poly, Point(10.0, 0.0), 1.0)
+def test_align_rotation_keeps_an_aligned_polygon():
+    # Polygons sharing vertex 1 are aligned at both swapped-circle points (the
+    # identity and the reversal correspondences), so the second polygon's own
+    # rotation is a candidate there, and the candidates do not read it.
+    rng = random.Random(29)
+    for _ in range(200):
+        scenario = random_scenario(ScenarioKind.SHARED_VERTEX, rng.randint(3, 12), rng)
+        cfg = scenario.config
+        first = from_shared_vertex(cfg.vertex, cfg.centroid1, scenario.n, cfg.orient1)
+        second = from_shared_vertex(cfg.vertex, cfg.centroid2, scenario.n, cfg.orient2)
+        solution = equal_distance_points(first, second)
+        for point in solution.points:
+            candidates = align_rotation(first, second, point)
+            assert min(abs(wrap_angle(c.phase - second.phase)) for c in candidates) < 1e-9
+            assert candidates == align_rotation(first, rotate_about_centroid(second, 1.0), point)
+
+
+def test_no_sampled_scenario_fails_its_alignment():
+    # Sampled pair, shared-vertex and Bottema scenarios, with each pair's
+    # vertex 1 turned to within 1e-12..1e-2 rad of the line from its centroid
+    # through M1 or M2: there a circle of radius |M A1| about M is almost
+    # tangent to the second circumcircle, which once lost a rotation.
+    rng = random.Random(2028)
+    kinds = (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX, ScenarioKind.BOTTEMA)
+    start = time.perf_counter()
+    for index in range(3000):
+        scenario = random_scenario(kinds[index % 3], rng.randint(3, 12), rng)
+        cfg = scenario.config
+        if scenario.kind is ScenarioKind.PAIR:
+            bare = [RegularPolygon(scenario.n, c, r) for c, r in ((cfg.centroid1, cfg.r1), (cfg.centroid2, cfg.r2))]
+            points = equal_distance_points(*bare).points
+            if points:
+                towards = points[rng.randrange(2)] - cfg.centroid1
+                turn = rng.choice((1, -1)) * 10.0 ** rng.uniform(-12, -2) + rng.choice((0.0, math.pi))
+                cfg = dataclasses.replace(cfg, phase1=math.atan2(towards.y, towards.x) + turn)
+        report = run_scenario(dataclasses.replace(scenario, config=cfg))
+        failed = [c.name for c in report.checks if c.name.startswith("alignment_multiset_") and not c.ok]
+        assert not failed, (scenario, failed)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_alignment_then_full_multiset_equality():
@@ -267,9 +317,7 @@ def test_alignment_then_full_multiset_equality():
         solution = equal_distance_points(first, second)
         assert len(solution.points) == 2
         point = solution.points[0]
-        want = point.distance(first.vertex(1))
-        candidates = align_rotation(second, point, want)
-        assert candidates
+        candidates = align_rotation(first, second, point)
         matched = 0
         for candidate in candidates:
             da = distances_squared(first, point)

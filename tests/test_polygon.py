@@ -220,7 +220,7 @@ def test_derived_polygons_get_their_own_vertices():
         rotate_about_centroid(poly, 0.3),
         dataclasses.replace(poly, centroid=Point(-1.0, 0.0)),
         dataclasses.replace(poly, n=8),
-        *align_rotation(poly, probe, 2.0),
+        *align_rotation(RegularPolygon(6, Point(4.0, 1.0), 1.0, phase=0.5), poly, probe),
     ]
     for other in derived:
         fresh = RegularPolygon(

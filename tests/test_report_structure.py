@@ -26,9 +26,9 @@ IDENTITY_6 = "orders 1..6, relative"
 PINNED = {
     "bottema_squares.json": (0, "non_congruent", {"M1": "identity"}, [
         ("power_sums_M1", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M1", True, False, "2 rotation candidate(s)"),
+        ("alignment_multiset_M1", True, False, "phase offset 4.441e-16 rad"),
         ("power_sums_M2", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M2", True, False, "2 rotation candidate(s)"),
+        ("alignment_multiset_M2", True, False, "phase offset 1.776e-15 rad"),
         ("matching_M1", True, False, "identity"),
         ("cosine_model_M1", True, False, "shared angle -0.291457 rad"),
         ("closed_form_midpoint", True, False, "base normal side +1"),
@@ -54,17 +54,17 @@ PINNED = {
     "pair_disjoint.json": (0, "non_congruent", {}, []),
     "pair_pentagons.json": (0, "non_congruent", {}, [
         ("power_sums_M1", True, False, POWER_SUMS_4),
-        ("alignment_multiset_M1", True, False, "2 rotation candidate(s)"),
+        ("alignment_multiset_M1", True, False, "phase offset 2.375e-01 rad"),
         ("power_sums_M2", True, False, POWER_SUMS_4),
-        ("alignment_multiset_M2", True, False, "2 rotation candidate(s)"),
+        ("alignment_multiset_M2", True, False, "phase offset 1.458e-01 rad"),
     ]),
     "shared_vertex_squares.json": (0, "non_congruent", {"M1": "identity", "M2": "reversal"}, [
         ("power_sums_M1", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M1", True, False, "2 rotation candidate(s)"),
+        ("alignment_multiset_M1", True, False, "phase offset 0.000e+00 rad"),
         ("matching_M1", True, False, "identity"),
         ("cosine_model_M1", True, False, "shared angle 1.570796 rad"),
         ("power_sums_M2", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M2", True, False, "2 rotation candidate(s)"),
+        ("alignment_multiset_M2", True, False, "phase offset 2.220e-16 rad"),
         ("matching_M2", True, False, "reversal"),
         ("cosine_model_M2", True, False, "shared angle -0.643501 rad"),
         ("midpoint_of_diametric_points", True, False, ""),
@@ -76,7 +76,7 @@ PINNED = {
     ]),
     "tangent_collinear.json": (0, "non_congruent", {"M1": "identity"}, [
         ("power_sums_M1", True, False, POWER_SUMS_4),
-        ("alignment_multiset_M1", True, False, "1 rotation candidate(s)"),
+        ("alignment_multiset_M1", True, False, "phase offset 0.000e+00 rad"),
         ("matching_M1", True, False, "identity"),
         ("cosine_model_M1", True, False, "shared angle 3.141593 rad"),
         ("midpoint_of_diametric_points", True, False, ""),
