@@ -20,12 +20,10 @@ from itertools import combinations, repeat, starmap
 from .checks import CheckResult, residual_check
 from .geom import (
     DEFAULT_TOLERANCE,
-    Circle,
     GeometryError,
     Point,
     Tolerance,
     angle_at,
-    circle_intersection,
     project_onto_line,
     reflect_across_line,
 )
@@ -38,7 +36,7 @@ from .polygon import (
     diametric_opposite,
     from_side,
 )
-from .equalizer import PairCase, classify_pair
+from .equalizer import PairCase, swapped_crossings
 
 
 class DegenerateTriangleError(GeometryError):
@@ -129,8 +127,9 @@ def bottema_construct(
     ``side1`` / ``side2`` select the half-planes for the polygons on A1 An and
     A1 Bn (+1 = left of the directed segment from the apex); omitted sides
     default to the exterior of the triangle.  A collinear apex is accepted and
-    flagged; coincident triangle corners are rejected.  The pair is classified
-    once, and the result carries that case.
+    flagged; coincident triangle corners are rejected.  The pair's case and
+    its swapped-circle crossings come from one ``swapped_crossings`` call,
+    and the result carries that case.
     """
     signed, span_sq, exterior1, exterior2 = _triangle(an, a1, bn, tol)
     collinear = abs(signed) <= tol.bound(span_sq)
@@ -140,11 +139,8 @@ def bottema_construct(
     d2 = diametric_opposite(poly2, a1, tol)
     m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
 
-    case = classify_pair(poly1, poly2, tol)
-    o1, o2 = poly1.centroid, poly2.centroid
     # A non-congruent pair's equal-distance points are where the swapped circles meet.
-    crossing = (circle_intersection(Circle(o2, poly1.circumradius), Circle(o1, poly2.circumradius), tol)
-                if case is PairCase.NON_CONGRUENT else ())
+    case, crossing = swapped_crossings(poly1, poly2, tol)
     if crossing:
         # The mirror candidate is whichever crossing sits away from the midpoint.
         m2 = max(crossing, key=lambda q: (m1.distance(q), q.x, q.y))
@@ -153,7 +149,7 @@ def bottema_construct(
     else:
         # Congruent polygons (isosceles apex), or swapped circles that do not
         # meet, still have a mirror candidate: the reflection across the centroid line.
-        m2 = reflect_across_line(m1, o1, o2, tol)
+        m2 = reflect_across_line(m1, poly1.centroid, poly2.centroid, tol)
 
     h = project_onto_line(m1, an, bn, tol)
     return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, case)

@@ -2,10 +2,12 @@
 
 Given polygons with centroids O1, O2 and circumradii R1, R2, the candidate
 points are the intersections of the swapped circles: the circle around O2 with
-radius R1 and the circle around O1 with radius R2.  Congruent pairs degenerate
-to a locus (the whole plane for a shared centroid, otherwise the perpendicular
-bisector of the centroid segment).  For pairs sharing their first vertex the
-two candidate points realise the two possible vertex correspondences:
+radius R1 and the circle around O1 with radius R2, which ``swapped_crossings``
+meets for the equal-distance solve and the Bottema construction alike.
+Congruent pairs degenerate to a locus (the whole plane for a shared centroid,
+otherwise the perpendicular bisector of the centroid segment).  For pairs
+sharing their first vertex the two candidate points realise the two possible
+vertex correspondences, which ``partners`` applies to any list by vertex:
 
   identity    |M A_k| = |M B_k|        for every k
   reversal    |M A_k| = |M B_(n+2-k)|  for k = 2..n (index 1 pairs with itself)
@@ -15,7 +17,7 @@ Both correspondences obey a one-angle cosine law
 ``cosine_model`` uses as an independent cross-check on the distance matching.
 The same law aligns any pair: ``align_rotation`` turns the second polygon so
 that its angle at M equals +-phi1 (mod 2 pi/n), which makes its distance
-multiset at M the first's.
+multiset at M the first's; ``verify_alignment`` judges those two rotations.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import sub
+from typing import Sequence
 
 from .checks import CheckResult, residual_check
 from .geom import (
     DEFAULT_TOLERANCE,
-    Circle,
     GeometryError,
     Point,
     Tolerance,
@@ -39,6 +41,7 @@ from .geom import (
     wrap_angle,
 )
 from .polygon import RegularPolygon, diametric_opposite
+from .power_sums import distances_squared, multisets_equal
 
 
 class MixedVertexCountError(GeometryError):
@@ -71,6 +74,13 @@ class Locus(Enum):
 class MatchKind(Enum):
     IDENTITY = "identity"
     REVERSAL = "reversal"
+
+
+def partners(items: Sequence, kind: MatchKind) -> Sequence:
+    """``items``, one per vertex in vertex order, put in the order of their
+    partners under ``kind``: unchanged for the identity; for the reversal,
+    vertex 1 keeps its own and vertex k gets vertex n + 2 - k's."""
+    return items if kind is MatchKind.IDENTITY else items[:1] + items[:0:-1]
 
 
 @dataclass(frozen=True)
@@ -128,12 +138,22 @@ def _matching_residuals(
     """
     xs, ys = first.coordinates()
     us, vs = second.coordinates()
-    us, vs = us[1:], vs[1:]
-    if kind is MatchKind.REVERSAL:
-        us, vs = us[::-1], vs[::-1]
+    us, vs = partners(us, kind), partners(vs, kind)
     x, y, hypot = point.x, point.y, math.hypot
     return tuple([abs(hypot(x - ax, y - ay) - hypot(x - bx, y - by))
-                  for ax, ay, bx, by in zip(xs[1:], ys[1:], us, vs)])
+                  for ax, ay, bx, by in zip(xs[1:], ys[1:], us[1:], vs[1:])])
+
+
+def swapped_crossings(first: RegularPolygon, second: RegularPolygon,
+                      tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[PairCase, tuple[Point, ...]]:
+    """The pair's case and, for a non-congruent pair, where the swapped circles
+    meet: the circle around O2 with radius R1 crossed with the one around O1
+    with radius R2, in that order.  A congruent pair has no crossings here."""
+    case = classify_pair(first, second, tol)
+    if case is not PairCase.NON_CONGRUENT:
+        return case, ()
+    return case, circle_intersection(second.centroid, first.circumradius,
+                                     first.centroid, second.circumradius, tol)
 
 
 def equal_distance_points(
@@ -146,15 +166,11 @@ def equal_distance_points(
     residuals pass (or tie) the point to the left of the directed centroid
     line O1 -> O2 is M1.
     """
-    case = classify_pair(first, second, tol)
+    case, crossing = swapped_crossings(first, second, tol)
     if case is PairCase.CONGRUENT_SAME_CENTROID:
         return EqualDistanceSolution(case, (), Locus.ENTIRE_PLANE, False)
     if case is PairCase.CONGRUENT_DISTINCT_CENTROIDS:
         return EqualDistanceSolution(case, (), Locus.PERPENDICULAR_BISECTOR, False)
-
-    around_second = Circle(second.centroid, first.circumradius)
-    around_first = Circle(first.centroid, second.circumradius)
-    crossing = circle_intersection(around_second, around_first, tol)
     if not crossing:
         return EqualDistanceSolution(case, (), None, False)
     if len(crossing) == 1:
@@ -190,6 +206,24 @@ def align_rotation(
     toward = math.atan2(point.y - c.y, point.x - c.x)
     return (RegularPolygon(second.n, c, second.circumradius, toward - phi, second.orientation),
             RegularPolygon(second.n, c, second.circumradius, toward + phi, second.orientation))
+
+
+def verify_alignment(first: RegularPolygon, second: RegularPolygon, point: Point,
+                     near: tuple[float, ...], tol: Tolerance, name: str) -> CheckResult:
+    """Whether one of ``align_rotation``'s two rotations of ``second`` has the
+    squared-distance multiset ``near``, ``first``'s at ``point``.
+
+    The check, named ``name``, shows the deciding candidate: a passing one,
+    else the one with the smaller residual, with its comparison's tolerance.
+    Its detail is how far ``second`` sits from the nearer candidate, as a
+    phase offset mod 2 pi / n.
+    """
+    candidates = align_rotation(first, second, point)
+    best = min((multisets_equal(near, distances_squared(candidate, point), tol) for candidate in candidates),
+               key=lambda match: (not match.ok, match.residual))
+    step = math.tau / first.n
+    offset = min(min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates))
+    return CheckResult(name, best.ok, best.residual, best.tolerance, detail=f"phase offset {offset:.3e} rad")
 
 
 def correspondence(
@@ -251,10 +285,9 @@ def cosine_model(first: RegularPolygon, second: RegularPolygon, point: Point, ki
     base = r1 * r1 + r2 * r2
     cross = 2.0 * r1 * r2
     models = [base - cross * math.cos(math.tau * k / n - offset) for k in range(n)]
-    # The reversal pairs vertex 1 with itself and vertex k with vertex n + 2 - k.
-    partners = far if kind is MatchKind.IDENTITY else far[:1] + far[:0:-1]
     # A NaN deviation never beats the leading 0.0, as in a running max.
-    model_worst = max(chain((0.0,), map(abs, map(sub, near, models)), map(abs, map(sub, partners, models))))
+    model_worst = max(chain((0.0,), map(abs, map(sub, near, models)),
+                            map(abs, map(sub, partners(far, kind), models))))
     return (1.0 if kind is MatchKind.IDENTITY else -1.0) * offset, model_worst
 
 

@@ -1,8 +1,9 @@
 """Tolerance-aware planar primitives.
 
-Everything downstream is built from the types here: finite points, circles,
-a combined relative/absolute tolerance, and the circle-circle intersection
-kernel whose two-point ordering the rest of the package relies on.
+Everything downstream is built from the types here: finite points, a
+combined relative/absolute tolerance, and the circle-circle intersection
+kernel, which takes two centres and two radii and whose two-point ordering the
+rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from dataclasses import dataclass
 
 class GeometryError(ValueError):
     """A geometric precondition was violated."""
-
-
-class InvalidCircleError(GeometryError):
-    pass
 
 
 class DegenerateLineError(GeometryError):
@@ -78,11 +75,6 @@ class Point:
     def __mul__(self, scalar: float) -> Point:
         return Point(self.x * scalar, self.y * scalar)
 
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Point:
-        return Point(-self.x, -self.y)
-
     def dot(self, other: Point) -> float:
         return self.x * other.x + self.y * other.y
 
@@ -108,18 +100,6 @@ class Point:
         return Point(-self.y, self.x)
 
 
-@dataclass(frozen=True)
-class Circle:
-    """Circle with non-negative radius; radius 0 is the degenerate point-circle."""
-
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.radius) or self.radius < 0.0:
-            raise InvalidCircleError(f"radius must be finite and >= 0, got {self.radius}")
-
-
 def wrap_angle(theta: float) -> float:
     """Map an angle to the interval (-pi, pi]."""
     wrapped = math.remainder(theta, math.tau)
@@ -129,33 +109,32 @@ def wrap_angle(theta: float) -> float:
 
 
 def circle_intersection(
-    first: Circle, second: Circle, tol: Tolerance = DEFAULT_TOLERANCE
+    c1: Point, r1: float, c2: Point, r2: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[Point, ...]:
-    """Intersect two circles, resolving near-tangency onto the tangent case.
+    """Intersect the circle of radius ``r1`` about ``c1`` with the one of radius
+    ``r2`` about ``c2``, resolving near-tangency onto the tangent case.
 
+    The package passes circumradii, which ``RegularPolygon`` has checked.
     Writing d for the center distance, the result is two points exactly when
     ``|r1 - r2| < d < r1 + r2`` beyond tolerance, the first strictly to the
-    left of the directed line from the first circle's center to the second's;
-    equalities within tolerance yield a single tangent point on the center
-    line.  Concentric circles, coincident or not, have no points.
+    left of the directed line from ``c1`` to ``c2``; equalities within
+    tolerance yield a single tangent point on the center line.  Concentric
+    circles, coincident or not, have no points.
     """
-    r1, r2 = first.radius, second.radius
-    if r1 == 0.0 and r2 == 0.0:
-        raise InvalidCircleError("cannot intersect two zero-radius circles")
-    d = first.center.distance(second.center)
+    d = c1.distance(c2)
     scale = max(r1, r2, d)
     if tol.is_zero(d, scale):
         return ()
-    along = (second.center - first.center) * (1.0 / d)
+    along = (c2 - c1) * (1.0 / d)
     # Abscissa of the chord's midpoint, measured from the first center.  At a
     # boundary contact this lands exactly on the tangent point.
     a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
     if tol.eq(d, r1 + r2) or tol.eq(d, abs(r1 - r2)):
-        return (first.center + along * a,)
+        return (c1 + along * a,)
     if d > r1 + r2 or d < abs(r1 - r2):
         return ()
     half_chord = math.sqrt(max(r1 * r1 - a * a, 0.0))
-    base = first.center + along * a
+    base = c1 + along * a
     offset = along.perpendicular() * half_chord
     return (base + offset, base - offset)
 

@@ -31,6 +31,7 @@ of a per-order running-product loop (``_power_sums``).
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add, le, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
@@ -60,21 +61,24 @@ def distances_squared(poly: RegularPolygon, point: Point) -> tuple[float, ...]:
     return tuple([(x - vx) * (x - vx) + (y - vy) * (y - vy) for vx, vy in zip(xs, ys)])
 
 
+# Up to Python 3.11 ``sum`` adds floats left to right from the int 0; from 3.12
+# it compensates them, and keeps both 1.0s of this probe.  So the fold is
+# ``sum`` where it adds plainly, else the same additions from the same start.
+_fold = sum if sum([1.0, 1e100, 1.0, -1e100]) == 0.0 else lambda column: reduce(add, column, 0)
+
+
 def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
     """p_1..p_top of ``values`` (top >= 1), each a left-to-right sum of running products.
 
     ``accumulate`` yields each value's running products v, v*v, (v*v)*v, ...;
     column m of the ``zip`` holds order m's products in value order, and
-    ``sum`` adds them from 0 as it adds the list a per-order loop builds.  On
-    Python 3.10 and 3.11, the versions the package supports, ``sum`` adds
-    floats left to right, so the bits are that loop's; from 3.12 it
-    compensates the additions, and the last digits can differ.  Lazy: a
-    caller that stops at order m pays for m orders only.  No values give
-    ``top`` zeros.
+    ``_fold`` adds them from 0 as a per-order loop adds its list, so the bits
+    are that loop's on every Python.  Lazy: a caller that stops at order m
+    pays for m orders only.  No values give ``top`` zeros.
     """
     if not values:
         return repeat(0, top)
-    return map(sum, zip(*[accumulate(repeat(v, top), mul) for v in values]))
+    return map(_fold, zip(*[accumulate(repeat(v, top), mul) for v in values]))
 
 
 def _closed_forms(n: int, u: float, v: float, top: int) -> Iterator[float]:

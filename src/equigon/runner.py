@@ -23,15 +23,15 @@ from typing import Any, Callable
 from .checks import CheckResult, residual_check
 from .geom import GeometryError, Point, Tolerance, side_of_line
 from .polygon import RegularPolygon, from_shared_vertex
-from .power_sums import compare_power_sums, distances_squared, multisets_equal, verify_power_sum_identity
+from .power_sums import compare_power_sums, distances_squared, verify_power_sum_identity
 from .equalizer import (
     Locus,
     Matching,
     NoMatchingError,
-    align_rotation,
     correspondence,
     cosine_model,
     equal_distance_points,
+    verify_alignment,
     verify_point_properties,
 )
 from .bottema import BottemaResult, bottema_construct, closed_form_midpoint, verify_independence, vertex_angles
@@ -124,28 +124,14 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _check_point(
-    out: Report,
-    label: str,
-    point: Point,
-    first: RegularPolygon,
-    second: RegularPolygon,
-    tol: Tolerance,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _check_point(out: Report, label: str, point: Point, first: RegularPolygon, second: RegularPolygon,
+                 tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Power sums must agree at the point; one aligned rotation must match fully.
     Returns the point's squared distances to both polygons, for its cosine model."""
     da = distances_squared(first, point)
     db = distances_squared(second, point)
     out.checks.append(compare_power_sums(da, db, tol, name=f"power_sums_{label}"))
-    candidates = align_rotation(first, second, point)
-    # The check shows the deciding candidate: a passing one, else the closer one.
-    best = min((multisets_equal(da, distances_squared(candidate, point), tol) for candidate in candidates),
-               key=lambda match: (not match.ok, match.residual))
-    # How far the second polygon sits from the nearer aligned rotation, mod 2 pi / n.
-    step = math.tau / first.n
-    offset = min(min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates))
-    out.checks.append(CheckResult(f"alignment_multiset_{label}", best.ok, best.residual, best.tolerance,
-                                  detail=f"phase offset {offset:.3e} rad"))
+    out.checks.append(verify_alignment(first, second, point, da, tol, f"alignment_multiset_{label}"))
     return da, db
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .geom import GeometryError, Point
 from .polygon import RegularPolygon, diametric_opposite
-from .equalizer import MatchKind
+from .equalizer import MatchKind, partners
 from .runner import Geometry, Report
 from .scenario import (
     BottemaConfig,
@@ -188,9 +188,8 @@ def _distance_segments(scene: _Scene, first: RegularPolygon, second: RegularPoly
     ``second`` under the ``kind`` matching, in k's palette colour."""
     xs, ys = scene.vertex_text(first)
     us, vs = scene.vertex_text(second)
-    if kind != MatchKind.IDENTITY.value:
-        # the reversal pairs vertex k with vertex n + 2 - k, and vertex 1 with itself
-        us, vs = us[:1] + us[:0:-1], vs[:1] + vs[:0:-1]
+    match = MatchKind(kind)
+    us, vs = partners(us, match), partners(vs, match)
     ends = []
     for x, y, u, v, color in zip(xs, ys, us, vs, cycle(_PAIR_PALETTE)):
         ends += ((x, y, color), (u, v, color))

@@ -224,13 +224,12 @@ def test_verify_independence_pinned(case, recorded):
 
 
 def test_sweep_reads_only_m1(monkeypatch):
-    # M2 goes through the pair classifier and the swapped circles'
-    # intersection; the sweep reads only M1, so it must never reach them.
+    # M2 comes from the pair's swapped-circle crossings; the sweep reads
+    # only M1, so it must never reach them.
     def forbidden(*args, **kwargs):
         raise AssertionError("the apex sweep built M2")
 
-    monkeypatch.setattr(equigon.bottema, "classify_pair", forbidden)
-    monkeypatch.setattr(equigon.bottema, "circle_intersection", forbidden)
+    monkeypatch.setattr(equigon.bottema, "swapped_crossings", forbidden)
     spread, closed = verify_independence(Point(0, 0), Point(2, 0), 5, samples=30, seed=1)
     assert spread.ok and closed.ok
     with pytest.raises(AssertionError, match="built M2"):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from equigon.geom import DEFAULT_TOLERANCE, Circle, Point, circle_intersection, side_of_line, wrap_angle
+from equigon.geom import DEFAULT_TOLERANCE, Point, circle_intersection, side_of_line, wrap_angle
 from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
 from equigon.runner import run_scenario
@@ -26,6 +26,8 @@ from equigon.equalizer import (
     correspondence,
     cosine_model,
     equal_distance_points,
+    partners,
+    swapped_crossings,
     verify_point_properties,
 )
 
@@ -212,6 +214,35 @@ def test_matching_residuals_are_point_distances_bit_for_bit():
             assert got == matching_residuals_by_distance(first, second, point, kind)
 
 
+def test_partners_are_the_three_reversal_slices():
+    # The residuals read the reversal as the tail reversed, the cosine model
+    # and the figure as "vertex 1, then the rest backwards", on lists and tuples.
+    rng = random.Random(30)
+    for size in (1, 2, 3, 4, 7, 12, 64):
+        for items in ([rng.random() for _ in range(size)], tuple(f"{rng.random():.6f}" for _ in range(size))):
+            assert partners(items, MatchKind.IDENTITY) is items
+            reversal = partners(items, MatchKind.REVERSAL)
+            assert reversal[1:] == items[1:][::-1]
+            assert reversal == items[:1] + items[:0:-1]
+            assert type(reversal) is type(items) and len(reversal) == size
+
+
+def test_swapped_crossings_are_the_pair_solve_points():
+    rng = random.Random(31)
+    for n in (3, 5, 8, 12):
+        first, second = random_shared_vertex_pair(rng, n)
+        case, crossing = swapped_crossings(first, second)
+        assert case is classify_pair(first, second) is PairCase.NON_CONGRUENT
+        assert sorted(crossing, key=lambda p: (p.x, p.y)) == sorted(
+            equal_distance_points(first, second).points, key=lambda p: (p.x, p.y))
+        assert crossing == circle_intersection(
+            second.centroid, first.circumradius, first.centroid, second.circumradius)
+    base = RegularPolygon(4, Point(0, 0), 1.0, 0.0, 1)
+    assert swapped_crossings(base, rotate_about_centroid(base, 1.0)) == (PairCase.CONGRUENT_SAME_CENTROID, ())
+    shifted = dataclasses.replace(base, centroid=Point(1.0, 0.5))
+    assert swapped_crossings(base, shifted) == (PairCase.CONGRUENT_DISTINCT_CENTROIDS, ())
+
+
 def test_correspondence_middle_index_pairs_with_itself():
     rng = random.Random(7)
     first, second = random_shared_vertex_pair(rng, 6)
@@ -252,8 +283,7 @@ def test_align_rotation_lands_where_the_circle_intersection_does():
         first, second = random_non_congruent_pair(rng, rng.randint(3, 12))
         for point in equal_distance_points(first, second).points:
             reach = point.distance(first.vertex(1))
-            crossing = circle_intersection(
-                Circle(point, reach), Circle(second.centroid, second.circumradius))
+            crossing = circle_intersection(point, reach, second.centroid, second.circumradius)
             if len(crossing) < 2 or crossing[0].distance(crossing[1]) < 1e-3 * second.circumradius:
                 continue
             landings = [candidate.vertex(1) for candidate in align_rotation(first, second, point)]

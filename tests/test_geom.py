@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from equigon.geom import (
     DEFAULT_TOLERANCE,
-    Circle,
     DegenerateLineError,
     DegenerateRayError,
     GeometryError,
-    InvalidCircleError,
     Point,
     Tolerance,
     angle_at,
@@ -57,16 +55,8 @@ def test_point_rejects_nonfinite():
         Point(0.0, math.inf)
 
 
-def test_circle_rejects_bad_radius():
-    with pytest.raises(InvalidCircleError):
-        Circle(Point(0, 0), -1.0)
-    with pytest.raises(InvalidCircleError):
-        Circle(Point(0, 0), math.nan)
-    assert Circle(Point(0, 0), 0.0).radius == 0.0
-
-
 def test_unit_circles_overlap():
-    result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(1, 0), 1.0))
+    result = circle_intersection(Point(0, 0), 1.0, Point(1, 0), 1.0)
     assert len(result) == 2
     p, q = result
     assert p.x == pytest.approx(0.5, abs=1e-15)
@@ -76,17 +66,16 @@ def test_unit_circles_overlap():
 
 
 def test_two_point_ordering_first_point_is_left_of_center_line():
-    c1 = Circle(Point(-2.0, 1.0), 3.0)
-    c2 = Circle(Point(1.5, -0.5), 2.0)
-    result = circle_intersection(c1, c2)
+    c1, c2 = Point(-2.0, 1.0), Point(1.5, -0.5)
+    result = circle_intersection(c1, 3.0, c2, 2.0)
     assert len(result) == 2
     p, q = result
-    assert side_of_line(p, c1.center, c2.center) > 0.0
-    assert side_of_line(q, c1.center, c2.center) < 0.0
+    assert side_of_line(p, c1, c2) > 0.0
+    assert side_of_line(q, c1, c2) < 0.0
 
 
 def test_external_tangency():
-    result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(2, 0), 1.0))
+    result = circle_intersection(Point(0, 0), 1.0, Point(2, 0), 1.0)
     assert len(result) == 1
     (p,) = result
     assert p.x == pytest.approx(1.0, abs=1e-15)
@@ -94,7 +83,7 @@ def test_external_tangency():
 
 
 def test_internal_tangency():
-    result = circle_intersection(Circle(Point(3, 0), 1.0), Circle(Point(1, 0), 3.0))
+    result = circle_intersection(Point(3, 0), 1.0, Point(1, 0), 3.0)
     assert len(result) == 1
     (p,) = result
     assert p.x == pytest.approx(4.0, abs=1e-14)
@@ -102,38 +91,33 @@ def test_internal_tangency():
 
 
 def test_disjoint_circles():
-    result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(5, 0), 1.0))
+    result = circle_intersection(Point(0, 0), 1.0, Point(5, 0), 1.0)
     assert result == ()
     # one circle nested inside the other
-    nested = circle_intersection(Circle(Point(0, 0), 5.0), Circle(Point(1, 0), 1.0))
+    nested = circle_intersection(Point(0, 0), 5.0, Point(1, 0), 1.0)
     assert nested == ()
 
 
 def test_concentric_same_radius_is_coincident():
     # Coincident circles have no finite point list, so they get none.
-    result = circle_intersection(Circle(Point(2, 2), 1.5), Circle(Point(2, 2), 1.5))
+    result = circle_intersection(Point(2, 2), 1.5, Point(2, 2), 1.5)
     assert result == ()
 
 
 def test_concentric_different_radii_is_disjoint_not_error():
-    result = circle_intersection(Circle(Point(2, 2), 1.0), Circle(Point(2, 2), 2.0))
+    result = circle_intersection(Point(2, 2), 1.0, Point(2, 2), 2.0)
     assert result == ()
 
 
 def test_near_tangent_clamps_to_tangent():
     # center gap short of r1 + r2 by far less than tolerance
-    result = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(2 + 1e-13, 0), 1.0))
+    result = circle_intersection(Point(0, 0), 1.0, Point(2 + 1e-13, 0), 1.0)
     assert len(result) == 1
-
-
-def test_both_zero_radius_rejected():
-    with pytest.raises(InvalidCircleError):
-        circle_intersection(Circle(Point(0, 0), 0.0), Circle(Point(1, 0), 0.0))
 
 
 def test_zero_radius_probe_circle():
     # a point-circle sitting on the other circle touches it
-    result = circle_intersection(Circle(Point(1.0, 0.0), 0.0), Circle(Point(0, 0), 1.0))
+    result = circle_intersection(Point(1.0, 0.0), 0.0, Point(0, 0), 1.0)
     assert len(result) == 1
     assert result[0].distance(Point(1.0, 0.0)) < 1e-12
 
@@ -143,16 +127,15 @@ def test_zero_radius_probe_circle():
     x2=finite_coords, y2=finite_coords, r2=radii,
 )
 def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
-    c1 = Circle(Point(x1, y1), r1)
-    c2 = Circle(Point(x2, y2), r2)
-    result = circle_intersection(c1, c2)
-    scale = max(r1, r2, c1.center.distance(c2.center))
+    c1, c2 = Point(x1, y1), Point(x2, y2)
+    result = circle_intersection(c1, r1, c2, r2)
+    scale = max(r1, r2, c1.distance(c2))
     for p in result:
-        assert abs(p.distance(c1.center) - r1) <= 1e-7 * scale + 1e-9
-        assert abs(p.distance(c2.center) - r2) <= 1e-7 * scale + 1e-9
+        assert abs(p.distance(c1) - r1) <= 1e-7 * scale + 1e-9
+        assert abs(p.distance(c2) - r2) <= 1e-7 * scale + 1e-9
     if len(result) == 2:
         p, q = result
-        mirror = reflect_across_line(p, c1.center, c2.center)
+        mirror = reflect_across_line(p, c1, c2)
         assert mirror.distance(q) <= 1e-7 * scale + 1e-9
 
 
@@ -161,12 +144,11 @@ def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
     x2=finite_coords, y2=finite_coords, r2=radii,
 )
 def test_intersection_symmetric_up_to_swap(x1, y1, r1, x2, y2, r2):
-    c1 = Circle(Point(x1, y1), r1)
-    c2 = Circle(Point(x2, y2), r2)
-    forward = circle_intersection(c1, c2)
-    backward = circle_intersection(c2, c1)
+    c1, c2 = Point(x1, y1), Point(x2, y2)
+    forward = circle_intersection(c1, r1, c2, r2)
+    backward = circle_intersection(c2, r2, c1, r1)
     assert len(forward) == len(backward)
-    scale = max(r1, r2, c1.center.distance(c2.center))
+    scale = max(r1, r2, c1.distance(c2))
     for p in forward:
         assert min(p.distance(q) for q in backward) <= 1e-9 * scale + 1e-9
 
@@ -177,14 +159,10 @@ def test_intersection_symmetric_up_to_swap(x1, y1, r1, x2, y2, r2):
     dy=finite_coords,
 )
 def test_intersection_rigid_motion_invariance(angle, dx, dy):
-    c1 = Circle(Point(0.0, 0.0), 2.0)
-    c2 = Circle(Point(2.5, 0.5), 1.5)
-    base = circle_intersection(c1, c2)
+    c1, c2 = Point(0.0, 0.0), Point(2.5, 0.5)
+    base = circle_intersection(c1, 2.0, c2, 1.5)
     shift = Point(dx, dy)
-    moved = circle_intersection(
-        Circle(rotated(c1.center, angle) + shift, c1.radius),
-        Circle(rotated(c2.center, angle) + shift, c2.radius),
-    )
+    moved = circle_intersection(rotated(c1, angle) + shift, 2.0, rotated(c2, angle) + shift, 1.5)
     assert len(moved) == len(base)
     for p, q in zip(base, moved):
         assert (rotated(p, angle) + shift).distance(q) < 1e-8

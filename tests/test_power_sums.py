@@ -17,6 +17,7 @@ from equigon.power_sums import (
     distances_squared,
     _closed_forms,
     _orders_check,
+    _fold,
     _power_sums,
     multisets_equal,
     power_sums_to_elementary,
@@ -48,13 +49,21 @@ def power_sum_closed_form(n: int, circumradius: float, center_distance: float, o
     return n * total
 
 
+def left_to_right(values):
+    """Oracle: ``values`` added one at a time from the int 0, as ``sum`` did up to Python 3.11."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def running_product_sums(values, top):
     """Oracle: the per-order running-product loop, p_1..p_top left to right."""
     running = list(values)
-    yield sum(running)
+    yield left_to_right(running)
     for _ in range(top - 1):
         running = [r * v for r, v in zip(running, values)]
-        yield sum(running)
+        yield left_to_right(running)
 
 
 def power_sums_vector(data, max_order):
@@ -445,6 +454,18 @@ KERNEL_SPECIALS = (0.0, -0.0, 5e-324, 1e-310, 1.0, 1.5, 1e200, 1e308, math.inf, 
 @example([1e200, 1e-310, 5e-324, math.nan, 1.0], 12)
 def test_power_sums_match_the_running_product_loop_bit_for_bit(values, top):
     assert sum_bits(_power_sums(values, top)) == sum_bits(running_product_sums(values, top))
+
+
+@given(st.lists(st.one_of(st.sampled_from(KERNEL_SPECIALS), st.floats(0.0, 4.0), st.floats()), max_size=40))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([1.0, 1e100, 1.0, -1e100])
+@example([0.1] * 10)
+def test_the_power_sum_fold_adds_left_to_right(values):
+    # The fold is chosen once at import from what ``sum`` does, so this holds
+    # on every Python: compensated summation would keep the probe's 1.0s.
+    assert sum_bits([_fold(values)]) == sum_bits([left_to_right(values)])
 
 
 def multiset_fold(a, b, tol):

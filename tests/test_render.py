@@ -76,8 +76,7 @@ def test_render_runs_no_check(monkeypatch, tmp_path, capsys):
 
     for name in (
         "compare_power_sums",
-        "multisets_equal",
-        "align_rotation",
+        "verify_alignment",
         "verify_point_properties",
         "vertex_angles",
         "verify_independence",
