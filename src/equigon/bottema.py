@@ -25,18 +25,17 @@ from .geom import (
     Tolerance,
     angle_at,
     project_onto_line,
-    reflect_across_line,
 )
 from .polygon import (
     DegenerateSideError,
     RegularPolygon,
     _antipode,
+    _m1,
     _overflow,
     _side_circumcircle,
-    diametric_opposite,
     from_side,
 )
-from .equalizer import PairCase, swapped_crossings
+from .equalizer import PairCase, classify_pair, shared_vertex_points
 
 
 class DegenerateTriangleError(GeometryError):
@@ -84,22 +83,14 @@ def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, f
     return signed, span_sq, (-1 if signed > 0.0 else 1), (1 if signed > 0.0 else -1)
 
 
-def _m1(d1x: float, d1y: float, d2x: float, d2y: float) -> tuple[float, float]:
-    """M1 by ``D1.midpoint(D2)``'s arithmetic; an M1 past the float range raises the overflow error."""
-    mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
-    if not (abs(mx) < math.inf and abs(my) < math.inf):
-        raise _overflow("M1", (mx, my))
-    return mx, my
-
-
 def _sweep_midpoint(
     an: Point, a1: Point, bn: Point, n: int, tol: Tolerance
 ) -> tuple[float, float]:
     """M1 of ``bottema_construct`` with exterior sides, as plain floats x, y: the checked path.
 
     Centroids and radii from ``_side_circumcircle``, the antipodes D = 2 O - A1
-    from ``_antipode``, and M1 from ``_m1``, which ``bottema_construct`` also
-    calls, so its bits are ``bottema_construct``'s; no polygon, ``atan2``,
+    from ``_antipode``, and M1 from ``_m1``, as ``bottema_construct``'s M1,
+    so its bits are ``bottema_construct``'s; no polygon, ``atan2``,
     collinear flag or ``Point``.  Every check raises its error, and an M1 past
     the float range the overflow error.  ``verify_independence`` repeats this
     arithmetic inline per apex, pinned to this path bit for bit by the tests,
@@ -127,32 +118,18 @@ def bottema_construct(
     ``side1`` / ``side2`` select the half-planes for the polygons on A1 An and
     A1 Bn (+1 = left of the directed segment from the apex); omitted sides
     default to the exterior of the triangle.  A collinear apex is accepted and
-    flagged; coincident triangle corners are rejected.  The pair's case and
-    its swapped-circle crossings come from one ``swapped_crossings`` call,
-    and the result carries that case.
+    flagged; coincident triangle corners are rejected.  The polygons share
+    the apex as their first vertex, so D1, D2, M1 and M2 come from
+    ``shared_vertex_points`` whatever the pair's case; the result carries
+    that case from ``classify_pair``.
     """
     signed, span_sq, exterior1, exterior2 = _triangle(an, a1, bn, tol)
     collinear = abs(signed) <= tol.bound(span_sq)
     poly1 = from_side(a1, an, n, exterior1 if side1 is None else side1, tol)
     poly2 = from_side(a1, bn, n, exterior2 if side2 is None else side2, tol)
-    d1 = diametric_opposite(poly1, a1, tol)
-    d2 = diametric_opposite(poly2, a1, tol)
-    m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
-
-    # A non-congruent pair's equal-distance points are where the swapped circles meet.
-    case, crossing = swapped_crossings(poly1, poly2, tol)
-    if crossing:
-        # The mirror candidate is whichever crossing sits away from the midpoint.
-        m2 = max(crossing, key=lambda q: (m1.distance(q), q.x, q.y))
-    elif case is PairCase.CONGRUENT_SAME_CENTROID:
-        m2 = m1
-    else:
-        # Congruent polygons (isosceles apex), or swapped circles that do not
-        # meet, still have a mirror candidate: the reflection across the centroid line.
-        m2 = reflect_across_line(m1, poly1.centroid, poly2.centroid, tol)
-
+    d1, d2, m1, m2, _ = shared_vertex_points(poly1, poly2, a1, tol)
     h = project_onto_line(m1, an, bn, tol)
-    return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, case)
+    return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, classify_pair(poly1, poly2, tol))
 
 
 def closed_form_midpoint(

@@ -9,13 +9,16 @@ Verbs:
 
 Exit codes of verify, sweep and bottema: 0 on success (including a verified
 absence of solution points), 1 when a check fails, 2 for input errors.
-render exits 0 when it wrote the SVG and 2 when it could not.
+render exits 0 when it wrote the SVG and 2 when it could not.  Any verb exits
+141, as a shell reports a writer killed by SIGPIPE, when the reader of its
+standard output closes the pipe early (``equigon sweep ... | head -1``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from typing import Sequence
@@ -30,6 +33,7 @@ from .svgfig import render_svg
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_point(text: str) -> Point:
@@ -222,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _run(argv: Sequence[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # A value valid over the default is valid over any base, so checking it
@@ -232,6 +236,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return args.handler(args)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # A closed pipe raises here, not in the flush at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the exit-time
+        # flush of what is still buffered cannot raise again (see the note on
+        # SIGPIPE in the documentation of Python's signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

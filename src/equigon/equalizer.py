@@ -1,18 +1,19 @@
 """Points whose distances to two regular n-gons agree as multisets.
 
 Given polygons with centroids O1, O2 and circumradii R1, R2, the candidate
-points are the intersections of the swapped circles: the circle around O2 with
-radius R1 and the circle around O1 with radius R2, which ``swapped_crossings``
-meets for the equal-distance solve and the Bottema construction alike.
+points lie on the swapped circles: the circle around O2 with radius R1 and the
+circle around O1 with radius R2, which ``equal_distance_points`` intersects.
 Congruent pairs degenerate to a locus (the whole plane for a shared centroid,
 otherwise the perpendicular bisector of the centroid segment).  For pairs
-sharing their first vertex the two candidate points realise the two possible
-vertex correspondences, which ``partners`` applies to any list by vertex:
+sharing their first vertex, ``shared_vertex_points`` builds the two points
+from it; they realise the two possible vertex correspondences, which
+``partners`` applies to any list by vertex:
 
   identity    |M A_k| = |M B_k|        for every k
   reversal    |M A_k| = |M B_(n+2-k)|  for k = 2..n (index 1 pairs with itself)
 
-Both correspondences obey a one-angle cosine law
+M1 realises the identity for opposite orientations and the reversal for equal
+ones, M2 the other.  Both correspondences obey a one-angle cosine law
 ``|M A_k|^2 = R1^2 + R2^2 - 2 R1 R2 cos(2 pi (k-1)/n -+ angle)`` which
 ``cosine_model`` uses as an independent cross-check on the distance matching.
 The same law aligns any pair: ``align_rotation`` turns the second polygon so
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import chain
 from operator import sub
 from typing import Sequence
@@ -40,7 +42,7 @@ from .geom import (
     side_of_line,
     wrap_angle,
 )
-from .polygon import RegularPolygon, diametric_opposite
+from .polygon import RegularPolygon, _m1, diametric_opposite
 from .power_sums import distances_squared, multisets_equal
 
 
@@ -88,16 +90,20 @@ class EqualDistanceSolution:
     """Solution set for one pair: discrete points, a locus, or nothing.
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
-    both slots with the same point and sets ``coincident``.
-    ``identity_worst`` holds the largest identity residual at each of two
-    distinct points, as their labelling compared them; otherwise it is empty.
+    both slots with the same point and sets ``coincident``.  The case sets the
+    locus.  ``identity_worst`` holds the largest identity residual at each of
+    two distinct points, as their labelling compared them; otherwise it is empty.
     """
 
     case: PairCase
-    points: tuple[Point, ...]
-    locus: Locus | None
-    coincident: bool
+    points: tuple[Point, ...] = ()
+    coincident: bool = False
     identity_worst: tuple[float, ...] = ()
+
+    @property
+    def locus(self) -> Locus | None:
+        return {PairCase.CONGRUENT_SAME_CENTROID: Locus.ENTIRE_PLANE,
+                PairCase.CONGRUENT_DISTINCT_CENTROIDS: Locus.PERPENDICULAR_BISECTOR}.get(self.case)
 
 
 @dataclass(frozen=True)
@@ -144,16 +150,25 @@ def _matching_residuals(
                   for ax, ay, bx, by in zip(xs[1:], ys[1:], us[1:], vs[1:])])
 
 
-def swapped_crossings(first: RegularPolygon, second: RegularPolygon,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[PairCase, tuple[Point, ...]]:
-    """The pair's case and, for a non-congruent pair, where the swapped circles
-    meet: the circle around O2 with radius R1 crossed with the one around O1
-    with radius R2, in that order.  A congruent pair has no crossings here."""
-    case = classify_pair(first, second, tol)
-    if case is not PairCase.NON_CONGRUENT:
-        return case, ()
-    return case, circle_intersection(second.centroid, first.circumradius,
-                                     first.centroid, second.circumradius, tol)
+def shared_vertex_points(first: RegularPolygon, second: RegularPolygon, a: Point,
+                         tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point, Point, Point, Point, bool]:
+    """D1, D2, M1, M2 of a pair sharing its first vertex ``a``, and whether M1 = M2.
+
+    M1 = O1 + O2 - A is the midpoint of the antipodes D = 2 O - A, and M2 its
+    mirror across the line O1 O2; they coincide exactly when the cross product
+    of O2 - O1 and A - O1, in fractions, is 0.
+    """
+    o1, o2 = first.centroid, second.centroid
+    d1, d2 = diametric_opposite(first, a, tol), diametric_opposite(second, a, tol)
+    m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
+    x1, y1 = Fraction(o1.x), Fraction(o1.y)
+    if (Fraction(o2.x) - x1) * (Fraction(a.y) - y1) == (Fraction(o2.y) - y1) * (Fraction(a.x) - x1):
+        return d1, d2, m1, m1, True
+    dx, dy = o2.x - o1.x, o2.y - o1.y
+    length = math.hypot(dx, dy)
+    ux, uy = dx / length, dy / length
+    offset = 2.0 * ((m1.y - o1.y) * ux - (m1.x - o1.x) * uy)
+    return d1, d2, m1, Point(m1.x + offset * uy, m1.y - offset * ux), False
 
 
 def equal_distance_points(
@@ -166,15 +181,15 @@ def equal_distance_points(
     residuals pass (or tie) the point to the left of the directed centroid
     line O1 -> O2 is M1.
     """
-    case, crossing = swapped_crossings(first, second, tol)
-    if case is PairCase.CONGRUENT_SAME_CENTROID:
-        return EqualDistanceSolution(case, (), Locus.ENTIRE_PLANE, False)
-    if case is PairCase.CONGRUENT_DISTINCT_CENTROIDS:
-        return EqualDistanceSolution(case, (), Locus.PERPENDICULAR_BISECTOR, False)
+    case = classify_pair(first, second, tol)
+    if case is not PairCase.NON_CONGRUENT:
+        return EqualDistanceSolution(case)
+    crossing = circle_intersection(second.centroid, first.circumradius,
+                                   first.centroid, second.circumradius, tol)
     if not crossing:
-        return EqualDistanceSolution(case, (), None, False)
+        return EqualDistanceSolution(case)
     if len(crossing) == 1:
-        return EqualDistanceSolution(case, crossing * 2, None, True)
+        return EqualDistanceSolution(case, crossing * 2, True)
 
     p, q = crossing
     residual_p = max(_matching_residuals(first, second, p, MatchKind.IDENTITY))
@@ -185,8 +200,8 @@ def equal_distance_points(
     else:
         p_first = residual_p < residual_q
     if p_first:
-        return EqualDistanceSolution(case, (p, q), None, False, (residual_p, residual_q))
-    return EqualDistanceSolution(case, (q, p), None, False, (residual_q, residual_p))
+        return EqualDistanceSolution(case, (p, q), False, (residual_p, residual_q))
+    return EqualDistanceSolution(case, (q, p), False, (residual_q, residual_p))
 
 
 def align_rotation(
@@ -300,7 +315,8 @@ def verify_point_properties(
     """Check the classical facts tying M1, M2 to the diametric points.
 
     With A the shared first vertex and D1, D2 its antipodes on the two
-    circumcircles: M1 is the midpoint of D1 D2 (and of the opposite vertex
+    circumcircles, all read off the built polygons, so the first check holds
+    the solution's M1 to their antipodes: M1 is the midpoint of D1 D2 (and of the opposite vertex
     pair when n is even); M2 sits on the perpendicular bisector of D1 D2 with
     A M2 parallel to D1 D2; |M1 M2| equals the distance from A to the line
     D1 D2, and M1 M2 is perpendicular to it; the quadrilateral O2 M1 O1 M2 has

@@ -2,8 +2,8 @@
 
 Everything downstream is built from the types here: finite points, a
 combined relative/absolute tolerance, and the circle-circle intersection
-kernel, which takes two centres and two radii and whose two-point ordering the
-rest of the package relies on.
+kernel, which takes two centres and two radii and orders its two points by
+side, an order the equal-distance solve of a pair relies on.
 """
 
 from __future__ import annotations
@@ -160,12 +160,6 @@ def project_onto_line(
         raise DegenerateLineError("line endpoints coincide")
     t = (point - a).dot(direction) / length_sq
     return a + direction * t
-
-def reflect_across_line(
-    point: Point, a: Point, b: Point, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Point:
-    foot = project_onto_line(point, a, b, tol)
-    return foot * 2.0 - point
 
 
 def side_of_line(point: Point, a: Point, b: Point) -> float:

@@ -199,6 +199,14 @@ def _antipode(
     return dx, dy
 
 
+def _m1(d1x: float, d1y: float, d2x: float, d2y: float) -> tuple[float, float]:
+    """M1 by ``D1.midpoint(D2)``'s arithmetic; an M1 past the float range raises the overflow error."""
+    mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
+    if not (abs(mx) < math.inf and abs(my) < math.inf):
+        raise _overflow("M1", (mx, my))
+    return mx, my
+
+
 def diametric_opposite(
     poly: RegularPolygon, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Point:

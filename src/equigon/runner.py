@@ -25,12 +25,16 @@ from .geom import GeometryError, Point, Tolerance, side_of_line
 from .polygon import RegularPolygon, from_shared_vertex
 from .power_sums import compare_power_sums, distances_squared, verify_power_sum_identity
 from .equalizer import (
+    EqualDistanceSolution,
     Locus,
     Matching,
     NoMatchingError,
+    PairCase,
+    classify_pair,
     correspondence,
     cosine_model,
     equal_distance_points,
+    shared_vertex_points,
     verify_alignment,
     verify_point_properties,
 )
@@ -237,7 +241,11 @@ def _pair_like(out: Report, tol: Tolerance) -> Checks:
         second = from_shared_vertex(cfg.vertex, cfg.centroid2, n, cfg.orient2, tol)
     shared = isinstance(cfg, SharedVertexConfig)
     out.geometry = (first, second)
-    solution = equal_distance_points(first, second, tol)
+    if shared and (case := classify_pair(first, second, tol)) is PairCase.NON_CONGRUENT:
+        _, _, m1, m2, coincident = shared_vertex_points(first, second, cfg.vertex, tol)
+        solution = EqualDistanceSolution(case, (m1, m2), coincident)
+    else:
+        solution = EqualDistanceSolution(case) if shared else equal_distance_points(first, second, tol)
     out.classification = solution.case.value
     out.coincident = solution.coincident
     if solution.locus is not None:

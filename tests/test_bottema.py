@@ -5,10 +5,8 @@ import pytest
 
 import equigon.bottema
 from equigon.checks import CheckResult
-from equigon.equalizer import PairCase, equal_distance_points
-from equigon.geom import (
-    DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, reflect_across_line, side_of_line,
-)
+from equigon.equalizer import PairCase, shared_vertex_points
+from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, side_of_line
 from equigon.polygon import (
     DegenerateSideError,
     InvalidVertexCountError,
@@ -224,12 +222,12 @@ def test_verify_independence_pinned(case, recorded):
 
 
 def test_sweep_reads_only_m1(monkeypatch):
-    # M2 comes from the pair's swapped-circle crossings; the sweep reads
-    # only M1, so it must never reach them.
+    # M2 comes from shared_vertex_points, the mirror of M1; the sweep reads
+    # only M1, so it must never reach it.
     def forbidden(*args, **kwargs):
         raise AssertionError("the apex sweep built M2")
 
-    monkeypatch.setattr(equigon.bottema, "swapped_crossings", forbidden)
+    monkeypatch.setattr(equigon.bottema, "shared_vertex_points", forbidden)
     spread, closed = verify_independence(Point(0, 0), Point(2, 0), 5, samples=30, seed=1)
     assert spread.ok and closed.ok
     with pytest.raises(AssertionError, match="built M2"):
@@ -540,21 +538,7 @@ def test_m1_and_m2_are_equal_distance_points():
     assert result.m1.distance(result.m2) > 1e-6
 
 
-def solved_m2(result, tol=DEFAULT_TOLERANCE):
-    """Oracle: M2 from the equal-distance solve, the solution point farther from
-    M1; else M1 for congruent polygons on one centroid; else M1 reflected across
-    the centroid line."""
-    m1, o1, o2 = result.m1, result.poly1.centroid, result.poly2.centroid
-    solution = equal_distance_points(result.poly1, result.poly2, tol)
-    if solution.points:
-        return max(solution.points, key=lambda q: (m1.distance(q), q.x, q.y))
-    reach = tol.bound(max(result.poly1.circumradius, result.poly2.circumradius))
-    if solution.case is not PairCase.NON_CONGRUENT and o1.distance(o2) <= reach:
-        return m1
-    return reflect_across_line(m1, o1, o2, tol)
-
-
-def test_m2_is_the_far_point_of_the_equal_distance_solve():
+def test_m2_is_the_mirror_of_m1_on_both_swapped_circles():
     an, bn = Point(0, 0), Point(2, 0)
     isosceles = [(an, Point(1.0, h), bn, n) for n in (3, 4, 6, 9) for h in (0.4, 1.0, 1 / math.sqrt(3), 2.5)]
     collinear = [(an, Point(t, 0.0), bn, n) for n in (3, 4, 7) for t in (-1.5, 0.5, 1.0, 3.0)]
@@ -564,7 +548,17 @@ def test_m2_is_the_far_point_of_the_equal_distance_solve():
         for side1 in (None, 1, -1):
             for side2 in (None, 1, -1):
                 result = bottema_construct(an, a1, bn, n, side1, side2)
-                assert result.m2 == solved_m2(result), (an, a1, bn, n, side1, side2)
+                poly1, poly2, m1, m2 = result.poly1, result.poly2, result.m1, result.m2
+                assert (result.d1, result.d2, m1, m2) == shared_vertex_points(poly1, poly2, a1)[:4]
+                o1, o2, r1, r2 = poly1.centroid, poly2.centroid, poly1.circumradius, poly2.circumradius
+                scale = max(r1, r2)
+                # The centroid line bisects M1 M2 at a right angle (M2 = M1 on the line)...
+                assert abs(side_of_line(m1.midpoint(m2), o1, o2)) <= 1e-12 * scale * scale
+                assert abs((m2 - m1).dot(o2 - o1)) <= 1e-12 * scale * scale
+                # ... so both points sit on both swapped circles.
+                for point in (m1, m2):
+                    assert abs(point.distance(o2) - r1) <= 1e-12 * scale
+                    assert abs(point.distance(o1) - r2) <= 1e-12 * scale
                 cases.add(result.case)
     assert cases == set(PairCase)
 

@@ -29,25 +29,28 @@ COUNTED = {
     "bottema_construct": equigon.bottema,
     "_matching_residuals": equigon.equalizer,
     "distances_squared": equigon.power_sums,
+    "shared_vertex_points": equigon.equalizer,
 }
 # file -> calls from run_scenario, then from solve_scenario, in COUNTED's order.
-# A Bottema construction classifies its pair once and finds M2 from the swapped
-# circles, with no equal-distance solve.  The equal-distance solve computes
-# the identity residuals at both candidate points, and each correspondence
-# reuses them (a tangent point's computes its own), then computes the
-# reversal ones if needed.  Each labelled point's two squared-distance lists
-# are computed once and feed its power sums, its alignment multiset and its
-# cosine model; each of a point's two rotation candidates and each locus
+# A pair sharing its first vertex, in a shared-vertex scenario or a Bottema
+# construction, is classified once and takes M1 and M2 from one
+# shared_vertex_points call, with no equal-distance solve; its
+# correspondences compute their own residuals, the identity ones and then,
+# if needed, the reversal ones.  The equal-distance solve of a pair scenario
+# computes the identity residuals at both candidate points, and each
+# correspondence reuses them.  Each labelled point's two squared-distance
+# lists are computed once and feed its power sums, its alignment multiset and
+# its cosine model; each of a point's two rotation candidates and each locus
 # probe adds its own.
 # The solve computes none: the figure reads no cosine model.
 EXPECTED = {
-    "bottema_squares": ((1, 0, 1, 1, 1, 8), (0, 0, 1, 1, 0, 0)),
-    "congruent_mirror": ((0, 1, 1, 0, 0, 6), (0, 1, 1, 0, 0, 0)),
-    "identity_heptagon": ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),
-    "pair_disjoint": ((0, 1, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0)),
-    "pair_pentagons": ((2, 1, 1, 0, 4, 8), (1, 1, 1, 0, 3, 0)),
-    "shared_vertex_squares": ((2, 1, 1, 0, 3, 8), (1, 1, 1, 0, 2, 0)),
-    "tangent_collinear": ((1, 1, 1, 0, 1, 4), (1, 1, 1, 0, 1, 0)),
+    "bottema_squares": ((1, 0, 1, 1, 1, 8, 1), (0, 0, 1, 1, 0, 0, 1)),
+    "congruent_mirror": ((0, 1, 1, 0, 0, 6, 0), (0, 1, 1, 0, 0, 0, 0)),
+    "identity_heptagon": ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+    "pair_disjoint": ((0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)),
+    "pair_pentagons": ((2, 1, 1, 0, 4, 8, 0), (1, 1, 1, 0, 3, 0, 0)),
+    "shared_vertex_squares": ((2, 0, 1, 0, 3, 8, 1), (1, 0, 1, 0, 1, 0, 1)),
+    "tangent_collinear": ((1, 0, 1, 0, 1, 4, 1), (1, 0, 1, 0, 1, 0, 1)),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equigon.cli import _build_parser, main
+from equigon.cli import EXIT_BROKEN_PIPE, _build_parser, main
 from equigon.runner import run_scenario, solve_scenario
 from equigon.scenario import parse_scenario
 from equigon.svgfig import render_svg
@@ -337,6 +338,20 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stdout
+
+
+def test_closed_pipe_exits_without_a_traceback():
+    # `sweep ... | head -1`: the reader takes the first line and closes the
+    # pipe.  Unbuffered, each later line is a write into the closed pipe.
+    argv = [sys.executable, "-m", "equigon", "sweep", "--kind", "pair", "--n", "3-12", "--count", "200"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    assert proc.stdout.readline().startswith(b"n=3: ")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
 
 def test_console_script_subprocess():

@@ -11,7 +11,7 @@ from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
 from equigon.runner import run_scenario
 from equigon.sampling import random_scenario
-from equigon.scenario import ScenarioKind
+from equigon.scenario import Scenario, ScenarioKind, SharedVertexConfig
 from equigon.equalizer import (
     Locus,
     MatchKind,
@@ -27,7 +27,7 @@ from equigon.equalizer import (
     cosine_model,
     equal_distance_points,
     partners,
-    swapped_crossings,
+    shared_vertex_points,
     verify_point_properties,
 )
 
@@ -227,20 +227,74 @@ def test_partners_are_the_three_reversal_slices():
             assert type(reversal) is type(items) and len(reversal) == size
 
 
-def test_swapped_crossings_are_the_pair_solve_points():
+def test_pair_solve_points_are_the_swapped_circle_crossings():
     rng = random.Random(31)
     for n in (3, 5, 8, 12):
         first, second = random_shared_vertex_pair(rng, n)
-        case, crossing = swapped_crossings(first, second)
-        assert case is classify_pair(first, second) is PairCase.NON_CONGRUENT
-        assert sorted(crossing, key=lambda p: (p.x, p.y)) == sorted(
-            equal_distance_points(first, second).points, key=lambda p: (p.x, p.y))
-        assert crossing == circle_intersection(
-            second.centroid, first.circumradius, first.centroid, second.circumradius)
+        solution = equal_distance_points(first, second)
+        assert solution.case is classify_pair(first, second) is PairCase.NON_CONGRUENT
+        crossing = circle_intersection(second.centroid, first.circumradius, first.centroid, second.circumradius)
+        assert sorted(crossing, key=lambda p: (p.x, p.y)) == sorted(solution.points, key=lambda p: (p.x, p.y))
     base = RegularPolygon(4, Point(0, 0), 1.0, 0.0, 1)
-    assert swapped_crossings(base, rotate_about_centroid(base, 1.0)) == (PairCase.CONGRUENT_SAME_CENTROID, ())
     shifted = dataclasses.replace(base, centroid=Point(1.0, 0.5))
-    assert swapped_crossings(base, shifted) == (PairCase.CONGRUENT_DISTINCT_CENTROIDS, ())
+    for other, case in ((rotate_about_centroid(base, 1.0), PairCase.CONGRUENT_SAME_CENTROID),
+                        (shifted, PairCase.CONGRUENT_DISTINCT_CENTROIDS)):
+        assert classify_pair(base, other) is case
+        solution = equal_distance_points(base, other)
+        assert (solution.case, solution.points, solution.coincident) == (case, (), False)
+
+
+def shared_vertex_pair(vertex, centroid1, centroid2, n, orient1, orient2):
+    return (from_shared_vertex(vertex, centroid1, n, orient1),
+            from_shared_vertex(vertex, centroid2, n, orient2))
+
+
+def test_shared_vertex_points_are_the_antipode_midpoint_and_its_mirror():
+    rng = random.Random(41)
+    for index in range(300):
+        vertex, c1, c2 = (Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3))
+        first, second = shared_vertex_pair(vertex, c1, c2, rng.randint(3, 12), rng.choice((1, -1)),
+                                           rng.choice((1, -1)))
+        d1, d2, m1, m2, coincident = shared_vertex_points(first, second, vertex)
+        assert not coincident
+        scale = max(first.circumradius, second.circumradius)
+        # D = 2 O - A and M1 = D1.midpoint(D2), the Bottema construction's arithmetic, bit for bit.
+        assert (d1, d2) == (Point(c1.x * 2.0 - vertex.x, c1.y * 2.0 - vertex.y),
+                            Point(c2.x * 2.0 - vertex.x, c2.y * 2.0 - vertex.y))
+        assert m1 == d1.midpoint(d2)
+        assert m1.distance(c1 + c2 - vertex) <= 1e-12 * scale
+        # M2 is M1's mirror across O1 O2: the centroid line bisects M1 M2 at a right angle.
+        assert abs(side_of_line(m1.midpoint(m2), c1, c2)) <= 1e-12 * scale * scale
+        assert abs((m2 - m1).dot(c2 - c1)) <= 1e-12 * scale * scale
+        assert abs(side_of_line(m1, c1, c2) + side_of_line(m2, c1, c2)) <= 1e-12 * scale * scale
+        # Both lie on the swapped circles.
+        for point in (m1, m2):
+            assert abs(point.distance(c2) - first.circumradius) <= 1e-12 * scale
+            assert abs(point.distance(c1) - second.circumradius) <= 1e-12 * scale
+
+
+def test_shared_vertex_points_coincide_exactly_on_the_centroid_line():
+    # A on the line O1 O2, however far the pair is scaled or slid along it:
+    # the exact cross product is zero and M2 is M1.
+    for vertex, c1, c2 in ((Point(0, 0), Point(1, 0), Point(3, 0)),
+                           (Point(0.1, 0.1), Point(0.3, 0.3), Point(-0.7, -0.7)),
+                           (Point(1e-9, 2e-9), Point(3e-9, 6e-9), Point(-1e-9, -2e-9))):
+        first, second = shared_vertex_pair(vertex, c1, c2, 5, 1, -1)
+        d1, d2, m1, m2, coincident = shared_vertex_points(first, second, vertex)
+        assert coincident and m2 is m1
+    # One unit in the last place off the line: two points, on opposite sides of it.
+    vertex, c1, c2 = Point(0, 0), Point(-1, 0), Point(2, math.ulp(0.0))
+    first, second = shared_vertex_pair(vertex, c1, c2, 5, 1, -1)
+    _, _, m1, m2, coincident = shared_vertex_points(first, second, vertex)
+    assert not coincident
+
+
+def test_shared_vertex_points_coincide_for_one_centroid():
+    # Polygons on one circle: O1 = O2, no centroid line; the points coincide.
+    vertex, centre = Point(1.0, 2.0), Point(-0.5, 0.25)
+    first, second = shared_vertex_pair(vertex, centre, centre, 6, 1, -1)
+    _, _, m1, m2, coincident = shared_vertex_points(first, second, vertex)
+    assert coincident and m1 == m2 == Point(centre.x * 2.0 - vertex.x, centre.y * 2.0 - vertex.y)
 
 
 def test_correspondence_middle_index_pairs_with_itself():
@@ -474,3 +528,44 @@ def test_m1_m2_are_mirror_images_across_centroid_line():
         * side_of_line(solution.points[1], first.centroid, second.centroid)
         < 0.0
     )
+
+
+def shared_vertex_document(n, vertex, centroid1, centroid2, orient1, orient2, seed=0):
+    config = SharedVertexConfig(vertex=vertex, centroid1=centroid1, centroid2=centroid2,
+                                orient1=orient1, orient2=orient2)
+    return Scenario(ScenarioKind.SHARED_VERTEX, n, DEFAULT_TOLERANCE, seed, config)
+
+
+def test_shared_vertex_documents_verify_in_both_orientations():
+    # M1 = O1 + O2 - A realises the identity when the polygons run in opposite
+    # directions and the reversal when they run the same way.  The sampler
+    # draws opposite orientations only; here every other document has equal ones.
+    rng = random.Random(16)
+    seen = set()
+    for index in range(200):
+        vertex, c1, c2 = (Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3))
+        orient1 = rng.choice((1, -1))
+        orient2 = orient1 if index % 2 else -orient1
+        report = run_scenario(shared_vertex_document(rng.randint(3, 12), vertex, c1, c2, orient1, orient2))
+        failed = [check.name for check in report.checks if not check.ok]
+        assert report.overall_ok, (index, failed, report.errors)
+        expected = "reversal" if orient1 == orient2 else "identity"
+        assert dict(report.matchings) == {"M1": expected, "M2": ({"identity", "reversal"} - {expected}).pop()}
+        m1 = dict(report.points)["M1"]
+        scale = max(vertex.distance(c1), vertex.distance(c2))
+        assert m1.distance(c1 + c2 - vertex) <= 1e-12 * scale
+        seen.add(expected)
+    assert seen == {"identity", "reversal"}
+
+
+@pytest.mark.parametrize("n", [4, 5, 12])
+def test_shared_vertex_near_collinear_centroids_keep_two_points(n):
+    # O2 lifted off the line through A and O1 by 1e-3 down to 1e-12: M1 and
+    # M2 stay two points and every check passes.  Once they are within the
+    # tolerance of each other, the identity holds at M2 as well.
+    for exponent in range(3, 13):
+        epsilon = 10.0 ** -exponent
+        report = run_scenario(shared_vertex_document(n, Point(0, 0), Point(-1, 0), Point(2, epsilon), 1, -1))
+        assert report.overall_ok, (epsilon, [check.name for check in report.checks if not check.ok])
+        assert not report.coincident and [label for label, _ in report.points] == ["M1", "M2"]
+        assert dict(report.matchings)["M1"] == "identity"

@@ -14,7 +14,6 @@ from equigon.geom import (
     circle_intersection,
     point_line_distance,
     project_onto_line,
-    reflect_across_line,
     side_of_line,
     wrap_angle,
 )
@@ -135,7 +134,7 @@ def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
         assert abs(p.distance(c2) - r2) <= 1e-7 * scale + 1e-9
     if len(result) == 2:
         p, q = result
-        mirror = reflect_across_line(p, c1, c2)
+        mirror = project_onto_line(p, c1, c2) * 2.0 - p
         assert mirror.distance(q) <= 1e-7 * scale + 1e-9
 
 
@@ -185,7 +184,7 @@ def test_point_line_distance_degenerate_line():
 def test_project_and_reflect():
     foot = project_onto_line(Point(3, 4), Point(0, 0), Point(1, 0))
     assert (foot.x, foot.y) == pytest.approx((3.0, 0.0))
-    mirror = reflect_across_line(Point(3, 4), Point(0, 0), Point(1, 0))
+    mirror = foot * 2.0 - Point(3, 4)
     assert (mirror.x, mirror.y) == pytest.approx((3.0, -4.0))
 
 

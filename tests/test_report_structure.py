@@ -28,7 +28,7 @@ PINNED = {
         ("power_sums_M1", True, False, POWER_SUMS_3),
         ("alignment_multiset_M1", True, False, "phase offset 4.441e-16 rad"),
         ("power_sums_M2", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M2", True, False, "phase offset 1.776e-15 rad"),
+        ("alignment_multiset_M2", True, False, "phase offset 0.000e+00 rad"),
         ("matching_M1", True, False, "identity"),
         ("cosine_model_M1", True, False, "shared angle -0.291457 rad"),
         ("closed_form_midpoint", True, False, "base normal side +1"),
@@ -64,7 +64,7 @@ PINNED = {
         ("matching_M1", True, False, "identity"),
         ("cosine_model_M1", True, False, "shared angle 1.570796 rad"),
         ("power_sums_M2", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M2", True, False, "phase offset 2.220e-16 rad"),
+        ("alignment_multiset_M2", True, False, "phase offset 4.441e-16 rad"),
         ("matching_M2", True, False, "reversal"),
         ("cosine_model_M2", True, False, "shared angle -0.643501 rad"),
         ("midpoint_of_diametric_points", True, False, ""),
