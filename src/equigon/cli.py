@@ -12,6 +12,12 @@ absence of solution points), 1 when a check fails, 2 for input errors.
 render exits 0 when it wrote the SVG and 2 when it could not.  Any verb exits
 141, as a shell reports a writer killed by SIGPIPE, when the reader of its
 standard output closes the pipe early (``equigon sweep ... | head -1``).
+
+An argv that starts with a verb is parsed by that verb's parser alone, as the
+subparser would parse it, and anything left over is reported by the top-level
+parser (``equigon: error: unrecognized arguments: ...``).  Any other argv (none,
+``-h``, an unknown verb, a leading option) goes through the full parser, so
+every message and exit code is what the full parse gives.
 """
 
 from __future__ import annotations
@@ -184,8 +190,9 @@ def _cmd_bottema(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first ``main()`` call and reused: parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each verb's parser by name, built on the first
+    ``main()`` call and reused: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="equigon",
         description="Construct and verify equal-distance points for pairs of regular polygons.",
@@ -223,11 +230,24 @@ def _build_parser() -> argparse.ArgumentParser:
     bottema.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     _add_tolerance_flags(bottema)
     bottema.set_defaults(handler=_cmd_bottema)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    parser, verbs = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         # A value valid over the default is valid over any base, so checking it
         # once here spares each verb its own check.

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
 from operator import sub
 from typing import Sequence
@@ -38,6 +37,7 @@ from .geom import (
     Point,
     Tolerance,
     circle_intersection,
+    exactly_collinear,
     point_line_distance,
     side_of_line,
     wrap_angle,
@@ -155,14 +155,13 @@ def shared_vertex_points(first: RegularPolygon, second: RegularPolygon, a: Point
     """D1, D2, M1, M2 of a pair sharing its first vertex ``a``, and whether M1 = M2.
 
     M1 = O1 + O2 - A is the midpoint of the antipodes D = 2 O - A, and M2 its
-    mirror across the line O1 O2; they coincide exactly when the cross product
-    of O2 - O1 and A - O1, in fractions, is 0.
+    mirror across the line O1 O2; they coincide exactly when A lies on that
+    line (``exactly_collinear``).
     """
     o1, o2 = first.centroid, second.centroid
     d1, d2 = diametric_opposite(first, a, tol), diametric_opposite(second, a, tol)
     m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
-    x1, y1 = Fraction(o1.x), Fraction(o1.y)
-    if (Fraction(o2.x) - x1) * (Fraction(a.y) - y1) == (Fraction(o2.y) - y1) * (Fraction(a.x) - x1):
+    if exactly_collinear(o1, o2, a):
         return d1, d2, m1, m1, True
     dx, dy = o2.x - o1.x, o2.y - o1.y
     length = math.hypot(dx, dy)

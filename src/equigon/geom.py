@@ -4,12 +4,14 @@ Everything downstream is built from the types here: finite points, a
 combined relative/absolute tolerance, and the circle-circle intersection
 kernel, which takes two centres and two radii and orders its two points by
 side, an order the equal-distance solve of a pair relies on.
+``exactly_collinear`` decides without rounding whether a point lies on a line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class GeometryError(ValueError):
@@ -165,6 +167,31 @@ def project_onto_line(
 def side_of_line(point: Point, a: Point, b: Point) -> float:
     """Signed doubled area; positive iff ``point`` is left of the directed line a->b."""
     return (b - a).cross(point - a)
+
+
+# Shewchuk's orient2d filter (ccwerrboundA, 1997): when |left - right| exceeds
+# this share of |left| + |right|, rounding cannot have moved the float cross
+# product across 0, the rounded differences included.  The bound assumes no
+# underflow; with a sum of at least _UNDERFLOW_FLOOR, an underflowed product's
+# error (at most 2**-1075) is far below the bound's eps**2 * size slack.
+_CCW_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_UNDERFLOW_FLOOR = 2.0 ** -900
+
+
+def exactly_collinear(o1: Point, o2: Point, a: Point) -> bool:
+    """Whether ``a`` lies on the line through ``o1`` and ``o2`` (true when o1 = o2),
+    decided exactly on the float inputs.
+
+    The float cross product answers "no" when its error bound clears 0; every
+    other case, inf and NaN products included, is decided in fractions.
+    """
+    left = (o2.x - o1.x) * (a.y - o1.y)
+    right = (o2.y - o1.y) * (a.x - o1.x)
+    size = abs(left) + abs(right)
+    if size >= _UNDERFLOW_FLOOR and abs(left - right) > _CCW_ERRBOUND * size:
+        return False
+    x1, y1 = Fraction(o1.x), Fraction(o1.y)
+    return (Fraction(o2.x) - x1) * (Fraction(a.y) - y1) == (Fraction(o2.y) - y1) * (Fraction(a.x) - x1)
 
 
 def angle_at(

@@ -12,7 +12,8 @@ The config dataclasses (PairConfig, SharedVertexConfig, BottemaConfig,
 IdentityCheckConfig) are the schema of those blocks.  Each field declares its
 type, its reader (the validator that converts the document's value) and, when
 the document may leave it out, its default, once; parsing, serializing and the
-report's scenario block all walk ``dataclasses.fields`` of the config.
+report's scenario block all walk a table read from ``dataclasses.fields`` of
+each config at import.
 
 Parsing is strict: unknown fields are rejected, every number must be finite,
 ``n`` and ``bottema.sweep_samples`` may not exceed MAX_N and MAX_SWEEP_SAMPLES,
@@ -26,7 +27,7 @@ import math
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from .geom import DEFAULT_TOLERANCE, Point, Tolerance
 
@@ -64,7 +65,7 @@ class ScenarioKind(Enum):
     IDENTITY_CHECK = "identity_check"
 
 
-def _reject_unknown(block: Mapping[str, Any], allowed: set[str], context: str) -> None:
+def _reject_unknown(block: Mapping[str, Any], allowed: Collection[str], context: str) -> None:
     for key in block:
         if key not in allowed:
             raise ScenarioValidationError(
@@ -201,6 +202,14 @@ _CONFIGS: dict[ScenarioKind, type[Config]] = {
 }
 
 
+# Per config class: each field's reader and whether the document must give it,
+# by name in declaration order.
+_SCHEMAS = {
+    cls: {f.name: (f.metadata["read"], f.default is MISSING) for f in fields(cls)}
+    for cls in _CONFIGS.values()
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     kind: ScenarioKind
@@ -225,12 +234,12 @@ def _parse_block(kind: ScenarioKind, block: Mapping[str, Any], n: int) -> Config
     """Read one kind block against its config class, field by field in declaration order."""
     cls = _CONFIGS[kind]
     context = f"{kind.value}."
-    declared = fields(cls)
-    _reject_unknown(block, {f.name for f in declared}, context)
+    schema = _SCHEMAS[cls]
+    _reject_unknown(block, schema, context)
     values = {}
-    for f in declared:
-        if f.name in block or f.default is MISSING:
-            values[f.name] = f.metadata["read"](_require(block, f.name, context), context + f.name)
+    for name, (read, required) in schema.items():
+        if required or name in block:
+            values[name] = read(_require(block, name, context), context + name)
     config = cls(**values)
     if isinstance(config, IdentityCheckConfig) and config.max_m is not None:
         if not 1 <= config.max_m <= n - 1:
@@ -299,7 +308,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "n": scenario.n,
         "seed": scenario.seed,
         "tolerance": {"rel": scenario.tolerance.rel, "abs": scenario.tolerance.abs},
-        scenario.kind.value: {f.name: _value_out(getattr(config, f.name)) for f in fields(config)},
+        scenario.kind.value: {name: _value_out(getattr(config, name)) for name in _SCHEMAS[type(config)]},
     }
 
 

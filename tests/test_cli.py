@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import equigon.cli
 from equigon.cli import EXIT_BROKEN_PIPE, _build_parser, main
 from equigon.runner import run_scenario, solve_scenario
 from equigon.scenario import parse_scenario
@@ -328,6 +329,75 @@ def test_reused_parser_after_usage_error(capsys):
     capsys.readouterr()
     assert main(["verify", SHARED, "--json"]) == 0
     assert capsys.readouterr() == alone
+
+
+TOP_USAGE = "usage: equigon [-h] {verify,render,sweep,bottema} ..."
+
+# argv ("OUT" names an SVG path under tmp_path), the exit code (a SystemExit's
+# code for a usage error or help), a prefix of the usage's first line (on
+# stdout for help, on stderr for a usage error) or None, and a prefix of the
+# last stderr line or None for an empty stderr.
+ARGV_SHAPES = [
+    ([], 2, TOP_USAGE, "equigon: error: the following arguments are required: command"),
+    (["-h"], 0, TOP_USAGE, None),
+    (["-x"], 2, TOP_USAGE, "equigon: error: the following arguments are required: command"),
+    (["nope", SHARED], 2, TOP_USAGE, "equigon: error: argument command: invalid choice: 'nope'"),
+    (["ver", SHARED], 2, TOP_USAGE, "equigon: error: argument command: invalid choice: 'ver'"),
+    (["--", "verify", SHARED], 2, TOP_USAGE, "equigon: error: argument command: invalid choice: '--'"),
+    (["-h", "verify"], 0, TOP_USAGE, None),
+    (["verify"], 2, "usage: equigon verify [-h]", "equigon verify: error: the following arguments are required: file"),
+    (["verify", "-h"], 0, "usage: equigon verify [-h]", None),
+    (["verify", SHARED, "--help"], 0, "usage: equigon verify [-h]", None),
+    (["verify", SHARED], 0, None, None),
+    (["verify", "--js", SHARED], 0, None, None),
+    (["verify", "--", SHARED], 0, None, None),
+    (["verify", SHARED, "extra"], 2, TOP_USAGE, "equigon: error: unrecognized arguments: extra"),
+    (["verify", SHARED, "--bogus", "x", "-y"], 2, TOP_USAGE, "equigon: error: unrecognized arguments: --bogus x -y"),
+    (["verify", "--tolerance", "1", SHARED], 2, "usage: equigon verify [-h]",
+     "equigon verify: error: ambiguous option: --tolerance could match --tolerance-rel, --tolerance-abs"),
+    (["verify", SHARED, "--tolerance-rel", "abc"], 2, "usage: equigon verify [-h]",
+     "equigon verify: error: argument --tolerance-rel: invalid float value: 'abc'"),
+    (["verify", SHARED, "--tolerance-rel", "-1"], 2, None, "error: rel must be a positive finite float, got -1.0"),
+    (["render", SHARED], 2, "usage: equigon render [-h]",
+     "equigon render: error: the following arguments are required: -o/--output"),
+    (["render", SHARED, "--output=OUT", "--tolerance-abs", "1e-9"], 0, None, None),
+    (["sweep", "--kind", "nope"], 2, "usage: equigon sweep [-h]", "equigon sweep: error: argument --kind: invalid choice: 'nope'"),
+    (["sweep", "--kind=pair", "--n=3-4", "--count=1", "--seed=3"], 0, None, None),
+    (["sweep", "--kind", "pair", "--n", "2"], 2, "usage: equigon sweep [-h]",
+     "equigon sweep: error: argument --n: need 3 <= LO <= HI, got '2'"),
+    (["bottema", "--an", "-1,0"], 2, "usage: equigon bottema [-h]", "equigon bottema: error: argument --an: expected one argument"),
+    (["bottema", "--an=-1,0", "--samples", "2"], 0, None, None),
+    (["bottema", "-1,0"], 2, TOP_USAGE, "equigon: error: unrecognized arguments: -1,0"),
+]
+
+
+def _outcome(argv, svg, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    written = svg.read_bytes() if svg.exists() else None
+    svg.unlink(missing_ok=True)
+    return code, out, err, written
+
+
+@pytest.mark.parametrize("argv, code, usage, error", ARGV_SHAPES, ids=[" ".join(shape[0]) or "-" for shape in ARGV_SHAPES])
+def test_argv_shapes_read_as_the_full_parse(argv, code, usage, error, tmp_path, monkeypatch, capsys):
+    svg = tmp_path / "out.svg"
+    argv = [arg.replace("OUT", str(svg)) for arg in argv]
+    got = _outcome(argv, svg, capsys)
+    # The same argv through the top-level parser alone, subparser action and all.
+    monkeypatch.setattr(equigon.cli, "_parse", lambda argv: _build_parser()[0].parse_args(argv))
+    assert got == _outcome(argv, svg, capsys)
+    got_code, out, err, _ = got
+    assert got_code == code
+    if usage is not None:
+        assert (out + err).startswith(usage)
+    if error is None:
+        assert err == ""
+    else:
+        assert err.splitlines()[-1].startswith(error)
 
 
 def test_module_invocation_subprocess():

@@ -3,13 +3,15 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+import equigon.geom
 from equigon.geom import DEFAULT_TOLERANCE, Point, circle_intersection, side_of_line, wrap_angle
 from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
-from equigon.runner import run_scenario
+from equigon.runner import run_scenario, solve_scenario
 from equigon.sampling import random_scenario
 from equigon.scenario import Scenario, ScenarioKind, SharedVertexConfig
 from equigon.equalizer import (
@@ -295,6 +297,28 @@ def test_shared_vertex_points_coincide_for_one_centroid():
     first, second = shared_vertex_pair(vertex, centre, centre, 6, 1, -1)
     _, _, m1, m2, coincident = shared_vertex_points(first, second, vertex)
     assert coincident and m1 == m2 == Point(centre.x * 2.0 - vertex.x, centre.y * 2.0 - vertex.y)
+
+
+def test_generic_shared_vertex_documents_build_no_fraction(monkeypatch):
+    # The float filter decides every pair off the centroid line; only a pair on
+    # it reaches the exact fallback.
+    built = []
+
+    def counted(value):
+        built.append(value)
+        return Fraction(value)
+
+    monkeypatch.setattr(equigon.geom, "Fraction", counted)
+    rng = random.Random(32)
+    for n in range(3, 13):
+        scenario = random_scenario(ScenarioKind.SHARED_VERTEX, n, rng)
+        run_scenario(scenario)
+        solve_scenario(scenario)
+    assert built == []
+    on_line = Scenario(ScenarioKind.SHARED_VERTEX, 5, DEFAULT_TOLERANCE, 0, SharedVertexConfig(
+        vertex=Point(0.0, 0.0), centroid1=Point(1.0, 0.0), centroid2=Point(3.0, 0.0), orient1=1, orient2=-1))
+    run_scenario(on_line)
+    assert built
 
 
 def test_correspondence_middle_index_pairs_with_itself():

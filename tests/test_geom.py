@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from equigon.geom import (
     Tolerance,
     angle_at,
     circle_intersection,
+    exactly_collinear,
     point_line_distance,
     project_onto_line,
     side_of_line,
@@ -231,3 +234,69 @@ def test_wrap_angle_range_and_consistency(theta):
     assert -math.pi < wrapped <= math.pi
     assert math.cos(wrapped) == pytest.approx(math.cos(theta), abs=1e-9)
     assert math.sin(wrapped) == pytest.approx(math.sin(theta), abs=1e-9)
+
+
+def fraction_collinear(o1, o2, a):
+    """The plain exact test: the cross product of O2 - O1 and A - O1 in fractions is 0."""
+    x1, y1 = Fraction(o1.x), Fraction(o1.y)
+    return (Fraction(o2.x) - x1) * (Fraction(a.y) - y1) == (Fraction(o2.y) - y1) * (Fraction(a.x) - x1)
+
+
+def collinearity_cases(rng, scale):
+    """Random triples at ``scale``, triples on O1 O2 by construction, and their
+    one-ulp perturbations."""
+    def coord():
+        return rng.uniform(-1.0, 1.0) * scale
+
+    o1, o2, a = (Point(coord(), coord()) for _ in range(3))
+    yield o1, o2, a
+    k = rng.randint(-2, 2)
+    on_line = Point(o1.x + k * (o2.x - o1.x), o1.y + k * (o2.y - o1.y))
+    yield o1, o2, on_line
+    for x, y in ((math.nextafter(on_line.x, math.inf), on_line.y),
+                 (on_line.x, math.nextafter(on_line.y, -math.inf))):
+        yield o1, o2, Point(x, y)
+    # Integers times a power of two: collinear in exact arithmetic as well.
+    step = 2.0 ** math.floor(math.log2(scale))
+    i1, i2 = (Point(rng.randint(-4, 4) * step, rng.randint(-4, 4) * step) for _ in range(2))
+    exact = Point(i1.x + k * (i2.x - i1.x), i1.y + k * (i2.y - i1.y))
+    yield i1, i2, exact
+    yield i1, i2, Point(math.nextafter(exact.x, math.inf), exact.y)
+    # On a line through 0 with O1 a hair off 0: the differences round, so the
+    # float cross product can miss 0 although the exact one is 0.
+    p, q = rng.randint(1, 9), rng.randint(1, 9)
+    hair = 2.0 ** -rng.randint(40, 60) * step
+    yield (Point(q * hair, p * hair), Point(q * 0.25 * step, p * 0.25 * step),
+           Point(-q * 0.125 * rng.randint(1, 7) * step, -p * 0.125 * rng.randint(1, 7) * step))
+
+
+def test_exactly_collinear_agrees_with_fractions():
+    rng = random.Random(32)
+    scales = [10.0 ** e for e in range(-320, 308, 7)] + [1e-320, 1e-160, 1e-155, 1e154, 1e307]
+    checked = collinear = 0
+    for scale in scales:
+        for _ in range(25):
+            for o1, o2, a in collinearity_cases(rng, scale):
+                want = fraction_collinear(o1, o2, a)
+                assert exactly_collinear(o1, o2, a) is want, (o1, o2, a)
+                checked += 1
+                collinear += want
+    # Both answers occur often enough for the comparison to mean something.
+    assert checked > 15_000 and 0.2 < collinear / checked < 0.6
+
+
+def test_exactly_collinear_edge_cases():
+    origin = Point(0.0, 0.0)
+    assert exactly_collinear(origin, origin, Point(1.0, 2.0))
+    assert exactly_collinear(Point(1.0, 1.0), Point(3.0, 3.0), Point(-5.0, -5.0))
+    # On y = 7x, but O2 - O1 and A - O1 round: the float cross product is not 0.
+    o1, o2, a = Point(2.0 ** -49, 7 * 2.0 ** -49), Point(10.0, 70.0), Point(-16.0, -112.0)
+    assert side_of_line(a, o1, o2) != 0.0
+    assert exactly_collinear(o1, o2, a)
+    # Products that underflow to 0 in floats, and differences that overflow to inf.
+    tiny = 5e-324
+    assert not exactly_collinear(origin, Point(tiny, 0.0), Point(0.0, tiny))
+    assert exactly_collinear(origin, Point(tiny, tiny), Point(2 * tiny, 2 * tiny))
+    huge = 1.7e308
+    assert not exactly_collinear(Point(-huge, -huge), Point(huge, 0.0), Point(huge, huge))
+    assert exactly_collinear(Point(-huge, -huge), Point(huge, huge), origin)

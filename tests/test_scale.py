@@ -97,8 +97,8 @@ def test_bottema_at_1e_170_solves(tmp_path):
     assert (code, report["errors"]) == (0, [])
 
 
-@pytest.mark.xfail(strict=True, reason="the swapped circles' squared radii overflow at 1e154 and the "
-                   "error names no field: coordinates must be finite, got (nan, nan)")
+@pytest.mark.xfail(strict=True, reason="the cosine-model bound (R1 + R2) ** 2 overflows at 1e154 and the "
+                   "error names no field: OverflowError (34, 'Numerical result out of range')")
 def test_shared_vertex_at_1e154_solves_or_names_a_field(tmp_path):
     fields = {"vertex": [3.444218515250482e+154, 2.5795440294030245e+154],
               "centroid1": [4.919698749688237e+154, 1.775278808732288e+154],
