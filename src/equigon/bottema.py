@@ -29,10 +29,7 @@ from .geom import (
 from .polygon import (
     DegenerateSideError,
     RegularPolygon,
-    _antipode,
-    _m1,
     _overflow,
-    _side_circumcircle,
     from_side,
 )
 from .equalizer import PairCase, classify_pair, shared_vertex_points
@@ -55,55 +52,6 @@ class BottemaResult:
     case: PairCase
 
 
-def _triangle(an: Point, a1: Point, bn: Point, tol: Tolerance) -> tuple[float, float, int, int]:
-    """The checks both constructions make of the triangle An A1 Bn.
-
-    Returns the signed doubled area ``side_of_line(bn, a1, an)``, the squared
-    longest apex side, and the exterior sides (+1 = left) for the polygons on
-    A1 An and A1 Bn; a collinear apex gets +1 and -1.  Rejects coincident
-    corners, and a triangle whose area or squared side overflows the float
-    range, whose sides would then be guessed.
-
-    It allocates nothing: the corner differences from A1 are plain floats, and
-    the area is ``side_of_line``'s cross product of them, operation for
-    operation.  ``a1.distance(an)`` is the hypot of the negated differences,
-    which is the same float, since IEEE subtraction rounds ``x - y`` to the
-    exact negative of ``y - x``.
-    """
-    floor = tol.bound(0.0)
-    ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
-    side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
-    if side_n <= floor or side_b <= floor or an.distance(bn) <= floor:
-        raise DegenerateTriangleError("triangle corners coincide")
-    signed = ux * vy - uy * vx
-    span_sq = side_n * side_n if side_n > side_b else side_b * side_b
-    if not (abs(signed) < math.inf and span_sq < math.inf):
-        raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
-    # side_of_line(an, a1, bn) is -signed exactly: the same two products, subtracted the other way.
-    return signed, span_sq, (-1 if signed > 0.0 else 1), (1 if signed > 0.0 else -1)
-
-
-def _sweep_midpoint(
-    an: Point, a1: Point, bn: Point, n: int, tol: Tolerance
-) -> tuple[float, float]:
-    """M1 of ``bottema_construct`` with exterior sides, as plain floats x, y: the checked path.
-
-    Centroids and radii from ``_side_circumcircle``, the antipodes D = 2 O - A1
-    from ``_antipode``, and M1 from ``_m1``, as ``bottema_construct``'s M1,
-    so its bits are ``bottema_construct``'s; no polygon, ``atan2``,
-    collinear flag or ``Point``.  Every check raises its error, and an M1 past
-    the float range the overflow error.  ``verify_independence`` repeats this
-    arithmetic inline per apex, pinned to this path bit for bit by the tests,
-    and calls this for an apex that fails its tests, to raise its error.
-    """
-    _, _, side1, side2 = _triangle(an, a1, bn, tol)
-    x1, y1, r1 = _side_circumcircle(a1, an, n, side1, tol)
-    x2, y2, r2 = _side_circumcircle(a1, bn, n, side2, tol)
-    d1x, d1y = _antipode(x1, y1, r1, a1, tol)
-    d2x, d2y = _antipode(x2, y2, r2, a1, tol)
-    return _m1(d1x, d1y, d2x, d2y)
-
-
 def bottema_construct(
     an: Point,
     a1: Point,
@@ -118,15 +66,27 @@ def bottema_construct(
     ``side1`` / ``side2`` select the half-planes for the polygons on A1 An and
     A1 Bn (+1 = left of the directed segment from the apex); omitted sides
     default to the exterior of the triangle.  A collinear apex is accepted and
-    flagged; coincident triangle corners are rejected.  The polygons share
+    flagged.  Coincident corners are rejected, and so is a signed area or
+    squared longest apex side past the float range, which would leave the
+    exterior sides a guess.  The signed area is ``side_of_line(bn, a1, an)``'s
+    cross product of the plain-float corner differences.  The polygons share
     the apex as their first vertex, so D1, D2, M1 and M2 come from
     ``shared_vertex_points`` whatever the pair's case; the result carries
     that case from ``classify_pair``.
     """
-    signed, span_sq, exterior1, exterior2 = _triangle(an, a1, bn, tol)
+    floor = tol.bound(0.0)
+    ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
+    side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
+    if side_n <= floor or side_b <= floor or an.distance(bn) <= floor:
+        raise DegenerateTriangleError("triangle corners coincide")
+    signed = ux * vy - uy * vx
+    span_sq = side_n * side_n if side_n > side_b else side_b * side_b
+    if not (abs(signed) < math.inf and span_sq < math.inf):
+        raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
     collinear = abs(signed) <= tol.bound(span_sq)
-    poly1 = from_side(a1, an, n, exterior1 if side1 is None else side1, tol)
-    poly2 = from_side(a1, bn, n, exterior2 if side2 is None else side2, tol)
+    exterior = -1 if signed > 0.0 else 1
+    poly1 = from_side(a1, an, n, exterior if side1 is None else side1, tol)
+    poly2 = from_side(a1, bn, n, -exterior if side2 is None else side2, tol)
     d1, d2, m1, m2, _ = shared_vertex_points(poly1, poly2, a1, tol)
     h = project_onto_line(m1, an, bn, tol)
     return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, classify_pair(poly1, poly2, tol))
@@ -173,21 +133,18 @@ def verify_independence(
     spread of the computed midpoints, taken over the distinct ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
 
-    Each apex computes only M1, with ``_sweep_midpoint``'s arithmetic, so its
-    M1 is bit-equal to ``bottema_construct``'s.  What depends only on the base
-    is done once per sweep: the floor ``tol.bound(0.0)``, the check of n, and
-    ``tan(pi / n)`` and ``sin(pi / n)``; the base-length check already rules
-    out ``_triangle``'s coincident base.  Per apex, in plain floats, calling
-    no Python function but the two ``rng.uniform`` draws: the corner
+    Each apex computes only M1, with ``bottema_construct``'s arithmetic, so
+    its M1 is bit-equal to ``bottema_construct``'s.  What depends only on the
+    base is done once per sweep: the floor ``tol.bound(0.0)``, the check of n,
+    and ``tan(pi / n)`` and ``sin(pi / n)``.  Per apex, in plain floats,
+    calling no Python function but the two ``rng.uniform`` draws: the corner
     differences and apex-side lengths, shared by the triangle test and both
-    circumcircles; both centroids and radii by ``_side_circumcircle``'s
-    arithmetic, inline and pinned to it bit for bit by the tests; the
-    antipodes and their midpoint.  An apex, triangle or M1 past the float
-    range raises the overflow error.  The other tests are the comparisons
-    ``_triangle`` and ``Tolerance.eq_at`` make: a degenerate apex (a side at
-    or under the floor, or off its circle), a circle past the float range or
-    an n that is not an integer calls the checked ``_sweep_midpoint``, which
-    raises its error.
+    circumcircles; both centroids and radii by ``from_side``'s arithmetic;
+    the antipodes and their midpoint.  An apex, triangle or M1 past the float
+    range raises the overflow error.  An apex that fails the other tests (a
+    side at or under the floor, a circle past the float range or missing the
+    apex, an n that is not an integer) calls ``bottema_construct``, whose
+    checks run in the same order, and which raises the first error.
 
     No ``Point`` is built on the way.  The apex's coordinates are the float
     operations of ``an + along * s + normal * u`` in the same order, so they
@@ -209,7 +166,7 @@ def verify_independence(
     predicted = closed_form_midpoint(an, bn, n, 1, tol)
     px, py = predicted.x, predicted.y
     # closed_form_midpoint has checked n >= 3; an n that is not an integer
-    # sends every apex to _sweep_midpoint, which rejects it.
+    # sends every apex to bottema_construct, which rejects it.
     integer_n = isinstance(n, int)
     angle = math.pi / n
     tan, sin = math.tan(angle), math.sin(angle)
@@ -232,7 +189,7 @@ def verify_independence(
             if not (-inf < signed < inf and span_sq < inf):
                 raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
             side = -1 if signed > 0.0 else 1
-            # _side_circumcircle's arithmetic for the circles on the edges An -> A1 and Bn -> A1.
+            # from_side's arithmetic for the circles on the edges An -> A1 and Bn -> A1.
             inverse, apothem = 1.0 / side_n, 0.5 * side_n / tan
             x1 = 0.5 * (ax + anx) + -(uy * inverse) * side * apothem
             y1 = 0.5 * (ay + any_) + (ux * inverse) * side * apothem
@@ -251,7 +208,8 @@ def verify_independence(
             )
         if not passed:
             # The checked path raises the degenerate apex's error, or a circle's overflow error.
-            mx, my = _sweep_midpoint(an, Point(ax, ay), bn, n, tol)
+            m1 = bottema_construct(an, Point(ax, ay), bn, n, tol=tol).m1
+            mx, my = m1.x, m1.y
         elif not (-inf < mx < inf and -inf < my < inf):
             # A finite M1 has finite antipodes: a sum with a term that is not finite is not finite.
             raise _overflow("M1", (mx, my))

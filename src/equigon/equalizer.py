@@ -42,7 +42,7 @@ from .geom import (
     side_of_line,
     wrap_angle,
 )
-from .polygon import RegularPolygon, _m1, diametric_opposite
+from .polygon import RegularPolygon, _overflow, diametric_opposite
 from .power_sums import distances_squared, multisets_equal
 
 
@@ -156,11 +156,15 @@ def shared_vertex_points(first: RegularPolygon, second: RegularPolygon, a: Point
 
     M1 = O1 + O2 - A is the midpoint of the antipodes D = 2 O - A, and M2 its
     mirror across the line O1 O2; they coincide exactly when A lies on that
-    line (``exactly_collinear``).
+    line (``exactly_collinear``).  An M1 past the float range raises the
+    overflow error.
     """
     o1, o2 = first.centroid, second.centroid
     d1, d2 = diametric_opposite(first, a, tol), diametric_opposite(second, a, tol)
-    m1 = Point(*_m1(d1.x, d1.y, d2.x, d2.y))
+    mx, my = 0.5 * (d1.x + d2.x), 0.5 * (d1.y + d2.y)
+    if not (abs(mx) < math.inf and abs(my) < math.inf):
+        raise _overflow("M1", (mx, my))
+    m1 = Point(mx, my)
     if exactly_collinear(o1, o2, a):
         return d1, d2, m1, m1, True
     dx, dy = o2.x - o1.x, o2.y - o1.y

@@ -127,17 +127,23 @@ def _check_radius(radius: float) -> None:
         raise InvalidRadiusError(f"circumradius must be positive, got {radius}")
 
 
-def _side_circumcircle(
-    a1: Point, an: Point, n: int, side: int, tol: Tolerance
-) -> tuple[float, float, float]:
-    """Centroid x, y and circumradius of the n-gon on the closing edge ``an -> a1``.
+def from_side(
+    a1: Point,
+    an: Point,
+    n: int,
+    side: int,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> RegularPolygon:
+    """The regular n-gon having the segment from ``an`` to ``a1`` as its closing edge.
 
-    ``from_side``'s arithmetic in plain floats, and its checks: the side, the
-    edge (an overflow error past the float range), its length and n.  A
-    centroid or radius past the float range raises the overflow error; every
-    step that leaves the range reaches one of them.  The apex sweep repeats
-    this arithmetic inline for both circles of each apex, and the tests pin
-    its midpoints to this path bit for bit.
+    Vertex 1 lands on ``a1`` and vertex n on ``an``.  ``side`` picks the
+    half-plane containing the body: +1 means left of the directed segment
+    ``a1 -> an``, -1 means right.  It checks the side, the edge (an overflow
+    error past the float range), its length and n; a centroid or radius past
+    the float range raises the overflow error, and every step that leaves the
+    range reaches one of them.  The phase and the orientation are one
+    ``atan2`` each.  The apex sweep repeats the centroid and radius arithmetic
+    inline, and the tests pin its midpoints to ``bottema_construct``'s.
     """
     if side not in (1, -1):
         raise GeometryError(f"side must be +1 or -1, got {side!r}")
@@ -156,25 +162,6 @@ def _side_circumcircle(
     radius = 0.5 * length / math.sin(angle)
     if not (abs(x) < math.inf and abs(y) < math.inf and radius < math.inf):
         raise _overflow("circumcircle", f"centroid {(x, y)}, radius {radius!r}")
-    return x, y, radius
-
-
-def from_side(
-    a1: Point,
-    an: Point,
-    n: int,
-    side: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> RegularPolygon:
-    """The regular n-gon having the segment from ``an`` to ``a1`` as its closing edge.
-
-    Vertex 1 lands on ``a1`` and vertex n on ``an``.  ``side`` picks the
-    half-plane containing the body: +1 means left of the directed segment
-    ``a1 -> an``, -1 means right.  The centroid and radius come from
-    ``_side_circumcircle``; this adds the phase and the orientation, one
-    ``atan2`` each.
-    """
-    x, y, radius = _side_circumcircle(a1, an, n, side, tol)
     phase = math.atan2(a1.y - y, a1.x - x)
     # Vertex n precedes vertex 1 by one step, so the signed angle from vertex 1
     # to vertex n fixes the orientation.
@@ -183,10 +170,15 @@ def from_side(
     return RegularPolygon(n, Point(x, y), radius, phase, orientation)
 
 
-def _antipode(
-    x: float, y: float, radius: float, p: Point, tol: Tolerance
-) -> tuple[float, float]:
-    """``diametric_opposite`` in plain floats, for the circle at (x, y)."""
+def diametric_opposite(
+    poly: RegularPolygon, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
+) -> Point:
+    """Antipode of ``p`` on the circumcircle: the reflection through the centroid.
+
+    A ``p`` off the circumcircle raises ``NotOnCircumcircleError``, and an
+    antipode past the float range the overflow error.
+    """
+    x, y, radius = poly.centroid.x, poly.centroid.y, poly.circumradius
     distance = math.hypot(p.x - x, p.y - y)
     if not tol.eq_at(distance, radius, radius):
         raise NotOnCircumcircleError(
@@ -196,20 +188,4 @@ def _antipode(
     dx, dy = x * 2.0 - p.x, y * 2.0 - p.y
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise _overflow("antipode", (dx, dy))
-    return dx, dy
-
-
-def _m1(d1x: float, d1y: float, d2x: float, d2y: float) -> tuple[float, float]:
-    """M1 by ``D1.midpoint(D2)``'s arithmetic; an M1 past the float range raises the overflow error."""
-    mx, my = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
-    if not (abs(mx) < math.inf and abs(my) < math.inf):
-        raise _overflow("M1", (mx, my))
-    return mx, my
-
-
-def diametric_opposite(
-    poly: RegularPolygon, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Point:
-    """Antipode of ``p`` on the circumcircle: the reflection through the centroid."""
-    centre = poly.centroid
-    return Point(*_antipode(centre.x, centre.y, poly.circumradius, p, tol))
+    return Point(dx, dy)

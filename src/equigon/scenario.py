@@ -16,8 +16,9 @@ report's scenario block all walk a table read from ``dataclasses.fields`` of
 each config at import.
 
 Parsing is strict: unknown fields are rejected, every number must be finite,
-``n`` and ``bottema.sweep_samples`` may not exceed MAX_N and MAX_SWEEP_SAMPLES,
-and parse -> serialize -> parse is exact (floats survive the JSON round trip).
+``n``, ``bottema.sweep_samples`` and the number of ``identity_check.probes``
+may not exceed MAX_N, MAX_SWEEP_SAMPLES and MAX_PROBES, and parse ->
+serialize -> parse is exact (floats survive the JSON round trip).
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from typing import Any, Callable, Collection, Mapping
 
 from .geom import DEFAULT_TOLERANCE, Point, Tolerance
 
-# The largest polygon size and apex sweep a document (or the CLI) may ask for.
+# The largest polygon size, apex sweep and probe list a document (or the CLI) may ask for.
 MAX_N = 2048
 MAX_SWEEP_SAMPLES = 10_000
+MAX_PROBES = 64
 
 # An error echoes the offending value cut to about 40 characters, so a
 # 400-digit literal still gives a one-line message.
@@ -140,6 +142,8 @@ def _sweep_samples(value: Any, field: str) -> int:
 def _probes(value: Any, field: str) -> tuple[Point, ...]:
     if not isinstance(value, list) or not value:
         raise ScenarioValidationError(field, f"field {field!r} must be a non-empty list of points")
+    if len(value) > MAX_PROBES:
+        raise _invalid(field, f"hold at most {MAX_PROBES} points", len(value))
     return tuple(_point(item, f"{field}[{i}]") for i, item in enumerate(value))
 
 

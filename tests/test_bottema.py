@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,11 +13,12 @@ from equigon.polygon import (
     InvalidVertexCountError,
     NotOnCircumcircleError,
     RegularPolygon,
+    diametric_opposite,
+    from_side,
 )
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.bottema import (
     DegenerateTriangleError,
-    _sweep_midpoint,
     bottema_construct,
     closed_form_midpoint,
     verify_independence,
@@ -256,12 +258,6 @@ def random_triangles(count, seed):
         yield an, a1, bn, rng.randint(3, 64)
 
 
-def test_sweep_midpoint_is_the_constructed_m1():
-    for an, a1, bn, n in random_triangles(300, seed=11):
-        m1 = bottema_construct(an, a1, bn, n).m1
-        assert _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE) == (m1.x, m1.y)
-
-
 def outcome(build):
     try:
         return build()
@@ -269,52 +265,85 @@ def outcome(build):
         return type(exc), str(exc)
 
 
+def sweep_apexes(an, bn, samples, seed):
+    """The apexes of verify_independence's draws, built by Point arithmetic."""
+    base_length = an.distance(bn)
+    rng = random.Random(seed)
+    along = (bn - an) * (1.0 / base_length)
+    normal = along.perpendicular()
+    for _ in range(samples):
+        t, height = rng.uniform(-0.5, 1.5), rng.uniform(0.05, 2.0)
+        yield an + along * (t * base_length) + normal * (height * base_length)
+
+
+def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
+    # The sweep measures its distinct midpoints with math.dist, first to the
+    # closed form, then pairwise; each must be bottema_construct's M1 bit for bit.
+    measured = []
+    dist = math.dist
+
+    def recording(p, q):
+        measured.append((p, q))
+        return dist(p, q)
+
+    monkeypatch.setattr(math, "dist", recording)
+    rng = random.Random(11)
+    for _ in range(60):
+        scale = 10.0 ** rng.uniform(-8, 12)
+        an, bn = (Point(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale) for _ in range(2))
+        n, seed = rng.randint(3, 64), rng.randrange(1000)
+        measured.clear()
+        verify_independence(an, bn, n, 20, seed=seed)
+        m1s = [bottema_construct(an, apex, bn, n).m1 for apex in sweep_apexes(an, bn, 20, seed)]
+        want = list(dict.fromkeys((m1.x, m1.y) for m1 in m1s))
+        predicted = closed_form_midpoint(an, bn, n, 1)
+        assert measured == [((predicted.x, predicted.y), m) for m in want] + list(combinations(want, 2))
+
+
 FLOOR = DEFAULT_TOLERANCE.bound(0.0)
-# (an, a1, bn, n): each is rejected, and the sweep must reject it the same way.
-REJECTED = {
-    "apex-on-corner": (Point(0, 0), Point(0, 0), Point(2, 0), 4),
-    "corners-coincide": (Point(0, 0), Point(1, 1), Point(0, 0), 5),
-    "side-below-floor": (Point(0, 0), Point(0.5 * FLOOR, 0.0), Point(2, 0), 4),
-    "base-below-floor": (Point(0, 0), Point(1, 1), Point(0.0, 0.5 * FLOOR), 6),
-    "n-not-an-integer": (Point(0, 0), Point(1, 1), Point(2, 0), 3.0),
-    "side-overflows": (Point(-1.5e308, 0), Point(1.5e308, 1), Point(0, -1), 5),
-    "centroid-overflows": (Point(0, 0), Point(1e307, 1.7e308), Point(1.7e308, 1e307), 4),
-    "offset-overflows": (Point(0, 0), Point(8e307, 1e307), Point(1.6e308, 0), 64),
-    "radius-overflows": (Point(0.8e308, 0), Point(-0.8e308, 0), Point(0, 1e307), 7),
-    "area-overflows": (Point(0, 0), Point(1e160, 3e160), Point(4e160, 0), 5),
-    "apex-side-squared-overflows": (Point(0, 0), Point(1e155, 0), Point(1e155, 1), 5),
-}
+CORNERS_COINCIDE = (DegenerateTriangleError, "triangle corners coincide")
 
 
+def triangle_overflow(area):
+    return GeometryError, f"triangle overflows the float range: signed area {area}, squared apex side inf"
+
+
+# (an, a1, bn, n): each is rejected with this error, which the sweep raises
+# for an apex that fails its float tests, since it falls back on bottema_construct.
 # Each overflow case leaves the signed area or the squared apex side past the
-# float range, so both constructions stop at the triangle's overflow error
+# float range, so the construction stops at the triangle's overflow error
 # before any later step can overflow.
-TRIANGLE_OVERFLOWS = {
-    name: f"triangle overflows the float range: signed area {area}, squared apex side inf"
-    for name, area in (("side-overflows", "inf"), ("centroid-overflows", "inf"), ("offset-overflows", "inf"),
-                       ("radius-overflows", "inf"), ("area-overflows", "inf"),
-                       ("apex-side-squared-overflows", "-1e+155"))
+REJECTED = {
+    "apex-on-corner": ((Point(0, 0), Point(0, 0), Point(2, 0), 4), CORNERS_COINCIDE),
+    "corners-coincide": ((Point(0, 0), Point(1, 1), Point(0, 0), 5), CORNERS_COINCIDE),
+    "side-below-floor": ((Point(0, 0), Point(0.5 * FLOOR, 0.0), Point(2, 0), 4), CORNERS_COINCIDE),
+    "base-below-floor": ((Point(0, 0), Point(1, 1), Point(0.0, 0.5 * FLOOR), 6), CORNERS_COINCIDE),
+    "n-not-an-integer": ((Point(0, 0), Point(1, 1), Point(2, 0), 3.0),
+                         (InvalidVertexCountError, "need an integer n >= 3, got 3.0")),
+    "side-overflows": ((Point(-1.5e308, 0), Point(1.5e308, 1), Point(0, -1), 5), triangle_overflow("inf")),
+    "centroid-overflows": ((Point(0, 0), Point(1e307, 1.7e308), Point(1.7e308, 1e307), 4), triangle_overflow("inf")),
+    "offset-overflows": ((Point(0, 0), Point(8e307, 1e307), Point(1.6e308, 0), 64), triangle_overflow("inf")),
+    "radius-overflows": ((Point(0.8e308, 0), Point(-0.8e308, 0), Point(0, 1e307), 7), triangle_overflow("inf")),
+    "area-overflows": ((Point(0, 0), Point(1e160, 3e160), Point(4e160, 0), 5), triangle_overflow("inf")),
+    "apex-side-squared-overflows": ((Point(0, 0), Point(1e155, 0), Point(1e155, 1), 5),
+                                    triangle_overflow("-1e+155")),
 }
 
 
-@pytest.mark.parametrize("name, an, a1, bn, n", [(name, *case) for name, case in REJECTED.items()],
-                         ids=REJECTED.keys())
-def test_sweep_midpoint_rejects_like_the_construction(name, an, a1, bn, n):
-    expected = outcome(lambda: bottema_construct(an, a1, bn, n))
-    assert isinstance(expected, tuple)
-    assert outcome(lambda: _sweep_midpoint(an, a1, bn, n, DEFAULT_TOLERANCE)) == expected
-    if name in TRIANGLE_OVERFLOWS:
-        assert expected == (GeometryError, TRIANGLE_OVERFLOWS[name])
+@pytest.mark.parametrize("triangle, expected", REJECTED.values(), ids=REJECTED.keys())
+def test_sweep_midpoint_rejects_like_the_construction(triangle, expected):
+    assert outcome(lambda: bottema_construct(*triangle)) == expected
 
 
 def test_overflowing_triangle_names_the_overflow():
     # Past the float range the signed area's sign, and so each exterior side,
-    # would be a guess; both constructions refuse the triangle instead.
-    for name, build in (("area-overflows", bottema_construct), ("apex-side-squared-overflows", _sweep_midpoint)):
-        an, a1, bn, n = REJECTED[name]
+    # would be a guess; the construction refuses the triangle instead.
+    for name in ("area-overflows", "apex-side-squared-overflows"):
+        (an, a1, bn, n), (error, message) = REJECTED[name]
         with pytest.raises(GeometryError) as excinfo:
-            build(an, a1, bn, n, tol=DEFAULT_TOLERANCE)
-        assert str(excinfo.value) == TRIANGLE_OVERFLOWS[name]
+            bottema_construct(an, a1, bn, n, tol=DEFAULT_TOLERANCE)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
 
 # (an, bn, n, seed): the first apex that fails, at 300 samples, raises the
@@ -363,14 +392,13 @@ def test_sweep_errors_are_pinned(case, expected):
 
 
 def test_construction_raises_the_sweeps_m1_overflow():
-    # The first apex of the m1-sum-overflows sweep: both constructions form M1
-    # through one checked midpoint, so they raise the sweep's error.
+    # The first apex of the m1-sum-overflows sweep: the construction forms M1
+    # with the sweep's arithmetic and overflow check, so it raises the sweep's error.
     (an, bn, n, seed), expected = SWEEP_ERRORS["m1-sum-overflows"]
     rng = random.Random(seed)
     t, h = rng.uniform(-0.5, 1.5), rng.uniform(0.05, 2.0)
     apex = Point(t * bn.x, h * bn.x)
     assert outcome(lambda: bottema_construct(an, apex, bn, n)) == expected
-    assert outcome(lambda: _sweep_midpoint(an, apex, bn, n, DEFAULT_TOLERANCE)) == expected
     assert outcome(lambda: verify_independence(an, bn, n, 2, seed=seed)) == expected
 
 
@@ -414,39 +442,61 @@ def test_sweep_does_its_per_base_work_once(monkeypatch):
 
 def test_sweep_calls_no_checked_path_on_a_regular_base(monkeypatch):
     # The sweep computes both circles, the antipodes and M1 inline; the
-    # checked one-circle path runs only for an apex that fails its tests.
-    calls = dict.fromkeys(("_sweep_midpoint", "_side_circumcircle", "_antipode"), 0)
+    # checked path runs only for an apex that fails its tests.
+    calls = dict.fromkeys(("bottema_construct", "from_side", "diametric_opposite"), 0)
     for name in calls:
-        original = getattr(equigon.bottema, name)
+        for module in (equigon.bottema, equigon.equalizer, equigon.polygon):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
 
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(equigon.bottema, name, counting)
+            monkeypatch.setattr(module, name, counting)
     spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, 300, seed=1)
     assert spread.ok and closed.ok
     assert calls == dict.fromkeys(calls, 0)
+    # The counters see the checked path when it runs.
+    equigon.bottema.bottema_construct(Point(0, 0), Point(0.6, 1.4), Point(2, 0), 7)
+    assert calls == {"bottema_construct": 1, "from_side": 2, "diametric_opposite": 2}
+
+
+def reference_midpoint(an, apex, bn, n, tol):
+    """bottema_construct's M1 with exterior sides, stopping at M1.
+
+    The triangle test and M1 are written out; the circles and antipodes are
+    from_side's and diametric_opposite's.  bottema_construct itself would go
+    on to M2 and H, which can raise where the sweep rightly returns.
+    """
+    floor = tol.bound(0.0)
+    ux, uy, vx, vy = an.x - apex.x, an.y - apex.y, bn.x - apex.x, bn.y - apex.y
+    sides = math.hypot(ux, uy), math.hypot(vx, vy)
+    if min(*sides, an.distance(bn)) <= floor:
+        raise DegenerateTriangleError("triangle corners coincide")
+    signed, span_sq = ux * vy - uy * vx, max(sides) * max(sides)
+    if not (abs(signed) < math.inf and span_sq < math.inf):
+        raise GeometryError(
+            f"triangle overflows the float range: signed area {signed!r}, squared apex side {span_sq!r}")
+    exterior = -1 if signed > 0.0 else 1
+    d1 = diametric_opposite(from_side(apex, an, n, exterior, tol), apex, tol)
+    d2 = diametric_opposite(from_side(apex, bn, n, -exterior, tol), apex, tol)
+    mx, my = 0.5 * (d1.x + d2.x), 0.5 * (d1.y + d2.y)
+    if not (abs(mx) < math.inf and abs(my) < math.inf):
+        raise GeometryError(f"M1 overflows the float range: {(mx, my)}")
+    return Point(mx, my)
 
 
 def reference_sweep(an, bn, n, samples, tol, seed):
-    """verify_independence's residuals with every apex through _sweep_midpoint.
+    """verify_independence's residuals with every apex through reference_midpoint.
 
-    The apexes come from the same draws, built by Point arithmetic; the
-    spread is taken with Point.distance over every pair of midpoints.
+    The spread is taken with Point.distance over every pair of midpoints.
     """
-    base_length = an.distance(bn)
-    if base_length <= tol.bound(0.0):
+    if an.distance(bn) <= tol.bound(0.0):
         raise DegenerateSideError("base endpoints coincide")
-    rng = random.Random(seed)
-    along = (bn - an) * (1.0 / base_length)
-    normal = along.perpendicular()
     predicted = closed_form_midpoint(an, bn, n, 1, tol)
-    midpoints = []
-    for _ in range(samples):
-        t, height = rng.uniform(-0.5, 1.5), rng.uniform(0.05, 2.0)
-        apex = an + along * (t * base_length) + normal * (height * base_length)
-        midpoints.append(Point(*_sweep_midpoint(an, apex, bn, n, tol)))
+    midpoints = [reference_midpoint(an, apex, bn, n, tol) for apex in sweep_apexes(an, bn, samples, seed)]
     spread = max(p.distance(q) for p in midpoints for q in midpoints)
     return spread, max(m.distance(predicted) for m in midpoints)
 
@@ -468,9 +518,9 @@ def random_bases(count, seed):
 
 
 def test_sweep_matches_the_checked_path():
-    # Each apex that passes the sweep's float tests gets _sweep_midpoint's M1;
-    # a degenerate apex raises _sweep_midpoint's error.  Where the checked
-    # path stops at a value past the float range (a Point built from it, or
+    # Each apex that passes the sweep's float tests gets the reference's M1;
+    # a degenerate apex raises the reference's error.  Where the reference
+    # stops at a value past the float range (a Point built from it, or
     # an overflow error), the sweep may instead raise the overflow error of
     # its own step.
     raised = set()
@@ -494,9 +544,9 @@ def test_sweep_matches_the_checked_path():
 
 
 def test_degenerate_triangle_message():
-    for an, a1, bn, _ in list(REJECTED.values())[:4]:
+    for (an, a1, bn, _), _ in list(REJECTED.values())[:4]:
         with pytest.raises(DegenerateTriangleError, match="^triangle corners coincide$"):
-            _sweep_midpoint(an, a1, bn, 4, DEFAULT_TOLERANCE)
+            bottema_construct(an, a1, bn, 4, tol=DEFAULT_TOLERANCE)
 
 
 def subtended(result, k):

@@ -12,7 +12,7 @@ import pytest
 import equigon.cli
 from equigon.cli import EXIT_BROKEN_PIPE, _build_parser, main
 from equigon.runner import run_scenario, solve_scenario
-from equigon.scenario import parse_scenario
+from equigon.scenario import MAX_PROBES, parse_scenario
 from equigon.svgfig import render_svg
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -80,8 +80,11 @@ PAIR_TAIL = ', "phase1": 0, "orient1": 1, "centroid2": [3, 0], "r2": 1, "phase2"
         ((PAIR_HEAD + "1" + "0" * 5000 + PAIR_TAIL).encode(), "invalid JSON"),
         (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
         (b'{"kind": "pair", "n": 4\xff}', "UTF-8"),
+        (json.dumps({"kind": "identity_check", "n": 2048, "identity_check": {
+            "centroid": [0, 0], "r": 1, "probes": [[0.5, 0.5]] * (MAX_PROBES + 1)}}).encode(),
+         f"field 'identity_check.probes' must hold at most {MAX_PROBES} points, got {MAX_PROBES + 1}"),
     ],
-    ids=["number-beyond-float", "integer-too-long", "nested-too-deep", "not-utf8"],
+    ids=["number-beyond-float", "integer-too-long", "nested-too-deep", "not-utf8", "too-many-probes"],
 )
 def test_unreadable_document_is_input_error(verb, content, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

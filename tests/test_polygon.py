@@ -15,7 +15,6 @@ from equigon.polygon import (
     InvalidVertexCountError,
     NotOnCircumcircleError,
     RegularPolygon,
-    _side_circumcircle,
     diametric_opposite,
     from_shared_vertex,
     from_side,
@@ -314,12 +313,10 @@ OVERFLOWS = [
 @pytest.mark.parametrize("name, a1, an, n, side, tol, error, message", OVERFLOWS,
                          ids=[case[0] for case in OVERFLOWS])
 def test_from_side_names_the_step_that_overflows(name, a1, an, n, side, tol, error, message):
-    # The apex sweep builds no polygon, so _side_circumcircle must raise each error itself.
-    for build in (from_side, _side_circumcircle):
-        with pytest.raises(GeometryError) as excinfo:
-            build(a1, an, n, side, tol)
-        assert type(excinfo.value) is error
-        assert str(excinfo.value) == message
+    with pytest.raises(GeometryError) as excinfo:
+        from_side(a1, an, n, side, tol)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def test_rotate_about_centroid_full_step_is_identity():

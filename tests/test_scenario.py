@@ -12,6 +12,7 @@ from equigon.geom import Point, Tolerance
 from equigon.runner import run_scenario
 from equigon.sampling import random_scenario
 from equigon.scenario import (
+    MAX_PROBES,
     BottemaConfig,
     IdentityCheckConfig,
     Scenario,
@@ -396,6 +397,17 @@ def test_caps_are_inclusive():
     scenario = parse_scenario(_contract_doc("bottema", "bottema", "sweep_samples", 10_000))
     assert scenario.config.sweep_samples == 10_000
     assert parse_scenario(_contract_doc("pair", None, "n", 2048)).n == 2048
+    probes = [[1, 2]] * MAX_PROBES
+    assert len(parse_scenario(_contract_doc("identity_check", "identity_check", "probes", probes)).config.probes) == 64
+
+
+def test_probe_list_is_capped():
+    # Each probe costs O(n^2) at n = 2048, so an unbounded list could run for hours.
+    doc = _contract_doc("identity_check", "identity_check", "probes", [[1, 2]] * (MAX_PROBES + 1))
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_scenario(doc)
+    assert excinfo.value.field == "identity_check.probes"
+    assert str(excinfo.value) == "field 'identity_check.probes' must hold at most 64 points, got 65"
 
 
 CONTRACT_DOCS = [
