@@ -8,6 +8,10 @@ does: it is the centroid of the regular n-gon erected on the fixed base An Bn
 the base is ``|An Bn| / 2 * cot(pi / n)``, and the foot of that perpendicular
 is the base midpoint.  At M1 the vertex pairs subtend fixed angles:
 ``angle(A_k M1 B_k) = 2 pi (k-1) / n`` folded into [0, pi].
+
+Any two n-gons running in opposite directions from a shared first vertex A1
+are such a construction, on A1 and their vertices n: ``bottema_pair`` builds
+that geometry, and ``verify_bottema`` checks the theorem on it.
 """
 
 from __future__ import annotations
@@ -41,15 +45,23 @@ class DegenerateTriangleError(GeometryError):
 
 @dataclass(frozen=True)
 class BottemaResult:
+    """Two n-gons sharing their first vertex ``a1``, with their vertices n
+    ``an`` and ``bn``, and what ``bottema_pair`` finds on them.  Polygons that
+    share their vertex n too have no base An Bn, so no foot H."""
+
     poly1: RegularPolygon
     poly2: RegularPolygon
+    an: Point
+    a1: Point
+    bn: Point
     d1: Point
     d2: Point
     m1: Point
     m2: Point
-    h: Point
+    h: Point | None
     collinear: bool
     case: PairCase
+    coincident: bool
 
 
 def bottema_construct(
@@ -61,7 +73,7 @@ def bottema_construct(
     side2: int | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> BottemaResult:
-    """Build both polygons on the apex sides and locate M1, M2, and the foot H.
+    """Build both polygons on the apex sides and their ``bottema_pair``.
 
     ``side1`` / ``side2`` select the half-planes for the polygons on A1 An and
     A1 Bn (+1 = left of the directed segment from the apex); omitted sides
@@ -69,10 +81,7 @@ def bottema_construct(
     flagged.  Coincident corners are rejected, and so is a signed area or
     squared longest apex side past the float range, which would leave the
     exterior sides a guess.  The signed area is ``side_of_line(bn, a1, an)``'s
-    cross product of the plain-float corner differences.  The polygons share
-    the apex as their first vertex, so D1, D2, M1 and M2 come from
-    ``shared_vertex_points`` whatever the pair's case; the result carries
-    that case from ``classify_pair``.
+    cross product of the plain-float corner differences.
     """
     floor = tol.bound(0.0)
     ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
@@ -83,13 +92,34 @@ def bottema_construct(
     span_sq = side_n * side_n if side_n > side_b else side_b * side_b
     if not (abs(signed) < math.inf and span_sq < math.inf):
         raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
-    collinear = abs(signed) <= tol.bound(span_sq)
     exterior = -1 if signed > 0.0 else 1
     poly1 = from_side(a1, an, n, exterior if side1 is None else side1, tol)
     poly2 = from_side(a1, bn, n, -exterior if side2 is None else side2, tol)
-    d1, d2, m1, m2, _ = shared_vertex_points(poly1, poly2, a1, tol)
-    h = project_onto_line(m1, an, bn, tol)
-    return BottemaResult(poly1, poly2, d1, d2, m1, m2, h, collinear, classify_pair(poly1, poly2, tol))
+    return bottema_pair(poly1, poly2, an, a1, bn, tol)
+
+
+def bottema_pair(poly1: RegularPolygon, poly2: RegularPolygon, an: Point, a1: Point, bn: Point,
+                 tol: Tolerance = DEFAULT_TOLERANCE) -> BottemaResult:
+    """The geometry of two n-gons sharing their first vertex ``a1``, whose
+    vertices n are ``an`` and ``bn``: the case from ``classify_pair``, D1, D2,
+    M1, M2 and whether M1 = M2 from ``shared_vertex_points``.  When the base
+    An Bn is longer than the tolerance of the larger circumradius (the scale
+    ``classify_pair`` tells centroids apart on), also the foot H of M1 on it
+    and whether the triangle An A1 Bn is collinear: its height over the longer
+    apex side, taken along that side's unit direction so that no product of
+    two lengths leaves the float range, is within the tolerance of that side.
+    """
+    case = classify_pair(poly1, poly2, tol)
+    d1, d2, m1, m2, coincident = shared_vertex_points(poly1, poly2, a1, tol)
+    h, collinear = None, False
+    if not tol.is_zero(an.distance(bn), max(poly1.circumradius, poly2.circumradius)):
+        h = project_onto_line(m1, an, bn, tol)
+        ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
+        if math.hypot(ux, uy) < math.hypot(vx, vy):
+            ux, uy, vx, vy = vx, vy, ux, uy
+        span = math.hypot(ux, uy)
+        collinear = abs(ux / span * vy - uy / span * vx) <= tol.bound(span) < math.inf
+    return BottemaResult(poly1, poly2, an, a1, bn, d1, d2, m1, m2, h, collinear, case, coincident)
 
 
 def closed_form_midpoint(
@@ -114,6 +144,31 @@ def closed_form_midpoint(
         raise DegenerateSideError("base endpoints coincide")
     normal = chord.perpendicular() * (normal_side / length)
     return an.midpoint(bn) + normal * (0.5 * length / math.tan(math.pi / n))
+
+
+def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CheckResult, ...]:
+    """The theorem on a pair with a base An Bn whose polygons run in opposite
+    directions.
+
+    ``closed_form_midpoint``: M1 is ``closed_form_midpoint`` on the side of
+    the base An Bn that M1 is on; ``altitude_length``: |M1 H| is ``|An Bn| /
+    2 * cot(pi / n)``; ``foot_at_base_midpoint``: H is the base midpoint; each
+    bounded by ``tol.bound(|An Bn|)``.  Then ``vertex_angles``.
+    """
+    an, bn, m1, h = pair.an, pair.bn, pair.m1, pair.h
+    n = pair.poly1.n
+    base = an.distance(bn)
+    # The side of M1 from the unit base direction: no product of two lengths underflows.
+    normal_side = 1 if Point((bn.x - an.x) / base, (bn.y - an.y) / base).cross(m1 - an) > 0.0 else -1
+    predicted = closed_form_midpoint(an, bn, n, normal_side, tol)
+    altitude = 0.5 * base / math.tan(math.pi / n)
+    return (
+        residual_check("closed_form_midpoint", m1.distance(predicted), tol.bound(base),
+                       detail=f"base normal side {normal_side:+d}"),
+        residual_check("altitude_length", abs(m1.distance(h) - altitude), tol.bound(base)),
+        residual_check("foot_at_base_midpoint", h.distance(an.midpoint(bn)), tol.bound(base)),
+        *vertex_angles(pair, tol),
+    )
 
 
 def verify_independence(
@@ -240,11 +295,13 @@ def vertex_angles(
     ``tol.bound(pi)``.
 
     ``angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)`` on both polygons'
-    coordinates: its differences, norms, cross and dot in the same order, so
-    every angle is the same float, with no ``Point`` and the floor
+    coordinates: its differences, norms, unit rays, cross and dot in the same
+    order, so every angle is the same float, with no ``Point`` and the floor
     ``tol.bound(0.0)`` taken once.  A ray past the float range raises the
-    overflow error; a k whose rays are not longer than the floor calls
-    ``angle_at`` on the vertices, which raises its error for that k.
+    overflow error.  A k whose two rays are both within the tolerance of the
+    larger circumradius has both its vertices at M1, and its check is vacuous.
+    Otherwise a k with a ray not longer than the floor
+    calls ``angle_at`` on the vertices, which raises its error for that k.
     """
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
     n = poly1.n
@@ -252,16 +309,25 @@ def vertex_angles(
     us, vs = poly2.coordinates()
     mx, my, hypot, inf = m1.x, m1.y, math.hypot, math.inf
     floor, bound = tol.bound(0.0), tol.bound(math.pi)
+    near = tol.bound(max(poly1.circumradius, poly2.circumradius))
     checks = []
     for k in range(2, n + 1):
         ux, uy, vx, vy = xs[k - 1] - mx, ys[k - 1] - my, us[k - 1] - mx, vs[k - 1] - my
         rays = hypot(ux, uy), hypot(vx, vy)
         if not max(rays) < inf:
             raise _overflow(f"ray to vertex pair {k}", f"lengths {rays}")
-        measured = (math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy) if min(rays) > floor
-                    else angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol))
         raw = math.tau * (k - 1) / n
         expected = min(raw, math.tau - raw)
+        if max(rays) <= near:
+            # Both vertices k are at M1: they subtend no angle.
+            checks.append(residual_check(f"vertex_angle_k{k}", 0.0, bound, vacuous=True,
+                                         detail="vertex pair at M1"))
+            continue
+        if min(rays) > floor:
+            ux, uy, vx, vy = ux / rays[0], uy / rays[0], vx / rays[1], vy / rays[1]
+            measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+        else:
+            measured = angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)
         checks.append(
             residual_check(
                 f"vertex_angle_k{k}",

@@ -91,8 +91,9 @@ class EqualDistanceSolution:
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
     both slots with the same point and sets ``coincident``.  The case sets the
-    locus.  ``identity_worst`` holds the largest identity residual at each of
-    two distinct points, as their labelling compared them; otherwise it is empty.
+    locus of a solution without points.  ``identity_worst`` holds the largest
+    identity residual at each of two distinct points, as their labelling
+    compared them; otherwise it is empty.
     """
 
     case: PairCase
@@ -102,6 +103,8 @@ class EqualDistanceSolution:
 
     @property
     def locus(self) -> Locus | None:
+        if self.points:
+            return None
         return {PairCase.CONGRUENT_SAME_CENTROID: Locus.ENTIRE_PLANE,
                 PairCase.CONGRUENT_DISTINCT_CENTROIDS: Locus.PERPENDICULAR_BISECTOR}.get(self.case)
 
@@ -319,11 +322,12 @@ def verify_point_properties(
 
     With A the shared first vertex and D1, D2 its antipodes on the two
     circumcircles, all read off the built polygons, so the first check holds
-    the solution's M1 to their antipodes: M1 is the midpoint of D1 D2 (and of the opposite vertex
-    pair when n is even); M2 sits on the perpendicular bisector of D1 D2 with
-    A M2 parallel to D1 D2; |M1 M2| equals the distance from A to the line
-    D1 D2, and M1 M2 is perpendicular to it; the quadrilateral O2 M1 O1 M2 has
-    sides R1, R2, R2, R1.  A tangent contact collapses M1 = M2 and the checks
+    the solution's M1 to their antipodes: M1 is the midpoint of D1 D2 (and of
+    the opposite vertex pair when n is even); M2 sits on the perpendicular
+    bisector of D1 D2 and on the line through A parallel to D1 D2 (M2 = A for
+    congruent polygons); |M1 M2| equals the distance from A to the line D1 D2,
+    and M1 M2 is perpendicular to it; the quadrilateral O2 M1 O1 M2 has sides
+    R1, R2, R2, R1.  A tangent contact collapses M1 = M2 and the checks
     involving the segment M1 M2 are reported vacuous.  Returns one check per
     fact, in the order above, as the report prints them.
     """
@@ -335,67 +339,30 @@ def verify_point_properties(
     if a_first.distance(second.vertex(1)) > slack:
         raise NotSharedVertexError("polygons do not share their first vertex")
 
-    m1, m2 = solution.points[0], solution.points[1]
-    co = solution.coincident
-    d1 = diametric_opposite(first, a_first, tol)
-    d2 = diametric_opposite(second, a_first, tol)
-    n = first.n
-    entries = []
-
-    entries.append(
-        residual_check("midpoint_of_diametric_points", m1.distance(d1.midpoint(d2)), slack)
-    )
-
+    (m1, m2), co, n = solution.points[:2], solution.coincident, first.n
+    d1, d2 = diametric_opposite(first, a_first, tol), diametric_opposite(second, a_first, tol)
+    midpoint = residual_check("midpoint_of_diametric_points", m1.distance(d1.midpoint(d2)), slack)
     if n % 2 == 0:
         across = 1 + n // 2
         gap = m1.distance(first.vertex(across).midpoint(second.vertex(across)))
-        entries.append(residual_check("even_n_vertex_midpoint", gap, slack))
+        opposite = residual_check("even_n_vertex_midpoint", gap, slack)
     else:
-        entries.append(
-            residual_check("even_n_vertex_midpoint", 0.0, slack, vacuous=True, detail="n is odd")
-        )
-
-    bisector_gap = abs(m2.distance(d1) - m2.distance(d2))
-    spread = m2 - a_first
+        opposite = residual_check("even_n_vertex_midpoint", 0.0, slack, vacuous=True, detail="n is odd")
+    offset = point_line_distance(a_first, d1, d2, tol)  # raises when D1 = D2
+    # A M2 parallel to D1 D2: the distance of M2 from the line through A along D1 D2.
     axis = d2 - d1
-    if spread.norm() <= tol.bound(0.0) or axis.norm() <= tol.bound(0.0):
-        parallel_gap = 0.0
-        degenerate_parallel = True
-    else:
-        parallel_gap = abs(spread.cross(axis)) / (spread.norm() * axis.norm()) * scale
-        degenerate_parallel = False
-    entries.append(
-        residual_check(
-            "mirror_point_bisector_parallel",
-            max(bisector_gap, parallel_gap),
-            slack,
-            vacuous=co or degenerate_parallel,
-        )
+    length = axis.norm()
+    parallel_gap = abs((m2 - a_first).cross(Point(axis.x / length, axis.y / length)))
+    bisector_gap = abs(m2.distance(d1) - m2.distance(d2))
+    r1, r2, o1, o2 = first.circumradius, second.circumradius, first.centroid, second.centroid
+    worst_side = max(abs(o2.distance(m1) - r1), abs(m1.distance(o1) - r2),
+                     abs(o1.distance(m2) - r2), abs(m2.distance(o2) - r1))
+    return (
+        midpoint,
+        opposite,
+        residual_check("mirror_point_bisector_parallel", max(bisector_gap, parallel_gap), slack, vacuous=co),
+        residual_check("separation_equals_vertex_offset", abs(m1.distance(m2) - offset), slack, vacuous=co),
+        residual_check("quadrilateral_side_lengths", worst_side, slack),
+        residual_check("separation_perpendicular", abs((m1 - m2).dot(d1 - d2)), tol.bound(scale * scale),
+                       vacuous=co),
     )
-
-    separation = m1.distance(m2)
-    offset = point_line_distance(a_first, d1, d2, tol)
-    entries.append(
-        residual_check(
-            "separation_equals_vertex_offset", abs(separation - offset), slack, vacuous=co
-        )
-    )
-
-    r1, r2 = first.circumradius, second.circumradius
-    o1, o2 = first.centroid, second.centroid
-    worst_side = max(
-        abs(o2.distance(m1) - r1),
-        abs(m1.distance(o1) - r2),
-        abs(o1.distance(m2) - r2),
-        abs(m2.distance(o2) - r1),
-    )
-    entries.append(residual_check("quadrilateral_side_lengths", worst_side, slack))
-
-    perp = abs((m1 - m2).dot(d1 - d2))
-    entries.append(
-        residual_check(
-            "separation_perpendicular", perp, tol.bound(scale * scale), vacuous=co
-        )
-    )
-
-    return tuple(entries)

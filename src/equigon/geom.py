@@ -141,27 +141,29 @@ def circle_intersection(
     return (base + offset, base - offset)
 
 
-def point_line_distance(
-    point: Point, a: Point, b: Point, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
-    """Distance from ``point`` to the infinite line through ``a`` and ``b``."""
+def _unit_direction(a: Point, b: Point, tol: Tolerance) -> Point:
+    """The unit vector from ``a`` toward ``b``.  It divides by the ``math.hypot``
+    length, so no squared length or product of lengths leaves the float range."""
     direction = b - a
     length = direction.norm()
     if length <= tol.bound(0.0):
         raise DegenerateLineError("line endpoints coincide")
-    return abs(direction.cross(point - a)) / length
+    return Point(direction.x / length, direction.y / length)
+
+
+def point_line_distance(
+    point: Point, a: Point, b: Point, tol: Tolerance = DEFAULT_TOLERANCE
+) -> float:
+    """Distance from ``point`` to the infinite line through ``a`` and ``b``."""
+    return abs(_unit_direction(a, b, tol).cross(point - a))
 
 
 def project_onto_line(
     point: Point, a: Point, b: Point, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Point:
     """Foot of the perpendicular from ``point`` onto the line through ``a``, ``b``."""
-    direction = b - a
-    length_sq = direction.dot(direction)
-    if math.sqrt(length_sq) <= tol.bound(0.0):
-        raise DegenerateLineError("line endpoints coincide")
-    t = (point - a).dot(direction) / length_sq
-    return a + direction * t
+    unit = _unit_direction(a, b, tol)
+    return a + unit * (point - a).dot(unit)
 
 
 def side_of_line(point: Point, a: Point, b: Point) -> float:
@@ -197,9 +199,14 @@ def exactly_collinear(o1: Point, o2: Point, a: Point) -> bool:
 def angle_at(
     vertex: Point, p: Point, q: Point, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
-    """Unsigned angle at ``vertex`` between rays toward ``p`` and ``q``, in [0, pi]."""
+    """Unsigned angle at ``vertex`` between rays toward ``p`` and ``q``, in [0, pi].
+
+    The rays are scaled to unit length first, so their cross and dot products
+    neither underflow nor overflow."""
     u = p - vertex
     v = q - vertex
-    if u.norm() <= tol.bound(0.0) or v.norm() <= tol.bound(0.0):
+    lu, lv = u.norm(), v.norm()
+    if lu <= tol.bound(0.0) or lv <= tol.bound(0.0):
         raise DegenerateRayError("angle ray endpoint coincides with the vertex")
+    u, v = Point(u.x / lu, u.y / lu), Point(v.x / lv, v.y / lv)
     return math.atan2(abs(u.cross(v)), u.dot(v))

@@ -5,12 +5,14 @@ The report is the single source of truth for the CLI: human-readable text via
 the geometry layer are captured as report entries instead of crashing, so a
 malformed configuration still produces a readable explanation.
 
-Each scenario kind has one solve function.  It builds the kind's geometry,
-records what the solve finds (classification, points, locus, coincident flag,
-findings and, for a polygon pair, M1's vertex matching) and returns the kind's
-checks as a callable that closes over what it solved.  ``run_scenario`` solves
-and runs the checks; ``solve_scenario`` only solves, which is all a figure
-needs.
+Each scenario kind has one solve function, and ``shared_vertex`` and
+``bottema`` share theirs: both are two polygons sharing their first vertex,
+and differ only in how the pair is built and whether the apex sweep runs.  A
+solve builds the geometry, records what it finds (classification, points,
+locus, coincident flag, findings and, for a polygon pair, M1's vertex
+matching) and returns the checks as a callable that closes over what it
+solved.  ``run_scenario`` solves and runs the checks; ``solve_scenario`` only
+solves, which is all a figure needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .checks import CheckResult, residual_check
-from .geom import GeometryError, Point, Tolerance, side_of_line
+from .geom import GeometryError, Point, Tolerance
 from .polygon import RegularPolygon, from_shared_vertex
 from .power_sums import compare_power_sums, distances_squared, verify_power_sum_identity
 from .equalizer import (
@@ -30,15 +32,13 @@ from .equalizer import (
     Matching,
     NoMatchingError,
     PairCase,
-    classify_pair,
     correspondence,
     cosine_model,
     equal_distance_points,
-    shared_vertex_points,
     verify_alignment,
     verify_point_properties,
 )
-from .bottema import BottemaResult, bottema_construct, closed_form_midpoint, verify_independence, vertex_angles
+from .bottema import BottemaResult, bottema_construct, bottema_pair, verify_bottema, verify_independence
 from .scenario import (
     BottemaConfig,
     IdentityCheckConfig,
@@ -59,9 +59,9 @@ class Report:
     recorded before it.
 
     ``geometry`` holds the objects the scenario describes: the polygon pair,
-    the Bottema construction or the single polygon.  A ``solve_scenario``
-    report keeps it for the figure; ``run_scenario`` clears it.  It is not
-    serialized.
+    the ``BottemaResult`` of a pair sharing its first vertex (``shared_vertex``
+    and ``bottema``) or the single polygon.  A ``solve_scenario`` report keeps
+    it for the figure; ``run_scenario`` clears it.  It is not serialized.
     """
 
     scenario: Scenario
@@ -230,29 +230,45 @@ def _probe_locus(
 Checks = Callable[[], None]
 
 
-def _pair_like(out: Report, tol: Tolerance) -> Checks:
+def _locus(out: Report, first: RegularPolygon, second: RegularPolygon, locus: Locus, tol: Tolerance) -> Checks:
+    out.locus = locus.value
+    out.findings.append("congruent polygons: every locus point is an equal-distance point")
+    return lambda: _probe_locus(out, first, second, locus, out.scenario.seed, tol)
+
+
+def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, solution: EqualDistanceSolution,
+              tol: Tolerance, required: bool) -> Checks:
+    """Record the solution's points and M1's correspondence; return the checks
+    at each point: power sums, alignment, matching and cosine model."""
+    labels = ("M1",) if solution.coincident else ("M1", "M2")
+    labelled = list(zip(labels, solution.points))
+    out.points.extend(labelled)
+    worst = solution.identity_worst or (None, None)
+    # M1's vertex correspondence colours the figure's distance fan.
+    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, required, worst[0])
+
+    def checks() -> None:
+        found = at_m1
+        for label, point in labelled:
+            distances = _check_point(out, label, point, first, second, tol)
+            if label == "M2":
+                found = _correspondence(out, label, point, first, second, tol, required, worst[1])
+            _matching_checks(out, label, found, point, distances, first, second, tol)
+
+    return checks
+
+
+def _pair(out: Report, tol: Tolerance) -> Checks:
     n, cfg = out.scenario.n, out.scenario.config
-    if isinstance(cfg, PairConfig):
-        first = RegularPolygon(n, cfg.centroid1, cfg.r1, cfg.phase1, cfg.orient1)
-        second = RegularPolygon(n, cfg.centroid2, cfg.r2, cfg.phase2, cfg.orient2)
-    else:
-        assert isinstance(cfg, SharedVertexConfig)
-        first = from_shared_vertex(cfg.vertex, cfg.centroid1, n, cfg.orient1, tol)
-        second = from_shared_vertex(cfg.vertex, cfg.centroid2, n, cfg.orient2, tol)
-    shared = isinstance(cfg, SharedVertexConfig)
+    assert isinstance(cfg, PairConfig)
+    first = RegularPolygon(n, cfg.centroid1, cfg.r1, cfg.phase1, cfg.orient1)
+    second = RegularPolygon(n, cfg.centroid2, cfg.r2, cfg.phase2, cfg.orient2)
     out.geometry = (first, second)
-    if shared and (case := classify_pair(first, second, tol)) is PairCase.NON_CONGRUENT:
-        _, _, m1, m2, coincident = shared_vertex_points(first, second, cfg.vertex, tol)
-        solution = EqualDistanceSolution(case, (m1, m2), coincident)
-    else:
-        solution = EqualDistanceSolution(case) if shared else equal_distance_points(first, second, tol)
+    solution = equal_distance_points(first, second, tol)
     out.classification = solution.case.value
     out.coincident = solution.coincident
     if solution.locus is not None:
-        out.locus = solution.locus.value
-        out.findings.append("congruent polygons: every locus point is an equal-distance point")
-        locus = solution.locus
-        return lambda: _probe_locus(out, first, second, locus, out.scenario.seed, tol)
+        return _locus(out, first, second, solution.locus, tol)
     if not solution.points:
         gap = first.centroid.distance(second.centroid)
         lo = abs(first.circumradius - second.circumradius)
@@ -262,81 +278,55 @@ def _pair_like(out: Report, tol: Tolerance) -> Checks:
             f"{gap!r} outside [{lo!r}, {hi!r}]"
         )
         return lambda: None
-    labels = ("M1",) if solution.coincident else ("M1", "M2")
-    labelled = list(zip(labels, solution.points))
-    out.points.extend(labelled)
-    worst = solution.identity_worst or (None, None)
-    # M1's vertex correspondence colours the figure's distance fan.
-    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, shared, worst[0])
+    return _labelled(out, first, second, solution, tol, required=False)
 
-    def checks() -> None:
-        found = at_m1
-        for label, point in labelled:
-            distances = _check_point(out, label, point, first, second, tol)
-            if label == "M2":
-                found = _correspondence(out, label, point, first, second, tol, shared, worst[1])
-            _matching_checks(out, label, found, point, distances, first, second, tol)
-        if shared:
+
+def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
+    """One solve for two polygons sharing their first vertex: a ``shared_vertex``
+    document gives the vertex and centroids, a ``bottema`` document the
+    triangle its polygons are erected on, with the apex sweep it asks for."""
+    n, cfg = out.scenario.n, out.scenario.config
+    if isinstance(cfg, BottemaConfig):
+        pair = bottema_construct(cfg.an, cfg.a1, cfg.bn, n, cfg.side1, cfg.side2, tol)
+        samples = cfg.sweep_samples
+    else:
+        assert isinstance(cfg, SharedVertexConfig)
+        first = from_shared_vertex(cfg.vertex, cfg.centroid1, n, cfg.orient1, tol)
+        second = from_shared_vertex(cfg.vertex, cfg.centroid2, n, cfg.orient2, tol)
+        pair = bottema_pair(first, second, first.vertex(n), cfg.vertex, second.vertex(n), tol)
+        samples = 0
+    out.geometry = pair
+    first, second = pair.poly1, pair.poly2
+    out.classification = pair.case.value
+    opposite = first.orientation != second.orientation
+    if pair.collinear:
+        out.findings.append("triangle corners are collinear; construction still applies")
+    if pair.h is not None:
+        out.findings.append(
+            f"foot of perpendicular H = ({pair.h.x!r}, {pair.h.y!r}), base length {pair.an.distance(pair.bn)!r}"
+        )
+        if not opposite:
+            out.findings.append("same-orientation placement: the midpoint depends on the apex, "
+                                "constancy checks skipped")
+    if pair.case is PairCase.CONGRUENT_SAME_CENTROID:  # every point is an equal-distance point
+        point_checks = _locus(out, first, second, Locus.ENTIRE_PLANE, tol)
+    else:
+        solution = EqualDistanceSolution(pair.case, (pair.m1, pair.m2), pair.coincident)
+        out.coincident = pair.coincident
+        labelled = _labelled(out, first, second, solution, tol, required=True)
+
+        def point_checks() -> None:
+            labelled()
             out.checks.extend(verify_point_properties(first, second, solution, tol))
 
-    return checks
-
-
-def _bottema(out: Report, tol: Tolerance) -> Checks:
-    n, cfg, seed = out.scenario.n, out.scenario.config, out.scenario.seed
-    assert isinstance(cfg, BottemaConfig)
-    result = bottema_construct(cfg.an, cfg.a1, cfg.bn, n, cfg.side1, cfg.side2, tol)
-    out.geometry = result
-    out.classification = result.case.value
-    out.points.extend((("M1", result.m1), ("M2", result.m2)))
-    if result.collinear:
-        out.findings.append("triangle corners are collinear; construction still applies")
-    base = cfg.an.distance(cfg.bn)
-    out.findings.append(
-        f"foot of perpendicular H = ({result.h.x!r}, {result.h.y!r}), base length {base!r}"
-    )
-    opposite = result.poly1.orientation != result.poly2.orientation
-    if not opposite:
-        out.findings.append(
-            "same-orientation placement: the midpoint depends on the apex, "
-            "constancy checks skipped"
-        )
-
     def checks() -> None:
-        first, second = result.poly1, result.poly2
-        distances = _check_point(out, "M1", result.m1, first, second, tol)
-        _check_point(out, "M2", result.m2, first, second, tol)
-        found = _correspondence(out, "M1", result.m1, first, second, tol, required=True)
-        _matching_checks(out, "M1", found, result.m1, distances, first, second, tol)
-        if opposite:
-            normal_side = 1 if side_of_line(result.m1, cfg.an, cfg.bn) > 0.0 else -1
-            predicted = closed_form_midpoint(cfg.an, cfg.bn, n, normal_side, tol)
-            out.checks.append(
-                residual_check(
-                    "closed_form_midpoint",
-                    result.m1.distance(predicted),
-                    tol.bound(base),
-                    detail=f"base normal side {normal_side:+d}",
-                )
-            )
-            altitude = 0.5 * base / math.tan(math.pi / n)
-            out.checks.append(
-                residual_check(
-                    "altitude_length", abs(result.m1.distance(result.h) - altitude), tol.bound(base)
-                )
-            )
-            out.checks.append(
-                residual_check(
-                    "foot_at_base_midpoint", result.h.distance(cfg.an.midpoint(cfg.bn)), tol.bound(base)
-                )
-            )
-            out.checks.extend(vertex_angles(result, tol))
-        if cfg.sweep_samples >= 2:
-            spread, closed = verify_independence(cfg.an, cfg.bn, n, cfg.sweep_samples, tol, seed)
+        point_checks()
+        if opposite and pair.h is not None:
+            out.checks.extend(verify_bottema(pair, tol))
+        if samples >= 2:
+            spread, closed = verify_independence(pair.an, pair.bn, n, samples, tol, out.scenario.seed)
             out.checks.extend((spread, closed))
-            out.findings.append(
-                f"apex sweep: max deviation {spread.residual:.3e} over {cfg.sweep_samples} samples"
-            )
+            out.findings.append(f"apex sweep: max deviation {spread.residual:.3e} over {samples} samples")
 
     return checks
 
@@ -357,9 +347,9 @@ def _identity_check(out: Report, tol: Tolerance) -> Checks:
 
 # Each kind's solve: build the geometry, record what the solve finds, return the checks.
 _SOLVERS: dict[ScenarioKind, Callable[[Report, Tolerance], Checks]] = {
-    ScenarioKind.PAIR: _pair_like,
-    ScenarioKind.SHARED_VERTEX: _pair_like,
-    ScenarioKind.BOTTEMA: _bottema,
+    ScenarioKind.PAIR: _pair,
+    ScenarioKind.SHARED_VERTEX: _shared_vertex,
+    ScenarioKind.BOTTEMA: _shared_vertex,
     ScenarioKind.IDENTITY_CHECK: _identity_check,
 }
 

@@ -22,16 +22,10 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .geom import GeometryError, Point
-from .polygon import RegularPolygon, diametric_opposite
+from .polygon import RegularPolygon
 from .equalizer import MatchKind, partners
 from .runner import Geometry, Report
-from .scenario import (
-    BottemaConfig,
-    IdentityCheckConfig,
-    Scenario,
-    ScenarioKind,
-    SharedVertexConfig,
-)
+from .scenario import IdentityCheckConfig, Scenario, ScenarioKind
 from .bottema import BottemaResult
 
 _POLY_COLORS = ("#1f77b4", "#d62728")
@@ -196,32 +190,39 @@ def _distance_segments(scene: _Scene, first: RegularPolygon, second: RegularPoly
     scene.fan(point, ends)
 
 
-def _pair_scene(scene: _Scene, scenario: Scenario, report: Report, geometry: Geometry) -> None:
-    first, second = geometry
+def _pair_scene(scene: _Scene, report: Report, first: RegularPolygon, second: RegularPolygon,
+                shared: BottemaResult | None, triangle: bool) -> None:
+    """Two polygons with their circumcircles, and the points.  A pair drawn on
+    its triangle (a Bottema construction) shows the triangle and the foot H;
+    any other shows M1's distance fan and the swapped circles.  A pair sharing
+    its first vertex shows the antipodes, and the vertex unless a triangle does."""
     matchings = dict(report.matchings)
     points = dict(report.points)
 
-    # colored distance fans go underneath everything else
-    if "M1" in points and "M1" in matchings:
+    # the triangle, or the colored distance fan, goes underneath everything else
+    if triangle:
+        scene.triangle(shared.an, shared.a1, shared.bn)
+    elif "M1" in points and "M1" in matchings:
         _distance_segments(scene, first, second, points["M1"], matchings["M1"])
 
     for poly, color in zip((first, second), _POLY_COLORS):
         scene.polygon(poly, color)
     for poly, color in zip((first, second), _POLY_COLORS):
         scene.circle(poly.centroid, poly.circumradius, color, "circumcircle", False)
-    # swapped circles: first polygon's radius around the second centroid and
-    # vice versa; their intersections are the equal-distance points
-    scene.circle(second.centroid, first.circumradius, _POLY_COLORS[0], "swap-circle", True)
-    scene.circle(first.centroid, second.circumradius, _POLY_COLORS[1], "swap-circle", True)
+    if not triangle:
+        # swapped circles: first polygon's radius around the second centroid and
+        # vice versa; their intersections are the equal-distance points
+        scene.circle(second.centroid, first.circumradius, _POLY_COLORS[0], "swap-circle", True)
+        scene.circle(first.centroid, second.circumradius, _POLY_COLORS[1], "swap-circle", True)
 
-    if isinstance(scenario.config, SharedVertexConfig):
-        anchor = first.vertex(1)
-        d1 = diametric_opposite(first, anchor)
-        d2 = diametric_opposite(second, anchor)
-        scene.line(d1, d2, _AUX_COLOR, "diametric", False)
-        scene.marker(d1, "D1", _AUX_COLOR, "aux-label")
-        scene.marker(d2, "D2", _AUX_COLOR, "aux-label")
-        scene.marker(anchor, "A1", _AUX_COLOR, "aux-label")
+    if shared is not None:
+        scene.line(shared.d1, shared.d2, _AUX_COLOR, "diametric", False)
+        scene.marker(shared.d1, "D1", _AUX_COLOR, "aux-label")
+        scene.marker(shared.d2, "D2", _AUX_COLOR, "aux-label")
+        if not triangle:
+            scene.marker(shared.a1, "A1", _AUX_COLOR, "aux-label")
+        elif shared.h is not None:
+            scene.marker(shared.h, "H", _AUX_COLOR, "aux-label")
 
     if report.locus == "perpendicular_bisector_of_centroids":
         mid = first.centroid.midpoint(second.centroid)
@@ -230,23 +231,6 @@ def _pair_scene(scene: _Scene, scenario: Scenario, report: Report, geometry: Geo
         axis = (second.centroid - first.centroid).perpendicular() * (1.0 / gap)
         scene.line(mid - axis * reach, mid + axis * reach, _AUX_COLOR, "locus", True)
 
-    for label, point in report.points:
-        scene.marker(point, label, _MARKER_COLOR, "point-label")
-
-
-def _bottema_scene(scene: _Scene, scenario: Scenario, report: Report, result: Geometry) -> None:
-    cfg = scenario.config
-    assert isinstance(cfg, BottemaConfig) and isinstance(result, BottemaResult)
-
-    scene.triangle(cfg.an, cfg.a1, cfg.bn)
-    for poly, color in zip((result.poly1, result.poly2), _POLY_COLORS):
-        scene.polygon(poly, color)
-    for poly, color in zip((result.poly1, result.poly2), _POLY_COLORS):
-        scene.circle(poly.centroid, poly.circumradius, color, "circumcircle", False)
-    scene.line(result.d1, result.d2, _AUX_COLOR, "diametric", False)
-    scene.marker(result.d1, "D1", _AUX_COLOR, "aux-label")
-    scene.marker(result.d2, "D2", _AUX_COLOR, "aux-label")
-    scene.marker(result.h, "H", _AUX_COLOR, "aux-label")
     for label, point in report.points:
         scene.marker(point, label, _MARKER_COLOR, "point-label")
 
@@ -271,10 +255,12 @@ def render_svg(scenario: Scenario, report: Report) -> str:
     if report.geometry is None:
         raise ValueError("render_svg draws a solve_scenario report; this one has no geometry")
     scene = _Scene()
-    if scenario.kind in (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX):
-        _pair_scene(scene, scenario, report, report.geometry)
-    elif scenario.kind is ScenarioKind.BOTTEMA:
-        _bottema_scene(scene, scenario, report, report.geometry)
+    geometry = report.geometry
+    if scenario.kind is ScenarioKind.PAIR:
+        _pair_scene(scene, report, *geometry, shared=None, triangle=False)
+    elif scenario.kind is ScenarioKind.IDENTITY_CHECK:
+        _identity_scene(scene, scenario, geometry)
     else:
-        _identity_scene(scene, scenario, report.geometry)
+        _pair_scene(scene, report, geometry.poly1, geometry.poly2, shared=geometry,
+                    triangle=scenario.kind is ScenarioKind.BOTTEMA)
     return scene.emit()

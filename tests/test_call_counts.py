@@ -16,7 +16,7 @@ import equigon.equalizer
 import equigon.power_sums
 from equigon.polygon import RegularPolygon
 from equigon.runner import run_scenario, solve_scenario
-from equigon.scenario import ScenarioKind, parse_scenario
+from equigon.scenario import parse_scenario
 from equigon.svgfig import render_svg
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -33,10 +33,11 @@ COUNTED = {
 }
 # file -> calls from run_scenario, then from solve_scenario, in COUNTED's order.
 # A pair sharing its first vertex, in a shared-vertex scenario or a Bottema
-# construction, is classified once and takes M1 and M2 from one
-# shared_vertex_points call, with no equal-distance solve; its
+# construction, runs one solve: it is classified once and takes M1 and M2
+# from one shared_vertex_points call, with no equal-distance solve; its
 # correspondences compute their own residuals, the identity ones and then,
-# if needed, the reversal ones.  The equal-distance solve of a pair scenario
+# if needed, the reversal ones, and the solve records M1's for the figure.
+# The equal-distance solve of a pair scenario
 # computes the identity residuals at both candidate points, and each
 # correspondence reuses them.  Each labelled point's two squared-distance
 # lists are computed once and feed its power sums, its alignment multiset and
@@ -44,7 +45,7 @@ COUNTED = {
 # probe adds its own.
 # The solve computes none: the figure reads no cosine model.
 EXPECTED = {
-    "bottema_squares": ((1, 0, 1, 1, 1, 8, 1), (0, 0, 1, 1, 0, 0, 1)),
+    "bottema_squares": ((2, 0, 1, 1, 3, 8, 1), (1, 0, 1, 1, 1, 0, 1)),
     "congruent_mirror": ((0, 1, 1, 0, 0, 6, 0), (0, 1, 1, 0, 0, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)),
@@ -112,10 +113,10 @@ def test_large_pair_reads_vertices_as_floats(vertex_calls):
 
 @pytest.mark.parametrize("stem", ["pair_large_n256", "shared_vertex_large_n256", "bottema_large_n128"])
 def test_large_figures_read_vertices_as_floats(stem, vertex_calls):
-    # Outlines and the distance fan are drawn from RegularPolygon.coordinates();
-    # only the shared-vertex figure reads a vertex, A1 for its labels.
+    # Outlines and the distance fan are drawn from RegularPolygon.coordinates(),
+    # and the shared-vertex labels from the solved geometry: no figure reads a vertex.
     scenario = parse_scenario((DATA / f"{stem}.json").read_text(encoding="utf-8"))
     report = solve_scenario(scenario)
     vertex_calls.clear()
     render_svg(scenario, report)
-    assert vertex_calls == ([1] if scenario.kind is ScenarioKind.SHARED_VERTEX else [])
+    assert vertex_calls == []

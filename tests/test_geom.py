@@ -191,6 +191,18 @@ def test_project_and_reflect():
     assert (mirror.x, mirror.y) == pytest.approx((3.0, -4.0))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e154])
+def test_line_and_angle_primitives_hold_where_squared_lengths_leave_the_float_range(scale):
+    # Squares and products of two lengths underflow at 1e-170 and overflow at
+    # 1e154; the primitives go through unit directions and never form them.
+    tol = Tolerance(abs=1e-12 * scale)
+    p, a, b = Point(3, 4) * scale, Point(0, 0), Point(1.6, 0) * scale
+    foot = project_onto_line(p, a, b, tol)
+    assert foot.distance(Point(3, 0) * scale) <= 1e-15 * scale
+    assert point_line_distance(p, a, b, tol) == pytest.approx(4 * scale, rel=1e-15)
+    assert angle_at(a, p, b, tol) == pytest.approx(math.atan2(4, 3), rel=1e-15)
+
+
 def test_angle_at_pentagon_step():
     vertex = Point(0, 0)
     p = Point(2, 0)

@@ -41,10 +41,11 @@ CASES = (
     # float range (exit 2 with that vertex's error), the pair kinds at large n,
     # where the power sums and vertex generation dominate, and two shared-vertex
     # documents whose ZeroDivisionError (1e-300) and OverflowError (1e154) once
-    # escaped as tracebacks (exit 2 with the error recorded).  The three
-    # near-tangent ones once failed alignment_multiset_M2: at their M2 a circle
-    # of radius |M2 A1| about M2 was almost tangent to the second circumcircle,
-    # and intersecting them lost one of the two rotations.  The same-orientation
+    # escaped as tracebacks (1e-300 now passes; 1e154 exits 2 with the error
+    # recorded).  The three near-tangent ones once failed alignment_multiset_M2:
+    # at their M2 a circle of radius |M2 A1| about M2 was almost tangent to the
+    # second circumcircle, and intersecting them lost one of the two rotations.
+    # The same-orientation
     # pair once failed midpoint_of_diametric_points and
     # mirror_point_bisector_parallel, when M1 was the crossing that realised
     # the identity; there M1 realises the reversal.
@@ -53,7 +54,7 @@ CASES = (
                     "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128",
                     "shared_vertex_scaled_1e-300", "shared_vertex_scaled_1e154",
                     "pair_near_tangent_n256", "bottema_near_tangent_n7", "bottema_near_tangent_n8",
-                    "shared_vertex_same_orientation_n5")]
+                    "shared_vertex_same_orientation_n5", "shared_vertex_congruent_n6")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap and at the largest n; CI runs the same commands.

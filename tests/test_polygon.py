@@ -151,7 +151,8 @@ def inside():
 
 def bottema_result(poly1, poly2, m1=Point(0.0, 0.0)):
     origin = Point(0.0, 0.0)
-    return BottemaResult(poly1, poly2, origin, origin, m1, origin, origin, False, PairCase.NON_CONGRUENT)
+    return BottemaResult(poly1, poly2, origin, origin, origin, origin, origin, m1, origin, origin, False,
+                         PairCase.NON_CONGRUENT, False)
 
 
 PROBE = Point(1e308, 1e307)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,15 +75,22 @@ def test_render_runs_no_check(monkeypatch, tmp_path, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("render ran a check")
 
+    modules = [module for name, module in list(sys.modules.items()) if name.startswith("equigon")]
     for name in (
         "compare_power_sums",
         "verify_alignment",
         "verify_point_properties",
+        "verify_bottema",
         "vertex_angles",
         "verify_independence",
         "verify_power_sum_identity",
     ):
-        monkeypatch.setattr(equigon.runner, name, forbidden)
+        # Wherever the package binds the check: verify_bottema, for one, calls
+        # vertex_angles from the bottema module.
+        bound = [module for module in modules if name in vars(module)]
+        assert bound, name
+        for module in bound:
+            monkeypatch.setattr(module, name, forbidden)
     for path in SCENARIOS:
         target = tmp_path / f"{path.stem}.svg"
         assert render_file(path, target, capsys) == (0, "")
@@ -111,9 +119,9 @@ def test_solve_records_what_the_figure_reads():
             f for f in full.findings
             if not f.startswith(("no vertexwise correspondence at M2", "apex sweep:"))
         ]
-        # Only a pair's figure reads a matching: M1's, for the distance fan.
-        pair = scenario.kind in (ScenarioKind.PAIR, ScenarioKind.SHARED_VERTEX)
-        assert solved.matchings == [m for m in full.matchings if pair and m[0] == "M1"]
+        # The solve records M1's matching, which a pair's figure reads for the
+        # distance fan; the checks add M2's.
+        assert solved.matchings == [m for m in full.matchings if m[0] == "M1"]
     for scenario in sided:
         # Polygons on the same side of their apex edges walk the same way round.
         same = scenario.config.side1 == scenario.config.side2

@@ -21,22 +21,37 @@ POWER_SUMS_3 = "orders 1..3, normalized"
 POWER_SUMS_4 = "orders 1..4, normalized"
 LOCUS = "power sums on the locus, normalized"
 IDENTITY_6 = "orders 1..6, relative"
+POINT_PROPERTIES = [
+    ("midpoint_of_diametric_points", True, False, ""),
+    ("even_n_vertex_midpoint", True, False, ""),
+    ("mirror_point_bisector_parallel", True, False, ""),
+    ("separation_equals_vertex_offset", True, False, ""),
+    ("quadrilateral_side_lengths", True, False, ""),
+    ("separation_perpendicular", True, False, ""),
+]
+# The Bottema checks on squares after closed_form_midpoint.
+BOTTEMA_4 = [
+    ("altitude_length", True, False, ""),
+    ("foot_at_base_midpoint", True, False, ""),
+    ("vertex_angle_k2", True, False, "expected 1.570796 rad"),
+    ("vertex_angle_k3", True, False, "expected 3.141593 rad"),
+    ("vertex_angle_k4", True, False, "expected 1.570796 rad"),
+]
 
 # file -> (exit code, classification, matchings, [(name, ok, vacuous, detail), ...])
 PINNED = {
-    "bottema_squares.json": (0, "non_congruent", {"M1": "identity"}, [
+    "bottema_squares.json": (0, "non_congruent", {"M1": "identity", "M2": "reversal"}, [
         ("power_sums_M1", True, False, POWER_SUMS_3),
         ("alignment_multiset_M1", True, False, "phase offset 4.441e-16 rad"),
-        ("power_sums_M2", True, False, POWER_SUMS_3),
-        ("alignment_multiset_M2", True, False, "phase offset 0.000e+00 rad"),
         ("matching_M1", True, False, "identity"),
         ("cosine_model_M1", True, False, "shared angle -0.291457 rad"),
+        ("power_sums_M2", True, False, POWER_SUMS_3),
+        ("alignment_multiset_M2", True, False, "phase offset 0.000e+00 rad"),
+        ("matching_M2", True, False, "reversal"),
+        ("cosine_model_M2", True, False, "shared angle 0.032052 rad"),
+        *POINT_PROPERTIES,
         ("closed_form_midpoint", True, False, "base normal side +1"),
-        ("altitude_length", True, False, ""),
-        ("foot_at_base_midpoint", True, False, ""),
-        ("vertex_angle_k2", True, False, "expected 1.570796 rad"),
-        ("vertex_angle_k3", True, False, "expected 3.141593 rad"),
-        ("vertex_angle_k4", True, False, "expected 1.570796 rad"),
+        *BOTTEMA_4,
         ("apex_independence_spread", True, False, "100 apexes, exterior placement"),
         ("apex_independence_closed_form", True, False, ""),
     ]),
@@ -67,12 +82,9 @@ PINNED = {
         ("alignment_multiset_M2", True, False, "phase offset 4.441e-16 rad"),
         ("matching_M2", True, False, "reversal"),
         ("cosine_model_M2", True, False, "shared angle -0.643501 rad"),
-        ("midpoint_of_diametric_points", True, False, ""),
-        ("even_n_vertex_midpoint", True, False, ""),
-        ("mirror_point_bisector_parallel", True, False, ""),
-        ("separation_equals_vertex_offset", True, False, ""),
-        ("quadrilateral_side_lengths", True, False, ""),
-        ("separation_perpendicular", True, False, ""),
+        *POINT_PROPERTIES,
+        ("closed_form_midpoint", True, False, "base normal side -1"),
+        *BOTTEMA_4,
     ]),
     "tangent_collinear.json": (0, "non_congruent", {"M1": "identity"}, [
         ("power_sums_M1", True, False, POWER_SUMS_4),
@@ -85,6 +97,13 @@ PINNED = {
         ("separation_equals_vertex_offset", True, True, ""),
         ("quadrilateral_side_lengths", True, False, ""),
         ("separation_perpendicular", True, True, ""),
+        ("closed_form_midpoint", True, False, "base normal side +1"),
+        ("altitude_length", True, False, ""),
+        ("foot_at_base_midpoint", True, False, ""),
+        ("vertex_angle_k2", True, False, "expected 1.256637 rad"),
+        ("vertex_angle_k3", True, False, "expected 2.513274 rad"),
+        ("vertex_angle_k4", True, False, "expected 2.513274 rad"),
+        ("vertex_angle_k5", True, False, "expected 1.256637 rad"),
     ]),
 }
 

@@ -83,10 +83,9 @@ def verify_json(document: dict, tmp_path: Path) -> tuple[int, dict]:
     return code, json.loads(out.getvalue())
 
 
-# Scaled documents whose outcome is wrong until lengths are solved in a
-# normalized frame (ROADMAP item 10, which removes these xfails).
-@pytest.mark.xfail(strict=True, reason="project_onto_line's squared base length underflows at 1e-170: "
-                   "DegenerateLineError on a sound triangle")
+# A sound triangle at 1e-170.  The foot H once came from the squared base
+# length, which underflows there (DegenerateLineError); it now comes from the
+# unit base direction.
 def test_bottema_at_1e_170_solves(tmp_path):
     document = {
         "kind": "bottema", "n": 5, "seed": 0, "tolerance": {"rel": 1e-9, "abs": 1e-182},
@@ -97,6 +96,8 @@ def test_bottema_at_1e_170_solves(tmp_path):
     assert (code, report["errors"]) == (0, [])
 
 
+# Scaled documents whose outcome is wrong until lengths are solved in a
+# normalized frame (ROADMAP item 10, which removes these xfails).
 @pytest.mark.xfail(strict=True, reason="the cosine-model bound (R1 + R2) ** 2 overflows at 1e154 and the "
                    "error names no field: OverflowError (34, 'Numerical result out of range')")
 def test_shared_vertex_at_1e154_solves_or_names_a_field(tmp_path):
