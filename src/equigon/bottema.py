@@ -24,10 +24,10 @@ from itertools import combinations, repeat, starmap
 from .checks import CheckResult, residual_check
 from .geom import (
     DEFAULT_TOLERANCE,
+    DegenerateRayError,
     GeometryError,
     Point,
     Tolerance,
-    angle_at,
     project_onto_line,
 )
 from .polygon import (
@@ -80,8 +80,9 @@ def bottema_construct(
     default to the exterior of the triangle.  A collinear apex is accepted and
     flagged.  Coincident corners are rejected, and so is a signed area or
     squared longest apex side past the float range, which would leave the
-    exterior sides a guess.  The signed area is ``side_of_line(bn, a1, an)``'s
-    cross product of the plain-float corner differences.
+    exterior sides a guess.  The exterior sides follow from the side of the
+    line A1 An that Bn is on, read along that line's unit direction, so that
+    no product of two lengths underflows.
     """
     floor = tol.bound(0.0)
     ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
@@ -92,7 +93,7 @@ def bottema_construct(
     span_sq = side_n * side_n if side_n > side_b else side_b * side_b
     if not (abs(signed) < math.inf and span_sq < math.inf):
         raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
-    exterior = -1 if signed > 0.0 else 1
+    exterior = -1 if ux / side_n * vy - uy / side_n * vx > 0.0 else 1
     poly1 = from_side(a1, an, n, exterior if side1 is None else side1, tol)
     poly2 = from_side(a1, bn, n, -exterior if side2 is None else side2, tol)
     return bottema_pair(poly1, poly2, an, a1, bn, tol)
@@ -243,7 +244,7 @@ def verify_independence(
         if passed:
             if not (-inf < signed < inf and span_sq < inf):
                 raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
-            side = -1 if signed > 0.0 else 1
+            side = -1 if ux / side_n * vy - uy / side_n * vx > 0.0 else 1
             # from_side's arithmetic for the circles on the edges An -> A1 and Bn -> A1.
             inverse, apothem = 1.0 / side_n, 0.5 * side_n / tan
             x1 = 0.5 * (ax + anx) + -(uy * inverse) * side * apothem
@@ -300,8 +301,8 @@ def vertex_angles(
     ``tol.bound(0.0)`` taken once.  A ray past the float range raises the
     overflow error.  A k whose two rays are both within the tolerance of the
     larger circumradius has both its vertices at M1, and its check is vacuous.
-    Otherwise a k with a ray not longer than the floor
-    calls ``angle_at`` on the vertices, which raises its error for that k.
+    Otherwise a k with a ray not longer than the floor raises ``angle_at``'s
+    ``DegenerateRayError``.
     """
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
     n = poly1.n
@@ -323,11 +324,10 @@ def vertex_angles(
             checks.append(residual_check(f"vertex_angle_k{k}", 0.0, bound, vacuous=True,
                                          detail="vertex pair at M1"))
             continue
-        if min(rays) > floor:
-            ux, uy, vx, vy = ux / rays[0], uy / rays[0], vx / rays[1], vy / rays[1]
-            measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        else:
-            measured = angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)
+        if min(rays) <= floor:
+            raise DegenerateRayError("angle ray endpoint coincides with the vertex")
+        ux, uy, vx, vy = ux / rays[0], uy / rays[0], vx / rays[1], vy / rays[1]
+        measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
         checks.append(
             residual_check(
                 f"vertex_angle_k{k}",

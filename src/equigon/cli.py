@@ -151,8 +151,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         passed = 0
         worst = 0.0
         for _ in range(args.count):
-            scenario = random_scenario(kind, n, rng, tol)
-            report = run_scenario(scenario)
+            report = run_scenario(random_scenario(kind, n, rng), tol)
             total += 1
             if report.overall_ok:
                 passed += 1

@@ -91,15 +91,12 @@ class EqualDistanceSolution:
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
     both slots with the same point and sets ``coincident``.  The case sets the
-    locus of a solution without points.  ``identity_worst`` holds the largest
-    identity residual at each of two distinct points, as their labelling
-    compared them; otherwise it is empty.
+    locus of a solution without points.
     """
 
     case: PairCase
     points: tuple[Point, ...] = ()
     coincident: bool = False
-    identity_worst: tuple[float, ...] = ()
 
     @property
     def locus(self) -> Locus | None:
@@ -136,21 +133,19 @@ def classify_pair(
     return PairCase.NON_CONGRUENT
 
 
-def _matching_residuals(
-    first: RegularPolygon, second: RegularPolygon, point: Point, kind: MatchKind
-) -> tuple[float, ...]:
-    """The gaps ||point A_k| - |point B_j|| for k = 2..n, with j as ``kind`` pairs them.
+def _vertex_distances(
+    first: RegularPolygon, second: RegularPolygon, point: Point
+) -> tuple[list[float], list[float]]:
+    """The point's distance to each vertex of ``first`` and of ``second``, in vertex order.
 
     ``point.distance`` inline on both polygons' coordinates, the hypot of the
     coordinate differences: the same bits, with no ``Point`` and no method
     call per vertex.
     """
-    xs, ys = first.coordinates()
-    us, vs = second.coordinates()
-    us, vs = partners(us, kind), partners(vs, kind)
+    (xs, ys), (us, vs) = first.coordinates(), second.coordinates()
     x, y, hypot = point.x, point.y, math.hypot
-    return tuple([abs(hypot(x - ax, y - ay) - hypot(x - bx, y - by))
-                  for ax, ay, bx, by in zip(xs[1:], ys[1:], us[1:], vs[1:])])
+    return ([hypot(x - ax, y - ay) for ax, ay in zip(xs, ys)],
+            [hypot(x - bx, y - by) for bx, by in zip(us, vs)])
 
 
 def shared_vertex_points(first: RegularPolygon, second: RegularPolygon, a: Point,
@@ -198,16 +193,15 @@ def equal_distance_points(
         return EqualDistanceSolution(case, crossing * 2, True)
 
     p, q = crossing
-    residual_p = max(_matching_residuals(first, second, p, MatchKind.IDENTITY))
-    residual_q = max(_matching_residuals(first, second, q, MatchKind.IDENTITY))
+    # The largest identity residual ||M A_k| - |M B_k|| over k = 2..n at each crossing.
+    residual_p, residual_q = (max(map(abs, map(sub, near[1:], far[1:])))
+                              for near, far in (_vertex_distances(first, second, m) for m in crossing))
     slack = tol.bound(max(first.circumradius, second.circumradius))
     if (residual_p <= slack and residual_q <= slack) or residual_p == residual_q:
         p_first = side_of_line(p, first.centroid, second.centroid) > 0.0
     else:
         p_first = residual_p < residual_q
-    if p_first:
-        return EqualDistanceSolution(case, (p, q), False, (residual_p, residual_q))
-    return EqualDistanceSolution(case, (q, p), False, (residual_q, residual_p))
+    return EqualDistanceSolution(case, (p, q) if p_first else (q, p))
 
 
 def align_rotation(
@@ -252,38 +246,34 @@ def correspondence(
     second: RegularPolygon,
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    identity_worst: float | None = None,
 ) -> Matching:
     """Find which vertex correspondence the point realises, identity preferred.
 
-    ``identity_worst``, the largest identity residual at the point, is
-    computed unless given.  Raises NoMatchingError when neither
-    correspondence holds within tolerance (this includes the case where the
-    k = 1 distances already disagree).  Returns the measurements, not a
-    verdict: the runner judges them as the ``matching_{label}`` check.
+    Reads the first-vertex residual and each correspondence's residuals off
+    one list of the point's vertex distances per polygon.  Raises
+    NoMatchingError when neither correspondence holds within tolerance (this
+    includes the case where the k = 1 distances already disagree).  Returns
+    the measurements, not a verdict: the runner judges them as the
+    ``matching_{label}`` check.
     """
     if first.n != second.n:
         raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
     slack = tol.bound(max(first.circumradius, second.circumradius))
-    (xs, ys), (us, vs) = first.coordinates(), second.coordinates()
-    x, y = point.x, point.y
-    first_residual = abs(math.hypot(x - xs[0], y - ys[0]) - math.hypot(x - us[0], y - vs[0]))
+    near, far = _vertex_distances(first, second, point)
+    first_residual = abs(near[0] - far[0])
 
-    worst = {} if identity_worst is None else {MatchKind.IDENTITY: identity_worst}
-
-    def worst_of(kind: MatchKind) -> float:
-        if kind not in worst:
-            worst[kind] = max(_matching_residuals(first, second, point, kind))
-        return worst[kind]
+    def worst(kind: MatchKind) -> float:
+        return max(map(abs, map(sub, near[1:], partners(far, kind)[1:])))
 
     if first_residual <= slack:
         for kind in MatchKind:
-            if worst_of(kind) <= slack:
-                return Matching(kind, worst[kind], first_residual)
+            residual = worst(kind)
+            if residual <= slack:
+                return Matching(kind, residual, first_residual)
     raise NoMatchingError(
         "no vertex correspondence holds at this point "
         f"(first-vertex residual {first_residual:.3e}, identity "
-        f"{worst_of(MatchKind.IDENTITY):.3e}, reversal {worst_of(MatchKind.REVERSAL):.3e}, "
+        f"{worst(MatchKind.IDENTITY):.3e}, reversal {worst(MatchKind.REVERSAL):.3e}, "
         f"allowed {slack:.3e})"
     )
 

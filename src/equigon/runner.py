@@ -128,80 +128,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _check_point(out: Report, label: str, point: Point, first: RegularPolygon, second: RegularPolygon,
-                 tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Power sums must agree at the point; one aligned rotation must match fully.
-    Returns the point's squared distances to both polygons, for its cosine model."""
-    da = distances_squared(first, point)
-    db = distances_squared(second, point)
-    out.checks.append(compare_power_sums(da, db, tol, name=f"power_sums_{label}"))
-    out.checks.append(verify_alignment(first, second, point, da, tol, f"alignment_multiset_{label}"))
-    return da, db
-
-
-def _correspondence(
-    out: Report,
-    label: str,
-    point: Point,
-    first: RegularPolygon,
-    second: RegularPolygon,
-    tol: Tolerance,
-    required: bool,
-    identity_worst: float | None = None,
-) -> Matching | NoMatchingError | None:
-    """Record the vertex correspondence the point realises.
-
-    Returns the matching, or for a point without one the error when the
-    correspondence is ``required`` (``_matching_checks`` fails it) and None
-    otherwise (a finding records it).
-    """
-    try:
-        match = correspondence(first, second, point, tol, identity_worst)
-    except NoMatchingError as exc:
-        if required:
-            return exc
-        out.findings.append(f"no vertexwise correspondence at {label} ({exc})")
-        return None
-    out.matchings.append((label, match.kind.value))
-    return match
-
-
-def _matching_checks(
-    out: Report,
-    label: str,
-    found: Matching | NoMatchingError | None,
-    point: Point,
-    distances: tuple[tuple[float, ...], tuple[float, ...]],
-    first: RegularPolygon,
-    second: RegularPolygon,
-    tol: Tolerance,
-) -> None:
-    """The point's matching and, if one is found, its cosine model on ``distances``."""
-    scale = max(first.circumradius, second.circumradius)
-    if isinstance(found, NoMatchingError):
-        out.checks.append(
-            CheckResult(f"matching_{label}", False, math.inf, tol.bound(scale), detail=str(found))
-        )
-    elif found is not None:
-        out.checks.append(
-            residual_check(
-                f"matching_{label}",
-                max(found.max_residual, found.first_residual),
-                tol.bound(scale),
-                detail=found.kind.value,
-            )
-        )
-        shared_angle, model_residual = cosine_model(first, second, point, found.kind, *distances)
-        out.checks.append(
-            residual_check(
-                f"cosine_model_{label}",
-                model_residual,
-                tol.bound((first.circumradius + second.circumradius) ** 2),
-                detail=f"shared angle {shared_angle:.6f} rad",
-            )
-        )
-
-
 def _probe_locus(
     out: Report,
     first: RegularPolygon,
@@ -236,24 +162,48 @@ def _locus(out: Report, first: RegularPolygon, second: RegularPolygon, locus: Lo
     return lambda: _probe_locus(out, first, second, locus, out.scenario.seed, tol)
 
 
-def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, solution: EqualDistanceSolution,
-              tol: Tolerance, required: bool) -> Checks:
-    """Record the solution's points and M1's correspondence; return the checks
-    at each point: power sums, alignment, matching and cosine model."""
-    labels = ("M1",) if solution.coincident else ("M1", "M2")
-    labelled = list(zip(labels, solution.points))
+def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points: tuple[Point, ...],
+              coincident: bool, tol: Tolerance, required: bool) -> Checks:
+    """Record the points and M1's vertex correspondence, which colours the
+    figure's distance fan; return the checks at each point: power sums,
+    alignment, matching and, with a correspondence, its cosine model.
+
+    A point without a correspondence fails its matching check when one is
+    ``required``, and otherwise gets a finding.
+    """
+    labelled = list(zip(("M1",) if coincident else ("M1", "M2"), points))
     out.points.extend(labelled)
-    worst = solution.identity_worst or (None, None)
-    # M1's vertex correspondence colours the figure's distance fan.
-    at_m1 = _correspondence(out, "M1", solution.points[0], first, second, tol, required, worst[0])
+    out.coincident = coincident
+
+    def correspond(label: str, point: Point) -> Matching | NoMatchingError | None:
+        try:
+            match = correspondence(first, second, point, tol)
+        except NoMatchingError as exc:
+            if required:
+                return exc
+            out.findings.append(f"no vertexwise correspondence at {label} ({exc})")
+            return None
+        out.matchings.append((label, match.kind.value))
+        return match
+
+    at_m1 = correspond(*labelled[0])
 
     def checks() -> None:
-        found = at_m1
+        bound = tol.bound(max(first.circumradius, second.circumradius))
         for label, point in labelled:
-            distances = _check_point(out, label, point, first, second, tol)
-            if label == "M2":
-                found = _correspondence(out, label, point, first, second, tol, required, worst[1])
-            _matching_checks(out, label, found, point, distances, first, second, tol)
+            near, far = distances_squared(first, point), distances_squared(second, point)
+            out.checks.append(compare_power_sums(near, far, tol, name=f"power_sums_{label}"))
+            out.checks.append(verify_alignment(first, second, point, near, tol, f"alignment_multiset_{label}"))
+            found = at_m1 if label == "M1" else correspond(label, point)
+            if isinstance(found, NoMatchingError):
+                out.checks.append(CheckResult(f"matching_{label}", False, math.inf, bound, detail=str(found)))
+            elif found is not None:
+                worst = max(found.max_residual, found.first_residual)
+                out.checks.append(residual_check(f"matching_{label}", worst, bound, detail=found.kind.value))
+                shared_angle, model_residual = cosine_model(first, second, point, found.kind, near, far)
+                model_bound = tol.bound((first.circumradius + second.circumradius) ** 2)
+                out.checks.append(residual_check(f"cosine_model_{label}", model_residual, model_bound,
+                                                 detail=f"shared angle {shared_angle:.6f} rad"))
 
     return checks
 
@@ -266,7 +216,6 @@ def _pair(out: Report, tol: Tolerance) -> Checks:
     out.geometry = (first, second)
     solution = equal_distance_points(first, second, tol)
     out.classification = solution.case.value
-    out.coincident = solution.coincident
     if solution.locus is not None:
         return _locus(out, first, second, solution.locus, tol)
     if not solution.points:
@@ -278,7 +227,7 @@ def _pair(out: Report, tol: Tolerance) -> Checks:
             f"{gap!r} outside [{lo!r}, {hi!r}]"
         )
         return lambda: None
-    return _labelled(out, first, second, solution, tol, required=False)
+    return _labelled(out, first, second, solution.points, solution.coincident, tol, required=False)
 
 
 def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
@@ -312,8 +261,7 @@ def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
         point_checks = _locus(out, first, second, Locus.ENTIRE_PLANE, tol)
     else:
         solution = EqualDistanceSolution(pair.case, (pair.m1, pair.m2), pair.coincident)
-        out.coincident = pair.coincident
-        labelled = _labelled(out, first, second, solution, tol, required=True)
+        labelled = _labelled(out, first, second, solution.points, pair.coincident, tol, required=True)
 
         def point_checks() -> None:
             labelled()

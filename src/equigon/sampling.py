@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from .geom import DEFAULT_TOLERANCE, Point, Tolerance
+from .geom import DEFAULT_TOLERANCE, Point
 from .scenario import (
     BottemaConfig,
     IdentityCheckConfig,
@@ -78,13 +78,8 @@ def _identity_check(rng: random.Random) -> IdentityCheckConfig:
     )
 
 
-def random_scenario(
-    kind: ScenarioKind,
-    n: int,
-    rng: random.Random,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Scenario:
-    """One random scenario of the requested kind and vertex count."""
+def random_scenario(kind: ScenarioKind, n: int, rng: random.Random) -> Scenario:
+    """One random scenario of the requested kind and vertex count, at the default tolerance."""
     if kind is ScenarioKind.PAIR:
         config = _pair(rng)
     elif kind is ScenarioKind.SHARED_VERTEX:
@@ -93,4 +88,4 @@ def random_scenario(
         config = _bottema(rng)
     else:
         config = _identity_check(rng)
-    return Scenario(kind=kind, n=n, tolerance=tol, seed=rng.randrange(2**31), config=config)
+    return Scenario(kind=kind, n=n, tolerance=DEFAULT_TOLERANCE, seed=rng.randrange(2**31), config=config)

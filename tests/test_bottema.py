@@ -56,6 +56,19 @@ def test_default_exterior_squares_match_oracle():
         assert not result.collinear
 
 
+def test_default_exterior_holds_at_every_scale():
+    # The exterior is read along the unit direction of A1 An: the triangle's
+    # signed area, a product of two lengths, underflows to 0 below about
+    # 1e-154, where it once put every triangle's polygons on one fixed side.
+    for scale in (1e-300, 1e-200, 1e-160, 1.0, 1e150):
+        tol = Tolerance(abs=1e-12 * scale)
+        an, bn = Point(0, 0), Point(2 * scale, 0)
+        for apex in (Point(0.7, 1.3), Point(-0.4, -0.9), Point(2.6, 2.1)):
+            m1 = bottema_construct(an, apex * scale, bn, 5, tol=tol).m1
+            want = closed_form_midpoint(an, bn, 5, 1 if apex.y > 0 else -1, tol)
+            assert m1.distance(want) <= 1e-12 * scale
+
+
 def test_classical_square_case_frozen():
     result = bottema_construct(Point(0, 0), Point(0.7, 1.3), Point(2, 0), 4)
     assert result.m1.x == pytest.approx(1.0, abs=1e-12)
@@ -479,7 +492,7 @@ def reference_midpoint(an, apex, bn, n, tol):
     if not (abs(signed) < math.inf and span_sq < math.inf):
         raise GeometryError(
             f"triangle overflows the float range: signed area {signed!r}, squared apex side {span_sq!r}")
-    exterior = -1 if signed > 0.0 else 1
+    exterior = -1 if ux / sides[0] * vy - uy / sides[0] * vx > 0.0 else 1
     d1 = diametric_opposite(from_side(apex, an, n, exterior, tol), apex, tol)
     d2 = diametric_opposite(from_side(apex, bn, n, -exterior, tol), apex, tol)
     mx, my = 0.5 * (d1.x + d2.x), 0.5 * (d1.y + d2.y)

@@ -27,30 +27,29 @@ COUNTED = {
     "equal_distance_points": equigon.equalizer,
     "classify_pair": equigon.equalizer,
     "bottema_construct": equigon.bottema,
-    "_matching_residuals": equigon.equalizer,
+    "_vertex_distances": equigon.equalizer,
     "distances_squared": equigon.power_sums,
     "shared_vertex_points": equigon.equalizer,
 }
 # file -> calls from run_scenario, then from solve_scenario, in COUNTED's order.
 # A pair sharing its first vertex, in a shared-vertex scenario or a Bottema
 # construction, runs one solve: it is classified once and takes M1 and M2
-# from one shared_vertex_points call, with no equal-distance solve; its
-# correspondences compute their own residuals, the identity ones and then,
-# if needed, the reversal ones, and the solve records M1's for the figure.
-# The equal-distance solve of a pair scenario
-# computes the identity residuals at both candidate points, and each
-# correspondence reuses them.  Each labelled point's two squared-distance
-# lists are computed once and feed its power sums, its alignment multiset and
-# its cosine model; each of a point's two rotation candidates and each locus
-# probe adds its own.
-# The solve computes none: the figure reads no cosine model.
+# from one shared_vertex_points call, with no equal-distance solve.  Each
+# correspondence reads both kinds' residuals off one list of vertex
+# distances per polygon, and the solve records M1's for the figure.  The
+# equal-distance solve of a pair scenario labels its two candidate points by
+# the identity residuals read off their distance lists.  Each labelled
+# point's two squared-distance lists are computed once and feed its power
+# sums, its alignment multiset and its cosine model; each of a point's two
+# rotation candidates and each locus probe adds its own.  The solve computes
+# none: the figure reads no cosine model.
 EXPECTED = {
-    "bottema_squares": ((2, 0, 1, 1, 3, 8, 1), (1, 0, 1, 1, 1, 0, 1)),
+    "bottema_squares": ((2, 0, 1, 1, 2, 8, 1), (1, 0, 1, 1, 1, 0, 1)),
     "congruent_mirror": ((0, 1, 1, 0, 0, 6, 0), (0, 1, 1, 0, 0, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)),
     "pair_pentagons": ((2, 1, 1, 0, 4, 8, 0), (1, 1, 1, 0, 3, 0, 0)),
-    "shared_vertex_squares": ((2, 0, 1, 0, 3, 8, 1), (1, 0, 1, 0, 1, 0, 1)),
+    "shared_vertex_squares": ((2, 0, 1, 0, 2, 8, 1), (1, 0, 1, 0, 1, 0, 1)),
     "tangent_collinear": ((1, 0, 1, 0, 1, 4, 1), (1, 0, 1, 0, 1, 0, 1)),
 }
 

@@ -155,6 +155,22 @@ def test_overflowing_bottema_triangle_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
+def test_bottema_verb_on_a_base_whose_squared_length_underflows(capsys):
+    # A signed area, a product of two lengths, is 0 below about 1e-154; the
+    # exterior sides are read along a unit direction, so every apex of this
+    # sweep gets its polygons on the exterior and M1 at the closed form.
+    assert main(["bottema", "--an", "0,0", "--bn", "2e-200,0", "--n", "5", "--samples", "50",
+                 "--tolerance-abs", "1e-212"]) == 0
+    assert capsys.readouterr().out == (
+        "base length: 2e-200\n"
+        "apex samples: 50\n"
+        "max midpoint deviation: 1.946e-215\n"
+        "max closed-form residual: 1.297e-215\n"
+        "allowed: 2.001e-209\n"
+        "result: PASS\n"
+    )
+
+
 def test_overflowing_bottema_base_is_input_error(capsys):
     # Both corners are finite, but the base between them is not.
     assert main(["bottema", "--an=1e308,0", "--bn=-1e308,0", "--n", "5", "--samples", "50"]) == 2

@@ -22,7 +22,7 @@ from equigon.equalizer import (
     NotSharedVertexError,
     NotTwoPointSolutionError,
     PairCase,
-    _matching_residuals,
+    _vertex_distances,
     align_rotation,
     classify_pair,
     correspondence,
@@ -207,13 +207,31 @@ def matching_residuals_by_distance(first, second, point, kind):
 
 
 def test_matching_residuals_are_point_distances_bit_for_bit():
+    # The distance lists are Point.distance to each vertex, and correspondence
+    # reads its residuals off them: the first vertex's, and the worst of the
+    # kind it returns, or of both kinds in its error.
     rng = random.Random(16)
+    tol = DEFAULT_TOLERANCE
     for n in (3, 4, 7, 64, 256):
         first, second = random_shared_vertex_pair(rng, n)
         probes = (*equal_distance_points(first, second).points, Point(rng.uniform(-9, 9), 1e-310))
-        for point, kind in itertools.product(probes, MatchKind):
-            got = [r.hex() for r in _matching_residuals(first, second, point, kind)]
-            assert got == matching_residuals_by_distance(first, second, point, kind)
+        for point in probes:
+            near, far = _vertex_distances(first, second, point)
+            assert [d.hex() for d in near] == [point.distance(v).hex() for v in first.vertices()]
+            assert [d.hex() for d in far] == [point.distance(v).hex() for v in second.vertices()]
+            worst = {kind: max(map(float.fromhex, matching_residuals_by_distance(first, second, point, kind)))
+                     for kind in MatchKind}
+            first_residual = abs(point.distance(first.vertex(1)) - point.distance(second.vertex(1)))
+            try:
+                match = correspondence(first, second, point, tol)
+            except NoMatchingError as exc:
+                identity, reversal = worst[MatchKind.IDENTITY], worst[MatchKind.REVERSAL]
+                assert f"identity {identity:.3e}, reversal {reversal:.3e}" in str(exc)
+                continue
+            assert (match.max_residual.hex(), match.first_residual.hex()) == (
+                worst[match.kind].hex(), first_residual.hex())
+            slack = tol.bound(max(first.circumradius, second.circumradius))
+            assert match.kind is MatchKind.IDENTITY or worst[MatchKind.IDENTITY] > slack
 
 
 def test_partners_are_the_three_reversal_slices():

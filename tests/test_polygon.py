@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from equigon.bottema import BottemaResult, vertex_angles
-from equigon.equalizer import Locus, MatchKind, PairCase, _matching_residuals, align_rotation, correspondence
+from equigon.equalizer import Locus, MatchKind, PairCase, align_rotation, correspondence
 from equigon.geom import DEFAULT_TOLERANCE, DegenerateRayError, GeometryError, Point, Tolerance, side_of_line
 from equigon.polygon import (
     CoincidentVertexCentroidError,
@@ -20,7 +20,7 @@ from equigon.polygon import (
     from_side,
 )
 from equigon.power_sums import distances_squared, verify_power_sum_identity
-from equigon.runner import Report, _check_point, _probe_locus
+from equigon.runner import Report, _probe_locus
 
 
 def assert_point(p: Point, x: float, y: float, tol: float = 1e-12):
@@ -165,14 +165,8 @@ OVERFLOWING = [
     ("distances_squared-left", lambda: distances_squared(left_edge(), PROBE), GeometryError, LEFT),
     ("identity-right", lambda: verify_power_sum_identity(right_edge(), PROBE), GeometryError, RIGHT_1),
     ("identity-left", lambda: verify_power_sum_identity(left_edge(), Point(0.0, 0.0)), GeometryError, LEFT),
-    ("matching-identity", lambda: _matching_residuals(right_edge(), left_edge(), PROBE, MatchKind.IDENTITY),
-     GeometryError, RIGHT_1),
-    ("matching-reversal", lambda: _matching_residuals(inside(), left_edge(), PROBE, MatchKind.REVERSAL),
-     GeometryError, LEFT),
     ("correspondence-first", lambda: correspondence(right_edge(), left_edge(), PROBE), GeometryError, RIGHT_1),
     ("correspondence-second", lambda: correspondence(inside(), left_edge(), PROBE), GeometryError, LEFT),
-    ("check_point", lambda: _check_point(Report(None), "M1", PROBE, inside(), left_edge(), DEFAULT_TOLERANCE),
-     GeometryError, LEFT),
     ("probe_locus", lambda: _probe_locus(
         Report(None), RegularPolygon(64, Point(8e307, 0.0), 1e308), RegularPolygon(64, Point(8e307, 1e307), 1e308),
         Locus.PERPENDICULAR_BISECTOR, 0, DEFAULT_TOLERANCE), GeometryError, RIGHT_1),

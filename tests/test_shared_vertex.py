@@ -13,6 +13,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ POINT_PROPERTIES = (
     "separation_perpendicular",
 )
 BOTTEMA = ("closed_form_midpoint", "altitude_length", "foot_at_base_midpoint")
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def shared_vertex_document(n, vertex, centroid1, centroid2, orient1, orient2):
@@ -187,3 +189,23 @@ def test_foot_is_the_base_midpoint_when_the_squared_base_overflows():
     base = an.distance(bn)
     assert pair.h.distance(an.midpoint(bn)) <= DEFAULT_TOLERANCE.bound(base)
     assert abs(pair.m1.distance(pair.h) - 0.5 * base) <= DEFAULT_TOLERANCE.bound(base)
+
+
+def test_a_missing_correspondence_fails_a_shared_vertex_pair_and_is_a_pair_finding():
+    # At rel 1e-18 no vertex correspondence holds within tolerance at either
+    # point.  A shared-vertex pair requires one: both matching checks fail and
+    # no cosine model is run.  A pair records a finding and runs neither.
+    # Only the checks are asserted: the same tolerance also fails the point
+    # properties' test that the polygons share vertex 1, recorded as an error.
+    tight = Tolerance(rel=1e-18, abs=1e-300)
+    scenario = parse_scenario((SCENARIO_DIR / "shared_vertex_squares.json").read_text(encoding="utf-8"))
+    report = run_scenario(scenario, tight)
+    for match in checks_named(report, ("matching_M1", "matching_M2")):
+        assert not match.ok and match.residual == math.inf
+        assert match.detail.startswith("no vertex correspondence holds")
+    assert not [check.name for check in report.checks if check.name.startswith("cosine_model_")]
+    scenario = parse_scenario((SCENARIO_DIR / "pair_pentagons.json").read_text(encoding="utf-8"))
+    report = run_scenario(scenario, tight)
+    for label in ("M1", "M2"):
+        assert any(finding.startswith(f"no vertexwise correspondence at {label} (") for finding in report.findings)
+    assert not [check.name for check in report.checks if check.name.startswith(("matching_", "cosine_model_"))]
