@@ -221,9 +221,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     bottema = sub.add_parser("bottema", help="quick apex-independence check on a fixed base")
     bottema.add_argument("--an", type=_parse_point, default=Point(0.0, 0.0), metavar="X,Y",
-                         help="first base corner (default 0,0)")
+                         help="first base corner (default 0,0); write a negative X as --an=-1,0")
     bottema.add_argument("--bn", type=_parse_point, default=Point(2.0, 0.0), metavar="X,Y",
-                         help="second base corner (default 2,0)")
+                         help="second base corner (default 2,0); write a negative X as --bn=-2,0")
     bottema.add_argument("--n", type=int, default=4, help="vertex count (default 4)")
     bottema.add_argument("--samples", type=int, default=100, help="apex samples (default 100)")
     bottema.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

@@ -476,6 +476,39 @@ def test_sweep_calls_no_checked_path_on_a_regular_base(monkeypatch):
     assert calls == {"bottema_construct": 1, "from_side": 2, "diametric_opposite": 2}
 
 
+def hypot_calls_per_apex(monkeypatch, an, bn, n, tol):
+    """The sweep's math.hypot calls per apex: a 300-apex sweep less a 2-apex one."""
+    hypot = math.hypot
+
+    def counted(samples):
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return hypot(*args)
+
+        monkeypatch.setattr(math, "hypot", counting)
+        spread, closed = verify_independence(an, bn, n, samples, tol, seed=1)
+        monkeypatch.undo()
+        assert spread.ok and closed.ok
+        return calls
+
+    return (counted(300) - counted(2)) / 298
+
+
+def test_settled_sweep_measures_only_the_two_sides(monkeypatch):
+    # On a base the error bound settles, an apex runs none of the construction's
+    # tests: its only distances are its two sides.
+    assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, DEFAULT_TOLERANCE) == 2
+
+
+def test_unsettled_sweep_tests_both_circles(monkeypatch):
+    # rel 1e-13 is below the bound on this base, so each apex also measures its
+    # distance to both centroids.
+    assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, Tolerance(rel=1e-13)) >= 4
+
+
 def reference_midpoint(an, apex, bn, n, tol):
     """bottema_construct's M1 with exterior sides, stopping at M1.
 
@@ -554,6 +587,76 @@ def test_sweep_matches_the_checked_path():
         DegenerateSideError, DegenerateTriangleError, GeometryError,
         InvalidVertexCountError, NotOnCircumcircleError,
     }
+
+
+def filtered_and_checked(monkeypatch, an, bn, n, samples, tol, seed):
+    """The sweep's outcome with the error-bound filter and with every apex
+    tested, and the filter's decisions."""
+    decisions = []
+    settled = equigon.bottema._sweep_settled
+
+    def recording(*args):
+        decisions.append(settled(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(equigon.bottema, "_sweep_settled", recording)
+    filtered = repr(outcome(lambda: verify_independence(an, bn, n, samples, tol, seed)))
+    monkeypatch.setattr(equigon.bottema, "_sweep_settled", lambda *args: False)
+    checked = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
+    monkeypatch.undo()
+    return decisions, filtered, checked
+
+
+@pytest.mark.parametrize("seed", range(18, 23))
+def test_sweep_filter_keeps_every_result(monkeypatch, seed):
+    # A settled base skips the per-apex tests; each residual bit and each
+    # error must be what testing every apex gives.
+    settled = 0
+    for an, bn, n, samples, tol, sweep_seed in random_bases(1000, seed):
+        decisions, filtered, checked = filtered_and_checked(monkeypatch, an, bn, n, samples, tol, sweep_seed)
+        assert filtered == repr(checked)
+        settled += decisions == [True]
+    assert 100 <= settled <= 900
+
+
+FLOOR_AT_BOUND = math.nextafter(0.04 * 2.0, 0.0)
+REL_AT_BOUND = equigon.bottema._SWEEP_ERRBOUND * (2.0 / 2.0 + 4.0)
+
+# (an, bn, n, tol): the filter's decision on a sweep of 300 apexes over this
+# base, on either side of each of its thresholds.  A "-fails" base is one the
+# filter must not settle, as testing every apex raises: leaving out the
+# threshold it straddles would settle it.
+STRADDLING = {
+    "corner-at-bound": ((Point(2.0 ** 21 - 2, 0), Point(2.0 ** 21, 0), 5, Tolerance(rel=1e-6)), True),
+    "corner-past-bound": ((Point(2.0 ** 21, 0), Point(2.0 ** 21 + 2, 0), 5, Tolerance(rel=1e-6)), False),
+    "corner-fails": ((Point(2.0 ** 60, 2.0 ** 60), Point(2.0 ** 60 + 512, 2.0 ** 60), 5, Tolerance(rel=1e4)), False),
+    "n-at-bound": ((Point(0, 0), Point(2, 0), 2 ** 20, DEFAULT_TOLERANCE), True),
+    "n-past-bound": ((Point(0, 0), Point(2, 0), 2 ** 20 + 1, DEFAULT_TOLERANCE), False),
+    "n-fails": ((Point(0, 0), Point(1e100, 0), 6 * 10 ** 208, DEFAULT_TOLERANCE), False),
+    "floor-below-bound": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=FLOOR_AT_BOUND)), True),
+    "floor-at-bound": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=0.08)), False),
+    "floor-fails": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=0.5)), False),
+    "rel-at-bound": ((Point(0, 0), Point(2, 0), 12, Tolerance(rel=REL_AT_BOUND)), True),
+    # The base, n and tolerance of the bottema_rel_1e-13 golden transcript.
+    "rel-below-bound": ((Point(0, 0), Point(2, 0), 12, Tolerance(rel=1e-13)), False),
+    "rel-fails": ((Point(0, 0), Point(2, 0), 7, Tolerance(rel=1e-17, abs=1e-300)), False),
+    "shortest-base": ((Point(0, 0), Point(2.0 ** -400, 0), 5, Tolerance(abs=2.0 ** -410)), True),
+    "base-below-range": ((Point(0, 0), Point(2.0 ** -401, 0), 5, Tolerance(abs=2.0 ** -410)), False),
+    "short-base-fails": ((Point(0, 0), Point(2.0 ** -1020, 0), 5, Tolerance(abs=5e-324)), False),
+    "longest-base": ((Point(0, 0), Point(2.0 ** 400, 0), 5, DEFAULT_TOLERANCE), True),
+    "base-above-range": ((Point(0, 0), Point(2.0 ** 401, 0), 5, DEFAULT_TOLERANCE), False),
+    "long-base-fails": ((Point(0, 0), Point(1.7e308, 0), 5, DEFAULT_TOLERANCE), False),
+}
+
+
+@pytest.mark.parametrize("name", STRADDLING)
+def test_sweep_filter_at_its_thresholds(monkeypatch, name):
+    (an, bn, n, tol), settled = STRADDLING[name]
+    decisions, filtered, checked = filtered_and_checked(monkeypatch, an, bn, n, 300, tol, 1)
+    assert decisions == [settled]
+    assert filtered == repr(checked)
+    # Only the "-fails" bases raise, so each of them shows its threshold is needed.
+    assert isinstance(checked[0], type) == name.endswith("-fails")
 
 
 def test_degenerate_triangle_message():

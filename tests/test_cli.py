@@ -307,6 +307,19 @@ def test_bottema_verb(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bottema_corner_with_a_negative_x_takes_the_equals_form(capsys):
+    # argparse may read "-1,0" after a space as an option rather than as the
+    # corner; the "=" form always passes it, and the help says so.
+    assert main(["bottema", "--an=-1,0", "--bn=1,0", "--n", "5", "--samples", "20"]) == 0
+    assert capsys.readouterr().out.startswith("base length: 2.0\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bottema", "--help"])
+    assert excinfo.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "write a negative X as --an=-1,0" in help_text
+    assert "write a negative X as --bn=-2,0" in help_text
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
