@@ -36,7 +36,7 @@ from .polygon import (
     _overflow,
     from_side,
 )
-from .equalizer import PairCase, classify_pair, shared_vertex_points
+from .equalizer import PairCase, antipode_midpoint, classify_pair, shared_vertex_points
 
 
 class DegenerateTriangleError(GeometryError):
@@ -84,6 +84,13 @@ def bottema_construct(
     line A1 An that Bn is on, read along that line's unit direction, so that
     no product of two lengths underflows.
     """
+    poly1, poly2 = _erect_polygons(an, a1, bn, n, side1, side2, tol)
+    return bottema_pair(poly1, poly2, an, a1, bn, tol)
+
+
+def _erect_polygons(an: Point, a1: Point, bn: Point, n: int, side1: int | None, side2: int | None,
+                    tol: Tolerance) -> tuple[RegularPolygon, RegularPolygon]:
+    """``bottema_construct``'s two polygons, ``from_side`` after its triangle tests."""
     floor = tol.bound(0.0)
     ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
     side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
@@ -94,9 +101,8 @@ def bottema_construct(
     if not (abs(signed) < math.inf and span_sq < math.inf):
         raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
     exterior = -1 if ux / side_n * vy - uy / side_n * vx > 0.0 else 1
-    poly1 = from_side(a1, an, n, exterior if side1 is None else side1, tol)
-    poly2 = from_side(a1, bn, n, -exterior if side2 is None else side2, tol)
-    return bottema_pair(poly1, poly2, an, a1, bn, tol)
+    return (from_side(a1, an, n, exterior if side1 is None else side1, tol),
+            from_side(a1, bn, n, -exterior if side2 is None else side2, tol))
 
 
 def bottema_pair(poly1: RegularPolygon, poly2: RegularPolygon, an: Point, a1: Point, bn: Point,
@@ -111,7 +117,7 @@ def bottema_pair(poly1: RegularPolygon, poly2: RegularPolygon, an: Point, a1: Po
     two lengths leaves the float range, is within the tolerance of that side.
     """
     case = classify_pair(poly1, poly2, tol)
-    d1, d2, m1, m2, coincident = shared_vertex_points(poly1, poly2, a1, tol)
+    d1, d2, m1, m2, coincident = shared_vertex_points(poly1, poly2, a1)
     h, collinear = None, False
     if not tol.is_zero(an.distance(bn), max(poly1.circumradius, poly2.circumradius)):
         h = project_onto_line(m1, an, bn, tol)
@@ -173,11 +179,11 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
 
 
 # The apex sweep's filter, in the manner of geom's _CCW_ERRBOUND: one test per
-# base decides that every apex the sweep can draw passes each per-apex test of
-# bottema_construct, and then no apex runs them.  The settled tests: n is an
-# integer; the apex, the triangle's signed area and squared longest apex side,
-# both radii and M1 are finite; both apex sides are above the floor; and the
-# apex is on both circumcircles, |hypot(A - O) - r| <= abs + rel * r.
+# base decides that every apex the sweep can draw passes each test of the
+# construction up to M1 (_erect_polygons, then antipode_midpoint), and then no
+# apex runs them.  The settled tests: n is an integer; the apex, the triangle's
+# signed area and squared longest apex side, both centroids and radii, the
+# antipodes and M1 are finite; both apex sides are above the floor.
 #
 # Ranges.  The draws put the apex A at An + s e + h e' with s = t L, h = y L,
 # t in [-0.5, 1.5] and y in [0.05, 2 (1 + 2**-52)], for the float base length L,
@@ -192,34 +198,19 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
 # from An and at least 0.05 L (1 - 5u) from the base line; Bn is within 6u L of
 # that line.  So |A| <= C + 2.6 L, each apex side is in [0.0499 L, 3.7 L] and
 # above the floor, the signed area is under 30 L**2, and with sin(pi/n) >= 2/n
-# each radius is under 2**20 L: apex, triangle, radii, centroids, antipodes and
-# M1 are all below 2**430, so finite.
-#
-# On the circle.  For an apex side of length l and the float angle theta of
-# pi/n, the point O at l / (2 tan theta) off the side's midpoint is exactly
-# R = l / (2 sin theta) from A, whatever theta's rounding.  The bound assumes
-# math.tan and math.sin within 4 ulps (8u; common libms are within 1) and
-# math.hypot within 1 ulp (2u).  Then the computed side is l (1 +- 3u), the
-# computed centroid within 3u S + 21u R of O, with S >= |A|, |An|, |Bn| in each
-# coordinate, and the computed radius within 12u R of R: the circle test's
-# |hypot(A - O) - r| is at most 3u S + 36u R, plus u**2 terms.  The test passes
-# when rel >= 41u (S / R + 1), which also covers the rounding of rel * r and
-# of the sum.  With S <= C + 2.6 L and R >= l / 2 >= 0.0249 L, that is at most
-# 41u (40.2 C / L + 105.5) < 2**12 u (C / L + 4): the filter's constant is
-# 2**12 u = 2**-41, its rounding included.
-_SWEEP_ERRBOUND = 2.0 ** -41
+# each radius is positive and under 2**20 L: apex, triangle, radii, centroids,
+# phases, antipodes and M1 are all below 2**430, so finite.
 
 
-def _sweep_settled(base_length: float, corner: float, n: int, floor: float, rel: float) -> bool:
-    """Whether every apex of a sweep over this base passes each per-apex test:
-    the bound above, from the base length, the largest corner coordinate, n,
-    the floor and the relative tolerance."""
+def _sweep_settled(base_length: float, corner: float, n: int, floor: float) -> bool:
+    """Whether every apex of a sweep over this base passes each test of the
+    construction up to M1: the bound above, from the base length, the largest
+    corner coordinate, n and the floor."""
     return (
         isinstance(n, int) and n <= 2 ** 20
         and 2.0 ** -400 <= base_length <= 2.0 ** 400
         and corner <= 2.0 ** 20 * base_length
         and floor < 0.04 * base_length
-        and rel >= _SWEEP_ERRBOUND * (corner / base_length + 4.0)
     )
 
 
@@ -241,33 +232,27 @@ def verify_independence(
     ``apex_independence_closed_form``, their worst distance to the closed form.
 
     Each apex computes only M1, with ``bottema_construct``'s arithmetic, so
-    its M1 is bit-equal to ``bottema_construct``'s.  What depends only on the
-    base is done once per sweep: the floor ``tol.bound(0.0)``, the check of n,
-    and ``tan(pi / n)`` and ``sin(pi / n)``.  Per apex, in plain floats,
-    calling no Python function but the two ``rng.uniform`` draws: the corner
-    differences and apex-side lengths, the exterior side, both centroids by
-    ``from_side``'s arithmetic, the antipodes and their midpoint.
+    its M1 is bit-equal to ``bottema_construct``'s.  An error bound
+    (``_sweep_settled``, argued beside it) settles once per base that every
+    apex the sweep can draw passes each test of the construction up to M1:
+    for an integer n <= 2**20, a base length L in [2**-400, 2**400], corner
+    coordinates at most 2**20 L and a floor below 0.04 L, each apex has both
+    sides above the floor and a finite triangle, circles, antipodes and M1.
+    At any tolerance that covers every base in that range longer than 25
+    times ``tol.abs``.  On a settled base ``tan(pi / n)`` is taken once, and
+    each apex computes in plain floats, calling no Python function but the
+    two ``rng.uniform`` draws: the corner differences and apex-side lengths,
+    the exterior side, both centroids by ``from_side``'s arithmetic, the
+    antipodes and their midpoint.  On any other base each apex, once it is
+    finite, runs the checked construction up to M1 (the polygons
+    ``bottema_construct`` erects, then ``antipode_midpoint``), and the first
+    test it fails raises its error.
 
-    ``bottema_construct``'s per-apex tests are settled once per base by an
-    error bound (``_sweep_settled``, argued beside it): for an integer
-    n <= 2**20, a base length L in [2**-400, 2**400], corner coordinates at
-    most 2**20 L, a floor below 0.04 L and ``tol.rel`` at least
-    ``2**-41 * (largest corner coordinate / L + 4)``, every apex the sweep
-    can draw has finite coordinates, triangle, radii and M1, both sides above
-    the floor, and lies on both circumcircles, so no apex tests them.  At the
-    default tolerance that is every base longer than 2.5e-11 and at most
-    2**400 whose corner coordinates are at most 2,195 base lengths.  On any
-    other base each apex tests them: an apex, triangle or M1 past the float
-    range raises the overflow error, and an apex that fails the other tests
-    (a side at or under the floor, a circle past the float range or missing
-    the apex, an n that is not an integer) calls ``bottema_construct``, whose
-    checks run in the same order, and which raises the first error.
-
-    No ``Point`` is built on the way.  The apex's coordinates are the float
-    operations of ``an + along * s + normal * u`` in the same order, so they
-    are the same floats.  The distances are ``math.hypot`` and ``math.dist``
-    of the coordinate differences: both take ``fabs`` of each difference and
-    share CPython's vector norm, so each is the float ``Point.distance`` gives.
+    The apex's coordinates are the float operations of ``an + along * s +
+    normal * u`` in the same order, so they are the same floats.  The
+    distances are ``math.hypot`` and ``math.dist`` of the coordinate
+    differences: both take ``fabs`` of each difference and share CPython's
+    vector norm, so each is the float ``Point.distance`` gives.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -283,32 +268,17 @@ def verify_independence(
     predicted = closed_form_midpoint(an, bn, n, 1, tol)
     px, py = predicted.x, predicted.y
     anx, any_, bnx, bny = an.x, an.y, bn.x, bn.y
-    settled = _sweep_settled(base_length, max(abs(anx), abs(any_), abs(bnx), abs(bny)), n, floor, tol.rel)
-    # closed_form_midpoint has checked n >= 3; an n that is not an integer
-    # sends every apex to bottema_construct, which rejects it.
-    integer_n = isinstance(n, int)
-    angle = math.pi / n
-    tan, sin = math.tan(angle), math.sin(angle)
-    slack, rel, inf = tol.abs, tol.rel, math.inf
+    settled = _sweep_settled(base_length, max(abs(anx), abs(any_), abs(bnx), abs(bny)), n, floor)
+    tan, inf = math.tan(math.pi / n), math.inf
     midpoints: list[tuple[float, float]] = []
     for _ in range(samples):
         t = rng.uniform(-0.5, 1.5)
         height = rng.uniform(0.05, 2.0)
         s, u = t * base_length, height * base_length
         ax, ay = anx + along.x * s + normal.x * u, any_ + along.y * s + normal.y * u
-        ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
-        side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
-        passed = settled
-        if not settled:
-            if not (-inf < ax < inf and -inf < ay < inf):
-                raise _overflow("apex", (ax, ay))
-            passed = integer_n and side_n > floor and side_b > floor
-            if passed:
-                signed = ux * vy - uy * vx
-                span_sq = side_n * side_n if side_n > side_b else side_b * side_b
-                if not (-inf < signed < inf and span_sq < inf):
-                    raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
-        if passed:
+        if settled:
+            ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
+            side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
             side = -1 if ux / side_n * vy - uy / side_n * vx > 0.0 else 1
             # from_side's arithmetic for the circles on the edges An -> A1 and Bn -> A1.
             inverse, apothem = 1.0 / side_n, 0.5 * side_n / tan
@@ -319,22 +289,12 @@ def verify_independence(
             y2 = 0.5 * (ay + bny) + (vx * inverse) * -side * apothem
             mx = 0.5 * ((x1 * 2.0 - ax) + (x2 * 2.0 - ax))
             my = 0.5 * ((y1 * 2.0 - ay) + (y2 * 2.0 - ay))
-            if not settled:
-                # An infinite radius could meet an infinite slack; a centroid past the float
-                # range with a finite radius (the edge's inverse overflows) fails the distance test.
-                r1, r2 = 0.5 * side_n / sin, 0.5 * side_b / sin
-                passed = (
-                    r1 < inf and r2 < inf
-                    and abs(math.hypot(ax - x1, ay - y1) - r1) <= slack + rel * r1
-                    and abs(math.hypot(ax - x2, ay - y2) - r2) <= slack + rel * r2
-                )
-        if not passed:
-            # The checked path raises the degenerate apex's error, or a circle's overflow error.
-            m1 = bottema_construct(an, Point(ax, ay), bn, n, tol=tol).m1
+        else:
+            if not (-inf < ax < inf and -inf < ay < inf):
+                raise _overflow("apex", (ax, ay))
+            apex = Point(ax, ay)
+            m1 = antipode_midpoint(*_erect_polygons(an, apex, bn, n, None, None, tol), apex)[2]
             mx, my = m1.x, m1.y
-        elif not (settled or -inf < mx < inf and -inf < my < inf):
-            # A finite M1 has finite antipodes: a sum with a term that is not finite is not finite.
-            raise _overflow("M1", (mx, my))
         midpoints.append((mx, my))
     # A repeated midpoint adds only zero distances and repeats a distance to
     # the closed form: the maxima over the distinct ones are the same floats.

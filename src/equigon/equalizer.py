@@ -54,10 +54,6 @@ class NoMatchingError(GeometryError):
     pass
 
 
-class NotSharedVertexError(GeometryError):
-    pass
-
-
 class NotTwoPointSolutionError(GeometryError):
     pass
 
@@ -148,21 +144,27 @@ def _vertex_distances(
             [hypot(x - bx, y - by) for bx, by in zip(us, vs)])
 
 
-def shared_vertex_points(first: RegularPolygon, second: RegularPolygon, a: Point,
-                         tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point, Point, Point, Point, bool]:
-    """D1, D2, M1, M2 of a pair sharing its first vertex ``a``, and whether M1 = M2.
-
-    M1 = O1 + O2 - A is the midpoint of the antipodes D = 2 O - A, and M2 its
-    mirror across the line O1 O2; they coincide exactly when A lies on that
-    line (``exactly_collinear``).  An M1 past the float range raises the
-    overflow error.
-    """
-    o1, o2 = first.centroid, second.centroid
-    d1, d2 = diametric_opposite(first, a, tol), diametric_opposite(second, a, tol)
+def antipode_midpoint(first: RegularPolygon, second: RegularPolygon, a: Point) -> tuple[Point, Point, Point]:
+    """D1, D2, the antipodes of the shared first vertex ``a`` on the two
+    circumcircles, and their midpoint M1 = O1 + O2 - A.  An antipode or M1
+    past the float range raises the overflow error."""
+    d1, d2 = diametric_opposite(first, a), diametric_opposite(second, a)
     mx, my = 0.5 * (d1.x + d2.x), 0.5 * (d1.y + d2.y)
     if not (abs(mx) < math.inf and abs(my) < math.inf):
         raise _overflow("M1", (mx, my))
-    m1 = Point(mx, my)
+    return d1, d2, Point(mx, my)
+
+
+def shared_vertex_points(first: RegularPolygon, second: RegularPolygon,
+                         a: Point) -> tuple[Point, Point, Point, Point, bool]:
+    """D1, D2, M1, M2 of a pair sharing its first vertex ``a``, and whether M1 = M2.
+
+    M1 is ``antipode_midpoint``'s, and M2 its mirror across the line O1 O2;
+    they coincide exactly when A lies on that line (``exactly_collinear``).
+    Nothing here tests that ``a`` is on both circles: the checks judge it.
+    """
+    o1, o2 = first.centroid, second.centroid
+    d1, d2, m1 = antipode_midpoint(first, second, a)
     if exactly_collinear(o1, o2, a):
         return d1, d2, m1, m1, True
     dx, dy = o2.x - o1.x, o2.y - o1.y
@@ -310,27 +312,26 @@ def verify_point_properties(
 ) -> tuple[CheckResult, ...]:
     """Check the classical facts tying M1, M2 to the diametric points.
 
-    With A the shared first vertex and D1, D2 its antipodes on the two
-    circumcircles, all read off the built polygons, so the first check holds
-    the solution's M1 to their antipodes: M1 is the midpoint of D1 D2 (and of
+    With A the first vertex of ``first`` and D1, D2 its reflections through
+    the two centroids, all read off the built polygons, so the first check
+    holds the solution's M1 to them: M1 is the midpoint of D1 D2 (and of
     the opposite vertex pair when n is even); M2 sits on the perpendicular
     bisector of D1 D2 and on the line through A parallel to D1 D2 (M2 = A for
     congruent polygons); |M1 M2| equals the distance from A to the line D1 D2,
     and M1 M2 is perpendicular to it; the quadrilateral O2 M1 O1 M2 has sides
     R1, R2, R2, R1.  A tangent contact collapses M1 = M2 and the checks
     involving the segment M1 M2 are reported vacuous.  Returns one check per
-    fact, in the order above, as the report prints them.
+    fact, in the order above, as the report prints them.  Whether the second
+    polygon passes through A is not decided here: where it does not, D2 is
+    not its antipode, and the facts fail as checks.
     """
     if not solution.points:
         raise NotTwoPointSolutionError("solution does not carry two candidate points")
     scale = max(first.circumradius, second.circumradius)
     slack = tol.bound(scale)
     a_first = first.vertex(1)
-    if a_first.distance(second.vertex(1)) > slack:
-        raise NotSharedVertexError("polygons do not share their first vertex")
-
     (m1, m2), co, n = solution.points[:2], solution.coincident, first.n
-    d1, d2 = diametric_opposite(first, a_first, tol), diametric_opposite(second, a_first, tol)
+    d1, d2 = diametric_opposite(first, a_first), diametric_opposite(second, a_first)
     midpoint = residual_check("midpoint_of_diametric_points", m1.distance(d1.midpoint(d2)), slack)
     if n % 2 == 0:
         across = 1 + n // 2

@@ -36,10 +36,6 @@ class DegenerateSideError(GeometryError):
     pass
 
 
-class NotOnCircumcircleError(GeometryError):
-    pass
-
-
 @dataclass(frozen=True)
 class RegularPolygon:
     n: int
@@ -142,9 +138,9 @@ def from_side(
     error past the float range), its length and n; a centroid or radius past
     the float range raises the overflow error, and every step that leaves the
     range reaches one of them.  The phase and the orientation are one
-    ``atan2`` each.  The apex sweep repeats the centroid arithmetic inline,
-    and the radius arithmetic on a base where its error bound leaves each
-    apex to be tested; the tests pin its midpoints to ``bottema_construct``'s.
+    ``atan2`` each.  The apex sweep repeats the centroid arithmetic inline
+    where its error bound settles every test, and calls this elsewhere; the
+    tests pin its midpoints to ``bottema_construct``'s.
     """
     if side not in (1, -1):
         raise GeometryError(f"side must be +1 or -1, got {side!r}")
@@ -171,22 +167,15 @@ def from_side(
     return RegularPolygon(n, Point(x, y), radius, phase, orientation)
 
 
-def diametric_opposite(
-    poly: RegularPolygon, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Point:
-    """Antipode of ``p`` on the circumcircle: the reflection through the centroid.
+def diametric_opposite(poly: RegularPolygon, p: Point) -> Point:
+    """Antipode of ``p`` on the circumcircle: its reflection through the
+    centroid, 2 O - P.
 
-    A ``p`` off the circumcircle raises ``NotOnCircumcircleError``, and an
-    antipode past the float range the overflow error.
+    It does not test that ``p`` is on the circle: the callers build their
+    polygons through ``p``, and the checks judge what follows from it.  An
+    antipode past the float range raises the overflow error.
     """
-    x, y, radius = poly.centroid.x, poly.centroid.y, poly.circumradius
-    distance = math.hypot(p.x - x, p.y - y)
-    if not tol.eq_at(distance, radius, radius):
-        raise NotOnCircumcircleError(
-            f"point at distance {distance} from centroid is not on the "
-            f"circumcircle of radius {radius}"
-        )
-    dx, dy = x * 2.0 - p.x, y * 2.0 - p.y
+    dx, dy = poly.centroid.x * 2.0 - p.x, poly.centroid.y * 2.0 - p.y
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise _overflow("antipode", (dx, dy))
     return Point(dx, dy)

@@ -19,7 +19,6 @@ from equigon.equalizer import (
     MatchKind,
     MixedVertexCountError,
     NoMatchingError,
-    NotSharedVertexError,
     NotTwoPointSolutionError,
     PairCase,
     _vertex_distances,
@@ -507,9 +506,11 @@ def test_point_properties_tangent_family_vacuous_entries():
 def test_point_properties_precondition_errors():
     first, second = shared_square_pair()
     solution = equal_distance_points(first, second)
+    # A pair that does not share its first vertex fails the facts as checks.
     stranger = RegularPolygon(4, Point(9, 9), 1.0, 0.0, 1)
-    with pytest.raises(NotSharedVertexError):
-        verify_point_properties(first, stranger, solution)
+    checks = by_name(verify_point_properties(first, stranger, solution))
+    assert not checks["midpoint_of_diametric_points"].ok
+    assert not checks["quadrilateral_side_lengths"].ok
     empty = equal_distance_points(
         RegularPolygon(4, Point(0, 0), 1.0, 0.0, 1),
         RegularPolygon(4, Point(10, 0), 2.0, 0.0, -1),

@@ -13,7 +13,6 @@ from equigon.polygon import (
     DegenerateSideError,
     InvalidRadiusError,
     InvalidVertexCountError,
-    NotOnCircumcircleError,
     RegularPolygon,
     diametric_opposite,
     from_shared_vertex,
@@ -326,12 +325,6 @@ def test_diametric_opposite_square():
     poly = from_shared_vertex(Point(0, 0), Point(1, 1), 4, 1)
     opposite = diametric_opposite(poly, Point(0, 0))
     assert_point(opposite, 2, 2)
-
-
-def test_diametric_opposite_rejects_off_circle_point():
-    poly = RegularPolygon(4, Point(0, 0), 1.0)
-    with pytest.raises(NotOnCircumcircleError):
-        diametric_opposite(poly, Point(0.5, 0.0))
 
 
 def side_length(poly):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import equigon.runner
 from equigon.bottema import bottema_construct
 from equigon.cli import main
 from equigon.geom import DEFAULT_TOLERANCE, Point, Tolerance
@@ -195,8 +196,6 @@ def test_a_missing_correspondence_fails_a_shared_vertex_pair_and_is_a_pair_findi
     # At rel 1e-18 no vertex correspondence holds within tolerance at either
     # point.  A shared-vertex pair requires one: both matching checks fail and
     # no cosine model is run.  A pair records a finding and runs neither.
-    # Only the checks are asserted: the same tolerance also fails the point
-    # properties' test that the polygons share vertex 1, recorded as an error.
     tight = Tolerance(rel=1e-18, abs=1e-300)
     scenario = parse_scenario((SCENARIO_DIR / "shared_vertex_squares.json").read_text(encoding="utf-8"))
     report = run_scenario(scenario, tight)
@@ -209,3 +208,67 @@ def test_a_missing_correspondence_fails_a_shared_vertex_pair_and_is_a_pair_findi
     for label in ("M1", "M2"):
         assert any(finding.startswith(f"no vertexwise correspondence at {label} (") for finding in report.findings)
     assert not [check.name for check in report.checks if check.name.startswith(("matching_", "cosine_model_"))]
+
+
+def exit_code(report):
+    """The exit code ``verify`` gives this report: 2 with an error, else 1 with a failed check."""
+    return 2 if report.errors else 0 if report.overall_ok else 1
+
+
+def both_kinds(rng):
+    """shared_vertex documents in both orientations, then bottema documents
+    without and with a 50-apex sweep, 6 of each at each n = 3..12."""
+    for n in range(3, 13):
+        for _ in range(6):
+            pair = random_scenario(ScenarioKind.SHARED_VERTEX, n, rng)
+            yield pair
+            yield dataclasses.replace(pair, config=dataclasses.replace(pair.config, orient2=pair.config.orient1))
+            triangle = random_scenario(ScenarioKind.BOTTEMA, n, rng)
+            yield triangle
+            yield dataclasses.replace(triangle, config=dataclasses.replace(triangle.config, sweep_samples=50))
+
+
+LADDER = (1e-18, 1e-16, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def test_the_tolerance_judges_checks_and_decides_no_structure():
+    # The construction puts the shared vertex on both circles; only the checks
+    # judge it.  A tolerance tighter than its rounding fails checks (exit 1),
+    # never the input (exit 2), and a looser one never fails a check that a
+    # tighter one passed.
+    documents = list(both_kinds(random.Random(37)))
+    assert len(documents) == 240
+    for document in documents:
+        passed = set()
+        for rel in LADDER:
+            report = run_scenario(document, Tolerance(rel=rel, abs=1e-300))
+            assert exit_code(report) != 2, (document, rel, report.errors)
+            now = {check.name for check in report.checks if check.ok}
+            assert passed <= now, (document, rel, passed - now)
+            passed = now
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--tolerance-rel", "1e-18", "--tolerance-abs", "1e-300",
+                     str(SCENARIO_DIR / "shared_vertex_squares.json")])
+    assert code == 1
+    assert not [line for line in out.getvalue().splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("field, delta", [("circumradius", 1e-6), ("phase", 1e-6),
+                                          ("circumradius", 3e-9), ("phase", 3e-9)])
+def test_a_wrong_construction_fails_a_check(monkeypatch, field, delta):
+    # The second polygon misses the shared vertex by its radius or phase
+    # fault.  That is a failed fact, not bad input: at 1e-6 every document
+    # fails a named check with no error, and at 3e-9 none exits 2.
+    built = equigon.runner.bottema_pair
+
+    def faulty(poly1, poly2, *args):
+        value = getattr(poly2, field)
+        wrong = value * (1.0 + delta) if field == "circumradius" else value + delta
+        return built(poly1, dataclasses.replace(poly2, **{field: wrong}), *args)
+
+    monkeypatch.setattr(equigon.runner, "bottema_pair", faulty)
+    rng = random.Random(3)
+    for index in range(300):
+        report = run_scenario(random_scenario(ScenarioKind.SHARED_VERTEX, 3 + index % 10, rng))
+        assert exit_code(report) in ((1,) if delta == 1e-6 else (0, 1)), (index, report.errors)
