@@ -1,17 +1,17 @@
 """Generalized Bottema construction.
 
-Erect regular n-gons on the two apex sides of a triangle An A1 Bn, both sharing
-the apex A1 as their first vertex.  With D1, D2 the antipodes of the apex on
-the two circumcircles, the midpoint M1 of D1 D2 does not move when the apex
-does: it is the centroid of the regular n-gon erected on the fixed base An Bn
-(on the apex side when both polygons are placed exterior).  Its distance from
-the base is ``|An Bn| / 2 * cot(pi / n)``, and the foot of that perpendicular
-is the base midpoint.  At M1 the vertex pairs subtend fixed angles:
-``angle(A_k M1 B_k) = 2 pi (k-1) / n`` folded into [0, pi].
-
-Any two n-gons running in opposite directions from a shared first vertex A1
-are such a construction, on A1 and their vertices n: ``bottema_pair`` builds
-that geometry, and ``verify_bottema`` checks the theorem on it.
+Erect regular n-gons on the two apex sides of a triangle An A1 Bn, both with the
+apex A1 as first vertex; one of orientation s lies on side -s of its apex edge
+directed from the apex.  With P the base midpoint and i a quarter turn, the
+midpoint M1 of the apex's antipodes is ``P + cot(pi/n) / 2 * i (s1 (A1 - An) +
+s2 (A1 - Bn))``.  For opposite orientations M1 does not move with the apex: it
+is the centroid of the regular n-gon erected on the base, ``|An Bn| / 2 * cot(pi
+/ n)`` from P.  For equal ones it is the apex's image under one spiral
+similarity about P, ``P + s1 cot(pi/n) i (A1 - P)``.  At M1, which realises
+``BottemaResult.m1_kind``, each A_k and its partner subtend ``2 pi (k-1) / n``
+folded into [0, pi].  Any two n-gons sharing their first vertex are such a
+construction, on A1 and their vertices n: ``bottema_pair`` builds it, and
+``verify_bottema`` checks it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .polygon import (
     _overflow,
     from_side,
 )
-from .equalizer import PairCase, antipode_midpoint, classify_pair, shared_vertex_points
+from .equalizer import MatchKind, PairCase, antipode_midpoint, classify_pair, partners, shared_vertex_points
 
 
 class DegenerateTriangleError(GeometryError):
@@ -62,6 +62,11 @@ class BottemaResult:
     collinear: bool
     case: PairCase
     coincident: bool
+
+    @property
+    def m1_kind(self) -> MatchKind:
+        """M1's vertex correspondence: the identity for opposite orientations, else the reversal."""
+        return MatchKind.IDENTITY if self.poly1.orientation != self.poly2.orientation else MatchKind.REVERSAL
 
 
 def bottema_construct(
@@ -135,11 +140,12 @@ def closed_form_midpoint(
     n: int,
     normal_side: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
+    apex: Point | None = None,
 ) -> Point:
-    """Predicted M1: base midpoint displaced by ``|An Bn|/2 * cot(pi/n)``.
-
-    ``normal_side`` +1 displaces to the left of the directed base An -> Bn.
-    This is exactly the centroid of ``from_side(an, bn, n, normal_side)``.
+    """Predicted M1: base midpoint P displaced by ``|An Bn|/2 * cot(pi/n)`` to the
+    left of the directed base An -> Bn for ``normal_side`` +1, exactly the centroid
+    of ``from_side(an, bn, n, normal_side)``.  With the ``apex`` A1 (orientations both
+    ``normal_side``): P + normal_side * cot(pi/n) * (A1 - P) turned a quarter turn left.
     """
     if normal_side not in (1, -1):
         raise GeometryError(f"normal_side must be +1 or -1, got {normal_side!r}")
@@ -149,29 +155,35 @@ def closed_form_midpoint(
     length = chord.norm()
     if length <= tol.bound(0.0):
         raise DegenerateSideError("base endpoints coincide")
+    if apex is not None:
+        middle = an.midpoint(bn)
+        return middle + (apex - middle).perpendicular() * (normal_side / math.tan(math.pi / n))
     normal = chord.perpendicular() * (normal_side / length)
     return an.midpoint(bn) + normal * (0.5 * length / math.tan(math.pi / n))
 
 
 def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CheckResult, ...]:
-    """The theorem on a pair with a base An Bn whose polygons run in opposite
-    directions.
-
-    ``closed_form_midpoint``: M1 is ``closed_form_midpoint`` on the side of
-    the base An Bn that M1 is on; ``altitude_length``: |M1 H| is ``|An Bn| /
-    2 * cot(pi / n)``; ``foot_at_base_midpoint``: H is the base midpoint; each
-    bounded by ``tol.bound(|An Bn|)``.  Then ``vertex_angles``.
+    """The theorem on a pair with a base An Bn, from its orientations, not
+    from M1's position.  ``closed_form_midpoint``: M1 is
+    ``closed_form_midpoint`` with the first polygon's orientation, on the apex
+    for equal orientations; for opposite ones, ``altitude_length``: |M1 H| is
+    ``|An Bn| / 2 * cot(pi / n)``, and ``foot_at_base_midpoint``: H is the
+    base midpoint.  Each is bounded by ``tol.bound(|An Bn|)``.  Then
+    ``vertex_angles``.
     """
     an, bn, m1, h = pair.an, pair.bn, pair.m1, pair.h
-    n = pair.poly1.n
+    n, side = pair.poly1.n, pair.poly1.orientation
     base = an.distance(bn)
-    # The side of M1 from the unit base direction: no product of two lengths underflows.
-    normal_side = 1 if Point((bn.x - an.x) / base, (bn.y - an.y) / base).cross(m1 - an) > 0.0 else -1
-    predicted = closed_form_midpoint(an, bn, n, normal_side, tol)
+    if pair.m1_kind is MatchKind.REVERSAL:
+        predicted = closed_form_midpoint(an, bn, n, side, tol, pair.a1)
+        return (residual_check("closed_form_midpoint", m1.distance(predicted), tol.bound(base),
+                               detail=f"apex turned about the base midpoint, orientation {side:+d}"),
+                *vertex_angles(pair, tol))
+    predicted = closed_form_midpoint(an, bn, n, side, tol)
     altitude = 0.5 * base / math.tan(math.pi / n)
     return (
         residual_check("closed_form_midpoint", m1.distance(predicted), tol.bound(base),
-                       detail=f"base normal side {normal_side:+d}"),
+                       detail=f"base normal side {side:+d}"),
         residual_check("altitude_length", abs(m1.distance(h) - altitude), tol.bound(base)),
         residual_check("foot_at_base_midpoint", h.distance(an.midpoint(bn)), tol.bound(base)),
         *vertex_angles(pair, tol),
@@ -316,12 +328,12 @@ def verify_independence(
 def vertex_angles(
     result: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[CheckResult, ...]:
-    """Angles subtended at M1 by each vertex pair, against the folded expectation.
+    """Angles at M1 between each A_k and its partner under ``result.m1_kind``, against the folded expectation.
 
     Returns one ``vertex_angle_k{k}`` check per k = 2..n, each bounded by
     ``tol.bound(pi)``.
 
-    ``angle_at(m1, poly1.vertex(k), poly2.vertex(k), tol)`` on both polygons'
+    ``angle_at(m1, poly1.vertex(k), partner, tol)`` on both polygons'
     coordinates: its differences, norms, unit rays, cross and dot in the same
     order, so every angle is the same float, with no ``Point`` and the floor
     ``tol.bound(0.0)`` taken once.  A ray past the float range raises the
@@ -333,7 +345,7 @@ def vertex_angles(
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
     n = poly1.n
     xs, ys = poly1.coordinates()
-    us, vs = poly2.coordinates()
+    us, vs = (partners(column, result.m1_kind) for column in poly2.coordinates())
     mx, my, hypot, inf = m1.x, m1.y, math.hypot, math.inf
     floor, bound = tol.bound(0.0), tol.bound(math.pi)
     near = tol.bound(max(poly1.circumradius, poly2.circumradius))

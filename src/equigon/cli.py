@@ -8,7 +8,8 @@ Verbs:
     bottema --an x,y --bn x,y    quick apex-independence check
 
 Exit codes of verify, sweep and bottema: 0 on success (including a verified
-absence of solution points), 1 when a check fails, 2 for input errors.
+absence of solution points), 1 when a check fails, 2 for input errors (in
+a sweep, any configuration that ends in an error).
 render exits 0 when it wrote the SVG and 2 when it could not.  Any verb exits
 141, as a shell reports a writer killed by SIGPIPE, when the reader of its
 standard output closes the pipe early (``equigon sweep ... | head -1``).
@@ -145,26 +146,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     kind = ScenarioKind(args.kind)
     tol = _tolerance_override(args, DEFAULT_TOLERANCE) or DEFAULT_TOLERANCE
     rng = random.Random(args.seed)
-    total = 0
-    failures = 0
+    passed_total = errors_total = 0
     for n in args.n:
-        passed = 0
-        worst = 0.0
+        passed, worst, errors = 0, 0.0, []
         for _ in range(args.count):
             report = run_scenario(random_scenario(kind, n, rng), tol)
-            total += 1
-            if report.overall_ok:
-                passed += 1
-            else:
-                failures += 1
-            worst = max(
-                worst,
-                max((check.residual for check in report.checks if not check.vacuous), default=0.0),
-            )
-        print(f"n={n}: {passed}/{args.count} pass  worst residual {worst:.3e}")
-    verdict = "PASS" if failures == 0 else "FAIL"
-    print(f"sweep {args.kind}: {verdict} ({total - failures}/{total} configurations)")
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+            passed += report.overall_ok
+            errors += report.errors
+            worst = max(worst, max((check.residual for check in report.checks if not check.vacuous), default=0.0))
+        row = f"n={n}: {passed}/{args.count} pass  worst residual {worst:.3e}"
+        # A configuration that ended in an error has no residual: the row names the error.
+        print(row + (f"  errors {len(errors)}, first {errors[0]}" if errors else ""))
+        passed_total, errors_total = passed_total + passed, errors_total + len(errors)
+    total = len(args.n) * args.count
+    print(f"sweep {args.kind}: {'PASS' if passed_total == total else 'FAIL'} ({passed_total}/{total} configurations)")
+    return EXIT_INPUT_ERROR if errors_total else EXIT_OK if passed_total == total else EXIT_CHECK_FAILED
 
 
 def _cmd_bottema(args: argparse.Namespace) -> int:

@@ -104,7 +104,7 @@ class EqualDistanceSolution:
 
 @dataclass(frozen=True)
 class Matching:
-    """A vertex correspondence verified at one point.
+    """A vertex correspondence measured at one point.
 
     ``max_residual`` is the worst per-vertex distance mismatch for k = 2..n;
     ``first_residual`` is the k = 1 mismatch that any correspondence requires.
@@ -248,11 +248,12 @@ def correspondence(
     second: RegularPolygon,
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
+    kind: MatchKind | None = None,
 ) -> Matching:
-    """Find which vertex correspondence the point realises, identity preferred.
+    """Measure the vertex correspondence ``kind`` at the point, or find the one it realises, identity preferred.
 
-    Reads the first-vertex residual and each correspondence's residuals off
-    one list of the point's vertex distances per polygon.  Raises
+    Reads the first-vertex residual and the correspondence's residuals off
+    one list of the point's vertex distances per polygon.  The search raises
     NoMatchingError when neither correspondence holds within tolerance (this
     includes the case where the k = 1 distances already disagree).  Returns
     the measurements, not a verdict: the runner judges them as the
@@ -260,13 +261,15 @@ def correspondence(
     """
     if first.n != second.n:
         raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
-    slack = tol.bound(max(first.circumradius, second.circumradius))
     near, far = _vertex_distances(first, second, point)
     first_residual = abs(near[0] - far[0])
 
     def worst(kind: MatchKind) -> float:
         return max(map(abs, map(sub, near[1:], partners(far, kind)[1:])))
 
+    if kind is not None:
+        return Matching(kind, worst(kind), first_residual)
+    slack = tol.bound(max(first.circumradius, second.circumradius))
     if first_residual <= slack:
         for kind in MatchKind:
             residual = worst(kind)

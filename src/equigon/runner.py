@@ -17,7 +17,6 @@ solves, which is all a figure needs.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -30,6 +29,7 @@ from .equalizer import (
     EqualDistanceSolution,
     Locus,
     Matching,
+    MatchKind,
     NoMatchingError,
     PairCase,
     correspondence,
@@ -163,24 +163,24 @@ def _locus(out: Report, first: RegularPolygon, second: RegularPolygon, locus: Lo
 
 
 def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points: tuple[Point, ...],
-              coincident: bool, tol: Tolerance, required: bool) -> Checks:
+              coincident: bool, tol: Tolerance, m1_kind: MatchKind | None) -> Checks:
     """Record the points and M1's vertex correspondence, which colours the
     figure's distance fan; return the checks at each point: power sums,
     alignment, matching and, with a correspondence, its cosine model.
 
-    A point without a correspondence fails its matching check when one is
-    ``required``, and otherwise gets a finding.
+    A pair sharing its first vertex passes ``m1_kind`` (M2 realises the other);
+    a ``pair`` passes None and searches, and a point without one gets a finding.
     """
     labelled = list(zip(("M1",) if coincident else ("M1", "M2"), points))
     out.points.extend(labelled)
     out.coincident = coincident
+    kinds = {} if m1_kind is None else {
+        "M1": m1_kind, "M2": MatchKind.REVERSAL if m1_kind is MatchKind.IDENTITY else MatchKind.IDENTITY}
 
-    def correspond(label: str, point: Point) -> Matching | NoMatchingError | None:
+    def correspond(label: str, point: Point) -> Matching | None:
         try:
-            match = correspondence(first, second, point, tol)
+            match = correspondence(first, second, point, tol, kinds.get(label))
         except NoMatchingError as exc:
-            if required:
-                return exc
             out.findings.append(f"no vertexwise correspondence at {label} ({exc})")
             return None
         out.matchings.append((label, match.kind.value))
@@ -195,9 +195,7 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
             out.checks.append(compare_power_sums(near, far, tol, name=f"power_sums_{label}"))
             out.checks.append(verify_alignment(first, second, point, near, tol, f"alignment_multiset_{label}"))
             found = at_m1 if label == "M1" else correspond(label, point)
-            if isinstance(found, NoMatchingError):
-                out.checks.append(CheckResult(f"matching_{label}", False, math.inf, bound, detail=str(found)))
-            elif found is not None:
+            if found is not None:
                 worst = max(found.max_residual, found.first_residual)
                 out.checks.append(residual_check(f"matching_{label}", worst, bound, detail=found.kind.value))
                 shared_angle, model_residual = cosine_model(first, second, point, found.kind, near, far)
@@ -227,7 +225,7 @@ def _pair(out: Report, tol: Tolerance) -> Checks:
             f"{gap!r} outside [{lo!r}, {hi!r}]"
         )
         return lambda: None
-    return _labelled(out, first, second, solution.points, solution.coincident, tol, required=False)
+    return _labelled(out, first, second, solution.points, solution.coincident, tol, None)
 
 
 def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
@@ -247,21 +245,17 @@ def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
     out.geometry = pair
     first, second = pair.poly1, pair.poly2
     out.classification = pair.case.value
-    opposite = first.orientation != second.orientation
     if pair.collinear:
         out.findings.append("triangle corners are collinear; construction still applies")
     if pair.h is not None:
         out.findings.append(
             f"foot of perpendicular H = ({pair.h.x!r}, {pair.h.y!r}), base length {pair.an.distance(pair.bn)!r}"
         )
-        if not opposite:
-            out.findings.append("same-orientation placement: the midpoint depends on the apex, "
-                                "constancy checks skipped")
     if pair.case is PairCase.CONGRUENT_SAME_CENTROID:  # every point is an equal-distance point
         point_checks = _locus(out, first, second, Locus.ENTIRE_PLANE, tol)
     else:
         solution = EqualDistanceSolution(pair.case, (pair.m1, pair.m2), pair.coincident)
-        labelled = _labelled(out, first, second, solution.points, pair.coincident, tol, required=True)
+        labelled = _labelled(out, first, second, solution.points, pair.coincident, tol, pair.m1_kind)
 
         def point_checks() -> None:
             labelled()
@@ -269,7 +263,7 @@ def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
 
     def checks() -> None:
         point_checks()
-        if opposite and pair.h is not None:
+        if pair.h is not None:
             out.checks.extend(verify_bottema(pair, tol))
         if samples >= 2:
             spread, closed = verify_independence(pair.an, pair.bn, n, samples, tol, out.scenario.seed)

@@ -249,6 +249,36 @@ def test_sweep_identity_check_at_n_200(capsys):
     assert captured.err == ""
 
 
+def test_sweep_names_its_errors_and_exits_2(monkeypatch, capsys):
+    # At an absolute tolerance of 5 every triangle's corners coincide: each
+    # configuration ends in an error, which verify exits 2 on.  A row with
+    # errors counts them and names the first; it once read as a bare 0/3
+    # with a worst residual of 0 and exit 1.
+    args = ["sweep", "--kind", "bottema", "--n", "3-4", "--count", "3", "--seed", "1", "--tolerance-abs", "5"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    row = "pass  worst residual 0.000e+00  errors 3, first DegenerateTriangleError: triangle corners coincide"
+    assert captured.out.splitlines() == [f"n=3: 0/3 {row}", f"n=4: 0/3 {row}",
+                                         "sweep bottema: FAIL (0/6 configurations)"]
+    assert captured.err == ""
+    # One error among passing configurations is enough for exit 2.
+    original = equigon.cli.run_scenario
+    seen = []
+
+    def second_fails(scenario, tol=None):
+        report = original(scenario, tol)
+        seen.append(report)
+        if len(seen) == 2:
+            report.errors.append("GeometryError: injected")
+        return report
+
+    monkeypatch.setattr(equigon.cli, "run_scenario", second_fails)
+    assert main(["sweep", "--kind", "pair", "--n", "3-4", "--count", "2", "--seed", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("  errors 1, first GeometryError: injected") and "errors" not in lines[1]
+    assert lines[2] == "sweep pair: FAIL (3/4 configurations)"
+
+
 def test_verify_non_finite_sums_fail_with_nan_residual(tmp_path, capsys):
     # The probe is 2e308 from the centroid, past the float range.
     doc = tmp_path / "far.json"

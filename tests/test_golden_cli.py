@@ -47,15 +47,21 @@ CASES = (
     # at their M2 a circle of radius |M2 A1| about M2 was almost tangent to the
     # second circumcircle, and intersecting them lost one of the two rotations.
     # The same-orientation
-    # pair once failed midpoint_of_diametric_points and
-    # mirror_point_bisector_parallel, when M1 was the crossing that realised
-    # the identity; there M1 realises the reversal.
+    # pair and the Bottema triangle with both polygons left of their apex
+    # edges (side1 = side2 = 1) run the other form of the closed-form
+    # midpoint, the apex turned about the base midpoint, and the vertex angles
+    # with reversal partners.  The pair once failed midpoint_of_diametric_points
+    # and mirror_point_bisector_parallel, when M1 was the crossing that
+    # realised the identity; there M1 realises the reversal.  The congruent
+    # pair's M2 = A is held to the reversal, which holds there as the identity
+    # does.
     + [(stem, ["verify", "--json", str(DATA / f"{stem}.json")])
        for stem in ("identity_overflow_n500", "identity_nan_n128", "identity_vertex_overflow_n64",
                     "shared_vertex_large_n256", "pair_large_n256", "bottema_large_n128",
                     "shared_vertex_scaled_1e-300", "shared_vertex_scaled_1e154",
                     "pair_near_tangent_n256", "bottema_near_tangent_n7", "bottema_near_tangent_n8",
-                    "shared_vertex_same_orientation_n5", "shared_vertex_congruent_n6")]
+                    "shared_vertex_same_orientation_n5", "shared_vertex_congruent_n6",
+                    "bottema_same_side_n5")]
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap, at the largest n, at a tight

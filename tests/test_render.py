@@ -123,10 +123,9 @@ def test_solve_records_what_the_figure_reads():
         # distance fan; the checks add M2's.
         assert solved.matchings == [m for m in full.matchings if m[0] == "M1"]
     for scenario in sided:
-        # Polygons on the same side of their apex edges walk the same way round.
-        same = scenario.config.side1 == scenario.config.side2
-        found = solve_scenario(scenario).findings
-        assert any(f.startswith("same-orientation placement: ") for f in found) is same
+        # Polygons on the same side of their apex edges walk the same way round,
+        # and get the theorem's other form, not a skip.
+        assert not [f for f in run_scenario(scenario).findings if f.startswith("same-orientation")]
 
 
 def test_figure_overflow_is_input_error(tmp_path, capsys):

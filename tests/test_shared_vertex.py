@@ -2,9 +2,10 @@
 
 ``shared_vertex`` and ``bottema`` documents differ only in how the pair is
 built; both run the same checks: power sums, alignment, matching and cosine
-model at M1 and M2, the six point properties, and, when the polygons run in
-opposite directions, the Bottema checks on the triangle of the shared vertex
-and the two vertices n.
+model at M1 and M2, the six point properties, and, when the two vertices n
+differ, the Bottema checks on the triangle of the shared vertex and the two
+vertices n.  The orientations decide M1's correspondence and the form of the
+closed-form midpoint.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import equigon.runner
-from equigon.bottema import bottema_construct
+from equigon.bottema import bottema_construct, verify_bottema
 from equigon.cli import main
 from equigon.geom import DEFAULT_TOLERANCE, Point, Tolerance
 from equigon.runner import run_scenario
@@ -194,15 +195,20 @@ def test_foot_is_the_base_midpoint_when_the_squared_base_overflows():
 
 def test_a_missing_correspondence_fails_a_shared_vertex_pair_and_is_a_pair_finding():
     # At rel 1e-18 no vertex correspondence holds within tolerance at either
-    # point.  A shared-vertex pair requires one: both matching checks fail and
-    # no cosine model is run.  A pair records a finding and runs neither.
+    # point.  A shared-vertex pair knows its correspondences from its opposite
+    # orientations, and searches for none: both matching checks fail on the
+    # known kind with a finite residual, and both cosine models run.  A pair
+    # records a finding and runs neither.
     tight = Tolerance(rel=1e-18, abs=1e-300)
     scenario = parse_scenario((SCENARIO_DIR / "shared_vertex_squares.json").read_text(encoding="utf-8"))
     report = run_scenario(scenario, tight)
-    for match in checks_named(report, ("matching_M1", "matching_M2")):
-        assert not match.ok and match.residual == math.inf
-        assert match.detail.startswith("no vertex correspondence holds")
-    assert not [check.name for check in report.checks if check.name.startswith("cosine_model_")]
+    matches = checks_named(report, ("matching_M1", "matching_M2"))
+    assert [match.detail for match in matches] == ["identity", "reversal"]
+    for match in matches:
+        assert not match.ok and 0.0 < match.residual < 1e-14
+    checks_named(report, ("cosine_model_M1", "cosine_model_M2"))
+    assert report.matchings == [("M1", "identity"), ("M2", "reversal")]
+    assert not [finding for finding in report.findings if finding.startswith("no vertexwise")]
     scenario = parse_scenario((SCENARIO_DIR / "pair_pentagons.json").read_text(encoding="utf-8"))
     report = run_scenario(scenario, tight)
     for label in ("M1", "M2"):
@@ -228,7 +234,7 @@ def both_kinds(rng):
             yield dataclasses.replace(triangle, config=dataclasses.replace(triangle.config, sweep_samples=50))
 
 
-LADDER = (1e-18, 1e-16, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
+LADDER = (1e-18, 1e-16, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 1e-1)
 
 
 def test_the_tolerance_judges_checks_and_decides_no_structure():
@@ -272,3 +278,53 @@ def test_a_wrong_construction_fails_a_check(monkeypatch, field, delta):
     for index in range(300):
         report = run_scenario(random_scenario(ScenarioKind.SHARED_VERTEX, 3 + index % 10, rng))
         assert exit_code(report) in ((1,) if delta == 1e-6 else (0, 1)), (index, report.errors)
+
+
+def oriented(kind, n, rng, first, second):
+    """A random ``kind`` document with these orientations (``shared_vertex``)
+    or sides (``bottema``, where a polygon's side is minus its orientation)."""
+    scenario = random_scenario(kind, n, rng)
+    fields = ("orient1", "orient2") if kind is ScenarioKind.SHARED_VERTEX else ("side1", "side2")
+    config = dataclasses.replace(scenario.config, **dict(zip(fields, (first, second))))
+    return dataclasses.replace(scenario, config=config)
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.SHARED_VERTEX, ScenarioKind.BOTTEMA], ids=lambda kind: kind.value)
+@pytest.mark.parametrize("first, second", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_the_bottema_theorem_holds_for_every_orientation_pair(kind, first, second):
+    # Opposite orientations: M1 is the centroid of the n-gon on the base, and
+    # A_k pairs with B_k.  Equal ones: M1 is the apex turned a quarter turn
+    # about the base midpoint and scaled by cot(pi / n), and A_k pairs with
+    # B_(n+2-k).  Either way every document passes, with no finding of a skip.
+    rng = random.Random(19)
+    equal = first == second
+    for n in [n for n in range(3, 13) for _ in range(20)] + [64] * 6:
+        report = run_scenario(oriented(kind, n, rng, first, second))
+        assert exit_code(report) == 0, (n, [c.name for c in report.checks if not c.ok], report.errors)
+        closed, *angles = checks_named(report, ("closed_form_midpoint",)
+                                       + tuple(f"vertex_angle_k{k}" for k in range(2, n + 1)))
+        assert closed.detail.startswith("apex turned about the base midpoint") is equal
+        assert closed.ok and all(angle.ok for angle in angles), n
+        assert report.matchings[0] == ("M1", "reversal" if equal else "identity")
+        assert not [finding for finding in report.findings if finding.startswith("same-orientation")]
+
+
+def test_an_m1_mirrored_across_the_base_fails_the_closed_form():
+    # The closed form's side comes from the orientations, not from M1: an M1
+    # mirrored across the base misses it by twice the altitude, |An Bn| *
+    # cot(pi / n), while the altitude and the foot, symmetric in the base,
+    # still pass.  Apexes are drawn as in acceptance criterion 8, in the
+    # frame of each random base.
+    rng = random.Random(5)
+    for _ in range(300):
+        an, bn = (Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2))
+        n, base = rng.randint(3, 12), an.distance(bn)
+        half = (bn - an) * 0.5
+        apex = an + half * rng.uniform(-1.0, 3.0) + half.perpendicular() * rng.uniform(0.1, 2.5)
+        pair = bottema_construct(an, apex, bn, n)
+        mirrored = dataclasses.replace(pair, m1=pair.h + (pair.h - pair.m1))
+        checks = {check.name: check for check in verify_bottema(mirrored)}
+        closed = checks["closed_form_midpoint"]
+        assert not closed.ok
+        assert closed.residual == pytest.approx(base / math.tan(math.pi / n), rel=1e-9)
+        assert checks["altitude_length"].ok and checks["foot_at_base_midpoint"].ok
