@@ -212,6 +212,12 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
 # above the floor, the signed area is under 30 L**2, and with sin(pi/n) >= 2/n
 # each radius is positive and under 2**20 L: apex, triangle, radii, centroids,
 # phases, antipodes and M1 are all below 2**430, so finite.
+#
+# Exterior sides.  A is left of An -> Bn, so the exact value of
+# _erect_polygons' test ux / side_n * vy - uy / side_n * vx, twice the
+# triangle's area over the apex side to An, is at least 0.0499 L * L / 3.7 L,
+# about 0.0135 L; its rounding error is below 2**-29 L.  So the test reads -1
+# for the An polygon and +1 for the Bn polygon on every apex.
 
 
 def _sweep_settled(base_length: float, corner: float, n: int, floor: float) -> bool:
@@ -251,17 +257,21 @@ def verify_independence(
     coordinates at most 2**20 L and a floor below 0.04 L, each apex has both
     sides above the floor and a finite triangle, circles, antipodes and M1.
     At any tolerance that covers every base in that range longer than 25
-    times ``tol.abs``.  On a settled base ``tan(pi / n)`` is taken once, and
-    each apex computes in plain floats, calling no Python function but the
-    two ``rng.uniform`` draws: the corner differences and apex-side lengths,
-    the exterior side, both centroids by ``from_side``'s arithmetic, the
-    antipodes and their midpoint.  On any other base each apex, once it is
+    times ``tol.abs``.  On a settled base ``tan(pi / n)`` is taken once and
+    the sides are fixed per base, -1 for the An polygon and +1 for the Bn
+    one, as every apex is left of An -> Bn.  Each apex computes in plain
+    floats, calling no Python function, with two ``random()`` draws and two
+    ``hypot`` calls: the corner differences and apex-side lengths, both
+    centroids by ``from_side``'s arithmetic, the antipodes and their
+    midpoint.  On any other base each apex, once it is
     finite, runs the checked construction up to M1 (the polygons
     ``bottema_construct`` erects, then ``antipode_midpoint``), and the first
     test it fails raises its error.
 
-    The apex's coordinates are the float operations of ``an + along * s +
-    normal * u`` in the same order, so they are the same floats.  The
+    Each draw is ``a + (b - a) * random()``, the expression
+    ``random.uniform`` documents, so it is the float ``rng.uniform(a, b)``
+    gives.  The apex's coordinates are the float operations of ``an + along
+    * s + normal * u`` in the same order, so they are the same floats.  The
     distances are ``math.hypot`` and ``math.dist`` of the coordinate
     differences: both take ``fabs`` of each difference and share CPython's
     vector norm, so each is the float ``Point.distance`` gives.
@@ -274,31 +284,32 @@ def verify_independence(
     floor = tol.bound(0.0)
     if base_length <= floor:
         raise DegenerateSideError("base endpoints coincide")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     along = (bn - an) * (1.0 / base_length)
     normal = along.perpendicular()
+    ex, ey, nx, ny = along.x, along.y, normal.x, normal.y
     predicted = closed_form_midpoint(an, bn, n, 1, tol)
     px, py = predicted.x, predicted.y
     anx, any_, bnx, bny = an.x, an.y, bn.x, bn.y
     settled = _sweep_settled(base_length, max(abs(anx), abs(any_), abs(bnx), abs(bny)), n, floor)
-    tan, inf = math.tan(math.pi / n), math.inf
+    tan, inf, hypot = math.tan(math.pi / n), math.inf, math.hypot
     midpoints: list[tuple[float, float]] = []
     for _ in range(samples):
-        t = rng.uniform(-0.5, 1.5)
-        height = rng.uniform(0.05, 2.0)
+        t = -0.5 + (1.5 - -0.5) * draw()
+        height = 0.05 + (2.0 - 0.05) * draw()
         s, u = t * base_length, height * base_length
-        ax, ay = anx + along.x * s + normal.x * u, any_ + along.y * s + normal.y * u
+        ax, ay = anx + ex * s + nx * u, any_ + ey * s + ny * u
         if settled:
             ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
-            side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
-            side = -1 if ux / side_n * vy - uy / side_n * vx > 0.0 else 1
-            # from_side's arithmetic for the circles on the edges An -> A1 and Bn -> A1.
+            side_n, side_b = hypot(ux, uy), hypot(vx, vy)
+            # from_side's arithmetic for the circles on the edges An -> A1 and
+            # Bn -> A1, on the exterior sides -1 and +1 of a settled base.
             inverse, apothem = 1.0 / side_n, 0.5 * side_n / tan
-            x1 = 0.5 * (ax + anx) + -(uy * inverse) * side * apothem
-            y1 = 0.5 * (ay + any_) + (ux * inverse) * side * apothem
+            x1 = 0.5 * (ax + anx) + uy * inverse * apothem
+            y1 = 0.5 * (ay + any_) - ux * inverse * apothem
             inverse, apothem = 1.0 / side_b, 0.5 * side_b / tan
-            x2 = 0.5 * (ax + bnx) + -(vy * inverse) * -side * apothem
-            y2 = 0.5 * (ay + bny) + (vx * inverse) * -side * apothem
+            x2 = 0.5 * (ax + bnx) - vy * inverse * apothem
+            y2 = 0.5 * (ay + bny) + vx * inverse * apothem
             mx = 0.5 * ((x1 * 2.0 - ax) + (x2 * 2.0 - ax))
             my = 0.5 * ((y1 * 2.0 - ay) + (y2 * 2.0 - ay))
         else:

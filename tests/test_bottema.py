@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -502,10 +503,44 @@ def test_settled_sweep_measures_only_the_two_sides(monkeypatch):
     assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, DEFAULT_TOLERANCE) == 2
 
 
+def test_settled_sweep_calls_no_python_function_per_apex():
+    # On a settled base the sides are fixed once and the draws are inline: an
+    # apex's only calls are C functions, its two random() draws, its two
+    # hypot calls and the append of its midpoint.
+    def events_per_call(samples):
+        tally = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in tally:
+                tally[event] += 1
+
+        sys.setprofile(profile)
+        try:
+            spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, samples, seed=1)
+        finally:
+            sys.setprofile(None)
+        assert spread.ok and closed.ok
+        return tally
+
+    long, short = events_per_call(300), events_per_call(2)
+    assert {event: (long[event] - short[event]) / 298 for event in long} == {"call": 0, "c_call": 5}
+
+
 def test_unsettled_sweep_runs_the_checked_construction(monkeypatch):
     # A floor of 0.04 base lengths is past the bound, so each apex runs the
     # construction's triangle tests and from_side, each measuring both sides.
     assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, Tolerance(abs=0.08)) >= 4
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "far from the origin the sweep's bound is taken at the base length, while the "
+    "rounding of the apexes and midpoints grows with the corners' magnitude"))
+def test_sweep_far_from_the_origin_passes():
+    # Corners at 1e18 and a base of 1e10: the midpoints spread by 4.615e+02
+    # against an allowed 1.000e+01.  The base is not settled (its corners are
+    # past 2**20 base lengths), so each apex runs the checked construction.
+    spread, closed = verify_independence(Point(1e18, 1e18), Point(1.00000001e18, 1e18), 5, 300, seed=7)
+    assert spread.ok and closed.ok
 
 
 def reference_midpoint(an, apex, bn, n, tol):

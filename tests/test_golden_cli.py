@@ -4,8 +4,8 @@ Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
 each file in ``scenarios/``, ``verify --json`` on the documents in
 ``tests/data/``, ``bottema``, also at its sample cap, at n = 2048, at a
-tight relative tolerance and on a base its error bound leaves unsettled, and
-``sweep``);
+tight relative tolerance, on a base its error bound leaves unsettled and on
+two tilted bases, and ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json`` or for one of the three large-n pair, shared-vertex
 and Bottema documents in ``tests/data/``.  The files pin the
@@ -74,6 +74,12 @@ CASES = (
                               "--tolerance-rel", "1e-13"])]
     + [("bottema_abs_0.08", ["bottema", "--n", "12", "--samples", "300", "--seed", "7",
                              "--tolerance-abs", "0.08"])]
+    # Two tilted bases, where no apex product is an exact zero as on (0,0)-(2,0);
+    # the second has its corners 5.3e5 base lengths out, and is settled.
+    + [("bottema_tilted_n7", ["bottema", "--an=-3.7,1.2", "--bn=5.1,-2.9", "--n", "7",
+                              "--samples", "300", "--seed", "11"])]
+    + [("bottema_tilted_far_n12", ["bottema", "--an=1000000,-2000000", "--bn=1000003.3,-1999998.1",
+                                   "--n", "12", "--samples", "3000", "--seed", "5"])]
     + [(f"sweep_{kind.value}", ["sweep", "--kind", kind.value, "--n", "3-12", "--count", "25",
                                 "--seed", "7"])
        for kind in ScenarioKind]
