@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, repeat, starmap
+from itertools import combinations, compress, repeat, starmap
+from operator import ge, sub
 
 from .checks import CheckResult, residual_check
 from .geom import (
@@ -218,6 +219,23 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
 # triangle's area over the apex side to An, is at least 0.0499 L * L / 3.7 L,
 # about 0.0135 L; its rounding error is below 2**-29 L.  So the test reads -1
 # for the An polygon and +1 for the Bn polygon on every apex.
+#
+# Doubled centroids.  Per axis the loop forms 2 O = c + r, c = A + An and r =
+# q * (side_n / tan) with q = +-uy / side_n or +-ux / side_n, where from_side
+# halves c and side_n, so r.  Those halvings are exact, and 2 O - A the same
+# float, while c and r are 0 or at least 2**-1021, as side_n / tan > 2**-406
+# is.  Otherwise one term is under a quarter ulp of what it is added to:
+# - 0 < |c| < 2**-1021 needs |A|, |An| < 2**-968 on this axis, so the side runs
+#   along the other and |r| > 2**-407: the sums read r and r / 2;
+# - |r| < 2**-1021 puts the side along this axis, |A - An| > 2**-405: c = 0 and
+#   |A| > 2**-406, so 2 O - A reads -A; or |c| >= 2**-459: the sums read c, c / 2.
+#
+# The spread over rim midpoints.  On each axis the larger of a midpoint's two
+# differences to the bounding box's edges bounds its float difference to any
+# midpoint, as subtraction rounds monotonically, and math.hypot and math.dist
+# share CPython's vector norm, within 1 ulp.  The widest pair is at least as wide
+# as `lower`, a real pair's width, so the hypot of each end's four differences is
+# at least lower (1 - 2**-50), or lower - 2**-1073 below 2**-1022: not under the cut.
 
 
 def _sweep_settled(base_length: float, corner: float, n: int, floor: float) -> bool:
@@ -246,24 +264,24 @@ def verify_independence(
     every construction is non-degenerate and exterior placement keeps both
     polygons on the far side.  Returns two checks, each bounded by
     ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
-    spread of the computed midpoints, taken over the distinct ones, and
+    spread of the computed midpoints, taken over the distinct ones and, by the
+    bound argued beside ``_sweep_settled``, only between the rim ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
 
     Each apex computes only M1, with ``bottema_construct``'s arithmetic, so
     its M1 is bit-equal to ``bottema_construct``'s.  An error bound
     (``_sweep_settled``, argued beside it) settles once per base that every
     apex the sweep can draw passes each test of the construction up to M1:
-    for an integer n <= 2**20, a base length L in [2**-400, 2**400], corner
-    coordinates at most 2**20 L and a floor below 0.04 L, each apex has both
-    sides above the floor and a finite triangle, circles, antipodes and M1.
-    At any tolerance that covers every base in that range longer than 25
-    times ``tol.abs``.  On a settled base ``tan(pi / n)`` is taken once and
+    for an integer n <= 2**20, a base length L in [2**-400, 2**400] longer
+    than 25 times ``tol.abs`` and corner coordinates at most 2**20 L, each
+    apex has both sides above the floor and a finite triangle, circles,
+    antipodes and M1.  On a settled base ``tan(pi / n)`` is taken once and
     the sides are fixed per base, -1 for the An polygon and +1 for the Bn
     one, as every apex is left of An -> Bn.  Each apex computes in plain
     floats, calling no Python function, with two ``random()`` draws and two
     ``hypot`` calls: the corner differences and apex-side lengths, both
-    centroids by ``from_side``'s arithmetic, the antipodes and their
-    midpoint.  On any other base each apex, once it is
+    centroids doubled by ``from_side``'s arithmetic less its exact halvings,
+    the antipodes and their midpoint.  On any other base each apex, once it is
     finite, runs the checked construction up to M1 (the polygons
     ``bottema_construct`` erects, then ``antipode_midpoint``), and the first
     test it fails raises its error.
@@ -293,7 +311,7 @@ def verify_independence(
     anx, any_, bnx, bny = an.x, an.y, bn.x, bn.y
     settled = _sweep_settled(base_length, max(abs(anx), abs(any_), abs(bnx), abs(bny)), n, floor)
     tan, inf, hypot = math.tan(math.pi / n), math.inf, math.hypot
-    midpoints: list[tuple[float, float]] = []
+    midpoints: dict[tuple[float, float], None] = {}
     for _ in range(samples):
         t = -0.5 + (1.5 - -0.5) * draw()
         height = 0.05 + (2.0 - 0.05) * draw()
@@ -302,28 +320,36 @@ def verify_independence(
         if settled:
             ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
             side_n, side_b = hypot(ux, uy), hypot(vx, vy)
-            # from_side's arithmetic for the circles on the edges An -> A1 and
-            # Bn -> A1, on the exterior sides -1 and +1 of a settled base.
-            inverse, apothem = 1.0 / side_n, 0.5 * side_n / tan
-            x1 = 0.5 * (ax + anx) + uy * inverse * apothem
-            y1 = 0.5 * (ay + any_) - ux * inverse * apothem
-            inverse, apothem = 1.0 / side_b, 0.5 * side_b / tan
-            x2 = 0.5 * (ax + bnx) - vy * inverse * apothem
-            y2 = 0.5 * (ay + bny) + vx * inverse * apothem
-            mx = 0.5 * ((x1 * 2.0 - ax) + (x2 * 2.0 - ax))
-            my = 0.5 * ((y1 * 2.0 - ay) + (y2 * 2.0 - ay))
+            # from_side's arithmetic, less its halvings, so twice the centroids of the
+            # circles on An -> A1 and Bn -> A1, on the sides -1 and +1 of a settled base.
+            inverse, apothem = 1.0 / side_n, side_n / tan
+            x1 = (ax + anx) + uy * inverse * apothem
+            y1 = (ay + any_) - ux * inverse * apothem
+            inverse, apothem = 1.0 / side_b, side_b / tan
+            x2 = (ax + bnx) - vy * inverse * apothem
+            y2 = (ay + bny) + vx * inverse * apothem
+            mx = 0.5 * ((x1 - ax) + (x2 - ax))
+            my = 0.5 * ((y1 - ay) + (y2 - ay))
         else:
             if not (-inf < ax < inf and -inf < ay < inf):
                 raise _overflow("apex", (ax, ay))
             apex = Point(ax, ay)
             m1 = antipode_midpoint(*_erect_polygons(an, apex, bn, n, None, None, tol), apex)[2]
             mx, my = m1.x, m1.y
-        midpoints.append((mx, my))
-    # A repeated midpoint adds only zero distances and repeats a distance to
-    # the closed form: the maxima over the distinct ones are the same floats.
-    midpoints = list(dict.fromkeys(midpoints))
-    worst_closed = max(map(math.dist, repeat((px, py)), midpoints))
-    max_deviation = max(starmap(math.dist, combinations(midpoints, 2)), default=0.0)
+        midpoints[mx, my] = None
+    # A repeated midpoint adds only zero distances and repeats a distance to the
+    # closed form: the maxima over the distinct ones are the same floats, and the
+    # spread's over the rim ones only (argued beside _sweep_settled).
+    dist, points = math.dist, list(midpoints)
+    worst_closed = max(map(dist, repeat((px, py)), points))
+    xs, ys = zip(*points)
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    lower = max(dist(points[xs.index(x_lo)], points[xs.index(x_hi)]),
+                dist(points[ys.index(y_lo)], points[ys.index(y_hi)]))
+    reach = map(hypot, map(sub, xs, repeat(x_lo)), map(sub, repeat(x_hi), xs),
+                map(sub, ys, repeat(y_lo)), map(sub, repeat(y_hi), ys))
+    rim = compress(points, map(ge, reach, repeat(lower / (1 + 2 ** -40) - 2 ** -1070)))
+    max_deviation = max(starmap(dist, combinations(rim, 2)), default=0.0)
     allowed = tol.bound(base_length)
     return (
         residual_check(

@@ -1,7 +1,7 @@
 import math
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, starmap
 
 import pytest
 
@@ -289,17 +289,30 @@ def sweep_apexes(an, bn, samples, seed):
         yield an + along * (t * base_length) + normal * (height * base_length)
 
 
-def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
-    # The sweep measures its distinct midpoints with math.dist, first to the
-    # closed form, then pairwise; each must be bottema_construct's M1 bit for bit.
-    measured = []
+def recording_dist(monkeypatch):
+    """Patch math.dist to record each call's two points; returns the record."""
+    calls = []
     dist = math.dist
 
     def recording(p, q):
-        measured.append((p, q))
+        calls.append((p, q))
         return dist(p, q)
 
     monkeypatch.setattr(math, "dist", recording)
+    return calls
+
+
+def closed_form_midpoints(calls):
+    """The distinct midpoints a sweep measured against the closed form, in that
+    order: its first math.dist calls pass the closed form as one tuple."""
+    return [q for p, q in calls if p is calls[0][0]]
+
+
+def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
+    # The sweep measures its distinct midpoints with math.dist, first to the
+    # closed form, in first-seen order; each must be bottema_construct's M1
+    # bit for bit.  Its spread is test_rim_spread_is_the_all_pairs_spread's.
+    measured = recording_dist(monkeypatch)
     rng = random.Random(11)
     for _ in range(60):
         scale = 10.0 ** rng.uniform(-8, 12)
@@ -310,7 +323,40 @@ def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
         m1s = [bottema_construct(an, apex, bn, n).m1 for apex in sweep_apexes(an, bn, 20, seed)]
         want = list(dict.fromkeys((m1.x, m1.y) for m1 in m1s))
         predicted = closed_form_midpoint(an, bn, n, 1)
-        assert measured == [((predicted.x, predicted.y), m) for m in want] + list(combinations(want, 2))
+        assert measured[:len(want)] == [((predicted.x, predicted.y), m) for m in want]
+        assert closed_form_midpoints(measured) == want
+
+
+def pinned_bases():
+    """PINNED_SWEEPS' sweeps, as random_bases yields them."""
+    for (n, scale, samples, seed, floor), _ in PINNED_SWEEPS:
+        yield Point(-0.3 * scale, 1.1 * scale), Point(1.7 * scale, 0.4 * scale), n, samples, Tolerance(abs=floor), seed
+
+
+@pytest.mark.parametrize("bases", [*range(18, 23), "pinned"])
+def test_rim_spread_is_the_all_pairs_spread(monkeypatch, bases):
+    # The spread is measured only between the midpoints that reach far enough
+    # towards the bounding box (argued beside _sweep_settled); it must be the
+    # float that math.dist gives over every pair of distinct midpoints.
+    dist = math.dist
+    measured = recording_dist(monkeypatch)
+    swept = spread_calls = all_pairs = 0
+    for an, bn, n, samples, tol, seed in pinned_bases() if bases == "pinned" else random_bases(1000, bases):
+        measured.clear()
+        try:
+            spread, _ = verify_independence(an, bn, n, samples, tol, seed)
+        except GeometryError:
+            continue
+        points = closed_form_midpoints(measured)
+        assert len(set(points)) == len(points)
+        assert spread.residual == max(starmap(dist, combinations(points, 2)), default=0.0)
+        swept += 1
+        spread_calls += len(measured) - len(points)
+        all_pairs += len(points) * (len(points) - 1) // 2
+    assert swept >= (len(PINNED_SWEEPS) if bases == "pinned" else 300)
+    if bases == "pinned":
+        # Most midpoints are inside the rim: the spread skips most pairs.
+        assert 4 * spread_calls < all_pairs
 
 
 FLOOR = DEFAULT_TOLERANCE.bound(0.0)
@@ -477,7 +523,8 @@ def test_sweep_calls_no_checked_path_on_a_regular_base(monkeypatch):
 
 
 def hypot_calls_per_apex(monkeypatch, an, bn, n, tol):
-    """The sweep's math.hypot calls per apex: a 300-apex sweep less a 2-apex one."""
+    """The sweep's math.hypot calls per apex, less the spread's one per distinct
+    midpoint: a 300-apex sweep less a 2-apex one."""
     hypot = math.hypot
 
     def counted(samples):
@@ -489,24 +536,26 @@ def hypot_calls_per_apex(monkeypatch, an, bn, n, tol):
             return hypot(*args)
 
         monkeypatch.setattr(math, "hypot", counting)
+        measured = recording_dist(monkeypatch)
         spread, closed = verify_independence(an, bn, n, samples, tol, seed=1)
         monkeypatch.undo()
         assert spread.ok and closed.ok
-        return calls
+        return calls - len(closed_form_midpoints(measured))
 
     return (counted(300) - counted(2)) / 298
 
 
 def test_settled_sweep_measures_only_the_two_sides(monkeypatch):
     # On a base the error bound settles, an apex runs none of the construction's
-    # tests: its only distances are its two sides.
+    # tests: its only distances are its two sides, and the spread measures each
+    # distinct midpoint's reach to the bounding box once.
     assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, DEFAULT_TOLERANCE) == 2
 
 
 def test_settled_sweep_calls_no_python_function_per_apex():
     # On a settled base the sides are fixed once and the draws are inline: an
-    # apex's only calls are C functions, its two random() draws, its two
-    # hypot calls and the append of its midpoint.
+    # apex's only calls are C functions, its two random() draws and its two
+    # hypot calls; its midpoint is kept by a dict store, which calls nothing.
     def events_per_call(samples):
         tally = {"call": 0, "c_call": 0}
 
@@ -523,7 +572,7 @@ def test_settled_sweep_calls_no_python_function_per_apex():
         return tally
 
     long, short = events_per_call(300), events_per_call(2)
-    assert {event: (long[event] - short[event]) / 298 for event in long} == {"call": 0, "c_call": 5}
+    assert {event: (long[event] - short[event]) / 298 for event in long} == {"call": 0, "c_call": 4}
 
 
 def test_unsettled_sweep_runs_the_checked_construction(monkeypatch):

@@ -4,8 +4,8 @@ Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
 each file in ``scenarios/``, ``verify --json`` on the documents in
 ``tests/data/``, ``bottema``, also at its sample cap, at n = 2048, at a
-tight relative tolerance, on a base its error bound leaves unsettled and on
-two tilted bases, and ``sweep``);
+tight relative tolerance, on a base its error bound leaves unsettled, on
+two tilted bases and on three at the edges of that bound, and ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json`` or for one of the three large-n pair, shared-vertex
 and Bottema documents in ``tests/data/``.  The files pin the
@@ -80,6 +80,16 @@ CASES = (
                               "--samples", "300", "--seed", "11"])]
     + [("bottema_tilted_far_n12", ["bottema", "--an=1000000,-2000000", "--bn=1000003.3,-1999998.1",
                                    "--n", "12", "--samples", "3000", "--seed", "5"])]
+    # Three bases at the edges of the sweep's error bound, each settled: a base
+    # of 2.1e-120 at an absolute tolerance of 1e-130, one of 1.6e120 (2**400 is
+    # 2.6e120), and one with subnormal corner coordinates within 1e-300 of the
+    # y axis.
+    + [("bottema_filter_short_n5", ["bottema", "--an=0,0", "--bn=2e-120,7e-121", "--n", "5",
+                                    "--samples", "3000", "--seed", "3", "--tolerance-abs", "1e-130"])]
+    + [("bottema_filter_long_n9", ["bottema", "--an=-1e120,3e119", "--bn=5e119,-1e119", "--n", "9",
+                                   "--samples", "3000", "--seed", "4"])]
+    + [("bottema_filter_subnormal_n6", ["bottema", "--an=5e-324,-1e-310", "--bn=1e-300,1.0", "--n", "6",
+                                        "--samples", "3000", "--seed", "8"])]
     + [(f"sweep_{kind.value}", ["sweep", "--kind", kind.value, "--n", "3-12", "--count", "25",
                                 "--seed", "7"])
        for kind in ScenarioKind]
