@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress, repeat, starmap
 from operator import ge, sub
 
@@ -36,6 +37,7 @@ from .polygon import (
     RegularPolygon,
     _overflow,
     from_side,
+    turns,
 )
 from .equalizer import MatchKind, PairCase, antipode_midpoint, classify_pair, partners, shared_vertex_points
 
@@ -362,13 +364,22 @@ def verify_independence(
     )
 
 
+@lru_cache(maxsize=32)
+def _angle_labels(n: int) -> tuple[tuple[str, float, str], ...]:
+    """For k = 2..n: the check's name, the expected angle ``turns(n)[k - 1]``
+    folded into [0, pi], and the check's detail, built once per n."""
+    folded = [min(turn, math.tau - turn) for turn in turns(n)[1:]]
+    return tuple([(f"vertex_angle_k{k}", angle, f"expected {angle:.6f} rad") for k, angle in enumerate(folded, 2)])
+
+
 def vertex_angles(
     result: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[CheckResult, ...]:
     """Angles at M1 between each A_k and its partner under ``result.m1_kind``, against the folded expectation.
 
     Returns one ``vertex_angle_k{k}`` check per k = 2..n, each bounded by
-    ``tol.bound(pi)``.
+    ``tol.bound(pi)``.  Each k's name, expected angle (its turn in the table
+    ``turns(n)``, folded) and detail come from a table built once per n.
 
     ``angle_at(m1, poly1.vertex(k), partner, tol)`` on both polygons'
     coordinates: its differences, norms, unit rays, cross and dot in the same
@@ -380,35 +391,25 @@ def vertex_angles(
     ``DegenerateRayError``.
     """
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
-    n = poly1.n
     xs, ys = poly1.coordinates()
     us, vs = (partners(column, result.m1_kind) for column in poly2.coordinates())
     mx, my, hypot, inf = m1.x, m1.y, math.hypot, math.inf
     floor, bound = tol.bound(0.0), tol.bound(math.pi)
     near = tol.bound(max(poly1.circumradius, poly2.circumradius))
     checks = []
-    for k in range(2, n + 1):
+    for k, (name, expected, detail) in enumerate(_angle_labels(poly1.n), 2):
         ux, uy, vx, vy = xs[k - 1] - mx, ys[k - 1] - my, us[k - 1] - mx, vs[k - 1] - my
-        rays = hypot(ux, uy), hypot(vx, vy)
-        if not max(rays) < inf:
-            raise _overflow(f"ray to vertex pair {k}", f"lengths {rays}")
-        raw = math.tau * (k - 1) / n
-        expected = min(raw, math.tau - raw)
-        if max(rays) <= near:
+        # The coordinates and M1 are finite, so neither length is NaN.
+        lu, lv = hypot(ux, uy), hypot(vx, vy)
+        if not (lu < inf and lv < inf):
+            raise _overflow(f"ray to vertex pair {k}", f"lengths {(lu, lv)}")
+        if lu <= near and lv <= near:
             # Both vertices k are at M1: they subtend no angle.
-            checks.append(residual_check(f"vertex_angle_k{k}", 0.0, bound, vacuous=True,
-                                         detail="vertex pair at M1"))
+            checks.append(residual_check(name, 0.0, bound, vacuous=True, detail="vertex pair at M1"))
             continue
-        if min(rays) <= floor:
+        if lu <= floor or lv <= floor:
             raise DegenerateRayError("angle ray endpoint coincides with the vertex")
-        ux, uy, vx, vy = ux / rays[0], uy / rays[0], vx / rays[1], vy / rays[1]
+        ux, uy, vx, vy = ux / lu, uy / lu, vx / lv, vy / lv
         measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        checks.append(
-            residual_check(
-                f"vertex_angle_k{k}",
-                abs(measured - expected),
-                bound,
-                detail=f"expected {expected:.6f} rad",
-            )
-        )
+        checks.append(residual_check(name, abs(measured - expected), bound, detail=detail))
     return tuple(checks)

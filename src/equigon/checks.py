@@ -15,6 +15,8 @@ class CheckResult:
     may use a finer rule: the power-sum checks judge each order at its own
     magnitude, where the absolute part of the tolerance weighs differently
     than in the one relative residual they show against ``tol.bound(1.0)``.
+    ``__init__`` is written out so that it stores every field in one step,
+    where a frozen dataclass's own sets each through ``object.__setattr__``.
     """
 
     name: str
@@ -23,6 +25,10 @@ class CheckResult:
     tolerance: float
     vacuous: bool = False
     detail: str = ""
+
+    def __init__(self, name: str, ok: bool, residual: float, tolerance: float,
+                 vacuous: bool = False, detail: str = "") -> None:
+        self.__dict__.update(name=name, ok=ok, residual=residual, tolerance=tolerance, vacuous=vacuous, detail=detail)
 
 
 def residual_check(

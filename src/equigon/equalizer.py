@@ -42,7 +42,7 @@ from .geom import (
     side_of_line,
     wrap_angle,
 )
-from .polygon import RegularPolygon, _overflow, diametric_opposite
+from .polygon import RegularPolygon, _overflow, diametric_opposite, turns
 from .power_sums import distances_squared, multisets_equal
 
 
@@ -294,13 +294,12 @@ def cosine_model(first: RegularPolygon, second: RegularPolygon, point: Point, ki
     """
     # The offset drives the law for the first polygon directly; the identity
     # matching shares the same offset seen from O2, the reversal negates it.
-    n = first.n
     r1, r2 = first.circumradius, second.circumradius
     v = point - first.centroid
     offset = wrap_angle(first.orientation * (math.atan2(v.y, v.x) - first.phase))
     base = r1 * r1 + r2 * r2
     cross = 2.0 * r1 * r2
-    models = [base - cross * math.cos(math.tau * k / n - offset) for k in range(n)]
+    models = [base - cross * math.cos(turn - offset) for turn in turns(first.n)]
     # A NaN deviation never beats the leading 0.0, as in a running max.
     model_worst = max(chain((0.0,), map(abs, map(sub, near, models)),
                             map(abs, map(sub, partners(far, kind), models))))

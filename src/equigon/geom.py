@@ -59,14 +59,18 @@ DEFAULT_TOLERANCE = Tolerance()
 
 @dataclass(frozen=True)
 class Point:
-    """A point (or free vector) in the plane with finite coordinates."""
+    """A point (or free vector) in the plane with finite coordinates.
+
+    ``__init__`` is written out to check and store both fields in one step, not
+    one ``object.__setattr__`` each and then a ``__post_init__`` call."""
 
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"coordinates must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"coordinates must be finite, got ({x}, {y})")
+        self.__dict__.update(x=x, y=y)
 
     def __add__(self, other: Point) -> Point:
         return Point(self.x + other.x, self.y + other.y)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geom import (
     DEFAULT_TOLERANCE,
@@ -36,23 +37,35 @@ class DegenerateSideError(GeometryError):
     pass
 
 
+@lru_cache(maxsize=32)
+def turns(n: int) -> tuple[float, ...]:
+    """The turn ``math.tau * k / n`` of vertex k + 1 from vertex 1, for k = 0..n-1:
+    the one table of them, built once for each of the last 32 n asked for."""
+    return tuple([math.tau * k / n for k in range(n)])
+
+
 @dataclass(frozen=True)
 class RegularPolygon:
+    """``__init__`` is written out so that it checks the fields and stores them,
+    the phase wrapped, in one step, where a frozen dataclass's own sets each
+    through ``object.__setattr__`` and then calls a ``__post_init__``."""
+
     n: int
     centroid: Point
     circumradius: float
     phase: float = 0.0
     orientation: int = 1
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 3:
-            raise InvalidVertexCountError(f"need an integer n >= 3, got {self.n!r}")
-        _check_radius(self.circumradius)
-        if self.orientation not in (1, -1):
-            raise GeometryError(f"orientation must be +1 or -1, got {self.orientation!r}")
-        if not math.isfinite(self.phase):
-            raise GeometryError(f"phase must be finite, got {self.phase}")
-        object.__setattr__(self, "phase", wrap_angle(self.phase))
+    def __init__(self, n: int, centroid: Point, circumradius: float, phase: float = 0.0, orientation: int = 1) -> None:
+        if not isinstance(n, int) or n < 3:
+            raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
+        _check_radius(circumradius)
+        if orientation not in (1, -1):
+            raise GeometryError(f"orientation must be +1 or -1, got {orientation!r}")
+        if not math.isfinite(phase):
+            raise GeometryError(f"phase must be finite, got {phase}")
+        self.__dict__.update(n=n, centroid=centroid, circumradius=circumradius, phase=wrap_angle(phase),
+                             orientation=orientation)
 
     def vertex_angle(self, k: int) -> float:
         """Angular position of vertex k (1-based) around the centroid: the one angle formula."""
@@ -64,16 +77,17 @@ class RegularPolygon:
         """The x and y coordinates of vertices 1..n, computed and checked once.
 
         Vertex k sits at ``centroid + circumradius * (cos, sin)`` of
-        ``vertex_angle(k)``, inlined; ``vertex``, ``vertices`` and the O(n)
-        checks read these floats, so there is one vertex formula.  The first
-        vertex past the float range raises the overflow error.  The cache is
-        kept outside the dataclass fields, so equality, hashing and
-        ``dataclasses.replace`` never see it.
+        ``vertex_angle(k)``, the same float inlined as the phase plus (or, for
+        orientation -1, minus) its turn in the table ``turns(n)``; ``vertex``,
+        ``vertices`` and the O(n) checks read these floats, so there is one
+        vertex formula.  The first vertex past the float range raises the
+        overflow error.  The cache is kept outside the dataclass fields, so
+        equality, hashing and ``dataclasses.replace`` never see it.
         """
         cached = self.__dict__.get("_coordinates")
         if cached is None:
-            n, phase, turn = self.n, self.phase, self.orientation * math.tau
-            angles = [phase + turn * k / n for k in range(n)]
+            phase, table = self.phase, turns(self.n)
+            angles = [phase + turn for turn in table] if self.orientation == 1 else [phase - turn for turn in table]
             cx, cy, radius, cos, sin = self.centroid.x, self.centroid.y, self.circumradius, math.cos, math.sin
             cached = (tuple([cx + radius * cos(t) for t in angles]), tuple([cy + radius * sin(t) for t in angles]))
             # Finite sums prove every term finite; finite terms can still overflow a sum.

@@ -7,7 +7,7 @@ import pytest
 
 import equigon.bottema
 from equigon.checks import CheckResult
-from equigon.equalizer import PairCase, shared_vertex_points
+from equigon.equalizer import MatchKind, PairCase, shared_vertex_points
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, side_of_line
 from equigon.polygon import (
     DegenerateSideError,
@@ -463,14 +463,14 @@ def test_construction_raises_the_sweeps_m1_overflow():
 
 def test_sweep_builds_one_point_per_apex(monkeypatch):
     built = 0
-    check = Point.__post_init__
+    init = Point.__init__
 
-    def counting(self):
+    def counting(self, x, y):
         nonlocal built
         built += 1
-        check(self)
+        init(self, x, y)
 
-    monkeypatch.setattr(Point, "__post_init__", counting)
+    monkeypatch.setattr(Point, "__init__", counting)
     spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, samples=300, seed=1)
     assert spread.ok and closed.ok
     assert built <= 300 + 20
@@ -769,6 +769,32 @@ def test_vertex_angles_hexagon_folding():
     assert checks["vertex_angle_k5"].detail == f"expected {2 * math.pi / 3:.6f} rad"
     assert subtended(result, 6) == pytest.approx(math.tau / 6)
     assert all(check.ok for check in checks.values())
+
+
+def vertex_angles_by_formula(result):
+    """Oracle: each k's check from ``angle_at`` on ``Point``s and the per-k folded angle, in float.hex."""
+    n, out = result.poly1.n, []
+    partner = (lambda k: k) if result.m1_kind is MatchKind.IDENTITY else (lambda k: n + 2 - k)
+    for k in range(2, n + 1):
+        raw = math.tau * (k - 1) / n
+        expected = min(raw, math.tau - raw)
+        measured = angle_at(result.m1, result.poly1.vertex(k), result.poly2.vertex(partner(k)))
+        out.append((f"vertex_angle_k{k}", f"expected {expected:.6f} rad", abs(measured - expected).hex()))
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 256, 2048])
+def test_vertex_angles_match_the_per_k_formula_bit_for_bit(n):
+    rng = random.Random(n)
+    kinds = set()
+    for sides in ((None, None), (1, 1), (-1, -1), (1, -1)):
+        for _ in range(3):
+            apex = Point(rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.5))
+            result = bottema_construct(Point(0.0, 0.0), apex, Point(2.0, 0.0), n, *sides)
+            kinds.add(result.m1_kind)
+            got = [(check.name, check.detail, check.residual.hex()) for check in vertex_angles(result)]
+            assert got == vertex_angles_by_formula(result)
+    assert kinds == set(MatchKind)
 
 
 def test_m1_and_m2_are_equal_distance_points():

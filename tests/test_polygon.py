@@ -5,9 +5,10 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from equigon.bottema import BottemaResult, vertex_angles
+from equigon.bottema import BottemaResult, _angle_labels, vertex_angles
+from equigon.checks import CheckResult
 from equigon.equalizer import Locus, MatchKind, PairCase, align_rotation, correspondence
-from equigon.geom import DEFAULT_TOLERANCE, DegenerateRayError, GeometryError, Point, Tolerance, side_of_line
+from equigon.geom import DEFAULT_TOLERANCE, DegenerateRayError, GeometryError, Point, Tolerance, side_of_line, wrap_angle
 from equigon.polygon import (
     CoincidentVertexCentroidError,
     DegenerateSideError,
@@ -17,6 +18,7 @@ from equigon.polygon import (
     diametric_opposite,
     from_shared_vertex,
     from_side,
+    turns,
 )
 from equigon.power_sums import distances_squared, verify_power_sum_identity
 from equigon.runner import Report, _probe_locus
@@ -25,6 +27,64 @@ from equigon.runner import Report, _probe_locus
 def assert_point(p: Point, x: float, y: float, tol: float = 1e-12):
     assert p.x == pytest.approx(x, abs=tol)
     assert p.y == pytest.approx(y, abs=tol)
+
+
+RECORDS = [
+    (Point, {"x": 1.5, "y": -2.0}),
+    (CheckResult, {"name": "c", "ok": False, "residual": 0.25, "tolerance": 0.125, "vacuous": True, "detail": "d"}),
+    (RegularPolygon, {"n": 5, "centroid": Point(1.0, 2.0), "circumradius": 3.0, "phase": 0.5, "orientation": -1}),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_stay_frozen_dataclasses(cls, values):
+    # Each record writes out its __init__ and must still behave as a frozen dataclass.
+    record = cls(**values)
+    assert [field.name for field in dataclasses.fields(cls)] == list(values)
+    assert dataclasses.asdict(record) == dataclasses.asdict(cls(*values.values()))
+    assert record == cls(*values.values()) and hash(record) == hash(cls(*values.values()))
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+    for name, value in values.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+    assert dataclasses.replace(record) == record
+
+
+def test_record_defaults_and_replace_revalidates():
+    assert CheckResult("c", True, 0.0, 1.0) == CheckResult("c", True, 0.0, 1.0, False, "")
+    assert RegularPolygon(4, Point(0.0, 0.0), 1.0) == RegularPolygon(4, Point(0.0, 0.0), 1.0, 0.0, 1)
+    with pytest.raises(GeometryError, match=re.escape("coordinates must be finite, got (inf, -2.0)")):
+        dataclasses.replace(Point(1.5, -2.0), x=math.inf)
+    poly = RegularPolygon(5, Point(1.0, 2.0), 3.0, 0.5, -1)
+    assert dataclasses.replace(poly, phase=7 * math.pi).phase == wrap_angle(7 * math.pi) == math.pi
+    with pytest.raises(InvalidRadiusError, match="^circumradius must be positive, got -1.0$"):
+        dataclasses.replace(poly, circumradius=-1.0)
+    # The coordinate cache stays outside the fields.
+    poly.coordinates()
+    assert poly == RegularPolygon(5, Point(1.0, 2.0), 3.0, 0.5, -1) and "_coordinates" not in dataclasses.asdict(poly)
+    assert "_coordinates" not in dataclasses.replace(poly).__dict__
+
+
+def test_polygon_validates_in_order():
+    origin = Point(0.0, 0.0)
+    with pytest.raises(InvalidVertexCountError):
+        RegularPolygon(2, origin, -1.0, math.inf, 2)
+    with pytest.raises(InvalidRadiusError):
+        RegularPolygon(4, origin, -1.0, math.inf, 2)
+    with pytest.raises(GeometryError, match="^orientation must be"):
+        RegularPolygon(4, origin, 1.0, math.inf, 2)
+    with pytest.raises(GeometryError, match="^phase must be finite, got inf$"):
+        RegularPolygon(4, origin, 1.0, math.inf, 1)
+
+
+def test_turn_and_label_tables_keep_their_bound():
+    for table in (turns, _angle_labels):
+        table.cache_clear()
+        bound = table.cache_info().maxsize
+        for n in range(3, 3 + bound + 10):
+            table(n)
+        assert table.cache_info().currsize == bound
+    assert [turn.hex() for turn in turns(7)] == [(math.tau * k / 7).hex() for k in range(7)]
 
 
 def test_constructor_validation():

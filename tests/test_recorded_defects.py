@@ -6,6 +6,21 @@ its record without being mended fails outright; a mended row passes, which
 its strict xfail reports as a failure, so the change that mends a defect
 turns its row into a plain test.
 
+The rows, by pytest id:
+- ``item14``: 50 ``pair`` documents with radii a relative 1e-9 apart, at the
+  default tolerance, are called congruent and fail their locus probes;
+- ``item22``: 30 ``shared_vertex`` documents moved by 1e7 (1, 0.7), most failing;
+- ``item23``: the apex sweep of ``bottema_same_side_n5`` sweeps the exterior
+  placement, not the document's;
+- ``item2``: the δ scan at n = 7, where 22 of 40 near-tangent ``pair``
+  documents fail ``power_sums_M1`` alone;
+- ``item14-pair-rel0.1`` and ``item14-shared_vertex-rel0.3``: the seed-2
+  sweeps at those tolerances pass 143 and 192 of 200;
+- ``item10-vacuous-1e-300``: ``shared_vertex_scaled_1e-300`` passes on power
+  sums that underflowed to 0;
+- ``item10-unnamed-error-3e307``: a ``shared_vertex`` document at 3e307 reads
+  four NaN residuals, then exits 2 on a ``Point`` error that names no field.
+
 Three more recorded defects are strict xfails beside the code they test:
 ``tests/test_scale.py::test_shared_vertex_at_1e154_solves_or_names_a_field``
 and ``tests/test_scale.py::test_pair_at_1e_170_passes_only_on_its_swapped_circles``
@@ -13,7 +28,10 @@ and ``tests/test_scale.py::test_pair_at_1e_170_passes_only_on_its_swapped_circle
 ``tests/test_bottema.py::test_sweep_far_from_the_origin_passes`` (item 22).
 """
 
+import contextlib
+import io
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -22,6 +40,7 @@ from typing import Any, Callable
 
 import pytest
 
+from equigon.cli import main
 from equigon.geom import Point
 from equigon.runner import Report, run_scenario
 from equigon.sampling import random_scenario
@@ -30,11 +49,15 @@ from equigon.scenario import ScenarioKind, parse_scenario
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def exit_code(report: Report) -> int:
+    """The exit code ``verify`` gives for the report."""
+    return 2 if report.errors else 0 if report.overall_ok else 1
+
+
 def verdict(report: Report) -> tuple[int, str | None, tuple[str, ...]]:
     """The exit code ``verify`` gives, the classification and the failing checks, by name less their index."""
-    code = 2 if report.errors else 0 if report.overall_ok else 1
     failing = sorted({check.name.rstrip("0123456789").rstrip("_") for check in report.checks if not check.ok})
-    return code, report.classification, tuple(failing)
+    return exit_code(report), report.classification, tuple(failing)
 
 
 def near_congruent_pairs() -> Counter:
@@ -67,6 +90,49 @@ def same_side_sweep() -> tuple[tuple[str, str], ...]:
     return tuple((check.name, check.detail) for check in report.checks if check.name.startswith("apex_"))
 
 
+def near_tangent_scan() -> Counter:
+    """Item 2's δ scan at n = 7: ``pair`` documents with circles of radius 1 about
+    (0, 0) and 2 about (3 - δ, 0), δ = k·1e-10 for k = 1..40, by exit code and
+    failing checks."""
+    outcomes = Counter()
+    for k in range(1, 41):
+        block = {"centroid1": [0.0, 0.0], "r1": 1.0, "phase1": 0.3, "orient1": 1,
+                 "centroid2": [3.0 - k * 1e-10, 0.0], "r2": 2.0, "phase2": 1.1, "orient2": -1}
+        report = run_scenario(parse_scenario(json.dumps({"kind": "pair", "n": 7, "seed": 0, "pair": block})))
+        outcomes[exit_code(report), tuple(check.name for check in report.checks if not check.ok)] += 1
+    return outcomes
+
+
+def loose_sweep(kind: str, rel: str) -> Callable[[], str]:
+    """The last line of ``sweep --kind KIND --n 3-12 --count 20 --seed 2 --tolerance-rel REL``."""
+    def outcome() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["sweep", "--kind", kind, "--n", "3-12", "--count", "20", "--seed", "2", "--tolerance-rel", rel])
+        return out.getvalue().splitlines()[-1]
+    return outcome
+
+
+def underflowed_shared_vertex() -> tuple[int, tuple[tuple[str, float], ...]]:
+    """``shared_vertex_scaled_1e-300``'s exit code and its power-sum residuals,
+    whose sums of squared distances near 1e-600 underflow to 0."""
+    report = run_scenario(parse_scenario((DATA / "shared_vertex_scaled_1e-300.json").read_text()))
+    return exit_code(report), tuple((check.name, check.residual) for check in report.checks if check.name.startswith("power_sums"))
+
+
+# A shared_vertex document at about 3e307, whose solve reaches -inf.
+HUGE_SHARED_VERTEX = {"kind": "shared_vertex", "n": 8, "seed": 0, "shared_vertex": {
+    "vertex": [-7.683411484680132e307, -1.4642514669364687e308],
+    "centroid1": [-4.703061680542385e307, -6.994731046187824e307],
+    "centroid2": [-2.2979442950845886e307, -3.6922184456095567e307], "orient1": 1, "orient2": -1}}
+
+
+def huge_shared_vertex() -> tuple[int, tuple[str, ...], tuple[str, ...]]:
+    """The 3e307 document's exit code, its errors and its checks with NaN residuals."""
+    report = run_scenario(parse_scenario(json.dumps(HUGE_SHARED_VERTEX)))
+    return exit_code(report), tuple(report.errors), tuple(check.name for check in report.checks if math.isnan(check.residual))
+
+
 @dataclass(frozen=True)
 class Defect:
     item: int
@@ -74,6 +140,7 @@ class Defect:
     outcome: Callable[[], Any]
     recorded: Any
     mended: Callable[[Any], bool]
+    label: str = ""  # tells apart the rows of one item
 
 
 DEFECTS = [
@@ -90,11 +157,33 @@ DEFECTS = [
            same_side_sweep,
            (("apex_independence_spread", "50 apexes, exterior placement"), ("apex_independence_closed_form", "")),
            lambda got: not any("exterior placement" in detail for _, detail in got)),
+    Defect(2, "near tangency: circles within the tolerance of touching are snapped to one point on the centre line",
+           near_tangent_scan,
+           Counter({(1, ("power_sums_M1",)): 22, (0, ()): 18}),
+           lambda got: set(got) == {(0, ())}),
+    Defect(14, "the tolerance decides structure: pair documents fail a sweep at rel 0.1",
+           loose_sweep("pair", "0.1"),
+           "sweep pair: FAIL (143/200 configurations)",
+           lambda got: "PASS" in got, "pair-rel0.1"),
+    Defect(14, "the tolerance decides structure: shared_vertex documents fail a sweep at rel 0.3",
+           loose_sweep("shared_vertex", "0.3"),
+           "sweep shared_vertex: FAIL (192/200 configurations)",
+           lambda got: "PASS" in got, "shared_vertex-rel0.3"),
+    Defect(10, "scale: at 1e-300 the power sums underflow to 0 and pass on nothing",
+           underflowed_shared_vertex,
+           (0, (("power_sums_M1", 0.0), ("power_sums_M2", 0.0))),
+           lambda got: got[0] != 0 or any(residual != 0.0 for _, residual in got[1]), "vacuous-1e-300"),
+    Defect(10, "scale: at 3e307 four checks read NaN, then a Point error names no field",
+           huge_shared_vertex,
+           (2, ("GeometryError: coordinates must be finite, got (-5.290651423619267e+307, -inf)",),
+            ("power_sums_M1", "matching_M1", "power_sums_M2", "separation_perpendicular")),
+           lambda got: got[0] == 0 or (not got[2] and all("shared_vertex." in error for error in got[1])),
+           "unnamed-error-3e307"),
 ]
 
 
 @pytest.mark.parametrize("defect", [
-    pytest.param(defect, id=f"item{defect.item}", marks=pytest.mark.xfail(
+    pytest.param(defect, id=f"item{defect.item}" + (defect.label and f"-{defect.label}"), marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=f"ROADMAP item {defect.item}: {defect.what}"))
     for defect in DEFECTS
 ])
