@@ -27,6 +27,7 @@ import argparse
 import functools
 import os
 import random
+import stat
 import sys
 from typing import Sequence
 
@@ -128,9 +129,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except (GeometryError, ArithmeticError) as exc:
         print(f"error: cannot render {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    data = document.encode("utf-8")
     try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        # Overwrite an existing figure in place, then cut its old tail: ext4
+        # flushes a file truncated to zero and rewritten when it is closed (XFS
+        # and btrfs have similar heuristics).  Only a longer regular file has a
+        # tail; ftruncate fails on a device or a pipe, and costs even at equal sizes.
+        with open(args.output, "wb", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)) as handle:
+            before = os.fstat(handle.fileno())
+            handle.write(data)
+            if stat.S_ISREG(before.st_mode) and before.st_size > len(data):
+                handle.truncate()
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -168,8 +168,9 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
     figure's distance fan; return the checks at each point: power sums,
     alignment, matching and, with a correspondence, its cosine model.
 
-    A pair sharing its first vertex passes ``m1_kind`` (M2 realises the other);
-    a ``pair`` passes None and searches, and a point without one gets a finding.
+    A pair sharing its first vertex passes ``m1_kind`` (M2 realises the other),
+    which is recorded as it is and measured by the checks; a ``pair`` passes
+    None and searches, and a point without one gets a finding.
     """
     labelled = list(zip(("M1",) if coincident else ("M1", "M2"), points))
     out.points.extend(labelled)
@@ -186,7 +187,10 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
         out.matchings.append((label, match.kind.value))
         return match
 
-    at_m1 = correspond(*labelled[0])
+    if m1_kind is None:
+        at_m1 = correspond(*labelled[0])
+    else:
+        out.matchings.append(("M1", m1_kind.value))
 
     def checks() -> None:
         bound = tol.bound(max(first.circumradius, second.circumradius))
@@ -194,7 +198,10 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
             near, far = distances_squared(first, point), distances_squared(second, point)
             out.checks.append(compare_power_sums(near, far, tol, name=f"power_sums_{label}"))
             out.checks.append(verify_alignment(first, second, point, near, tol, f"alignment_multiset_{label}"))
-            found = at_m1 if label == "M1" else correspond(label, point)
+            if label == "M2":
+                found = correspond(label, point)
+            else:
+                found = at_m1 if m1_kind is None else correspondence(first, second, point, tol, m1_kind)
             if found is not None:
                 worst = max(found.max_residual, found.first_residual)
                 out.checks.append(residual_check(f"matching_{label}", worst, bound, detail=found.kind.value))

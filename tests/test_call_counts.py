@@ -36,7 +36,9 @@ COUNTED = {
 # construction, runs one solve: it is classified once and takes M1 and M2
 # from one shared_vertex_points call, with no equal-distance solve.  Each
 # correspondence reads both kinds' residuals off one list of vertex
-# distances per polygon, and the solve records M1's for the figure.  The
+# distances per polygon.  The figure reads M1's kind only: a pair sharing its
+# first vertex takes it from the orientations and measures no correspondence
+# at solve time, while a pair scenario's solve searches for M1's.  The
 # equal-distance solve of a pair scenario labels its two candidate points by
 # the identity residuals read off their distance lists.  Each labelled
 # point's two squared-distance lists are computed once and feed its power
@@ -44,13 +46,13 @@ COUNTED = {
 # rotation candidates and each locus probe adds its own.  The solve computes
 # none: the figure reads no cosine model.
 EXPECTED = {
-    "bottema_squares": ((2, 0, 1, 1, 2, 8, 1), (1, 0, 1, 1, 1, 0, 1)),
+    "bottema_squares": ((2, 0, 1, 1, 2, 8, 1), (0, 0, 1, 1, 0, 0, 1)),
     "congruent_mirror": ((0, 1, 1, 0, 0, 6, 0), (0, 1, 1, 0, 0, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)),
     "pair_pentagons": ((2, 1, 1, 0, 4, 8, 0), (1, 1, 1, 0, 3, 0, 0)),
-    "shared_vertex_squares": ((2, 0, 1, 0, 2, 8, 1), (1, 0, 1, 0, 1, 0, 1)),
-    "tangent_collinear": ((1, 0, 1, 0, 1, 4, 1), (1, 0, 1, 0, 1, 0, 1)),
+    "shared_vertex_squares": ((2, 0, 1, 0, 2, 8, 1), (0, 0, 1, 0, 0, 0, 1)),
+    "tangent_collinear": ((1, 0, 1, 0, 1, 4, 1), (0, 0, 1, 0, 0, 0, 1)),
 }
 
 

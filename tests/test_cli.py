@@ -16,6 +16,8 @@ from equigon.scenario import MAX_PROBES, parse_scenario
 from equigon.svgfig import render_svg
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LARGE_SHARED = str(Path(__file__).resolve().parent / "data" / "shared_vertex_large_n256.json")
 SHARED = str(SCENARIO_DIR / "shared_vertex_squares.json")
 DISJOINT = str(SCENARIO_DIR / "pair_disjoint.json")
 BOTTEMA = str(SCENARIO_DIR / "bottema_squares.json")
@@ -221,9 +223,42 @@ def test_render_every_sample_is_wellformed(tmp_path, capsys):
 
 
 def test_render_unwritable_output_is_input_error(tmp_path, capsys):
-    target = tmp_path / "missing_dir" / "x.svg"
-    assert main(["render", SHARED, "-o", str(target)]) == 2
-    assert "error" in capsys.readouterr().err
+    for target, reason in ((tmp_path / "missing_dir" / "x.svg", "[Errno 2] No such file or directory"),
+                           (tmp_path, "[Errno 21] Is a directory")):
+        assert main(["render", SHARED, "-o", str(target)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {target}: {reason}: {str(target)!r}\n")
+
+
+@pytest.mark.parametrize("before, after", [(LARGE_SHARED, SHARED), (SHARED, LARGE_SHARED)], ids=["shrinks", "grows"])
+def test_render_over_an_existing_figure(before, after, tmp_path, capsys):
+    # render writes over an existing figure in place and cuts its old tail:
+    # the file holds the new figure's bytes and nothing after them.
+    out_path = tmp_path / "figure.svg"
+    assert main(["render", before, "-o", str(out_path)]) == 0
+    assert main(["render", after, "-o", str(out_path)]) == 0
+    assert capsys.readouterr() == (f"wrote {out_path}\n" * 2, "")
+    assert out_path.read_bytes() == (GOLDEN / f"render_{Path(after).stem}.svg").read_bytes()
+
+
+def test_render_creates_a_figure_with_the_default_mode(tmp_path, capsys):
+    out_path = tmp_path / "figure.svg"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert main(["render", SHARED, "-o", str(out_path)]) == 0
+    assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("reported_size", [None, 1 << 40], ids=["as-reported", "inflated"])
+def test_render_to_a_device(reported_size, monkeypatch, capsys):
+    # A device has no tail to cut, and ftruncate fails on it.  Linux reports
+    # size 0 for a device or a pipe, other systems a pipe's unread bytes: only
+    # a regular file is cut, whatever size the rest report.
+    if reported_size is not None:
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], reported_size, *real_fstat(fd)[7:])))
+    assert main(["render", SHARED, "-o", os.devnull]) == 0
+    assert capsys.readouterr() == (f"wrote {os.devnull}\n", "")
 
 
 def test_sweep_deterministic_and_passing(capsys):

@@ -19,7 +19,9 @@ The rows, by pytest id:
 - ``item10-vacuous-1e-300``: ``shared_vertex_scaled_1e-300`` passes on power
   sums that underflowed to 0;
 - ``item10-unnamed-error-3e307``: a ``shared_vertex`` document at 3e307 reads
-  four NaN residuals, then exits 2 on a ``Point`` error that names no field.
+  four NaN residuals, then exits 2 on a ``Point`` error that names no field;
+- ``item10-inf-bound-3e307``: on the same document four checks pass with
+  residual 0 against a bound that overflowed to infinity.
 
 Three more recorded defects are strict xfails beside the code they test:
 ``tests/test_scale.py::test_shared_vertex_at_1e154_solves_or_names_a_field``
@@ -133,6 +135,12 @@ def huge_shared_vertex() -> tuple[int, tuple[str, ...], tuple[str, ...]]:
     return exit_code(report), tuple(report.errors), tuple(check.name for check in report.checks if math.isnan(check.residual))
 
 
+def infinite_bounds() -> tuple[tuple[str, float], ...]:
+    """The checks of the 3e307 document that pass against an infinite bound, with their residuals."""
+    report = run_scenario(parse_scenario(json.dumps(HUGE_SHARED_VERTEX)))
+    return tuple((check.name, check.residual) for check in report.checks if check.ok and math.isinf(check.tolerance))
+
+
 @dataclass(frozen=True)
 class Defect:
     item: int
@@ -179,6 +187,11 @@ DEFECTS = [
             ("power_sums_M1", "matching_M1", "power_sums_M2", "separation_perpendicular")),
            lambda got: got[0] == 0 or (not got[2] and all("shared_vertex." in error for error in got[1])),
            "unnamed-error-3e307"),
+    Defect(10, "scale: at 3e307 checks whose bound overflowed to infinity pass whatever they measure",
+           infinite_bounds,
+           (("alignment_multiset_M1", 0.0), ("cosine_model_M1", 0.0),
+            ("alignment_multiset_M2", 0.0), ("cosine_model_M2", 0.0)),
+           lambda got: not got, "inf-bound-3e307"),
 ]
 
 
