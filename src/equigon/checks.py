@@ -4,6 +4,7 @@ collects them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 class CheckResult:
     """A named verdict with the residual it measured and the tolerance shown.
 
-    ``residual_check`` decides ``ok`` as ``residual <= tolerance``.  A producer
+    ``residual_check`` decides ``ok`` as ``residual <= tolerance`` under a
+    finite tolerance: a bound that overflowed passes nothing.  A producer
     may use a finer rule: the power-sum checks judge each order at its own
     magnitude, where the absolute part of the tolerance weighs differently
     than in the one relative residual they show against ``tol.bound(1.0)``.
@@ -38,5 +40,5 @@ def residual_check(
     vacuous: bool = False,
     detail: str = "",
 ) -> CheckResult:
-    """Pass iff the residual fits under the bound; vacuous checks always pass."""
-    return CheckResult(name, vacuous or residual <= bound, residual, bound, vacuous, detail)
+    """Pass iff the residual fits under a finite bound; vacuous checks always pass."""
+    return CheckResult(name, vacuous or residual <= bound < math.inf, residual, bound, vacuous, detail)

@@ -118,6 +118,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.overall_ok else EXIT_CHECK_FAILED
 
 
+def _is_stdout(status: os.stat_result) -> bool:
+    """Whether ``status`` is the file behind standard output; False when stdout
+    has no descriptor (a ``StringIO``) or its file object is closed."""
+    try:
+        return os.path.samestat(status, os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
     if scenario is None:
@@ -143,7 +152,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print(f"wrote {args.output}")
+    # Into standard output itself (``-o /dev/stdout``), the line would land on
+    # or after the figure's bytes: there the figure is the whole output.
+    if not _is_stdout(before):
+        print(f"wrote {args.output}")
     return EXIT_OK
 
 

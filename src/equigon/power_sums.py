@@ -167,7 +167,8 @@ def multisets_equal(
 
     Returns one ``multiset`` check.  Both lists are sorted and paired entry by
     entry; they are equal when no gap exceeds the slack, the tolerance at the
-    scale of their largest entry.  The residual is the largest gap.  Newton's
+    scale of their largest entry, and that slack is finite: one that
+    overflowed passes nothing.  The residual is the largest gap.  Newton's
     identities are not consulted here: ``power_sums_to_elementary`` provides
     them, and acceptance criterion 2 checks them separately.
     """
@@ -179,17 +180,16 @@ def multisets_equal(
     # ``max`` replaces its running value only by a larger gap, so a NaN gap is
     # never the worst and never exceeds the slack, as in a loop of ``max`` folds.
     worst = max(chain((0.0,), map(abs, map(sub, sorted(a), sorted(b)))))
-    return CheckResult("multiset", not worst > slack, worst, slack)
+    return CheckResult("multiset", not worst > slack and slack < math.inf, worst, slack)
 
 
 def compare_power_sums(
     first: Iterable[float],
     second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
-    max_order: int | None = None,
     name: str = "power_sums",
 ) -> CheckResult:
-    """Check p_m(first) == p_m(second) for m = 1..max_order (default: size-1).
+    """Check p_m(first) == p_m(second) for m = 1..size-1.
 
     Returns one check over all orders, named ``name``.  Entries are normalized
     by the joint maximum before exponentiation, which keeps high orders away
@@ -201,9 +201,9 @@ def compare_power_sums(
     b = tuple(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    top = (len(a) - 1) if max_order is None else max_order
+    top = len(a) - 1
     if top < 1:
-        raise OrderOutOfRangeError(f"need at least order 1, got max_order={top}")
+        raise OrderOutOfRangeError(f"order 1 needs at least 2 entries, got {len(a)}")
     # All-zero lists have all-zero sums at any scale; 1 avoids dividing by zero.
     scale = max(map(abs, chain(a, b)), default=0.0) or 1.0
     sums_a = list(_power_sums([x / scale for x in a], top))

@@ -497,16 +497,6 @@ def test_argv_shapes_read_as_the_full_parse(argv, code, usage, error, tmp_path, 
         assert err.splitlines()[-1].startswith(error)
 
 
-def test_module_invocation_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "equigon", "verify", SHARED],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "overall: PASS" in proc.stdout
-
-
 def test_closed_pipe_exits_without_a_traceback():
     # `sweep ... | head -1`: the reader takes the first line and closes the
     # pipe.  Unbuffered, each later line is a write into the closed pipe.

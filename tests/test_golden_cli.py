@@ -9,12 +9,18 @@ two tilted bases and on three at the edges of that bound, and ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json`` or for one of the three large-n pair, shared-vertex
 and Bottema documents in ``tests/data/``.  The files pin the
-promise that a speed-up changes no output byte.  After an intended change to
-the output, rewrite them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+promise that a speed-up changes no output byte.  Each is checked twice: in
+process, and through ``python -m equigon`` in a fresh process with warnings
+raised as errors, which also pins the module entry point and what the
+interpreter prints at exit.  ``CASES`` and ``RENDERED`` are the one list of
+pinned outputs.  After an intended change to the output, rewrite them with
+``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +31,7 @@ from equigon.cli import main
 from equigon.scenario import ScenarioKind
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SCENARIO_DIR = ROOT / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,9 +72,9 @@ CASES = (
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap, at the largest n, at a tight
-    # relative tolerance, and at an absolute tolerance its error bound leaves
-    # unsettled, where each apex runs the checked construction; CI runs the
-    # same commands.
+    # relative tolerance (which its error bound does not read, so the base
+    # stays settled), and at an absolute tolerance its error bound leaves
+    # unsettled, where each apex runs the checked construction.
     + [("bottema_cap", ["bottema", "--n", "12", "--samples", "10000", "--seed", "7"])]
     + [("bottema_n2048", ["bottema", "--n", "2048", "--samples", "300", "--seed", "7"])]
     + [("bottema_rel_1e-13", ["bottema", "--n", "12", "--samples", "300", "--seed", "7",
@@ -108,10 +115,24 @@ def transcript(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def rendered(scenario: Path, directory: Path) -> bytes:
+def console(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python -m equigon ARGV`` in a fresh process on this checkout's ``src/``,
+    with every warning raised as an error."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
+    return subprocess.run([sys.executable, "-m", "equigon", *argv], env=env, **kwargs)
+
+
+def console_transcript(argv: list[str]) -> str:
+    """``transcript`` through the console path."""
+    proc = console(argv, capture_output=True)
+    assert proc.stderr == b"", proc.stderr.decode(errors="replace")
+    return f"exit {proc.returncode}\n{proc.stdout.decode('utf-8')}"
+
+
+def rendered(scenario: Path, directory: Path, run=transcript) -> bytes:
     """The SVG bytes ``render`` writes for one scenario file; it must exit 0."""
     target = directory / f"{scenario.stem}.svg"
-    assert transcript(["render", str(scenario), "-o", str(target)]) == f"exit 0\nwrote {target}\n"
+    assert run(["render", str(scenario), "-o", str(target)]) == f"exit 0\nwrote {target}\n"
     return target.read_bytes()
 
 
@@ -119,6 +140,9 @@ def test_every_scenario_file_is_covered():
     assert len([slug for slug, _ in CASES if slug.startswith("verify_json_")]) == 7
     assert len([slug for slug, _ in CASES if slug.startswith("verify_text_")]) == 7
     assert len(RENDERED) == 7 + len(LARGE_FIGURES)
+    missing = [path.name for path in sorted(DATA.glob("*.json"))
+               if (path.stem, ["verify", "--json", str(path)]) not in CASES]
+    assert not missing, f"no verify --json transcript for {missing}"
 
 
 @pytest.mark.parametrize("slug, argv", CASES, ids=[slug for slug, _ in CASES])
@@ -130,6 +154,31 @@ def test_transcript_matches_golden(slug, argv):
 @pytest.mark.parametrize("scenario", RENDERED, ids=[path.stem for path in RENDERED])
 def test_render_matches_golden(scenario, tmp_path):
     assert rendered(scenario, tmp_path) == (GOLDEN / f"render_{scenario.stem}.svg").read_bytes()
+
+
+CONSOLE_CASES = CASES + [(f"render_{path.stem}", path) for path in RENDERED]
+
+
+@pytest.mark.parametrize("slug, command", CONSOLE_CASES, ids=[slug for slug, _ in CONSOLE_CASES])
+def test_console_path_matches_golden(slug, command, tmp_path):
+    # A command is a transcript's argv or a figure's scenario file.
+    if isinstance(command, Path):
+        assert rendered(command, tmp_path, console_transcript) == (GOLDEN / f"{slug}.svg").read_bytes()
+    else:
+        assert console_transcript(command).encode("utf-8") == (GOLDEN / f"{slug}.txt").read_bytes()
+
+
+def test_render_to_stdout_writes_the_figure_alone(tmp_path):
+    # -o /dev/stdout: the figure is the whole output, into a file and into a
+    # pipe, with no "wrote" line over its first bytes or after its last.
+    argv = ["render", str(SCENARIO_DIR / "shared_vertex_squares.json"), "-o", "/dev/stdout"]
+    golden = (GOLDEN / "render_shared_vertex_squares.svg").read_bytes()
+    target = tmp_path / "figure.svg"
+    with target.open("wb") as handle:
+        proc = console(argv, stdout=handle, stderr=subprocess.PIPE)
+    assert (proc.returncode, target.read_bytes(), proc.stderr) == (0, golden, b"")
+    proc = console(argv, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, b"")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from equigon.checks import CheckResult
+from equigon.checks import CheckResult, residual_check
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import (
@@ -214,6 +214,15 @@ def test_multisets_equal_detects_mismatch():
     assert match.residual == pytest.approx(0.5)
 
 
+def test_no_check_passes_against_a_bound_that_is_not_finite():
+    # A bound that overflowed would pass whatever was measured; it passes nothing.
+    match = multisets_equal([1.0, 2.0, math.inf], [1.0, 2.0, math.inf])
+    assert (match.ok, match.residual, match.tolerance) == (False, 0.0, math.inf)
+    for bound in (math.inf, math.nan):
+        assert not residual_check("c", 0.0, bound).ok
+    assert residual_check("c", 0.0, math.inf, vacuous=True).ok
+
+
 def test_multisets_equal_scale_aware():
     big = [1e12, 2e12, 3e12]
     jittered = [x * (1.0 + 1e-13) for x in big]
@@ -251,26 +260,29 @@ def test_compare_power_sums_passes_for_permuted_lists():
 
 
 def test_compare_power_sums_flags_first_order_mismatch():
-    first, second = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
-    assert not compare_power_sums(first, second).ok
-    assert not compare_power_sums(first, second, max_order=1).ok
+    assert not compare_power_sums([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]).ok
+    # Two entries have order 1 alone.
+    check = compare_power_sums([1.0, 3.0], [1.0, 4.0])
+    assert not check.ok
+    assert check.detail == "orders 1..1, normalized"
 
 
 def test_compare_power_sums_handles_huge_scales_without_overflow():
     base = [3.7e150, 1.1e151, 9.4e149, 2.2e150, 5.0e150, 7.7e150]
-    check = compare_power_sums(base, list(reversed(base)), max_order=5)
+    check = compare_power_sums(base, list(reversed(base)))
     assert check.ok
     assert check.detail == "orders 1..5, normalized"
     assert math.isfinite(check.residual)
 
 
 def test_compare_power_sums_judges_each_order_at_its_own_magnitude():
-    # p_1 is 4 against 3.998: relative residual 5e-4 sits under the shown
-    # tolerance 1e-3 + 1e-9, but the order itself allows only 1e-3 + 4e-9
-    # of absolute gap, so the check fails.
+    # Two entries have order 1 alone.  p_1 is 2 against 1.998: relative
+    # residual 1e-3 sits under the shown tolerance 1e-3 + 1e-9, but the order
+    # itself allows only 1e-3 + 2e-9 of absolute gap, so the check fails.
     tol = Tolerance(rel=1e-9, abs=1e-3)
-    check = compare_power_sums([1.0] * 4, [1.0, 1.0, 1.0, 0.998], tol, max_order=1)
-    assert check.residual == pytest.approx(5e-4)
+    check = compare_power_sums([1.0, 1.0], [1.0, 0.998], tol)
+    assert check.detail == "orders 1..1, normalized"
+    assert check.residual == pytest.approx(1e-3)
     assert check.residual <= check.tolerance == tol.bound(1.0)
     assert not check.ok
 
@@ -469,9 +481,10 @@ def test_the_power_sum_fold_adds_left_to_right(values):
 
 
 def multiset_fold(a, b, tol):
-    """Oracle: ``multisets_equal``'s verdict, worst gap and slack as a loop of ``max`` folds over the sorted pairs."""
+    """Oracle: ``multisets_equal``'s verdict, worst gap and slack as a loop of ``max`` folds over the sorted pairs.
+    A slack that is not finite passes nothing."""
     slack = tol.bound(max(max(abs(x) for x in a), max(abs(x) for x in b)))
-    worst, equal = 0.0, True
+    worst, equal = 0.0, math.isfinite(slack)
     for x, y in zip(sorted(a), sorted(b)):
         gap = abs(x - y)
         worst = max(worst, gap)
