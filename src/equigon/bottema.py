@@ -34,12 +34,14 @@ from .geom import (
 )
 from .polygon import (
     DegenerateSideError,
+    InvalidVertexCountError,
     RegularPolygon,
     _overflow,
     from_side,
     turns,
 )
-from .equalizer import MatchKind, PairCase, antipode_midpoint, classify_pair, partners, shared_vertex_points
+from .equalizer import MatchKind, PairCase, classify_pair, partners, shared_vertex_points
+from .scenario import MAX_N
 
 
 class DegenerateTriangleError(GeometryError):
@@ -92,13 +94,6 @@ def bottema_construct(
     line A1 An that Bn is on, read along that line's unit direction, so that
     no product of two lengths underflows.
     """
-    poly1, poly2 = _erect_polygons(an, a1, bn, n, side1, side2, tol)
-    return bottema_pair(poly1, poly2, an, a1, bn, tol)
-
-
-def _erect_polygons(an: Point, a1: Point, bn: Point, n: int, side1: int | None, side2: int | None,
-                    tol: Tolerance) -> tuple[RegularPolygon, RegularPolygon]:
-    """``bottema_construct``'s two polygons, ``from_side`` after its triangle tests."""
     floor = tol.bound(0.0)
     ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
     side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
@@ -109,8 +104,9 @@ def _erect_polygons(an: Point, a1: Point, bn: Point, n: int, side1: int | None, 
     if not (abs(signed) < math.inf and span_sq < math.inf):
         raise _overflow("triangle", f"signed area {signed!r}, squared apex side {span_sq!r}")
     exterior = -1 if ux / side_n * vy - uy / side_n * vx > 0.0 else 1
-    return (from_side(a1, an, n, exterior if side1 is None else side1, tol),
-            from_side(a1, bn, n, -exterior if side2 is None else side2, tol))
+    poly1 = from_side(a1, an, n, exterior if side1 is None else side1, tol)
+    poly2 = from_side(a1, bn, n, -exterior if side2 is None else side2, tol)
+    return bottema_pair(poly1, poly2, an, a1, bn, tol)
 
 
 def bottema_pair(poly1: RegularPolygon, poly2: RegularPolygon, an: Point, a1: Point, bn: Point,
@@ -193,44 +189,39 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     )
 
 
-# The apex sweep's filter, in the manner of geom's _CCW_ERRBOUND: one test per
-# base decides that every apex the sweep can draw passes each test of the
-# construction up to M1 (_erect_polygons, then antipode_midpoint), and then no
-# apex runs them.  The settled tests: n is an integer; the apex, the triangle's
-# signed area and squared longest apex side, both centroids and radii, the
-# antipodes and M1 are finite; both apex sides are above the floor.
+# The apex sweep works in its base's frame: An at the origin, and Bn - An times
+# 2**-e, for the exponent e that math.frexp gives the base length, so that the
+# frame's base length L is in [0.5, 1).  The scaling is exact but where a
+# coordinate falls below 2**-1022 in the frame, and then off by at most
+# 2**-1075; the residuals go back by 2**e.  The draws put the apex A at
+# s e + h e' with s = t L, h = y L, t in [-0.5, 1.5] and y in [0.05, 2 (1 +
+# 2**-52)], for the unit base direction e and its normal e', and n <= MAX_N.
+# Each step rounds to nearest with relative error at most u = 2**-53, or
+# underflows with an error under 2**-1074, which drowns in the margins below.
 #
-# Ranges.  The draws put the apex A at An + s e + h e' with s = t L, h = y L,
-# t in [-0.5, 1.5] and y in [0.05, 2 (1 + 2**-52)], for the float base length L,
-# unit base direction e and its normal e'.  The filter asks for an integer
-# n <= 2**20, 2**-400 <= L <= 2**400, corner coordinates C <= 2**20 L in
-# magnitude and a floor below 0.04 L.  Each step then rounds to nearest with
-# relative error at most u = 2**-53, or underflows with an error under
-# 2**-1074, which is below 2**-600 u L and drowns in the margins below.
-#
-# Finite and above the floor.  Rounding moves A by at most 3u (C + 2.6 L) <
-# 2**-30 L per coordinate from An + s e + h e', which is |s e + h e'| <= 2.51 L
-# from An and at least 0.05 L (1 - 5u) from the base line; Bn is within 6u L of
-# that line.  So |A| <= C + 2.6 L, each apex side is in [0.0499 L, 3.7 L] and
-# above the floor, the signed area is under 30 L**2, and with sin(pi/n) >= 2/n
-# each radius is positive and under 2**20 L: apex, triangle, radii, centroids,
-# phases, antipodes and M1 are all below 2**430, so finite.
+# Finite.  Rounding moves A by at most 20u L < 2**-48 L per coordinate from
+# s e + h e', which is at most 2.51 L from An and at least 0.05 L (1 - 5u) from
+# the base line; Bn is within 6u L of that line.  So |A| <= 2.6 L, each apex
+# side is in [0.0499 L, 3.7 L], and with sin(pi/n) >= 2/n each radius is
+# positive and under 2**11: circles, antipodes and M1 are all below 2**13.  No
+# side is tested against the floor: the door tests the base, and each side is
+# at least 0.0499 times as long.
 #
 # Exterior sides.  A is left of An -> Bn, so the exact value of
-# _erect_polygons' test ux / side_n * vy - uy / side_n * vx, twice the
+# bottema_construct's test ux / side_n * vy - uy / side_n * vx, twice the
 # triangle's area over the apex side to An, is at least 0.0499 L * L / 3.7 L,
-# about 0.0135 L; its rounding error is below 2**-29 L.  So the test reads -1
+# about 0.0135 L; its rounding error is below 2**-48 L.  So the test reads -1
 # for the An polygon and +1 for the Bn polygon on every apex.
 #
-# Doubled centroids.  Per axis the loop forms 2 O = c + r, c = A + An and r =
-# q * (side_n / tan) with q = +-uy / side_n or +-ux / side_n, where from_side
-# halves c and side_n, so r.  Those halvings are exact, and 2 O - A the same
-# float, while c and r are 0 or at least 2**-1021, as side_n / tan > 2**-406
+# Doubled centroids.  Per axis the loop forms 2 O = c + r, c = A + C for the
+# corner C and r = q * (side / tan) with q = +-uy / side or +-ux / side, where
+# from_side halves c and side, so r.  Those halvings are exact, and 2 O - A the
+# same float, while c and r are 0 or at least 2**-1021, as side / tan > 2**-7
 # is.  Otherwise one term is under a quarter ulp of what it is added to:
-# - 0 < |c| < 2**-1021 needs |A|, |An| < 2**-968 on this axis, so the side runs
-#   along the other and |r| > 2**-407: the sums read r and r / 2;
-# - |r| < 2**-1021 puts the side along this axis, |A - An| > 2**-405: c = 0 and
-#   |A| > 2**-406, so 2 O - A reads -A; or |c| >= 2**-459: the sums read c, c / 2.
+# - 0 < |c| < 2**-1021 needs |A|, |C| < 2**-968 on this axis, so the side runs
+#   along the other and |r| > 2**-8: the sums read r and r / 2;
+# - |r| < 2**-1021 puts the side along this axis, |A - C| > 2**-6: c = 0 and
+#   |A| > 2**-7, so 2 O - A reads -A; or |c| >= 2**-60: the sums read c, c / 2.
 #
 # The spread over rim midpoints.  On each axis the larger of a midpoint's two
 # differences to the bounding box's edges bounds its float difference to any
@@ -238,18 +229,6 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
 # share CPython's vector norm, within 1 ulp.  The widest pair is at least as wide
 # as `lower`, a real pair's width, so the hypot of each end's four differences is
 # at least lower (1 - 2**-50), or lower - 2**-1073 below 2**-1022: not under the cut.
-
-
-def _sweep_settled(base_length: float, corner: float, n: int, floor: float) -> bool:
-    """Whether every apex of a sweep over this base passes each test of the
-    construction up to M1: the bound above, from the base length, the largest
-    corner coordinate, n and the floor."""
-    return (
-        isinstance(n, int) and n <= 2 ** 20
-        and 2.0 ** -400 <= base_length <= 2.0 ** 400
-        and corner <= 2.0 ** 20 * base_length
-        and floor < 0.04 * base_length
-    )
 
 
 def verify_independence(
@@ -267,26 +246,24 @@ def verify_independence(
     polygons on the far side.  Returns two checks, each bounded by
     ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
     spread of the computed midpoints, taken over the distinct ones and, by the
-    bound argued beside ``_sweep_settled``, only between the rim ones, and
+    bound argued above, only between the rim ones, and
     ``apex_independence_closed_form``, their worst distance to the closed form.
 
-    Each apex computes only M1, with ``bottema_construct``'s arithmetic, so
-    its M1 is bit-equal to ``bottema_construct``'s.  An error bound
-    (``_sweep_settled``, argued beside it) settles once per base that every
-    apex the sweep can draw passes each test of the construction up to M1:
-    for an integer n <= 2**20, a base length L in [2**-400, 2**400] longer
-    than 25 times ``tol.abs`` and corner coordinates at most 2**20 L, each
-    apex has both sides above the floor and a finite triangle, circles,
-    antipodes and M1.  On a settled base ``tan(pi / n)`` is taken once and
-    the sides are fixed per base, -1 for the An polygon and +1 for the Bn
-    one, as every apex is left of An -> Bn.  Each apex computes in plain
-    floats, calling no Python function, with two ``random()`` draws and two
-    ``hypot`` calls: the corner differences and apex-side lengths, both
-    centroids doubled by ``from_side``'s arithmetic less its exact halvings,
-    the antipodes and their midpoint.  On any other base each apex, once it is
-    finite, runs the checked construction up to M1 (the polygons
-    ``bottema_construct`` erects, then ``antipode_midpoint``), and the first
-    test it fails raises its error.
+    The door refuses an n that is not an integer in 3..``MAX_N``, a base past
+    the float range and a base not longer than the floor ``tol.bound(0.0)``.
+    The sweep then runs in the base's frame (argued above), so its verdict
+    depends neither on where the base sits nor on its size: both residuals go
+    back to the caller's units, exactly, before they are judged.  There every
+    apex passes each test of the construction up to M1, so none is tested.
+
+    Each apex computes only M1, with ``bottema_construct``'s arithmetic on the
+    base in its frame, so its M1 is bit-equal to ``bottema_construct``'s
+    there.  ``tan(pi / n)`` is taken once and the sides are fixed, -1 for the
+    An polygon and +1 for the Bn one, as every apex is left of An -> Bn.  Each
+    apex computes in plain floats, calling no Python function, with two
+    ``random()`` draws and two ``hypot`` calls: the corner differences and
+    apex-side lengths, both centroids doubled by ``from_side``'s arithmetic
+    less its exact halvings, the antipodes and their midpoint.
 
     Each draw is ``a + (b - a) * random()``, the expression
     ``random.uniform`` documents, so it is the float ``rng.uniform(a, b)``
@@ -298,52 +275,45 @@ def verify_independence(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    base_length = an.distance(bn)
-    if not math.isfinite(base_length):
-        raise _overflow("base", (bn.x - an.x, bn.y - an.y))
-    floor = tol.bound(0.0)
-    if base_length <= floor:
+    dx, dy = bn.x - an.x, bn.y - an.y
+    base_length = math.hypot(dx, dy)
+    if not base_length < math.inf:
+        raise _overflow("base", (dx, dy))
+    if base_length <= tol.bound(0.0):
         raise DegenerateSideError("base endpoints coincide")
-    draw = random.Random(seed).random
-    along = (bn - an) * (1.0 / base_length)
-    normal = along.perpendicular()
-    ex, ey, nx, ny = along.x, along.y, normal.x, normal.y
-    predicted = closed_form_midpoint(an, bn, n, 1, tol)
-    px, py = predicted.x, predicted.y
-    anx, any_, bnx, bny = an.x, an.y, bn.x, bn.y
-    settled = _sweep_settled(base_length, max(abs(anx), abs(any_), abs(bnx), abs(bny)), n, floor)
-    tan, inf, hypot = math.tan(math.pi / n), math.inf, math.hypot
+    if not (isinstance(n, int) and 3 <= n <= MAX_N):
+        raise InvalidVertexCountError(f"need n >= 3, got {n}" if isinstance(n, int) and n < 3
+                                      else f"need an integer n in 3..{MAX_N}, got {n!r}")
+    e = math.frexp(base_length)[1]
+    bnx, bny = math.ldexp(dx, -e), math.ldexp(dy, -e)
+    length = math.hypot(bnx, bny)
+    ex, ey = bnx * (1.0 / length), bny * (1.0 / length)
+    nx, ny = -ey, ex
+    draw, tan, hypot = random.Random(seed).random, math.tan(math.pi / n), math.hypot
+    # closed_form_midpoint's arithmetic for normal side +1, with An at the origin.
+    closed = 0.5 * bnx + nx * (0.5 * length / tan), 0.5 * bny + ny * (0.5 * length / tan)
     midpoints: dict[tuple[float, float], None] = {}
     for _ in range(samples):
         t = -0.5 + (1.5 - -0.5) * draw()
         height = 0.05 + (2.0 - 0.05) * draw()
-        s, u = t * base_length, height * base_length
-        ax, ay = anx + ex * s + nx * u, any_ + ey * s + ny * u
-        if settled:
-            ux, uy, vx, vy = anx - ax, any_ - ay, bnx - ax, bny - ay
-            side_n, side_b = hypot(ux, uy), hypot(vx, vy)
-            # from_side's arithmetic, less its halvings, so twice the centroids of the
-            # circles on An -> A1 and Bn -> A1, on the sides -1 and +1 of a settled base.
-            inverse, apothem = 1.0 / side_n, side_n / tan
-            x1 = (ax + anx) + uy * inverse * apothem
-            y1 = (ay + any_) - ux * inverse * apothem
-            inverse, apothem = 1.0 / side_b, side_b / tan
-            x2 = (ax + bnx) - vy * inverse * apothem
-            y2 = (ay + bny) + vx * inverse * apothem
-            mx = 0.5 * ((x1 - ax) + (x2 - ax))
-            my = 0.5 * ((y1 - ay) + (y2 - ay))
-        else:
-            if not (-inf < ax < inf and -inf < ay < inf):
-                raise _overflow("apex", (ax, ay))
-            apex = Point(ax, ay)
-            m1 = antipode_midpoint(*_erect_polygons(an, apex, bn, n, None, None, tol), apex)[2]
-            mx, my = m1.x, m1.y
-        midpoints[mx, my] = None
+        s, u = t * length, height * length
+        ax, ay = ex * s + nx * u, ey * s + ny * u
+        ux, uy, vx, vy = -ax, -ay, bnx - ax, bny - ay
+        side_n, side_b = hypot(ux, uy), hypot(vx, vy)
+        # from_side's arithmetic, less its halvings, so twice the centroids of the
+        # circles on An -> A1 and Bn -> A1, on the sides -1 and +1.
+        inverse, apothem = 1.0 / side_n, side_n / tan
+        x1 = ax + uy * inverse * apothem
+        y1 = ay - ux * inverse * apothem
+        inverse, apothem = 1.0 / side_b, side_b / tan
+        x2 = (ax + bnx) - vy * inverse * apothem
+        y2 = (ay + bny) + vx * inverse * apothem
+        midpoints[0.5 * ((x1 - ax) + (x2 - ax)), 0.5 * ((y1 - ay) + (y2 - ay))] = None
     # A repeated midpoint adds only zero distances and repeats a distance to the
     # closed form: the maxima over the distinct ones are the same floats, and the
-    # spread's over the rim ones only (argued beside _sweep_settled).
+    # spread's over the rim ones only (argued above).
     dist, points = math.dist, list(midpoints)
-    worst_closed = max(map(dist, repeat((px, py)), points))
+    worst_closed = max(map(dist, repeat(closed), points))
     xs, ys = zip(*points)
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     lower = max(dist(points[xs.index(x_lo)], points[xs.index(x_hi)]),
@@ -356,11 +326,11 @@ def verify_independence(
     return (
         residual_check(
             "apex_independence_spread",
-            max_deviation,
+            math.ldexp(max_deviation, e),
             allowed,
             detail=f"{samples} apexes, exterior placement",
         ),
-        residual_check("apex_independence_closed_form", worst_closed, allowed),
+        residual_check("apex_independence_closed_form", math.ldexp(worst_closed, e), allowed),
     )
 
 

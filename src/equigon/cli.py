@@ -112,7 +112,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         print(_canonical_json(report.to_dict()))
     else:
-        sys.stdout.write(report.to_text())
+        print(report.to_text(), end="")
     if report.errors:
         return EXIT_INPUT_ERROR
     return EXIT_OK if report.overall_ok else EXIT_CHECK_FAILED
@@ -120,10 +120,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _is_stdout(status: os.stat_result) -> bool:
     """Whether ``status`` is the file behind standard output; False when stdout
-    has no descriptor (a ``StringIO``) or its file object is closed."""
+    has no descriptor (a ``StringIO``), its file object is closed, or there is
+    none (``None``, when the process started with descriptor 1 closed)."""
     try:
         return os.path.samestat(status, os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError):
+    except (AttributeError, OSError, ValueError):
         return False
 
 
@@ -277,8 +278,10 @@ def _run(argv: Sequence[str] | None) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = _run(argv)
-        # A closed pipe raises here, not in the flush at interpreter exit.
-        sys.stdout.flush()
+        # A closed pipe raises here, not in the flush at interpreter exit.  With
+        # descriptor 1 closed, stdout is None and ``print`` writes nothing.
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull, so that the exit-time

@@ -144,27 +144,22 @@ def _vertex_distances(
             [hypot(x - bx, y - by) for bx, by in zip(us, vs)])
 
 
-def antipode_midpoint(first: RegularPolygon, second: RegularPolygon, a: Point) -> tuple[Point, Point, Point]:
-    """D1, D2, the antipodes of the shared first vertex ``a`` on the two
-    circumcircles, and their midpoint M1 = O1 + O2 - A.  An antipode or M1
-    past the float range raises the overflow error."""
-    d1, d2 = diametric_opposite(first, a), diametric_opposite(second, a)
-    mx, my = 0.5 * (d1.x + d2.x), 0.5 * (d1.y + d2.y)
-    if not (abs(mx) < math.inf and abs(my) < math.inf):
-        raise _overflow("M1", (mx, my))
-    return d1, d2, Point(mx, my)
-
-
 def shared_vertex_points(first: RegularPolygon, second: RegularPolygon,
                          a: Point) -> tuple[Point, Point, Point, Point, bool]:
     """D1, D2, M1, M2 of a pair sharing its first vertex ``a``, and whether M1 = M2.
 
-    M1 is ``antipode_midpoint``'s, and M2 its mirror across the line O1 O2;
-    they coincide exactly when A lies on that line (``exactly_collinear``).
-    Nothing here tests that ``a`` is on both circles: the checks judge it.
+    D1 and D2 are the antipodes of ``a`` on the two circumcircles, M1 their
+    midpoint O1 + O2 - A, and M2 its mirror across the line O1 O2; they
+    coincide exactly when A lies on that line (``exactly_collinear``).  An
+    antipode or M1 past the float range raises the overflow error.  Nothing
+    here tests that ``a`` is on both circles: the checks judge it.
     """
     o1, o2 = first.centroid, second.centroid
-    d1, d2, m1 = antipode_midpoint(first, second, a)
+    d1, d2 = diametric_opposite(first, a), diametric_opposite(second, a)
+    mx, my = 0.5 * (d1.x + d2.x), 0.5 * (d1.y + d2.y)
+    if not (abs(mx) < math.inf and abs(my) < math.inf):
+        raise _overflow("M1", (mx, my))
+    m1 = Point(mx, my)
     if exactly_collinear(o1, o2, a):
         return d1, d2, m1, m1, True
     dx, dy = o2.x - o1.x, o2.y - o1.y

@@ -152,9 +152,8 @@ def from_side(
     error past the float range), its length and n; a centroid or radius past
     the float range raises the overflow error, and every step that leaves the
     range reaches one of them.  The phase and the orientation are one
-    ``atan2`` each.  The apex sweep repeats the centroid arithmetic inline
-    where its error bound settles every test, and calls this elsewhere; the
-    tests pin its midpoints to ``bottema_construct``'s.
+    ``atan2`` each.  The apex sweep repeats the centroid arithmetic inline,
+    in its base's frame; the tests pin its midpoints to ``bottema_construct``'s.
     """
     if side not in (1, -1):
         raise GeometryError(f"side must be +1 or -1, got {side!r}")

@@ -17,6 +17,7 @@ from equigon.polygon import (
     from_side,
 )
 from equigon.power_sums import compare_power_sums, distances_squared
+from equigon.scenario import MAX_N
 from equigon.bottema import (
     DegenerateTriangleError,
     bottema_construct,
@@ -150,74 +151,75 @@ def test_verify_independence_report():
         verify_independence(Point(0, 0), Point(2, 0), 7, samples=1)
 
 
-# Exact sweep results of the full bottema_construct per apex with the spread
-# taken over every pair of midpoints; building only M1 and skipping repeated
-# midpoints must reproduce them bit for bit.  The grid after the first eight,
-# recorded with each apex, corner difference and M1 built as a Point, covers
+# Exact sweep results of reference_sweep, the construction's arithmetic per
+# apex with each apex, corner difference and M1 built as a Point and the spread
+# taken over every pair of midpoints, on the base moved into its frame, with
+# both residuals times 2**e; building only M1 and skipping repeated midpoints
+# must reproduce them bit for bit.  The grid after the first eight covers
 # n = 3..12 at base scales 1e-150 to 1e150 with 300 apexes each; its absolute
-# floor of 1e-300 lets the 1e-150 bases clear the coincidence check.
+# floor of 1e-300 lets the 1e-150 bases clear the door's test of the base.
 # (n, base scale, samples, seed, absolute tolerance)
 #     -> (spread residual, closed-form residual, tolerance).
 # Test ids are the first four fields.
 PINNED_SWEEPS = [
-    ((3, 1.0, 2, 0, 1e-12), (4.577566798522237e-16, 2.482534153247273e-16, 2.119962010041709e-09)),
-    ((4, 1.0, 30, 1, 1e-12), (1.616509124176106e-15, 9.155133597044475e-16, 2.119962010041709e-09)),
-    ((7, 1.0, 300, 2, 1e-12), (3.66205343881779e-15, 1.831026719408895e-15, 2.119962010041709e-09)),
-    ((12, 1.0, 30, 3, 1e-12), (3.66205343881779e-15, 2.3914935841127266e-15, 2.119962010041709e-09)),
-    ((3, 1e-6, 300, 4, 1e-12), (1.6538847004437893e-21, 8.984141113379144e-22, 1.0021189620100417e-12)),
-    ((7, 1e-6, 30, 5, 1e-12), (2.8410348738639142e-21, 1.8940232492426095e-21, 1.0021189620100417e-12)),
-    ((4, 1e6, 300, 6, 1e-12), (1.9893058914033534e-09, 1.041250292910165e-09, 0.002118962011041709)),
-    ((12, 1e6, 2, 7, 1e-12), (9.599853366654507e-10, 9.313225746154785e-10, 0.002118962011041709)),
-    ((3, 1e-150, 300, 30, 1e-300), (1.250782660443995e-165, 7.305860713181969e-166, 2.1189620100417092e-159)),
-    ((3, 1e-06, 300, 31, 1e-300), (1.5270103616663822e-21, 8.984141113379144e-22, 2.1189620100417095e-15)),
-    ((3, 1.0, 300, 32, 1e-300), (1.9860273225978185e-15, 1.2008898127460164e-15, 2.1189620100417093e-09)),
-    ((3, 1000000.0, 300, 33, 1e-300), (1.4725502860585132e-09, 9.313225746154785e-10, 0.002118962010041709)),
-    ((3, 1e+150, 300, 34, 1e-300), (1.5525281956558703e+135, 8.126303981021025e+134, 2.1189620100417092e+141)),
-    ((4, 1e-150, 300, 40, 1e-300), (1.678101032298486e-165, 9.100780630061754e-166, 2.1189620100417092e-159)),
-    ((4, 1e-06, 300, 41, 1e-300), (2.8802234130016577e-21, 1.809263168437022e-21, 2.1189620100417095e-15)),
-    ((4, 1.0, 300, 42, 1e-300), (1.6011864169946884e-15, 9.42055475210265e-16, 2.1189620100417093e-09)),
-    ((4, 1000000.0, 300, 43, 1e-300), (1.818465459138773e-09, 9.878167619740788e-10, 0.002118962010041709)),
-    ((4, 1e+150, 300, 44, 1e-300), (1.9654907170804834e+135, 1.0279051815568062e+135, 2.1189620100417092e+141)),
-    ((5, 1e-150, 300, 50, 1e-300), (2.713328551617526e-165, 1.516796771676959e-165, 2.1189620100417092e-159)),
-    ((5, 1e-06, 300, 51, 1e-300), (3.0540207233327644e-21, 1.7462031549538564e-21, 2.1189620100417095e-15)),
-    ((5, 1.0, 300, 52, 1e-300), (2.8435583831733384e-15, 1.6011864169946884e-15, 2.1189620100417093e-09)),
-    ((5, 1000000.0, 300, 53, 1e-300), (2.725212813988241e-09, 1.6950326713920846e-09, 0.002118962010041709)),
-    ((5, 1e+150, 300, 54, 1e-300), (2.5697629538920153e+135, 1.4536774485912138e+135, 2.1189620100417092e+141)),
-    ((6, 1e-150, 300, 60, 1e-300), (2.7670630462972426e-165, 1.7160596526954258e-165, 2.1189620100417092e-159)),
-    ((6, 1e-06, 300, 61, 1e-300), (3.0540207233327644e-21, 1.796828222675829e-21, 2.1189620100417095e-15)),
-    ((6, 1.0, 300, 62, 1e-300), (2.808666774861361e-15, 1.6011864169946884e-15, 2.1189620100417093e-09)),
-    ((6, 1000000.0, 300, 63, 1e-300), (2.3283064365386963e-09, 1.5618754393652476e-09, 0.002118962010041709)),
-    ((6, 1e+150, 300, 64, 1e-300), (2.929980568357845e+135, 1.4984164165299903e+135, 2.1189620100417092e+141)),
-    ((7, 1e-150, 300, 70, 1e-300), (4.375110827791616e-165, 2.7670630462972426e-165, 2.1189620100417092e-159)),
-    ((7, 1e-06, 300, 71, 1e-300), (3.618526336874044e-21, 1.8940232492426095e-21, 2.1189620100417095e-15)),
-    ((7, 1.0, 300, 72, 1e-300), (3.972054645195637e-15, 2.2644195468014703e-15, 2.1189620100417093e-09)),
-    ((7, 1000000.0, 300, 73, 1e-300), (3.390065342784169e-09, 1.9756335239481576e-09, 0.002118962010041709)),
-    ((7, 1e+150, 300, 74, 1e-300), (3.7061648384181854e+135, 2.126857287842589e+135, 2.1189620100417092e+141)),
-    ((8, 1e-150, 300, 80, 1e-300), (3.6403122520247015e-165, 1.956609044007486e-165, 2.1189620100417092e-159)),
-    ((8, 1e-06, 300, 81, 1e-300), (4.4216417962403795e-21, 2.2807060090186373e-21, 2.1189620100417095e-15)),
-    ((8, 1.0, 300, 82, 1e-300), (4.636427468134552e-15, 3.3820826609804605e-15, 2.1189620100417093e-09)),
-    ((8, 1000000.0, 300, 83, 1e-300), (3.754281321679498e-09, 2.0954757928848267e-09, 0.002118962010041709)),
-    ((8, 1e+150, 300, 84, 1e-300), (3.25052159240841e+135, 1.8971047660479165e+135, 2.1189620100417092e+141)),
-    ((9, 1e-150, 300, 90, 1e-300), (3.9506660042995875e-165, 2.4268748346831344e-165, 2.1189620100417092e-159)),
-    ((9, 1e-06, 300, 91, 1e-300), (3.995446421313683e-21, 2.117582368135751e-21, 2.1189620100417095e-15)),
-    ((9, 1.0, 300, 92, 1e-300), (4.5288390936029406e-15, 2.2644195468014703e-15, 2.1189620100417093e-09)),
-    ((9, 1000000.0, 300, 93, 1e-300), (3.839941346661803e-09, 2.146592470186969e-09, 0.002118962010041709)),
-    ((9, 1e+150, 300, 94, 1e-300), (3.9141463185392406e+135, 2.2984658603852817e+135, 2.1189620100417092e+141)),
-    ((10, 1e-150, 300, 100, 1e-300), (5.453722892598446e-165, 3.4747559625961496e-165, 2.1189620100417092e-159)),
-    ((10, 1e-06, 300, 101, 1e-300), (4.5614120180372746e-21, 2.4785666155259976e-21, 2.1189620100417095e-15)),
-    ((10, 1.0, 300, 102, 1e-300), (4.782987168225453e-15, 2.3914935841127266e-15, 2.1189620100417093e-09)),
-    ((10, 1000000.0, 300, 103, 1e-300), (3.839941346661803e-09, 2.08250058582033e-09, 0.002118962010041709)),
-    ((10, 1e+150, 300, 104, 1e-300), (5.1395259077840306e+135, 2.9968328330599806e+135, 2.1189620100417092e+141)),
-    ((11, 1e-150, 300, 110, 1e-300), (4.238354688179811e-165, 2.713328551617526e-165, 2.1189620100417092e-159)),
-    ((11, 1e-06, 300, 111, 1e-300), (5.152300273486526e-21, 2.964615315390051e-21, 2.1189620100417095e-15)),
-    ((11, 1.0, 300, 112, 1e-300), (5.773159728050814e-15, 3.0847422370805075e-15, 2.1189620100417093e-09)),
-    ((11, 1000000.0, 300, 113, 1e-300), (4.679838019013819e-09, 2.5076627764545864e-09, 0.002118962010041709)),
-    ((11, 1e+150, 300, 114, 1e-300), (5.814709794364855e+135, 2.9968328330599806e+135, 2.1189620100417092e+141)),
-    ((12, 1e-150, 300, 120, 1e-300), (4.474936086129297e-165, 2.9223442852727876e-165, 2.1189620100417092e-159)),
-    ((12, 1e-06, 300, 121, 1e-300), (5.6820697477278285e-21, 3.593656445351658e-21, 2.1189620100417095e-15)),
-    ((12, 1.0, 300, 122, 1e-300), (6.2803698347351005e-15, 3.9968028886505635e-15, 2.1189620100417093e-09)),
-    ((12, 1000000.0, 300, 123, 1e-300), (5.015325552909173e-09, 2.9451005721170265e-09, 0.002118962010041709)),
-    ((12, 1e+150, 300, 124, 1e-300), (5.2914657846564837e+135, 2.9968328330599806e+135, 2.1189620100417092e+141)),
+    ((3, 1.0, 2, 0, 1e-12), (3.1401849173675503e-16, 2.2887833992611187e-16, 2.119962010041709e-09)),
+    ((4, 1.0, 30, 1, 1e-12), (9.155133597044475e-16, 6.661338147750939e-16, 2.119962010041709e-09)),
+    ((7, 1.0, 300, 2, 1e-12), (3.552713678800501e-15, 1.7763568394002505e-15, 2.119962010041709e-09)),
+    ((12, 1.0, 30, 3, 1e-12), (3.552713678800501e-15, 1.7763568394002505e-15, 2.119962010041709e-09)),
+    ((3, 1e-06, 300, 4, 1e-12), (1.5159582716858337e-21, 8.470329472543003e-22, 1.0021189620100417e-12)),
+    ((7, 1e-06, 30, 5, 1e-12), (2.549906836428961e-21, 1.2880750683716315e-21, 1.0021189620100417e-12)),
+    ((4, 1000000.0, 300, 6, 1e-12), (1.9199706733309015e-09, 9.599853366654507e-10, 0.002118962011041709)),
+    ((12, 1000000.0, 2, 7, 1e-12), (4.656612873077393e-10, 4.656612873077393e-10, 0.002118962011041709)),
+    ((3, 1e-150, 300, 30, 1e-300), (1.250782660443995e-165, 6.817153615748058e-166, 2.1189620100417092e-159)),
+    ((3, 1e-06, 300, 31, 1e-300), (1.2978292469036249e-21, 6.696383416322138e-22, 2.1189620100417095e-15)),
+    ((3, 1.0, 300, 32, 1e-300), (1.1957467920563633e-15, 7.216449660063518e-16, 2.1189620100417093e-09)),
+    ((3, 1000000.0, 300, 33, 1e-300), (1.041250292910165e-09, 5.206251464550825e-10, 0.002118962010041709)),
+    ((3, 1e+150, 300, 34, 1e-300), (1.4649902841789224e+135, 7.324951420894612e+134, 2.1189620100417092e+141)),
+    ((4, 1e-150, 300, 40, 1e-300), (1.6279971309705157e-165, 8.686889906490374e-166, 2.1189620100417092e-159)),
+    ((4, 1e-06, 300, 41, 1e-300), (1.4973568522298576e-21, 9.470116246213047e-22, 2.1189620100417095e-15)),
+    ((4, 1.0, 300, 42, 1e-300), (1.4043333874306805e-15, 7.021666937153402e-16, 2.1189620100417093e-09)),
+    ((4, 1000000.0, 300, 43, 1e-300), (1.7731853541601237e-09, 9.599853366654507e-10, 0.002118962010041709)),
+    ((4, 1e+150, 300, 44, 1e-300), (1.4649902841789224e+135, 8.376402414906744e+134, 2.1189620100417092e+141)),
+    ((5, 1e-150, 300, 50, 1e-300), (2.7968350538308105e-165, 1.6279971309705157e-165, 2.1189620100417092e-159)),
+    ((5, 1e-06, 300, 51, 1e-300), (2.1595187633528426e-21, 1.3392766832644277e-21, 2.1189620100417095e-15)),
+    ((5, 1.0, 300, 52, 1e-300), (2.010699415441723e-15, 1.1322097734007351e-15, 2.1189620100417093e-09)),
+    ((5, 1000000.0, 300, 53, 1e-300), (2.3399190095069096e-09, 1.1872079953534493e-09, 0.002118962010041709)),
+    ((5, 1e+150, 300, 54, 1e-300), (2.5504169099596007e+135, 1.4984164165299903e+135, 2.1189620100417092e+141)),
+    ((6, 1e-150, 300, 60, 1e-300), (3.033593543353918e-165, 1.7160596526954258e-165, 2.1189620100417092e-159)),
+    ((6, 1e-06, 300, 61, 1e-300), (2.3389461739689706e-21, 1.3392766832644277e-21, 2.1189620100417095e-15)),
+    ((6, 1.0, 300, 62, 1e-300), (3.580361673049448e-15, 2.2315206618374916e-15, 2.1189620100417093e-09)),
+    ((6, 1000000.0, 300, 63, 1e-300), (2.430823284413328e-09, 1.2538313882272932e-09, 0.002118962010041709)),
+    ((6, 1e+150, 300, 64, 1e-300), (2.929980568357845e+135, 1.625260796204205e+135, 2.1189620100417092e+141)),
+    ((7, 1e-150, 300, 70, 1e-300), (3.837226036871652e-165, 2.187555413895808e-165, 2.1189620100417092e-159)),
+    ((7, 1e-06, 300, 71, 1e-300), (2.711828597234095e-21, 1.5270103616663822e-21, 2.1189620100417095e-15)),
+    ((7, 1.0, 300, 72, 1e-300), (3.794299872214038e-15, 2.220446049250313e-15, 2.1189620100417093e-09)),
+    ((7, 1000000.0, 300, 73, 1e-300), (3.267933811903512e-09, 1.9756335239481576e-09, 0.002118962010041709)),
+    ((7, 1e+150, 300, 74, 1e-300), (3.794209532095833e+135, 2.2105936788575378e+135, 2.1189620100417092e+141)),
+    ((8, 1e-150, 300, 80, 1e-300), (3.4321193053908516e-165, 1.7160596526954258e-165, 2.1189620100417092e-159)),
+    ((8, 1e-06, 300, 81, 1e-300), (4.5614120180372746e-21, 2.8410348738639142e-21, 2.1189620100417095e-15)),
+    ((8, 1.0, 300, 82, 1e-300), (3.552713678800501e-15, 1.9984014443252818e-15, 2.1189620100417093e-09)),
+    ((8, 1000000.0, 300, 83, 1e-300), (3.732559164492739e-09, 2.10837115024622e-09, 0.002118962010041709)),
+    ((8, 1e+150, 300, 84, 1e-300), (3.1050563913117406e+135, 1.8530824192090927e+135, 2.1189620100417092e+141)),
+    ((9, 1e-150, 300, 90, 1e-300), (4.375110827791616e-165, 2.2374680430646483e-165, 2.1189620100417092e-159)),
+    ((9, 1e-06, 300, 91, 1e-300), (3.835104781039663e-21, 2.1595187633528426e-21, 2.1189620100417095e-15)),
+    ((9, 1.0, 300, 92, 1e-300), (3.233018248352212e-15, 1.7763568394002505e-15, 2.1189620100417093e-09)),
+    ((9, 1000000.0, 300, 93, 1e-300), (3.390065342784169e-09, 1.818465459138773e-09, 0.002118962010041709)),
+    ((9, 1e+150, 300, 94, 1e-300), (3.794209532095833e+135, 2.4378911943063076e+135, 2.1189620100417092e+141)),
+    ((10, 1e-150, 300, 100, 1e-300), (4.636537861459427e-165, 2.4268748346831344e-165, 2.1189620100417092e-159)),
+    ((10, 1e-06, 300, 101, 1e-300), (4.4216417962403795e-21, 2.576150136743263e-21, 2.1189620100417095e-15)),
+    ((10, 1.0, 300, 102, 1e-300), (5.4025784115714076e-15, 3.580361673049448e-15, 2.1189620100417093e-09)),
+    ((10, 1000000.0, 300, 103, 1e-300), (3.461276355040843e-09, 2.08250058582033e-09, 0.002118962010041709)),
+    ((10, 1e+150, 300, 104, 1e-300), (4.724451707921445e+135, 2.4378911943063076e+135, 2.1189620100417092e+141)),
+    ((11, 1e-150, 300, 110, 1e-300), (5.372116451620313e-165, 2.713328551617526e-165, 2.1189620100417092e-159)),
+    ((11, 1e-06, 300, 111, 1e-300), (5.099813672857922e-21, 2.6785533665288553e-21, 2.1189620100417095e-15)),
+    ((11, 1.0, 300, 112, 1e-300), (6.233089088255905e-15, 3.552713678800501e-15, 2.1189620100417093e-09)),
+    ((11, 1000000.0, 300, 113, 1e-300), (6.585445079827193e-09, 3.390065342784169e-09, 0.002118962010041709)),
+    ((11, 1e+150, 300, 114, 1e-300), (4.5969317207705633e+135, 2.4378911943063076e+135, 2.1189620100417092e+141)),
+    ((12, 1e-150, 300, 120, 1e-300), (5.453722892598446e-165, 3.069780829497322e-165, 2.1189620100417092e-159)),
+    ((12, 1e-06, 300, 121, 1e-300), (5.6820697477278285e-21, 3.788046498485219e-21, 2.1189620100417095e-15)),
+    ((12, 1.0, 300, 122, 1e-300), (6.2803698347351005e-15, 3.580361673049448e-15, 2.1189620100417093e-09)),
+    ((12, 1000000.0, 300, 123, 1e-300), (4.861646568826656e-09, 2.83250703024595e-09, 0.002118962010041709)),
+    ((12, 1e+150, 300, 124, 1e-300), (5.85996113671569e+135, 3.6341936214780345e+135, 2.1189620100417092e+141)),
 ]
 
 
@@ -289,6 +291,13 @@ def sweep_apexes(an, bn, samples, seed):
         yield an + along * (t * base_length) + normal * (height * base_length)
 
 
+def framed(an, bn):
+    """The base in its own frame, An at the origin and Bn - An times 2**-e, and
+    e, the exponent math.frexp gives the base length."""
+    e = math.frexp(an.distance(bn))[1]
+    return Point(0.0, 0.0), Point(math.ldexp(bn.x - an.x, -e), math.ldexp(bn.y - an.y, -e)), e
+
+
 def recording_dist(monkeypatch):
     """Patch math.dist to record each call's two points; returns the record."""
     calls = []
@@ -310,8 +319,9 @@ def closed_form_midpoints(calls):
 
 def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
     # The sweep measures its distinct midpoints with math.dist, first to the
-    # closed form, in first-seen order; each must be bottema_construct's M1
-    # bit for bit.  Its spread is test_rim_spread_is_the_all_pairs_spread's.
+    # closed form, in first-seen order, in its base's frame; each must be
+    # bottema_construct's M1 there bit for bit.  Its spread is
+    # test_rim_spread_is_the_all_pairs_spread's.
     measured = recording_dist(monkeypatch)
     rng = random.Random(11)
     for _ in range(60):
@@ -320,9 +330,10 @@ def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
         n, seed = rng.randint(3, 64), rng.randrange(1000)
         measured.clear()
         verify_independence(an, bn, n, 20, seed=seed)
-        m1s = [bottema_construct(an, apex, bn, n).m1 for apex in sweep_apexes(an, bn, 20, seed)]
+        origin, frame_bn, _ = framed(an, bn)
+        m1s = [bottema_construct(origin, apex, frame_bn, n).m1 for apex in sweep_apexes(origin, frame_bn, 20, seed)]
         want = list(dict.fromkeys((m1.x, m1.y) for m1 in m1s))
-        predicted = closed_form_midpoint(an, bn, n, 1)
+        predicted = closed_form_midpoint(origin, frame_bn, n, 1)
         assert measured[:len(want)] == [((predicted.x, predicted.y), m) for m in want]
         assert closed_form_midpoints(measured) == want
 
@@ -336,8 +347,9 @@ def pinned_bases():
 @pytest.mark.parametrize("bases", [*range(18, 23), "pinned"])
 def test_rim_spread_is_the_all_pairs_spread(monkeypatch, bases):
     # The spread is measured only between the midpoints that reach far enough
-    # towards the bounding box (argued beside _sweep_settled); it must be the
-    # float that math.dist gives over every pair of distinct midpoints.
+    # towards the bounding box (argued beside verify_independence); it must be
+    # the float that math.dist gives over every pair of distinct midpoints, in
+    # the base's frame, times 2**e.
     dist = math.dist
     measured = recording_dist(monkeypatch)
     swept = spread_calls = all_pairs = 0
@@ -349,7 +361,8 @@ def test_rim_spread_is_the_all_pairs_spread(monkeypatch, bases):
             continue
         points = closed_form_midpoints(measured)
         assert len(set(points)) == len(points)
-        assert spread.residual == max(starmap(dist, combinations(points, 2)), default=0.0)
+        widest = max(starmap(dist, combinations(points, 2)), default=0.0)
+        assert spread.residual == math.ldexp(widest, framed(an, bn)[2])
         swept += 1
         spread_calls += len(measured) - len(points)
         all_pairs += len(points) * (len(points) - 1) // 2
@@ -367,11 +380,10 @@ def triangle_overflow(area):
     return GeometryError, f"triangle overflows the float range: signed area {area}, squared apex side inf"
 
 
-# (an, a1, bn, n): each is rejected with this error, which the sweep raises
-# for such an apex on a base it does not settle, since it runs the same tests.
-# Each overflow case leaves the signed area or the squared apex side past the
-# float range, so the construction stops at the triangle's overflow error
-# before any later step can overflow.
+# (an, a1, bn, n): each is rejected with this error.  Each overflow case leaves
+# the signed area or the squared apex side past the float range, so the
+# construction stops at the triangle's overflow error before any later step
+# can overflow.
 REJECTED = {
     "apex-on-corner": ((Point(0, 0), Point(0, 0), Point(2, 0), 4), CORNERS_COINCIDE),
     "corners-coincide": ((Point(0, 0), Point(1, 1), Point(0, 0), 5), CORNERS_COINCIDE),
@@ -405,60 +417,47 @@ def test_overflowing_triangle_names_the_overflow():
         assert str(excinfo.value) == message
 
 
-# (an, bn, n, seed): the first apex that fails, at 300 samples, raises the
-# overflow error of the quantity that left the float range: the apex itself,
-# its triangle (a corner difference past the range leaves the area NaN) or M1.
+PASSES = (True, True)
+NOT_A_VERTEX_COUNT = (InvalidVertexCountError, f"need an integer n in 3..{MAX_N}, got {6 * 10**208}")
+
+
+def sweep_verdict(an, bn, n, samples, tol=DEFAULT_TOLERANCE, seed=0):
+    """Whether the sweep's two checks pass, or its error's type and message."""
+    got = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
+    return got if isinstance(got[0], type) else (got[0].ok, got[1].ok)
+
+
+# (an, bn, n, seed): sweeps whose apexes, triangles, circles or M1 leave the
+# float range when computed in the caller's units.  In the base's frame none
+# does: each sweep passes, or the door refuses its n.
 SWEEP_ERRORS = {
-    "apex-product-overflows-x": (
-        (Point(0, 0), Point(1.7e308, 0), 5, 0),
-        (GeometryError, "apex overflows the float range: (nan, nan)"),
-    ),
-    "apex-product-overflows-y": (
-        (Point(0, 0), Point(1.7e308, 0), 5, 1),
-        (GeometryError, "apex overflows the float range: (nan, inf)"),
-    ),
-    "apex-sum-overflows": (
-        (Point(1.5e308, 0), Point(0.2e308, 0), 5, 1),
-        (GeometryError, "apex overflows the float range: (nan, -inf)"),
-    ),
-    "corner-difference-overflows": (
-        (Point(0, 0), Point(1.7e308, 0), 5, 28),
-        (GeometryError, "triangle overflows the float range: signed area nan, squared apex side inf"),
-    ),
-    "triangle-overflows": (
-        (Point(0, 0), Point(1.7e308, 0), 5, 4),
-        (GeometryError,
-         "triangle overflows the float range: signed area nan, squared apex side inf"),
-    ),
-    # n this large puts M1 near 1e308, so the two antipodes are finite but their sum is not.
-    "m1-sum-overflows": (
-        (Point(0, 0), Point(1e100, 0), 6 * 10**208, 9),
-        (GeometryError, "M1 overflows the float range: (-9.9792015476736e+291, inf)"),
-    ),
-    # A circle past the float range: the base is not settled, so the apex runs
-    # the checked path, which raises the circle's error.
-    "circumcircle-overflows": (
-        (Point(0, 0), Point(1e100, 0), 6 * 10**208, 0),
-        (GeometryError, "circumcircle overflows the float range: centroid (-inf, inf), radius inf"),
-    ),
+    "apex-product-overflows-x": ((Point(0, 0), Point(1.7e308, 0), 5, 0), PASSES),
+    "apex-product-overflows-y": ((Point(0, 0), Point(1.7e308, 0), 5, 1), PASSES),
+    "apex-sum-overflows": ((Point(1.5e308, 0), Point(0.2e308, 0), 5, 1), PASSES),
+    "corner-difference-overflows": ((Point(0, 0), Point(1.7e308, 0), 5, 28), PASSES),
+    "triangle-overflows": ((Point(0, 0), Point(1.7e308, 0), 5, 4), PASSES),
+    # n this large would put M1 near 1e308, or the circles past the float range.
+    "m1-sum-overflows": ((Point(0, 0), Point(1e100, 0), 6 * 10**208, 9), NOT_A_VERTEX_COUNT),
+    "circumcircle-overflows": ((Point(0, 0), Point(1e100, 0), 6 * 10**208, 0), NOT_A_VERTEX_COUNT),
 }
 
 
 @pytest.mark.parametrize("case, expected", SWEEP_ERRORS.values(), ids=SWEEP_ERRORS.keys())
 def test_sweep_errors_are_pinned(case, expected):
     an, bn, n, seed = case
-    assert outcome(lambda: verify_independence(an, bn, n, 300, seed=seed)) == expected
+    assert sweep_verdict(an, bn, n, 300, seed=seed) == expected
 
 
 def test_construction_raises_the_sweeps_m1_overflow():
     # The first apex of the m1-sum-overflows sweep: the construction forms M1
-    # with the sweep's arithmetic and overflow check, so it raises the sweep's error.
+    # and raises its overflow error, where the sweep refuses the n at its door.
     (an, bn, n, seed), expected = SWEEP_ERRORS["m1-sum-overflows"]
     rng = random.Random(seed)
     t, h = rng.uniform(-0.5, 1.5), rng.uniform(0.05, 2.0)
     apex = Point(t * bn.x, h * bn.x)
-    assert outcome(lambda: bottema_construct(an, apex, bn, n)) == expected
-    assert outcome(lambda: verify_independence(an, bn, n, 2, seed=seed)) == expected
+    assert outcome(lambda: bottema_construct(an, apex, bn, n)) == (
+        GeometryError, "M1 overflows the float range: (-9.9792015476736e+291, inf)")
+    assert sweep_verdict(an, bn, n, 2, seed=seed) == expected
 
 
 def test_sweep_builds_one_point_per_apex(monkeypatch):
@@ -499,9 +498,18 @@ def test_sweep_does_its_per_base_work_once(monkeypatch):
     assert max(long.values()) <= 3
 
 
+# Bases on which the sweep's one loop body runs: the default, a floor of 0.04
+# base lengths, and corners 1e8 base lengths from the origin.
+LOOP_BASES = {
+    "default": (Point(0, 0), Point(2, 0), 7, DEFAULT_TOLERANCE),
+    "floor-near-the-sides": (Point(0, 0), Point(2, 0), 7, Tolerance(abs=0.08)),
+    "far-from-the-origin": (Point(1e18, 1e18), Point(1.00000001e18, 1e18), 5, DEFAULT_TOLERANCE),
+}
+
+
 def test_sweep_calls_no_checked_path_on_a_regular_base(monkeypatch):
-    # On a settled base the sweep computes both circles, the antipodes and M1
-    # inline; the checked path runs only on a base the error bound leaves open.
+    # On every base the sweep computes both circles, the antipodes and M1
+    # inline, in its base's frame: no apex runs the construction's steps.
     calls = dict.fromkeys(("bottema_construct", "from_side", "diametric_opposite"), 0)
     for name in calls:
         for module in (equigon.bottema, equigon.equalizer, equigon.polygon):
@@ -514,12 +522,13 @@ def test_sweep_calls_no_checked_path_on_a_regular_base(monkeypatch):
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-    spread, closed = verify_independence(Point(0, 0), Point(2, 0), 7, 300, seed=1)
-    assert spread.ok and closed.ok
+    for an, bn, n, tol in LOOP_BASES.values():
+        spread, closed = verify_independence(an, bn, n, 300, tol, seed=1)
+        assert spread.ok and closed.ok
     assert calls == dict.fromkeys(calls, 0)
-    # The counters see the checked path when it runs.
+    # The counters see the construction when it runs.
     equigon.bottema.bottema_construct(Point(0, 0), Point(0.6, 1.4), Point(2, 0), 7)
-    assert calls == {"bottema_construct": 1, "from_side": 2, "diametric_opposite": 2}
+    assert calls["bottema_construct"] == 1 and calls["from_side"] == calls["diametric_opposite"] == 2
 
 
 def hypot_calls_per_apex(monkeypatch, an, bn, n, tol):
@@ -546,16 +555,17 @@ def hypot_calls_per_apex(monkeypatch, an, bn, n, tol):
 
 
 def test_settled_sweep_measures_only_the_two_sides(monkeypatch):
-    # On a base the error bound settles, an apex runs none of the construction's
-    # tests: its only distances are its two sides, and the spread measures each
-    # distinct midpoint's reach to the bounding box once.
-    assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, DEFAULT_TOLERANCE) == 2
+    # An apex runs none of the construction's tests, on any base the door lets
+    # through: its only distances are its two sides, and the spread measures
+    # each distinct midpoint's reach to the bounding box once.
+    for base in LOOP_BASES.values():
+        assert hypot_calls_per_apex(monkeypatch, *base) == 2
 
 
 def test_settled_sweep_calls_no_python_function_per_apex():
-    # On a settled base the sides are fixed once and the draws are inline: an
-    # apex's only calls are C functions, its two random() draws and its two
-    # hypot calls; its midpoint is kept by a dict store, which calls nothing.
+    # The sides are fixed once and the draws are inline: an apex's only calls
+    # are C functions, its two random() draws and its two hypot calls; its
+    # midpoint is kept by a dict store, which calls nothing.
     def events_per_call(samples):
         tally = {"call": 0, "c_call": 0}
 
@@ -575,21 +585,43 @@ def test_settled_sweep_calls_no_python_function_per_apex():
     assert {event: (long[event] - short[event]) / 298 for event in long} == {"call": 0, "c_call": 4}
 
 
-def test_unsettled_sweep_runs_the_checked_construction(monkeypatch):
-    # A floor of 0.04 base lengths is past the bound, so each apex runs the
-    # construction's triangle tests and from_side, each measuring both sides.
-    assert hypot_calls_per_apex(monkeypatch, Point(0, 0), Point(2, 0), 7, Tolerance(abs=0.08)) >= 4
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "far from the origin the sweep's bound is taken at the base length, while the "
-    "rounding of the apexes and midpoints grows with the corners' magnitude"))
 def test_sweep_far_from_the_origin_passes():
-    # Corners at 1e18 and a base of 1e10: the midpoints spread by 4.615e+02
-    # against an allowed 1.000e+01.  The base is not settled (its corners are
-    # past 2**20 base lengths), so each apex runs the checked construction.
-    spread, closed = verify_independence(Point(1e18, 1e18), Point(1.00000001e18, 1e18), 5, 300, seed=7)
+    # Corners at 1e18 and a base of 1e10: in the caller's units the apexes and
+    # midpoints would carry rounding of the corners' magnitude, 4.615e+02 of
+    # spread; in the base's frame the spread is the base's own.
+    spread, closed = verify_independence(*LOOP_BASES["far-from-the-origin"][:3], 300, seed=7)
     assert spread.ok and closed.ok
+    assert (f"{spread.residual:.3e}", f"{spread.tolerance:.3e}") == ("1.160e-05", "1.000e+01")
+
+
+def test_sweep_scales_its_residuals_exactly():
+    # A base scaled by 2**k has the same frame, so both residuals scale by 2**k exactly.
+    rng, tol = random.Random(29), Tolerance(abs=5e-324)
+    for _ in range(100):
+        an, bn = (Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
+        n, seed, k = rng.randint(3, 64), rng.randrange(1000), rng.randint(-900, 900)
+        residuals = [check.residual for check in verify_independence(an, bn, n, 20, tol, seed)]
+        scaled = verify_independence(an * 2.0 ** k, bn * 2.0 ** k, n, 20, tol, seed)
+        assert [check.residual for check in scaled] == [math.ldexp(residual, k) for residual in residuals]
+
+
+def test_sweep_is_blind_to_where_its_base_sits():
+    # Dyadic corners and offsets whose sums are exact: a moved base has the
+    # same Bn - An and so the same frame, and its residuals are bit-identical.
+    rng, tol = random.Random(31), Tolerance(abs=5e-324)
+    farthest = 0.0
+    for _ in range(100):
+        bits, unit = rng.randint(1, 20), 2.0 ** rng.randint(-60, 60)
+        an, bn, offset = (Point(rng.randint(-2 ** span, 2 ** span) * unit, rng.randint(-2 ** span, 2 ** span) * unit)
+                          for span in (bits, bits, 52 - bits))
+        if an == bn:
+            continue
+        n, seed = rng.randint(3, 64), rng.randrange(1000)
+        moved = verify_independence(an + offset, bn + offset, n, 20, tol, seed)
+        assert (an + offset) - (bn + offset) == an - bn
+        assert repr(moved) == repr(verify_independence(an, bn, n, 20, tol, seed))
+        farthest = max(farthest, offset.norm() / an.distance(bn))
+    assert farthest > 1e14
 
 
 def reference_midpoint(an, apex, bn, n, tol):
@@ -617,17 +649,38 @@ def reference_midpoint(an, apex, bn, n, tol):
     return Point(mx, my)
 
 
+def reference_door(an, bn, n, tol):
+    """The sweep's tests of its base and n, in the caller's units."""
+    base_length = an.distance(bn)
+    if not base_length < math.inf:
+        raise GeometryError(f"base overflows the float range: {(bn.x - an.x, bn.y - an.y)}")
+    if base_length <= tol.bound(0.0):
+        raise DegenerateSideError("base endpoints coincide")
+    if not (isinstance(n, int) and 3 <= n <= MAX_N):
+        raise InvalidVertexCountError(f"need n >= 3, got {n}" if isinstance(n, int) and n < 3
+                                      else f"need an integer n in 3..{MAX_N}, got {n!r}")
+
+
 def reference_sweep(an, bn, n, samples, tol, seed):
-    """verify_independence's residuals with every apex through reference_midpoint.
+    """verify_independence's residuals: every apex through reference_midpoint,
+    with the construction's own tests at the default tolerance, on the base in
+    its frame, and both residuals times 2**e.
 
     The spread is taken with Point.distance over every pair of midpoints.
     """
-    if an.distance(bn) <= tol.bound(0.0):
-        raise DegenerateSideError("base endpoints coincide")
-    predicted = closed_form_midpoint(an, bn, n, 1, tol)
-    midpoints = [reference_midpoint(an, apex, bn, n, tol) for apex in sweep_apexes(an, bn, samples, seed)]
+    reference_door(an, bn, n, tol)
+    origin, frame_bn, e = framed(an, bn)
+    predicted = closed_form_midpoint(origin, frame_bn, n, 1)
+    midpoints = [reference_midpoint(origin, apex, frame_bn, n, DEFAULT_TOLERANCE)
+                 for apex in sweep_apexes(origin, frame_bn, samples, seed)]
     spread = max(p.distance(q) for p in midpoints for q in midpoints)
-    return spread, max(m.distance(predicted) for m in midpoints)
+    return math.ldexp(spread, e), math.ldexp(max(m.distance(predicted) for m in midpoints), e)
+
+
+def swept_residuals(an, bn, n, samples, tol, seed):
+    """The sweep's two residuals, or its error's type and message."""
+    got = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
+    return got if isinstance(got[0], type) else (got[0].residual, got[1].residual)
 
 
 def random_bases(count, seed):
@@ -640,100 +693,78 @@ def random_bases(count, seed):
         n = rng.choice([3, 4, 7, 12, 64, 2048, 3.0, 6 * 10**208])
         floor = 10.0 ** rng.uniform(-323, -1)
         if rng.random() < 0.2:
-            # A floor near the base length rejects apexes close to a corner.
+            # A floor near the base length, which the door tests on the base alone.
             floor = min(an.distance(bn) * 10.0 ** rng.uniform(-2, 0.1), 1e308) or floor
         tol = Tolerance(rel=10.0 ** rng.uniform(-16, -3), abs=floor)
         yield an, bn, n, rng.choice([2, 3, 40]), tol, rng.randrange(1000)
 
 
 def test_sweep_matches_the_checked_path():
-    # Each apex that passes the sweep's float tests gets the reference's M1;
-    # a degenerate apex raises the reference's error.  Where the reference
-    # stops at a value past the float range (a Point built from it, or
-    # an overflow error), the sweep may instead raise the overflow error of
-    # its own step.
+    # Each sweep gives the reference's residuals bit for bit, or raises its
+    # door's error; no apex of the reference fails a test of the construction.
     raised = set()
     for an, bn, n, samples, tol, seed in random_bases(1000, seed=18):
         expected = outcome(lambda: reference_sweep(an, bn, n, samples, tol, seed))
-        got = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
-        if isinstance(expected, tuple) and isinstance(expected[0], type):
+        if isinstance(expected[0], type):
             raised.add(expected[0])
-            if got != expected:
-                assert expected[0] is GeometryError and (
-                    expected[1].startswith("coordinates must be finite, got ")
-                    or "overflows the float range: " in expected[1])
-                assert got[0] is GeometryError and "overflows the float range: " in got[1]
-        else:
-            assert (got[0].residual, got[1].residual) == expected
-    # The bases make the sweep raise each of these errors at least once.
-    assert raised == {
-        DegenerateSideError, DegenerateTriangleError, GeometryError, InvalidVertexCountError,
-    }
-
-
-def filtered_and_checked(monkeypatch, an, bn, n, samples, tol, seed):
-    """The sweep's outcome with the error-bound filter and with every apex
-    tested, and the filter's decisions."""
-    decisions = []
-    settled = equigon.bottema._sweep_settled
-
-    def recording(*args):
-        decisions.append(settled(*args))
-        return decisions[-1]
-
-    monkeypatch.setattr(equigon.bottema, "_sweep_settled", recording)
-    filtered = repr(outcome(lambda: verify_independence(an, bn, n, samples, tol, seed)))
-    monkeypatch.setattr(equigon.bottema, "_sweep_settled", lambda *args: False)
-    checked = outcome(lambda: verify_independence(an, bn, n, samples, tol, seed))
-    monkeypatch.undo()
-    return decisions, filtered, checked
+        assert swept_residuals(an, bn, n, samples, tol, seed) == expected
+    # The bases make the door raise each of these errors at least once; a base
+    # past the float range is STRADDLING's.
+    assert raised == {DegenerateSideError, InvalidVertexCountError}
 
 
 @pytest.mark.parametrize("seed", range(18, 23))
-def test_sweep_filter_keeps_every_result(monkeypatch, seed):
-    # A settled base skips the per-apex tests; each residual bit and each
-    # error must be what testing every apex gives.
-    settled = 0
+def test_sweep_filter_keeps_every_result(seed):
+    # The door is the sweep's one filter, and it reads only n and the base:
+    # every base it lets through ends in two finite residuals, judged at the
+    # base length, and every other one raises the door's error.
+    through = 0
     for an, bn, n, samples, tol, sweep_seed in random_bases(1000, seed):
-        decisions, filtered, checked = filtered_and_checked(monkeypatch, an, bn, n, samples, tol, sweep_seed)
-        assert filtered == repr(checked)
-        settled += decisions == [True]
-    assert 100 <= settled <= 900
+        refused = outcome(lambda: reference_door(an, bn, n, tol))
+        got = outcome(lambda: verify_independence(an, bn, n, samples, tol, sweep_seed))
+        if refused is not None:
+            assert got == refused
+            continue
+        assert [math.isfinite(check.residual) for check in got] == [True, True]
+        assert got[0].tolerance == got[1].tolerance == tol.bound(an.distance(bn))
+        through += 1
+    assert 100 <= through <= 900
 
 
-FLOOR_AT_BOUND = math.nextafter(0.04 * 2.0, 0.0)
+LARGEST = sys.float_info.max
 
-# (an, bn, n, tol): the filter's decision on a sweep of 300 apexes over this
-# base, on either side of each of its thresholds.  A "-fails" base is one the
-# filter must not settle, as testing every apex raises: leaving out the
-# threshold it straddles would settle it.
+# (an, bn, n, tol) -> whether the door refuses the sweep of 300 apexes over this
+# base: at the last n, base length or floor it lets through, just past it, and
+# far past it ("-fails").  A base is refused only for n outside 3..MAX_N, a base
+# past the float range, or one not longer than the floor.
 STRADDLING = {
-    "corner-at-bound": ((Point(2.0 ** 21 - 2, 0), Point(2.0 ** 21, 0), 5, Tolerance(rel=1e-6)), True),
-    "corner-past-bound": ((Point(2.0 ** 21, 0), Point(2.0 ** 21 + 2, 0), 5, Tolerance(rel=1e-6)), False),
-    "corner-fails": ((Point(2.0 ** 60, 2.0 ** 60), Point(2.0 ** 60 + 512, 2.0 ** 60), 5, Tolerance(rel=1e4)), False),
-    "n-at-bound": ((Point(0, 0), Point(2, 0), 2 ** 20, DEFAULT_TOLERANCE), True),
-    "n-past-bound": ((Point(0, 0), Point(2, 0), 2 ** 20 + 1, DEFAULT_TOLERANCE), False),
-    "n-fails": ((Point(0, 0), Point(1e100, 0), 6 * 10 ** 208, DEFAULT_TOLERANCE), False),
-    "floor-below-bound": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=FLOOR_AT_BOUND)), True),
-    "floor-at-bound": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=0.08)), False),
-    "floor-fails": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=0.5)), False),
-    "shortest-base": ((Point(0, 0), Point(2.0 ** -400, 0), 5, Tolerance(abs=2.0 ** -410)), True),
-    "base-below-range": ((Point(0, 0), Point(2.0 ** -401, 0), 5, Tolerance(abs=2.0 ** -410)), False),
-    "short-base-fails": ((Point(0, 0), Point(2.0 ** -1020, 0), 5, Tolerance(abs=5e-324)), False),
-    "longest-base": ((Point(0, 0), Point(2.0 ** 400, 0), 5, DEFAULT_TOLERANCE), True),
-    "base-above-range": ((Point(0, 0), Point(2.0 ** 401, 0), 5, DEFAULT_TOLERANCE), False),
-    "long-base-fails": ((Point(0, 0), Point(1.7e308, 0), 5, DEFAULT_TOLERANCE), False),
+    "corner-at-bound": ((Point(LARGEST, LARGEST), Point(math.nextafter(LARGEST, 0.0), LARGEST), 5,
+                         DEFAULT_TOLERANCE), False),
+    "corner-past-bound": ((Point(LARGEST, 0), Point(-LARGEST, 0), 5, DEFAULT_TOLERANCE), True),
+    "corner-fails": ((Point(LARGEST, LARGEST), Point(-LARGEST, -LARGEST), 5, DEFAULT_TOLERANCE), True),
+    "n-at-bound": ((Point(0, 0), Point(2, 0), MAX_N, DEFAULT_TOLERANCE), False),
+    "n-past-bound": ((Point(0, 0), Point(2, 0), MAX_N + 1, DEFAULT_TOLERANCE), True),
+    "n-fails": ((Point(0, 0), Point(2, 0), 3.0, DEFAULT_TOLERANCE), True),
+    "floor-below-bound": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=math.nextafter(2.0, 0.0))), False),
+    "floor-at-bound": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=2.0)), True),
+    "floor-fails": ((Point(0, 0), Point(2, 0), 5, Tolerance(abs=4.0)), True),
+    "shortest-base": ((Point(0, 0), Point(1e-323, 0), 5, Tolerance(abs=5e-324)), False),
+    "base-below-range": ((Point(0, 0), Point(5e-324, 0), 5, Tolerance(abs=5e-324)), True),
+    "short-base-fails": ((Point(1, 1), Point(1, 1), 5, Tolerance(abs=5e-324)), True),
+    "longest-base": ((Point(0, 0), Point(LARGEST, 0), 5, DEFAULT_TOLERANCE), False),
+    "base-above-range": ((Point(0, 0), Point(1.3e308, 1.3e308), 5, DEFAULT_TOLERANCE), True),
+    "long-base-fails": ((Point(0, 0), Point(LARGEST, LARGEST), 5, DEFAULT_TOLERANCE), True),
 }
 
 
 @pytest.mark.parametrize("name", STRADDLING)
-def test_sweep_filter_at_its_thresholds(monkeypatch, name):
-    (an, bn, n, tol), settled = STRADDLING[name]
-    decisions, filtered, checked = filtered_and_checked(monkeypatch, an, bn, n, 300, tol, 1)
-    assert decisions == [settled]
-    assert filtered == repr(checked)
-    # Only the "-fails" bases raise, so each of them shows its threshold is needed.
-    assert isinstance(checked[0], type) == name.endswith("-fails")
+def test_sweep_filter_at_its_thresholds(name):
+    (an, bn, n, tol), refused = STRADDLING[name]
+    got = swept_residuals(an, bn, n, 300, tol, 1)
+    assert got == outcome(lambda: reference_sweep(an, bn, n, 300, tol, 1))
+    assert isinstance(got[0], type) == refused
+    if not refused:
+        assert verify_independence(an, bn, n, 300, tol, 1)[0].ok
 
 
 def test_degenerate_triangle_message():

@@ -140,11 +140,15 @@ def test_verify_degenerate_geometry_is_input_error(tmp_path, capsys):
 
 
 def test_overflowing_bottema_triangle_is_input_error(tmp_path, capsys):
-    assert main(["bottema", "--an", "0,0", "--bn", "1e155,0", "--n", "5", "--samples", "50"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: triangle overflows the float range: ")
-    assert captured.err.count("\n") == 1
+    # The verb's sweep runs in its base's frame, where no apex triangle leaves
+    # the float range; a document's triangle is built where it stands.
+    assert main(["bottema", "--an", "0,0", "--bn", "1e155,0", "--n", "5", "--samples", "50"]) == 0
+    assert capsys.readouterr() == ("base length: 1e+155\n"
+                                   "apex samples: 50\n"
+                                   "max midpoint deviation: 9.820e+139\n"
+                                   "max closed-form residual: 6.657e+139\n"
+                                   "allowed: 1.000e+146\n"
+                                   "result: PASS\n", "")
     doc = tmp_path / "far.json"
     doc.write_text(
         json.dumps({"kind": "bottema", "n": 5,
@@ -259,6 +263,26 @@ def test_render_to_a_device(reported_size, monkeypatch, capsys):
             (*real_fstat(fd)[:6], reported_size, *real_fstat(fd)[7:])))
     assert main(["render", SHARED, "-o", os.devnull]) == 0
     assert capsys.readouterr() == (f"wrote {os.devnull}\n", "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", SHARED], 0),
+    (["verify", "--json", SHARED], 0),
+    (["render", SHARED, "-o", "FIGURE"], 0),
+    (["sweep", "--kind", "pair", "--n", "3-4", "--count", "2"], 0),
+    (["bottema", "--an", "1,1", "--bn", "1,1"], 2),
+], ids=["verify", "verify-json", "render", "sweep", "bottema-error"])
+def test_closed_standard_output(argv, code, tmp_path, monkeypatch, capsys):
+    # A process started with descriptor 1 closed has sys.stdout None: each verb
+    # gives its verdict's exit code, as into /dev/null, and prints no traceback.
+    figure = tmp_path / "figure.svg"
+    argv = [str(figure) if arg == "FIGURE" else arg for arg in argv]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == code
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ("" if code == 0 else "error: base endpoints coincide\n")
+    if "render" in argv:
+        assert figure.read_bytes() == (GOLDEN / "render_shared_vertex_squares.svg").read_bytes()
 
 
 def test_sweep_deterministic_and_passing(capsys):

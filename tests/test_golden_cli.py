@@ -4,8 +4,9 @@ Each ``.txt`` file under ``tests/golden/`` holds one command's exit code on its
 first line and its standard output after it (``verify`` as text and as JSON on
 each file in ``scenarios/``, ``verify --json`` on the documents in
 ``tests/data/``, ``bottema``, also at its sample cap, at n = 2048, at a
-tight relative tolerance, on a base its error bound leaves unsettled, on
-two tilted bases and on three at the edges of that bound, and ``sweep``);
+tight relative tolerance, at an absolute tolerance near the base length, on
+two tilted bases and on three at very short, very long and subnormal scales,
+and ``sweep``);
 each ``render_<name>.svg`` is the figure ``render`` writes for
 ``scenarios/<name>.json`` or for one of the three large-n pair, shared-vertex
 and Bottema documents in ``tests/data/``.  The files pin the
@@ -72,9 +73,8 @@ CASES = (
     + [(f"bottema_n{n}", ["bottema", "--n", str(n), "--samples", "300", "--seed", "7"])
        for n in range(3, 13)]
     # The sweep at its MAX_SWEEP_SAMPLES cap, at the largest n, at a tight
-    # relative tolerance (which its error bound does not read, so the base
-    # stays settled), and at an absolute tolerance its error bound leaves
-    # unsettled, where each apex runs the checked construction.
+    # relative tolerance, and at an absolute tolerance of 0.04 base lengths,
+    # which the door tests on the base alone, not on the apex sides.
     + [("bottema_cap", ["bottema", "--n", "12", "--samples", "10000", "--seed", "7"])]
     + [("bottema_n2048", ["bottema", "--n", "2048", "--samples", "300", "--seed", "7"])]
     + [("bottema_rel_1e-13", ["bottema", "--n", "12", "--samples", "300", "--seed", "7",
@@ -82,15 +82,16 @@ CASES = (
     + [("bottema_abs_0.08", ["bottema", "--n", "12", "--samples", "300", "--seed", "7",
                              "--tolerance-abs", "0.08"])]
     # Two tilted bases, where no apex product is an exact zero as on (0,0)-(2,0);
-    # the second has its corners 5.3e5 base lengths out, and is settled.
+    # the second has its corners 5.3e5 base lengths out, which the sweep's frame
+    # takes back to the origin.
     + [("bottema_tilted_n7", ["bottema", "--an=-3.7,1.2", "--bn=5.1,-2.9", "--n", "7",
                               "--samples", "300", "--seed", "11"])]
     + [("bottema_tilted_far_n12", ["bottema", "--an=1000000,-2000000", "--bn=1000003.3,-1999998.1",
                                    "--n", "12", "--samples", "3000", "--seed", "5"])]
-    # Three bases at the edges of the sweep's error bound, each settled: a base
-    # of 2.1e-120 at an absolute tolerance of 1e-130, one of 1.6e120 (2**400 is
-    # 2.6e120), and one with subnormal corner coordinates within 1e-300 of the
-    # y axis.
+    # Three bases at extreme scales, each taken to a base length in [0.5, 1) by
+    # the sweep's frame: a base of 2.1e-120 at an absolute tolerance of 1e-130,
+    # one of 1.6e120, and one with subnormal corner coordinates within 1e-300 of
+    # the y axis.
     + [("bottema_filter_short_n5", ["bottema", "--an=0,0", "--bn=2e-120,7e-121", "--n", "5",
                                     "--samples", "3000", "--seed", "3", "--tolerance-abs", "1e-130"])]
     + [("bottema_filter_long_n9", ["bottema", "--an=-1e120,3e119", "--bn=5e119,-1e119", "--n", "9",

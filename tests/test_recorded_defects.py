@@ -25,11 +25,12 @@ A mended row leaves the table for a plain test: on the same 3e307 document
 four checks once passed with residual 0 against a bound that overflowed to
 infinity (``test_no_check_passes_against_an_infinite_bound``).
 
-Three more recorded defects are strict xfails beside the code they test:
+Two more recorded defects are strict xfails beside the code they test:
 ``tests/test_scale.py::test_shared_vertex_at_1e154_solves_or_names_a_field``
 and ``tests/test_scale.py::test_pair_at_1e_170_passes_only_on_its_swapped_circles``
-(items 8 and 10), and
-``tests/test_bottema.py::test_sweep_far_from_the_origin_passes`` (item 22).
+(items 8 and 10).  A third, the apex sweep far from the origin (item 22), is
+mended: ``tests/test_bottema.py::test_sweep_far_from_the_origin_passes`` is a
+plain test.
 """
 
 import contextlib
