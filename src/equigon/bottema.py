@@ -21,9 +21,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, repeat, starmap
-from operator import ge, sub
+from operator import attrgetter, ge, sub
 
-from .checks import CheckResult, residual_check
+from .checks import CheckResult, judge
 from .geom import (
     DEFAULT_TOLERANCE,
     DegenerateRayError,
@@ -167,26 +167,29 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     ``closed_form_midpoint`` with the first polygon's orientation, on the apex
     for equal orientations; for opposite ones, ``altitude_length``: |M1 H| is
     ``|An Bn| / 2 * cot(pi / n)``, and ``foot_at_base_midpoint``: H is the
-    base midpoint.  Each is bounded by ``tol.bound(|An Bn|)``.  Then
-    ``vertex_angles``.
+    base midpoint.  Then ``vertex_angles``, one check over every k: it shows
+    the worst k's residual, names that k, counts any vertex pairs at M1, and
+    passes iff every k passes, vacuous iff every k is.
     """
     an, bn, m1, h = pair.an, pair.bn, pair.m1, pair.h
     n, side = pair.poly1.n, pair.poly1.orientation
     base = an.distance(bn)
     if pair.m1_kind is MatchKind.REVERSAL:
-        predicted = closed_form_midpoint(an, bn, n, side, tol, pair.a1)
-        return (residual_check("closed_form_midpoint", m1.distance(predicted), tol.bound(base),
-                               detail=f"apex turned about the base midpoint, orientation {side:+d}"),
-                *vertex_angles(pair, tol))
-    predicted = closed_form_midpoint(an, bn, n, side, tol)
-    altitude = 0.5 * base / math.tan(math.pi / n)
-    return (
-        residual_check("closed_form_midpoint", m1.distance(predicted), tol.bound(base),
-                       detail=f"base normal side {side:+d}"),
-        residual_check("altitude_length", abs(m1.distance(h) - altitude), tol.bound(base)),
-        residual_check("foot_at_base_midpoint", h.distance(an.midpoint(bn)), tol.bound(base)),
-        *vertex_angles(pair, tol),
-    )
+        checks = (judge("closed_form_midpoint", m1.distance(closed_form_midpoint(an, bn, n, side, tol, pair.a1)),
+                        base, tol, detail=f"apex turned about the base midpoint, orientation {side:+d}"),)
+    else:
+        checks = (judge("closed_form_midpoint", m1.distance(closed_form_midpoint(an, bn, n, side, tol)), base, tol,
+                        detail=f"base normal side {side:+d}"),
+                  judge("altitude_length", abs(m1.distance(h) - 0.5 * base / math.tan(math.pi / n)), base, tol),
+                  judge("foot_at_base_midpoint", h.distance(an.midpoint(bn)), base, tol))
+    angles = vertex_angles(pair, tol)
+    judged = [check for check in angles if not check.vacuous]
+    worst = max(judged, key=attrgetter("residual"), default=None)
+    parts = [f"worst {worst.name.rpartition('_')[2]}, {worst.detail}"] if judged else []
+    if len(judged) < len(angles):
+        parts.append(f"vertex pairs at M1: {len(angles) - len(judged)}")
+    return (*checks, judge("vertex_angles", worst.residual if judged else 0.0, math.pi, tol, not judged,
+                           ", ".join(parts)))
 
 
 # The apex sweep works in its base's frame: An at the origin, and Bn - An times
@@ -322,15 +325,10 @@ def verify_independence(
                 map(sub, ys, repeat(y_lo)), map(sub, repeat(y_hi), ys))
     rim = compress(points, map(ge, reach, repeat(lower / (1 + 2 ** -40) - 2 ** -1070)))
     max_deviation = max(starmap(dist, combinations(rim, 2)), default=0.0)
-    allowed = tol.bound(base_length)
     return (
-        residual_check(
-            "apex_independence_spread",
-            math.ldexp(max_deviation, e),
-            allowed,
-            detail=f"{samples} apexes, exterior placement",
-        ),
-        residual_check("apex_independence_closed_form", math.ldexp(worst_closed, e), allowed),
+        judge("apex_independence_spread", math.ldexp(max_deviation, e), base_length, tol,
+              detail=f"{samples} apexes, exterior placement"),
+        judge("apex_independence_closed_form", math.ldexp(worst_closed, e), base_length, tol),
     )
 
 
@@ -347,8 +345,8 @@ def vertex_angles(
 ) -> tuple[CheckResult, ...]:
     """Angles at M1 between each A_k and its partner under ``result.m1_kind``, against the folded expectation.
 
-    Returns one ``vertex_angle_k{k}`` check per k = 2..n, each bounded by
-    ``tol.bound(pi)``.  Each k's name, expected angle (its turn in the table
+    Returns one ``vertex_angle_k{k}`` check per k = 2..n, each judged at the
+    scale pi.  Each k's name, expected angle (its turn in the table
     ``turns(n)``, folded) and detail come from a table built once per n.
 
     ``angle_at(m1, poly1.vertex(k), partner, tol)`` on both polygons'
@@ -364,8 +362,7 @@ def vertex_angles(
     xs, ys = poly1.coordinates()
     us, vs = (partners(column, result.m1_kind) for column in poly2.coordinates())
     mx, my, hypot, inf = m1.x, m1.y, math.hypot, math.inf
-    floor, bound = tol.bound(0.0), tol.bound(math.pi)
-    near = tol.bound(max(poly1.circumradius, poly2.circumradius))
+    floor, near = tol.bound(0.0), tol.bound(max(poly1.circumradius, poly2.circumradius))
     checks = []
     for k, (name, expected, detail) in enumerate(_angle_labels(poly1.n), 2):
         ux, uy, vx, vy = xs[k - 1] - mx, ys[k - 1] - my, us[k - 1] - mx, vs[k - 1] - my
@@ -375,11 +372,11 @@ def vertex_angles(
             raise _overflow(f"ray to vertex pair {k}", f"lengths {(lu, lv)}")
         if lu <= near and lv <= near:
             # Both vertices k are at M1: they subtend no angle.
-            checks.append(residual_check(name, 0.0, bound, vacuous=True, detail="vertex pair at M1"))
+            checks.append(judge(name, 0.0, math.pi, tol, vacuous=True, detail="vertex pair at M1"))
             continue
         if lu <= floor or lv <= floor:
             raise DegenerateRayError("angle ray endpoint coincides with the vertex")
         ux, uy, vx, vy = ux / lu, uy / lu, vx / lv, vy / lv
         measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        checks.append(residual_check(name, abs(measured - expected), bound, detail=detail))
+        checks.append(judge(name, abs(measured - expected), math.pi, tol, detail=detail))
     return tuple(checks)

@@ -186,10 +186,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bottema(args: argparse.Namespace) -> int:
-    for flag, value, cap in (("--n", args.n, MAX_N), ("--samples", args.samples, MAX_SWEEP_SAMPLES)):
-        if value > cap:
-            print(f"error: {flag} must be at most {cap}, got {value}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    # The sweep's door tests n; it does not cap the samples.
+    if args.samples > MAX_SWEEP_SAMPLES:
+        print(f"error: --samples must be at most {MAX_SWEEP_SAMPLES}, got {args.samples}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     tol = _tolerance_override(args, DEFAULT_TOLERANCE) or DEFAULT_TOLERANCE
     try:
         spread, closed = verify_independence(args.an, args.bn, args.n, args.samples, tol, args.seed)

@@ -30,7 +30,7 @@ from itertools import chain
 from operator import sub
 from typing import Sequence
 
-from .checks import CheckResult, residual_check
+from .checks import CheckResult, judge
 from .geom import (
     DEFAULT_TOLERANCE,
     GeometryError,
@@ -231,11 +231,10 @@ def verify_alignment(first: RegularPolygon, second: RegularPolygon, point: Point
     phase offset mod 2 pi / n.
     """
     candidates = align_rotation(first, second, point)
-    best = min((multisets_equal(near, distances_squared(candidate, point), tol) for candidate in candidates),
-               key=lambda match: (not match.ok, match.residual))
     step = math.tau / first.n
     offset = min(min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates))
-    return CheckResult(name, best.ok, best.residual, best.tolerance, detail=f"phase offset {offset:.3e} rad")
+    return min((multisets_equal(near, distances_squared(candidate, point), tol, name, f"phase offset {offset:.3e} rad")
+                for candidate in candidates), key=lambda match: (not match.ok, match.residual))
 
 
 def correspondence(
@@ -325,17 +324,14 @@ def verify_point_properties(
     if not solution.points:
         raise NotTwoPointSolutionError("solution does not carry two candidate points")
     scale = max(first.circumradius, second.circumradius)
-    slack = tol.bound(scale)
     a_first = first.vertex(1)
     (m1, m2), co, n = solution.points[:2], solution.coincident, first.n
     d1, d2 = diametric_opposite(first, a_first), diametric_opposite(second, a_first)
-    midpoint = residual_check("midpoint_of_diametric_points", m1.distance(d1.midpoint(d2)), slack)
-    if n % 2 == 0:
-        across = 1 + n // 2
-        gap = m1.distance(first.vertex(across).midpoint(second.vertex(across)))
-        opposite = residual_check("even_n_vertex_midpoint", gap, slack)
-    else:
-        opposite = residual_check("even_n_vertex_midpoint", 0.0, slack, vacuous=True, detail="n is odd")
+    midpoint = judge("midpoint_of_diametric_points", m1.distance(d1.midpoint(d2)), scale, tol)
+    across = 1 + n // 2
+    opposite = (judge("even_n_vertex_midpoint", m1.distance(first.vertex(across).midpoint(second.vertex(across))),
+                      scale, tol) if n % 2 == 0 else
+                judge("even_n_vertex_midpoint", 0.0, scale, tol, vacuous=True, detail="n is odd"))
     offset = point_line_distance(a_first, d1, d2, tol)  # raises when D1 = D2
     # A M2 parallel to D1 D2: the distance of M2 from the line through A along D1 D2.
     axis = d2 - d1
@@ -348,9 +344,8 @@ def verify_point_properties(
     return (
         midpoint,
         opposite,
-        residual_check("mirror_point_bisector_parallel", max(bisector_gap, parallel_gap), slack, vacuous=co),
-        residual_check("separation_equals_vertex_offset", abs(m1.distance(m2) - offset), slack, vacuous=co),
-        residual_check("quadrilateral_side_lengths", worst_side, slack),
-        residual_check("separation_perpendicular", abs((m1 - m2).dot(d1 - d2)), tol.bound(scale * scale),
-                       vacuous=co),
+        judge("mirror_point_bisector_parallel", max(bisector_gap, parallel_gap), scale, tol, vacuous=co),
+        judge("separation_equals_vertex_offset", abs(m1.distance(m2) - offset), scale, tol, vacuous=co),
+        judge("quadrilateral_side_lengths", worst_side, scale, tol),
+        judge("separation_perpendicular", abs((m1 - m2).dot(d1 - d2)), scale * scale, tol, vacuous=co),
     )

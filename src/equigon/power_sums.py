@@ -33,10 +33,10 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add, le, mul, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
-from .checks import CheckResult
+from .checks import CheckResult, judge
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from .polygon import RegularPolygon
 
@@ -92,12 +92,14 @@ def _closed_forms(n: int, u: float, v: float, top: int) -> Iterator[float]:
         previous, current = current, ((2 * order + 1) * sigma * current - order * rho * previous) / (order + 1)
 
 
-def _orders_check(name: str, ok: bool, residuals: list[float], tol: Tolerance, kind: str) -> CheckResult:
-    """One check over orders 1..len(residuals), its worst residual shown against ``tol.bound(1.0)``.
-    A NaN residual is kept (``max`` keeps one only in first place), and the detail says so."""
+def _orders_check(name: str, gaps: list[float], magnitudes: list[float], residuals: list[float], tol: Tolerance,
+                  kind: str, detail: str | None = None) -> CheckResult:
+    """One check over orders 1..len(residuals), each order's gap judged at its magnitude, its worst
+    residual shown.  A NaN residual is kept (``max`` keeps one only in first place), and the
+    detail, unless given, names the orders and says so."""
     worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
-    detail = f"orders 1..{len(residuals)}, {kind}" + (", non-finite sums" if math.isnan(worst) else "")
-    return CheckResult(name, ok, worst, tol.bound(1.0), detail=detail)
+    detail = detail or f"orders 1..{len(residuals)}, {kind}" + (", non-finite sums" if math.isnan(worst) else "")
+    return judge(name, worst, 1.0, tol, detail=detail, orders=(gaps, magnitudes))
 
 
 def verify_power_sum_identity(
@@ -132,13 +134,7 @@ def verify_power_sum_identity(
     gaps = list(map(abs, map(sub, direct, closed)))
     sizes = list(map(max, map(abs, direct), map(abs, closed)))
     residuals = list(map(truediv, gaps, map(max, sizes, repeat(1e-300))))
-    ok = all(map(le, gaps, _bounds(tol, sizes)))
-    return _orders_check(name, ok, residuals, tol, "relative")
-
-
-def _bounds(tol: Tolerance, scales: Iterable[float]) -> Iterator[float]:
-    """``tol.bound(scale)`` of each non-negative (or NaN) scale, with no call per scale."""
-    return map(add, repeat(tol.abs), map(mul, repeat(tol.rel), scales))
+    return _orders_check(name, gaps, sizes, residuals, tol, "relative")
 
 
 def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
@@ -162,25 +158,28 @@ def multisets_equal(
     first: Iterable[float],
     second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
+    name: str = "multiset",
+    detail: str = "",
 ) -> CheckResult:
     """Decide whether two lists hold the same values up to order, by sorting.
 
-    Returns one ``multiset`` check.  Both lists are sorted and paired entry by
-    entry; they are equal when no gap exceeds the slack, the tolerance at the
-    scale of their largest entry, and that slack is finite: one that
-    overflowed passes nothing.  The residual is the largest gap.  Newton's
-    identities are not consulted here: ``power_sums_to_elementary`` provides
-    them, and acceptance criterion 2 checks them separately.
+    Returns one check named ``name``, with ``detail``.  Both lists are sorted
+    and paired entry by entry; they are equal when no gap exceeds the slack,
+    the tolerance at the scale of their largest entry, and that slack is
+    finite: one that overflowed passes nothing.  The residual is the largest
+    gap.  Newton's identities are not consulted here:
+    ``power_sums_to_elementary`` provides them, and acceptance criterion 2
+    checks them separately.
     """
     a = tuple(first)
     b = tuple(second)
     if len(a) != len(b):
         raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    slack = tol.bound(max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0)))
+    scale = max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0))
     # ``max`` replaces its running value only by a larger gap, so a NaN gap is
     # never the worst and never exceeds the slack, as in a loop of ``max`` folds.
     worst = max(chain((0.0,), map(abs, map(sub, sorted(a), sorted(b)))))
-    return CheckResult("multiset", not worst > slack and slack < math.inf, worst, slack)
+    return judge(name, worst, scale, tol, detail=detail)
 
 
 def compare_power_sums(
@@ -188,12 +187,14 @@ def compare_power_sums(
     second: Iterable[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
     name: str = "power_sums",
+    detail: str | None = None,
 ) -> CheckResult:
     """Check p_m(first) == p_m(second) for m = 1..size-1.
 
-    Returns one check over all orders, named ``name``.  Entries are normalized
-    by the joint maximum before exponentiation, which keeps high orders away
-    from overflow and makes the residuals comparable across scales.  Each
+    Returns one check over all orders, named ``name``, whose detail names the
+    orders unless ``detail`` is given.  Entries are normalized by the joint
+    maximum before exponentiation, which keeps high orders away from overflow
+    and makes the residuals comparable across scales.  Each
     order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``, evaluated for
     all orders at once.
     """
@@ -211,4 +212,4 @@ def compare_power_sums(
     gaps = list(map(abs, map(sub, sums_a, sums_b)))
     magnitudes = list(map(max, map(abs, sums_a), map(abs, sums_b), repeat(1.0)))
     residuals = list(map(truediv, gaps, magnitudes))
-    return _orders_check(name, all(map(le, gaps, _bounds(tol, magnitudes))), residuals, tol, "normalized")
+    return _orders_check(name, gaps, magnitudes, residuals, tol, "normalized", detail)

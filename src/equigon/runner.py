@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .checks import CheckResult, residual_check
+from .checks import CheckResult, judge
 from .geom import GeometryError, Point, Tolerance
 from .polygon import RegularPolygon, from_shared_vertex
 from .power_sums import compare_power_sums, distances_squared, verify_power_sum_identity
@@ -145,11 +145,8 @@ def _probe_locus(
             mid = first.centroid.midpoint(second.centroid)
             axis = (second.centroid - first.centroid).perpendicular()
             probe = mid + axis * rng.uniform(-2, 2)
-        sums = compare_power_sums(distances_squared(first, probe), distances_squared(second, probe), tol)
-        out.checks.append(CheckResult(
-            f"locus_probe_{index}", sums.ok, sums.residual, sums.tolerance,
-            detail="power sums on the locus, normalized",
-        ))
+        out.checks.append(compare_power_sums(distances_squared(first, probe), distances_squared(second, probe), tol,
+                                             f"locus_probe_{index}", "power sums on the locus, normalized"))
 
 
 # What a kind's solve returns: its checks, run by ``run_scenario`` only.
@@ -193,7 +190,7 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
         out.matchings.append(("M1", m1_kind.value))
 
     def checks() -> None:
-        bound = tol.bound(max(first.circumradius, second.circumradius))
+        scale = max(first.circumradius, second.circumradius)
         for label, point in labelled:
             near, far = distances_squared(first, point), distances_squared(second, point)
             out.checks.append(compare_power_sums(near, far, tol, name=f"power_sums_{label}"))
@@ -203,12 +200,12 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
             else:
                 found = at_m1 if m1_kind is None else correspondence(first, second, point, tol, m1_kind)
             if found is not None:
-                worst = max(found.max_residual, found.first_residual)
-                out.checks.append(residual_check(f"matching_{label}", worst, bound, detail=found.kind.value))
+                out.checks.append(judge(f"matching_{label}", max(found.max_residual, found.first_residual), scale,
+                                        tol, detail=found.kind.value))
                 shared_angle, model_residual = cosine_model(first, second, point, found.kind, near, far)
-                model_bound = tol.bound((first.circumradius + second.circumradius) ** 2)
-                out.checks.append(residual_check(f"cosine_model_{label}", model_residual, model_bound,
-                                                 detail=f"shared angle {shared_angle:.6f} rad"))
+                out.checks.append(judge(f"cosine_model_{label}", model_residual,
+                                        (first.circumradius + second.circumradius) ** 2, tol,
+                                        detail=f"shared angle {shared_angle:.6f} rad"))
 
     return checks
 

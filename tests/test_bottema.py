@@ -554,7 +554,7 @@ def hypot_calls_per_apex(monkeypatch, an, bn, n, tol):
     return (counted(300) - counted(2)) / 298
 
 
-def test_settled_sweep_measures_only_the_two_sides(monkeypatch):
+def test_sweep_measures_only_the_two_sides(monkeypatch):
     # An apex runs none of the construction's tests, on any base the door lets
     # through: its only distances are its two sides, and the spread measures
     # each distinct midpoint's reach to the bounding box once.
@@ -562,7 +562,7 @@ def test_settled_sweep_measures_only_the_two_sides(monkeypatch):
         assert hypot_calls_per_apex(monkeypatch, *base) == 2
 
 
-def test_settled_sweep_calls_no_python_function_per_apex():
+def test_sweep_calls_no_python_function_per_apex():
     # The sides are fixed once and the draws are inline: an apex's only calls
     # are C functions, its two random() draws and its two hypot calls; its
     # midpoint is kept by a dict store, which calls nothing.

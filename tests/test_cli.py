@@ -300,6 +300,17 @@ def test_sweep_all_kinds_pass(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["shared_vertex", "bottema"])
+def test_sweep_sharing_a_vertex_at_rel_0_1(kind, capsys):
+    # The orientations decide each point's correspondence, so no search takes
+    # the wrong one within a loose tolerance, and every configuration passes.
+    argv = ["sweep", "--kind", kind, "--n", "3-12", "--count", "20", "--seed", "2", "--tolerance-rel", "0.1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == f"sweep {kind}: PASS (200/200 configurations)"
+    assert captured.err == ""
+
+
 def test_sweep_identity_check_at_n_200(capsys):
     # Its closed forms used to overflow: a traceback and exit 1.
     assert main(["sweep", "--kind", "identity_check", "--n", "200-200", "--count", "3", "--seed", "1"]) == 0
@@ -412,7 +423,8 @@ def test_bottema_corner_with_a_negative_x_takes_the_equals_form(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bottema", "--n", "2049"], "error: --n must be at most 2048, got 2049\n"),
+        # The sweep's door gives the one message for n.
+        (["bottema", "--n", "2049"], "error: need an integer n in 3..2048, got 2049\n"),
         (["bottema", "--samples", "10001"], "error: --samples must be at most 10000, got 10001\n"),
     ],
     ids=["n", "samples"],

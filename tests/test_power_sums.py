@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from equigon.checks import CheckResult, residual_check
+from equigon.checks import CheckResult, judge
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import (
@@ -218,9 +218,9 @@ def test_no_check_passes_against_a_bound_that_is_not_finite():
     # A bound that overflowed would pass whatever was measured; it passes nothing.
     match = multisets_equal([1.0, 2.0, math.inf], [1.0, 2.0, math.inf])
     assert (match.ok, match.residual, match.tolerance) == (False, 0.0, math.inf)
-    for bound in (math.inf, math.nan):
-        assert not residual_check("c", 0.0, bound).ok
-    assert residual_check("c", 0.0, math.inf, vacuous=True).ok
+    for scale in (math.inf, math.nan):
+        assert not judge("c", 0.0, scale, DEFAULT_TOLERANCE).ok
+    assert judge("c", 0.0, math.inf, DEFAULT_TOLERANCE, vacuous=True).ok
 
 
 def test_multisets_equal_scale_aware():
@@ -288,9 +288,9 @@ def test_compare_power_sums_judges_each_order_at_its_own_magnitude():
 
 
 def test_orders_check_keeps_a_nan_residual_in_any_place():
-    assert _orders_check("c", True, [1e-16, 3e-16, 2e-16], DEFAULT_TOLERANCE, "relative").residual == 3e-16
+    assert _orders_check("c", [], [], [1e-16, 3e-16, 2e-16], DEFAULT_TOLERANCE, "relative").residual == 3e-16
     for residuals in ([math.nan, 1e-16], [1e-16, math.nan, 2e-16], [0.0, math.nan]):
-        check = _orders_check("c", False, residuals, DEFAULT_TOLERANCE, "relative")
+        check = _orders_check("c", [], [], residuals, DEFAULT_TOLERANCE, "relative")
         assert math.isnan(check.residual)
         assert check.detail == f"orders 1..{len(residuals)}, relative, non-finite sums"
 
@@ -521,7 +521,7 @@ def test_folds_match_their_loops_nan_included(pair):
     check = compare_power_sums(a, b)
     ok, residuals = orders_fold(a, b, DEFAULT_TOLERANCE)
     assert check.ok is ok
-    assert repr(check.residual) == repr(_orders_check("power_sums", ok, residuals, DEFAULT_TOLERANCE, "").residual)
+    assert repr(check.residual) == repr(_orders_check("power_sums", [], [], residuals, DEFAULT_TOLERANCE, "").residual)
 
 
 class CountedFloat(float):

@@ -58,8 +58,7 @@ def test_opposite_orientation_shared_vertex_documents_pass_the_bottema_checks():
     worst = 0.0
     for n in sizes:
         report = run_scenario(random_scenario(ScenarioKind.SHARED_VERTEX, n, rng))
-        names = BOTTEMA + tuple(f"vertex_angle_k{k}" for k in range(2, n + 1))
-        for check in checks_named(report, names):
+        for check in checks_named(report, BOTTEMA + ("vertex_angles",)):
             assert check.ok, (n, check)
             worst = max(worst, check.residual / check.tolerance)
         assert report.overall_ok, (n, [c.name for c in report.checks if not c.ok], report.errors)
@@ -113,7 +112,7 @@ def test_pairs_with_one_centroid_keep_the_whole_plane(orient2):
     assert (report.classification, report.locus) == ("congruent_same_centroid", "entire_plane")
     assert report.points == [] and report.overall_ok, report.errors
     probes = [f"locus_probe_{k}" for k in (1, 2, 3)]
-    bottema = [] if orient2 == 1 else list(BOTTEMA) + [f"vertex_angle_k{k}" for k in range(2, 8)]
+    bottema = [] if orient2 == 1 else [*BOTTEMA, "vertex_angles"]
     assert [check.name for check in report.checks] == probes + bottema
     assert any(finding.startswith("foot of perpendicular H") for finding in report.findings) == (orient2 == -1)
 
@@ -139,8 +138,10 @@ def test_squares_sharing_an_edge_exit_0(orient1, tmp_path):
     if orient1 == -1:
         assert not set(BOTTEMA) & set(names) and not report.findings
     else:
-        vacuous = [check.name for check in report.checks if check.vacuous]
-        assert set(BOTTEMA) <= set(names) and "vertex_angle_k2" in vacuous
+        assert set(BOTTEMA) <= set(names)
+        # k = 2 is at M1; k = 3 and 4 are judged.
+        angles, = checks_named(report, ("vertex_angles",))
+        assert angles.ok and not angles.vacuous and angles.detail.endswith(", vertex pairs at M1: 1")
 
 
 def test_bottema_pair_with_one_centroid_runs_its_sweep():
@@ -151,9 +152,11 @@ def test_bottema_pair_with_one_centroid_runs_its_sweep():
     report = run_scenario(Scenario(ScenarioKind.BOTTEMA, 4, DEFAULT_TOLERANCE, 0, config))
     assert (report.classification, report.locus) == ("congruent_same_centroid", "entire_plane")
     assert report.overall_ok, report.errors
-    checks_named(report, BOTTEMA + ("vertex_angle_k3", "apex_independence_spread", "apex_independence_closed_form"))
-    # M1 = (1, 1) is vertex 3 of both squares.
-    assert [check.name for check in report.checks if check.vacuous] == ["vertex_angle_k3"]
+    *_, angles, _, _ = checks_named(report, BOTTEMA + ("vertex_angles", "apex_independence_spread",
+                                                       "apex_independence_closed_form"))
+    # M1 = (1, 1) is vertex 3 of both squares: the angles count it and judge k = 2 and 4.
+    assert not [check.name for check in report.checks if check.vacuous]
+    assert angles.detail == "worst k2, expected 1.570796 rad, vertex pairs at M1: 1"
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e150])
@@ -301,10 +304,9 @@ def test_the_bottema_theorem_holds_for_every_orientation_pair(kind, first, secon
     for n in [n for n in range(3, 13) for _ in range(20)] + [64] * 6:
         report = run_scenario(oriented(kind, n, rng, first, second))
         assert exit_code(report) == 0, (n, [c.name for c in report.checks if not c.ok], report.errors)
-        closed, *angles = checks_named(report, ("closed_form_midpoint",)
-                                       + tuple(f"vertex_angle_k{k}" for k in range(2, n + 1)))
+        closed, angles = checks_named(report, ("closed_form_midpoint", "vertex_angles"))
         assert closed.detail.startswith("apex turned about the base midpoint") is equal
-        assert closed.ok and all(angle.ok for angle in angles), n
+        assert closed.ok and angles.ok and not angles.vacuous, n
         assert report.matchings[0] == ("M1", "reversal" if equal else "identity")
         assert not [finding for finding in report.findings if finding.startswith("same-orientation")]
 
