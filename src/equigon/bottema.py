@@ -24,28 +24,10 @@ from itertools import combinations, compress, repeat, starmap
 from operator import attrgetter, ge, sub
 
 from .checks import CheckResult, judge
-from .geom import (
-    DEFAULT_TOLERANCE,
-    DegenerateRayError,
-    GeometryError,
-    Point,
-    Tolerance,
-    project_onto_line,
-)
-from .polygon import (
-    DegenerateSideError,
-    InvalidVertexCountError,
-    RegularPolygon,
-    _overflow,
-    from_side,
-    turns,
-)
+from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, project_onto_line
+from .polygon import RegularPolygon, _overflow, from_side, turns
 from .equalizer import MatchKind, PairCase, classify_pair, partners, shared_vertex_points
 from .scenario import MAX_N
-
-
-class DegenerateTriangleError(GeometryError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,7 +80,7 @@ def bottema_construct(
     ux, uy, vx, vy = an.x - a1.x, an.y - a1.y, bn.x - a1.x, bn.y - a1.y
     side_n, side_b = math.hypot(ux, uy), math.hypot(vx, vy)
     if side_n <= floor or side_b <= floor or an.distance(bn) <= floor:
-        raise DegenerateTriangleError("triangle corners coincide")
+        raise GeometryError("triangle corners coincide")
     signed = ux * vy - uy * vx
     span_sq = side_n * side_n if side_n > side_b else side_b * side_b
     if not (abs(signed) < math.inf and span_sq < math.inf):
@@ -153,7 +135,7 @@ def closed_form_midpoint(
     chord = bn - an
     length = chord.norm()
     if length <= tol.bound(0.0):
-        raise DegenerateSideError("base endpoints coincide")
+        raise GeometryError("base endpoints coincide")
     if apex is not None:
         middle = an.midpoint(bn)
         return middle + (apex - middle).perpendicular() * (normal_side / math.tan(math.pi / n))
@@ -283,10 +265,9 @@ def verify_independence(
     if not base_length < math.inf:
         raise _overflow("base", (dx, dy))
     if base_length <= tol.bound(0.0):
-        raise DegenerateSideError("base endpoints coincide")
+        raise GeometryError("base endpoints coincide")
     if not (isinstance(n, int) and 3 <= n <= MAX_N):
-        raise InvalidVertexCountError(f"need n >= 3, got {n}" if isinstance(n, int) and n < 3
-                                      else f"need an integer n in 3..{MAX_N}, got {n!r}")
+        raise GeometryError(f"need an integer n in 3..{MAX_N}, got {n!r}")
     e = math.frexp(base_length)[1]
     bnx, bny = math.ldexp(dx, -e), math.ldexp(dy, -e)
     length = math.hypot(bnx, bny)
@@ -356,7 +337,7 @@ def vertex_angles(
     overflow error.  A k whose two rays are both within the tolerance of the
     larger circumradius has both its vertices at M1, and its check is vacuous.
     Otherwise a k with a ray not longer than the floor raises ``angle_at``'s
-    ``DegenerateRayError``.
+    error.
     """
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
     xs, ys = poly1.coordinates()
@@ -375,7 +356,7 @@ def vertex_angles(
             checks.append(judge(name, 0.0, math.pi, tol, vacuous=True, detail="vertex pair at M1"))
             continue
         if lu <= floor or lv <= floor:
-            raise DegenerateRayError("angle ray endpoint coincides with the vertex")
+            raise GeometryError("angle ray endpoint coincides with the vertex")
         ux, uy, vx, vy = ux / lu, uy / lu, vx / lv, vy / lv
         measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
         checks.append(judge(name, abs(measured - expected), math.pi, tol, detail=detail))

@@ -46,16 +46,8 @@ from .polygon import RegularPolygon, _overflow, diametric_opposite, turns
 from .power_sums import distances_squared, multisets_equal
 
 
-class MixedVertexCountError(GeometryError):
-    pass
-
-
 class NoMatchingError(GeometryError):
-    pass
-
-
-class NotTwoPointSolutionError(GeometryError):
-    pass
+    """No vertex correspondence holds at the point; the runner records it as a finding."""
 
 
 class PairCase(Enum):
@@ -120,7 +112,7 @@ def classify_pair(
 ) -> PairCase:
     """Congruence is decided on circumradii alone; centroids split the congruent case."""
     if first.n != second.n:
-        raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
+        raise GeometryError(f"vertex counts differ: {first.n} vs {second.n}")
     if tol.eq(first.circumradius, second.circumradius):
         gap = first.centroid.distance(second.centroid)
         if tol.is_zero(gap, max(first.circumradius, second.circumradius)):
@@ -254,7 +246,7 @@ def correspondence(
     ``matching_{label}`` check.
     """
     if first.n != second.n:
-        raise MixedVertexCountError(f"vertex counts differ: {first.n} vs {second.n}")
+        raise GeometryError(f"vertex counts differ: {first.n} vs {second.n}")
     near, far = _vertex_distances(first, second, point)
     first_residual = abs(near[0] - far[0])
 
@@ -322,7 +314,7 @@ def verify_point_properties(
     not its antipode, and the facts fail as checks.
     """
     if not solution.points:
-        raise NotTwoPointSolutionError("solution does not carry two candidate points")
+        raise GeometryError("solution does not carry two candidate points")
     scale = max(first.circumradius, second.circumradius)
     a_first = first.vertex(1)
     (m1, m2), co, n = solution.points[:2], solution.coincident, first.n

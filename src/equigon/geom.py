@@ -18,14 +18,6 @@ class GeometryError(ValueError):
     """A geometric precondition was violated."""
 
 
-class DegenerateLineError(GeometryError):
-    pass
-
-
-class DegenerateRayError(GeometryError):
-    pass
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Comparison policy: u matches v iff ``|u - v| <= abs + rel * max(|u|, |v|)``."""
@@ -151,7 +143,7 @@ def _unit_direction(a: Point, b: Point, tol: Tolerance) -> Point:
     direction = b - a
     length = direction.norm()
     if length <= tol.bound(0.0):
-        raise DegenerateLineError("line endpoints coincide")
+        raise GeometryError("line endpoints coincide")
     return Point(direction.x / length, direction.y / length)
 
 
@@ -211,6 +203,6 @@ def angle_at(
     v = q - vertex
     lu, lv = u.norm(), v.norm()
     if lu <= tol.bound(0.0) or lv <= tol.bound(0.0):
-        raise DegenerateRayError("angle ray endpoint coincides with the vertex")
+        raise GeometryError("angle ray endpoint coincides with the vertex")
     u, v = Point(u.x / lu, u.y / lu), Point(v.x / lv, v.y / lv)
     return math.atan2(abs(u.cross(v)), u.dot(v))

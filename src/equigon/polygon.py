@@ -21,22 +21,6 @@ from .geom import (
 )
 
 
-class InvalidVertexCountError(GeometryError):
-    pass
-
-
-class InvalidRadiusError(GeometryError):
-    pass
-
-
-class CoincidentVertexCentroidError(GeometryError):
-    pass
-
-
-class DegenerateSideError(GeometryError):
-    pass
-
-
 @lru_cache(maxsize=32)
 def turns(n: int) -> tuple[float, ...]:
     """The turn ``math.tau * k / n`` of vertex k + 1 from vertex 1, for k = 0..n-1:
@@ -58,7 +42,7 @@ class RegularPolygon:
 
     def __init__(self, n: int, centroid: Point, circumradius: float, phase: float = 0.0, orientation: int = 1) -> None:
         if not isinstance(n, int) or n < 3:
-            raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
+            raise GeometryError(f"need an integer n >= 3, got {n!r}")
         _check_radius(circumradius)
         if orientation not in (1, -1):
             raise GeometryError(f"orientation must be +1 or -1, got {orientation!r}")
@@ -122,7 +106,7 @@ def from_shared_vertex(
     """The regular n-gon with the given centroid whose first vertex is ``a1``."""
     radius = a1.distance(centroid)
     if radius <= tol.bound(0.0):
-        raise CoincidentVertexCentroidError("first vertex coincides with the centroid")
+        raise GeometryError("first vertex coincides with the centroid")
     phase = math.atan2(a1.y - centroid.y, a1.x - centroid.x)
     return RegularPolygon(n, centroid, radius, phase, orientation)
 
@@ -134,7 +118,7 @@ def _overflow(quantity: str, values: object) -> GeometryError:
 
 def _check_radius(radius: float) -> None:
     if not math.isfinite(radius) or radius <= 0.0:
-        raise InvalidRadiusError(f"circumradius must be positive, got {radius}")
+        raise GeometryError(f"circumradius must be positive, got {radius}")
 
 
 def from_side(
@@ -162,9 +146,9 @@ def from_side(
         raise _overflow("edge", (cx, cy))
     length = math.hypot(cx, cy)
     if length <= tol.bound(0.0):
-        raise DegenerateSideError("side endpoints coincide")
+        raise GeometryError("side endpoints coincide")
     if not isinstance(n, int) or n < 3:
-        raise InvalidVertexCountError(f"need an integer n >= 3, got {n!r}")
+        raise GeometryError(f"need an integer n >= 3, got {n!r}")
     angle = math.pi / n
     inverse, apothem = 1.0 / length, 0.5 * length / math.tan(angle)
     x = 0.5 * (a1.x + an.x) + -(cy * inverse) * side * apothem

@@ -41,14 +41,6 @@ from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from .polygon import RegularPolygon
 
 
-class OrderOutOfRangeError(GeometryError):
-    pass
-
-
-class LengthMismatchError(GeometryError):
-    pass
-
-
 def distances_squared(poly: RegularPolygon, point: Point) -> tuple[float, ...]:
     """Squared distances from ``point`` to each vertex of ``poly``, in vertex order.
 
@@ -121,7 +113,7 @@ def verify_power_sum_identity(
     n = poly.n
     top = n - 1 if max_order is None else max_order
     if not 1 <= top <= n - 1:
-        raise OrderOutOfRangeError(f"max_order {top} outside 1..{n - 1} for n={n}")
+        raise GeometryError(f"max_order {top} outside 1..{n - 1} for n={n}")
     center_distance = point.distance(poly.centroid)
     # Dividing by an infinite R + L would zero every distance and pass; NaN marks the sums non-finite.
     scale = poly.circumradius + center_distance
@@ -174,7 +166,7 @@ def multisets_equal(
     a = tuple(first)
     b = tuple(second)
     if len(a) != len(b):
-        raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+        raise GeometryError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     scale = max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0))
     # ``max`` replaces its running value only by a larger gap, so a NaN gap is
     # never the worst and never exceeds the slack, as in a loop of ``max`` folds.
@@ -201,10 +193,10 @@ def compare_power_sums(
     a = tuple(first)
     b = tuple(second)
     if len(a) != len(b):
-        raise LengthMismatchError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+        raise GeometryError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     top = len(a) - 1
     if top < 1:
-        raise OrderOutOfRangeError(f"order 1 needs at least 2 entries, got {len(a)}")
+        raise GeometryError(f"order 1 needs at least 2 entries, got {len(a)}")
     # All-zero lists have all-zero sums at any scale; 1 avoids dividing by zero.
     scale = max(map(abs, chain(a, b)), default=0.0) or 1.0
     sums_a = list(_power_sums([x / scale for x in a], top))

@@ -47,10 +47,6 @@ class ScenarioError(ValueError):
     pass
 
 
-class ScenarioParseError(ScenarioError):
-    pass
-
-
 class ScenarioValidationError(ScenarioError):
     """A schema violation; ``field`` is the offending field's full path, such as
     ``pair.r1``, ``tolerance.rel`` or ``identity_check.probes[0][1]``."""
@@ -254,20 +250,20 @@ def _parse_block(kind: ScenarioKind, block: Mapping[str, Any], n: int) -> Config
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Raises ScenarioParseError for malformed JSON (with position) and
+    Raises ScenarioError for malformed JSON (with position) and
     ScenarioValidationError (carrying the offending field name) for schema
     violations.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioParseError(
+        raise ScenarioError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:
         # json.loads raises these, not JSONDecodeError, for an integer literal past
         # the interpreter's digit limit and for arrays or objects nested too deeply.
-        raise ScenarioParseError(f"invalid JSON: {exc}") from exc
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioValidationError("document", "top level must be a JSON object")
 

@@ -139,6 +139,32 @@ def test_verify_degenerate_geometry_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
+# Documents whose solve raises a precondition's error, and its message.
+UNSOLVABLE = {
+    "apex-on-corner": ({"kind": "bottema", "n": 4, "bottema": {"an": [0, 0], "a1": [0, 0], "bn": [2, 0]}},
+                       "triangle corners coincide"),
+    "base-corners-coincide": ({"kind": "bottema", "n": 5, "bottema": {"an": [0, 0], "a1": [1, 1], "bn": [0, 0]}},
+                              "triangle corners coincide"),
+    "vertex-on-centroid": ({"kind": "shared_vertex", "n": 4,
+                            "shared_vertex": {"vertex": [1.0, 1.0], "centroid1": [3.0, 0.0], "centroid2": [1.0, 1.0],
+                                              "orient1": 1, "orient2": -1}},
+                           "first vertex coincides with the centroid"),
+}
+
+
+@pytest.mark.parametrize("doc, message", UNSOLVABLE.values(), ids=UNSOLVABLE.keys())
+def test_unsolvable_document_names_the_geometry_error(doc, message, tmp_path, capsys):
+    # The error line a user reads: one GeometryError, whose message names the condition.
+    path = tmp_path / "unsolvable.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: GeometryError: {message}" in captured.out.splitlines()
+    assert captured.err == ""
+    assert main(["verify", "--json", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [f"GeometryError: {message}"]
+
+
 def test_overflowing_bottema_triangle_is_input_error(tmp_path, capsys):
     # The verb's sweep runs in its base's frame, where no apex triangle leaves
     # the float range; a document's triangle is built where it stands.
@@ -327,7 +353,7 @@ def test_sweep_names_its_errors_and_exits_2(monkeypatch, capsys):
     args = ["sweep", "--kind", "bottema", "--n", "3-4", "--count", "3", "--seed", "1", "--tolerance-abs", "5"]
     assert main(args) == 2
     captured = capsys.readouterr()
-    row = "pass  worst residual 0.000e+00  errors 3, first DegenerateTriangleError: triangle corners coincide"
+    row = "pass  worst residual 0.000e+00  errors 3, first GeometryError: triangle corners coincide"
     assert captured.out.splitlines() == [f"n=3: 0/3 {row}", f"n=4: 0/3 {row}",
                                          "sweep bottema: FAIL (0/6 configurations)"]
     assert captured.err == ""
@@ -423,11 +449,12 @@ def test_bottema_corner_with_a_negative_x_takes_the_equals_form(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # The sweep's door gives the one message for n.
+        # The sweep's door gives the one message for n, on either side of its range.
         (["bottema", "--n", "2049"], "error: need an integer n in 3..2048, got 2049\n"),
+        (["bottema", "--n", "2"], "error: need an integer n in 3..2048, got 2\n"),
         (["bottema", "--samples", "10001"], "error: --samples must be at most 10000, got 10001\n"),
     ],
-    ids=["n", "samples"],
+    ids=["n", "n-below", "samples"],
 )
 def test_bottema_caps(argv, message, capsys):
     assert main(argv) == 2

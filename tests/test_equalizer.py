@@ -8,18 +8,16 @@ from fractions import Fraction
 import pytest
 
 import equigon.geom
-from equigon.geom import DEFAULT_TOLERANCE, Point, circle_intersection, side_of_line, wrap_angle
+from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, circle_intersection, side_of_line, wrap_angle
 from equigon.polygon import RegularPolygon, from_shared_vertex
 from equigon.power_sums import compare_power_sums, distances_squared, multisets_equal
 from equigon.runner import run_scenario, solve_scenario
 from equigon.sampling import random_scenario
-from equigon.scenario import Scenario, ScenarioKind, SharedVertexConfig
+from equigon.scenario import Scenario, ScenarioKind, SharedVertexConfig, parse_scenario, serialize_scenario
 from equigon.equalizer import (
     Locus,
     MatchKind,
-    MixedVertexCountError,
     NoMatchingError,
-    NotTwoPointSolutionError,
     PairCase,
     _vertex_distances,
     align_rotation,
@@ -78,7 +76,7 @@ def test_classify_pair_cases():
 
 
 def test_classify_pair_rejects_mixed_vertex_counts():
-    with pytest.raises(MixedVertexCountError):
+    with pytest.raises(GeometryError, match="^vertex counts differ: 4 vs 5$"):
         classify_pair(
             RegularPolygon(4, Point(0, 0), 1.0), RegularPolygon(5, Point(0, 0), 1.0)
         )
@@ -430,6 +428,36 @@ def test_no_sampled_scenario_fails_its_alignment():
     assert time.perf_counter() - start < 10.0
 
 
+def benchmark_inputs(seed):
+    """The scenarios the benchmark draws at this seed in a one-second run of
+    each workload: random.Random("<workload>/<seed>/<pass>") fed to
+    random_scenario, in the benchmark's order; verify_docs's random documents
+    go through their JSON text, as the command line reads them."""
+    for index in range(5):
+        rng = random.Random(f"large_n/{seed}/{index}")
+        yield from (random_scenario(kind, n, rng) for n in (64, 128, 128, 256, 256, 256) for kind in ScenarioKind)
+    for index in range(10):
+        rng = random.Random(f"apex_sweep/{seed}/{index}")
+        for n in range(3, 13):
+            scenario = random_scenario(ScenarioKind.BOTTEMA, n, rng)
+            yield dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, sweep_samples=300))
+    rng = random.Random(f"verify_docs/{seed}/0")
+    for kind in ScenarioKind:
+        for n in range(3, 13):
+            for _ in range(10):
+                yield parse_scenario(serialize_scenario(random_scenario(kind, n, rng)))
+
+
+@pytest.mark.parametrize("seed", [49, 72])
+def test_benchmark_seeds_that_caught_the_alignment_defect(seed):
+    # At seed 49 large_n, and at seed 72 apex_sweep, alignment_multiset_M2 once
+    # failed where a circle intersection lost one of the two aligning rotations.
+    for scenario in benchmark_inputs(seed):
+        report = run_scenario(scenario)
+        assert not report.errors and report.overall_ok, (scenario, report.errors,
+                                                        [c.name for c in report.checks if not c.ok])
+
+
 def test_alignment_then_full_multiset_equality():
     # no shared vertex: pick a solution point, align the second polygon's first
     # vertex to the right distance, and the whole distance lists must agree
@@ -515,7 +543,7 @@ def test_point_properties_precondition_errors():
         RegularPolygon(4, Point(0, 0), 1.0, 0.0, 1),
         RegularPolygon(4, Point(10, 0), 2.0, 0.0, -1),
     )
-    with pytest.raises(NotTwoPointSolutionError):
+    with pytest.raises(GeometryError, match="^solution does not carry two candidate points$"):
         verify_point_properties(first, second, empty)
 
 

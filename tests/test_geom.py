@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 
 from equigon.geom import (
     DEFAULT_TOLERANCE,
-    DegenerateLineError,
-    DegenerateRayError,
     GeometryError,
     Point,
     Tolerance,
@@ -180,7 +178,7 @@ def test_point_line_distance_basic_and_rotated():
 
 
 def test_point_line_distance_degenerate_line():
-    with pytest.raises(DegenerateLineError):
+    with pytest.raises(GeometryError, match="^line endpoints coincide$"):
         point_line_distance(Point(1, 1), Point(0, 0), Point(0, 0))
 
 
@@ -219,7 +217,7 @@ def test_angle_at_is_unsigned_and_capped_at_pi():
 
 
 def test_angle_at_degenerate_ray():
-    with pytest.raises(DegenerateRayError):
+    with pytest.raises(GeometryError, match="^angle ray endpoint coincides with the vertex$"):
         angle_at(Point(0, 0), Point(0, 0), Point(1, 0))
 
 

@@ -84,7 +84,7 @@ def verify_json(document: dict, tmp_path: Path) -> tuple[int, dict]:
 
 
 # A sound triangle at 1e-170.  The foot H once came from the squared base
-# length, which underflows there (DegenerateLineError); it now comes from the
+# length, which underflows there ("line endpoints coincide"); it now comes from the
 # unit base direction.
 def test_bottema_at_1e_170_solves(tmp_path):
     document = {

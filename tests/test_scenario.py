@@ -18,7 +18,6 @@ from equigon.scenario import (
     Scenario,
     ScenarioError,
     ScenarioKind,
-    ScenarioParseError,
     ScenarioValidationError,
     SharedVertexConfig,
     _canonical_json,
@@ -65,9 +64,10 @@ def test_small_n_rejected_with_field_name():
 
 
 def test_truncated_document_is_a_parse_error():
-    with pytest.raises(ScenarioParseError) as excinfo:
+    with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(MINIMAL_SHARED[: len(MINIMAL_SHARED) // 2])
-    assert "line" in str(excinfo.value)
+    assert type(excinfo.value) is ScenarioError
+    assert str(excinfo.value).startswith("invalid JSON at line ")
 
 
 def test_unknown_fields_rejected():
@@ -421,7 +421,7 @@ CONTRACT_DOCS = [
 ] + [
     pytest.param("[1, 2, 3]", ScenarioValidationError, "document",
                  "top level must be a JSON object", id="document-list"),
-    pytest.param('{"kind": "pair", "n": ', ScenarioParseError, None,
+    pytest.param('{"kind": "pair", "n": ', ScenarioError, None,
                  "invalid JSON at line 1 column 23: Expecting value", id="document-truncated"),
 ]
 
