@@ -115,6 +115,12 @@ def bottema_pair(poly1: RegularPolygon, poly2: RegularPolygon, an: Point, a1: Po
     return BottemaResult(poly1, poly2, an, a1, bn, d1, d2, m1, m2, h, collinear, case, coincident)
 
 
+def _check_n(n: int) -> None:
+    """The one n rule of the closed form and the sweep: an integer in 3..``MAX_N``."""
+    if not (isinstance(n, int) and 3 <= n <= MAX_N):
+        raise GeometryError(f"need an integer n in 3..{MAX_N}, got {n!r}")
+
+
 def closed_form_midpoint(
     an: Point,
     bn: Point,
@@ -130,8 +136,7 @@ def closed_form_midpoint(
     """
     if normal_side not in (1, -1):
         raise GeometryError(f"normal_side must be +1 or -1, got {normal_side!r}")
-    if n < 3:
-        raise GeometryError(f"need n >= 3, got {n}")
+    _check_n(n)
     chord = bn - an
     length = chord.norm()
     if length <= tol.bound(0.0):
@@ -266,8 +271,7 @@ def verify_independence(
         raise _overflow("base", (dx, dy))
     if base_length <= tol.bound(0.0):
         raise GeometryError("base endpoints coincide")
-    if not (isinstance(n, int) and 3 <= n <= MAX_N):
-        raise GeometryError(f"need an integer n in 3..{MAX_N}, got {n!r}")
+    _check_n(n)
     e = math.frexp(base_length)[1]
     bnx, bny = math.ldexp(dx, -e), math.ldexp(dy, -e)
     length = math.hypot(bnx, bny)

@@ -37,7 +37,8 @@ class CheckResult:
 Fact = NamedTuple("Fact", [("compares", str), ("degree", int), ("scale", str)])
 
 FACTS = {
-    "power_sums": Fact("both polygons' power sums of squared distances at M", 0, "1; each order its own"),
+    "power_sums": Fact("both polygons' cyclic averages at M, each by the closed form in (n, R, |M O|)", 0,
+                       "1; each order its own"),
     "alignment_multiset": Fact("squared distances at M, the second polygon turned", 2, "largest squared distance"),
     "matching": Fact("distances at M to each vertex and its partner", 1, "R"),
     "cosine_model": Fact("squared distances at M against the cosine law", 2, "(R1 + R2)^2"),

@@ -8,8 +8,11 @@ distances depends only on (n, R, L) for every order m up to n-1:
                          = |R^2 - L^2|^m P_m(s / |R^2 - L^2|),   s = R^2 + L^2,
 
 with P_m the Legendre polynomial (Laplace's first integral).  The helpers here
-evaluate both sides, convert power sums to elementary symmetric functions
-(Newton's identities), and decide multiset equality of squared-distance lists.
+evaluate both sides, compare two polygons' averages at one point from the
+closed form alone (it is symmetric in R and L, so they agree where each
+polygon's L is the other's R), convert power sums to elementary symmetric
+functions (Newton's identities), and decide multiset equality of
+squared-distance lists.
 
 The closed form is normalized by (R+L)^(2m), the 2m-th power of the largest
 vertex distance.  With u = R/(R+L) and v = L/(R+L), so sigma = u^2 + v^2 and
@@ -127,6 +130,36 @@ def verify_power_sum_identity(
     sizes = list(map(max, map(abs, direct), map(abs, closed)))
     residuals = list(map(truediv, gaps, map(max, sizes, repeat(1e-300))))
     return _orders_check(name, gaps, sizes, residuals, tol, "relative")
+
+
+def compare_cyclic_averages(
+    first: RegularPolygon,
+    second: RegularPolygon,
+    point: Point,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    name: str = "power_sums",
+) -> CheckResult:
+    """Check that two n-gons' cyclic averages at ``point`` agree for m = 1..n-1, from the closed form.
+
+    Each polygon's order-m power sum is n f_m s^(2m), from (n, R, L = |point O|) alone, with
+    s = R + L: O(n) through ``_closed_forms``, where the direct sums cost O(n^2).  Both are
+    brought to the larger s through running powers of (s / s_max)^2 <= 1, so no order
+    overflows, and a point far from one polygon underflows to a large gap.  Each order passes
+    by ``tol.eq_at(a, b, max(a, b, 1))``, as in ``compare_power_sums``.  An infinite s makes its
+    ratio inf / inf, so its sums are NaN, and they fail.
+    """
+    top = first.n - 1
+    sides = []
+    for poly in (first, second):
+        distance = point.distance(poly.centroid)
+        scale = poly.circumradius + distance
+        sides.append((scale, _closed_forms(poly.n, poly.circumradius / scale, distance / scale, top)))
+    largest = max(scale for scale, _ in sides)
+    a, b = (list(map(mul, forms, accumulate(repeat((scale / largest) ** 2, top), mul))) for scale, forms in sides)
+    gaps = list(map(abs, map(sub, a, b)))
+    magnitudes = list(map(max, a, b, repeat(1.0)))
+    residuals = list(map(truediv, gaps, magnitudes))
+    return _orders_check(name, gaps, magnitudes, residuals, tol, "closed form")
 
 
 def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:

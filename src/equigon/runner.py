@@ -24,7 +24,7 @@ from typing import Any, Callable
 from .checks import CheckResult, judge
 from .geom import GeometryError, Point, Tolerance
 from .polygon import RegularPolygon, from_shared_vertex
-from .power_sums import compare_power_sums, distances_squared, verify_power_sum_identity
+from .power_sums import compare_cyclic_averages, compare_power_sums, distances_squared, verify_power_sum_identity
 from .equalizer import (
     EqualDistanceSolution,
     Locus,
@@ -193,7 +193,7 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
         scale = max(first.circumradius, second.circumradius)
         for label, point in labelled:
             near, far = distances_squared(first, point), distances_squared(second, point)
-            out.checks.append(compare_power_sums(near, far, tol, name=f"power_sums_{label}"))
+            out.checks.append(compare_cyclic_averages(first, second, point, tol, f"power_sums_{label}"))
             out.checks.append(verify_alignment(first, second, point, near, tol, f"alignment_multiset_{label}"))
             if label == "M2":
                 found = correspond(label, point)

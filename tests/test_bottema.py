@@ -95,6 +95,13 @@ def test_closed_form_validation():
         closed_form_midpoint(Point(1, 1), Point(1, 1), 4, 1)
 
 
+@pytest.mark.parametrize("n", [2, 3.0, 2049, 10**400], ids=["2", "3.0", "2049", "10**400"])
+def test_closed_form_takes_the_doors_n_rule(n):
+    with pytest.raises(GeometryError) as caught:
+        closed_form_midpoint(Point(0, 0), Point(2, 0), n, 1)
+    assert str(caught.value) == f"need an integer n in 3..{MAX_N}, got {n!r}"
+
+
 def test_midpoint_matches_closed_form_many_n():
     an, bn = Point(-1.0, 0.5), Point(2.0, -0.25)
     base = an.distance(bn)

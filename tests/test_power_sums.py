@@ -11,6 +11,7 @@ from equigon.checks import CheckResult, judge
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import (
+    compare_cyclic_averages,
     compare_power_sums,
     distances_squared,
     _closed_forms,
@@ -314,6 +315,33 @@ def test_identity_normalizes_lengths_near_the_float_range():
     poly = RegularPolygon(5, Point(0.0, 0.0), 8e307, phase=0.0, orientation=1)
     check = verify_power_sum_identity(poly, Point(8e307, 0.0))
     assert check.ok and check.residual < 1e-15
+
+
+def test_cyclic_averages_keep_a_nan_residual():
+    # R and L are finite, R + L is not: dividing by it zeroes the first closed form, and
+    # only its normalizer ratio inf / inf, a NaN, keeps the zeros from passing.
+    first = RegularPolygon(5, Point(0.0, 0.0), 1e308, phase=0.0, orientation=1)
+    second = RegularPolygon(5, Point(1.0, 0.0), 1.0, phase=0.0, orientation=1)
+    check = compare_cyclic_averages(first, second, Point(1e308, 0.0))
+    assert math.isnan(check.residual)
+    assert not check.ok
+    assert check.detail == "orders 1..4, closed form, non-finite sums"
+
+
+def test_cyclic_averages_agree_on_the_swapped_circles():
+    # |M O1| = R2 and |M O2| = R1: the closed forms agree at every order, whatever
+    # the vertices; off the circles the gap fails.  Beside one polygon and 1e200
+    # from the other, the nearer one's sums underflow to 0 at the farther one's
+    # normalizer: a gap of 1 at order 1, where (s1 / s2)^2 = 1e-400 is already 0.
+    first = RegularPolygon(7, Point(0.0, 0.0), 1.0, phase=0.3, orientation=1)
+    second = RegularPolygon(7, Point(2.5, 0.0), 2.0, phase=1.1, orientation=-1)
+    x = (2.0 ** 2 - 1.0 ** 2 + 2.5 ** 2) / (2 * 2.5)
+    on = compare_cyclic_averages(first, second, Point(x, math.sqrt(2.0 ** 2 - x * x)))
+    assert on.ok and on.residual < 1e-14 and on.detail == "orders 1..6, closed form"
+    assert not compare_cyclic_averages(first, second, Point(x, 1.0)).ok
+    far = RegularPolygon(7, Point(1e200, 0.0), 2.0, phase=1.1, orientation=-1)
+    check = compare_cyclic_averages(first, far, Point(0.0, 0.5))
+    assert check.residual == 1.0 and not check.ok
 
 
 def test_compare_power_sums_length_checks():

@@ -16,21 +16,24 @@ The rows, by pytest id:
   documents fail ``power_sums_M1`` alone;
 - ``item14-pair-rel0.1`` and ``item14-shared_vertex-rel0.3``: the seed-2
   sweeps at those tolerances pass 143 and 192 of 200;
-- ``item10-vacuous-1e-300``: ``shared_vertex_scaled_1e-300`` passes on power
-  sums that underflowed to 0;
+- ``item10-vacuous-1e-300``: ``shared_vertex_scaled_1e-300`` passes its
+  squared-length checks at residual 0, their squares having underflowed, against
+  a bound of 1e-312;
 - ``item10-unnamed-error-3e307``: a ``shared_vertex`` document at 3e307 reads
   four NaN residuals, then exits 2 on a ``Point`` error that names no field.
 
 A mended row leaves the table for a plain test: on the same 3e307 document
 four checks once passed with residual 0 against a bound that overflowed to
-infinity (``test_no_check_passes_against_an_infinite_bound``).
+infinity (``test_no_check_passes_against_an_infinite_bound``), and at 1e-300
+the power sums once passed at residual 0 on sums that underflowed
+(``test_cyclic_averages_at_1e_300_measure_a_residual``).
 
-Two more recorded defects are strict xfails beside the code they test:
+One more recorded defect is a strict xfail beside the code it tests:
 ``tests/test_scale.py::test_shared_vertex_at_1e154_solves_or_names_a_field``
-and ``tests/test_scale.py::test_pair_at_1e_170_passes_only_on_its_swapped_circles``
-(items 8 and 10).  A third, the apex sweep far from the origin (item 22), is
-mended: ``tests/test_bottema.py::test_sweep_far_from_the_origin_passes`` is a
-plain test.
+(items 8 and 10).  The ``pair`` document at 1e-170, whose M1 = M2 sit on O2,
+no longer passes: ``tests/test_scale.py::test_pair_at_1e_170_fails_its_cyclic_averages``
+is a plain test, and so is the apex sweep far from the origin (item 22),
+mended: ``tests/test_bottema.py::test_sweep_far_from_the_origin_passes``.
 """
 
 import contextlib
@@ -38,6 +41,7 @@ import io
 import json
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -118,11 +122,12 @@ def loose_sweep(kind: str, rel: str) -> Callable[[], str]:
     return outcome
 
 
-def underflowed_shared_vertex() -> tuple[int, tuple[tuple[str, float], ...]]:
-    """``shared_vertex_scaled_1e-300``'s exit code and its power-sum residuals,
-    whose sums of squared distances near 1e-600 underflow to 0."""
+def underflowed_shared_vertex() -> tuple[int, tuple[str, ...]]:
+    """``shared_vertex_scaled_1e-300``'s exit code and the checks that pass at
+    residual 0 against a subnormal bound: squared lengths near 1e-600 underflow to 0."""
     report = run_scenario(parse_scenario((DATA / "shared_vertex_scaled_1e-300.json").read_text()))
-    return exit_code(report), tuple((check.name, check.residual) for check in report.checks if check.name.startswith("power_sums"))
+    return exit_code(report), tuple(check.name for check in report.checks
+                                    if check.ok and check.residual == 0.0 and check.tolerance < sys.float_info.min)
 
 
 # A shared_vertex document at about 3e307, whose solve reaches -inf.
@@ -156,7 +161,7 @@ DEFECTS = [
            lambda got: all(code == 0 for code, _, _ in got)),
     Defect(22, "verdicts depend on where the figure sits: moved by 1e7, most documents fail",
            translated_shared_vertex,
-           Counter({1: 24, 0: 6}),
+           Counter({1: 21, 0: 9}),
            lambda got: set(got) == {0}),
     Defect(23, "the apex sweep ignores the document's sides and sweeps the exterior placement",
            same_side_sweep,
@@ -174,10 +179,11 @@ DEFECTS = [
            loose_sweep("shared_vertex", "0.3"),
            "sweep shared_vertex: FAIL (192/200 configurations)",
            lambda got: "PASS" in got, "shared_vertex-rel0.3"),
-    Defect(10, "scale: at 1e-300 the power sums underflow to 0 and pass on nothing",
+    Defect(10, "scale: at 1e-300 the squared lengths underflow to 0 and pass on nothing",
            underflowed_shared_vertex,
-           (0, (("power_sums_M1", 0.0), ("power_sums_M2", 0.0))),
-           lambda got: got[0] != 0 or any(residual != 0.0 for _, residual in got[1]), "vacuous-1e-300"),
+           (0, ("alignment_multiset_M1", "cosine_model_M1", "alignment_multiset_M2", "cosine_model_M2",
+                "separation_perpendicular")),
+           lambda got: got[0] != 0 or not got[1], "vacuous-1e-300"),
     Defect(10, "scale: at 3e307 four checks read NaN, then a Point error names no field",
            huge_shared_vertex,
            (2, ("GeometryError: coordinates must be finite, got (-5.290651423619267e+307, -inf)",),
@@ -206,3 +212,13 @@ def test_no_check_passes_against_an_infinite_bound():
     infinite = {check.name: check.ok for check in report.checks if math.isinf(check.tolerance)}
     assert {"alignment_multiset_M1", "cosine_model_M1", "alignment_multiset_M2", "cosine_model_M2"} <= set(infinite)
     assert not any(infinite.values()), infinite
+
+
+def test_cyclic_averages_at_1e_300_measure_a_residual():
+    # Item 10, mended for the power sums: at 1e-300 they once passed at residual 0
+    # on sums that underflowed.  The closed form reads only the ratios R / (R + L)
+    # and L / (R + L), so its residual is the one it has at scale 1.
+    report = run_scenario(parse_scenario((DATA / "shared_vertex_scaled_1e-300.json").read_text()))
+    sums = [check for check in report.checks if check.name.startswith("power_sums")]
+    assert [check.name for check in sums] == ["power_sums_M1", "power_sums_M2"]
+    assert all(check.ok and 0.0 < check.residual <= 1e-15 for check in sums), sums

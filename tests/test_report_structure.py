@@ -17,8 +17,8 @@ from equigon.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
 
-POWER_SUMS_3 = "orders 1..3, normalized"
-POWER_SUMS_4 = "orders 1..4, normalized"
+POWER_SUMS_3 = "orders 1..3, closed form"
+POWER_SUMS_4 = "orders 1..4, closed form"
 LOCUS = "power sums on the locus, normalized"
 IDENTITY_6 = "orders 1..6, relative"
 POINT_PROPERTIES = [

@@ -11,7 +11,6 @@ return an exit code in {0, 1, 2}, raise nothing, and print at most one
 import contextlib
 import io
 import json
-import math
 import random
 from pathlib import Path
 
@@ -96,8 +95,8 @@ def test_bottema_at_1e_170_solves(tmp_path):
     assert (code, report["errors"]) == (0, [])
 
 
-# Scaled documents whose outcome is wrong until lengths are solved in a
-# normalized frame (ROADMAP item 10, which removes these xfails).
+# A scaled document whose outcome is wrong until lengths are solved in a
+# normalized frame (ROADMAP item 10, which removes this xfail).
 @pytest.mark.xfail(strict=True, reason="the cosine-model bound (R1 + R2) ** 2 overflows at 1e154 and the "
                    "error names no field: OverflowError (34, 'Numerical result out of range')")
 def test_shared_vertex_at_1e154_solves_or_names_a_field(tmp_path):
@@ -109,9 +108,11 @@ def test_shared_vertex_at_1e154_solves_or_names_a_field(tmp_path):
     assert code == 0 or (code == 2 and any(field in report["errors"][0] for field in fields)), report["errors"]
 
 
-@pytest.mark.xfail(strict=True, reason="squared lengths underflow at 1e-170, so the swapped-circle step "
-                   "puts M1 = M2 on O2 and the multiset checks pass on zeros")
-def test_pair_at_1e_170_passes_only_on_its_swapped_circles(tmp_path):
+# Squared lengths underflow at 1e-170, so the swapped-circle step puts M1 = M2
+# on O2 (ROADMAP item 10).  The multiset checks pass there on zeros, but the
+# cyclic averages come from the ratios R / (R + L) and L / (R + L), which do
+# not underflow, and fail: a point on O2 is not on the swapped circles.
+def test_pair_at_1e_170_fails_its_cyclic_averages(tmp_path):
     centroid2, r1 = [-6.42e-170, -9.68e-171], 1.26e-170
     document = {
         "kind": "pair", "n": 3, "seed": 0, "tolerance": {"rel": 1e-9, "abs": 1e-182},
@@ -119,6 +120,6 @@ def test_pair_at_1e_170_passes_only_on_its_swapped_circles(tmp_path):
                  "centroid2": centroid2, "r2": 7.83e-171, "phase2": 0.0, "orient2": 1},
     }
     code, report = verify_json(document, tmp_path)
-    # A passing report's points are where the swapped circles meet: R1 from O2.
-    reach = [math.dist(point, centroid2) for point in report["points"].values()]
-    assert code != 0 or all(abs(d - r1) <= 1e-6 * r1 for d in reach), (code, report["points"])
+    assert code == 1 and report["points"] == {"M1": centroid2, "M2": centroid2}
+    failing = {check["name"]: round(check["residual"], 4) for check in report["checks"] if not check["ok"]}
+    assert failing == {"power_sums_M1": 0.988, "power_sums_M2": 0.988}
