@@ -192,7 +192,7 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
     def checks() -> None:
         scale = max(first.circumradius, second.circumradius)
         for label, point in labelled:
-            near, far = distances_squared(first, point), distances_squared(second, point)
+            near = distances_squared(first, point)
             out.checks.append(compare_cyclic_averages(first, second, point, tol, f"power_sums_{label}"))
             out.checks.append(verify_alignment(first, second, point, near, tol, f"alignment_multiset_{label}"))
             if label == "M2":
@@ -202,6 +202,7 @@ def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points
             if found is not None:
                 out.checks.append(judge(f"matching_{label}", max(found.max_residual, found.first_residual), scale,
                                         tol, detail=found.kind.value))
+                far = distances_squared(second, point)
                 shared_angle, model_residual = cosine_model(first, second, point, found.kind, near, far)
                 out.checks.append(judge(f"cosine_model_{label}", model_residual,
                                         (first.circumradius + second.circumradius) ** 2, tol,

@@ -6,21 +6,13 @@ its record without being mended fails outright; a mended row passes, which
 its strict xfail reports as a failure, so the change that mends a defect
 turns its row into a plain test.
 
-The rows, by pytest id:
-- ``item14``: 50 ``pair`` documents with radii a relative 1e-9 apart, at the
-  default tolerance, are called congruent and fail their locus probes;
-- ``item22``: 30 ``shared_vertex`` documents moved by 1e7 (1, 0.7), most failing;
-- ``item23``: the apex sweep of ``bottema_same_side_n5`` sweeps the exterior
-  placement, not the document's;
-- ``item2``: the δ scan at n = 7, where 22 of 40 near-tangent ``pair``
-  documents fail ``power_sums_M1`` alone;
-- ``item14-pair-rel0.1`` and ``item14-shared_vertex-rel0.3``: the seed-2
-  sweeps at those tolerances pass 143 and 192 of 200;
-- ``item10-vacuous-1e-300``: ``shared_vertex_scaled_1e-300`` passes its
-  squared-length checks at residual 0, their squares having underflowed, against
-  a bound of 1e-312;
-- ``item10-unnamed-error-3e307``: a ``shared_vertex`` document at 3e307 reads
-  four NaN residuals, then exits 2 on a ``Point`` error that names no field.
+The rows print themselves as a Markdown table, ROADMAP's "Recorded
+defects": one line per row with its pytest id, ROADMAP item, what it shows,
+its recorded outcome and the outcome measured now (``as recorded`` when the
+two agree).  The command exits 1 when a row moved from its record without
+being mended:
+
+    PYTHONPATH=src python tests/test_recorded_defects.py
 
 A mended row leaves the table for a plain test: on the same 3e307 document
 four checks once passed with residual 0 against a bound that overflowed to
@@ -193,14 +185,24 @@ DEFECTS = [
 ]
 
 
+def row_id(defect: Defect) -> str:
+    """The row's pytest id: its item, then its label."""
+    return f"item{defect.item}" + (defect.label and f"-{defect.label}")
+
+
+def moved(defect: Defect, got: Any) -> bool:
+    """Whether the outcome left the record without mending the defect."""
+    return got != defect.recorded and not defect.mended(got)
+
+
 @pytest.mark.parametrize("defect", [
-    pytest.param(defect, id=f"item{defect.item}" + (defect.label and f"-{defect.label}"), marks=pytest.mark.xfail(
+    pytest.param(defect, id=row_id(defect), marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=f"ROADMAP item {defect.item}: {defect.what}"))
     for defect in DEFECTS
 ])
 def test_recorded_defect(defect):
     got = defect.outcome()
-    if got != defect.recorded and not defect.mended(got):
+    if moved(defect, got):
         pytest.fail(f"item {defect.item} moved from its record without being mended: {got!r}")
     assert defect.mended(got), f"item {defect.item} still shows: {got!r}"
 
@@ -222,3 +224,30 @@ def test_cyclic_averages_at_1e_300_measure_a_residual():
     sums = [check for check in report.checks if check.name.startswith("power_sums")]
     assert [check.name for check in sums] == ["power_sums_M1", "power_sums_M2"]
     assert all(check.ok and 0.0 < check.residual <= 1e-15 for check in sums), sums
+
+
+def printout() -> tuple[str, bool]:
+    """ROADMAP's "Recorded defects" table, each row measured now, and whether any row moved."""
+    def cell(value: Any) -> str:
+        return f"`{value!r}`".replace("|", "\\|")
+
+    lines, any_moved = ["| Row | Item | What | Recorded | Now |", "|---|---|---|---|---|"], False
+    for defect in DEFECTS:
+        got = defect.outcome()
+        any_moved |= moved(defect, got)
+        now = "as recorded" if got == defect.recorded else ("mended: " if defect.mended(got) else "moved: ") + cell(got)
+        lines.append(f"| `{row_id(defect)}` | {defect.item} | {defect.what} | {cell(defect.recorded)} | {now} |")
+    return "\n".join(lines), any_moved
+
+
+def test_roadmap_lists_the_recorded_defects():
+    # After a row changes, paste this file's printout between ROADMAP's markers.
+    roadmap = (Path(__file__).resolve().parent.parent / "ROADMAP.md").read_text(encoding="utf-8")
+    block = roadmap.split("<!-- recorded defects: begin -->\n", 1)[1].split("\n<!-- recorded defects: end -->", 1)[0]
+    assert block == printout()[0]
+
+
+if __name__ == "__main__":
+    text, any_moved = printout()
+    print(text)
+    sys.exit(int(any_moved))
