@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, repeat, starmap
-from operator import attrgetter, ge, sub
+from operator import ge, sub
+from typing import Iterator
 
 from .checks import CheckResult, judge
 from .geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, project_onto_line
@@ -154,9 +155,10 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     ``closed_form_midpoint`` with the first polygon's orientation, on the apex
     for equal orientations; for opposite ones, ``altitude_length``: |M1 H| is
     ``|An Bn| / 2 * cot(pi / n)``, and ``foot_at_base_midpoint``: H is the
-    base midpoint.  Then ``vertex_angles``, one check over every k: it shows
-    the worst k's residual, names that k, counts any vertex pairs at M1, and
-    passes iff every k passes, vacuous iff every k is.
+    base midpoint.  Then ``vertex_angles``, one check over every k, read
+    straight off ``_angle_residuals`` with no per-k check: it shows the worst
+    k's residual, names that k (the first, on a tie), counts any vertex pairs
+    at M1, and passes iff every k passes, vacuous iff every k is.
     """
     an, bn, m1, h = pair.an, pair.bn, pair.m1, pair.h
     n, side = pair.poly1.n, pair.poly1.orientation
@@ -169,14 +171,16 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
                         detail=f"base normal side {side:+d}"),
                   judge("altitude_length", abs(m1.distance(h) - 0.5 * base / math.tan(math.pi / n)), base, tol),
                   judge("foot_at_base_midpoint", h.distance(an.midpoint(bn)), base, tol))
-    angles = vertex_angles(pair, tol)
-    judged = [check for check in angles if not check.vacuous]
-    worst = max(judged, key=attrgetter("residual"), default=None)
-    parts = [f"worst {worst.name.rpartition('_')[2]}, {worst.detail}"] if judged else []
-    if len(judged) < len(angles):
-        parts.append(f"vertex pairs at M1: {len(angles) - len(judged)}")
-    return (*checks, judge("vertex_angles", worst.residual if judged else 0.0, math.pi, tol, not judged,
-                           ", ".join(parts)))
+    worst_k, worst, at_m1 = 0, 0.0, 0
+    for k, residual in enumerate(_angle_residuals(pair, tol), 2):
+        if residual is None:
+            at_m1 += 1
+        elif not worst_k or residual > worst:
+            worst_k, worst = k, residual
+    parts = [f"worst k{worst_k}, {_angle_labels(n)[worst_k - 2][2]}"] if worst_k else []
+    if at_m1:
+        parts.append(f"vertex pairs at M1: {at_m1}")
+    return (*checks, judge("vertex_angles", worst, math.pi, tol, not worst_k, ", ".join(parts)))
 
 
 # The apex sweep works in its base's frame: An at the origin, and Bn - An times
@@ -325,43 +329,50 @@ def _angle_labels(n: int) -> tuple[tuple[str, float, str], ...]:
     return tuple([(f"vertex_angle_k{k}", angle, f"expected {angle:.6f} rad") for k, angle in enumerate(folded, 2)])
 
 
-def vertex_angles(
-    result: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[CheckResult, ...]:
-    """Angles at M1 between each A_k and its partner under ``result.m1_kind``, against the folded expectation.
-
-    Returns one ``vertex_angle_k{k}`` check per k = 2..n, each judged at the
-    scale pi.  Each k's name, expected angle (its turn in the table
-    ``turns(n)``, folded) and detail come from a table built once per n.
+def _angle_residuals(result: BottemaResult, tol: Tolerance) -> Iterator[float | None]:
+    """For k = 2..n, the residual of the angle at M1 between A_k and its partner
+    under ``result.m1_kind`` against the folded expectation, or None where both
+    vertices k are at M1.
 
     ``angle_at(m1, poly1.vertex(k), partner, tol)`` on both polygons'
     coordinates: its differences, norms, unit rays, cross and dot in the same
     order, so every angle is the same float, with no ``Point`` and the floor
     ``tol.bound(0.0)`` taken once.  A ray past the float range raises the
     overflow error.  A k whose two rays are both within the tolerance of the
-    larger circumradius has both its vertices at M1, and its check is vacuous.
-    Otherwise a k with a ray not longer than the floor raises ``angle_at``'s
-    error.
+    larger circumradius has both its vertices at M1.  Otherwise a k with a ray
+    not longer than the floor raises ``angle_at``'s error.
     """
     poly1, poly2, m1 = result.poly1, result.poly2, result.m1
     xs, ys = poly1.coordinates()
     us, vs = (partners(column, result.m1_kind) for column in poly2.coordinates())
-    mx, my, hypot, inf = m1.x, m1.y, math.hypot, math.inf
+    mx, my, hypot, atan2, inf = m1.x, m1.y, math.hypot, math.atan2, math.inf
     floor, near = tol.bound(0.0), tol.bound(max(poly1.circumradius, poly2.circumradius))
-    checks = []
-    for k, (name, expected, detail) in enumerate(_angle_labels(poly1.n), 2):
+    for k, (_, expected, _) in enumerate(_angle_labels(poly1.n), 2):
         ux, uy, vx, vy = xs[k - 1] - mx, ys[k - 1] - my, us[k - 1] - mx, vs[k - 1] - my
         # The coordinates and M1 are finite, so neither length is NaN.
         lu, lv = hypot(ux, uy), hypot(vx, vy)
         if not (lu < inf and lv < inf):
             raise _overflow(f"ray to vertex pair {k}", f"lengths {(lu, lv)}")
         if lu <= near and lv <= near:
-            # Both vertices k are at M1: they subtend no angle.
-            checks.append(judge(name, 0.0, math.pi, tol, vacuous=True, detail="vertex pair at M1"))
+            yield None
             continue
         if lu <= floor or lv <= floor:
             raise GeometryError("angle ray endpoint coincides with the vertex")
         ux, uy, vx, vy = ux / lu, uy / lu, vx / lv, vy / lv
-        measured = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        checks.append(judge(name, abs(measured - expected), math.pi, tol, detail=detail))
-    return tuple(checks)
+        yield abs(atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy) - expected)
+
+
+def vertex_angles(
+    result: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[CheckResult, ...]:
+    """Angles at M1 between each A_k and its partner under ``result.m1_kind``, against the folded expectation.
+
+    Returns one ``vertex_angle_k{k}`` check per k = 2..n, each judged at the
+    scale pi, on ``_angle_residuals``.  Each k's name, expected angle (its turn
+    in the table ``turns(n)``, folded) and detail come from a table built once
+    per n.  A k whose vertices are both at M1 subtends no angle, and its check
+    is vacuous.
+    """
+    return tuple([judge(name, 0.0, math.pi, tol, vacuous=True, detail="vertex pair at M1") if residual is None
+                  else judge(name, residual, math.pi, tol, detail=detail)
+                  for (name, _, detail), residual in zip(_angle_labels(result.poly1.n), _angle_residuals(result, tol))])

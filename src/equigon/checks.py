@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, le, mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .geom import Tolerance
 
@@ -60,12 +58,11 @@ FACTS = {
 
 
 def judge(name: str, residual: float, scale: float, tol: Tolerance, vacuous: bool = False, detail: str = "",
-          orders: tuple[Iterable[float], Iterable[float]] | None = None) -> CheckResult:
+          every_order: bool | None = None) -> CheckResult:
     """The check ``name``, shown against ``tol.bound(scale)``: it passes iff it is vacuous or
-    ``residual`` fits under that bound and the bound is finite.  The power sums give each
-    order's gap and magnitude as ``orders`` ("each order its own" in ``FACTS``), and pass iff
-    every gap fits under the bound at its order's magnitude."""
+    ``residual`` fits under that bound and the bound is finite.  The power sums judge each
+    order's gap at its own magnitude ("each order its own" in ``FACTS``) and pass
+    ``every_order``, whether every order passed: the check passes iff it is true."""
     bound = tol.bound(scale)
-    ok = (vacuous or residual <= bound < math.inf) if orders is None else \
-        all(map(le, orders[0], map(add, repeat(tol.abs), map(mul, repeat(tol.rel), orders[1]))))
+    ok = (vacuous or residual <= bound < math.inf) if every_order is None else every_order
     return CheckResult(name, ok, residual, bound, vacuous, detail)

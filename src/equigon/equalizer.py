@@ -24,7 +24,7 @@ multiset at M the first's; ``verify_alignment`` judges those two rotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import sub
@@ -79,12 +79,15 @@ class EqualDistanceSolution:
 
     ``points`` is (M1, M2) when two candidates exist; a tangent contact fills
     both slots with the same point and sets ``coincident``.  The case sets the
-    locus of a solution without points.
+    locus of a solution without points.  ``distances`` holds, for each point
+    that the solve labelled, its ``_vertex_distances`` lists, which
+    ``correspondence`` reads.
     """
 
     case: PairCase
     points: tuple[Point, ...] = ()
     coincident: bool = False
+    distances: tuple[tuple[list[float], list[float]], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def locus(self) -> Locus | None:
@@ -169,7 +172,8 @@ def equal_distance_points(
     Non-congruent pairs intersect the swapped circles; the point whose
     identity-correspondence residual is smaller is labelled M1.  When both
     residuals pass (or tie) the point to the left of the directed centroid
-    line O1 -> O2 is M1.
+    line O1 -> O2 is M1.  The residuals are read off each crossing's
+    ``_vertex_distances``, which the solution keeps for ``correspondence``.
     """
     case = classify_pair(first, second, tol)
     if case is not PairCase.NON_CONGRUENT:
@@ -182,15 +186,17 @@ def equal_distance_points(
         return EqualDistanceSolution(case, crossing * 2, True)
 
     p, q = crossing
+    at_p, at_q = (_vertex_distances(first, second, m) for m in crossing)
     # The largest identity residual ||M A_k| - |M B_k|| over k = 2..n at each crossing.
-    residual_p, residual_q = (max(map(abs, map(sub, near[1:], far[1:])))
-                              for near, far in (_vertex_distances(first, second, m) for m in crossing))
+    residual_p, residual_q = (max(map(abs, map(sub, near[1:], far[1:]))) for near, far in (at_p, at_q))
     slack = tol.bound(max(first.circumradius, second.circumradius))
     if (residual_p <= slack and residual_q <= slack) or residual_p == residual_q:
         p_first = side_of_line(p, first.centroid, second.centroid) > 0.0
     else:
         p_first = residual_p < residual_q
-    return EqualDistanceSolution(case, (p, q) if p_first else (q, p))
+    if not p_first:
+        p, q, at_p, at_q = q, p, at_q, at_p
+    return EqualDistanceSolution(case, (p, q), distances=(at_p, at_q))
 
 
 def align_rotation(
@@ -225,7 +231,10 @@ def verify_alignment(first: RegularPolygon, second: RegularPolygon, point: Point
     candidates = align_rotation(first, second, point)
     step = math.tau / first.n
     offset = min(min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates))
-    return min((multisets_equal(near, distances_squared(candidate, point), tol, name, f"phase offset {offset:.3e} rad")
+    detail = f"phase offset {offset:.3e} rad"
+    # Sorted once for both candidates: sorting it again is one linear scan.
+    ordered = sorted(near)
+    return min((multisets_equal(ordered, distances_squared(candidate, point), tol, name, detail)
                 for candidate in candidates), key=lambda match: (not match.ok, match.residual))
 
 
@@ -235,19 +244,22 @@ def correspondence(
     point: Point,
     tol: Tolerance = DEFAULT_TOLERANCE,
     kind: MatchKind | None = None,
+    distances: tuple[list[float], list[float]] | None = None,
 ) -> Matching:
     """Measure the vertex correspondence ``kind`` at the point, or find the one it realises, identity preferred.
 
     Reads the first-vertex residual and the correspondence's residuals off
-    one list of the point's vertex distances per polygon.  The search raises
-    NoMatchingError when neither correspondence holds within tolerance (this
-    includes the case where the k = 1 distances already disagree).  Returns
+    one list of the point's vertex distances per polygon: ``distances``, the
+    lists the equal-distance solve computed at the point, or else
+    ``_vertex_distances``.  The search raises NoMatchingError when neither
+    correspondence holds within tolerance (this includes the case where the
+    k = 1 distances already disagree).  Returns
     the measurements, not a verdict: the runner judges them as the
     ``matching_{label}`` check.
     """
     if first.n != second.n:
         raise GeometryError(f"vertex counts differ: {first.n} vs {second.n}")
-    near, far = _vertex_distances(first, second, point)
+    near, far = distances or _vertex_distances(first, second, point)
     first_residual = abs(near[0] - far[0])
 
     def worst(kind: MatchKind) -> float:

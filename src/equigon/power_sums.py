@@ -28,7 +28,9 @@ identity check divides each coordinate difference by R+L before squaring
 (dividing the squares instead would underflow them to zero at small scales).
 
 The direct sums run in C, with no Python frame per element, and keep the bits
-of a per-order running-product loop (``_power_sums``).
+of a per-order running-product loop (``_power_sums``).  Each power-sum check
+judges its orders in one pass (``_orders_check``), which takes each order's
+gap, magnitude, bound test and residual in turn, with no list per quantity.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .checks import CheckResult, judge
@@ -76,25 +78,46 @@ def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
     return map(_fold, zip(*[accumulate(repeat(v, top), mul) for v in values]))
 
 
-def _closed_forms(n: int, u: float, v: float, top: int) -> Iterator[float]:
-    """Yield n f_m, the order-m power sum over (R+L)^(2m), for m = 1..top (valid for top <= n-1),
+def _closed_forms(n: int, u: float, v: float, top: int) -> list[float]:
+    """n f_m, the order-m power sum over (R+L)^(2m), for m = 1..top (valid for top <= n-1),
     from u = R/(R+L) and v = L/(R+L)."""
     sigma = u * u + v * v
     rho = (u - v) * (u - v)
-    previous, current = 1.0, sigma
+    forms, previous, current = [], 1.0, sigma
     for order in range(1, top + 1):
-        yield n * current
+        forms.append(n * current)
         previous, current = current, ((2 * order + 1) * sigma * current - order * rho * previous) / (order + 1)
+    return forms
 
 
-def _orders_check(name: str, gaps: list[float], magnitudes: list[float], residuals: list[float], tol: Tolerance,
-                  kind: str, detail: str | None = None) -> CheckResult:
-    """One check over orders 1..len(residuals), each order's gap judged at its magnitude, its worst
-    residual shown.  A NaN residual is kept (``max`` keeps one only in first place), and the
-    detail, unless given, names the orders and says so."""
-    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
-    detail = detail or f"orders 1..{len(residuals)}, {kind}" + (", non-finite sums" if math.isnan(worst) else "")
-    return judge(name, worst, 1.0, tol, detail=detail, orders=(gaps, magnitudes))
+def _orders_check(name: str, sums: Iterable[tuple[float, float]], floor: float, tol: Tolerance, kind: str,
+                  detail: str | None = None) -> CheckResult:
+    """One check over the orders of ``sums``, the power sums (x, y) of m = 1, 2, ..., in one pass.
+
+    An order passes iff its gap |x - y| fits under ``tol`` at its magnitude
+    max(|x|, |y|, floor) ("each order its own" in ``FACTS``); its residual is
+    the gap over that magnitude, or over 1e-300 if that is larger.  The check
+    shows the worst residual, NaN when any is NaN, and unless given, a detail
+    that names the orders and says so.  The floor 0.0 leaves every magnitude as it is.
+    """
+    absolute, rel = tol.abs, tol.rel
+    ok, worst, nan, top = True, 0.0, False, 0
+    for top, (x, y) in enumerate(sums, 1):
+        gap = abs(x - y)
+        x, y = abs(x), abs(y)
+        # max(|x|, |y|, floor): NaN only where |x| is, and then so is the gap.
+        magnitude = y if y > x else x
+        magnitude = floor if floor > magnitude else magnitude
+        residual = gap / (1e-300 if 1e-300 > magnitude else magnitude)
+        if not gap <= absolute + rel * magnitude:
+            ok = False
+        if residual > worst:
+            worst = residual
+        elif residual != residual:
+            nan = True
+    worst = math.nan if nan else worst
+    detail = detail or f"orders 1..{top}, {kind}" + (", non-finite sums" if nan else "")
+    return judge(name, worst, 1.0, tol, detail=detail, every_order=ok)
 
 
 def verify_power_sum_identity(
@@ -111,7 +134,7 @@ def verify_power_sum_identity(
     sums of non-negative terms, so the worst relative residual
     |direct - closed| / max(direct, closed) is meaningful at machine precision
     (NaN if a sum is not finite).  Each order passes by ``tol.eq(direct, closed)``,
-    evaluated for all orders at once.
+    judged in the pass that takes its residual.
     """
     n = poly.n
     top = n - 1 if max_order is None else max_order
@@ -124,12 +147,8 @@ def verify_power_sum_identity(
     xs, ys = poly.coordinates()
     x, y = point.x, point.y
     squared = [((x - vx) / scale) ** 2 + ((y - vy) / scale) ** 2 for vx, vy in zip(xs, ys)]
-    direct = list(_power_sums(squared, top))
-    closed = list(_closed_forms(n, poly.circumradius / scale, center_distance / scale, top))
-    gaps = list(map(abs, map(sub, direct, closed)))
-    sizes = list(map(max, map(abs, direct), map(abs, closed)))
-    residuals = list(map(truediv, gaps, map(max, sizes, repeat(1e-300))))
-    return _orders_check(name, gaps, sizes, residuals, tol, "relative")
+    closed = _closed_forms(n, poly.circumradius / scale, center_distance / scale, top)
+    return _orders_check(name, zip(_power_sums(squared, top), closed), 0.0, tol, "relative")
 
 
 def compare_cyclic_averages(
@@ -146,7 +165,8 @@ def compare_cyclic_averages(
     brought to the larger s through running powers of (s / s_max)^2 <= 1, so no order
     overflows, and a point far from one polygon underflows to a large gap.  Each order passes
     by ``tol.eq_at(a, b, max(a, b, 1))``, as in ``compare_power_sums``.  An infinite s makes its
-    ratio inf / inf, so its sums are NaN, and they fail.
+    ratio inf / inf, so its sums are NaN, and they fail.  The two closed forms are the only
+    lists: the running powers and each order's verdict are taken in one pass (``_orders_check``).
     """
     top = first.n - 1
     sides = []
@@ -155,11 +175,8 @@ def compare_cyclic_averages(
         scale = poly.circumradius + distance
         sides.append((scale, _closed_forms(poly.n, poly.circumradius / scale, distance / scale, top)))
     largest = max(scale for scale, _ in sides)
-    a, b = (list(map(mul, forms, accumulate(repeat((scale / largest) ** 2, top), mul))) for scale, forms in sides)
-    gaps = list(map(abs, map(sub, a, b)))
-    magnitudes = list(map(max, a, b, repeat(1.0)))
-    residuals = list(map(truediv, gaps, magnitudes))
-    return _orders_check(name, gaps, magnitudes, residuals, tol, "closed form")
+    a, b = (map(mul, forms, accumulate(repeat((scale / largest) ** 2, top), mul)) for scale, forms in sides)
+    return _orders_check(name, zip(a, b), 1.0, tol, "closed form")
 
 
 def power_sums_to_elementary(power_sums: Sequence[float]) -> tuple[float, ...]:
@@ -220,8 +237,8 @@ def compare_power_sums(
     orders unless ``detail`` is given.  Entries are normalized by the joint
     maximum before exponentiation, which keeps high orders away from overflow
     and makes the residuals comparable across scales.  Each
-    order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``, evaluated for
-    all orders at once.
+    order passes by ``tol.eq_at(pa, pb, max(|pa|, |pb|, 1))``, judged in the
+    pass that takes its residual.
     """
     a = tuple(first)
     b = tuple(second)
@@ -232,9 +249,5 @@ def compare_power_sums(
         raise GeometryError(f"order 1 needs at least 2 entries, got {len(a)}")
     # All-zero lists have all-zero sums at any scale; 1 avoids dividing by zero.
     scale = max(map(abs, chain(a, b)), default=0.0) or 1.0
-    sums_a = list(_power_sums([x / scale for x in a], top))
-    sums_b = list(_power_sums([x / scale for x in b], top))
-    gaps = list(map(abs, map(sub, sums_a, sums_b)))
-    magnitudes = list(map(max, map(abs, sums_a), map(abs, sums_b), repeat(1.0)))
-    residuals = list(map(truediv, gaps, magnitudes))
-    return _orders_check(name, gaps, magnitudes, residuals, tol, "normalized", detail)
+    sums = zip(_power_sums([x / scale for x in a], top), _power_sums([x / scale for x in b], top))
+    return _orders_check(name, sums, 1.0, tol, "normalized", detail)

@@ -159,25 +159,29 @@ def _locus(out: Report, first: RegularPolygon, second: RegularPolygon, locus: Lo
     return lambda: _probe_locus(out, first, second, locus, out.scenario.seed, tol)
 
 
-def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, points: tuple[Point, ...],
-              coincident: bool, tol: Tolerance, m1_kind: MatchKind | None) -> Checks:
-    """Record the points and M1's vertex correspondence, which colours the
-    figure's distance fan; return the checks at each point: power sums,
-    alignment, matching and, with a correspondence, its cosine model.
+def _labelled(out: Report, first: RegularPolygon, second: RegularPolygon, solution: EqualDistanceSolution,
+              tol: Tolerance, m1_kind: MatchKind | None) -> Checks:
+    """Record the solution's points and M1's vertex correspondence, which
+    colours the figure's distance fan; return the checks at each point: power
+    sums, alignment, matching and, with a correspondence, its cosine model.
 
     A pair sharing its first vertex passes ``m1_kind`` (M2 realises the other),
     which is recorded as it is and measured by the checks; a ``pair`` passes
-    None and searches, and a point without one gets a finding.
+    None and searches, and a point without one gets a finding.  Each
+    correspondence reads the vertex distances the solve computed at its point,
+    where it computed them.
     """
-    labelled = list(zip(("M1",) if coincident else ("M1", "M2"), points))
+    labels = ("M1",) if solution.coincident else ("M1", "M2")
+    labelled = list(zip(labels, solution.points))
     out.points.extend(labelled)
-    out.coincident = coincident
+    out.coincident = solution.coincident
+    distances = dict(zip(labels, solution.distances))
     kinds = {} if m1_kind is None else {
         "M1": m1_kind, "M2": MatchKind.REVERSAL if m1_kind is MatchKind.IDENTITY else MatchKind.IDENTITY}
 
     def correspond(label: str, point: Point) -> Matching | None:
         try:
-            match = correspondence(first, second, point, tol, kinds.get(label))
+            match = correspondence(first, second, point, tol, kinds.get(label), distances.get(label))
         except NoMatchingError as exc:
             out.findings.append(f"no vertexwise correspondence at {label} ({exc})")
             return None
@@ -230,7 +234,7 @@ def _pair(out: Report, tol: Tolerance) -> Checks:
             f"{gap!r} outside [{lo!r}, {hi!r}]"
         )
         return lambda: None
-    return _labelled(out, first, second, solution.points, solution.coincident, tol, None)
+    return _labelled(out, first, second, solution, tol, None)
 
 
 def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
@@ -260,7 +264,7 @@ def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
         point_checks = _locus(out, first, second, Locus.ENTIRE_PLANE, tol)
     else:
         solution = EqualDistanceSolution(pair.case, (pair.m1, pair.m2), pair.coincident)
-        labelled = _labelled(out, first, second, solution.points, pair.coincident, tol, pair.m1_kind)
+        labelled = _labelled(out, first, second, solution, tol, pair.m1_kind)
 
         def point_checks() -> None:
             labelled()

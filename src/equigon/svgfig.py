@@ -148,9 +148,7 @@ class _Scene:
         self.elements.append(element)
 
     def emit(self) -> str:
-        if not self.elements or not math.isfinite(self.min_x):
-            self.min_x = self.min_y = -1.0
-            self.max_x = self.max_y = 1.0
+        # Every scene draws a polygon, whose coordinates are finite or raise, so the box is finite.
         width = self.max_x - self.min_x
         height = self.max_y - self.min_y
         span = max(width, height, 1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -9,10 +10,17 @@ import equigon.bottema
 from equigon.checks import CheckResult
 from equigon.equalizer import MatchKind, PairCase, shared_vertex_points
 from equigon.geom import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance, angle_at, side_of_line
-from equigon.polygon import RegularPolygon, diametric_opposite, from_side
+from equigon.polygon import RegularPolygon, diametric_opposite, from_shared_vertex, from_side
 from equigon.power_sums import compare_power_sums, distances_squared
 from equigon.scenario import MAX_N
-from equigon.bottema import bottema_construct, closed_form_midpoint, verify_independence, vertex_angles
+from equigon.bottema import (
+    bottema_construct,
+    bottema_pair,
+    closed_form_midpoint,
+    verify_bottema,
+    verify_independence,
+    vertex_angles,
+)
 
 
 def square_far_corner(p, q, interior):
@@ -819,9 +827,47 @@ def test_vertex_angles_match_the_per_k_formula_bit_for_bit(n):
             apex = Point(rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.5))
             result = bottema_construct(Point(0.0, 0.0), apex, Point(2.0, 0.0), n, *sides)
             kinds.add(result.m1_kind)
-            got = [(check.name, check.detail, check.residual.hex()) for check in vertex_angles(result)]
+            angles = vertex_angles(result)
+            got = [(check.name, check.detail, check.residual.hex()) for check in angles]
             assert got == vertex_angles_by_formula(result)
+            entry = verify_bottema(result)[-1]
+            assert shown(entry) == shown(aggregate(angles))
     assert kinds == set(MatchKind)
+
+
+def aggregate(angles):
+    """Oracle: ``verify_bottema``'s ``vertex_angles`` entry over the per-k checks: the first worst
+    judged k's residual, name and detail, the count of vacuous ones, vacuous iff all are."""
+    judged = [check for check in angles if not check.vacuous]
+    worst = max(judged, key=lambda check: check.residual, default=None)
+    parts = [f"worst {worst.name.rpartition('_')[2]}, {worst.detail}"] if judged else []
+    if len(judged) < len(angles):
+        parts.append(f"vertex pairs at M1: {len(angles) - len(judged)}")
+    return CheckResult("vertex_angles", all(check.ok for check in angles), worst.residual if judged else 0.0,
+                       DEFAULT_TOLERANCE.bound(math.pi), not judged, ", ".join(parts))
+
+
+def shown(check):
+    return check.name, check.ok, check.residual.hex(), check.tolerance, check.vacuous, check.detail
+
+
+def test_a_vertex_pair_whose_longer_ray_is_the_bound_is_at_m1():
+    # Squares on the edge from (0, 0) to (1, 0): M1 = A2 = B2.  Moved off it, M1
+    # sees vertex pair 2 on two short rays; with the bound at M1 (abs plus a
+    # rel too small to round it) exactly the longer one, the pair is at M1 and
+    # not an angle whose rays reach the floor, which here is the same length.
+    first = from_shared_vertex(Point(0.0, 0.0), Point(0.5, 0.5), 4, 1)
+    second = from_shared_vertex(Point(0.0, 0.0), Point(0.5, -0.5), 4, -1)
+    pair = bottema_pair(first, second, first.vertex(4), Point(0.0, 0.0), second.vertex(4))
+    moved = dataclasses.replace(pair, m1=Point(1.0 + 2 ** -20, 2 ** -21))
+    longer = max(moved.m1.distance(first.vertex(2)), moved.m1.distance(second.vertex(2)))
+    tol = Tolerance(rel=1e-300, abs=longer)
+    assert tol.bound(max(first.circumradius, second.circumradius)) == longer == tol.bound(0.0)
+    angles = vertex_angles(moved, tol)
+    assert [check.vacuous for check in angles] == [True, False, False]
+    assert angles[0].detail == "vertex pair at M1"
+    entry = verify_bottema(moved, tol)[-1]
+    assert not entry.vacuous and entry.detail.endswith(", vertex pairs at M1: 1")
 
 
 def test_m1_and_m2_are_equal_distance_points():

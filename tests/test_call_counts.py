@@ -40,7 +40,8 @@ COUNTED = {
 # first vertex takes it from the orientations and measures no correspondence
 # at solve time, while a pair scenario's solve searches for M1's.  The
 # equal-distance solve of a pair scenario labels its two candidate points by
-# the identity residuals read off their distance lists.  Each labelled
+# the identity residuals read off their distance lists, and the
+# correspondence at each point reads the solve's lists.  Each labelled
 # point's squared distances to the first polygon are computed once and feed
 # its alignment multiset and its cosine model; those to the second polygon
 # are computed only at a point with a correspondence, for its cosine model
@@ -52,7 +53,7 @@ EXPECTED = {
     "congruent_mirror": ((0, 1, 1, 0, 0, 6, 0), (0, 1, 1, 0, 0, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)),
-    "pair_pentagons": ((2, 1, 1, 0, 4, 6, 0), (1, 1, 1, 0, 3, 0, 0)),
+    "pair_pentagons": ((2, 1, 1, 0, 2, 6, 0), (1, 1, 1, 0, 2, 0, 0)),
     "shared_vertex_squares": ((2, 0, 1, 0, 2, 8, 1), (0, 0, 1, 0, 0, 0, 1)),
     "tangent_collinear": ((1, 0, 1, 0, 1, 4, 1), (0, 0, 1, 0, 0, 0, 1)),
 }

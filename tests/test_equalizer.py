@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -201,6 +202,34 @@ def matching_residuals_by_distance(first, second, point, kind):
     if kind is MatchKind.REVERSAL:
         theirs = theirs[::-1]
     return [abs(point.distance(a) - point.distance(b)).hex() for a, b in zip(ours, theirs)]
+
+
+def test_the_solution_keeps_each_labelled_points_distance_lists():
+    # The solve labels the crossings in either order; each point keeps its own
+    # lists, and the correspondence read off them is the one measured afresh.
+    rng, orders = random.Random(53), set()
+    for n in (3, 5, 8, 64, 256):
+        for _ in range(12):
+            config = random_scenario(ScenarioKind.PAIR, n, rng).config
+            first = RegularPolygon(n, config.centroid1, config.r1, config.phase1, config.orient1)
+            second = RegularPolygon(n, config.centroid2, config.r2, config.phase2, config.orient2)
+            solution = equal_distance_points(first, second)
+            if not solution.distances:
+                continue
+            crossing = circle_intersection(second.centroid, first.circumradius, first.centroid, second.circumradius)
+            orders.add(solution.points == crossing)
+            for point, lists in zip(solution.points, solution.distances, strict=True):
+                assert [[d.hex() for d in side] for side in lists] == \
+                    [[d.hex() for d in side] for side in _vertex_distances(first, second, point)]
+                for kind in (*MatchKind, None):
+                    try:
+                        fresh = correspondence(first, second, point, kind=kind)
+                    except NoMatchingError as exc:
+                        with pytest.raises(NoMatchingError, match=re.escape(str(exc))):
+                            correspondence(first, second, point, kind=kind, distances=lists)
+                        continue
+                    assert correspondence(first, second, point, kind=kind, distances=lists) == fresh
+    assert orders == {True, False}
 
 
 def test_matching_residuals_are_point_distances_bit_for_bit():

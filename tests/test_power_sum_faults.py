@@ -32,6 +32,7 @@ from functools import cache
 
 import pytest
 
+from equigon.equalizer import EqualDistanceSolution, PairCase
 from equigon.geom import Point
 from equigon.polygon import RegularPolygon
 from equigon.power_sums import compare_cyclic_averages, compare_power_sums, distances_squared
@@ -85,7 +86,8 @@ def verdicts(report: Report, fault: str, delta: float) -> tuple[bool, bool, bool
     first, second, points = faulted(report, fault, delta)
     m1_kind = None if isinstance(report.geometry, tuple) else report.geometry.m1_kind
     out, tol = Report(report.scenario), report.scenario.tolerance
-    _labelled(out, first, second, points, report.coincident, tol, m1_kind)()
+    solution = EqualDistanceSolution(PairCase(report.classification), points, report.coincident)
+    _labelled(out, first, second, solution, tol, m1_kind)()
     others = any(not check.ok for check in out.checks if not check.name.startswith("power_sums"))
     closed = any(not check.ok for check in out.checks if check.name.startswith("power_sums"))
     summed = any(not compare_power_sums(distances_squared(first, point), distances_squared(second, point), tol).ok

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -284,10 +285,23 @@ def test_compare_power_sums_judges_each_order_at_its_own_magnitude():
     assert not check.ok
 
 
+def test_an_order_whose_gap_is_its_bound_passes():
+    # p_1 is 2 against 1.5 at magnitude 2: the bound 0.5 + 2 * 2**-60 rounds to
+    # 0.5, the gap itself, and an order passes when its gap is within its bound.
+    tol = Tolerance(rel=2 ** -60, abs=0.5)
+    assert tol.abs + tol.rel * 2.0 == 0.5
+    assert compare_power_sums([1.0, 1.0], [1.0, 0.5], tol).ok
+    assert not compare_power_sums([1.0, 1.0], [1.0, 0.5 - 2 ** -50], tol).ok
+
+
 def test_orders_check_keeps_a_nan_residual_in_any_place():
-    assert _orders_check("c", [], [], [1e-16, 3e-16, 2e-16], DEFAULT_TOLERANCE, "relative").residual == 3e-16
+    # Against the floor 1, the sums (0, r) have the residual r for any r below 1.
+    def sums(residuals):
+        return [(0.0, residual) for residual in residuals]
+
+    assert _orders_check("c", sums([1e-16, 3e-16, 2e-16]), 1.0, DEFAULT_TOLERANCE, "relative").residual == 3e-16
     for residuals in ([math.nan, 1e-16], [1e-16, math.nan, 2e-16], [0.0, math.nan]):
-        check = _orders_check("c", [], [], residuals, DEFAULT_TOLERANCE, "relative")
+        check = _orders_check("c", sums(residuals), 1.0, DEFAULT_TOLERANCE, "relative")
         assert math.isnan(check.residual)
         assert check.detail == f"orders 1..{len(residuals)}, relative, non-finite sums"
 
@@ -529,6 +543,96 @@ def orders_fold(a, b, tol):
     return ok, residuals
 
 
+def orders_by_lists(gaps, magnitudes, residuals, tol, kind):
+    """Oracle: one check over the orders from the per-order lists, as (ok, residual hex, tolerance,
+    detail).  Every gap fits under the bound at its order's magnitude; the residual is the worst,
+    or NaN when any is."""
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    ok = all(map(operator.le, gaps, map(operator.add, itertools.repeat(tol.abs),
+                                        map(operator.mul, itertools.repeat(tol.rel), magnitudes))))
+    detail = f"orders 1..{len(residuals)}, {kind}" + (", non-finite sums" if math.isnan(worst) else "")
+    return ok, worst.hex(), tol.bound(1.0), detail
+
+
+def identity_by_lists(poly, point, tol, top):
+    """Oracle: ``verify_power_sum_identity`` as lists of direct sums, closed forms, gaps, sizes and residuals."""
+    center_distance = point.distance(poly.centroid)
+    scale = poly.circumradius + center_distance
+    scale = scale if scale < math.inf else math.nan
+    squared = [((point.x - v.x) / scale) ** 2 + ((point.y - v.y) / scale) ** 2 for v in poly.vertices()]
+    direct = list(_power_sums(squared, top))
+    closed = list(_closed_forms(poly.n, poly.circumradius / scale, center_distance / scale, top))
+    gaps = [abs(d - c) for d, c in zip(direct, closed)]
+    sizes = [max(abs(d), abs(c)) for d, c in zip(direct, closed)]
+    return orders_by_lists(gaps, sizes, [gap / max(size, 1e-300) for gap, size in zip(gaps, sizes)], tol, "relative")
+
+
+def cyclic_by_lists(first, second, point, tol):
+    """Oracle: ``compare_cyclic_averages`` as lists of each side's sums at the larger normalizer,
+    gaps, magnitudes and residuals."""
+    top = first.n - 1
+    sides = []
+    for poly in (first, second):
+        distance = point.distance(poly.centroid)
+        scale = poly.circumradius + distance
+        sides.append((scale, list(_closed_forms(poly.n, poly.circumradius / scale, distance / scale, top))))
+    largest = max(scale for scale, _ in sides)
+    a, b = ([form * power for form, power in zip(forms, itertools.accumulate(
+        itertools.repeat((scale / largest) ** 2, top), operator.mul))] for scale, forms in sides)
+    gaps = [abs(x - y) for x, y in zip(a, b)]
+    magnitudes = [max(x, y, 1.0) for x, y in zip(a, b)]
+    return orders_by_lists(gaps, magnitudes, [gap / size for gap, size in zip(gaps, magnitudes)], tol, "closed form")
+
+
+def shown(check):
+    return check.ok, check.residual.hex(), check.tolerance, check.detail
+
+
+FUSED_SCALES = (1e-300, 1e-160, 1.0, 1e154, 1e300)
+FUSED_TOLERANCES = (DEFAULT_TOLERANCE, Tolerance(rel=1e-3, abs=1e-3))
+
+
+def fused_cases():
+    """Seeded (first, second, point) at each n and scale: a point on the swapped circles, where
+    the averages agree (each radius is the point's distance to the other centroid), and one
+    off them; then R + L past the float range on either side, where the sums are NaN."""
+    rng = random.Random(53)
+    for n in (*range(3, 13), 64, 256, 2048):
+        for scale in FUSED_SCALES:
+            point = Point(rng.uniform(-2.0, 2.0) * scale, rng.uniform(-2.0, 2.0) * scale)
+            o1, o2 = (point + Point(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) * scale for _ in range(2))
+            first = RegularPolygon(n, o1, point.distance(o2), rng.uniform(-3.0, 3.0), 1)
+            second = RegularPolygon(n, o2, point.distance(o1), rng.uniform(-3.0, 3.0), rng.choice((1, -1)))
+            yield first, second, point
+            yield first, second, point + Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) * scale
+        huge = RegularPolygon(n, Point(0.0, 0.0), 1e308, 0.3, 1)
+        small = RegularPolygon(n, Point(1.0, 0.0), 1.0, 0.1, -1)
+        yield huge, small, Point(1e308, 0.0)
+        yield small, huge, Point(-1e308, 0.0)
+
+
+def test_fused_cyclic_averages_match_the_list_pipeline_bit_for_bit():
+    kinds = set()
+    for first, second, point in fused_cases():
+        for tol in FUSED_TOLERANCES:
+            got = shown(compare_cyclic_averages(first, second, point, tol))
+            assert got == cyclic_by_lists(first, second, point, tol), (first, second, point, tol)
+            kinds.add((got[0], got[1] == "nan"))
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_fused_identity_matches_the_list_pipeline_bit_for_bit():
+    # The direct sums are O(n^2): at n = 2048 orders 1..64 (the cyclic averages take all 2047).
+    kinds = set()
+    for first, _, point in fused_cases():
+        top = 64 if first.n == 2048 else first.n - 1
+        for tol in FUSED_TOLERANCES:
+            got = shown(verify_power_sum_identity(first, point, tol, top))
+            assert got == identity_by_lists(first, point, tol, top), (first, point, tol)
+            kinds.add((got[0], got[1] == "nan"))
+    assert {(True, False), (False, True)} <= kinds
+
+
 pairs_of_lists = st.integers(2, 20).flatmap(lambda size: st.tuples(*[st.lists(
     st.one_of(st.sampled_from(KERNEL_SPECIALS), st.floats(0.0, 4.0), st.floats()),
     min_size=size, max_size=size)] * 2))
@@ -545,7 +649,7 @@ def test_folds_match_their_loops_nan_included(pair):
     check = compare_power_sums(a, b)
     ok, residuals = orders_fold(a, b, DEFAULT_TOLERANCE)
     assert check.ok is ok
-    assert repr(check.residual) == repr(_orders_check("power_sums", [], [], residuals, DEFAULT_TOLERANCE, "").residual)
+    assert repr(check.residual) == repr(math.nan if any(map(math.isnan, residuals)) else max(residuals))
 
 
 class CountedFloat(float):
