@@ -18,7 +18,9 @@ ones, M2 the other.  Both correspondences obey a one-angle cosine law
 ``cosine_model`` uses as an independent cross-check on the distance matching.
 The same law aligns any pair: ``align_rotation`` turns the second polygon so
 that its angle at M equals +-phi1 (mod 2 pi/n), which makes its distance
-multiset at M the first's; ``verify_alignment`` judges those two rotations.
+multiset at M the first's.  The two rotations are mirror images across the
+line O2 M, so ``verify_alignment`` judges the one nearer to the second
+polygon's phase, and the other only where that one fails.
 """
 
 from __future__ import annotations
@@ -209,7 +211,8 @@ def align_rotation(
     second polygon's list has the same form with phi2; the multisets agree
     exactly when phi2 = +-phi1 (mod 2 pi/n).  So vertex 1 of the two rotations
     sits at the angle of M about O2, minus and plus phi1: two ``atan2`` calls,
-    no tolerance and no failure mode.  The caller judges each candidate.
+    no tolerance and no failure mode.  The two are mirror images across the
+    line O2 M, so ``verify_alignment`` judges the nearer one first.
     """
     phi = math.atan2(point.y - first.centroid.y, point.x - first.centroid.x) - first.phase
     c = second.centroid
@@ -223,19 +226,24 @@ def verify_alignment(first: RegularPolygon, second: RegularPolygon, point: Point
     """Whether one of ``align_rotation``'s two rotations of ``second`` has the
     squared-distance multiset ``near``, ``first``'s at ``point``.
 
-    The check, named ``name``, shows the deciding candidate: a passing one,
-    else the one with the smaller residual, with its comparison's tolerance.
-    Its detail is how far ``second`` sits from the nearer candidate, as a
-    phase offset mod 2 pi / n.
+    The rotations are mirror images across the line O2 M, which fixes M, so
+    their multisets at M are equal in exact arithmetic.  The check, named
+    ``name``, judges the rotation nearer to ``second``'s phase (the first on a
+    tie) and is that comparison when it passes; else it judges the other too
+    and shows the deciding one: a passing one, else the one with the smaller
+    residual.  Its detail is how far ``second`` sits from the nearer rotation,
+    as a phase offset mod 2 pi / n.
     """
     candidates = align_rotation(first, second, point)
     step = math.tau / first.n
-    offset = min(min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates))
-    detail = f"phase offset {offset:.3e} rad"
-    # Sorted once for both candidates: sorting it again is one linear scan.
-    ordered = sorted(near)
-    return min((multisets_equal(ordered, distances_squared(candidate, point), tol, name, detail)
-                for candidate in candidates), key=lambda match: (not match.ok, match.residual))
+    offsets = [min(turn, step - turn) for turn in ((second.phase - c.phase) % step for c in candidates)]
+    detail = f"phase offset {min(offsets):.3e} rad"
+    index = int(offsets[1] < offsets[0])
+    nearer = multisets_equal(near, distances_squared(candidates[index], point), tol, name, detail)
+    if nearer.ok:
+        return nearer
+    other = multisets_equal(near, distances_squared(candidates[1 - index], point), tol, name, detail)
+    return min((other, nearer) if index else (nearer, other), key=lambda match: (not match.ok, match.residual))
 
 
 def correspondence(

@@ -36,7 +36,7 @@ gap, magnitude, bound test and residual in turn, with no list per quantity.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -78,15 +78,23 @@ def _power_sums(values: Sequence[float], top: int) -> Iterator[float]:
     return map(_fold, zip(*[accumulate(repeat(v, top), mul) for v in values]))
 
 
+@lru_cache(maxsize=32)
+def _bonnet_coefficients(top: int) -> tuple[tuple[float, float, float], ...]:
+    """(2m+1, m, m+1) as floats for m = 1..top, the coefficients of Bonnet's
+    recurrence: one table, built once for each of the last 32 ``top`` asked for."""
+    return tuple([(2.0 * order + 1.0, float(order), order + 1.0) for order in range(1, top + 1)])
+
+
 def _closed_forms(n: int, u: float, v: float, top: int) -> list[float]:
     """n f_m, the order-m power sum over (R+L)^(2m), for m = 1..top (valid for top <= n-1),
-    from u = R/(R+L) and v = L/(R+L)."""
+    from u = R/(R+L) and v = L/(R+L), with the coefficients of ``_bonnet_coefficients(top)``:
+    small ints convert to floats exactly, so the bits are the int arithmetic's."""
     sigma = u * u + v * v
     rho = (u - v) * (u - v)
     forms, previous, current = [], 1.0, sigma
-    for order in range(1, top + 1):
+    for grow, keep, divide in _bonnet_coefficients(top):
         forms.append(n * current)
-        previous, current = current, ((2 * order + 1) * sigma * current - order * rho * previous) / (order + 1)
+        previous, current = current, (grow * sigma * current - keep * rho * previous) / divide
     return forms
 
 

@@ -45,17 +45,18 @@ COUNTED = {
 # point's squared distances to the first polygon are computed once and feed
 # its alignment multiset and its cosine model; those to the second polygon
 # are computed only at a point with a correspondence, for its cosine model
-# (neither of pair_pentagons' points has one).  Each of a point's two rotation
-# candidates and each locus probe adds its own.  The solve computes none: the
+# (neither of pair_pentagons' points has one).  Of a point's two rotation
+# candidates, the nearer rotation adds its own, and the other only where the
+# nearer fails; each locus probe adds its own.  The solve computes none: the
 # figure reads no cosine model.
 EXPECTED = {
-    "bottema_squares": ((2, 0, 1, 1, 2, 8, 1), (0, 0, 1, 1, 0, 0, 1)),
+    "bottema_squares": ((2, 0, 1, 1, 2, 6, 1), (0, 0, 1, 1, 0, 0, 1)),
     "congruent_mirror": ((0, 1, 1, 0, 0, 6, 0), (0, 1, 1, 0, 0, 0, 0)),
     "identity_heptagon": ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
     "pair_disjoint": ((0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)),
-    "pair_pentagons": ((2, 1, 1, 0, 2, 6, 0), (1, 1, 1, 0, 2, 0, 0)),
-    "shared_vertex_squares": ((2, 0, 1, 0, 2, 8, 1), (0, 0, 1, 0, 0, 0, 1)),
-    "tangent_collinear": ((1, 0, 1, 0, 1, 4, 1), (0, 0, 1, 0, 0, 0, 1)),
+    "pair_pentagons": ((2, 1, 1, 0, 2, 4, 0), (1, 1, 1, 0, 2, 0, 0)),
+    "shared_vertex_squares": ((2, 0, 1, 0, 2, 6, 1), (0, 0, 1, 0, 0, 0, 1)),
+    "tangent_collinear": ((1, 0, 1, 0, 1, 3, 1), (0, 0, 1, 0, 0, 0, 1)),
 }
 
 
