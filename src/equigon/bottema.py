@@ -20,8 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, repeat, starmap
-from operator import ge, sub
 from typing import Iterator
 
 from .checks import CheckResult, judge
@@ -216,13 +214,6 @@ def verify_bottema(pair: BottemaResult, tol: Tolerance = DEFAULT_TOLERANCE) -> t
 #   along the other and |r| > 2**-8: the sums read r and r / 2;
 # - |r| < 2**-1021 puts the side along this axis, |A - C| > 2**-6: c = 0 and
 #   |A| > 2**-7, so 2 O - A reads -A; or |c| >= 2**-60: the sums read c, c / 2.
-#
-# The spread over rim midpoints.  On each axis the larger of a midpoint's two
-# differences to the bounding box's edges bounds its float difference to any
-# midpoint, as subtraction rounds monotonically, and math.hypot and math.dist
-# share CPython's vector norm, within 1 ulp.  The widest pair is at least as wide
-# as `lower`, a real pair's width, so the hypot of each end's four differences is
-# at least lower (1 - 2**-50), or lower - 2**-1073 below 2**-1022: not under the cut.
 
 
 def verify_independence(
@@ -238,10 +229,12 @@ def verify_independence(
     Apexes stay strictly off the base line (margin 5% of the base length) so
     every construction is non-degenerate and exterior placement keeps both
     polygons on the far side.  Returns two checks, each bounded by
-    ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the maximum pairwise
-    spread of the computed midpoints, taken over the distinct ones and, by the
-    bound argued above, only between the rim ones, and
-    ``apex_independence_closed_form``, their worst distance to the closed form.
+    ``tol.bound(|An Bn|)``: ``apex_independence_spread``, the diagonal of the
+    computed midpoints' bounding box, and ``apex_independence_closed_form``,
+    their worst distance to the closed form.  As subtraction rounds
+    monotonically, the diagonal is at least the midpoints' largest pairwise
+    distance and at most sqrt(2) times it, to an ulp: the spread never passes
+    a sweep that the largest distance fails.
 
     The door refuses an n that is not an integer in 3..``MAX_N``, a base past
     the float range and a base not longer than the floor ``tol.bound(0.0)``.
@@ -255,17 +248,19 @@ def verify_independence(
     there.  ``tan(pi / n)`` is taken once and the sides are fixed, -1 for the
     An polygon and +1 for the Bn one, as every apex is left of An -> Bn.  Each
     apex computes in plain floats, calling no Python function, with two
-    ``random()`` draws and two ``hypot`` calls: the corner differences and
+    ``random()`` draws and three ``hypot`` calls: the corner differences and
     apex-side lengths, both centroids doubled by ``from_side``'s arithmetic
-    less its exact halvings, the antipodes and their midpoint.
+    less its exact halvings, the antipodes and their midpoint, and the
+    midpoint's distance to the closed form.  Plain comparisons then update the
+    worst distance and the bounding box.
 
     Each draw is ``a + (b - a) * random()``, the expression
     ``random.uniform`` documents, so it is the float ``rng.uniform(a, b)``
     gives.  The apex's coordinates are the float operations of ``an + along
-    * s + normal * u`` in the same order, so they are the same floats.  The
-    distances are ``math.hypot`` and ``math.dist`` of the coordinate
-    differences: both take ``fabs`` of each difference and share CPython's
-    vector norm, so each is the float ``Point.distance`` gives.
+    * s + normal * u`` in the same order, the normal's negated coordinate
+    subtracted, which is exact, so they are the same floats.  The distances
+    are ``math.hypot`` of the coordinate differences, so each is the float
+    ``Point.distance`` gives.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -280,16 +275,15 @@ def verify_independence(
     bnx, bny = math.ldexp(dx, -e), math.ldexp(dy, -e)
     length = math.hypot(bnx, bny)
     ex, ey = bnx * (1.0 / length), bny * (1.0 / length)
-    nx, ny = -ey, ex
     draw, tan, hypot = random.Random(seed).random, math.tan(math.pi / n), math.hypot
     # closed_form_midpoint's arithmetic for normal side +1, with An at the origin.
-    closed = 0.5 * bnx + nx * (0.5 * length / tan), 0.5 * bny + ny * (0.5 * length / tan)
-    midpoints: dict[tuple[float, float], None] = {}
+    cx, cy = 0.5 * bnx - ey * (0.5 * length / tan), 0.5 * bny + ex * (0.5 * length / tan)
+    worst, x_lo, x_hi, y_lo, y_hi = 0.0, math.inf, -math.inf, math.inf, -math.inf
     for _ in range(samples):
         t = -0.5 + (1.5 - -0.5) * draw()
         height = 0.05 + (2.0 - 0.05) * draw()
         s, u = t * length, height * length
-        ax, ay = ex * s + nx * u, ey * s + ny * u
+        ax, ay = ex * s - ey * u, ey * s + ex * u
         ux, uy, vx, vy = -ax, -ay, bnx - ax, bny - ay
         side_n, side_b = hypot(ux, uy), hypot(vx, vy)
         # from_side's arithmetic, less its halvings, so twice the centroids of the
@@ -300,24 +294,21 @@ def verify_independence(
         inverse, apothem = 1.0 / side_b, side_b / tan
         x2 = (ax + bnx) - vy * inverse * apothem
         y2 = (ay + bny) + vx * inverse * apothem
-        midpoints[0.5 * ((x1 - ax) + (x2 - ax)), 0.5 * ((y1 - ay) + (y2 - ay))] = None
-    # A repeated midpoint adds only zero distances and repeats a distance to the
-    # closed form: the maxima over the distinct ones are the same floats, and the
-    # spread's over the rim ones only (argued above).
-    dist, points = math.dist, list(midpoints)
-    worst_closed = max(map(dist, repeat(closed), points))
-    xs, ys = zip(*points)
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    lower = max(dist(points[xs.index(x_lo)], points[xs.index(x_hi)]),
-                dist(points[ys.index(y_lo)], points[ys.index(y_hi)]))
-    reach = map(hypot, map(sub, xs, repeat(x_lo)), map(sub, repeat(x_hi), xs),
-                map(sub, ys, repeat(y_lo)), map(sub, repeat(y_hi), ys))
-    rim = compress(points, map(ge, reach, repeat(lower / (1 + 2 ** -40) - 2 ** -1070)))
-    max_deviation = max(starmap(dist, combinations(rim, 2)), default=0.0)
+        mx, my = 0.5 * ((x1 - ax) + (x2 - ax)), 0.5 * ((y1 - ay) + (y2 - ay))
+        if (distance := hypot(cx - mx, cy - my)) > worst:
+            worst = distance
+        if mx < x_lo:
+            x_lo = mx
+        if mx > x_hi:
+            x_hi = mx
+        if my < y_lo:
+            y_lo = my
+        if my > y_hi:
+            y_hi = my
     return (
-        judge("apex_independence_spread", math.ldexp(max_deviation, e), base_length, tol,
+        judge("apex_independence_spread", math.ldexp(hypot(x_hi - x_lo, y_hi - y_lo), e), base_length, tol,
               detail=f"{samples} apexes, exterior placement"),
-        judge("apex_independence_closed_form", math.ldexp(worst_closed, e), base_length, tol),
+        judge("apex_independence_closed_form", math.ldexp(worst, e), base_length, tol),
     )
 
 

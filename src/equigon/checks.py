@@ -52,7 +52,7 @@ FACTS = {
     "altitude_length": Fact("|M1 H| against |An Bn| cot(pi/n) / 2", 1, "|An Bn|"),
     "foot_at_base_midpoint": Fact("H against the base midpoint", 1, "|An Bn|"),
     "vertex_angles": Fact("the angle each A_k and its partner subtend at M1, worst k", 0, "pi"),
-    "apex_independence_spread": Fact("the swept apexes' midpoints against each other", 1, "|An Bn|"),
+    "apex_independence_spread": Fact("the diagonal of the swept apexes' midpoints' bounding box", 1, "|An Bn|"),
     "apex_independence_closed_form": Fact("the swept apexes' midpoints against the closed form", 1, "|An Bn|"),
 }
 

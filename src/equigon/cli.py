@@ -199,7 +199,7 @@ def _cmd_bottema(args: argparse.Namespace) -> int:
     ok = spread.ok and closed.ok
     print(f"base length: {args.an.distance(args.bn)!r}")
     print(f"apex samples: {args.samples}")
-    print(f"max midpoint deviation: {spread.residual:.3e}")
+    print(f"midpoint spread (bounding-box diagonal): {spread.residual:.3e}")
     print(f"max closed-form residual: {closed.residual:.3e}")
     print(f"allowed: {spread.tolerance:.3e}")
     print(f"result: {'PASS' if ok else 'FAIL'}")

@@ -277,7 +277,7 @@ def _shared_vertex(out: Report, tol: Tolerance) -> Checks:
         if samples >= 2:
             spread, closed = verify_independence(pair.an, pair.bn, n, samples, tol, out.scenario.seed)
             out.checks.extend((spread, closed))
-            out.findings.append(f"apex sweep: max deviation {spread.residual:.3e} over {samples} samples")
+            out.findings.append(f"apex sweep: midpoint spread {spread.residual:.3e} over {samples} samples")
 
     return checks
 

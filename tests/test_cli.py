@@ -171,7 +171,7 @@ def test_overflowing_bottema_triangle_is_input_error(tmp_path, capsys):
     assert main(["bottema", "--an", "0,0", "--bn", "1e155,0", "--n", "5", "--samples", "50"]) == 0
     assert capsys.readouterr() == ("base length: 1e+155\n"
                                    "apex samples: 50\n"
-                                   "max midpoint deviation: 9.820e+139\n"
+                                   "midpoint spread (bounding-box diagonal): 1.065e+140\n"
                                    "max closed-form residual: 6.657e+139\n"
                                    "allowed: 1.000e+146\n"
                                    "result: PASS\n", "")
@@ -196,7 +196,7 @@ def test_bottema_verb_on_a_base_whose_squared_length_underflows(capsys):
     assert capsys.readouterr().out == (
         "base length: 2e-200\n"
         "apex samples: 50\n"
-        "max midpoint deviation: 1.946e-215\n"
+        "midpoint spread (bounding-box diagonal): 1.946e-215\n"
         "max closed-form residual: 1.297e-215\n"
         "allowed: 2.001e-209\n"
         "result: PASS\n"
@@ -528,6 +528,12 @@ ARGV_SHAPES = [
     (["bottema", "--an", "-1,0"], 2, "usage: equigon bottema [-h]", "equigon bottema: error: argument --an: expected one argument"),
     (["bottema", "--an=-1,0", "--samples", "2"], 0, None, None),
     (["bottema", "-1,0"], 2, TOP_USAGE, "equigon: error: unrecognized arguments: -1,0"),
+    (["bottema", "--an", "1,2,3"], 2, "usage: equigon bottema [-h]",
+     "equigon bottema: error: argument --an: expected 'x,y', got '1,2,3'"),
+    (["bottema", "--bn", "1,y"], 2, "usage: equigon bottema [-h]",
+     "equigon bottema: error: argument --bn: expected numeric 'x,y', got '1,y'"),
+    (["sweep", "--kind", "pair", "--n", "3-x"], 2, "usage: equigon sweep [-h]",
+     "equigon sweep: error: argument --n: expected N or LO-HI, got '3-x'"),
 ]
 
 
@@ -572,6 +578,21 @@ def test_closed_pipe_exits_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+def test_closed_pipe_exits_without_a_traceback_when_buffered():
+    # Buffered, the whole output is one write at main's flush, into a pipe whose
+    # reader closed before the child started; what is still buffered must not
+    # raise again in the flush at interpreter exit.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "equigon", "sweep", "--kind", "pair", "--n", "3-4",
+                               "--count", "2"], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (EXIT_BROKEN_PIPE, "")
 
 
 def test_console_script_subprocess():

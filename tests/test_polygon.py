@@ -339,6 +339,13 @@ def test_from_side_degenerate():
         from_side(Point(1, 1), Point(1, 1), 4, 1)
 
 
+@pytest.mark.parametrize("side", [0, 2, None])
+def test_from_side_takes_only_the_two_sides(side):
+    with pytest.raises(GeometryError) as excinfo:
+        from_side(Point(0, 0), Point(1, 0), 4, side)
+    assert str(excinfo.value) == f"side must be +1 or -1, got {side!r}"
+
+
 # Near the ends of the float range one step of the construction overflows.
 # The edge is checked where it is formed; every later step reaches the
 # circumcircle, whose error names the centroid and radius it got.
@@ -381,6 +388,14 @@ def test_diametric_opposite_square():
     poly = from_shared_vertex(Point(0, 0), Point(1, 1), 4, 1)
     opposite = diametric_opposite(poly, Point(0, 0))
     assert_point(opposite, 2, 2)
+
+
+def test_diametric_opposite_names_its_overflow():
+    # 2 O - P leaves the float range for a centroid near the largest float.
+    poly = RegularPolygon(4, Point(1e308, 0.0), 1.0, 0.0, 1)
+    with pytest.raises(GeometryError) as excinfo:
+        diametric_opposite(poly, poly.vertex(1))
+    assert str(excinfo.value) == "antipode overflows the float range: (inf, 0.0)"
 
 
 def side_length(poly):

@@ -126,7 +126,7 @@ def test_bottema_verb_lines(capsys):
     assert labels == [
         "base length",
         "apex samples",
-        "max midpoint deviation",
+        "midpoint spread (bounding-box diagonal)",
         "max closed-form residual",
         "allowed",
         "result",
