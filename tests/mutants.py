@@ -7,18 +7,19 @@ and ``__main__``):
   ``!=``, ``+`` and ``-``, ``*`` and ``/`` (also in augmented assignments).
 
 The mutants are enumerated in a fixed order and a seeded sample of them is
-run.  Each runs in a copy of the repository, never in the checkout itself:
+run.  Each runs in a copy of the repository in a temporary directory
+(``TMPDIR`` chooses where), never in the checkout itself:
 the module is edited there, tier-1 runs once with ``-x`` (one pytest process
 at a time, without the console-script test, which needs an installed
 package), and the module is restored.  A mutant is killed when the run
 fails or outlasts ``TIMEOUT_S``, and survives when it passes.  Each
 mutant's ``file:line`` and fate are printed as it finishes, then the score.
 
-    PYTHONPATH=src python tests/mutants.py --count 45 --seed 31 [--workdir DIR]
+    python3 tests/mutants.py [--count 45] [--seed 31]
 
 Pytest does not collect this file, and CI does not run it.  It exits 0
-whatever the score, and 1 when tier-1 fails with no mutant; a survivor is a finding for a new test, an equivalence
-argument or a deletion.
+whatever the score, and 1 when tier-1 fails with no mutant; a survivor is a
+finding for a new test, an equivalence argument or a deletion.
 """
 
 from __future__ import annotations
@@ -152,14 +153,13 @@ def run_tests(workdir: Path) -> tuple[bool, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--count", type=int, default=40, help="mutants to sample (default 40)")
+    parser.add_argument("--count", type=int, default=45, help="mutants to sample (default 45)")
     parser.add_argument("--seed", type=int, default=31, help="seed of the sample (default 31)")
-    parser.add_argument("--workdir", type=Path, help="where to copy the repository (default: a temporary directory)")
     args = parser.parse_args(argv)
     every = enumerate_mutants(ROOT)
     sample = sorted(random.Random(args.seed).sample(every, min(args.count, len(every))),
                     key=lambda m: (str(m.path), m.line, m.start))
-    workdir = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
+    workdir = Path(tempfile.mkdtemp(prefix="mutants-"))
     began, survivors = time.monotonic(), []
     try:
         shutil.copytree(ROOT, workdir, dirs_exist_ok=True, ignore=shutil.ignore_patterns(

@@ -158,7 +158,10 @@ def test_verify_independence_report():
 # apex with each apex, corner difference and M1 built as a Point and the spread
 # taken as the diagonal of the midpoints' bounding box, on the base moved into
 # its frame, with both residuals times 2**e; building only M1 and keeping no
-# midpoint must reproduce them bit for bit.  The grid after the first eight covers
+# midpoint must reproduce them bit for bit.  The spread column uses the
+# implementation's own box formula, so it pins that formula's arithmetic, not
+# its definition; test_spread_is_within_root_two_of_the_widest_pair is the one
+# check of the spread against the all-pairs spread.  The grid after the first eight covers
 # n = 3..12 at base scales 1e-150 to 1e150 with 300 apexes each; its absolute
 # floor of 1e-300 lets the 1e-150 bases clear the door's test of the base.
 # (n, base scale, samples, seed, absolute tolerance)
@@ -318,7 +321,10 @@ def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
     # After the base's two lengths, each apex makes three hypot calls, its two
     # sides and its midpoint's difference to the closed form, in its base's
     # frame; each difference must be bottema_construct's M1's there bit for
-    # bit.  The last call is the spread's.
+    # bit.  The last call is the spread's.  Equal rounded differences mean
+    # equal midpoints here: each difference is at most a quarter of the closed
+    # form's coordinate, so either midpoint lies within a factor 2 of it, both
+    # subtractions are exact (Sterbenz), and the midpoint is c - (c - m).
     measured = recording_hypot(monkeypatch)
     rng = random.Random(11)
     for _ in range(60):
@@ -333,6 +339,9 @@ def test_sweep_midpoint_is_the_constructed_m1(monkeypatch):
         predicted = closed_form_midpoint(origin, frame_bn, n, 1)
         assert len(swept) == 2 + 3 * 20 + 1
         assert swept[4:-1:3] == [(predicted.x - m1.x, predicted.y - m1.y) for m1 in m1s]
+        for (dx, dy), m1 in zip(swept[4:-1:3], m1s):
+            assert abs(dx) <= abs(predicted.x) / 4 and abs(dy) <= abs(predicted.y) / 4
+            assert (predicted.x - dx, predicted.y - dy) == (m1.x, m1.y)
 
 
 def pinned_bases():
