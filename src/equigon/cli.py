@@ -77,10 +77,8 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the absolute tolerance")
 
 
-def _tolerance_override(args: argparse.Namespace, base: Tolerance) -> Tolerance | None:
-    """None means: keep whatever the scenario (or default) specifies."""
-    if args.tolerance_rel is None and args.tolerance_abs is None:
-        return None
+def _tolerance_override(args: argparse.Namespace, base: Tolerance) -> Tolerance:
+    """``base`` with the flags' relative and absolute tolerances in place of its own."""
     rel = args.tolerance_rel if args.tolerance_rel is not None else base.rel
     abs_ = args.tolerance_abs if args.tolerance_abs is not None else base.abs
     return Tolerance(rel=rel, abs=abs_)
@@ -166,7 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     kind = ScenarioKind(args.kind)
-    tol = _tolerance_override(args, DEFAULT_TOLERANCE) or DEFAULT_TOLERANCE
+    tol = _tolerance_override(args, DEFAULT_TOLERANCE)
     rng = random.Random(args.seed)
     passed_total = errors_total = 0
     for n in args.n:
@@ -190,7 +188,7 @@ def _cmd_bottema(args: argparse.Namespace) -> int:
     if args.samples > MAX_SWEEP_SAMPLES:
         print(f"error: --samples must be at most {MAX_SWEEP_SAMPLES}, got {args.samples}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    tol = _tolerance_override(args, DEFAULT_TOLERANCE) or DEFAULT_TOLERANCE
+    tol = _tolerance_override(args, DEFAULT_TOLERANCE)
     try:
         spread, closed = verify_independence(args.an, args.bn, args.n, args.samples, tol, args.seed)
     except ValueError as exc:

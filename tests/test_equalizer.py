@@ -83,6 +83,12 @@ def test_classify_pair_rejects_mixed_vertex_counts():
         )
 
 
+def test_correspondence_rejects_mixed_vertex_counts():
+    # A correspondence pairs vertex k with vertex k: it needs one n on both sides.
+    with pytest.raises(GeometryError, match="^vertex counts differ: 4 vs 5$"):
+        correspondence(RegularPolygon(4, Point(0, 0), 1.0), RegularPolygon(5, Point(3, 0), 1.0), Point(1.5, 0.5))
+
+
 def test_congruent_cases_return_loci():
     base = RegularPolygon(6, Point(1, 1), 1.5, 0.2, 1)
     spun = rotate_about_centroid(base, 0.9)

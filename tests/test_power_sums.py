@@ -19,10 +19,13 @@ from equigon.power_sums import (
     _orders_check,
     _fold,
     _power_sums,
+    _retirement,
     multisets_equal,
     power_sums_to_elementary,
     verify_power_sum_identity,
 )
+from equigon.sampling import random_scenario
+from equigon.scenario import ScenarioKind
 
 
 def power_sum(data, order):
@@ -314,6 +317,20 @@ def test_compare_power_sums_keeps_a_nan_residual():
     assert check.detail == "orders 1..1, normalized, non-finite sums"
 
 
+def test_compare_power_sums_measures_negative_sums_by_their_size():
+    # p_1 is -3 against -3 + 2**-20 and p_2 is 3 against 3 - 2**-19 + 2**-40, all exact.  At
+    # max(|x|, |y|, 1) = 3 the worst residual is order 2's; by the signed sums, order 1 would
+    # sit at the floor 1 and read 2**-20.
+    check = compare_power_sums([-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0 + 2 ** -20])
+    assert check.residual == (2 ** -19 - 2 ** -40) / 3.0
+    assert not check.ok and check.detail == "orders 1..2, normalized"
+    # Negative values keep every product: here -1.0 cancels 1.0 at each odd order, so no
+    # partial sum absorbs the small values' products, as it would for their sizes alone.
+    values = [1.0, -1.0] + [1e-3] * 40
+    assert _retirement(values, 41) is None and _retirement([abs(v) for v in values], 41) is not None
+    assert sum_bits(_power_sums(values, 41)) == sum_bits(running_product_sums(values, 41))
+
+
 def test_identity_keeps_a_nan_residual():
     # R and L are finite, R + L is not: the sums cannot be normalized.
     # (tests/test_cli.py covers an infinite L through the command line.)
@@ -554,13 +571,19 @@ def orders_by_lists(gaps, magnitudes, residuals, tol, kind):
     return ok, worst.hex(), tol.bound(1.0), detail
 
 
+def identity_squares(poly, point):
+    """``verify_power_sum_identity``'s squared distances: each coordinate difference over R + L, squared."""
+    scale = poly.circumradius + point.distance(poly.centroid)
+    scale = scale if scale < math.inf else math.nan
+    return [((point.x - v.x) / scale) ** 2 + ((point.y - v.y) / scale) ** 2 for v in poly.vertices()]
+
+
 def identity_by_lists(poly, point, tol, top):
     """Oracle: ``verify_power_sum_identity`` as lists of direct sums, closed forms, gaps, sizes and residuals."""
     center_distance = point.distance(poly.centroid)
     scale = poly.circumradius + center_distance
     scale = scale if scale < math.inf else math.nan
-    squared = [((point.x - v.x) / scale) ** 2 + ((point.y - v.y) / scale) ** 2 for v in poly.vertices()]
-    direct = list(_power_sums(squared, top))
+    direct = list(_power_sums(identity_squares(poly, point), top))
     closed = list(_closed_forms(poly.n, poly.circumradius / scale, center_distance / scale, top))
     gaps = [abs(d - c) for d, c in zip(direct, closed)]
     sizes = [max(abs(d), abs(c)) for d, c in zip(direct, closed)]
@@ -674,6 +697,80 @@ def test_power_sums_compute_no_order_before_it_is_taken(size, top):
     assert next(sums, None) is None
 
 
+def last_orders(values, top):
+    """Oracle: the last order ``_power_sums`` sums each value at under ``_retirement``'s plan,
+    the first stop whose limit the value is at or under (the limit before the first maximum
+    or after it), else ``top``."""
+    plan = _retirement(values, top)
+    if plan is None:
+        return [top] * len(values)
+    at, stops = plan
+    return [next((stop for stop, before, after in stops if value <= (before if k < at else after)), top)
+            for k, value in enumerate(values)]
+
+
+def polygon_squares(n, ratio, angle, phase):
+    """``verify_power_sum_identity``'s squared distances from a unit n-gon to a probe ``ratio``
+    from its centroid: inside below 1, on the circle at 1 and outside above."""
+    poly = RegularPolygon(n, Point(0.0, 0.0), 1.0, phase, 1)
+    return identity_squares(poly, Point(ratio * math.cos(angle), ratio * math.sin(angle)))
+
+
+@st.composite
+def polygon_lists(draw):
+    """A polygon-shaped list and an order 1..n-1: a probe inside, on or far outside the circle,
+    the squares at sizes from subnormal to overflowing products, with zeros and subnormals put
+    in at a few places."""
+    n = draw(st.one_of(st.sampled_from((100, 200, 300)), st.integers(3, 300)))
+    ratio = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0, 1.05, 3.0, 1e3)), st.floats(0.0, 20.0)))
+    squares = polygon_squares(n, ratio, draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi)))
+    scale = draw(st.sampled_from((1.0, 1.0, 1.0, 2.0 ** -600, 1e-300, 1e300)))
+    values = [scale * square for square in squares]
+    for at, special in draw(st.dictionaries(st.integers(0, 299), st.sampled_from((0.0, 5e-324, 1e-310)),
+                                            max_size=4)).items():
+        values[at % n] = special
+    return values, 1 + int(draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) * (n - 2))
+
+
+@given(polygon_lists())
+@example(([1.0] + [1e-3] * 40, 40))
+@example((polygon_squares(256, 1.0, 0.3, 0.1), 255))
+@example((polygon_squares(300, 0.5, 2.0, 0.0), 299))
+@example(([0.0] * 3 + polygon_squares(64, 3.0, 1.0, 0.2), 66))
+def test_retiring_power_sums_match_the_running_product_loop_bit_for_bit(case):
+    values, top = case
+    assert sum_bits(_power_sums(values, top)) == sum_bits(running_product_sums(values, top))
+
+
+@pytest.mark.parametrize("n, ratio", [(128, 1.0), (128, 0.5), (256, 3.0), (256, 1.0)])
+def test_power_sums_take_the_planned_products(n, ratio):
+    values = [CountedFloat(value) for value in polygon_squares(n, ratio, 0.7, 0.1)]
+    CountedFloat.products = 0
+    sums = list(_power_sums(values, n - 1))
+    # Order m takes m - 1 products of each value still summed there.
+    planned = sum(last - 1 for last in last_orders(values, n - 1))
+    assert CountedFloat.products == planned < n * (n - 2)
+    assert sum_bits(sums) == sum_bits(running_product_sums(list(map(float, values)), n - 1))
+
+
+@given(polygon_lists())
+@example((polygon_squares(256, 1.0, 0.3, 0.1), 255))
+@example(([1.0] + [1e-3] * 40, 40))
+def test_every_dropped_product_is_under_half_an_ulp_of_its_partial_sum(case):
+    # The oracle's product of a value past its last order, against the oracle's partial
+    # sum before it: adding it cannot change that sum, which is finite or already inf.
+    values, top = case
+    lasts = last_orders(values, top)
+    running = list(values)
+    for order in range(1, top + 1):
+        if order > 1:
+            running = [r * v for r, v in zip(running, values)]
+        partial = 0
+        for product, last in zip(running, lasts):
+            assert order <= last or product < math.ulp(partial) / 2 or partial == math.inf, (order, product, partial)
+            partial = partial + product
+
+
 @given(
     st.integers(3, 64),
     st.floats(-1e3, 1e3),
@@ -686,3 +783,40 @@ def test_distances_squared_is_distance_squared_per_vertex(n, phase, r, px, py):
     probe = Point(px, py)
     want = [probe.distance_squared(v).hex() for v in poly.vertices()]
     assert [d.hex() for d in distances_squared(poly, probe)] == want
+
+
+CENSUS_SIZES = (8, 64, 128, 256, 2048)
+
+
+def census():
+    """Per n in ``CENSUS_SIZES``: (n, probes, running products taken, the plain loop's n (n - 2)
+    per probe, probes whose sums are bit-equal to the loop's) over the probes of one seeded
+    ``identity_check`` document, summed to order n - 1 as ``verify_power_sum_identity`` sums them."""
+    rng = random.Random(56)
+    rows = []
+    for n in CENSUS_SIZES:
+        config = random_scenario(ScenarioKind.IDENTITY_CHECK, n, rng).config
+        poly = RegularPolygon(n, config.centroid, config.r, config.phase, config.orient)
+        taken = equal = 0
+        for probe in config.probes:
+            values = identity_squares(poly, probe)
+            CountedFloat.products = 0
+            list(_power_sums([CountedFloat(value) for value in values], n - 1))
+            taken += CountedFloat.products
+            equal += sum_bits(_power_sums(values, n - 1)) == sum_bits(running_product_sums(values, n - 1))
+        rows.append((n, len(config.probes), taken, len(config.probes) * n * (n - 2), equal))
+    return rows
+
+
+if __name__ == "__main__":
+    # The power-sum kernel census: how many running products the direct sums take against the
+    # plain loop, a deterministic count, and whether every sum is bit-equal to the loop's.
+    # Exits 1 on any bit difference.
+    #     PYTHONPATH=src python tests/test_power_sums.py
+    rows = census()
+    print("Power-sum kernel census (tests/test_power_sums.py)\n")
+    print("| n | probes | products taken | plain loop | share | bit-equal probes |")
+    print("|---|---|---|---|---|---|")
+    for n, probes, taken, plain, equal in rows:
+        print(f"| {n} | {probes} | {taken:,} | {plain:,} | {taken / plain:.3f} | {equal}/{probes} |")
+    sys.exit(any(equal != probes for _, probes, _, _, equal in rows))
